@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke bench bench-smoke bench-kernels bench-compress bench-ingest serve-smoke
+.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-compress bench-ingest serve-smoke
 
 # check is the full local gate: what CI runs.
 check: vet staticcheck govulncheck build race fuzz-smoke
@@ -45,6 +45,15 @@ fuzz-smoke:
 	$(GO) test -run=FuzzReadDiskFrom -fuzz=FuzzReadDiskFrom -fuzztime=10s ./internal/store
 	$(GO) test -run=FuzzWALReplay -fuzz=FuzzWALReplay -fuzztime=20s ./internal/store
 	$(GO) test -run=FuzzLoad -fuzz=FuzzLoad -fuzztime=10s .
+
+# loc prints the non-test Go line count the ROADMAP's "net non-test LOC
+# goes down" refers to: every .go file that is not a test and not under
+# benchmark/ (frozen between benchmark PRs), per package and in total.
+# The total is `find … | xargs cat | wc -l` over the same files.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; for (i = 2; i < n; i++) d = d "/" p[i]; lines[d] += $$1; total += $$1 } \
+		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
 
 # bench regenerates the BENCH_queries.json perf artifact: the scaling
 # benchmarks first (their speedup metric prints to stdout), then the

@@ -8,25 +8,27 @@ package segdb
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"segdb/internal/geom"
 )
 
-// allocDB builds a warm R*-tree database whose working set fits the
-// buffer pool, so repeated queries hit only warm code paths.
-func allocDB(t *testing.T) *DB {
-	return allocDBCompressed(t, 0)
-}
+// rtreeFamily is every kind that answers queries through the shared
+// rsearch traversal: the R*-tree and R-tree run it without a duplicate
+// set, the R+-tree and k-d-B-tree with the pooled one.
+var rtreeFamily = []Kind{RStarTree, ClassicRTree, RPlusTree, KDBTree}
 
-// allocDBCompressed is allocDB at an explicit page-compression level.
-func allocDBCompressed(t *testing.T, level int) *DB {
+// allocDB builds a warm database of the given kind and page-compression
+// level whose working set fits the buffer pool, so repeated queries hit
+// only warm code paths.
+func allocDB(t *testing.T, kind Kind, level int) *DB {
 	t.Helper()
 	m, err := GenerateCounty("Charles")
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(RStarTree, WithPoolPages(4096), WithPageCompression(level))
+	db, err := Open(kind, WithPoolPages(4096), WithPageCompression(level))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,42 +38,25 @@ func allocDBCompressed(t *testing.T, level int) *DB {
 	return db
 }
 
-// TestWindowCtxCompressedWarmZeroAllocs repeats the zero-alloc window
-// assertion over quantized (level 2) pages: the decode cache and the
-// node pool must absorb the wider compressed fanout without per-query
-// allocation (pooled entry slices are trimmed against the compressed
-// capacity, not the classic one).
-func TestWindowCtxCompressedWarmZeroAllocs(t *testing.T) {
-	for _, level := range []int{1, 2} {
-		db := allocDBCompressed(t, level)
-		ctx := context.Background()
-		r := geom.RectOf(2000, 2000, 6000, 6000)
-		hits := 0
-		visit := func(SegmentID, Segment) bool { hits++; return true }
-		if _, err := db.WindowCtx(ctx, r, visit); err != nil {
-			t.Fatal(err)
-		}
-		if hits == 0 {
-			t.Fatal("window query found nothing; the assertion below would be vacuous")
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := db.WindowCtx(ctx, r, visit); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("level %d: warm WindowCtx allocates %.1f objects/query, want 0", level, allocs)
+// forFamily runs body once per R-tree-family kind at each level.
+func forFamily(t *testing.T, levels []int, body func(t *testing.T, db *DB)) {
+	for _, kind := range rtreeFamily {
+		for _, level := range levels {
+			t.Run(fmt.Sprintf("%v/level%d", kind, level), func(t *testing.T) {
+				body(t, allocDB(t, kind, level))
+			})
 		}
 	}
 }
 
-func TestWindowCtxWarmZeroAllocs(t *testing.T) {
-	db := allocDB(t)
+// warmWindowZeroAllocs asserts a repeated WindowCtx allocates nothing
+// once one warm-up pass has faulted the working set in and filled the
+// pools.
+func warmWindowZeroAllocs(t *testing.T, db *DB) {
 	ctx := context.Background()
 	r := geom.RectOf(2000, 2000, 6000, 6000)
 	hits := 0
 	visit := func(SegmentID, Segment) bool { hits++; return true }
-	// One warm-up pass faults the working set in and fills the pools.
 	if _, err := db.WindowCtx(ctx, r, visit); err != nil {
 		t.Fatal(err)
 	}
@@ -88,48 +73,63 @@ func TestWindowCtxWarmZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWindowCtxCompressedWarmZeroAllocs repeats the zero-alloc window
+// assertion over compressed pages, quantized (level 2) included: the
+// decode cache and the node pool must absorb the wider compressed fanout
+// without per-query allocation (pooled entry slices are trimmed against
+// the compressed capacity, not the classic one).
+func TestWindowCtxCompressedWarmZeroAllocs(t *testing.T) {
+	forFamily(t, []int{1, 2}, warmWindowZeroAllocs)
+}
+
+func TestWindowCtxWarmZeroAllocs(t *testing.T) {
+	forFamily(t, []int{0}, warmWindowZeroAllocs)
+}
+
 func TestWindowAppendCtxWarmZeroAllocs(t *testing.T) {
-	db := allocDB(t)
-	ctx := context.Background()
-	r := geom.RectOf(2000, 2000, 6000, 6000)
-	buf, _, err := db.WindowAppendCtx(ctx, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buf) == 0 {
-		t.Fatal("window query found nothing; the assertion below would be vacuous")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		buf, _, err = db.WindowAppendCtx(ctx, r, buf[:0])
+	forFamily(t, []int{0}, func(t *testing.T, db *DB) {
+		ctx := context.Background()
+		r := geom.RectOf(2000, 2000, 6000, 6000)
+		buf, _, err := db.WindowAppendCtx(ctx, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(buf) == 0 {
+			t.Fatal("window query found nothing; the assertion below would be vacuous")
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			buf, _, err = db.WindowAppendCtx(ctx, r, buf[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm WindowAppendCtx allocates %.1f objects/query, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("warm WindowAppendCtx allocates %.1f objects/query, want 0", allocs)
-	}
 }
 
 func TestNearestKAppendCtxWarmAllocs(t *testing.T) {
-	db := allocDB(t)
-	ctx := context.Background()
-	p := Point{X: 4000, Y: 4000}
-	buf, _, err := db.NearestKAppendCtx(ctx, p, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buf) == 0 {
-		t.Fatal("nearest query found nothing; the assertion below would be vacuous")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		buf, _, err = db.NearestKAppendCtx(ctx, p, 8, buf[:0])
+	forFamily(t, []int{0}, func(t *testing.T, db *DB) {
+		ctx := context.Background()
+		p := Point{X: 4000, Y: 4000}
+		buf, _, err := db.NearestKAppendCtx(ctx, p, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(buf) == 0 {
+			t.Fatal("nearest query found nothing; the assertion below would be vacuous")
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			buf, _, err = db.NearestKAppendCtx(ctx, p, 8, buf[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm NearestKAppendCtx allocates %.1f objects/query, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("warm NearestKAppendCtx allocates %.1f objects/query, want 0", allocs)
-	}
 }

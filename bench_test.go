@@ -154,30 +154,30 @@ func BenchmarkTable2Queries(b *testing.B) {
 		run  op
 	}{
 		{harness.Point1, func(ix core.Index, i int) error {
-			return core.IncidentAt(ix, wl.EndpointPts[i%len(wl.EndpointPts)], sink)
+			return core.IncidentAtObs(ix, wl.EndpointPts[i%len(wl.EndpointPts)], sink, nil)
 		}},
 		{harness.Point2, func(ix core.Index, i int) error {
 			j := i % len(wl.EndpointSegs)
-			return core.OtherEndpoint(ix, wl.EndpointSegs[j], wl.EndpointPts[j], sink)
+			return core.OtherEndpointObs(ix, wl.EndpointSegs[j], wl.EndpointPts[j], sink, nil)
 		}},
 		{harness.Nearest2Stage, func(ix core.Index, i int) error {
-			_, err := ix.Nearest(wl.TwoStage[i%len(wl.TwoStage)])
+			_, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil)
 			return err
 		}},
 		{harness.Nearest1Stage, func(ix core.Index, i int) error {
-			_, err := ix.Nearest(wl.OneStage[i%len(wl.OneStage)])
+			_, err := core.FirstNearestObs(ix, wl.OneStage[i%len(wl.OneStage)], nil)
 			return err
 		}},
 		{harness.Polygon2Stage, func(ix core.Index, i int) error {
-			_, err := core.EnclosingPolygon(ix, wl.TwoStage[i%len(wl.TwoStage)])
+			_, err := core.EnclosingPolygonObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil)
 			return err
 		}},
 		{harness.Polygon1Stage, func(ix core.Index, i int) error {
-			_, err := core.EnclosingPolygon(ix, wl.OneStage[i%len(wl.OneStage)])
+			_, err := core.EnclosingPolygonObs(ix, wl.OneStage[i%len(wl.OneStage)], nil)
 			return err
 		}},
 		{harness.Range, func(ix core.Index, i int) error {
-			return ix.Window(wl.Windows[i%len(wl.Windows)], sink)
+			return ix.WindowObs(wl.Windows[i%len(wl.Windows)], sink, nil)
 		}},
 	}
 	for _, s := range harness.Core() {
@@ -214,7 +214,7 @@ func BenchmarkFigure7BBoxComputations(b *testing.B) {
 			before := ix.NodeComps()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Nearest(wl.TwoStage[i%len(wl.TwoStage)]); err != nil {
+				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +234,7 @@ func BenchmarkFigure8DiskAccesses(b *testing.B) {
 			before := core.Snapshot(ix)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ix.Window(wl.Windows[i%len(wl.Windows)], func(SegmentID, Segment) bool { return true }); err != nil {
+				if err := ix.WindowObs(wl.Windows[i%len(wl.Windows)], func(SegmentID, Segment) bool { return true }, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,7 +256,7 @@ func BenchmarkFigure9SegmentComparisons(b *testing.B) {
 			before := ix.Table().Comparisons()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Nearest(wl.TwoStage[i%len(wl.TwoStage)]); err != nil {
+				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,7 +281,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			before := core.Snapshot(ix)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Nearest(wl.TwoStage[i%len(wl.TwoStage)]); err != nil {
+				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -342,7 +342,7 @@ func BenchmarkAblationGridVsPMR(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					p := wl.OneStage[i%len(wl.OneStage)]
-					if _, err := ix.Nearest(p); err != nil {
+					if _, err := core.FirstNearestObs(ix, p, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -472,7 +472,7 @@ func BenchmarkOverlayJoin(b *testing.B) {
 	sink := func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool { return true }
 	b.Run("pmr-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := pmr.Join(pmrA, pmrB.(*pmr.Tree), sink); err != nil {
+			if err := pmr.JoinObs(pmrA, pmrB.(*pmr.Tree), sink, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -483,7 +483,7 @@ func BenchmarkOverlayJoin(b *testing.B) {
 	}
 	b.Run("nested-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := core.JoinNestedLoop(built[harness.RStar], rstarB, sink); err != nil {
+			if err := core.JoinNestedLoopObs(built[harness.RStar], rstarB, sink, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -510,7 +510,7 @@ func windowBatchSetup(b *testing.B) (*DB, []Rect) {
 		if windowBatchErr != nil {
 			return
 		}
-		windowBatchDB, windowBatchErr = Open(RStarTree, &Options{PoolPages: 4096})
+		windowBatchDB, windowBatchErr = Open(RStarTree, WithPoolPages(4096))
 		if windowBatchErr != nil {
 			return
 		}
@@ -597,7 +597,7 @@ func BenchmarkOverlayParallelJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	open := func(m *tiger.Map) *DB {
-		db, err := Open(RStarTree, &Options{PoolPages: 1024})
+		db, err := Open(RStarTree, WithPoolPages(1024))
 		if err != nil {
 			b.Fatal(err)
 		}

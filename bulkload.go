@@ -3,12 +3,7 @@ package segdb
 import (
 	"fmt"
 
-	"segdb/internal/core"
 	"segdb/internal/geom"
-	"segdb/internal/grid"
-	"segdb/internal/pmr"
-	"segdb/internal/rplus"
-	"segdb/internal/rstar"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -149,22 +144,7 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 		disk.SetJournal(true)
 	}
 	pool := store.NewShardedPool(disk, db.opts.PoolPages, db.opts.PoolShards)
-	var (
-		ix  core.Index
-		err error
-	)
-	switch db.kind {
-	case RStarTree, ClassicRTree:
-		ix, err = rstar.BulkLoad(pool, db.table, db.opts.rstarConfig(db.kind), ids)
-	case RPlusTree, KDBTree:
-		ix, err = rplus.BulkLoad(pool, db.table, db.opts.rplusConfig(db.kind), ids)
-	case PMRQuadtree:
-		ix, err = pmr.BulkLoad(pool, db.table, db.opts.pmrConfig(), ids)
-	case UniformGrid:
-		ix, err = grid.BulkLoad(pool, db.table, db.opts.gridConfig(), ids)
-	default:
-		err = fmt.Errorf("segdb: unknown index kind %v", db.kind)
-	}
+	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids)
 	if err != nil {
 		return err
 	}

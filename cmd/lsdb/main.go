@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -310,62 +311,54 @@ func query(args []string) error {
 		}
 	}
 	p := segdb.Pt(int32(*x), int32(*y))
-	var qerr error
-	cost, err := db.Measure(func() error {
-		switch *qtype {
-		case "nearest":
-			res, err := db.Nearest(p)
-			if err != nil {
-				return err
-			}
-			if !res.Found {
-				fmt.Println("no segments in the database")
-				return nil
-			}
-			fmt.Printf("nearest segment #%d: %v (distance %.2f)\n",
-				res.ID, res.Seg, math.Sqrt(res.DistSq))
-		case "polygon":
-			poly, err := db.EnclosingPolygon(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("enclosing polygon has %d boundary segments", poly.Size())
-			if poly.Size() <= 16 {
-				fmt.Printf(": %v", poly.IDs)
-			}
-			fmt.Println()
-		case "window":
-			r := segdb.RectOf(int32(*x), int32(*y), int32(*x+*w-1), int32(*y+*h-1))
-			count := 0
-			if err := db.Window(r, func(segdb.SegmentID, segdb.Segment) bool {
-				count++
-				return true
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("%d segments intersect window %v\n", count, r)
-		case "incident":
-			count := 0
-			if err := db.IncidentAt(p, func(id segdb.SegmentID, s segdb.Segment) bool {
-				count++
-				fmt.Printf("  segment #%d: %v\n", id, s)
-				return true
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("%d segments incident at %v\n", count, p)
-		default:
-			qerr = fmt.Errorf("unknown query type %q", *qtype)
+	ctx := context.Background()
+	var cost segdb.QueryStats
+	switch *qtype {
+	case "nearest":
+		var res segdb.NearestResult
+		if res, cost, err = db.NearestCtx(ctx, p); err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if qerr != nil {
-		return qerr
+		if !res.Found {
+			fmt.Println("no segments in the database")
+			break
+		}
+		fmt.Printf("nearest segment #%d: %v (distance %.2f)\n",
+			res.ID, res.Seg, math.Sqrt(res.DistSq))
+	case "polygon":
+		var poly segdb.Polygon
+		if poly, cost, err = db.EnclosingPolygonCtx(ctx, p); err != nil {
+			return err
+		}
+		fmt.Printf("enclosing polygon has %d boundary segments", poly.Size())
+		if poly.Size() <= 16 {
+			fmt.Printf(": %v", poly.IDs)
+		}
+		fmt.Println()
+	case "window":
+		r := segdb.RectOf(int32(*x), int32(*y), int32(*x+*w-1), int32(*y+*h-1))
+		count := 0
+		if cost, err = db.WindowCtx(ctx, r, func(segdb.SegmentID, segdb.Segment) bool {
+			count++
+			return true
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("%d segments intersect window %v\n", count, r)
+	case "incident":
+		count := 0
+		if cost, err = db.IncidentAtCtx(ctx, p, func(id segdb.SegmentID, s segdb.Segment) bool {
+			count++
+			fmt.Printf("  segment #%d: %v\n", id, s)
+			return true
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("%d segments incident at %v\n", count, p)
+	default:
+		return fmt.Errorf("unknown query type %q", *qtype)
 	}
 	fmt.Printf("cost: %d disk accesses, %d segment comparisons, %d bbox/bucket computations\n",
-		cost.DiskAccesses, cost.SegComps, cost.NodeComps)
+		cost.DiskAccesses(), cost.SegComps, cost.NodeComps)
 	return nil
 }

@@ -102,15 +102,11 @@ func (db *DB) walCommit() error {
 	if err := db.walCapture(store.WALDiskTable, db.table.Pool()); err != nil {
 		return err
 	}
-	meta, err := db.indexMeta()
-	if err != nil {
-		return err
-	}
 	return db.wal.AppendCommit(store.WALCommit{
 		Epoch:      db.walEpoch,
 		Seq:        db.walSeq,
 		TableCount: uint32(db.table.Len()),
-		Meta:       meta,
+		Meta:       db.index.PersistMeta(),
 		Disks:      db.walDiskStates(),
 	})
 }

@@ -71,7 +71,7 @@ func (CanceledError) Error() string { return "segdb: query canceled by visitor" 
 // and context-initiated stops return the context's error — but batch
 // visitors running under WindowBatchCtx or OverlayCtx may observe it
 // internally, and custom code threading cancellation through
-// parallelRange-style pools can reuse it. Match with errors.Is.
+// its own worker pools can reuse it. Match with errors.Is.
 var ErrCanceled error = CanceledError{}
 
 // ErrCode is the stable wire classification of an error: a short

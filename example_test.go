@@ -1,6 +1,7 @@
 package segdb_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +11,7 @@ import (
 // Example indexes a tiny noded road network in a PMR quadtree and runs
 // the five queries of Hoel & Samet (SIGMOD 1992).
 func Example() {
-	db, err := segdb.Open(segdb.PMRQuadtree, nil)
+	db, err := segdb.Open(segdb.PMRQuadtree)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,24 +59,21 @@ func Example() {
 	// in window: 3
 }
 
-// ExampleDB_Measure costs a query in the paper's three metrics.
-func ExampleDB_Measure() {
-	db, _ := segdb.Open(segdb.RStarTree, nil)
+// ExampleDB_NearestCtx costs a query in the paper's three metrics.
+func ExampleDB_NearestCtx() {
+	db, _ := segdb.Open(segdb.RStarTree)
 	for x := int32(0); x < 5000; x += 100 {
 		db.Add(segdb.Seg(x, 1000, x+80, 1040))
 	}
 	db.DropCaches() // cold start
-	cost, _ := db.Measure(func() error {
-		_, err := db.Nearest(segdb.Pt(2500, 1500))
-		return err
-	})
-	fmt.Println(cost.DiskAccesses > 0, cost.SegComps > 0, cost.NodeComps > 0)
+	_, cost, _ := db.NearestCtx(context.Background(), segdb.Pt(2500, 1500))
+	fmt.Println(cost.DiskAccesses() > 0, cost.SegComps > 0, cost.NodeComps > 0)
 	// Output: true true true
 }
 
 // ExampleDB_NearestK ranks the three nearest segments.
 func ExampleDB_NearestK() {
-	db, _ := segdb.Open(segdb.RPlusTree, nil)
+	db, _ := segdb.Open(segdb.RPlusTree)
 	db.Add(segdb.Seg(0, 10, 100, 10))
 	db.Add(segdb.Seg(0, 30, 100, 30))
 	db.Add(segdb.Seg(0, 90, 100, 90))
@@ -91,8 +89,8 @@ func ExampleDB_NearestK() {
 
 // ExampleDB_Overlay joins two maps, reporting each crossing once.
 func ExampleDB_Overlay() {
-	roads, _ := segdb.Open(segdb.PMRQuadtree, nil)
-	rails, _ := segdb.Open(segdb.PMRQuadtree, nil)
+	roads, _ := segdb.Open(segdb.PMRQuadtree)
+	rails, _ := segdb.Open(segdb.PMRQuadtree)
 	roads.Add(segdb.Seg(0, 100, 400, 100)) // east-west road
 	rails.Add(segdb.Seg(200, 0, 200, 400)) // north-south rail
 	rails.Add(segdb.Seg(300, 0, 390, 90))  // rail that stops short

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -48,26 +49,22 @@ func main() {
 		buildTime := time.Since(start)
 
 		var sumDist float64
+		var cost segdb.QueryStats
 		start = time.Now()
-		cost, err := db.Measure(func() error {
-			for _, h := range houses {
-				res, err := db.Nearest(h)
-				if err != nil {
-					return err
-				}
-				sumDist += math.Sqrt(res.DistSq)
+		for _, h := range houses {
+			res, st, err := db.NearestCtx(context.Background(), h)
+			if err != nil {
+				log.Fatal(err)
 			}
-			return nil
-		})
-		if err != nil {
-			log.Fatal(err)
+			sumDist += math.Sqrt(res.DistSq)
+			cost = cost.Add(st)
 		}
 		queryTime := time.Since(start)
 
 		n := float64(len(houses))
 		fmt.Printf("%-14v | %10v %12d | %10.2f %10.2f %12v\n",
 			kind, buildTime.Round(time.Millisecond), db.IndexSizeBytes()/1024,
-			float64(cost.DiskAccesses)/n, float64(cost.SegComps)/n,
+			float64(cost.DiskAccesses())/n, float64(cost.SegComps)/n,
 			queryTime.Round(time.Microsecond))
 		_ = sumDist
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,21 +34,15 @@ func main() {
 		rng := rand.New(rand.NewSource(7))
 		const trials = 40
 		sizes := make([]int, 0, trials)
-		var totalCost segdb.Metrics
+		var totalCost segdb.QueryStats
 		for len(sizes) < trials {
 			s := m.Segments[rng.Intn(len(m.Segments))]
 			p := segdb.Pt(s.P1.X+1, s.P1.Y+1)
-			cost, err := db.Measure(func() error {
-				poly, err := db.EnclosingPolygon(p)
-				if err != nil {
-					return err
-				}
-				sizes = append(sizes, poly.Size())
-				return nil
-			})
+			poly, cost, err := db.EnclosingPolygonCtx(context.Background(), p)
 			if err != nil {
 				log.Fatal(err)
 			}
+			sizes = append(sizes, poly.Size())
 			totalCost = totalCost.Add(cost)
 		}
 
@@ -64,7 +59,7 @@ func main() {
 		fmt.Printf("%s (%s): polygons over %d trials: min %d, avg %.1f, max %d segments\n",
 			m.Name, m.Class, trials, min, float64(sum)/float64(trials), max)
 		fmt.Printf("  avg cost/polygon: %.1f disk accesses, %.1f segment comparisons\n\n",
-			float64(totalCost.DiskAccesses)/trials, float64(totalCost.SegComps)/trials)
+			float64(totalCost.DiskAccesses())/trials, float64(totalCost.SegComps)/trials)
 	}
 	fmt.Println("urban blocks are small; rural polygons meander (streams and roads")
 	fmt.Println("running in tandem), which is why the paper normalizes Figures 7-9")

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -71,15 +72,13 @@ func main() {
 
 	// Query 5: everything in a window around the block's SE corner.
 	fmt.Println("query 5 — window [1800,900]-[2100,1600]:")
-	cost, err := db.Measure(func() error {
-		return db.Window(segdb.RectOf(1800, 900, 2100, 1600), func(id segdb.SegmentID, s segdb.Segment) bool {
-			fmt.Printf("  #%d %v\n", id, s)
-			return true
-		})
+	cost, err := db.WindowCtx(context.Background(), segdb.RectOf(1800, 900, 2100, 1600), func(id segdb.SegmentID, s segdb.Segment) bool {
+		fmt.Printf("  #%d %v\n", id, s)
+		return true
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nthe window query cost %d disk accesses, %d segment comparisons, %d bucket computations\n",
-		cost.DiskAccesses, cost.SegComps, cost.NodeComps)
+		cost.DiskAccesses(), cost.SegComps, cost.NodeComps)
 }

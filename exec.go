@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"segdb/internal/bulk"
 )
 
 // normalizeParallelism clamps a requested worker count: zero or negative
@@ -48,7 +49,7 @@ func (db *DB) WindowBatchCtx(ctx context.Context, rects []Rect, parallelism int,
 	}
 	stats := make([]QueryStats, len(rects))
 	var stop atomic.Bool // a visitor said stop; drain the remaining queries
-	err := parallelRange(len(rects), normalizeParallelism(parallelism), func(q int) error {
+	err := bulk.ParallelRange(len(rects), normalizeParallelism(parallelism), func(q int) error {
 		o := db.begin(ctx, qkWindowBatch)
 		o.SetEpoch(h.version())
 		canceled := false
@@ -85,47 +86,4 @@ func (db *DB) WindowBatchCtx(ctx context.Context, rects []Rect, parallelism int,
 func (db *DB) WindowBatch(rects []Rect, parallelism int, visit func(query int, id SegmentID, s Segment) bool) error {
 	_, err := db.WindowBatchCtx(context.Background(), rects, parallelism, visit)
 	return err
-}
-
-// parallelRange fans the half-open range [0, n) across a worker pool,
-// calling work(i) for each index. The first error cancels the remaining
-// range (in-flight calls still finish) and is returned.
-func parallelRange(n, workers int, work func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := work(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := work(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"segdb/internal/bulk"
 )
 
 func TestNormalizeParallelism(t *testing.T) {
@@ -26,7 +28,7 @@ func TestParallelRangeEmpty(t *testing.T) {
 	// n == 0 must return nil without ever calling work, at any worker
 	// count (workers is clamped to n, taking the sequential path).
 	for _, workers := range []int{0, 1, 8} {
-		if err := parallelRange(0, workers, func(int) error {
+		if err := bulk.ParallelRange(0, workers, func(int) error {
 			t.Fatal("work called for empty range")
 			return nil
 		}); err != nil {
@@ -38,7 +40,7 @@ func TestParallelRangeEmpty(t *testing.T) {
 func TestParallelRangeMoreWorkersThanItems(t *testing.T) {
 	// workers > n: every index still runs exactly once.
 	var calls [3]atomic.Int64
-	if err := parallelRange(len(calls), 64, func(i int) error {
+	if err := bulk.ParallelRange(len(calls), 64, func(i int) error {
 		calls[i].Add(1)
 		return nil
 	}); err != nil {
@@ -56,7 +58,7 @@ func TestParallelRangeErrorShortCircuit(t *testing.T) {
 
 	// Sequential path: the error at index 3 stops the range there.
 	var ran []int
-	err := parallelRange(100, 1, func(i int) error {
+	err := bulk.ParallelRange(100, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom
@@ -73,7 +75,7 @@ func TestParallelRangeErrorShortCircuit(t *testing.T) {
 	// Parallel path: the first error is returned and the remaining range
 	// is abandoned (in-flight calls may finish, but nowhere near all 10k).
 	var count atomic.Int64
-	err = parallelRange(10000, 4, func(i int) error {
+	err = bulk.ParallelRange(10000, 4, func(i int) error {
 		count.Add(1)
 		if i == 0 {
 			return boom
@@ -92,7 +94,7 @@ func TestParallelRangeCoversRange(t *testing.T) {
 	// Every index in [0, n) runs exactly once with real parallelism.
 	const n = 1000
 	var calls [n]atomic.Int64
-	if err := parallelRange(n, 8, func(i int) error {
+	if err := bulk.ParallelRange(n, 8, func(i int) error {
 		calls[i].Add(1)
 		return nil
 	}); err != nil {

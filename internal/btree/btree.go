@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"segdb/internal/obs"
 	"segdb/internal/store"
 )
 
@@ -174,6 +175,26 @@ func (t *Tree) getNode(id store.PageID) (*node, []byte, error) {
 	return n, data, nil
 }
 
+// getPooled is the read paths' node fetch: the page request is charged
+// to o (nil charges nothing), a NodeVisit trace event is emitted on
+// success, and the node comes from the decode pool instead of a fresh
+// allocation. The page stays pinned; callers unpin it and hand the node
+// back with releaseNode once done.
+func (t *Tree) getPooled(id store.PageID, o *obs.Op) (*node, error) {
+	data, err := t.pool.GetObs(id, o)
+	if err != nil {
+		return nil, err
+	}
+	n := acquireNode()
+	if err := readNodeInto(data, t.valSize, n); err != nil {
+		releaseNode(n)
+		t.pool.Unpin(id, false)
+		return nil, err
+	}
+	o.NodeVisit(uint32(id))
+	return n, nil
+}
+
 // node is the decoded in-memory form of a page.
 type node struct {
 	leaf     bool
@@ -217,7 +238,7 @@ func (t *Tree) Contains(key uint64) (bool, error) {
 	err := t.Scan(key, key+1, func(uint64) bool {
 		found = true
 		return false
-	})
+	}, nil)
 	return found, err
 }
 
@@ -228,7 +249,7 @@ func (t *Tree) Get(key uint64) (val []byte, ok bool, err error) {
 		val = append([]byte(nil), v...)
 		ok = true
 		return false
-	})
+	}, nil)
 	return val, ok, err
 }
 
@@ -349,21 +370,62 @@ func (t *Tree) insert(id store.PageID, level int, key uint64, val []byte) (sep u
 }
 
 // Scan visits the keys in [lo, hi) in ascending order, stopping early when
-// visit returns false.
-func (t *Tree) Scan(lo, hi uint64, visit func(key uint64) bool) error {
-	return t.ScanValues(lo, hi, func(k uint64, _ []byte) bool { return visit(k) })
+// visit returns false. Like every read path of the tree it takes the
+// per-query observation o: every page touched is charged to o, and a
+// canceled query context aborts at the next page fetch. A nil o charges
+// nothing and checks nothing.
+func (t *Tree) Scan(lo, hi uint64, visit func(key uint64) bool, o *obs.Op) error {
+	return t.ScanValues(lo, hi, func(k uint64, _ []byte) bool { return visit(k) }, o)
 }
 
 // ScanValues visits the keys in [lo, hi) with their payloads. The value
 // slice aliases an internal buffer valid only during the callback.
-func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool) error {
-	return t.ScanValuesObs(lo, hi, visit, nil)
+func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool, o *obs.Op) error {
+	if hi <= lo {
+		return nil
+	}
+	// Descend to the leaf that would contain lo.
+	id := t.root
+	for level := t.height; level > 1; level-- {
+		n, err := t.getPooled(id, o)
+		if err != nil {
+			return err
+		}
+		next := n.children[upperBound(n.keys, lo)]
+		t.pool.Unpin(id, false)
+		releaseNode(n)
+		id = next
+	}
+	// Walk the leaf chain. A corrupted image could link the chain into a
+	// cycle; more hops than the disk has pages proves one.
+	hops := 0
+	for id != store.NilPage {
+		if hops++; hops > t.pool.Disk().PageCount() {
+			return fmt.Errorf("btree: leaf chain cycle detected after %d pages", hops-1)
+		}
+		n, err := t.getPooled(id, o)
+		if err != nil {
+			return err
+		}
+		for i := lowerBound(n.keys, lo); i < len(n.keys); i++ {
+			if n.keys[i] >= hi || !visit(n.keys[i], n.val(i, t.valSize)) {
+				t.pool.Unpin(id, false)
+				releaseNode(n)
+				return nil
+			}
+		}
+		next := n.next
+		t.pool.Unpin(id, false)
+		releaseNode(n)
+		id = next
+	}
+	return nil
 }
 
 // CountRange returns the number of keys in [lo, hi).
-func (t *Tree) CountRange(lo, hi uint64) (int, error) {
+func (t *Tree) CountRange(lo, hi uint64, o *obs.Op) (int, error) {
 	n := 0
-	err := t.Scan(lo, hi, func(uint64) bool { n++; return true })
+	err := t.Scan(lo, hi, func(uint64) bool { n++; return true }, o)
 	return n, err
 }
 

@@ -30,7 +30,7 @@ func TestInsertScanSmall(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	var got []uint64
-	if err := tr.Scan(0, 100, func(k uint64) bool { got = append(got, k); return true }); err != nil {
+	if err := tr.Scan(0, 100, func(k uint64) bool { got = append(got, k); return true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range got {
@@ -78,19 +78,19 @@ func TestScanRangeBounds(t *testing.T) {
 		tr.Insert(k)
 	}
 	var got []uint64
-	tr.Scan(20, 40, func(k uint64) bool { got = append(got, k); return true })
+	tr.Scan(20, 40, func(k uint64) bool { got = append(got, k); return true }, nil)
 	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
 		t.Errorf("Scan[20,40) = %v", got)
 	}
 	// Empty and inverted ranges.
 	got = nil
-	tr.Scan(41, 41, func(k uint64) bool { got = append(got, k); return true })
+	tr.Scan(41, 41, func(k uint64) bool { got = append(got, k); return true }, nil)
 	if len(got) != 0 {
 		t.Errorf("empty range returned %v", got)
 	}
 	// Early stop.
 	n := 0
-	tr.Scan(0, 100, func(k uint64) bool { n++; return n < 2 })
+	tr.Scan(0, 100, func(k uint64) bool { n++; return n < 2 }, nil)
 	if n != 2 {
 		t.Errorf("early stop visited %d", n)
 	}
@@ -180,7 +180,7 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 				lo := uint64(rng.Intn(2000))
 				hi := lo + uint64(rng.Intn(300))
 				var got []uint64
-				tr.Scan(lo, hi, func(k uint64) bool { got = append(got, k); return true })
+				tr.Scan(lo, hi, func(k uint64) bool { got = append(got, k); return true }, nil)
 				var want []uint64
 				for rk := range ref {
 					if rk >= lo && rk < hi {
@@ -221,7 +221,7 @@ func TestLargeKeysNearMax(t *testing.T) {
 		}
 	}
 	var got []uint64
-	tr.Scan(0, math.MaxUint64, func(k uint64) bool { got = append(got, k); return true })
+	tr.Scan(0, math.MaxUint64, func(k uint64) bool { got = append(got, k); return true }, nil)
 	if len(got) != len(keys) {
 		t.Fatalf("got %d keys", len(got))
 	}
@@ -256,7 +256,7 @@ func TestColdScanDiskAccessesScaleWithPages(t *testing.T) {
 	tr.Pool().DropAll()
 	before := tr.Pool().Stats()
 	count := 0
-	tr.Scan(0, math.MaxUint64, func(uint64) bool { count++; return true })
+	tr.Scan(0, math.MaxUint64, func(uint64) bool { count++; return true }, nil)
 	reads := tr.Pool().Stats().Sub(before).Reads
 	if count != n {
 		t.Fatalf("scanned %d", count)
@@ -271,7 +271,7 @@ func TestColdScanDiskAccessesScaleWithPages(t *testing.T) {
 
 func TestSeekLE(t *testing.T) {
 	tr := newTestTree(t, 256, 8)
-	if _, ok, _ := tr.SeekLE(100); ok {
+	if _, ok, _ := tr.SeekLE(100, nil); ok {
 		t.Error("SeekLE on empty tree should fail")
 	}
 	for k := uint64(10); k <= 5000; k += 10 {
@@ -290,7 +290,7 @@ func TestSeekLE(t *testing.T) {
 		{999999, 5000, true},
 	}
 	for _, c := range cases {
-		got, ok, err := tr.SeekLE(c.k)
+		got, ok, err := tr.SeekLE(c.k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestSeekLEMatchesReference(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		k := uint64(rng.Intn(110000))
 		i := sort.Search(len(keys), func(i int) bool { return keys[i] > k })
-		got, ok, err := tr.SeekLE(k)
+		got, ok, err := tr.SeekLE(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestBulkLoadSizes(t *testing.T) {
 			t.Fatalf("n=%d: Len = %d", n, bt.Len())
 		}
 		var got []uint64
-		if err := bt.Scan(0, ^uint64(0), func(k uint64) bool { got = append(got, k); return true }); err != nil {
+		if err := bt.Scan(0, ^uint64(0), func(k uint64) bool { got = append(got, k); return true }, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != n {
@@ -74,7 +74,7 @@ func TestBulkLoadValues(t *testing.T) {
 		}
 		i++
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

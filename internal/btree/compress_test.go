@@ -98,10 +98,10 @@ func TestCompressedTreeEquivalence(t *testing.T) {
 			t.Fatalf("step %d: len %d vs %d", step, compressed.Len(), classic.Len())
 		}
 		var ck, xk []uint64
-		if err := classic.Scan(0, ^uint64(0), func(k uint64) bool { ck = append(ck, k); return true }); err != nil {
+		if err := classic.Scan(0, ^uint64(0), func(k uint64) bool { ck = append(ck, k); return true }, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := compressed.Scan(0, ^uint64(0), func(k uint64) bool { xk = append(xk, k); return true }); err != nil {
+		if err := compressed.Scan(0, ^uint64(0), func(k uint64) bool { xk = append(xk, k); return true }, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(ck) != len(xk) {

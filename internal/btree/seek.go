@@ -8,13 +8,14 @@ import (
 // SeekLE returns the largest key <= k, or ok=false when no such key
 // exists. It is the predecessor search that the linear quadtree's point
 // location relies on: the leaf block containing a point is found from the
-// predecessor of the point's full-resolution locational key.
-func (t *Tree) SeekLE(k uint64) (uint64, bool, error) {
-	return t.seekLE(t.root, t.height, k, nil)
+// predecessor of the point's full-resolution locational key. Page
+// requests are charged to o (nil charges nothing).
+func (t *Tree) SeekLE(k uint64, o *obs.Op) (uint64, bool, error) {
+	return t.seekLE(t.root, t.height, k, o)
 }
 
 func (t *Tree) seekLE(id store.PageID, level int, k uint64, o *obs.Op) (uint64, bool, error) {
-	n, _, err := t.getNodeObs(id, o)
+	n, err := t.getPooled(id, o)
 	if err != nil {
 		return 0, false, err
 	}

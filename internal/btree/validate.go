@@ -33,7 +33,7 @@ func (t *Tree) Validate() error {
 	// Verify the leaf chain independently. Key math.MaxUint64 is reserved
 	// (Scan's hi bound is exclusive); no caller stores it.
 	chainKeys := 0
-	if err := t.Scan(0, math.MaxUint64, func(uint64) bool { chainKeys++; return true }); err != nil {
+	if err := t.Scan(0, math.MaxUint64, func(uint64) bool { chainKeys++; return true }, nil); err != nil {
 		return err
 	}
 	if chainKeys != t.count {

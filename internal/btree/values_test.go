@@ -138,7 +138,7 @@ func TestValuesSurviveRebalancing(t *testing.T) {
 		}
 		got++
 		return true
-	})
+	}, nil)
 	if got != len(ref) {
 		t.Fatalf("scan saw %d keys, want %d", got, len(ref))
 	}
@@ -156,7 +156,7 @@ func TestScanValuesRange(t *testing.T) {
 		}
 		keys = append(keys, k)
 		return true
-	})
+	}, nil)
 	if len(keys) != 4 || keys[0] != 20 || keys[3] != 50 {
 		t.Errorf("keys = %v", keys)
 	}

@@ -53,32 +53,54 @@ func Workers() int { return runtime.GOMAXPROCS(0) }
 // so assembly order (and with it the pipeline's output) stays
 // deterministic regardless of how iterations interleave.
 func Parallel(n int, f func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
+	_ = ParallelRange(n, Workers(), func(i int) error {
+		f(i)
+		return nil
+	})
+}
+
+// ParallelRange fans the half-open range [0, n) across a pool of at most
+// workers goroutines, calling work(i) for each index. The first error
+// cancels the remaining range (in-flight calls still finish) and is
+// returned. With one worker it runs on the calling goroutine.
+func ParallelRange(n, workers int, work func(i int) error) error {
+	if workers > n {
+		workers = n
 	}
-	if w <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			if err := work(i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(i)
+				if err := work(i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					stop.Store(true)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	return firstErr
 }
 
 // minParallelSort is the slice length below which Sort stays sequential:

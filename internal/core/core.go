@@ -22,8 +22,17 @@ import (
 	"segdb/internal/store"
 )
 
-// Index is the interface implemented by the three data structures under
-// study (plus the uniform-grid baseline).
+// Index is the interface implemented by the structures under study —
+// the R*-tree, the hybrid R+-tree and the PMR quadtree of the paper, the
+// Guttman R-tree, k-d-B-tree and uniform-grid baselines — and by the
+// merged snapshot view a staged-ingest database reads through.
+//
+// Each of the two index-specific queries has exactly one method, taking
+// the per-query observation o: all disk, segment comparison, and node
+// computation costs are charged to o in addition to the index's own
+// counters, and a canceled query context aborts the traversal at the
+// next page fetch with the context's error. A nil o charges nothing and
+// checks nothing.
 type Index interface {
 	// Name identifies the structure ("R*-tree", "R+-tree", "PMR").
 	Name() string
@@ -34,35 +43,19 @@ type Index interface {
 	// Delete removes a previously inserted segment.
 	Delete(id seg.ID) error
 
-	// Window visits every segment whose geometry intersects the closed
+	// WindowObs visits every segment whose geometry intersects the closed
 	// rectangle r, passing the already-fetched geometry. Each segment is
 	// reported exactly once even if stored in several nodes. Traversal
 	// stops early when visit returns false.
-	Window(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool) error
-
-	// WindowObs is Window with per-query observation: all disk, segment
-	// comparison, and node computation costs are charged to o in addition
-	// to the index's own counters, and a canceled query context aborts
-	// the traversal at the next page fetch with the context's error. A
-	// nil o makes it identical to Window.
 	WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error
 
-	// Nearest returns the segment closest (Euclidean distance) to p.
-	// found is false only when the index is empty.
-	Nearest(p geom.Point) (NearestResult, error)
-
-	// NearestK returns up to k segments ordered by increasing distance
-	// from p (the incremental ranking of Hoel & Samet [11]). Fewer than k
-	// results means the index ran out of segments.
-	NearestK(p geom.Point, k int) ([]NearestResult, error)
-
-	// NearestKObs is NearestK with per-query observation (see WindowObs).
-	NearestKObs(p geom.Point, k int, o *obs.Op) ([]NearestResult, error)
-
-	// NearestKAppendObs is NearestKObs appending its results to dst and
-	// returning the extended slice. Passing a reused buffer lets warm
-	// callers run repeated nearest-neighbor queries without allocating a
-	// result slice per call; NearestKObs is equivalent to a nil dst.
+	// NearestKAppendObs appends to dst up to k segments ordered by
+	// increasing Euclidean distance from p (the incremental ranking of
+	// Hoel & Samet [11]) and returns the extended slice. Fewer than k
+	// results means the index ran out of segments. Passing a reused
+	// buffer lets warm callers run repeated nearest-neighbor queries
+	// without allocating a result slice per call; a nil dst allocates
+	// one.
 	NearestKAppendObs(p geom.Point, k int, dst []NearestResult, o *obs.Op) ([]NearestResult, error)
 
 	// Table returns the segment table the index points into.
@@ -101,14 +94,10 @@ type NearestResult struct {
 	Found  bool
 }
 
-// FirstNearest adapts NearestK to the single-neighbor Nearest contract.
-func FirstNearest(ix Index, p geom.Point) (NearestResult, error) {
-	return FirstNearestObs(ix, p, nil)
-}
-
-// FirstNearestObs is FirstNearest with per-query observation. The
-// single-element result buffer lives on this frame, so the adaptation
-// itself is allocation-free.
+// FirstNearestObs is the paper's nearest-line query (query 3): the first
+// neighbor of the incremental ranking. Found is false only when the
+// index is empty. The single-element result buffer lives on this frame,
+// so the adaptation itself is allocation-free.
 func FirstNearestObs(ix Index, p geom.Point, o *obs.Op) (NearestResult, error) {
 	var buf [1]NearestResult
 	res, err := ix.NearestKAppendObs(p, 1, buf[:0], o)
@@ -207,34 +196,4 @@ func Measure(ix Index, f func() error) (Metrics, error) {
 	before := Snapshot(ix)
 	err := f()
 	return Snapshot(ix).Sub(before), err
-}
-
-// StatsSnapshot captures the same cumulative counters as Snapshot in the
-// per-query obs.Stats shape, splitting disk accesses into reads and
-// write-backs. Diffing two of these around a quiesced operation yields
-// the operation's cost in the same fields a query's own QueryStats uses.
-func StatsSnapshot(ix Index) obs.Stats {
-	ixStats, tabStats := ix.DiskStats(), ix.Table().DiskStats()
-	return obs.Stats{
-		DiskReads:    ixStats.Reads + tabStats.Reads,
-		DiskWrites:   ixStats.Writes + tabStats.Writes,
-		PoolHits:     ixStats.Hits + tabStats.Hits,
-		PoolRequests: ixStats.Requests() + tabStats.Requests(),
-		SegComps:     ix.Table().Comparisons(),
-		NodeComps:    ix.NodeComps(),
-		Retries:      ixStats.Retries + tabStats.Retries,
-	}
-}
-
-// MetricsOf converts a per-query stats record into the Metrics shape the
-// harness tabulates.
-func MetricsOf(s obs.Stats) Metrics {
-	return Metrics{
-		DiskAccesses: s.DiskAccesses(),
-		SegComps:     s.SegComps,
-		NodeComps:    s.NodeComps,
-		PoolHits:     s.PoolHits,
-		PoolRequests: s.PoolRequests,
-		Retries:      s.Retries,
-	}
 }

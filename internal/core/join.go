@@ -36,7 +36,7 @@ func JoinLiveNestedLoopObs(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.S
 	return err
 }
 
-// JoinNestedLoop finds every intersecting pair of segments between two
+// JoinNestedLoopObs finds every intersecting pair of segments between two
 // indexes with an index nested-loop join: the outer relation (a's segment
 // table) is scanned in storage order and each segment probes b with a
 // window query on its bounding box. This is the natural join strategy for
@@ -50,13 +50,8 @@ func JoinLiveNestedLoopObs(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.S
 // deletions), which holds for freshly built maps.
 //
 // visit is called exactly once per unordered intersecting pair (idA from
-// a, idB from b); returning false stops the join.
-func JoinNestedLoop(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.Segment) bool) error {
-	return JoinNestedLoopObs(a, b, visit, nil)
-}
-
-// JoinNestedLoopObs is JoinNestedLoop with per-query observation: the
-// outer table scan and every inner window probe charge o.
+// a, idB from b); returning false stops the join. The outer table scan
+// and every inner window probe charge o.
 func JoinNestedLoopObs(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.Segment) bool, o *obs.Op) error {
 	outer := a.Table()
 	for i := 0; i < outer.Len(); i++ {

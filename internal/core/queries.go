@@ -13,15 +13,11 @@ import (
 // interface. Query 3 (nearest line) is provided by each index directly
 // since its pruning is structure-specific; the others are generic.
 
-// IncidentAt is query 1: given a point that is an endpoint of some line
-// segment, find all line segments incident at it. It executes as a point
-// query (a degenerate window) followed by an endpoint check on each
-// reported segment.
-func IncidentAt(ix Index, p geom.Point, visit func(id seg.ID, s geom.Segment) bool) error {
-	return IncidentAtObs(ix, p, visit, nil)
-}
-
-// IncidentAtObs is IncidentAt with per-query observation.
+// IncidentAtObs is query 1: given a point that is an endpoint of some
+// line segment, find all line segments incident at it. It executes as a
+// point query (a degenerate window) followed by an endpoint check on
+// each reported segment. Like every query here it charges o; nil charges
+// nothing.
 func IncidentAtObs(ix Index, p geom.Point, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	pt := geom.Rect{Min: p, Max: p}
 	return ix.WindowObs(pt, func(id seg.ID, s geom.Segment) bool {
@@ -32,13 +28,8 @@ func IncidentAtObs(ix Index, p geom.Point, visit func(id seg.ID, s geom.Segment)
 	}, o)
 }
 
-// OtherEndpoint is query 2: given segment id and one of its endpoints p,
-// find all segments incident at the segment's other endpoint.
-func OtherEndpoint(ix Index, id seg.ID, p geom.Point, visit func(id seg.ID, s geom.Segment) bool) error {
-	return OtherEndpointObs(ix, id, p, visit, nil)
-}
-
-// OtherEndpointObs is OtherEndpoint with per-query observation.
+// OtherEndpointObs is query 2: given segment id and one of its endpoints
+// p, find all segments incident at the segment's other endpoint.
 func OtherEndpointObs(ix Index, id seg.ID, p geom.Point, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	s, err := ix.Table().GetObs(id, o)
 	if err != nil {
@@ -65,16 +56,12 @@ func (p Polygon) Size() int { return len(p.IDs) }
 // input; no face of a ~50k-segment map approaches this bound.
 const maxPolygonEdges = 1 << 20
 
-// EnclosingPolygon is query 4: find the minimal enclosing polygon of point
-// p by locating the nearest line segment (query 3) and then traversing the
-// boundary of the face containing p by repeated application of query 2,
-// choosing the next edge at each shared endpoint by angular order.
-func EnclosingPolygon(ix Index, p geom.Point) (Polygon, error) {
-	return EnclosingPolygonObs(ix, p, nil)
-}
-
-// EnclosingPolygonObs is EnclosingPolygon with per-query observation:
-// the nearest-line seed and every boundary-following probe charge o.
+// EnclosingPolygonObs is query 4: find the minimal enclosing polygon of
+// point p by locating the nearest line segment (query 3) and then
+// traversing the boundary of the face containing p by repeated
+// application of query 2, choosing the next edge at each shared endpoint
+// by angular order. The nearest-line seed and every boundary-following
+// probe charge o.
 func EnclosingPolygonObs(ix Index, p geom.Point, o *obs.Op) (Polygon, error) {
 	nr, err := FirstNearestObs(ix, p, o)
 	if err != nil {
@@ -166,13 +153,13 @@ func orientSign(a, b, c geom.Point) int64 {
 }
 
 // WindowQuery is query 5: collect all segments intersecting the window.
-// It exists as a convenience wrapper over Index.Window for callers that
-// want the matching IDs rather than a callback.
+// It exists as a convenience wrapper over Index.WindowObs for callers
+// that want the matching IDs rather than a callback.
 func WindowQuery(ix Index, r geom.Rect) ([]seg.ID, error) {
 	var ids []seg.ID
-	err := ix.Window(r, func(id seg.ID, _ geom.Segment) bool {
+	err := ix.WindowObs(r, func(id seg.ID, _ geom.Segment) bool {
 		ids = append(ids, id)
 		return true
-	})
+	}, nil)
 	return ids, err
 }

@@ -92,10 +92,10 @@ func TestIncidentAtAgreesAcrossStructures(t *testing.T) {
 		}
 		for _, ix := range indexes {
 			got := map[seg.ID]bool{}
-			err := core.IncidentAt(ix, p, func(id seg.ID, _ geom.Segment) bool {
+			err := core.IncidentAtObs(ix, p, func(id seg.ID, _ geom.Segment) bool {
 				got[id] = true
 				return true
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,10 +127,10 @@ func TestOtherEndpointQuery(t *testing.T) {
 		}
 		for _, ix := range indexes {
 			got := map[seg.ID]bool{}
-			err := core.OtherEndpoint(ix, seg.ID(i), s.P1, func(id seg.ID, _ geom.Segment) bool {
+			err := core.OtherEndpointObs(ix, seg.ID(i), s.P1, func(id seg.ID, _ geom.Segment) bool {
 				got[id] = true
 				return true
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestOtherEndpointQuery(t *testing.T) {
 	}
 	// Querying with a point that is not an endpoint fails.
 	ix := indexes[0]
-	if err := core.OtherEndpoint(ix, 0, geom.Pt(-1, -1), func(seg.ID, geom.Segment) bool { return true }); err == nil {
+	if err := core.OtherEndpointObs(ix, 0, geom.Pt(-1, -1), func(seg.ID, geom.Segment) bool { return true }, nil); err == nil {
 		t.Error("expected error for non-endpoint")
 	}
 }
@@ -154,7 +154,7 @@ func TestNearestAgreesAcrossStructures(t *testing.T) {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		var first core.NearestResult
 		for k, ix := range indexes {
-			res, err := ix.Nearest(p)
+			res, err := core.FirstNearestObs(ix, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestEnclosingPolygonSquare(t *testing.T) {
 		geom.Seg(1000, 1100, 1000, 1000),
 	}
 	for _, ix := range buildAll(t, segs) {
-		poly, err := core.EnclosingPolygon(ix, geom.Pt(150, 150))
+		poly, err := core.EnclosingPolygonObs(ix, geom.Pt(150, 150), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ix.Name(), err)
 		}
@@ -245,7 +245,7 @@ func TestEnclosingPolygonWithDeadEnd(t *testing.T) {
 		geom.Seg(100, 50, 50, 50), // spur into the face
 	}
 	for _, ix := range buildAll(t, segs) {
-		poly, err := core.EnclosingPolygon(ix, geom.Pt(30, 20))
+		poly, err := core.EnclosingPolygonObs(ix, geom.Pt(30, 20), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ix.Name(), err)
 		}
@@ -284,7 +284,7 @@ func TestEnclosingPolygonMatchesFaceDecomposition(t *testing.T) {
 			int32(2000+rng.Intn(geom.WorldSize-4000)))
 		var first []seg.ID
 		for k, ix := range indexes {
-			poly, err := core.EnclosingPolygon(ix, p)
+			poly, err := core.EnclosingPolygonObs(ix, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", ix.Name(), err)
 			}
@@ -318,7 +318,7 @@ func TestMeasureDeltas(t *testing.T) {
 	m := smallMap(t, tiger.Urban)
 	ix := buildAll(t, m.Segments)[0]
 	m1, err := core.Measure(ix, func() error {
-		_, err := ix.Nearest(geom.Pt(4000, 4000))
+		_, err := core.FirstNearestObs(ix, geom.Pt(4000, 4000), nil)
 		return err
 	})
 	if err != nil {
@@ -353,7 +353,7 @@ func TestNearestKAgreesWithBruteForce(t *testing.T) {
 		sort.Float64s(dists)
 		want := dists[:k]
 		for _, ix := range indexes {
-			got, err := ix.NearestK(p, k)
+			got, err := ix.NearestKAppendObs(p, k, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", ix.Name(), err)
 			}
@@ -378,7 +378,7 @@ func TestNearestKMoreThanAvailable(t *testing.T) {
 		geom.Seg(100, 100, 200, 200),
 	}
 	for _, ix := range buildAll(t, segs) {
-		got, err := ix.NearestK(geom.Pt(0, 0), 10)
+		got, err := ix.NearestKAppendObs(geom.Pt(0, 0), 10, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ix.Name(), err)
 		}
@@ -390,7 +390,7 @@ func TestNearestKMoreThanAvailable(t *testing.T) {
 
 func TestNearestKZero(t *testing.T) {
 	ix := buildAll(t, []geom.Segment{geom.Seg(1, 1, 2, 2)})[0]
-	got, err := ix.NearestK(geom.Pt(0, 0), 0)
+	got, err := ix.NearestKAppendObs(geom.Pt(0, 0), 0, nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("k=0: %v, %v", got, err)
 	}

@@ -184,40 +184,28 @@ func (g *Grid) comps(o *obs.Op, n uint64) {
 func (g *Grid) cellMembers(cx, cy int32, dst []seg.ID, o *obs.Op) ([]seg.ID, error) {
 	lo := g.key(cx, cy, 0)
 	hi := lo + (1 << 32)
-	err := g.bt.ScanObs(lo, hi, func(k uint64) bool {
+	err := g.bt.Scan(lo, hi, func(k uint64) bool {
 		dst = append(dst, seg.ID(k&0xffffffff))
 		return true
 	}, o)
 	return dst, err
 }
 
-// Query-scratch pools: the duplicate-suppression set, the cell member
-// buffer, and the nearest-neighbor priority queue are recycled across
-// queries so warm window/nearest searches allocate nothing.
+// Query-scratch pools: the cell member buffer and the nearest-neighbor
+// priority queue are recycled across queries (like the shared
+// duplicate-suppression set, seg.AcquireSeen) so warm window/nearest
+// searches allocate nothing.
 var (
-	seenPool    = sync.Pool{New: func() any { return make(map[seg.ID]struct{}) }}
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
 	pqPool      = sync.Pool{New: func() any { return new([]pqItem) }}
 )
 
-func acquireSeen() map[seg.ID]struct{} { return seenPool.Get().(map[seg.ID]struct{}) }
-
-func releaseSeen(m map[seg.ID]struct{}) {
-	clear(m)
-	seenPool.Put(m)
-}
-
-// Window visits every segment intersecting r exactly once.
-func (g *Grid) Window(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool) error {
-	return g.WindowObs(r, visit, nil)
-}
-
-// WindowObs is Window with per-query observation.
+// WindowObs visits every segment intersecting r exactly once.
 func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	cx0, cy0 := g.cellOf(r.Min)
 	cx1, cy1 := g.cellOf(r.Max)
-	seen := acquireSeen()
-	defer releaseSeen(seen)
+	seen := seg.AcquireSeen()
+	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
 	for cy := cy0; cy <= cy1; cy++ {
@@ -314,36 +302,19 @@ func pqPop(q *[]pqItem) pqItem {
 	return it
 }
 
-// Nearest returns the segment closest to p, expanding cells outward from
-// the query point in rings and keeping a candidate priority queue.
-func (g *Grid) Nearest(p geom.Point) (core.NearestResult, error) {
-	return core.FirstNearest(g, p)
-}
-
-// NearestK returns up to k segments in increasing distance from p. Rings
-// of cells are examined outward until the k-th best candidate provably
-// beats everything in unexamined rings.
-func (g *Grid) NearestK(p geom.Point, k int) ([]core.NearestResult, error) {
-	return g.NearestKObs(p, k, nil)
-}
-
-// NearestKObs is NearestK with per-query observation.
-func (g *Grid) NearestKObs(p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
-	return g.NearestKAppendObs(p, k, nil, o)
-}
-
-// NearestKAppendObs is NearestKObs appending into dst, which lets warm
-// callers reuse one result buffer across queries instead of allocating a
-// fresh slice per call. All query scratch (queue, duplicate set, member
-// buffer) is pooled, so a warm query's search machinery allocates
-// nothing.
+// NearestKAppendObs appends to dst up to k segments in increasing
+// distance from p. Rings of cells are examined outward from the query
+// point, keeping a candidate priority queue, until the k-th best
+// candidate provably beats everything in unexamined rings. All query
+// scratch (queue, duplicate set, member buffer) is pooled, so with a
+// reused dst a warm query's search machinery allocates nothing.
 func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	qp := pqPool.Get().(*[]pqItem)
 	q := (*qp)[:0]
 	defer func() { *qp = q[:0]; pqPool.Put(qp) }()
-	seen := acquireSeen()
-	defer releaseSeen(seen)
+	seen := seg.AcquireSeen()
+	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
 	pcx, pcy := g.cellOf(p)
@@ -424,14 +395,12 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	return dst, nil
 }
 
-var _ core.Index = (*Grid)(nil)
-
 // PersistMeta captures the grid's in-memory state (the underlying
 // B-tree's metadata plus the distinct segment count) for serialization
 // alongside its disk image.
-func (g *Grid) PersistMeta() [4]uint64 {
+func (g *Grid) PersistMeta() []uint64 {
 	bm := g.bt.PersistMeta()
-	return [4]uint64{bm[0], bm[1], bm[2], uint64(g.count)}
+	return []uint64{bm[0], bm[1], bm[2], uint64(g.count)}
 }
 
 // Restore reattaches a grid to a disk image previously saved with its
@@ -492,7 +461,7 @@ func (g *Grid) Validate() error {
 		}
 		distinct[id] = struct{}{}
 		return true
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}

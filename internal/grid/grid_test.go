@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -78,13 +79,13 @@ func TestWindowExhaustive(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		err := g.Window(r, func(id seg.ID, s geom.Segment) bool {
+		err := g.WindowObs(r, func(id seg.ID, s geom.Segment) bool {
 			if got[id] {
 				t.Fatalf("segment %d twice", id)
 			}
 			got[id] = true
 			return true
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	addSegs(t, g, table, segs)
 	for trial := 0; trial < 150; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		res, err := g.Nearest(p)
+		res, err := core.FirstNearestObs(g, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 
 func TestNearestEmpty(t *testing.T) {
 	g, _ := newGrid(t, DefaultConfig())
-	res, err := g.Nearest(geom.Pt(0, 0))
+	res, err := core.FirstNearestObs(g, geom.Pt(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestNearestSparseCorners(t *testing.T) {
 	// from the opposite corner.
 	g, table := newGrid(t, DefaultConfig())
 	addSegs(t, g, table, []geom.Segment{geom.Seg(16000, 16000, 16100, 16100)})
-	res, err := g.Nearest(geom.Pt(0, 0))
+	res, err := core.FirstNearestObs(g, geom.Pt(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +163,10 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len = %d", g.Len())
 	}
 	got := map[seg.ID]bool{}
-	g.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool {
+	g.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool {
 		got[id] = true
 		return true
-	})
+	}, nil)
 	for i := range segs {
 		want := i >= 100
 		if got[seg.ID(i)] != want {
@@ -202,7 +203,7 @@ func TestSkewSensitivity(t *testing.T) {
 		g.bt.Scan(lo, hi, func(k uint64) bool {
 			cells[k>>32] = true
 			return true
-		})
+		}, nil)
 		return len(cells)
 	}
 	if cu, cc := cellsOf(gu), cellsOf(gc); cc >= cu/4 {

@@ -133,7 +133,7 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 
 	for i := range w.EndpointSegs {
 		m, err := core.Measure(ix, func() error {
-			return core.IncidentAt(ix, w.EndpointPts[i], sink)
+			return core.IncidentAtObs(ix, w.EndpointPts[i], sink, nil)
 		})
 		if err != nil {
 			return out, err
@@ -142,7 +142,7 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 	}
 	for i := range w.EndpointSegs {
 		m, err := core.Measure(ix, func() error {
-			return core.OtherEndpoint(ix, w.EndpointSegs[i], w.EndpointPts[i], sink)
+			return core.OtherEndpointObs(ix, w.EndpointSegs[i], w.EndpointPts[i], sink, nil)
 		})
 		if err != nil {
 			return out, err
@@ -159,7 +159,7 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 	} {
 		for _, p := range batch.pts {
 			m, err := core.Measure(ix, func() error {
-				_, err := ix.Nearest(p)
+				_, err := core.FirstNearestObs(ix, p, nil)
 				return err
 			})
 			if err != nil {
@@ -169,7 +169,7 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 		}
 		for _, p := range batch.pts {
 			m, err := core.Measure(ix, func() error {
-				_, err := core.EnclosingPolygon(ix, p)
+				_, err := core.EnclosingPolygonObs(ix, p, nil)
 				return err
 			})
 			if err != nil {
@@ -180,7 +180,7 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 	}
 	for _, r := range w.Windows {
 		m, err := core.Measure(ix, func() error {
-			return ix.Window(r, sink)
+			return ix.WindowObs(r, sink, nil)
 		})
 		if err != nil {
 			return out, err

@@ -6,7 +6,7 @@ import (
 	"segdb/internal/seg"
 )
 
-// Join finds every intersecting pair of segments between two PMR
+// JoinObs finds every intersecting pair of segments between two PMR
 // quadtrees by a synchronized merge of their linear representations — the
 // "composition of different operations and data sets" of §2 and §7 of the
 // paper, where the regular decomposition's fixed block positions let two
@@ -21,15 +21,9 @@ import (
 // sequentially.
 //
 // visit is called exactly once per unordered intersecting pair; returning
-// false stops the join.
-func Join(a, b *Tree, visit func(idA, idB seg.ID, sA, sB geom.Segment) bool) error {
-	return JoinObs(a, b, visit, nil)
-}
-
-// JoinObs is Join with per-query observation: both trees' sequential
-// scans, both tables' geometry loads, and the pair tests all charge o.
-// As in Join, block-containment and pair-test computations are counted
-// against tree a.
+// false stops the join. Both trees' sequential scans, both tables'
+// geometry loads, and the pair tests all charge o; block-containment and
+// pair-test computations are counted against tree a.
 func JoinObs(a, b *Tree, visit func(idA, idB seg.ID, sA, sB geom.Segment) bool, o *obs.Op) error {
 	var examined uint64
 	defer func() { a.comps(o, examined) }()
@@ -161,7 +155,7 @@ func (t *Tree) loadGeometries(o *obs.Op) ([]geom.Segment, error) {
 func (t *Tree) loadEntries(o *obs.Op) ([]joinEntry, error) {
 	lo, hi := blockRange(geom.RootCode())
 	out := make([]joinEntry, 0, t.bt.Len())
-	err := t.bt.ScanObs(lo, hi, func(k uint64) bool {
+	err := t.bt.Scan(lo, hi, func(k uint64) bool {
 		out = append(out, joinEntry{key: k})
 		return true
 	}, o)

@@ -68,14 +68,14 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	tb := buildPMR(t, bs, DefaultConfig())
 
 	got := map[pairKey]bool{}
-	err := Join(ta, tb, func(ia, ib seg.ID, sa, sb geom.Segment) bool {
+	err := JoinObs(ta, tb, func(ia, ib seg.ID, sa, sb geom.Segment) bool {
 		pk := pairKey{ia, ib}
 		if got[pk] {
 			t.Fatalf("pair (%d,%d) reported twice", ia, ib)
 		}
 		got[pk] = true
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +98,17 @@ func TestJoinAgainstNestedLoop(t *testing.T) {
 	tb := buildPMR(t, bs, DefaultConfig())
 
 	merge := map[pairKey]bool{}
-	if err := Join(ta, tb, func(ia, ib seg.ID, _, _ geom.Segment) bool {
+	if err := JoinObs(ta, tb, func(ia, ib seg.ID, _, _ geom.Segment) bool {
 		merge[pairKey{ia, ib}] = true
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	nested := map[pairKey]bool{}
-	if err := core.JoinNestedLoop(ta, tb, func(ia, ib seg.ID, _, _ geom.Segment) bool {
+	if err := core.JoinNestedLoopObs(ta, tb, func(ia, ib seg.ID, _, _ geom.Segment) bool {
 		nested[pairKey{ia, ib}] = true
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(merge) != len(nested) {
@@ -126,10 +126,10 @@ func TestJoinEarlyStop(t *testing.T) {
 	ta := buildPMR(t, segs, DefaultConfig())
 	tb := buildPMR(t, segs, DefaultConfig())
 	calls := 0
-	if err := Join(ta, tb, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
+	if err := JoinObs(ta, tb, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
 		calls++
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -141,19 +141,19 @@ func TestJoinEmptySides(t *testing.T) {
 	full := buildPMR(t, []geom.Segment{geom.Seg(1, 1, 50, 50)}, DefaultConfig())
 	empty := buildPMR(t, nil, DefaultConfig())
 	called := false
-	if err := Join(full, empty, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
+	if err := JoinObs(full, empty, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
 		called = true
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if called {
 		t.Error("join with empty side produced pairs")
 	}
-	if err := Join(empty, empty, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
+	if err := JoinObs(empty, empty, func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool {
 		called = true
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,8 +178,8 @@ func TestJoinDiskAdvantage(t *testing.T) {
 		return ta.DiskStats().Accesses() + tb.DiskStats().Accesses() - before
 	}
 	sink := func(seg.ID, seg.ID, geom.Segment, geom.Segment) bool { return true }
-	mergeCost := cost(func() error { return Join(ta, tb, sink) })
-	nestedCost := cost(func() error { return core.JoinNestedLoop(ta, tb, sink) })
+	mergeCost := cost(func() error { return JoinObs(ta, tb, sink, nil) })
+	nestedCost := cost(func() error { return core.JoinNestedLoopObs(ta, tb, sink, nil) })
 	t.Logf("merge join: %d accesses; nested loop: %d", mergeCost, nestedCost)
 	if mergeCost*3 > nestedCost {
 		t.Errorf("merge join (%d) should be far cheaper than nested loop (%d)", mergeCost, nestedCost)

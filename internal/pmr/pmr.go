@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"segdb/internal/btree"
-	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -237,7 +236,7 @@ func (t *Tree) blockState(c geom.Code) (split bool, err error) {
 		firstKey = k
 		found = true
 		return false
-	})
+	}, nil)
 	if err != nil {
 		return false, err
 	}
@@ -308,7 +307,7 @@ func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
 				occupied = append(occupied, c)
 			}
 			return true
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, err
 		}
 		if len(occupied) == 0 {
@@ -371,7 +370,7 @@ func (t *Tree) leafCovering(c geom.Code) (geom.Code, error) {
 	lo, hi := blockRange(c)
 	deepest := -1
 	if lo > 0 {
-		kp, ok, err := t.bt.SeekLE(lo - 1)
+		kp, ok, err := t.bt.SeekLE(lo-1, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -391,7 +390,7 @@ func (t *Tree) leafCovering(c geom.Code) (geom.Code, error) {
 	if err := t.bt.Scan(hi, ^uint64(0), func(k uint64) bool {
 		kn, found = k, true
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		return 0, err
 	}
 	if found {
@@ -492,7 +491,7 @@ func (t *Tree) Insert(id seg.ID) error {
 			return fmt.Errorf("pmr: inserting q-edge for segment %d: %w", id, err)
 		}
 		exLo, exHi := exactRange(c)
-		occ, err := t.bt.CountRange(exLo, exHi)
+		occ, err := t.bt.CountRange(exLo, exHi, nil)
 		if err != nil {
 			return err
 		}
@@ -514,7 +513,7 @@ func (t *Tree) splitBlock(c geom.Code) error {
 	if err := t.bt.Scan(exLo, exHi, func(k uint64) bool {
 		members = append(members, keySeg(k))
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		return err
 	}
 	for _, id := range members {
@@ -587,7 +586,7 @@ func (t *Tree) mergeUpward(c geom.Code) error {
 		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
 			distinct[keySeg(k)] = struct{}{}
 			return true
-		}); err != nil {
+		}, nil); err != nil {
 			return err
 		}
 		if len(distinct) >= t.cfg.SplittingThreshold {
@@ -599,7 +598,7 @@ func (t *Tree) mergeUpward(c geom.Code) error {
 		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
 			keys = append(keys, k)
 			return true
-		}); err != nil {
+		}, nil); err != nil {
 			return err
 		}
 		for _, k := range keys {
@@ -627,14 +626,12 @@ func (t *Tree) mergeUpward(c geom.Code) error {
 	return nil
 }
 
-var _ core.Index = (*Tree)(nil)
-
 // PersistMeta captures the quadtree's in-memory state (the underlying
 // B-tree's metadata plus the distinct segment count) for serialization
 // alongside its disk image.
-func (t *Tree) PersistMeta() [4]uint64 {
+func (t *Tree) PersistMeta() []uint64 {
 	bm := t.bt.PersistMeta()
-	return [4]uint64{bm[0], bm[1], bm[2], uint64(t.count)}
+	return []uint64{bm[0], bm[1], bm[2], uint64(t.count)}
 }
 
 // Restore reattaches a PMR quadtree to a disk image previously saved with

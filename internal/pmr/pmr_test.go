@@ -66,7 +66,7 @@ func clamp(v, lo, hi int32) int32 {
 
 func TestEmpty(t *testing.T) {
 	e := newEnv(t, 512, 8, DefaultConfig())
-	res, err := e.tree.Nearest(geom.Pt(5, 5))
+	res, err := core.FirstNearestObs(e.tree, geom.Pt(5, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,13 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		err := e.tree.Window(r, func(id seg.ID, s geom.Segment) bool {
+		err := e.tree.WindowObs(r, func(id seg.ID, s geom.Segment) bool {
 			if got[id] {
 				t.Fatalf("segment %d reported twice", id)
 			}
 			got[id] = true
 			return true
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 150; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		res, err := e.tree.Nearest(p)
+		res, err := core.FirstNearestObs(e.tree, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,10 +223,10 @@ func TestDeleteAndMerge(t *testing.T) {
 	}
 	// Remaining segments still found.
 	got := map[seg.ID]bool{}
-	e.tree.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool {
+	e.tree.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool {
 		got[id] = true
 		return true
-	})
+	}, nil)
 	if len(got) != 50 {
 		t.Fatalf("window found %d segments, want 50", len(got))
 	}
@@ -327,10 +327,10 @@ func TestIncidentAtFindsJunction(t *testing.T) {
 	}
 	e.add(t, geom.Seg(100, 100, 200, 200)) // unrelated
 	found := map[seg.ID]bool{}
-	err := core.IncidentAt(e.tree, j, func(id seg.ID, _ geom.Segment) bool {
+	err := core.IncidentAtObs(e.tree, j, func(id seg.ID, _ geom.Segment) bool {
 		found[id] = true
 		return true
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,9 +442,9 @@ func TestStoreMBRVariantAgrees(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		a := map[seg.ID]bool{}
-		plain.tree.Window(r, func(id seg.ID, _ geom.Segment) bool { a[id] = true; return true })
+		plain.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { a[id] = true; return true }, nil)
 		b := map[seg.ID]bool{}
-		mbr.tree.Window(r, func(id seg.ID, _ geom.Segment) bool { b[id] = true; return true })
+		mbr.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { b[id] = true; return true }, nil)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: window results differ: %d vs %d", trial, len(a), len(b))
 		}
@@ -454,8 +454,8 @@ func TestStoreMBRVariantAgrees(t *testing.T) {
 			}
 		}
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		ra, _ := plain.tree.Nearest(p)
-		rb, _ := mbr.tree.Nearest(p)
+		ra, _ := core.FirstNearestObs(plain.tree, p, nil)
+		rb, _ := core.FirstNearestObs(mbr.tree, p, nil)
 		if ra.DistSq != rb.DistSq {
 			t.Fatalf("trial %d: nearest %v vs %v", trial, ra.DistSq, rb.DistSq)
 		}
@@ -466,7 +466,7 @@ func TestStoreMBRVariantAgrees(t *testing.T) {
 		before := e.table.Comparisons()
 		for trial := 0; trial < 200; trial++ {
 			s := segs[trial%len(segs)]
-			core.IncidentAt(e.tree, s.P1, func(seg.ID, geom.Segment) bool { return true })
+			core.IncidentAtObs(e.tree, s.P1, func(seg.ID, geom.Segment) bool { return true }, nil)
 		}
 		return e.table.Comparisons() - before
 	}
@@ -494,7 +494,7 @@ func TestStoreMBRDeleteAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[seg.ID]bool{}
-	e.tree.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true })
+	e.tree.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
 	if len(got) != 50 {
 		t.Fatalf("found %d segments after deletes", len(got))
 	}

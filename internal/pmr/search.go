@@ -13,12 +13,11 @@ import (
 	"segdb/internal/store"
 )
 
-// Query-scratch pools: the duplicate-suppression set, block code sets,
-// candidate member buffers, the StoreMBR filter lanes, and the
-// nearest-neighbor priority queue are recycled across queries so warm
-// window/nearest searches allocate nothing.
+// Query-scratch pools: block code sets, candidate member buffers, the
+// StoreMBR filter lanes, and the nearest-neighbor priority queue are
+// recycled across queries (like the shared duplicate-suppression set,
+// seg.AcquireSeen) so warm window/nearest searches allocate nothing.
 var (
-	seenPool    = sync.Pool{New: func() any { return make(map[seg.ID]struct{}) }}
 	codeSetPool = sync.Pool{New: func() any { return make(map[geom.Code]struct{}) }}
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
 	lanesPool   = sync.Pool{New: func() any { return new(rectLanes) }}
@@ -73,13 +72,6 @@ func filterMembers(members []seg.ID, ln *rectLanes, r geom.Rect) []seg.ID {
 	return kept
 }
 
-func acquireSeen() map[seg.ID]struct{} { return seenPool.Get().(map[seg.ID]struct{}) }
-
-func releaseSeen(m map[seg.ID]struct{}) {
-	clear(m)
-	seenPool.Put(m)
-}
-
 func acquireCodeSet() map[geom.Code]struct{} { return codeSetPool.Get().(map[geom.Code]struct{}) }
 
 func releaseCodeSet(m map[geom.Code]struct{}) {
@@ -98,7 +90,7 @@ func (t *Tree) comps(o *obs.Op, n uint64) {
 	o.NodeComps(n)
 }
 
-// Window visits every segment intersecting r exactly once. Like the
+// WindowObs visits every segment intersecting r exactly once. Like the
 // data-driven window decomposition of Aref & Samet used in the paper's
 // experiments, it decomposes the window into at most four aligned quadtree
 // blocks no smaller than the window and resolves each with one contiguous
@@ -108,11 +100,6 @@ func (t *Tree) comps(o *obs.Op, n uint64) {
 // A degenerate (point) window short-circuits to direct point location by
 // locational key, as QUILT's linear quadtree does: a single bucket
 // computation instead of a quadrant descent.
-func (t *Tree) Window(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool) error {
-	return t.WindowObs(r, visit, nil)
-}
-
-// WindowObs is Window with per-query observation.
 func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	if r.Min == r.Max {
 		return t.pointQuery(r.Min, visit, o)
@@ -134,8 +121,8 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 		{X: r.Min.X, Y: r.Max.Y},
 		r.Max,
 	}
-	seen := acquireSeen()
-	defer releaseSeen(seen)
+	seen := seg.AcquireSeen()
+	defer seg.ReleaseSeen(seen)
 	scannedCover := acquireCodeSet()
 	defer releaseCodeSet(scannedCover)
 	scannedLeaf := acquireCodeSet()
@@ -194,7 +181,7 @@ func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct
 	var examined uint64
 	defer func() { t.comps(o, examined) }()
 	blockHits, haveBlock := false, false
-	if err := t.bt.ScanValuesObs(lo, hi, func(k uint64, v []byte) bool {
+	if err := t.bt.ScanValues(lo, hi, func(k uint64, v []byte) bool {
 		bc := keyCode(k)
 		if !haveBlock || bc != lastBlock {
 			lastBlock, haveBlock = bc, true
@@ -263,7 +250,7 @@ func (t *Tree) locate(p geom.Point, o *obs.Op) (geom.Code, bool, error) {
 	full := geom.MakeCode(p, geom.MaxDepth)
 	mlo, _ := full.MortonRange()
 	probe := mlo<<36 | uint64(geom.MaxDepth)<<32 | 0xffffffff
-	k, ok, err := t.bt.SeekLEObs(probe, o)
+	k, ok, err := t.bt.SeekLE(probe, o)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -300,7 +287,7 @@ func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o
 	}
 	var examined uint64
 	defer func() { t.comps(o, examined) }()
-	if err := t.bt.ScanValuesObs(exLo, exHi, func(k uint64, v []byte) bool {
+	if err := t.bt.ScanValues(exLo, exHi, func(k uint64, v []byte) bool {
 		// StoreMBR: gather the stored rects for the batched point filter
 		// (rect contains p ⟺ rect intersects the degenerate window
 		// {p,p}, so the same intersect kernel serves both query shapes).
@@ -423,34 +410,16 @@ func pqPop(q *[]pqItem) pqItem {
 // clustering of the linear quadtree); large ones split into quadrants.
 const nearestEnumLimit = 32
 
-// Nearest returns the segment closest to p, using the incremental
-// priority-queue search over quadtree blocks of Hoel & Samet [11]. The
-// regular decomposition sorts the segments by position, so the search
-// prunes aggressively — the paper's explanation of the PMR quadtree's low
-// segment-comparison counts on this query. Regions with few q-edges are
-// resolved with a single contiguous key-range scan rather than further
-// subdivision, mirroring how a linear quadtree reads whole buckets off
-// sequential B-tree leaves.
-func (t *Tree) Nearest(p geom.Point) (core.NearestResult, error) {
-	return core.FirstNearest(t, p)
-}
-
-// NearestK returns up to k segments in increasing distance from p,
-// continuing the same incremental search until k neighbors have been
-// ranked.
-func (t *Tree) NearestK(p geom.Point, k int) ([]core.NearestResult, error) {
-	return t.NearestKObs(p, k, nil)
-}
-
-// NearestKObs is NearestK with per-query observation.
-func (t *Tree) NearestKObs(p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
-	return t.NearestKAppendObs(p, k, nil, o)
-}
-
-// NearestKAppendObs is NearestKObs appending into dst, which lets warm
-// callers reuse one result buffer across queries instead of allocating a
-// fresh slice per call. The queue backing array and the duplicate set
-// are pooled too.
+// NearestKAppendObs appends to dst up to k segments in increasing
+// distance from p, using the incremental priority-queue search over
+// quadtree blocks of Hoel & Samet [11]. The regular decomposition sorts
+// the segments by position, so the search prunes aggressively — the
+// paper's explanation of the PMR quadtree's low segment-comparison
+// counts on this query. Regions with few q-edges are resolved with a
+// single contiguous key-range scan rather than further subdivision,
+// mirroring how a linear quadtree reads whole buckets off sequential
+// B-tree leaves. The queue backing array and the duplicate set are
+// pooled, so a reused dst keeps warm queries off the allocator.
 func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	var examined uint64
@@ -489,8 +458,8 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	} else {
 		pqPush(&q, pqItem{distSq: 0, kind: pqRegion, code: geom.RootCode()})
 	}
-	seen := acquireSeen()
-	defer releaseSeen(seen)
+	seen := seg.AcquireSeen()
+	defer seg.ReleaseSeen(seen)
 	for len(q) > 0 && len(dst)-base < k {
 		it := pqPop(&q)
 		switch it.kind {
@@ -508,7 +477,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// prefetched keys; scan its exact range.
 			if it.members == nil {
 				exLo, exHi := exactRange(it.code)
-				if err := t.bt.ScanValuesObs(exLo, exHi, func(k uint64, v []byte) bool {
+				if err := t.bt.ScanValues(exLo, exHi, func(k uint64, v []byte) bool {
 					ref := qedgeRef{id: keySeg(k)}
 					ref.rect, ref.hasRect = decodeQEdgeRect(it.code, v)
 					it.members = append(it.members, ref)
@@ -591,7 +560,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			}
 			var groups []blockGroup
 			count := 0
-			if err := t.bt.ScanValuesObs(lo, hi, func(k uint64, v []byte) bool {
+			if err := t.bt.ScanValues(lo, hi, func(k uint64, v []byte) bool {
 				count++
 				bc := keyCode(k)
 				if len(groups) == 0 || groups[len(groups)-1].code != bc {
@@ -648,7 +617,7 @@ func (t *Tree) LeafBlocks() ([]geom.Code, error) {
 			last, first = c, false
 		}
 		return true
-	})
+	}, nil)
 	return out, err
 }
 

@@ -38,7 +38,7 @@ func (t *Tree) Validate() error {
 		if err := t.bt.Scan(exLo, exHi, func(k uint64) bool {
 			members = append(members, keySeg(k))
 			return true
-		}); err != nil {
+		}, nil); err != nil {
 			return err
 		}
 		// The threshold+depth bound holds only while splitting is still

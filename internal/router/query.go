@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"segdb"
+	"segdb/internal/bulk"
 )
 
 // The Router's query surface mirrors the DB's Ctx-first API: every
@@ -182,7 +183,7 @@ func (r *Router) WindowBatchCtx(ctx context.Context, rects []segdb.Rect, paralle
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	err := parallelRange(len(rects), parallelism, func(q int) error {
+	err := bulk.ParallelRange(len(rects), parallelism, func(q int) error {
 		qstart := time.Now()
 		buf := windowBufPool.Get().(*[]segdb.WindowHit)
 		hits, st, werr := r.windowAppendSequential(ctx, rects[q], (*buf)[:0])
@@ -420,7 +421,7 @@ func (r *Router) OverlayCtx(ctx context.Context, other *segdb.DB, parallelism in
 	}
 	stats := make([]segdb.QueryStats, len(r.shards))
 	var stop atomic.Bool
-	err := parallelRange(len(r.shards), parallelism, func(si int) error {
+	err := bulk.ParallelRange(len(r.shards), parallelism, func(si int) error {
 		sh := r.shards[si]
 		v := sh.view.Load()
 		if !v.nonempty {
@@ -456,47 +457,4 @@ func (r *Router) OverlayCtx(ctx context.Context, other *segdb.DB, parallelism in
 	}
 	r.record(qkOverlay, start, &total, err)
 	return total, err
-}
-
-// parallelRange fans [0, n) across a bounded worker pool, stopping the
-// remaining range at the first error (a local copy of the facade's
-// unexported helper).
-func parallelRange(n, workers int, work func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := work(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := work(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

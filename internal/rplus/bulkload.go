@@ -52,27 +52,27 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 		return nil, err
 	}
 	// Pack leaves to ~75% so later inserts do not split immediately.
-	target := t.max * 3 / 4
+	target := t.Max * 3 / 4
 	if target < 2 {
 		target = 2
 	}
-	b := &kdBuilder{max: t.max, target: target, gate: bulk.NewGate()}
+	b := &kdBuilder{max: t.Max, target: target, gate: bulk.NewGate()}
 	root, err := b.build(geom.World(), entries)
 	if err != nil {
 		return nil, err
 	}
-	t.nodeComps.Add(b.comps.Load())
+	t.Comps.Add(b.comps.Load())
 
 	// Free the empty root New allocated; the pack writes its own pages.
-	pool.Free(t.root)
-	mwRoot, height := regroup(root, t.max)
+	pool.Free(t.Root)
+	mwRoot, height := regroup(root, t.Max)
 	rootID, err := t.writePacked(mwRoot)
 	if err != nil {
 		return nil, err
 	}
-	t.root = rootID
-	t.height = height
-	t.count = len(ids)
+	t.Root = rootID
+	t.Levels = height
+	t.Count = len(ids)
 	return t, nil
 }
 
@@ -324,5 +324,5 @@ func (t *Tree) writePacked(n *mwNode) (store.PageID, error) {
 			pn.Entries = append(pn.Entries, rpage.Entry{Rect: c.region, Ptr: uint32(cid)})
 		}
 	}
-	return t.allocNode(pn)
+	return t.AllocNode(pn)
 }

@@ -1,6 +1,7 @@
 package rplus
 
 import (
+	"container/heap"
 	"context"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // QueryStats.
 
 func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
-	data, err := t.pool.GetObs(id, o)
+	data, err := t.Pool.GetObs(id, o)
 	if err != nil {
 		return nil, err
 	}
@@ -28,10 +29,10 @@ func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
 	n := rpage.Acquire()
 	if err := rpage.ReadInto(data, n); err != nil {
 		rpage.Release(n)
-		t.pool.Unpin(id, false)
+		t.Pool.Unpin(id, false)
 		return nil, err
 	}
-	t.pool.Unpin(id, false)
+	t.Pool.Unpin(id, false)
 	return n, nil
 }
 
@@ -54,7 +55,7 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, 
 			if _, dup := seen[sid]; dup {
 				continue
 			}
-			s, err := t.table.GetObs(sid, o)
+			s, err := t.Segs.GetObs(sid, o)
 			if err != nil {
 				if store.IsUnavailable(err) {
 					continue
@@ -81,18 +82,44 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, 
 func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o *obs.Op) error {
 	seen := make(map[seg.ID]struct{})
 	var examined uint64
-	_, err := refWindow(t, t.root, r, seen, visit, o, &examined)
-	t.comps(o, examined)
+	_, err := refWindow(t, t.Root, r, seen, visit, o, &examined)
+	t.ChargeComps(o, examined)
 	return err
 }
+
+// pqItem and refPQ are the reference's own priority queue, on
+// container/heap — the sift order the production heap in rsearch mirrors,
+// so pop order (and with it page access order) must agree.
+type pqItem struct {
+	distSq float64
+	isSeg  bool
+	ptr    uint32
+	s      geom.Segment
+}
+
+type refPQ []pqItem
+
+func (q refPQ) Len() int           { return len(q) }
+func (q refPQ) Less(i, j int) bool { return q[i].distSq < q[j].distSq }
+func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *refPQ) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func pqPush(q *[]pqItem, it pqItem) { heap.Push((*refPQ)(q), it) }
+func pqPop(q *[]pqItem) pqItem      { return heap.Pop((*refPQ)(q)).(pqItem) }
 
 func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
 	var dst []core.NearestResult
 	var examined uint64
-	defer func() { t.comps(o, examined) }()
+	defer func() { t.ChargeComps(o, examined) }()
 	seen := make(map[seg.ID]struct{})
 	var q []pqItem
-	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.root)})
+	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root)})
 	for len(q) > 0 && len(dst) < k {
 		it := pqPop(&q)
 		if it.isSeg {
@@ -114,7 +141,7 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 					continue
 				}
 				seen[sid] = struct{}{}
-				s, err := t.table.GetObs(sid, o)
+				s, err := t.Segs.GetObs(sid, o)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue
@@ -139,7 +166,7 @@ type visitRec struct {
 
 func dropCaches(t *testing.T, e *testEnv) {
 	t.Helper()
-	if err := e.tree.pool.DropAll(); err != nil {
+	if err := e.tree.Pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.table.DropCache(); err != nil {

@@ -18,11 +18,10 @@ package rplus
 
 import (
 	"errors"
-	"fmt"
-	"sync/atomic"
 
 	"segdb/internal/geom"
 	"segdb/internal/rpage"
+	"segdb/internal/rsearch"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -63,110 +62,42 @@ func DefaultConfig() Config { return Config{LeafMBR: true} }
 // KDBConfig returns the pure k-d-B-tree variant (ablation).
 func KDBConfig() Config { return Config{LeafMBR: false} }
 
-// Tree is a disk-resident hybrid R+-tree over line segments.
+// Tree is a disk-resident hybrid R+-tree over line segments. Node
+// storage and the query traversals are the shared rsearch.Tree; this
+// package adds insertion, splitting, deletion and the structural
+// invariants.
 type Tree struct {
-	pool      *store.Pool
-	table     *seg.Table
-	cfg       Config
-	root      store.PageID
-	height    int // 1 = root is a leaf
-	max       int // M: page capacity in entries
-	level     int // page compression level: 0 or 1 (see Config.Compression)
-	count     int // distinct segments indexed
-	nodeComps atomic.Uint64
-	name      string
+	*rsearch.Tree
+	cfg Config
 }
 
-// New creates an empty tree. The root region is the whole world.
+// New creates an empty tree. The root region is the whole world. A
+// segment is stored in every leaf it crosses, so queries suppress
+// duplicates.
 func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
-	level := effLevel(cfg.Compression)
-	max := rpage.CapacityLevel(pool.PageSize(), level)
-	if max < 4 {
-		return nil, fmt.Errorf("rplus: page size %d too small", pool.PageSize())
-	}
-	name := "R+-tree"
-	if !cfg.LeafMBR {
-		name = "k-d-B-tree"
-	}
-	t := &Tree{pool: pool, table: table, cfg: cfg, max: max, level: level, name: name}
-	id, err := t.allocNode(&rpage.Node{Leaf: true})
+	base, err := rsearch.New(pool, table, effLevel(cfg.Compression), true)
 	if err != nil {
 		return nil, err
 	}
-	t.root = id
-	t.height = 1
-	return t, nil
+	return &Tree{Tree: base, cfg: cfg}, nil
 }
 
 // Name implements core.Index.
-func (t *Tree) Name() string { return t.name }
-
-// Table returns the segment table the leaf entries point into.
-func (t *Tree) Table() *seg.Table { return t.table }
-
-// DiskStats returns the disk activity of the tree's own pages.
-func (t *Tree) DiskStats() store.Stats { return t.pool.Stats() }
-
-// NodeComps returns the cumulative bounding box computation count.
-func (t *Tree) NodeComps() uint64 { return t.nodeComps.Load() }
-
-// SizeBytes returns the storage footprint of the tree pages.
-func (t *Tree) SizeBytes() int64 { return t.pool.Disk().SizeBytes() }
-
-// DropCache cold-starts the tree's buffer pool, flushing dirty frames
-// first.
-func (t *Tree) DropCache() error { return t.pool.DropAll() }
-
-// Len returns the number of distinct indexed segments.
-func (t *Tree) Len() int { return t.count }
-
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-func (t *Tree) readNode(id store.PageID) (*rpage.Node, error) {
-	data, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
+func (t *Tree) Name() string {
+	if !t.cfg.LeafMBR {
+		return "k-d-B-tree"
 	}
-	n, err := rpage.Read(data)
-	t.pool.Unpin(id, false)
-	return n, err
-}
-
-func (t *Tree) writeNode(id store.PageID, n *rpage.Node) error {
-	data, err := t.pool.Get(id)
-	if err != nil {
-		return err
-	}
-	if err := rpage.WriteLevel(data, n, t.level); err != nil {
-		t.pool.Unpin(id, false)
-		return err
-	}
-	t.pool.Unpin(id, true)
-	return nil
-}
-
-func (t *Tree) allocNode(n *rpage.Node) (store.PageID, error) {
-	id, data, err := t.pool.Allocate()
-	if err != nil {
-		return store.NilPage, err
-	}
-	if err := rpage.WriteLevel(data, n, t.level); err != nil {
-		t.pool.Unpin(id, false)
-		return store.NilPage, err
-	}
-	t.pool.Unpin(id, true)
-	return id, nil
+	return "R+-tree"
 }
 
 // Insert adds the segment with the given table ID, placing it in every
 // leaf whose region it intersects.
 func (t *Tree) Insert(id seg.ID) error {
-	s, err := t.table.Get(id)
+	s, err := t.Segs.Get(id)
 	if err != nil {
 		return err
 	}
-	repl, err := t.insertRec(t.root, geom.World(), s, id)
+	repl, err := t.insertRec(t.Root, geom.World(), s, id)
 	if err != nil {
 		return err
 	}
@@ -174,13 +105,13 @@ func (t *Tree) Insert(id seg.ID) error {
 	// can return more entries than one node holds; pack each extra level
 	// through emitInternal until a single root remains.
 	for len(repl) > 1 {
-		t.height++
-		if len(repl) <= t.max {
-			rid, err := t.allocNode(&rpage.Node{Entries: repl})
+		t.Levels++
+		if len(repl) <= t.Max {
+			rid, err := t.AllocNode(&rpage.Node{Entries: repl})
 			if err != nil {
 				return err
 			}
-			t.root = rid
+			t.Root = rid
 			break
 		}
 		repl, err = t.emitInternal(store.NilPage, false, geom.World(), repl)
@@ -188,7 +119,7 @@ func (t *Tree) Insert(id seg.ID) error {
 			return err
 		}
 	}
-	t.count++
+	t.Count++
 	return nil
 }
 
@@ -196,14 +127,14 @@ func (t *Tree) Insert(id seg.ID) error {
 // region. It returns the entry list that must replace the subtree's entry
 // in its parent: one entry normally, two when the node split.
 func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid seg.ID) ([]rpage.Entry, error) {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return nil, err
 	}
 	if n.Leaf {
 		n.Entries = append(n.Entries, rpage.Entry{Rect: t.leafRect(s, region), Ptr: uint32(sid)})
-		if len(n.Entries) <= t.max {
-			if err := t.writeNode(id, n); err != nil {
+		if len(n.Entries) <= t.Max {
+			if err := t.WriteNode(id, n); err != nil {
 				return nil, err
 			}
 			return []rpage.Entry{{Rect: region, Ptr: uint32(id)}}, nil
@@ -212,7 +143,7 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 	}
 	var out []rpage.Entry
 	for _, e := range n.Entries {
-		t.nodeComps.Add(1)
+		t.Comps.Add(1)
 		if !e.Rect.IntersectsSegment(s) {
 			out = append(out, e)
 			continue
@@ -224,8 +155,8 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 		out = append(out, repl...)
 	}
 	n.Entries = out
-	if len(n.Entries) <= t.max {
-		if err := t.writeNode(id, n); err != nil {
+	if len(n.Entries) <= t.Max {
+		if err := t.WriteNode(id, n); err != nil {
 			return nil, err
 		}
 		return []rpage.Entry{{Rect: region, Ptr: uint32(id)}}, nil
@@ -242,42 +173,13 @@ func (t *Tree) leafRect(s geom.Segment, region geom.Rect) geom.Rect {
 	return region
 }
 
-// PersistMeta captures the tree's in-memory state for serialization
-// alongside its disk image.
-func (t *Tree) PersistMeta() [3]uint64 {
-	return [3]uint64{uint64(t.root), uint64(t.height), uint64(t.count)}
-}
-
-// maxHeight bounds a plausible tree height: even a binary-fanout tree of
-// this height exceeds any restorable page count.
-const maxHeight = 64
-
 // Restore reattaches a tree to a disk image previously saved with its
 // PersistMeta. The pool must wrap the restored disk; cfg must match the
-// original tree's. Unlike earlier versions it does not allocate (and so
-// never grows the restored disk); the metadata is validated before use.
+// original tree's.
 func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [3]uint64) (*Tree, error) {
-	level := effLevel(cfg.Compression)
-	max := rpage.CapacityLevel(pool.PageSize(), level)
-	if max < 4 {
-		return nil, fmt.Errorf("rplus: page size %d too small", pool.PageSize())
+	base, err := rsearch.Restore(pool, table, effLevel(cfg.Compression), true, meta)
+	if err != nil {
+		return nil, err
 	}
-	name := "R+-tree"
-	if !cfg.LeafMBR {
-		name = "k-d-B-tree"
-	}
-	root := store.PageID(meta[0])
-	height := int(meta[1])
-	count := int(meta[2])
-	if int(root) >= pool.Disk().PageCount() {
-		return nil, fmt.Errorf("rplus: root page %d outside disk (%d pages): %w", root, pool.Disk().PageCount(), store.ErrBadPage)
-	}
-	if height < 1 || height > maxHeight {
-		return nil, fmt.Errorf("rplus: invalid height %d", height)
-	}
-	if count < 0 || count > table.Len() {
-		return nil, fmt.Errorf("rplus: segment count %d exceeds table size %d", count, table.Len())
-	}
-	return &Tree{pool: pool, table: table, cfg: cfg, max: max, level: level, name: name,
-		root: root, height: height, count: count}, nil
+	return &Tree{Tree: base, cfg: cfg}, nil
 }

@@ -66,7 +66,7 @@ func clamp(v, lo, hi int32) int32 {
 
 func TestEmptyTree(t *testing.T) {
 	e := newEnv(t, 512, 8, DefaultConfig())
-	res, err := e.tree.Nearest(geom.Pt(1, 1))
+	res, err := core.FirstNearestObs(e.tree, geom.Pt(1, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 				int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 				int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 			got := map[seg.ID]bool{}
-			err := e.tree.Window(r, func(id seg.ID, s geom.Segment) bool {
+			err := e.tree.WindowObs(r, func(id seg.ID, s geom.Segment) bool {
 				if got[id] {
 					t.Fatalf("%s: segment %d reported twice", e.tree.Name(), id)
 				}
 				got[id] = true
 				return true
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		res, err := e.tree.Nearest(p)
+		res, err := core.FirstNearestObs(e.tree, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,10 +163,10 @@ func TestLongSegmentsDuplicateAcrossLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[seg.ID]int{}
-	e.tree.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool {
+	e.tree.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool {
 		got[id]++
 		return true
-	})
+	}, nil)
 	if len(got) != len(segs) {
 		t.Fatalf("window found %d of %d", len(got), len(segs))
 	}
@@ -196,10 +196,10 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len = %d", e.tree.Len())
 	}
 	got := map[seg.ID]bool{}
-	e.tree.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool {
+	e.tree.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool {
 		got[id] = true
 		return true
-	})
+	}, nil)
 	for i := range segs {
 		id := seg.ID(i)
 		if deleted[id] == got[id] {
@@ -223,7 +223,7 @@ func TestPointQueryFollowsSinglePath(t *testing.T) {
 	e.tree.DropCache()
 	before := e.tree.DiskStats()
 	p := geom.Pt(8000, 8000)
-	core.IncidentAt(e.tree, p, func(seg.ID, geom.Segment) bool { return true })
+	core.IncidentAtObs(e.tree, p, func(seg.ID, geom.Segment) bool { return true }, nil)
 	reads := e.tree.DiskStats().Sub(before).Reads
 	if int(reads) != e.tree.Height() {
 		t.Errorf("cold point query read %d pages, height is %d", reads, e.tree.Height())
@@ -254,7 +254,7 @@ func TestKDBVariantFetchesMoreSegments(t *testing.T) {
 		}
 		before := table.Comparisons()
 		for _, p := range probes {
-			core.IncidentAt(tree, p, func(seg.ID, geom.Segment) bool { return true })
+			core.IncidentAtObs(tree, p, func(seg.ID, geom.Segment) bool { return true }, nil)
 		}
 		return table.Comparisons() - before
 	}
@@ -285,6 +285,25 @@ func TestUnsplittableNode(t *testing.T) {
 	}
 }
 
+// leafEntries walks the subtree at id, counting its leaf pages and the
+// entries in them.
+func leafEntries(t *testing.T, tr *Tree, id store.PageID) (entries, leaves int) {
+	t.Helper()
+	n, err := tr.ReadNode(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Leaf {
+		return len(n.Entries), 1
+	}
+	for _, e := range n.Entries {
+		ce, cl := leafEntries(t, tr, store.PageID(e.Ptr))
+		entries += ce
+		leaves += cl
+	}
+	return entries, leaves
+}
+
 func TestStorageExceedsSegmentCount(t *testing.T) {
 	// Duplication: total leaf entries exceed the number of segments for
 	// maps with long segments (the storage premium of Table 1).
@@ -293,10 +312,7 @@ func TestStorageExceedsSegmentCount(t *testing.T) {
 	for _, s := range randSegs(rng, 1500, 800) {
 		e.add(t, s)
 	}
-	entries, leaves := 0, 0
-	if err := e.tree.countLeaves(e.tree.root, &entries, &leaves); err != nil {
-		t.Fatal(err)
-	}
+	entries, leaves := leafEntries(t, e.tree, e.tree.Root)
 	if entries <= len(e.segs) {
 		t.Errorf("leaf entries %d should exceed segment count %d (duplication)", entries, len(e.segs))
 	}
@@ -338,7 +354,7 @@ func TestDownwardSplits(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		e.tree.Window(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true })
+		e.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
 		for i, s := range segs {
 			if want := r.IntersectsSegment(s); got[seg.ID(i)] != want {
 				t.Fatalf("trial %d seg %d: got %v want %v", trial, i, got[seg.ID(i)], want)
@@ -372,7 +388,7 @@ func TestAvgLeafOccupancyAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if occ < 2 || occ > float64(e.tree.max) {
+	if occ < 2 || occ > float64(e.tree.Max) {
 		t.Errorf("occupancy %.1f out of range", occ)
 	}
 	// Empty tree occupancy is zero entries over one leaf.
@@ -406,15 +422,15 @@ func TestSplitSubtreeDirect(t *testing.T) {
 	// satisfies every invariant and answers window queries correctly.
 	loR := geom.RectOf(0, 0, geom.WorldSize/2-1, geom.WorldSize-1)
 	hiR := geom.RectOf(geom.WorldSize/2, 0, geom.WorldSize-1, geom.WorldSize-1)
-	rid, err := e.tree.allocNode(&rpage.Node{Entries: []rpage.Entry{
+	rid, err := e.tree.AllocNode(&rpage.Node{Entries: []rpage.Entry{
 		{Rect: loR, Ptr: uint32(lo)},
 		{Rect: hiR, Ptr: uint32(hi)},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.tree.root = rid
-	e.tree.height++
+	e.tree.Root = rid
+	e.tree.Levels++
 	if err := e.tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +439,7 @@ func TestSplitSubtreeDirect(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		e.tree.Window(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true })
+		e.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
 		for i, s := range segs {
 			if want := r.IntersectsSegment(s); got[seg.ID(i)] != want {
 				t.Fatalf("trial %d seg %d: got %v want %v", trial, i, got[seg.ID(i)], want)

@@ -1,334 +1,32 @@
 package rplus
 
 import (
-	"math/bits"
-	"sync"
-
-	"segdb/internal/core"
 	"segdb/internal/geom"
-	"segdb/internal/kernel"
-	"segdb/internal/obs"
-	"segdb/internal/rpage"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
-
-// decodeNode is the store.DecodeFunc for R-tree pages. It is a
-// package-level func value so passing it to GetDecodedObs allocates
-// nothing on the warm path.
-func decodeNode(data []byte) (any, error) { return rpage.DecodeSoA(data) }
-
-// readSoAObs fetches a node in its decoded struct-of-arrays form through
-// the pool's decode-once cache: the page request (hit or miss) is
-// charged to o exactly as a byte fetch would be, but a warm page skips
-// the binary decode entirely and returns the cached immutable *SoA. The
-// caller must not modify the node and owes no release.
-func (t *Tree) readSoAObs(id store.PageID, o *obs.Op) (*rpage.SoA, error) {
-	v, err := t.pool.GetDecodedObs(id, o, decodeNode)
-	if err != nil {
-		return nil, err
-	}
-	o.NodeVisit(uint32(id))
-	return v.(*rpage.SoA), nil
-}
-
-// seenPool recycles the per-query duplicate-suppression sets the R+-tree
-// needs (a segment is stored in every leaf it crosses).
-var seenPool = sync.Pool{New: func() any { return make(map[seg.ID]struct{}) }}
-
-func acquireSeen() map[seg.ID]struct{} { return seenPool.Get().(map[seg.ID]struct{}) }
-
-func releaseSeen(m map[seg.ID]struct{}) {
-	clear(m)
-	seenPool.Put(m)
-}
-
-// comps charges n bounding box computations to both the tree's global
-// counter and the per-query sink. Search loops accumulate counts locally
-// and flush once per query: two atomic adds total instead of two per
-// entry examined, which keeps the observability overhead off the hot
-// path.
-func (t *Tree) comps(o *obs.Op, n uint64) {
-	if n == 0 {
-		return
-	}
-	t.nodeComps.Add(n)
-	o.NodeComps(n)
-}
-
-// Window visits every segment intersecting r exactly once. Because the
-// R+-tree stores a segment in every leaf it crosses, duplicates are
-// suppressed with a per-query set.
-func (t *Tree) Window(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool) error {
-	return t.WindowObs(r, visit, nil)
-}
-
-// WindowObs is Window with per-query observation.
-func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
-	seen := acquireSeen()
-	defer releaseSeen(seen)
-	var examined uint64
-	_, err := t.window(t.root, r, seen, visit, o, &examined)
-	t.comps(o, examined)
-	return err
-}
-
-func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, examined *uint64) (bool, error) {
-	n, err := t.readSoAObs(id, o)
-	if err != nil {
-		if store.IsUnavailable(err) {
-			// Degraded mode: the node's page is quarantined. Skip the whole
-			// subtree but keep visiting siblings — partial results, with the
-			// skip already charged to o by the pool.
-			return true, nil
-		}
-		return false, err
-	}
-	// One branch-free kernel call per 64-entry chunk; hits are walked in
-	// ascending entry order so traversal order matches the scalar loop,
-	// and the counted watermark keeps the examined total per-entry
-	// identical at every early return (see rstar.window).
-	N := n.Len()
-	counted := 0
-	for base := 0; base < N; base += kernel.LaneWidth {
-		end := base + kernel.LaneWidth
-		if end > N {
-			end = N
-		}
-		var m uint64
-		if n.Packed != nil {
-			m = kernel.IntersectMaskPacked(n.Packed[base:end], r)
-		} else {
-			m = kernel.IntersectMask(n.Xmin[base:end], n.Ymin[base:end], n.Xmax[base:end], n.Ymax[base:end], r)
-		}
-		var cm uint64
-		if n.Leaf && m != 0 {
-			// Containment fast path: a leaf rect fully inside the window
-			// bounds a piece of its segment that is also inside, so the
-			// exact segment/window clip below is guaranteed to pass and
-			// can be skipped. This changes no counter — the clip test is
-			// not a charged comparison.
-			if n.Packed != nil {
-				cm = kernel.ContainsMaskPacked(n.Packed[base:end], r)
-			} else {
-				cm = kernel.ContainsMask(n.Xmin[base:end], n.Ymin[base:end], n.Xmax[base:end], n.Ymax[base:end], r)
-			}
-		}
-		for ; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			if n.Leaf {
-				sid := seg.ID(n.Ptr[i])
-				if _, dup := seen[sid]; dup {
-					continue
-				}
-				s, err := t.table.GetObs(sid, o)
-				if err != nil {
-					if store.IsUnavailable(err) {
-						continue // degraded: this segment's table page is gone
-					}
-					*examined += uint64(i + 1 - counted)
-					return false, err
-				}
-				if cm>>uint(i-base)&1 == 0 && !r.IntersectsSegment(s) {
-					continue
-				}
-				seen[sid] = struct{}{}
-				if !visit(sid, s) {
-					*examined += uint64(i + 1 - counted)
-					return false, nil
-				}
-				continue
-			}
-			cont, err := t.window(store.PageID(n.Ptr[i]), r, seen, visit, o, examined)
-			if err != nil || !cont {
-				*examined += uint64(i + 1 - counted)
-				return cont, err
-			}
-		}
-		*examined += uint64(end - counted)
-		counted = end
-	}
-	return true, nil
-}
-
-type pqItem struct {
-	distSq float64
-	isSeg  bool
-	ptr    uint32
-	s      geom.Segment
-}
-
-// The priority queue is a hand-rolled binary min-heap over []pqItem
-// rather than container/heap: the interface methods box every pqItem
-// pushed or popped, an allocation per queue operation. The sift routines
-// mirror container/heap's exactly, so pop order (and therefore traversal
-// order and disk access counts) is unchanged.
-
-func pqUp(q []pqItem, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func pqDown(q []pqItem, i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].distSq < q[j].distSq {
-			j = j2
-		}
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-func pqPush(q *[]pqItem, it pqItem) {
-	*q = append(*q, it)
-	pqUp(*q, len(*q)-1)
-}
-
-func pqPop(q *[]pqItem) pqItem {
-	old := *q
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	pqDown(old, 0, n)
-	it := old[n]
-	*q = old[:n]
-	return it
-}
-
-// pqPool recycles priority-queue backing arrays across nearest-neighbor
-// queries.
-var pqPool = sync.Pool{New: func() any { return new([]pqItem) }}
-
-// distPool recycles the k-NN lower-bound lanes MinDistLB writes into.
-var distPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// Nearest returns the segment closest to p via the incremental
-// priority-queue search. The disjoint decomposition means the start region
-// containing p is found on a single path, which is why the R+-tree tends
-// to beat the R*-tree on this query in the paper.
-func (t *Tree) Nearest(p geom.Point) (core.NearestResult, error) {
-	return core.FirstNearest(t, p)
-}
-
-// NearestK returns up to k segments in increasing distance from p.
-func (t *Tree) NearestK(p geom.Point, k int) ([]core.NearestResult, error) {
-	return t.NearestKObs(p, k, nil)
-}
-
-// NearestKObs is NearestK with per-query observation.
-func (t *Tree) NearestKObs(p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
-	return t.NearestKAppendObs(p, k, nil, o)
-}
-
-// NearestKAppendObs is NearestKObs appending into dst, which lets warm
-// callers reuse one result buffer across queries instead of allocating a
-// fresh slice per call. The queue backing array and the duplicate set
-// are pooled too, so a warm query's search machinery allocates nothing.
-func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
-	base := len(dst)
-	var examined uint64
-	defer func() { t.comps(o, examined) }()
-	qp := pqPool.Get().(*[]pqItem)
-	q := (*qp)[:0]
-	defer func() { *qp = q[:0]; pqPool.Put(qp) }()
-	dp := distPool.Get().(*[]float64)
-	dist := *dp
-	defer func() { *dp = dist[:0]; distPool.Put(dp) }()
-	seen := acquireSeen()
-	defer releaseSeen(seen)
-	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.root)})
-	for len(q) > 0 && len(dst)-base < k {
-		it := pqPop(&q)
-		if it.isSeg {
-			dst = append(dst, core.NearestResult{
-				ID:     seg.ID(it.ptr),
-				Seg:    it.s,
-				DistSq: it.distSq,
-				Found:  true,
-			})
-			continue
-		}
-		n, err := t.readSoAObs(store.PageID(it.ptr), o)
-		if err != nil {
-			if store.IsUnavailable(err) {
-				continue // degraded: skip the quarantined subtree
-			}
-			return dst, err
-		}
-		N := n.Len()
-		if n.Leaf {
-			for i := 0; i < N; i++ {
-				examined++
-				sid := seg.ID(n.Ptr[i])
-				if _, dup := seen[sid]; dup {
-					continue
-				}
-				seen[sid] = struct{}{}
-				s, err := t.table.GetObs(sid, o)
-				if err != nil {
-					if store.IsUnavailable(err) {
-						continue // degraded: segment's table page is gone
-					}
-					return dst, err
-				}
-				pqPush(&q, pqItem{
-					distSq: geom.DistSqPointSegment(p, s),
-					isSeg:  true,
-					ptr:    n.Ptr[i],
-					s:      s,
-				})
-			}
-			continue
-		}
-		// Internal node: one branch-free MinDistLB sweep over the lanes
-		// (bit-equivalent to per-entry Rect.DistSqToPoint), children
-		// pushed in entry order so pop order matches the scalar loop.
-		if cap(dist) < N {
-			dist = make([]float64, N)
-		}
-		dist = dist[:N]
-		kernel.MinDistLB(n.Xmin, n.Ymin, n.Xmax, n.Ymax, p, dist)
-		examined += uint64(N)
-		for i := 0; i < N; i++ {
-			pqPush(&q, pqItem{distSq: dist[i], ptr: n.Ptr[i]})
-		}
-	}
-	return dst, nil
-}
 
 // Delete removes the segment from every leaf containing it. The R+-tree
 // literature does not specify an underflow policy and neither does the
 // paper (deletion "is not so common"); pages are left as they are.
 func (t *Tree) Delete(id seg.ID) error {
-	s, err := t.table.Get(id)
+	s, err := t.Segs.Get(id)
 	if err != nil {
 		return err
 	}
-	removed, err := t.deleteRec(t.root, s, id)
+	removed, err := t.deleteRec(t.Root, s, id)
 	if err != nil {
 		return err
 	}
 	if removed == 0 {
 		return seg.ErrNotIndexed
 	}
-	t.count--
+	t.Count--
 	return nil
 }
 
 func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID) (int, error) {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return 0, err
 	}
@@ -346,11 +44,11 @@ func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID) (int, erro
 			return 0, nil
 		}
 		n.Entries = kept
-		return removed, t.writeNode(id, n)
+		return removed, t.WriteNode(id, n)
 	}
 	total := 0
 	for _, e := range n.Entries {
-		t.nodeComps.Add(1)
+		t.Comps.Add(1)
 		if !e.Rect.IntersectsSegment(s) {
 			continue
 		}

@@ -38,7 +38,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	// the exact cut counts; they show up in the build's segment traffic).
 	segs := make([]geom.Segment, len(n.Entries))
 	for i, e := range n.Entries {
-		s, err := t.table.Get(seg.ID(e.Ptr))
+		s, err := t.Segs.Get(seg.ID(e.Ptr))
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +47,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	cands := t.leafCandidates(region, segs)
 	best, ok := t.chooseLine(region, cands, len(n.Entries), func(lo, hi geom.Rect) (nLo, nHi int) {
 		for _, s := range segs {
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			if lo.IntersectsSegment(s) {
 				nLo++
 			}
@@ -70,10 +70,10 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 			hiE = append(hiE, rpage.Entry{Rect: t.leafRect(segs[i], hiR), Ptr: e.Ptr})
 		}
 	}
-	if err := t.writeNode(id, &rpage.Node{Leaf: true, Entries: loE}); err != nil {
+	if err := t.WriteNode(id, &rpage.Node{Leaf: true, Entries: loE}); err != nil {
 		return nil, err
 	}
-	hid, err := t.allocNode(&rpage.Node{Leaf: true, Entries: hiE})
+	hid, err := t.AllocNode(&rpage.Node{Leaf: true, Entries: hiE})
 	if err != nil {
 		return nil, err
 	}
@@ -97,14 +97,14 @@ func (t *Tree) splitInternal(id store.PageID, region geom.Rect, n *rpage.Node) (
 // page id when reuse is set, else a fresh page), or splits the region and
 // recurses. It returns the parent entries for everything it created.
 func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entries []rpage.Entry) ([]rpage.Entry, error) {
-	if len(entries) <= t.max {
+	if len(entries) <= t.Max {
 		if reuse {
-			if err := t.writeNode(id, &rpage.Node{Entries: entries}); err != nil {
+			if err := t.WriteNode(id, &rpage.Node{Entries: entries}); err != nil {
 				return nil, err
 			}
 			return []rpage.Entry{{Rect: region, Ptr: uint32(id)}}, nil
 		}
-		nid, err := t.allocNode(&rpage.Node{Entries: entries})
+		nid, err := t.AllocNode(&rpage.Node{Entries: entries})
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 	cands := t.internalCandidates(region, entries)
 	best, ok := t.chooseLine(region, cands, len(entries), func(lo, hi geom.Rect) (nLo, nHi int) {
 		for _, e := range entries {
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			if e.Rect.Intersects(lo) {
 				nLo++
 			}
@@ -173,7 +173,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 // choose planes independently of child boundaries (e.g. medians), and
 // Tree.SplitSubtreeForTest exercises it directly.
 func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (lo, hi store.PageID, err error) {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -183,11 +183,11 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 	var loE, hiE []rpage.Entry
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.table.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.Get(seg.ID(e.Ptr))
 			if err != nil {
 				return 0, 0, err
 			}
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			if loR.IntersectsSegment(s) {
 				loE = append(loE, rpage.Entry{Rect: t.leafRect(s, loR), Ptr: e.Ptr})
 			}
@@ -197,7 +197,7 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 		}
 	} else {
 		for _, e := range n.Entries {
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			inLo := e.Rect.Intersects(loR)
 			inHi := e.Rect.Intersects(hiR)
 			switch {
@@ -217,10 +217,10 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 			}
 		}
 	}
-	if err := t.writeNode(id, &rpage.Node{Leaf: n.Leaf, Entries: loE}); err != nil {
+	if err := t.WriteNode(id, &rpage.Node{Leaf: n.Leaf, Entries: loE}); err != nil {
 		return 0, 0, err
 	}
-	hid, err := t.allocNode(&rpage.Node{Leaf: n.Leaf, Entries: hiE})
+	hid, err := t.AllocNode(&rpage.Node{Leaf: n.Leaf, Entries: hiE})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -312,4 +312,4 @@ func (t *Tree) SplitSubtreeForTest(id store.PageID, region geom.Rect, axis int, 
 }
 
 // RootForTest exposes the root page and region for white-box tests.
-func (t *Tree) RootForTest() (store.PageID, geom.Rect) { return t.root, geom.World() }
+func (t *Tree) RootForTest() (store.PageID, geom.Rect) { return t.Root, geom.World() }

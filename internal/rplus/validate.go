@@ -16,23 +16,23 @@ import (
 //   - every leaf entry's segment truly intersects the leaf's region;
 //   - in the hybrid configuration, leaf entry rects equal segment MBRs.
 func (t *Tree) Validate() error {
-	return t.validate(t.root, geom.World(), t.height)
+	return t.validate(t.Root, geom.World(), t.Levels)
 }
 
 func (t *Tree) validate(id store.PageID, region geom.Rect, level int) error {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return err
 	}
 	if n.Leaf != (level == 1) {
 		return fmt.Errorf("rplus: page %d leaf=%v at level %d", id, n.Leaf, level)
 	}
-	if len(n.Entries) > t.max {
-		return fmt.Errorf("rplus: page %d overfull (%d > %d)", id, len(n.Entries), t.max)
+	if len(n.Entries) > t.Max {
+		return fmt.Errorf("rplus: page %d overfull (%d > %d)", id, len(n.Entries), t.Max)
 	}
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.table.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.Get(seg.ID(e.Ptr))
 			if err != nil {
 				return fmt.Errorf("rplus: leaf %d: %w", id, err)
 			}
@@ -62,38 +62,6 @@ func (t *Tree) validate(id store.PageID, region geom.Rect, level int) error {
 	}
 	if want := (region.Width() + 1) * (region.Height() + 1); areaSum != want {
 		return fmt.Errorf("rplus: page %d children cover area %d of region area %d", id, areaSum, want)
-	}
-	return nil
-}
-
-// AvgLeafOccupancy returns the mean number of entries per leaf page (the
-// ~32 segments/page figure of §7; R+ duplication makes it lower than the
-// R*-tree's).
-func (t *Tree) AvgLeafOccupancy() (float64, error) {
-	entries, leaves := 0, 0
-	if err := t.countLeaves(t.root, &entries, &leaves); err != nil {
-		return 0, err
-	}
-	if leaves == 0 {
-		return 0, nil
-	}
-	return float64(entries) / float64(leaves), nil
-}
-
-func (t *Tree) countLeaves(id store.PageID, entries, leaves *int) error {
-	n, err := t.readNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		*entries += len(n.Entries)
-		*leaves++
-		return nil
-	}
-	for _, e := range n.Entries {
-		if err := t.countLeaves(store.PageID(e.Ptr), entries, leaves); err != nil {
-			return err
-		}
 	}
 	return nil
 }

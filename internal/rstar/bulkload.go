@@ -33,7 +33,7 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 		return t, nil
 	}
 	// Target fill: pack to ~80% so later inserts do not split immediately.
-	perNode := t.max * 4 / 5
+	perNode := t.Max * 4 / 5
 	if perNode < 2 {
 		perNode = 2
 	}
@@ -47,7 +47,7 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 		entries[i] = rpage.Entry{Rect: e.Seg.Bounds(), Ptr: uint32(e.ID)}
 	}
 	// Free the empty root New allocated; the packing allocates its own.
-	pool.Free(t.root)
+	pool.Free(t.Root)
 
 	level := entries
 	leaf := true
@@ -59,9 +59,9 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 			return nil, err
 		}
 		if len(nodes) == 1 {
-			t.root = store.PageID(nodes[0].Ptr)
-			t.height = height
-			t.count = len(ids)
+			t.Root = store.PageID(nodes[0].Ptr)
+			t.Levels = height
+			t.Count = len(ids)
 			return t, nil
 		}
 		level = nodes
@@ -88,7 +88,7 @@ func (t *Tree) packLevel(entries []rpage.Entry, perNode int, leaf bool) ([]rpage
 		nodesInSlice := (len(slice) + perNode - 1) / perNode
 		for _, group := range evenChunks(slice, nodesInSlice) {
 			n := &rpage.Node{Leaf: leaf, Entries: group}
-			id, err := t.allocNode(n)
+			id, err := t.AllocNode(n)
 			if err != nil {
 				return nil, err
 			}

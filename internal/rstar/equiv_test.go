@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"container/heap"
 	"context"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ import (
 // refReadNode is the pre-refactor node fetch: page bytes through the
 // pool, decoded per visit into an array-of-entries node.
 func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
-	data, err := t.pool.GetObs(id, o)
+	data, err := t.Pool.GetObs(id, o)
 	if err != nil {
 		return nil, err
 	}
@@ -32,10 +33,10 @@ func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
 	n := rpage.Acquire()
 	if err := rpage.ReadInto(data, n); err != nil {
 		rpage.Release(n)
-		t.pool.Unpin(id, false)
+		t.Pool.Unpin(id, false)
 		return nil, err
 	}
-	t.pool.Unpin(id, false)
+	t.Pool.Unpin(id, false)
 	return n, nil
 }
 
@@ -55,7 +56,7 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, visit func(seg.ID, geom.Se
 			continue
 		}
 		if n.Leaf {
-			s, err := t.table.GetObs(seg.ID(e.Ptr), o)
+			s, err := t.Segs.GetObs(seg.ID(e.Ptr), o)
 			if err != nil {
 				if store.IsUnavailable(err) {
 					continue
@@ -80,19 +81,46 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, visit func(seg.ID, geom.Se
 
 func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o *obs.Op) error {
 	var examined uint64
-	_, err := refWindow(t, t.root, r, visit, o, &examined)
-	t.comps(o, examined)
+	_, err := refWindow(t, t.Root, r, visit, o, &examined)
+	t.ChargeComps(o, examined)
 	return err
 }
+
+// pqItem and refPQ are the reference's own priority queue, on
+// container/heap — the sift order the production heap in rsearch mirrors,
+// so pop order (and with it page access order) must agree.
+type pqItem struct {
+	distSq float64
+	isSeg  bool
+	ptr    uint32
+	level  int
+	s      geom.Segment
+}
+
+type refPQ []pqItem
+
+func (q refPQ) Len() int           { return len(q) }
+func (q refPQ) Less(i, j int) bool { return q[i].distSq < q[j].distSq }
+func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *refPQ) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func pqPush(q *[]pqItem, it pqItem) { heap.Push((*refPQ)(q), it) }
+func pqPop(q *[]pqItem) pqItem      { return heap.Pop((*refPQ)(q)).(pqItem) }
 
 // refNearestK is the scalar reference k-NN: the same incremental
 // priority-queue search with per-entry Rect.DistSqToPoint lower bounds.
 func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
 	var dst []core.NearestResult
 	var examined uint64
-	defer func() { t.comps(o, examined) }()
+	defer func() { t.ChargeComps(o, examined) }()
 	var q []pqItem
-	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.root), level: t.height})
+	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root), level: t.Levels})
 	for len(q) > 0 && len(dst) < k {
 		it := pqPop(&q)
 		if it.isSeg {
@@ -109,7 +137,7 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 		for _, e := range n.Entries {
 			examined++
 			if n.Leaf {
-				s, err := t.table.GetObs(seg.ID(e.Ptr), o)
+				s, err := t.Segs.GetObs(seg.ID(e.Ptr), o)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue
@@ -137,7 +165,7 @@ type visitRec struct {
 // deterministic across the compared runs.
 func dropCaches(t *testing.T, e *testEnv) {
 	t.Helper()
-	if err := e.tree.pool.DropAll(); err != nil {
+	if err := e.tree.Pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.table.DropCache(); err != nil {

@@ -14,7 +14,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 	worst := int64(-1)
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			d := entries[i].Rect.Union(entries[j].Rect).Area() -
 				entries[i].Rect.Area() - entries[j].Rect.Area()
 			if d > worst {
@@ -48,7 +48,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 		best, bestDiff := 0, int64(-1)
 		var bestDL, bestDR int64
 		for i, e := range remaining {
-			t.nodeComps.Add(2)
+			t.Comps.Add(2)
 			dl := lbb.Enlargement(e.Rect)
 			dr := rbb.Enlargement(e.Rect)
 			diff := dl - dr

@@ -12,11 +12,9 @@
 package rstar
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"segdb/internal/geom"
 	"segdb/internal/rpage"
+	"segdb/internal/rsearch"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -67,18 +65,13 @@ func GuttmanConfig() Config {
 	return Config{Algorithm: AlgorithmGuttman, MinFillFraction: 0.4}
 }
 
-// Tree is a disk-resident R*-tree over line segments.
+// Tree is a disk-resident R*-tree over line segments. Node storage and
+// the query traversals are the shared rsearch.Tree; this package adds
+// insertion, splitting, deletion and the structural invariants.
 type Tree struct {
-	pool      *store.Pool
-	table     *seg.Table
-	cfg       Config
-	root      store.PageID
-	height    int // 1 = root is a leaf
-	max       int // M
-	min       int // m
-	level     int // page compression level (Config.Compression, clamped)
-	count     int
-	nodeComps atomic.Uint64
+	*rsearch.Tree
+	cfg Config
+	min int // m
 }
 
 // clampLevel normalizes a configured compression level to [0, 2].
@@ -92,29 +85,28 @@ func clampLevel(level int) int {
 	return level
 }
 
-// New creates an empty R*-tree whose nodes live on pages of pool and whose
-// leaf entries point into table.
-func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
-	level := clampLevel(cfg.Compression)
-	max := rpage.CapacityLevel(pool.PageSize(), level)
-	if max < 4 {
-		return nil, fmt.Errorf("rstar: page size %d too small", pool.PageSize())
-	}
-	min := int(cfg.MinFillFraction * float64(max))
+// wrap completes a tree over its shared part: m is MinFillFraction of M,
+// kept within [2, M/2].
+func wrap(base *rsearch.Tree, cfg Config) *Tree {
+	min := int(cfg.MinFillFraction * float64(base.Max))
 	if min < 2 {
 		min = 2
 	}
-	if min > max/2 {
-		min = max / 2
+	if min > base.Max/2 {
+		min = base.Max / 2
 	}
-	t := &Tree{pool: pool, table: table, cfg: cfg, max: max, min: min, level: level}
-	id, err := t.allocNode(&rpage.Node{Leaf: true})
+	return &Tree{Tree: base, cfg: cfg, min: min}
+}
+
+// New creates an empty R*-tree whose nodes live on pages of pool and whose
+// leaf entries point into table. Every segment is stored in exactly one
+// leaf, so queries need no duplicate suppression.
+func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
+	base, err := rsearch.New(pool, table, clampLevel(cfg.Compression), false)
 	if err != nil {
 		return nil, err
 	}
-	t.root = id
-	t.height = 1
-	return t, nil
+	return wrap(base, cfg), nil
 }
 
 // Name implements core.Index.
@@ -123,83 +115,6 @@ func (t *Tree) Name() string {
 		return "R-tree"
 	}
 	return "R*-tree"
-}
-
-// Table returns the segment table the leaf entries point into.
-func (t *Tree) Table() *seg.Table { return t.table }
-
-// DiskStats returns the disk activity of the tree's own pages.
-func (t *Tree) DiskStats() store.Stats { return t.pool.Stats() }
-
-// NodeComps returns the cumulative bounding box computation count.
-func (t *Tree) NodeComps() uint64 { return t.nodeComps.Load() }
-
-// SizeBytes returns the storage footprint of the tree pages.
-func (t *Tree) SizeBytes() int64 { return t.pool.Disk().SizeBytes() }
-
-// DropCache cold-starts the tree's buffer pool, flushing dirty frames
-// first.
-func (t *Tree) DropCache() error { return t.pool.DropAll() }
-
-// Len returns the number of indexed segments.
-func (t *Tree) Len() int { return t.count }
-
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-// MaxEntries returns M (test and reporting hook).
-func (t *Tree) MaxEntries() int { return t.max }
-
-func (t *Tree) readNode(id store.PageID) (*rpage.Node, error) {
-	data, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n, err := rpage.Read(data)
-	t.pool.Unpin(id, false)
-	return n, err
-}
-
-func (t *Tree) writeNode(id store.PageID, n *rpage.Node) error {
-	data, err := t.pool.Get(id)
-	if err != nil {
-		return err
-	}
-	if err := t.encodeNode(data, n); err != nil {
-		t.pool.Unpin(id, false)
-		return err
-	}
-	t.pool.Unpin(id, true)
-	return nil
-}
-
-func (t *Tree) allocNode(n *rpage.Node) (store.PageID, error) {
-	id, data, err := t.pool.Allocate()
-	if err != nil {
-		return store.NilPage, err
-	}
-	if err := t.encodeNode(data, n); err != nil {
-		t.pool.Unpin(id, false)
-		return store.NilPage, err
-	}
-	t.pool.Unpin(id, true)
-	return id, nil
-}
-
-// encodeNode serializes n at the tree's compression level. At the lossy
-// level the entries are immediately re-decoded from the page, so n's
-// in-memory rectangles match the stored (outward-rounded) ones — parents
-// that derive their child entry from n.MBR() then bound exactly what a
-// later decode of the child will see, keeping the containment chain
-// intact for queries and Validate alike.
-func (t *Tree) encodeNode(data []byte, n *rpage.Node) error {
-	if err := rpage.WriteLevel(data, n, t.level); err != nil {
-		return err
-	}
-	if rpage.Lossy(t.level) {
-		return rpage.ReadInto(data, n)
-	}
-	return nil
 }
 
 // pending is an entry awaiting (re)insertion at a given level
@@ -211,7 +126,7 @@ type pending struct {
 
 // Insert adds the segment with the given table ID.
 func (t *Tree) Insert(id seg.ID) error {
-	s, err := t.table.Get(id)
+	s, err := t.Segs.Get(id)
 	if err != nil {
 		return err
 	}
@@ -219,7 +134,7 @@ func (t *Tree) Insert(id seg.ID) error {
 	if err := t.insertAll(pending{e: e, level: 1}); err != nil {
 		return err
 	}
-	t.count++
+	t.Count++
 	return nil
 }
 
@@ -232,19 +147,19 @@ func (t *Tree) insertAll(first pending) error {
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		mbr, splitEntry, err := t.insertRec(t.root, t.height, p, handled, &queue)
+		mbr, splitEntry, err := t.insertRec(t.Root, t.Levels, p, handled, &queue)
 		if err != nil {
 			return err
 		}
 		if splitEntry != nil {
 			// Root split: grow the tree.
-			old := rpage.Entry{Rect: mbr, Ptr: uint32(t.root)}
-			rid, err := t.allocNode(&rpage.Node{Entries: []rpage.Entry{old, *splitEntry}})
+			old := rpage.Entry{Rect: mbr, Ptr: uint32(t.Root)}
+			rid, err := t.AllocNode(&rpage.Node{Entries: []rpage.Entry{old, *splitEntry}})
 			if err != nil {
 				return err
 			}
-			t.root = rid
-			t.height++
+			t.Root = rid
+			t.Levels++
 		}
 	}
 	return nil
@@ -254,7 +169,7 @@ func (t *Tree) insertAll(first pending) error {
 // on the way back up. It returns the subtree's new MBR and, when the node
 // split, the entry for the new sibling that the caller must adopt.
 func (t *Tree) insertRec(id store.PageID, level int, p pending, handled map[int]bool, queue *[]pending) (geom.Rect, *rpage.Entry, error) {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
@@ -277,17 +192,17 @@ func (t *Tree) insertRec(id store.PageID, level int, p pending, handled map[int]
 // resolveOverflow writes n back, applying forced reinsertion or a split if
 // it exceeds M entries.
 func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int, handled map[int]bool, queue *[]pending) (geom.Rect, *rpage.Entry, error) {
-	if len(n.Entries) <= t.max {
-		if err := t.writeNode(id, n); err != nil {
+	if len(n.Entries) <= t.Max {
+		if err := t.WriteNode(id, n); err != nil {
 			return geom.Rect{}, nil, err
 		}
 		return n.MBR(), nil, nil
 	}
-	if t.cfg.Algorithm == AlgorithmRStar && level != t.height && !handled[level] && t.cfg.ReinsertFraction > 0 {
+	if t.cfg.Algorithm == AlgorithmRStar && level != t.Levels && !handled[level] && t.cfg.ReinsertFraction > 0 {
 		handled[level] = true
 		kept, removed := t.pickReinsert(n.Entries)
 		n.Entries = kept
-		if err := t.writeNode(id, n); err != nil {
+		if err := t.WriteNode(id, n); err != nil {
 			return geom.Rect{}, nil, err
 		}
 		for _, e := range removed {
@@ -302,11 +217,11 @@ func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int, handle
 		left, right = t.split(n.Entries)
 	}
 	n.Entries = left
-	if err := t.writeNode(id, n); err != nil {
+	if err := t.WriteNode(id, n); err != nil {
 		return geom.Rect{}, nil, err
 	}
 	rn := &rpage.Node{Leaf: n.Leaf, Entries: right}
-	rid, err := t.allocNode(rn)
+	rid, err := t.AllocNode(rn)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
@@ -324,13 +239,13 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 		bestOverlap, bestEnlarge, bestArea := int64(-1), int64(0), int64(0)
 		for i, e := range n.Entries {
 			enlarged := e.Rect.Union(r)
-			t.nodeComps.Add(1)
+			t.Comps.Add(1)
 			var dOverlap int64
 			for j, o := range n.Entries {
 				if j == i {
 					continue
 				}
-				t.nodeComps.Add(1)
+				t.Comps.Add(1)
 				dOverlap += enlarged.OverlapArea(o.Rect) - e.Rect.OverlapArea(o.Rect)
 			}
 			dEnlarge := enlarged.Area() - e.Rect.Area()
@@ -345,7 +260,7 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 	}
 	bestEnlarge, bestArea := int64(-1), int64(0)
 	for i, e := range n.Entries {
-		t.nodeComps.Add(1)
+		t.Comps.Add(1)
 		dEnlarge := e.Rect.Enlargement(r)
 		area := e.Rect.Area()
 		if bestEnlarge < 0 || dEnlarge < bestEnlarge ||
@@ -379,7 +294,7 @@ func (t *Tree) pickReinsert(entries []rpage.Entry) (kept, removed []rpage.Entry)
 		dx := float64(ec.X - c.X)
 		dy := float64(ec.Y - c.Y)
 		ds[i] = distEntry{d: dx*dx + dy*dy, e: e}
-		t.nodeComps.Add(1)
+		t.Comps.Add(1)
 	}
 	// Sort ascending by distance; the tail is reinserted.
 	sortSlice(ds, func(a, b distEntry) bool { return a.d < b.d })
@@ -393,45 +308,13 @@ func (t *Tree) pickReinsert(entries []rpage.Entry) (kept, removed []rpage.Entry)
 	return kept, removed
 }
 
-// PersistMeta captures the tree's in-memory state for serialization
-// alongside its disk image.
-func (t *Tree) PersistMeta() [3]uint64 {
-	return [3]uint64{uint64(t.root), uint64(t.height), uint64(t.count)}
-}
-
-// maxHeight bounds a plausible tree height: even a binary-fanout tree of
-// this height exceeds any restorable page count.
-const maxHeight = 64
-
 // Restore reattaches a tree to a disk image previously saved with its
 // PersistMeta. The pool must wrap the restored disk; cfg must match the
-// original tree's. Unlike earlier versions it does not allocate (and so
-// never grows the restored disk); the metadata is validated before use.
+// original tree's.
 func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [3]uint64) (*Tree, error) {
-	level := clampLevel(cfg.Compression)
-	max := rpage.CapacityLevel(pool.PageSize(), level)
-	if max < 4 {
-		return nil, fmt.Errorf("rstar: page size %d too small", pool.PageSize())
+	base, err := rsearch.Restore(pool, table, clampLevel(cfg.Compression), false, meta)
+	if err != nil {
+		return nil, err
 	}
-	min := int(cfg.MinFillFraction * float64(max))
-	if min < 2 {
-		min = 2
-	}
-	if min > max/2 {
-		min = max / 2
-	}
-	root := store.PageID(meta[0])
-	height := int(meta[1])
-	count := int(meta[2])
-	if int(root) >= pool.Disk().PageCount() {
-		return nil, fmt.Errorf("rstar: root page %d outside disk (%d pages): %w", root, pool.Disk().PageCount(), store.ErrBadPage)
-	}
-	if height < 1 || height > maxHeight {
-		return nil, fmt.Errorf("rstar: invalid height %d", height)
-	}
-	if count < 0 || count > table.Len() {
-		return nil, fmt.Errorf("rstar: segment count %d exceeds table size %d", count, table.Len())
-	}
-	return &Tree{pool: pool, table: table, cfg: cfg, max: max, min: min, level: level,
-		root: root, height: height, count: count}, nil
+	return wrap(base, cfg), nil
 }

@@ -66,7 +66,7 @@ func clamp(v, lo, hi int32) int32 {
 
 func TestEmptyTree(t *testing.T) {
 	e := newEnv(t, 512, 8, DefaultConfig())
-	res, err := e.tree.Nearest(geom.Pt(100, 100))
+	res, err := core.FirstNearestObs(e.tree, geom.Pt(100, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		err := e.tree.Window(r, func(id seg.ID, s geom.Segment) bool {
+		err := e.tree.WindowObs(r, func(id seg.ID, s geom.Segment) bool {
 			if got[id] {
 				t.Fatalf("segment %d reported twice", id)
 			}
 			got[id] = true
 			return true
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		res, err := e.tree.Nearest(p)
+		res, err := core.FirstNearestObs(e.tree, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,10 +158,10 @@ func TestWindowEarlyStop(t *testing.T) {
 		e.add(t, s)
 	}
 	n := 0
-	e.tree.Window(geom.World(), func(seg.ID, geom.Segment) bool {
+	e.tree.WindowObs(geom.World(), func(seg.ID, geom.Segment) bool {
 		n++
 		return n < 5
-	})
+	}, nil)
 	if n != 5 {
 		t.Errorf("early stop visited %d", n)
 	}
@@ -191,10 +191,10 @@ func TestDeleteAndReinsert(t *testing.T) {
 	}
 	// Deleted segments are gone; the rest remain.
 	got := map[seg.ID]bool{}
-	e.tree.Window(geom.World(), func(id seg.ID, _ geom.Segment) bool {
+	e.tree.WindowObs(geom.World(), func(id seg.ID, _ geom.Segment) bool {
 		got[id] = true
 		return true
-	})
+	}, nil)
 	for i := range segs {
 		id := seg.ID(i)
 		if deleted[id] && got[id] {
@@ -261,8 +261,8 @@ func TestForcedReinsertAblation(t *testing.T) {
 	// Both answer the same nearest queries.
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		a, _ := withR.Nearest(p)
-		b, _ := withoutR.Nearest(p)
+		a, _ := core.FirstNearestObs(withR, p, nil)
+		b, _ := core.FirstNearestObs(withoutR, p, nil)
 		if a.DistSq != b.DistSq {
 			t.Fatalf("nearest disagreement at %v: %v vs %v", p, a.DistSq, b.DistSq)
 		}
@@ -296,7 +296,7 @@ func TestDegenerateSegments(t *testing.T) {
 	if len(ids) != len(cases) {
 		t.Errorf("window found %d of %d degenerate segments", len(ids), len(cases))
 	}
-	res, _ := e.tree.Nearest(geom.Pt(42, 43))
+	res, _ := core.FirstNearestObs(e.tree, geom.Pt(42, 43), nil)
 	if res.DistSq != 1 {
 		t.Errorf("nearest to point segment = %v", res.DistSq)
 	}
@@ -311,7 +311,7 @@ func TestMetricsAdvance(t *testing.T) {
 	e.tree.DropCache()
 	e.table.DropCache()
 	m, err := core.Measure(e.tree, func() error {
-		_, err := e.tree.Nearest(geom.Pt(8000, 8000))
+		_, err := core.FirstNearestObs(e.tree, geom.Pt(8000, 8000), nil)
 		return err
 	})
 	if err != nil {
@@ -347,7 +347,7 @@ func TestGuttmanVariantCorrectness(t *testing.T) {
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 		got := map[seg.ID]bool{}
-		e.tree.Window(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true })
+		e.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
 		for i, s := range segs {
 			if want := r.IntersectsSegment(s); got[seg.ID(i)] != want {
 				t.Fatalf("trial %d seg %d: got %v want %v", trial, i, got[seg.ID(i)], want)
@@ -357,7 +357,7 @@ func TestGuttmanVariantCorrectness(t *testing.T) {
 	// Nearest agreement with brute force.
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Pt(int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		res, err := e.tree.Nearest(p)
+		res, err := core.FirstNearestObs(e.tree, p, nil)
 		if err != nil || !res.Found {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestGuttmanBuildsCheaperQueriesWorse(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			x := int32(rng.Intn(geom.WorldSize - 200))
 			y := int32(rng.Intn(geom.WorldSize - 200))
-			tr.Window(geom.RectOf(x, y, x+164, y+164), func(seg.ID, geom.Segment) bool { return true })
+			tr.WindowObs(geom.RectOf(x, y, x+164, y+164), func(seg.ID, geom.Segment) bool { return true }, nil)
 		}
 		return tr.NodeComps() - before
 	}
@@ -447,7 +447,7 @@ func TestBulkLoadCorrectness(t *testing.T) {
 				int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
 				int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
 			got := map[seg.ID]bool{}
-			tree.Window(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true })
+			tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
 			for i, s := range segs {
 				if want := r.IntersectsSegment(s); got[seg.ID(i)] != want {
 					t.Fatalf("n=%d trial %d seg %d: got %v want %v", n, trial, i, got[seg.ID(i)], want)

@@ -42,7 +42,7 @@ func (t *Tree) split(entries []rpage.Entry) (left, right []rpage.Entry) {
 	for _, s := range sortings {
 		prefix, suffix := groupMBRs(s)
 		for cut := m; cut <= len(s)-m; cut++ {
-			t.nodeComps.Add(2)
+			t.Comps.Add(2)
 			r1, r2 := prefix[cut-1], suffix[cut]
 			overlap := r1.OverlapArea(r2)
 			area := r1.Area() + r2.Area()
@@ -63,7 +63,7 @@ func (t *Tree) marginSum(s []rpage.Entry, m int) int64 {
 	prefix, suffix := groupMBRs(s)
 	var sum int64
 	for cut := m; cut <= len(s)-m; cut++ {
-		t.nodeComps.Add(2)
+		t.Comps.Add(2)
 		sum += prefix[cut-1].Perimeter() + suffix[cut].Perimeter()
 	}
 	return sum

@@ -21,25 +21,25 @@ import (
 // The lossless levels (0 and 1) keep the exact checks.
 func (t *Tree) Validate() error {
 	leafEntries := 0
-	if err := t.validate(t.root, t.height, true, &leafEntries); err != nil {
+	if err := t.validate(t.Root, t.Levels, true, &leafEntries); err != nil {
 		return err
 	}
-	if leafEntries != t.count {
-		return fmt.Errorf("rstar: %d leaf entries, count is %d", leafEntries, t.count)
+	if leafEntries != t.Count {
+		return fmt.Errorf("rstar: %d leaf entries, count is %d", leafEntries, t.Count)
 	}
 	return nil
 }
 
 func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *int) error {
-	n, err := t.readNode(id)
+	n, err := t.ReadNode(id)
 	if err != nil {
 		return err
 	}
 	if n.Leaf != (level == 1) {
 		return fmt.Errorf("rstar: page %d leaf=%v at level %d", id, n.Leaf, level)
 	}
-	if len(n.Entries) > t.max {
-		return fmt.Errorf("rstar: page %d overfull (%d > %d)", id, len(n.Entries), t.max)
+	if len(n.Entries) > t.Max {
+		return fmt.Errorf("rstar: page %d overfull (%d > %d)", id, len(n.Entries), t.Max)
 	}
 	if !isRoot && len(n.Entries) < t.min {
 		return fmt.Errorf("rstar: page %d underfull (%d < %d)", id, len(n.Entries), t.min)
@@ -49,11 +49,11 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 	}
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.table.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.Get(seg.ID(e.Ptr))
 			if err != nil {
 				return fmt.Errorf("rstar: leaf page %d: %w", id, err)
 			}
-			if rpage.Lossy(t.level) {
+			if rpage.Lossy(t.Format) {
 				if !e.Rect.ContainsRect(s.Bounds()) {
 					return fmt.Errorf("rstar: leaf page %d entry %d rect %v does not contain segment bounds %v", id, e.Ptr, e.Rect, s.Bounds())
 				}
@@ -65,14 +65,14 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 		return nil
 	}
 	for _, e := range n.Entries {
-		child, err := t.readNode(store.PageID(e.Ptr))
+		child, err := t.ReadNode(store.PageID(e.Ptr))
 		if err != nil {
 			return err
 		}
 		if len(child.Entries) == 0 {
 			return fmt.Errorf("rstar: empty child page %d", e.Ptr)
 		}
-		if mbr := child.MBR(); rpage.Lossy(t.level) {
+		if mbr := child.MBR(); rpage.Lossy(t.Format) {
 			if !e.Rect.ContainsRect(mbr) {
 				return fmt.Errorf("rstar: page %d entry rect %v does not contain child %d MBR %v", id, e.Rect, e.Ptr, mbr)
 			}
@@ -80,38 +80,6 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 			return fmt.Errorf("rstar: page %d entry rect %v != child %d MBR %v", id, e.Rect, e.Ptr, mbr)
 		}
 		if err := t.validate(store.PageID(e.Ptr), level-1, false, leafEntries); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AvgLeafOccupancy returns the mean number of segment entries per leaf
-// page — the "average number of line segments in an R*-tree page" quoted
-// in §7 of the paper (36 for the R*-tree, 32 for the R+-tree).
-func (t *Tree) AvgLeafOccupancy() (float64, error) {
-	entries, leaves := 0, 0
-	if err := t.countLeaves(t.root, t.height, &entries, &leaves); err != nil {
-		return 0, err
-	}
-	if leaves == 0 {
-		return 0, nil
-	}
-	return float64(entries) / float64(leaves), nil
-}
-
-func (t *Tree) countLeaves(id store.PageID, level int, entries, leaves *int) error {
-	n, err := t.readNode(id)
-	if err != nil {
-		return err
-	}
-	if n.Leaf {
-		*entries += len(n.Entries)
-		*leaves++
-		return nil
-	}
-	for _, e := range n.Entries {
-		if err := t.countLeaves(store.PageID(e.Ptr), level-1, entries, leaves); err != nil {
 			return err
 		}
 	}

@@ -71,11 +71,6 @@ func (m *Merged) Insert(seg.ID) error { return ErrImmutable }
 // Delete implements core.Index; snapshots are immutable.
 func (m *Merged) Delete(seg.ID) error { return ErrImmutable }
 
-// Window implements core.Index.
-func (m *Merged) Window(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool) error {
-	return m.WindowObs(r, visit, nil)
-}
-
 // WindowObs implements core.Index: the base traversal with tombstoned
 // results suppressed, then the staged grid scan. Early stop from visit
 // skips the staged half too.
@@ -96,21 +91,6 @@ func (m *Merged) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bo
 	}
 	m.mem.Window(m.visible, m.version, r, visit, o)
 	return nil
-}
-
-// Nearest implements core.Index.
-func (m *Merged) Nearest(p geom.Point) (core.NearestResult, error) {
-	return core.FirstNearestObs(m, p, nil)
-}
-
-// NearestK implements core.Index.
-func (m *Merged) NearestK(p geom.Point, k int) ([]core.NearestResult, error) {
-	return m.NearestKObs(p, k, nil)
-}
-
-// NearestKObs implements core.Index.
-func (m *Merged) NearestKObs(p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
-	return m.NearestKAppendObs(p, k, nil, o)
 }
 
 // NearestKAppendObs implements core.Index by merging two ranked

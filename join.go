@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"segdb/internal/bulk"
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/obs"
@@ -101,7 +102,7 @@ func overlayObs(ixA, ixB core.Index, workers int, visit func(idA, idB SegmentID,
 		return overlayLiveParallel(ixA, ixB, workers, visit, o)
 	}
 	outer := ixA.Table()
-	return parallelRange(outer.Len(), workers, func(i int) error {
+	return bulk.ParallelRange(outer.Len(), workers, func(i int) error {
 		idA := seg.ID(i)
 		sA, err := outer.GetObs(idA, o)
 		if err != nil {
@@ -128,7 +129,7 @@ func overlayLiveParallel(ixA, ixB core.Index, workers int, visit func(idA, idB S
 	}, o); err != nil {
 		return err
 	}
-	return parallelRange(len(outer), workers, func(i int) error {
+	return bulk.ParallelRange(len(outer), workers, func(i int) error {
 		return overlayProbe(ixB, outer[i].id, outer[i].s, visit, o)
 	})
 }

@@ -129,10 +129,10 @@ func (db *DB) initStaged() error {
 // its live segments, excluding deleted table slots — sorted ascending.
 func (db *DB) collectLiveIDs(ix core.Index) ([]seg.ID, error) {
 	var ids []seg.ID
-	err := ix.Window(World(), func(id SegmentID, _ Segment) bool {
+	err := ix.WindowObs(World(), func(id SegmentID, _ Segment) bool {
 		ids = append(ids, id)
 		return true
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

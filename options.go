@@ -9,9 +9,8 @@ import "segdb/internal/store"
 //	    segdb.WithPoolPages(64),
 //	    segdb.WithTracer(segdb.NewJSONLTracer(f)))
 //
-// The pre-v2 call forms still compile and behave identically, because
-// *Options itself satisfies Option: Open(kind, nil) and
-// Open(kind, &Options{...}) remain valid (deprecated) spellings.
+// A nil Option is skipped, so the pre-v2 spelling Open(kind, nil) still
+// compiles and means the defaults.
 type Option interface {
 	apply(*Options)
 }
@@ -19,18 +18,6 @@ type Option interface {
 type optionFunc func(*Options)
 
 func (f optionFunc) apply(o *Options) { f(o) }
-
-// apply makes *Options an Option, keeping the old Open(kind, *Options)
-// signature compiling: the whole struct is copied in, zero fields
-// selecting defaults exactly as withDefaults once did.
-//
-// Deprecated: pass individual With* options instead of an Options
-// struct.
-func (o *Options) apply(dst *Options) {
-	if o != nil {
-		*dst = *o
-	}
-}
 
 // WithPageSize sets the disk page size in bytes (default 1024, the
 // paper's configuration).

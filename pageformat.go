@@ -1,19 +1,24 @@
 package segdb
 
 import (
+	"fmt"
+
 	"segdb/internal/btree"
+	"segdb/internal/core"
 	"segdb/internal/grid"
 	"segdb/internal/pmr"
 	"segdb/internal/rpage"
 	"segdb/internal/rplus"
 	"segdb/internal/rstar"
+	"segdb/internal/seg"
+	"segdb/internal/staging"
 	"segdb/internal/store"
 )
 
 // rstarConfig builds the R*-tree/classic-R-tree configuration for these
-// options. Open, rebuildBulk, and restoreIndex must agree on this
-// mapping or a reopened index would use different parameters than the
-// one that wrote the pages.
+// options. The kinds table below is the only user of the four config
+// builders, so an index created, bulk-built or reopened for one kind
+// always gets the parameters of the one that wrote the pages.
 func (o Options) rstarConfig(kind Kind) rstar.Config {
 	cfg := rstar.DefaultConfig()
 	if kind == ClassicRTree {
@@ -34,7 +39,7 @@ func (o Options) rplusConfig(kind Kind) rplus.Config {
 }
 
 // pmrConfig builds the PMR quadtree configuration.
-func (o Options) pmrConfig() pmr.Config {
+func (o Options) pmrConfig(Kind) pmr.Config {
 	cfg := pmr.DefaultConfig()
 	cfg.SplittingThreshold = o.PMRThreshold
 	cfg.StoreMBR = o.PMRStoreMBR
@@ -43,8 +48,96 @@ func (o Options) pmrConfig() pmr.Config {
 }
 
 // gridConfig builds the uniform grid configuration.
-func (o Options) gridConfig() grid.Config {
+func (o Options) gridConfig(Kind) grid.Config {
 	return grid.Config{CellsPerSide: o.GridCells, Compression: o.PageCompression}
+}
+
+// The five implementers of the index contract: four disk structures and
+// the staged-ingest read view.
+var (
+	_ core.Index = (*rstar.Tree)(nil)
+	_ core.Index = (*rplus.Tree)(nil)
+	_ core.Index = (*pmr.Tree)(nil)
+	_ core.Index = (*grid.Grid)(nil)
+	_ core.Index = (*staging.Merged)(nil)
+)
+
+// persistable is what every disk structure adds to core.Index: its
+// in-memory state as metadata words, saved beside the disk image.
+type persistable interface {
+	core.Index
+	PersistMeta() []uint64
+}
+
+// kindImpl is everything the facade knows about one index kind: how to
+// create it empty, bulk-build it over ids, and reattach it to a restored
+// disk from metaWords words of metadata.
+type kindImpl struct {
+	metaWords int
+	new       func(o Options, k Kind, pool *store.Pool, table *seg.Table) (persistable, error)
+	bulk      func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID) (persistable, error)
+	restore   func(o Options, k Kind, pool *store.Pool, table *seg.Table, meta []uint64) (persistable, error)
+}
+
+// family adapts one index package — its config builder and its New,
+// BulkLoad and Restore, which have the same shape in all four packages —
+// to a kindImpl. The metadata length is the size of the array the
+// package's Restore takes.
+func family[C any, T persistable, M [3]uint64 | [4]uint64](
+	cfg func(Options, Kind) C,
+	create func(*store.Pool, *seg.Table, C) (T, error),
+	bulk func(*store.Pool, *seg.Table, C, []seg.ID) (T, error),
+	restore func(*store.Pool, *seg.Table, C, M) (T, error),
+) kindImpl {
+	var m M
+	return kindImpl{
+		metaWords: len(m),
+		new: func(o Options, k Kind, pool *store.Pool, table *seg.Table) (persistable, error) {
+			return create(pool, table, cfg(o, k))
+		},
+		bulk: func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID) (persistable, error) {
+			return bulk(pool, table, cfg(o, k), ids)
+		},
+		restore: func(o Options, k Kind, pool *store.Pool, table *seg.Table, meta []uint64) (persistable, error) {
+			return restore(pool, table, cfg(o, k), M(meta))
+		},
+	}
+}
+
+// kinds is the one per-kind construction table: Open, the bulk rebuild,
+// Load and crash recovery all go through it.
+var kinds = map[Kind]kindImpl{
+	RStarTree:    family(Options.rstarConfig, rstar.New, rstar.BulkLoad, rstar.Restore),
+	ClassicRTree: family(Options.rstarConfig, rstar.New, rstar.BulkLoad, rstar.Restore),
+	RPlusTree:    family(Options.rplusConfig, rplus.New, rplus.BulkLoad, rplus.Restore),
+	KDBTree:      family(Options.rplusConfig, rplus.New, rplus.BulkLoad, rplus.Restore),
+	PMRQuadtree:  family(Options.pmrConfig, pmr.New, pmr.BulkLoad, pmr.Restore),
+	UniformGrid:  family(Options.gridConfig, grid.New, grid.BulkLoad, grid.Restore),
+}
+
+// implOf looks a kind up in the table; the error for a kind outside it
+// (a corrupt file header, an out-of-range constant) lives here.
+func implOf(kind Kind) (kindImpl, error) {
+	impl, ok := kinds[kind]
+	if !ok {
+		return kindImpl{}, fmt.Errorf("segdb: unknown index kind %d", int(kind))
+	}
+	return impl, nil
+}
+
+// restoreIndex reconstructs the index of the given kind over an
+// already-populated pool and table from its persist metadata. Shared by
+// Load (metadata from the image header) and crash recovery (metadata
+// from the newest committed WAL transaction).
+func restoreIndex(kind Kind, opts Options, pool *store.Pool, table *seg.Table, meta []uint64) (persistable, error) {
+	impl, err := implOf(kind)
+	if err != nil {
+		return nil, err
+	}
+	if len(meta) != impl.metaWords {
+		return nil, fmt.Errorf("segdb: index metadata has %d words, want %d", len(meta), impl.metaWords)
+	}
+	return impl.restore(opts, kind, pool, table, meta)
 }
 
 // PageFormatStats summarizes the physical format of the index's pages:

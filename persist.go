@@ -7,11 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"segdb/internal/core"
-	"segdb/internal/grid"
-	"segdb/internal/pmr"
-	"segdb/internal/rplus"
-	"segdb/internal/rstar"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -54,10 +49,7 @@ func (db *DB) Save(w io.Writer) error {
 // snapshot a halted disk directly (unflushed dirty frames are precisely
 // the data a crash loses).
 func (db *DB) writeSnapshot(w io.Writer) error {
-	meta, err := db.indexMeta()
-	if err != nil {
-		return err
-	}
+	meta := db.index.PersistMeta()
 	o := db.opts
 	header := []uint32{
 		uint32(db.kind),
@@ -87,7 +79,7 @@ func (db *DB) writeSnapshot(w io.Writer) error {
 	if err := db.table.WriteSnapshot(w); err != nil {
 		return err
 	}
-	_, err = db.pool.Disk().WriteTo(w)
+	_, err := db.pool.Disk().WriteTo(w)
 	return err
 }
 
@@ -166,10 +158,8 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 	if header[6] > maxMetaWords {
 		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])
 	}
-	switch kind {
-	case RStarTree, ClassicRTree, RPlusTree, KDBTree, PMRQuadtree, UniformGrid:
-	default:
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: unknown index kind %d in file", kind)
+	if _, err := implOf(kind); err != nil {
+		return 0, opts, nil, nil, nil, err
 	}
 	meta := make([]uint64, header[6])
 	for i := range meta {
@@ -204,76 +194,6 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: index image page size %d, header says %d", disk.PageSize(), opts.PageSize)
 	}
 	return kind, opts, meta, table, disk, nil
-}
-
-// restoreIndex reconstructs the index of the given kind over an
-// already-populated pool and table from its persist metadata. Shared by
-// Load (metadata from the image header) and crash recovery (metadata
-// from the newest committed WAL transaction).
-func restoreIndex(kind Kind, opts Options, pool *store.Pool, table *seg.Table, meta []uint64) (core.Index, error) {
-	switch kind {
-	case RStarTree, ClassicRTree:
-		m, err := meta3(meta)
-		if err != nil {
-			return nil, err
-		}
-		return rstar.Restore(pool, table, opts.rstarConfig(kind), m)
-	case RPlusTree, KDBTree:
-		m, err := meta3(meta)
-		if err != nil {
-			return nil, err
-		}
-		return rplus.Restore(pool, table, opts.rplusConfig(kind), m)
-	case PMRQuadtree:
-		m, err := meta4(meta)
-		if err != nil {
-			return nil, err
-		}
-		return pmr.Restore(pool, table, opts.pmrConfig(), m)
-	case UniformGrid:
-		m, err := meta4(meta)
-		if err != nil {
-			return nil, err
-		}
-		return grid.Restore(pool, table, opts.gridConfig(), m)
-	}
-	return nil, fmt.Errorf("segdb: unknown index kind %d in file", kind)
-}
-
-func (db *DB) indexMeta() ([]uint64, error) {
-	switch ix := db.index.(type) {
-	case *rstar.Tree:
-		m := ix.PersistMeta()
-		return m[:], nil
-	case *rplus.Tree:
-		m := ix.PersistMeta()
-		return m[:], nil
-	case *pmr.Tree:
-		m := ix.PersistMeta()
-		return m[:], nil
-	case *grid.Grid:
-		m := ix.PersistMeta()
-		return m[:], nil
-	}
-	return nil, fmt.Errorf("segdb: index %s is not persistable", db.index.Name())
-}
-
-func meta3(meta []uint64) ([3]uint64, error) {
-	var m [3]uint64
-	if len(meta) != 3 {
-		return m, fmt.Errorf("segdb: index metadata has %d words, want 3", len(meta))
-	}
-	copy(m[:], meta)
-	return m, nil
-}
-
-func meta4(meta []uint64) ([4]uint64, error) {
-	var m [4]uint64
-	if len(meta) != 4 {
-		return m, fmt.Errorf("segdb: index metadata has %d words, want 4", len(meta))
-	}
-	copy(m[:], meta)
-	return m, nil
 }
 
 func boolWord(b bool) uint32 {

@@ -86,8 +86,7 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 }
 
 func TestSaveLoadPreservesOptions(t *testing.T) {
-	opts := &Options{PageSize: 2048, PoolPages: 8, PMRThreshold: 8, PMRStoreMBR: true}
-	db, err := Open(PMRQuadtree, opts)
+	db, err := Open(PMRQuadtree, WithPageSize(2048), WithPoolPages(8), WithPMRThreshold(8), WithPMRStoreMBR(true))
 	if err != nil {
 		t.Fatal(err)
 	}

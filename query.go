@@ -181,13 +181,7 @@ func (db *DB) NearestCtx(ctx context.Context, p Point) (NearestResult, QueryStat
 
 // NearestKCtx is NearestK with cancellation and per-query stats.
 func (db *DB) NearestKCtx(ctx context.Context, p Point, k int) ([]NearestResult, QueryStats, error) {
-	var res []NearestResult
-	st, err := db.run(ctx, qkNearestK, func(ix core.Index, o *obs.Op) error {
-		var rerr error
-		res, rerr = ix.NearestKObs(p, k, o)
-		return rerr
-	})
-	return res, st, err
+	return db.NearestKAppendCtx(ctx, p, k, nil)
 }
 
 // NearestKAppendCtx is NearestKCtx appending results into dst and

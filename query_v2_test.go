@@ -470,8 +470,8 @@ func TestProfile(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptions checks the new Open signature, the legacy
-// *Options spellings, and option composition.
+// TestFunctionalOptions checks the Open signature, the nil option the
+// pre-v2 Open(kind, nil) spelling passes, and option composition.
 func TestFunctionalOptions(t *testing.T) {
 	// Defaults.
 	o := resolveOptions(nil)
@@ -483,23 +483,16 @@ func TestFunctionalOptions(t *testing.T) {
 	if o.PageSize != 512 || o.PoolPages != 32 {
 		t.Fatalf("composition wrong: %+v", o)
 	}
-	// A legacy *Options replaces everything applied before it, then later
-	// functional options refine it.
-	o = resolveOptions([]Option{&Options{PageSize: 4096}, WithGridCells(8)})
+	// Nil options are skipped wherever they appear.
+	o = resolveOptions([]Option{WithPageSize(4096), nil, WithGridCells(8)})
 	if o.PageSize != 4096 || o.GridCells != 8 || o.PoolPages != 16 {
-		t.Fatalf("legacy+functional mix wrong: %+v", o)
-	}
-	// Nil legacy options are ignored.
-	o = resolveOptions([]Option{(*Options)(nil)})
-	if o.PageSize != 1024 {
-		t.Fatalf("nil *Options not ignored: %+v", o)
+		t.Fatalf("nil option not skipped: %+v", o)
 	}
 
 	// All three call forms open working databases.
 	for _, open := range []func() (*DB, error){
 		func() (*DB, error) { return Open(UniformGrid) },
 		func() (*DB, error) { return Open(UniformGrid, nil) },
-		func() (*DB, error) { return Open(UniformGrid, &Options{GridCells: 16}) },
 		func() (*DB, error) { return Open(UniformGrid, WithGridCells(16), WithPoolPages(8)) },
 	} {
 		db, err := open()
@@ -542,9 +535,10 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestMeasureStillWorks pins the deprecated Measure to its documented
-// single-caller semantics.
-func TestMeasureStillWorks(t *testing.T) {
+// TestColdWindowStats pins the query's own QueryStats: a cold window
+// advances all three of the paper's counters, and hits never exceed
+// requests.
+func TestColdWindowStats(t *testing.T) {
 	m := stressMap(t)
 	db, err := Open(RStarTree)
 	if err != nil {
@@ -556,14 +550,12 @@ func TestMeasureStillWorks(t *testing.T) {
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	mt, err := db.Measure(func() error {
-		return db.Window(RectOf(0, 0, 8000, 8000), func(SegmentID, Segment) bool { return true })
-	})
+	mt, err := db.WindowCtx(context.Background(), RectOf(0, 0, 8000, 8000), func(SegmentID, Segment) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.DiskAccesses == 0 || mt.SegComps == 0 || mt.NodeComps == 0 {
-		t.Fatalf("Measure returned empty metrics: %+v", mt)
+	if mt.DiskAccesses() == 0 || mt.SegComps == 0 || mt.NodeComps == 0 {
+		t.Fatalf("cold window returned empty stats: %+v", mt)
 	}
 	if mt.PoolRequests < mt.PoolHits {
 		t.Fatalf("requests %d < hits %d", mt.PoolRequests, mt.PoolHits)

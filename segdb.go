@@ -36,10 +36,6 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
-	"segdb/internal/grid"
-	"segdb/internal/pmr"
-	"segdb/internal/rplus"
-	"segdb/internal/rstar"
 	"segdb/internal/seg"
 	"segdb/internal/staging"
 	"segdb/internal/store"
@@ -143,13 +139,9 @@ func (k Kind) String() string {
 // Options tunes the simulated disk and the index parameters. The zero
 // value of any field selects the paper's default.
 //
-// Options is the internal carrier the functional With* options fold
-// into; constructing one directly is the deprecated pre-v2
-// configuration path. A *Options still satisfies Option for source
-// compatibility with out-of-tree pre-v2 callers, but no code in this
-// repository uses it — the serving tier and every command configure
-// databases exclusively through functional options, enforced by the
-// vet-style gate TestNoLegacyOptionsConstruction.
+// Options is the carrier the functional With* options fold into, and
+// what a saved image's header restores. It is not itself an Option:
+// databases are configured through the With* functions only.
 type Options struct {
 	// PageSize is the disk page size in bytes (default 1024).
 	PageSize int
@@ -234,7 +226,7 @@ type DB struct {
 	opts  Options
 	table *seg.Table
 	pool  *store.Pool
-	index core.Index
+	index persistable
 
 	trc      atomic.Pointer[tracerBox]  // installed tracer; queries read lock-free
 	degraded atomic.Bool                // live degraded-reads flag; queries read lock-free
@@ -291,31 +283,20 @@ var dbSeq atomic.Uint64
 // Open creates an empty database backed by the chosen index kind. With
 // no options it uses the configuration of the paper's experiments;
 // tune it with functional options (WithPageSize, WithPoolPages,
-// WithTracer, ...). The pre-v2 forms Open(kind, nil) and
-// Open(kind, &Options{...}) still compile and behave identically.
+// WithTracer, ...). A nil Option is skipped, so the pre-v2 spelling
+// Open(kind, nil) still compiles and means the defaults.
 func Open(kind Kind, opts ...Option) (*DB, error) {
 	o := resolveOptions(opts)
 	if o.PageCompression < 0 || o.PageCompression > 2 {
 		return nil, fmt.Errorf("segdb: invalid page compression level %d (want 0..2)", o.PageCompression)
 	}
+	impl, err := implOf(kind)
+	if err != nil {
+		return nil, err
+	}
 	table := seg.NewTableSharded(o.PageSize, o.PoolPages, o.PoolShards)
 	pool := store.NewShardedPool(store.NewDisk(o.PageSize), o.PoolPages, o.PoolShards)
-	var (
-		ix  core.Index
-		err error
-	)
-	switch kind {
-	case RStarTree, ClassicRTree:
-		ix, err = rstar.New(pool, table, o.rstarConfig(kind))
-	case RPlusTree, KDBTree:
-		ix, err = rplus.New(pool, table, o.rplusConfig(kind))
-	case PMRQuadtree:
-		ix, err = pmr.New(pool, table, o.pmrConfig())
-	case UniformGrid:
-		ix, err = grid.New(pool, table, o.gridConfig())
-	default:
-		err = fmt.Errorf("segdb: unknown index kind %v", kind)
-	}
+	ix, err := impl.new(o, kind, pool, table)
 	if err != nil {
 		return nil, err
 	}
@@ -499,20 +480,6 @@ func (db *DB) Metrics() Metrics {
 	m.Compactions = db.compactions.Load()
 	m.BulkMerges = db.bulkMerges.Load()
 	return m
-}
-
-// Measure runs f and returns the metric deltas it caused, by diffing
-// the database-wide cumulative counters around f.
-//
-// Deprecated: the diff is exact only while f's operations are the sole
-// activity on the database — concurrent queries from other goroutines
-// are attributed to f. Use the *Ctx query forms instead, whose
-// QueryStats are carried by the query itself and therefore exact under
-// any concurrency.
-func (db *DB) Measure(f func() error) (Metrics, error) {
-	before := core.StatsSnapshot(db.index)
-	err := f()
-	return core.MetricsOf(core.StatsSnapshot(db.index).Sub(before)), err
 }
 
 // DecodeCacheStats reports the decode-once node cache's counters on the

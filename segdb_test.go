@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -104,14 +105,11 @@ func TestMetricsMeasure(t *testing.T) {
 		}
 	}
 	db.DropCaches()
-	m, err := db.Measure(func() error {
-		_, err := db.Nearest(Pt(8000, 8000))
-		return err
-	})
+	_, m, err := db.NearestCtx(context.Background(), Pt(8000, 8000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.DiskAccesses == 0 || m.SegComps == 0 || m.NodeComps == 0 {
+	if m.DiskAccesses() == 0 || m.SegComps == 0 || m.NodeComps == 0 {
 		t.Errorf("cold query metrics should all advance: %+v", m)
 	}
 	if db.IndexSizeBytes() <= 0 || db.TableSizeBytes() <= 0 {
