@@ -123,20 +123,25 @@ serve-smoke:
 	SEGDB_SERVE_SMOKE=1 $(GO) test -run TestServeSmoke -v -count=1 ./api
 
 # bench-kernels is the kernel-level perf smoke: the scalar-reference,
-# SoA-lane, and SWAR-packed compare kernels benchmarked side by side
-# (summarized through benchstat when installed; locally: go install
-# golang.org/x/perf/cmd/benchstat@latest), then the enforced gate — the
-# packed kernel, the form every in-domain page search runs, must stay
-# within 5% of the scalar reference (it currently beats it by ~1.7x, so
-# tripping the gate means the optimization was lost, not that noise
-# moved). The gate test compares medians of repeated in-process runs and
-# is env-gated so plain `go test` never makes wall-clock assertions.
+# SoA-lane, and SWAR-packed compare kernels and the insert path's
+# overlap-enlargement kernel against its scalar reference, benchmarked
+# side by side (summarized through benchstat when installed; locally: go
+# install golang.org/x/perf/cmd/benchstat@latest), the one-at-a-time
+# R*-tree load of the fixed golden map that kernel serves, then the
+# enforced gate — the packed kernel, the form every in-domain page search
+# runs, must stay within 5% of the scalar reference (it currently beats
+# it by ~1.7x, so tripping the gate means the optimization was lost, not
+# that noise moved), and the overlap-enlargement kernel (~3.5x) must not
+# be slower than its own. The gate test compares medians of repeated
+# in-process runs and is env-gated so plain `go test` never makes
+# wall-clock assertions.
 bench-kernels:
-	$(GO) test -run xxx -bench 'IntersectMask|MinDistLB' -benchtime 0.25s -count 4 ./internal/kernel | tee BENCH_kernels.txt
+	$(GO) test -run xxx -bench 'IntersectMask|MinDistLB|ChooseSubtreeOverlap' -benchtime 0.25s -count 4 ./internal/kernel | tee BENCH_kernels.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat BENCH_kernels.txt; \
 	else \
 		echo "benchstat not installed; skipping summary (go install golang.org/x/perf/cmd/benchstat@latest)"; \
 	fi
 	@rm -f BENCH_kernels.txt
+	$(GO) test -run xxx -bench 'RStarInsert/map=golden' -benchtime 3x -benchmem ./internal/rstar
 	SEGDB_BENCH_KERNELS=1 $(GO) test -run TestKernelRegressionGate -v -count=1 ./internal/kernel

@@ -133,3 +133,35 @@ func TestNearestKAppendCtxWarmAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestAddWarmAllocs bounds the garbage of a warm one-at-a-time R*-tree
+// Add: the insert path decodes into per-level scratch nodes and keeps its
+// reinsertion queue, split sortings and ChooseSubtree lanes on the tree,
+// so what is left is the rare split (a new node, a new root) and pool
+// frames for new pages.
+func TestAddWarmAllocs(t *testing.T) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(RStarTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 5000, 2000
+	for _, s := range m.Segments[:warm] {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := db.Add(m.Segments[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 2 {
+		t.Errorf("warm R*-tree Add averages %.0f allocations, want at most 2 (19 before the scratch state)", allocs)
+	}
+}

@@ -88,9 +88,11 @@ func (db *DB) initWAL(wfs store.WALFS) error {
 	return db.checkpointLocked()
 }
 
-// walCommit captures every page changed since the last commit into the
-// WAL and seals them with a synced commit record. Callers hold the
-// writer lock; with no WAL attached it is a no-op.
+// walCommit captures every page changed since it was last logged into
+// the WAL and seals them with a synced commit record. Only then are the
+// captured frames marked logged: a failed append leaves them to the next
+// commit. Callers hold the writer lock; with no WAL attached it is a
+// no-op.
 func (db *DB) walCommit() error {
 	if db.wal == nil {
 		return nil
@@ -102,35 +104,36 @@ func (db *DB) walCommit() error {
 	if err := db.walCapture(store.WALDiskTable, db.table.Pool()); err != nil {
 		return err
 	}
-	return db.wal.AppendCommit(store.WALCommit{
+	if err := db.wal.AppendCommit(store.WALCommit{
 		Epoch:      db.walEpoch,
 		Seq:        db.walSeq,
 		TableCount: uint32(db.table.Len()),
 		Meta:       db.index.PersistMeta(),
 		Disks:      db.walDiskStates(),
-	})
+	}); err != nil {
+		return err
+	}
+	db.pool.SealLogged()
+	db.table.Pool().SealLogged()
+	return nil
 }
 
-// walCapture logs the pages of one disk that changed since the last
-// commit: dirty buffer-pool frames (content newer than the disk) plus
-// journaled write-through pages not shadowed by a dirty frame.
+// walCapture logs the pages of one disk whose newest bytes are not in
+// the log yet: dirty buffer-pool frames changed since they were last
+// logged, plus journaled write-through pages not shadowed by a dirty
+// frame (whose content is newer, and is logged by the frame pass of this
+// commit or of the earlier one that sealed it).
 func (db *DB) walCapture(diskTag uint8, pool *store.Pool) error {
 	disk := pool.Disk()
 	journal := disk.DrainJournal()
-	dirty := make(map[store.PageID]bool)
-	var err error
-	pool.ForEachDirty(func(id store.PageID, data []byte) {
-		if err != nil {
-			return
-		}
-		dirty[id] = true
-		err = db.wal.AppendPage(diskTag, id, data)
+	err := pool.ForEachUnlogged(func(id store.PageID, data []byte) error {
+		return db.wal.AppendPage(diskTag, id, data)
 	})
 	if err != nil {
 		return err
 	}
 	for _, id := range journal {
-		if dirty[id] {
+		if pool.Dirty(id) {
 			continue
 		}
 		data, rerr := disk.RawPage(id)

@@ -94,6 +94,10 @@ type BuildResult struct {
 	// CPU is the wall-clock build time; only ratios between structures
 	// are meaningful (the paper used a 57 MIPS HP 720).
 	CPU time.Duration
+	// BBoxComps counts the bounding box (R-trees) or bounding bucket
+	// (PMR) computations of the build, from the index's own counter: the
+	// deterministic currency behind the CPU column's ordering.
+	BBoxComps uint64
 	// AvgLeafOccupancy is the mean segment count per leaf page or bucket
 	// (§7 reports ~36 for R*, ~32 for R+).
 	AvgLeafOccupancy float64
@@ -187,6 +191,7 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		SizeBytes:    ix.SizeBytes(),
 		DiskAccesses: ix.DiskStats().Sub(before).Accesses(),
 		CPU:          elapsed,
+		BBoxComps:    ix.NodeComps(),
 	}
 	switch t := ix.(type) {
 	case *rstar.Tree:

@@ -70,9 +70,12 @@ func TestBuildStatsShapeMatchesPaper(t *testing.T) {
 	if res[PMR].SizeBytes >= res[RPlus].SizeBytes {
 		t.Errorf("PMR size %d should be below R+ size %d", res[PMR].SizeBytes, res[RPlus].SizeBytes)
 	}
-	// Build time: R* slowest by a wide margin (forced reinsertion).
-	if res[RStar].CPU <= res[RPlus].CPU {
-		t.Errorf("R* build (%v) should be slower than R+ (%v)", res[RStar].CPU, res[RPlus].CPU)
+	// Build cost: R* dearest by a wide margin (overlap-minimizing
+	// ChooseSubtree and forced reinsertion). Asserted on the build's
+	// bounding box computations, which repeat exactly; the wall-clock
+	// ratio is a number `experiments table1` reports, not a test.
+	if res[RStar].BBoxComps < 3*res[RPlus].BBoxComps {
+		t.Errorf("R* build (%d bbox computations) should cost over 3x the R+ build (%d)", res[RStar].BBoxComps, res[RPlus].BBoxComps)
 	}
 }
 

@@ -41,18 +41,19 @@ func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
 
 	fmt.Fprintf(w, "\nRatios (paper: PMR 13-43%% and R+ 26-43%% more storage than R*;\n")
 	fmt.Fprintf(w, "        build time R+ fastest, PMR 1.5-1.7x, R* 7.8-9.1x):\n")
-	fmt.Fprintf(w, "%-14s | %-11s %-11s | %-11s %-11s | %-9s %-9s\n",
-		"map name", "PMR/R* size", "R+/R* size", "PMR/R+ cpu", "R*/R+ cpu", "R* occ", "R+ occ")
+	fmt.Fprintf(w, "%-14s | %-11s %-11s | %-11s %-11s | %-9s %-9s | %-10s\n",
+		"map name", "PMR/R* size", "R+/R* size", "PMR/R+ cpu", "R*/R+ cpu", "R* occ", "R+ occ", "R*/R+ bbox")
 	for i, m := range maps {
 		r := rows[i]
-		fmt.Fprintf(w, "%-14s | %10.2f%% %10.2f%% | %11.2f %11.2f | %9.1f %9.1f\n",
+		fmt.Fprintf(w, "%-14s | %10.2f%% %10.2f%% | %11.2f %11.2f | %9.1f %9.1f | %10.2f\n",
 			m.Spec.Name,
 			100*(ratio(float64(r.res[PMR].SizeBytes), float64(r.res[RStar].SizeBytes))-1),
 			100*(ratio(float64(r.res[RPlus].SizeBytes), float64(r.res[RStar].SizeBytes))-1),
 			ratio(r.res[PMR].CPU.Seconds(), r.res[RPlus].CPU.Seconds()),
 			ratio(r.res[RStar].CPU.Seconds(), r.res[RPlus].CPU.Seconds()),
 			r.res[RStar].AvgLeafOccupancy,
-			r.res[RPlus].AvgLeafOccupancy)
+			r.res[RPlus].AvgLeafOccupancy,
+			ratio(float64(r.res[RStar].BBoxComps), float64(r.res[RPlus].BBoxComps)))
 	}
 	return nil
 }

@@ -12,10 +12,12 @@ import (
 // TestKernelRegressionGate is the enforced half of `make bench-kernels`:
 // the packed SWAR kernel — the form every in-domain page search actually
 // runs — must not be more than 5% slower than the scalar reference it
-// replaced. It measures with testing.Benchmark and compares medians of
-// several runs so a single scheduler hiccup cannot fail the gate, and it
-// only runs when SEGDB_BENCH_KERNELS=1 because wall-clock assertions do
-// not belong in the default `go test` sweep.
+// replaced, and the overlap-enlargement kernel of the insert path must
+// not be slower than its scalar reference. It measures with
+// testing.Benchmark and compares medians of several runs so a single
+// scheduler hiccup cannot fail the gate, and it only runs when
+// SEGDB_BENCH_KERNELS=1 because wall-clock assertions do not belong in
+// the default `go test` sweep.
 //
 // The int32-lane fallback kernel is deliberately not gated: it sits at
 // parity with the scalar loop (both are bounded by the same per-entry
@@ -40,21 +42,23 @@ func TestKernelRegressionGate(t *testing.T) {
 	}
 	qs := benchQueries(rng)
 
-	median := func(mask func(q geom.Rect) uint64) float64 {
+	medianOf := func(bench func(b *testing.B)) float64 {
 		const runs = 5
 		ns := make([]float64, 0, runs)
 		for r := 0; r < runs; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					sink ^= mask(qs[i%benchWindows])
-				}
-				gateSink = sink
-			})
-			ns = append(ns, float64(res.NsPerOp()))
+			ns = append(ns, float64(testing.Benchmark(bench).NsPerOp()))
 		}
 		sort.Float64s(ns)
 		return ns[len(ns)/2]
+	}
+	median := func(mask func(q geom.Rect) uint64) float64 {
+		return medianOf(func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink ^= mask(qs[i%benchWindows])
+			}
+			gateSink = sink
+		})
 	}
 
 	scalar := median(func(q geom.Rect) uint64 {
@@ -66,6 +70,13 @@ func TestKernelRegressionGate(t *testing.T) {
 	t.Logf("scalar reference %.1f ns/node, packed %.1f ns/node (%.2fx)", scalar, pk, scalar/pk)
 	if pk > 1.05*scalar {
 		t.Fatalf("packed kernel regressed: %.1f ns/node vs scalar reference %.1f ns/node (>5%% over)", pk, scalar)
+	}
+
+	chooseRef := medianOf(func(b *testing.B) { benchChoose(b, RefChooseSubtreeOverlap) })
+	choose := medianOf(func(b *testing.B) { benchChoose(b, ChooseSubtreeOverlap) })
+	t.Logf("ChooseSubtree scalar reference %.0f ns/node, overlap-enlargement kernel %.0f ns/node (%.2fx)", chooseRef, choose, chooseRef/choose)
+	if choose > chooseRef {
+		t.Fatalf("overlap-enlargement kernel regressed: %.0f ns/node vs scalar reference %.0f ns/node", choose, chooseRef)
 	}
 }
 

@@ -215,3 +215,71 @@ func minDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 		dst[i] = dx*dx + dy*dy
 	}
 }
+
+// Write-path kernel: the R*-tree's leaf-level ChooseSubtree.
+//
+// Beckmann et al. pick, among a node's M children, the one whose
+// rectangle needs the least overlap enlargement to take the new
+// rectangle r: for candidate i with rectangle e_i and enlarged rectangle
+// E_i = e_i ∪ r,
+//
+//	Δoverlap_i = Σ_{j≠i} area(E_i ∩ e_j) − area(e_i ∩ e_j)
+//
+// which is the O(M²) work Hoel & Samet's Table 1 charges the R*-tree
+// for. The kernel keeps all of it — no candidate and no pair is pruned —
+// but runs it straight-line over the coordinate lanes: an overlap area is
+// max(w,0)·max(h,0) of the clipped extents, which equals
+// geom.Rect.OverlapArea bit for bit (a disjoint or edge-touching pair
+// has w or h ≤ 0 on some axis) without its two non-inlined calls and
+// their branches. The two sums are taken separately over all M lanes:
+// the j == i terms need no skip because they cancel (e_i ⊆ E_i, so both
+// are area(e_i)).
+
+// chooseSubtreeOverlap is the shared implementation behind
+// ChooseSubtreeOverlap.
+func chooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+	n := len(xmin)
+	if n == 0 {
+		return 0
+	}
+	xmn, ymn := xmin[:n], ymin[:n]
+	xmx, ymx := xmax[:n], ymax[:n]
+	dov := dOverlap[:n]
+	rx0, ry0, rx1, ry1 := int64(r.Min.X), int64(r.Min.Y), int64(r.Max.X), int64(r.Max.Y)
+	best := 0
+	bestOverlap, bestEnlarge, bestArea := int64(-1), int64(0), int64(0)
+	for i := 0; i < n; i++ {
+		ex0, ey0, ex1, ey1 := int64(xmn[i]), int64(ymn[i]), int64(xmx[i]), int64(ymx[i])
+		x0, y0 := min(ex0, rx0), min(ey0, ry0)
+		x1, y1 := max(ex1, rx1), max(ey1, ry1)
+		d := overlapSum(xmn, ymn, xmx, ymx, x0, y0, x1, y1) -
+			overlapSum(xmn, ymn, xmx, ymx, ex0, ey0, ex1, ey1)
+		dov[i] = d
+		area := (ex1 - ex0) * (ey1 - ey0)
+		enlarge := (x1-x0)*(y1-y0) - area
+		// Ties fall to the smaller area enlargement, then the smaller
+		// area, then the lower index.
+		if bestOverlap < 0 || d < bestOverlap ||
+			(d == bestOverlap && (enlarge < bestEnlarge ||
+				(enlarge == bestEnlarge && area < bestArea))) {
+			best, bestOverlap, bestEnlarge, bestArea = i, d, enlarge, area
+		}
+	}
+	return best
+}
+
+// overlapSum returns Σ_j area([x0,x1]×[y0,y1] ∩ rect j) over the lanes.
+// It is kept out of line so the pair loop has the registers to itself.
+//
+//go:noinline
+func overlapSum(xmn, ymn, xmx, ymx []int32, x0, y0, x1, y1 int64) int64 {
+	n := len(xmn)
+	ymn, xmx, ymx = ymn[:n], xmx[:n], ymx[:n]
+	var acc int64
+	for j := 0; j < n; j++ {
+		w := min(x1, int64(xmx[j])) - max(x0, int64(xmn[j]))
+		h := min(y1, int64(ymx[j])) - max(y0, int64(ymn[j]))
+		acc += max(w, 0) * max(h, 0)
+	}
+	return acc
+}

@@ -45,3 +45,15 @@ func ContainsMaskPacked(packed []uint64, q geom.Rect) uint64 {
 func MinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 	minDistLB(xmin, ymin, xmax, ymax, p, out)
 }
+
+// ChooseSubtreeOverlap is the R*-tree's leaf-level ChooseSubtree over a
+// node's coordinate lanes: it returns the index of the rectangle whose
+// overlap with its siblings grows least when enlarged to cover r (ties:
+// least area enlargement, then least area, then lowest index) and writes
+// every candidate's overlap enlargement into dOverlap, which must have at
+// least len(xmin) elements. All len·(len−1) pairs are evaluated. It
+// charges nothing: the caller accounts len² bounding box computations,
+// what the scalar reference's loops would have counted.
+func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+	return chooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, dOverlap)
+}

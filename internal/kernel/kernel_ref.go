@@ -89,3 +89,38 @@ func RefMinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 		out[i] = r.DistSqToPoint(p)
 	}
 }
+
+// RefChooseSubtreeOverlap is the scalar reference for
+// ChooseSubtreeOverlap: the R*-tree's candidate-by-sibling loop over the
+// geom.Rect operations, as the insert path ran it before the kernel.
+func RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+	rect := func(i int) geom.Rect {
+		return geom.Rect{
+			Min: geom.Point{X: xmin[i], Y: ymin[i]},
+			Max: geom.Point{X: xmax[i], Y: ymax[i]},
+		}
+	}
+	best := 0
+	bestOverlap, bestEnlarge, bestArea := int64(-1), int64(0), int64(0)
+	for i := range xmin {
+		e := rect(i)
+		enlarged := e.Union(r)
+		var d int64
+		for j := range xmin {
+			if j == i {
+				continue
+			}
+			o := rect(j)
+			d += enlarged.OverlapArea(o) - e.OverlapArea(o)
+		}
+		dOverlap[i] = d
+		enlarge := enlarged.Area() - e.Area()
+		area := e.Area()
+		if bestOverlap < 0 || d < bestOverlap ||
+			(d == bestOverlap && (enlarge < bestEnlarge ||
+				(enlarge == bestEnlarge && area < bestArea))) {
+			best, bestOverlap, bestEnlarge, bestArea = i, d, enlarge, area
+		}
+	}
+	return best
+}

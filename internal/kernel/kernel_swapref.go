@@ -37,3 +37,9 @@ func ContainsMaskPacked(packed []uint64, q geom.Rect) uint64 {
 func MinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 	RefMinDistLB(xmin, ymin, xmax, ymax, p, out)
 }
+
+// ChooseSubtreeOverlap is RefChooseSubtreeOverlap under the kernelref
+// tag.
+func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+	return RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, dOverlap)
+}

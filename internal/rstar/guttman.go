@@ -1,12 +1,18 @@
 package rstar
 
-import "segdb/internal/rpage"
+import (
+	"slices"
+
+	"segdb/internal/rpage"
+)
 
 // quadraticSplit implements Guttman's quadratic split (SIGMOD 1984), used
 // by the classic R-tree variant: pick the two entries whose combined
 // bounding rectangle wastes the most area as seeds, then assign the rest
 // one at a time to the group whose covering rectangle grows least,
-// preferring the entry with the greatest preference difference.
+// preferring the entry with the greatest preference difference. The
+// returned groups alias the tree's split scratch and are valid until the
+// next split.
 func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry) {
 	m := t.min
 	// PickSeeds: maximize the dead area of the pair's bounding rectangle.
@@ -14,7 +20,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 	worst := int64(-1)
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
-			t.Comps.Add(1)
+			t.w.comps++
 			d := entries[i].Rect.Union(entries[j].Rect).Area() -
 				entries[i].Rect.Area() - entries[j].Rect.Area()
 			if d > worst {
@@ -22,11 +28,16 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 			}
 		}
 	}
-	left = append(left, entries[si])
-	right = append(right, entries[sj])
+	// Each group, and the entries still unassigned, fit in len(entries):
+	// sized up front, the appends below never leave the scratch buffers.
+	for k := range t.w.sorted[:3] {
+		t.w.sorted[k] = slices.Grow(t.w.sorted[k][:0], len(entries))
+	}
+	left = append(t.w.sorted[0], entries[si])
+	right = append(t.w.sorted[1], entries[sj])
 	lbb, rbb := entries[si].Rect, entries[sj].Rect
 
-	remaining := make([]rpage.Entry, 0, len(entries)-2)
+	remaining := t.w.sorted[2]
 	for i, e := range entries {
 		if i != si && i != sj {
 			remaining = append(remaining, e)
@@ -48,7 +59,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 		best, bestDiff := 0, int64(-1)
 		var bestDL, bestDR int64
 		for i, e := range remaining {
-			t.Comps.Add(2)
+			t.w.comps += 2
 			dl := lbb.Enlargement(e.Rect)
 			dr := rbb.Enlargement(e.Rect)
 			diff := dl - dr

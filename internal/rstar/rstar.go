@@ -12,7 +12,11 @@
 package rstar
 
 import (
+	"cmp"
+	"slices"
+
 	"segdb/internal/geom"
+	"segdb/internal/kernel"
 	"segdb/internal/rpage"
 	"segdb/internal/rsearch"
 	"segdb/internal/seg"
@@ -72,6 +76,7 @@ type Tree struct {
 	*rsearch.Tree
 	cfg Config
 	min int // m
+	w   scratch
 }
 
 // clampLevel normalizes a configured compression level to [0, 2].
@@ -124,12 +129,68 @@ type pending struct {
 	level int
 }
 
+// scratch is the write path's reusable state. A tree has one writer at
+// a time (the database's structural lock), so one set per tree serves
+// every insert and delete: after the first few operations the write
+// path allocates only when a node splits or the tree grows.
+type scratch struct {
+	// comps accumulates the bounding box computations of the logical
+	// operation in flight. Insert and Delete flush it into Tree.Comps
+	// once, on every return path, so the counter advances by exactly what
+	// a per-computation charge would have added.
+	comps uint64
+	// handled has bit l set once level l has been force-reinserted
+	// during the current logical insertion.
+	handled uint64
+	queue   []pending
+	// nodes[l] is the decode target for the one node of level l a
+	// descent holds at a time.
+	nodes []*rpage.Node
+	// lanes and dOverlap are ChooseSubtree's coordinate lanes and the
+	// kernel's per-candidate output.
+	lanes    []int32
+	dOverlap []int64
+	// sorted, prefix and suffix are the split's sortings and group MBRs;
+	// dist is pickReinsert's center distances.
+	sorted         [4][]rpage.Entry
+	prefix, suffix []geom.Rect
+	dist           []distEntry
+}
+
+// flushComps moves the operation's accumulated bounding box
+// computations into the tree's counter.
+func (t *Tree) flushComps() {
+	if c := t.w.comps; c != 0 {
+		t.w.comps = 0
+		t.Comps.Add(c)
+	}
+}
+
+// readLevel decodes page id into the scratch node of its level. The
+// node stays valid until the next readLevel of the same level; a descent
+// holds one node per level, so recursion never clobbers a live one. The
+// entry buffer has room for the overflowing M+1st entry.
+func (t *Tree) readLevel(id store.PageID, level int) (*rpage.Node, error) {
+	for len(t.w.nodes) <= level {
+		t.w.nodes = append(t.w.nodes, &rpage.Node{Entries: make([]rpage.Entry, 0, t.Max+1)})
+	}
+	data, err := t.Pool.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	n := t.w.nodes[level]
+	err = rpage.ReadInto(data, n)
+	t.Pool.Unpin(id, false)
+	return n, err
+}
+
 // Insert adds the segment with the given table ID.
 func (t *Tree) Insert(id seg.ID) error {
 	s, err := t.Segs.Get(id)
 	if err != nil {
 		return err
 	}
+	defer t.flushComps()
 	e := rpage.Entry{Rect: s.Bounds(), Ptr: uint32(id)}
 	if err := t.insertAll(pending{e: e, level: 1}); err != nil {
 		return err
@@ -142,12 +203,12 @@ func (t *Tree) Insert(id seg.ID) error {
 // reinsertions it triggers. Forced reinsertion is attempted at most once
 // per level per logical insertion, per the R*-tree paper.
 func (t *Tree) insertAll(first pending) error {
-	queue := []pending{first}
-	handled := make(map[int]bool)
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		mbr, splitEntry, err := t.insertRec(t.Root, t.Levels, p, handled, &queue)
+	t.w.handled = 0
+	t.w.queue = append(t.w.queue[:0], first)
+	for len(t.w.queue) > 0 {
+		p := t.w.queue[len(t.w.queue)-1]
+		t.w.queue = t.w.queue[:len(t.w.queue)-1]
+		mbr, splitEntry, err := t.insertRec(t.Root, t.Levels, p)
 		if err != nil {
 			return err
 		}
@@ -168,17 +229,17 @@ func (t *Tree) insertAll(first pending) error {
 // insertRec descends to the target level, inserts, and resolves overflow
 // on the way back up. It returns the subtree's new MBR and, when the node
 // split, the entry for the new sibling that the caller must adopt.
-func (t *Tree) insertRec(id store.PageID, level int, p pending, handled map[int]bool, queue *[]pending) (geom.Rect, *rpage.Entry, error) {
-	n, err := t.ReadNode(id)
+func (t *Tree) insertRec(id store.PageID, level int, p pending) (geom.Rect, *rpage.Entry, error) {
+	n, err := t.readLevel(id, level)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
 	if level == p.level {
 		n.Entries = append(n.Entries, p.e)
-		return t.resolveOverflow(id, n, level, handled, queue)
+		return t.resolveOverflow(id, n, level)
 	}
 	ci := t.chooseSubtree(n, p.e.Rect, level-1 == p.level)
-	childMBR, splitEntry, err := t.insertRec(store.PageID(n.Entries[ci].Ptr), level-1, p, handled, queue)
+	childMBR, splitEntry, err := t.insertRec(store.PageID(n.Entries[ci].Ptr), level-1, p)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}
@@ -186,27 +247,23 @@ func (t *Tree) insertRec(id store.PageID, level int, p pending, handled map[int]
 	if splitEntry != nil {
 		n.Entries = append(n.Entries, *splitEntry)
 	}
-	return t.resolveOverflow(id, n, level, handled, queue)
+	return t.resolveOverflow(id, n, level)
 }
 
 // resolveOverflow writes n back, applying forced reinsertion or a split if
 // it exceeds M entries.
-func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int, handled map[int]bool, queue *[]pending) (geom.Rect, *rpage.Entry, error) {
+func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int) (geom.Rect, *rpage.Entry, error) {
 	if len(n.Entries) <= t.Max {
 		if err := t.WriteNode(id, n); err != nil {
 			return geom.Rect{}, nil, err
 		}
 		return n.MBR(), nil, nil
 	}
-	if t.cfg.Algorithm == AlgorithmRStar && level != t.Levels && !handled[level] && t.cfg.ReinsertFraction > 0 {
-		handled[level] = true
-		kept, removed := t.pickReinsert(n.Entries)
-		n.Entries = kept
+	if bit := uint64(1) << uint(level); t.cfg.Algorithm == AlgorithmRStar && level != t.Levels && t.w.handled&bit == 0 && t.cfg.ReinsertFraction > 0 {
+		t.w.handled |= bit
+		t.pickReinsert(n, level)
 		if err := t.WriteNode(id, n); err != nil {
 			return geom.Rect{}, nil, err
-		}
-		for _, e := range removed {
-			*queue = append(*queue, pending{e: e, level: level})
 		}
 		return n.MBR(), nil, nil
 	}
@@ -216,7 +273,8 @@ func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int, handle
 	} else {
 		left, right = t.split(n.Entries)
 	}
-	n.Entries = left
+	// The groups live in split scratch; the node keeps its own buffer.
+	n.Entries = append(n.Entries[:0], left...)
 	if err := t.WriteNode(id, n); err != nil {
 		return geom.Rect{}, nil, err
 	}
@@ -230,37 +288,30 @@ func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int, handle
 
 // chooseSubtree picks the child to descend into. When the children are at
 // the insertion level (childrenAreTarget), the R*-tree criterion is the
-// minimum increase of overlap with the sibling entries; otherwise it is
-// the minimum area enlargement. Ties fall back to area enlargement, then
-// to smallest area.
+// minimum increase of overlap with the sibling entries, evaluated by the
+// overlap-enlargement kernel over the node's coordinate lanes; otherwise
+// it is the minimum area enlargement. Ties fall back to area enlargement,
+// then to smallest area. The charge is one bounding box computation per
+// candidate plus, under the overlap criterion, one per ordered pair of
+// distinct entries.
 func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool) int {
-	best := 0
+	N := len(n.Entries)
 	if childrenAreTarget && t.cfg.Algorithm == AlgorithmRStar {
-		bestOverlap, bestEnlarge, bestArea := int64(-1), int64(0), int64(0)
-		for i, e := range n.Entries {
-			enlarged := e.Rect.Union(r)
-			t.Comps.Add(1)
-			var dOverlap int64
-			for j, o := range n.Entries {
-				if j == i {
-					continue
-				}
-				t.Comps.Add(1)
-				dOverlap += enlarged.OverlapArea(o.Rect) - e.Rect.OverlapArea(o.Rect)
-			}
-			dEnlarge := enlarged.Area() - e.Rect.Area()
-			area := e.Rect.Area()
-			if bestOverlap < 0 || dOverlap < bestOverlap ||
-				(dOverlap == bestOverlap && (dEnlarge < bestEnlarge ||
-					(dEnlarge == bestEnlarge && area < bestArea))) {
-				best, bestOverlap, bestEnlarge, bestArea = i, dOverlap, dEnlarge, area
-			}
+		if cap(t.w.lanes) < 4*N {
+			t.w.lanes = make([]int32, 4*N)
+			t.w.dOverlap = make([]int64, N)
 		}
-		return best
+		lanes := t.w.lanes[:4*N]
+		xmin, ymin, xmax, ymax := lanes[:N], lanes[N:2*N], lanes[2*N:3*N], lanes[3*N:]
+		for i, e := range n.Entries {
+			xmin[i], ymin[i], xmax[i], ymax[i] = e.Rect.Min.X, e.Rect.Min.Y, e.Rect.Max.X, e.Rect.Max.Y
+		}
+		t.w.comps += uint64(N) * uint64(N)
+		return kernel.ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, t.w.dOverlap[:N])
 	}
+	best := 0
 	bestEnlarge, bestArea := int64(-1), int64(0)
 	for i, e := range n.Entries {
-		t.Comps.Add(1)
 		dEnlarge := e.Rect.Enlargement(r)
 		area := e.Rect.Area()
 		if bestEnlarge < 0 || dEnlarge < bestEnlarge ||
@@ -268,44 +319,45 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 			best, bestEnlarge, bestArea = i, dEnlarge, area
 		}
 	}
+	t.w.comps += uint64(N)
 	return best
 }
 
-// pickReinsert removes the ReinsertFraction of entries whose centers are
-// farthest from the center of the node's MBR, returning (kept, removed).
-// The removed entries are ordered closest-first ("close reinsert").
-func (t *Tree) pickReinsert(entries []rpage.Entry) (kept, removed []rpage.Entry) {
-	p := int(t.cfg.ReinsertFraction * float64(len(entries)))
+// distEntry is an entry keyed by its center's squared distance from the
+// node center.
+type distEntry struct {
+	d float64
+	e rpage.Entry
+}
+
+// pickReinsert removes from n the ReinsertFraction of entries whose
+// centers are farthest from the center of the node's MBR and queues them
+// for reinsertion at level, closest first ("close reinsert").
+func (t *Tree) pickReinsert(n *rpage.Node, level int) {
+	p := int(t.cfg.ReinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
 	}
-	mbr := entries[0].Rect
-	for _, e := range entries[1:] {
-		mbr = mbr.Union(e.Rect)
-	}
-	c := mbr.Center()
-	type distEntry struct {
-		d float64
-		e rpage.Entry
-	}
-	ds := make([]distEntry, len(entries))
-	for i, e := range entries {
+	c := n.MBR().Center()
+	ds := t.w.dist[:0]
+	for _, e := range n.Entries {
 		ec := e.Rect.Center()
 		dx := float64(ec.X - c.X)
 		dy := float64(ec.Y - c.Y)
-		ds[i] = distEntry{d: dx*dx + dy*dy, e: e}
-		t.Comps.Add(1)
+		ds = append(ds, distEntry{d: dx*dx + dy*dy, e: e})
 	}
+	t.w.dist = ds
+	t.w.comps += uint64(len(ds))
 	// Sort ascending by distance; the tail is reinserted.
-	sortSlice(ds, func(a, b distEntry) bool { return a.d < b.d })
+	slices.SortStableFunc(ds, func(a, b distEntry) int { return cmp.Compare(a.d, b.d) })
 	cut := len(ds) - p
-	for _, de := range ds[:cut] {
-		kept = append(kept, de.e)
+	for i, de := range ds[:cut] {
+		n.Entries[i] = de.e
 	}
+	n.Entries = n.Entries[:cut]
 	for _, de := range ds[cut:] {
-		removed = append(removed, de.e)
+		t.w.queue = append(t.w.queue, pending{e: de.e, level: level})
 	}
-	return kept, removed
 }
 
 // Restore reattaches a tree to a disk image previously saved with its

@@ -13,6 +13,7 @@ func (t *Tree) Delete(id seg.ID) error {
 	if err != nil {
 		return err
 	}
+	defer t.flushComps()
 	r := s.Bounds()
 	var orphans []pending
 	found, _, err := t.deleteRec(t.Root, t.Levels, id, r, &orphans)
@@ -31,7 +32,7 @@ func (t *Tree) Delete(id seg.ID) error {
 		}
 	}
 	for t.Levels > 1 {
-		n, err := t.ReadNode(t.Root)
+		n, err := t.readLevel(t.Root, t.Levels)
 		if err != nil {
 			return err
 		}
@@ -50,13 +51,13 @@ func (t *Tree) Delete(id seg.ID) error {
 // entry was found and whether this node became underfull and was emptied
 // into the orphan list (in which case the caller removes its entry).
 func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect, orphans *[]pending) (found, removed bool, err error) {
-	n, err := t.ReadNode(id)
+	n, err := t.readLevel(id, level)
 	if err != nil {
 		return false, false, err
 	}
 	if n.Leaf {
 		for i, e := range n.Entries {
-			t.Comps.Add(1)
+			t.w.comps++
 			if seg.ID(e.Ptr) != target {
 				continue
 			}
@@ -74,7 +75,7 @@ func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect,
 	}
 	for i := 0; i < len(n.Entries); i++ {
 		e := n.Entries[i]
-		t.Comps.Add(1)
+		t.w.comps++
 		if !e.Rect.ContainsRect(r) {
 			continue
 		}
@@ -88,7 +89,7 @@ func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect,
 		if rm {
 			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 		} else {
-			child, err := t.ReadNode(store.PageID(e.Ptr))
+			child, err := t.readLevel(store.PageID(e.Ptr), level-1)
 			if err != nil {
 				return false, false, err
 			}

@@ -523,13 +523,20 @@ func (d *Disk) VerifyChecksums() error {
 // mark under a shard read lock; in exact-LRU mode they are only ever
 // touched under the shard's exclusive latch.
 type frame struct {
-	id         PageID
-	data       []byte
-	dirty      atomic.Bool
-	pins       atomic.Int32
-	ref        atomic.Bool // CLOCK second-chance reference bit
-	slot       int         // CLOCK ring position
-	prev, next *frame      // LRU list; most recently used at head
+	id    PageID
+	data  []byte
+	dirty atomic.Bool
+	pins  atomic.Int32
+	ref   atomic.Bool // CLOCK second-chance reference bit
+	// logged reports that the frame's current bytes are sealed in the
+	// write-ahead log: SealLogged sets it once the commit record covering
+	// the frame's page image is in the log, and modified clears it, so a
+	// dirty frame is logged once per change rather than once per commit.
+	// It means nothing on a clean frame. (Declared among the other 4-byte
+	// flags so the frame stays in its 80-byte size class.)
+	logged     atomic.Bool
+	slot       int    // CLOCK ring position
+	prev, next *frame // LRU list; most recently used at head
 
 	// decoded is the frame's decode-once cache slot: the immutable
 	// in-memory form of the page bytes (e.g. an *rpage.SoA), built by the
@@ -542,6 +549,14 @@ type frame struct {
 	// Pool, and Scrub repairs end in Discard, so a recovered or repaired
 	// page can never serve a stale decode.
 	decoded atomic.Pointer[any]
+}
+
+// modified records that the frame's bytes changed: they must be written
+// back, logged again, and decoded afresh.
+func (f *frame) modified() {
+	f.dirty.Store(true)
+	f.logged.Store(false)
+	f.decoded.Store(nil)
 }
 
 // shard is one independent slice of a sharded pool: its own latch, frame
@@ -718,7 +733,7 @@ func (p *Pool) Allocate() (PageID, []byte, error) {
 		sh.mu.Lock()
 		f, err := sh.install(p, id, false, nil)
 		if err == nil {
-			f.dirty.Store(true)
+			f.modified()
 			f.pins.Add(1)
 			sh.mu.Unlock()
 			return id, f.data, nil
@@ -909,30 +924,59 @@ func quarantineable(err error) bool {
 	return false
 }
 
-// ForEachDirty calls fn with every dirty resident frame, in ascending
-// page order. The data slice aliases the frame: fn must not retain it
-// past the call. The caller must hold the database's structural writer
-// lock (no concurrent query may be modifying frames) — this is the WAL
-// layer's capture of not-yet-flushed state.
-func (p *Pool) ForEachDirty(fn func(id PageID, data []byte)) {
-	type dirtyFrame struct {
-		id PageID
-		f  *frame
-	}
-	var dirty []dirtyFrame
+// ForEachUnlogged calls fn with every dirty resident frame whose bytes
+// are not yet sealed in the write-ahead log, in ascending page order,
+// stopping at the first error. The data slice aliases the frame: fn must
+// not retain it past the call. The caller must hold the database's
+// structural writer lock (no concurrent query may be modifying frames) —
+// this is the WAL layer's capture of not-yet-flushed state. It marks
+// nothing: the caller seals the frames with SealLogged once the commit
+// record is in the log.
+func (p *Pool) ForEachUnlogged(fn func(id PageID, data []byte) error) error {
+	var unlogged []*frame
 	for _, sh := range p.shards {
 		sh.mu.RLock()
-		for id, f := range sh.frames {
-			if f.dirty.Load() {
-				dirty = append(dirty, dirtyFrame{id, f})
+		for _, f := range sh.frames {
+			if f.dirty.Load() && !f.logged.Load() {
+				unlogged = append(unlogged, f)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(dirty, func(a, b dirtyFrame) int { return int(a.id) - int(b.id) })
-	for _, d := range dirty {
-		fn(d.id, d.f.data)
+	slices.SortFunc(unlogged, func(a, b *frame) int { return int(a.id) - int(b.id) })
+	for _, f := range unlogged {
+		if err := fn(f.id, f.data); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// SealLogged records that every dirty frame's current bytes are in the
+// write-ahead log under a commit record. The caller holds the structural
+// writer lock from ForEachUnlogged through the commit append to here, so
+// the dirty frames are exactly those just captured plus those sealed by
+// an earlier commit and untouched since.
+func (p *Pool) SealLogged() {
+	for _, sh := range p.shards {
+		sh.mu.RLock()
+		for _, f := range sh.frames {
+			if f.dirty.Load() {
+				f.logged.Store(true)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// Dirty reports whether the page is resident with changes not yet
+// written back to the disk.
+func (p *Pool) Dirty(id PageID) bool {
+	sh := p.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	f, ok := sh.frames[id]
+	return ok && f.dirty.Load()
 }
 
 // Discard drops the page's frame without writing it back, so the next
@@ -967,8 +1011,7 @@ func (p *Pool) Unpin(id PageID, dirty bool) {
 		panic(fmt.Sprintf("store: unpin of unpinned page %d", id))
 	}
 	if dirty {
-		f.dirty.Store(true)
-		f.decoded.Store(nil) // the bytes changed; drop the stale decode
+		f.modified()
 	}
 	f.pins.Add(-1)
 }
@@ -984,8 +1027,7 @@ func (p *Pool) MarkDirty(id PageID) {
 	if !ok {
 		panic(fmt.Sprintf("store: mark dirty of non-resident page %d", id))
 	}
-	f.dirty.Store(true)
-	f.decoded.Store(nil) // the bytes changed; drop the stale decode
+	f.modified()
 }
 
 // Free returns the page to the disk free list. The page must be unpinned
