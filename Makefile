@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-compress bench-ingest serve-smoke
+.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-compress bench-ingest bench-serve serve-smoke
 
 # check is the full local gate: what CI runs.
 check: vet staticcheck govulncheck build race fuzz-smoke
@@ -40,11 +40,13 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target briefly — a regression net for the
-# image parsers and the WAL replay path, not a bug hunt.
+# image parsers, the WAL replay path and the hand-written response
+# decoder, not a bug hunt.
 fuzz-smoke:
 	$(GO) test -run=FuzzReadDiskFrom -fuzz=FuzzReadDiskFrom -fuzztime=10s ./internal/store
 	$(GO) test -run=FuzzWALReplay -fuzz=FuzzWALReplay -fuzztime=20s ./internal/store
 	$(GO) test -run=FuzzLoad -fuzz=FuzzLoad -fuzztime=10s .
+	$(GO) test -run=FuzzDecodeResponse -fuzz=FuzzDecodeResponse -fuzztime=10s ./api
 
 # loc prints the non-test Go line count the ROADMAP's "net non-test LOC
 # goes down" refers to: every .go file that is not a test and not under
@@ -121,6 +123,14 @@ bench-ingest:
 # The test is env-gated so plain `go test` stays hermetic.
 serve-smoke:
 	SEGDB_SERVE_SMOKE=1 $(GO) test -run TestServeSmoke -v -count=1 ./api
+
+# bench-serve runs the repo benchmark's serving workload with its
+# per-layer ledger (api.*, router.*): the numbers DESIGN.md's serving-tier
+# attribution quotes. It is the one target that runs benchmark/ instead
+# of cmd/bench; `go test -bench WindowResponse ./api` prices the wire
+# codec alone.
+bench-serve:
+	bash benchmark/run.sh --workload serve_browse --seed 1992 --seconds 10 --trace 1
 
 # bench-kernels is the kernel-level perf smoke: the scalar-reference,
 # SoA-lane, and SWAR-packed compare kernels and the insert path's

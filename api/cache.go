@@ -16,15 +16,25 @@ import (
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List               // front = most recently used
-	items map[string]*list.Element // value: *cacheEntry
+	order *list.List                 // front = most recently used
+	items map[cacheKey]*list.Element // value: *cacheEntry
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
+// cacheKey names one cached answer: the cache generation it was computed
+// in (see Server.gen), the query kind ('w', 'n' or 'i') and its
+// parameters — the served window's corners, or a point and for nearest
+// its k.
+type cacheKey struct {
+	gen        uint64
+	kind       byte
+	a, b, c, d int32
+}
+
 type cacheEntry struct {
-	key string
+	key cacheKey
 	val any
 }
 
@@ -35,11 +45,11 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element),
+		items: make(map[cacheKey]*list.Element),
 	}
 }
 
-func (c *resultCache) get(key string) (any, bool) {
+func (c *resultCache) get(key cacheKey) (any, bool) {
 	if c.cap <= 0 {
 		c.misses.Add(1)
 		return nil, false
@@ -56,7 +66,7 @@ func (c *resultCache) get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-func (c *resultCache) put(key string, val any) {
+func (c *resultCache) put(key cacheKey, val any) {
 	if c.cap <= 0 {
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 
 	"segdb"
 )
@@ -40,7 +39,12 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("api: %s (code %s, http %d)", e.Message, e.Code, e.Status)
 }
 
-// do performs one request and decodes the JSON answer into out.
+// maxErrorBody bounds how much of a non-200 answer do reads.
+const maxErrorBody = 64 << 10
+
+// do performs one request and decodes the JSON answer into out. It
+// leaves the body at EOF on every path: net/http returns a connection to
+// the keep-alive pool only when its response was read to the end.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -64,12 +68,25 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var apiErr ErrorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&apiErr); derr != nil || apiErr.Code == "" {
+		derr := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&apiErr)
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorBody))
+		if derr != nil || apiErr.Code == "" {
 			return &APIError{Status: resp.StatusCode, Code: string(segdb.CodeInternal), Message: resp.Status}
 		}
 		return &APIError{Status: resp.StatusCode, Code: apiErr.Code, Message: apiErr.Error}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read the whole body into a pooled buffer sized from Content-Length,
+	// then decode: nothing decoded aliases the buffer.
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer putWireBuf(buf)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 && n <= maxPooledBuf {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that finds EOF
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return decodeJSON(buf.Bytes(), out)
 }
 
 // Window fetches the segments intersecting the window (the server may
@@ -95,7 +112,7 @@ func (c *Client) Batch(ctx context.Context, windows []RectJSON) (*BatchResponse,
 
 // Nearest fetches the k segments nearest to (x, y).
 func (c *Client) Nearest(ctx context.Context, x, y int32, k int) (*NearestResponse, error) {
-	path := fmt.Sprintf("/v1/nearest?x=%d&y=%d&k=%s", x, y, url.QueryEscape(fmt.Sprint(k)))
+	path := fmt.Sprintf("/v1/nearest?x=%d&y=%d&k=%d", x, y, k)
 	var resp NearestResponse
 	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
 		return nil, err

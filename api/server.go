@@ -1,11 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,6 +28,10 @@ const (
 	maxBatchWindows = 1024
 	// maxIngestSegments bounds one POST /v1/ingest request.
 	maxIngestSegments = 65536
+	// maxCoordsBytes is the room a POST body gets per window or segment
+	// (the longest compact encoding of one is 70 bytes) and for its
+	// envelope; a longer body is refused unread.
+	maxCoordsBytes = 128
 	// shutdownGrace bounds how long Run waits for in-flight requests
 	// after its context is canceled.
 	shutdownGrace = 5 * time.Second
@@ -87,6 +94,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = DefaultMaxK
 	}
+	cfg.MaxK = min(cfg.MaxK, math.MaxInt32) // k is an int32 of the cache key
 	s := &Server{
 		cfg:    cfg,
 		router: cfg.Router,
@@ -149,12 +157,23 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 	return context.WithTimeout(r.Context(), s.cfg.Timeout)
 }
 
-// writeJSON encodes v with status code.
+// writeJSON encodes v with status code: the whole body in one Write
+// behind a Content-Length, so no response is chunked and a client that
+// reads it to the end keeps its connection.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer putWireBuf(buf)
+	buf.Reset()
+	b, err := appendJSON(buf.AvailableBuffer(), v)
+	if err != nil {
+		status = segdb.CodeInternal.HTTPStatus()
+		b, _ = appendJSON(b[:0], ErrorResponse{Error: err.Error(), Code: string(segdb.CodeInternal)})
+	}
+	buf.Write(b) // in place once the pooled buffer has grown to the size of a body
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(b) // a failed write means the client is gone
 }
 
 // writeError maps err through the facade's stable code table: the HTTP
@@ -171,8 +190,8 @@ func invalidf(format string, args ...any) error {
 }
 
 // queryInt32 parses a required int32 query parameter.
-func queryInt32(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt32(q url.Values, name string) (int32, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, invalidf("api: missing parameter %q", name)
 	}
@@ -264,8 +283,9 @@ func (s *Server) runWindow(ctx context.Context, rect segdb.Rect) (*WindowRespons
 
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	var coords [4]int32
+	q := r.URL.Query()
 	for i, name := range [...]string{"x1", "y1", "x2", "y2"} {
-		v, err := queryInt32(r, name)
+		v, err := queryInt32(q, name)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -277,7 +297,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("g%d:w:%d,%d,%d,%d", s.gen.Load(), rect.Min.X, rect.Min.Y, rect.Max.X, rect.Max.Y)
+	key := cacheKey{s.gen.Load(), 'w', rect.Min.X, rect.Min.Y, rect.Max.X, rect.Max.Y}
 	if v, ok := s.cache.get(key); ok {
 		resp := *v.(*WindowResponse) // shallow copy; cached slices are read-only
 		resp.Cache = "hit"
@@ -301,7 +321,8 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, (maxBatchWindows+1)*maxCoordsBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, invalidf("api: batch body: %v", err))
 		return
 	}
@@ -350,18 +371,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	x, err := queryInt32(r, "x")
+	q := r.URL.Query()
+	x, err := queryInt32(q, "x")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	y, err := queryInt32(r, "y")
+	y, err := queryInt32(q, "y")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	k := 1
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k < 1 {
 			writeError(w, invalidf("api: parameter %q must be a positive integer", "k"))
@@ -372,7 +394,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, invalidf("api: k=%d exceeds the limit of %d", k, s.cfg.MaxK))
 		return
 	}
-	key := fmt.Sprintf("g%d:n:%d,%d,%d", s.gen.Load(), x, y, k)
+	key := cacheKey{s.gen.Load(), 'n', x, y, int32(k), 0}
 	if v, ok := s.cache.get(key); ok {
 		resp := *v.(*NearestResponse)
 		resp.Cache = "hit"
@@ -404,17 +426,18 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
-	x, err := queryInt32(r, "x")
+	q := r.URL.Query()
+	x, err := queryInt32(q, "x")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	y, err := queryInt32(r, "y")
+	y, err := queryInt32(q, "y")
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("g%d:i:%d,%d", s.gen.Load(), x, y)
+	key := cacheKey{s.gen.Load(), 'i', x, y, 0, 0}
 	if v, ok := s.cache.get(key); ok {
 		resp := *v.(*IncidentResponse)
 		resp.Cache = "hit"
@@ -448,7 +471,8 @@ func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, (maxIngestSegments+1)*maxCoordsBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, invalidf("api: ingest body: %v", err))
 		return
 	}

@@ -1,10 +1,12 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,7 +145,7 @@ func (r *Router) windowAppend(ctx context.Context, rect segdb.Rect, dst []segdb.
 }
 
 func sortWindowHits(hits []segdb.WindowHit) {
-	sort.Slice(hits, func(i, j int) bool { return hits[i].ID < hits[j].ID })
+	slices.SortFunc(hits, func(a, b segdb.WindowHit) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // WindowCtx runs the window query across the shards and delivers the
