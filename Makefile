@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-compress bench-ingest bench-serve serve-smoke
+.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke
 
 # check is the full local gate: what CI runs.
 check: vet staticcheck govulncheck build race fuzz-smoke
@@ -57,65 +57,29 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; for (i = 2; i < n; i++) d = d "/" p[i]; lines[d] += $$1; total += $$1 } \
 		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
 
-# bench regenerates the BENCH_queries.json perf artifact: the scaling
-# benchmarks first (their speedup metric prints to stdout), then the
-# per-index-kind query throughput/disk-access/hit-ratio measurements, the
-# per-kind bulk-versus-incremental build comparison ("build" section),
-# and the goroutine-count sweeps.
+# bench runs the repo benchmark (benchmark/README.md): all six workloads
+# untraced then traced, every answer checked against the linear-scan
+# oracle. It prints its report and writes nothing outside .bench_build/.
+# The root Go benchmarks cover what the workloads do not: goroutine
+# scaling (BenchmarkWindowBatch's speedup metric, the sequential and
+# parallel rows of BenchmarkOverlayParallelJoin) and bulk against
+# incremental builds.
+# To compare two revisions of those, or the paired build benchmarks
+# within one, hand -count runs to benchstat:
 #
-# To compare two revisions statistically, run the Go benchmarks with
-# -count and feed both outputs to benchstat
-# (golang.org/x/perf/cmd/benchstat):
-#
-#   go test -run xxx -bench . -count 10 . > old.txt
-#   ... apply the change ...
-#   go test -run xxx -bench . -count 10 . > new.txt
-#   benchstat old.txt new.txt
-#
-# To quantify the bulk-load pipeline specifically, compare the paired
-# build benchmarks (BenchmarkBuildIncremental vs BenchmarkBuildBulk, one
-# sub-benchmark per kind) side by side:
-#
-#   go test -run xxx -bench 'BenchmarkBuild(Incremental|Bulk)' -count 10 . > build.txt
-#   benchstat -col '.name@(BuildIncremental,BuildBulk)' build.txt
+#   go test -run xxx -bench . -count 10 . > new.txt && benchstat old.txt new.txt
+#   go test -run xxx -bench 'BenchmarkBuild(Incremental|Bulk)' -count 10 . > build.txt && benchstat -col '.name@(BuildIncremental,BuildBulk)' build.txt
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkWindowBatch|BenchmarkOverlayParallelJoin' -benchtime 3x .
-	$(GO) run ./cmd/bench -o BENCH_queries.json
+	bash benchmark/run.sh --seed 1992
 
-# bench-smoke is the CI-sized bench: tiny maps and workloads, the full
-# goroutine sweep, output kept out of the committed artifact. It exists
-# so a crash or pathological slowdown in the measurement path is caught
-# before merge, not to produce meaningful numbers. The AddBatch bench
-# exercises the bulk pipeline end to end, and the grep asserts the quick
-# artifact still carries the per-kind build-metrics section.
+# bench-smoke is the CI-sized bench: the scaling and bulk-build Go
+# benchmarks at two iterations, then the repo benchmark's smoke run,
+# which builds, runs every workload untraced and traced, and exits
+# non-zero on an answer the oracle rejects. It catches a crash or a
+# wrong answer in the measurement path; it measures nothing.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkWindowBatch|BenchmarkBuildBulk' -benchtime 2x .
-	$(GO) test -count=1 ./cmd/bench
-	$(GO) run ./cmd/bench -quick -o BENCH_smoke.json
-	@grep -q '"build"' BENCH_smoke.json || { echo "BENCH_smoke.json is missing the build-metrics section"; exit 1; }
-	@grep -q '"kernels"' BENCH_smoke.json || { echo "BENCH_smoke.json is missing the kernels section"; exit 1; }
-	@grep -q '"serve"' BENCH_smoke.json || { echo "BENCH_smoke.json is missing the serve section"; exit 1; }
-	@grep -q '"compression"' BENCH_smoke.json || { echo "BENCH_smoke.json is missing the compression section"; exit 1; }
-	@grep -q '"ingest"' BENCH_smoke.json || { echo "BENCH_smoke.json is missing the ingest section"; exit 1; }
-
-# bench-compress is the page-compression perf smoke: the enforced gate —
-# for every index kind, level-1 compressed pages must answer the window
-# workload with no more disk accesses per query than level-0 classic
-# pages, with no fanout loss and byte-identical query results. Tripping
-# it means the v3 page formats stopped paying for themselves. The test
-# is env-gated so plain `go test` never makes perf assertions.
-bench-compress:
-	SEGDB_BENCH_COMPRESS=1 $(GO) test -run TestCompressionGate -v -count=1 ./cmd/bench
-
-# bench-ingest is the staged-ingest smoke: the write storm from the
-# artifact's "ingest" section run small in both modes, gating on the
-# MVCC invariants rather than wall clock — zero reader-lock
-# acquisitions on staged query paths, at least one threshold
-# compaction, and the staged database answering exactly the same world
-# window as the exclusive-lock one after the identical stream. The test
-# is env-gated so plain `go test` stays deterministic and quick.
-bench-ingest:
-	SEGDB_BENCH_INGEST=1 $(GO) test -run TestIngestGate -v -count=1 ./cmd/bench
+	bash benchmark/run.sh --quick
 
 # serve-smoke drives the serving tier end to end through the real lsdb
 # binary: `lsdb serve` on an ephemeral port, one of each query type plus
@@ -126,9 +90,8 @@ serve-smoke:
 
 # bench-serve runs the repo benchmark's serving workload with its
 # per-layer ledger (api.*, router.*): the numbers DESIGN.md's serving-tier
-# attribution quotes. It is the one target that runs benchmark/ instead
-# of cmd/bench; `go test -bench WindowResponse ./api` prices the wire
-# codec alone.
+# attribution quotes. `go test -bench WindowResponse ./api` prices the
+# wire codec alone.
 bench-serve:
 	bash benchmark/run.sh --workload serve_browse --seed 1992 --seconds 10 --trace 1
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 )
 
@@ -75,16 +76,45 @@ func TestCompressionEquivalenceAllKinds(t *testing.T) {
 }
 
 // TestCompressionShrinksIndex checks the format pays for itself: on a
-// bulk-built index (leaves packed to capacity, the bench configuration)
-// level 1 must fit at least 1.5x more leaf entries per leaf page than
-// level 0 for every kind. Incrementally built trees gain less — split
-// policies keep leaves part-full regardless of capacity — so the bound
-// is asserted where occupancy reflects the format, not the workload.
+// bulk-built index (leaves packed to capacity) level 1 must fit at least
+// 1.5x more leaf entries per leaf page than level 0 for every kind.
+// Incrementally built trees gain less — split policies keep leaves
+// part-full regardless of capacity — so the bound is asserted where
+// occupancy reflects the format, not the workload.
+//
+// The fanout must also reach the paper's currency: one fixed window set,
+// run after an identical warm-up pass, may not cost level-1 pages more
+// disk accesses than level-0 pages. The run is sequential, so the counts
+// are deterministic. The 32-page pool is below every R-tree-family
+// working set on this map, so the counts are not zero, and it is the
+// configuration the claim is made for: k-d-B leaf entries carry the leaf
+// region, not the segment's rectangle, so a fuller leaf fetches more
+// segments per visit, and under a 16-page pool that outweighs the saved
+// index pages (589 accesses become 693).
 func TestCompressionShrinksIndex(t *testing.T) {
-	segs := crashSegments(4000, 43)
+	segs := bulkSample(t, 3000)
+	rng := rand.New(rand.NewSource(1992))
+	windows := make([]Rect, 96)
+	for i := range windows {
+		x, y, side := rng.Int31n(WorldSize-1024), rng.Int31n(WorldSize-1024), 256+rng.Int31n(768)
+		windows[i] = RectOf(x, y, x+side, y+side)
+	}
+	windowAccesses := func(kind Kind, db *DB) uint64 {
+		t.Helper()
+		var base Metrics
+		for pass := 0; pass < 2; pass++ {
+			base = db.Metrics()
+			for _, r := range windows {
+				if err := db.Window(r, func(SegmentID, Segment) bool { return true }); err != nil {
+					t.Fatalf("%v: Window(%v): %v", kind, r, err)
+				}
+			}
+		}
+		return db.Metrics().Sub(base).DiskAccesses
+	}
 	build := func(kind Kind, level int) *DB {
 		t.Helper()
-		db, err := Open(kind, WithPageCompression(level), WithPoolPages(256))
+		db, err := Open(kind, WithPageCompression(level), WithPoolPages(32))
 		if err != nil {
 			t.Fatalf("Open(%v, level %d): %v", kind, level, err)
 		}
@@ -114,6 +144,12 @@ func TestCompressionShrinksIndex(t *testing.T) {
 			t.Errorf("%v: level-1 leaf fanout %.1f < 1.5x level-0 %.1f",
 				kind, cs.AvgLeafFanout(), bs.AvgLeafFanout())
 		}
+		b, c := windowAccesses(kind, base), windowAccesses(kind, comp)
+		if b == 0 || c > b {
+			t.Errorf("%v: %d windows cost level-1 pages %d disk accesses, level-0 pages %d; want fewer or equal, and not zero",
+				kind, len(windows), c, b)
+		}
+		t.Logf("%v: fanout %.1f -> %.1f, disk accesses %d -> %d", kind, bs.AvgLeafFanout(), cs.AvgLeafFanout(), b, c)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 	"hash/crc32"
 	iofs "io/fs"
 	"runtime"
-	"sort"
+	"slices"
 
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -297,24 +297,7 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db := &DB{
-		seq:   dbSeq.Add(1),
-		kind:  st.kind,
-		opts:  dbOpts,
-		table: st.table,
-		pool:  pool,
-		index: ix,
-	}
-	db.setTracer(dbOpts.Tracer)
-	db.degraded.Store(dbOpts.DegradedReads)
-	if dbOpts.FaultPolicy != nil {
-		db.pool.Disk().SetFaultPolicy(dbOpts.FaultPolicy)
-		db.table.Disk().SetFaultPolicy(dbOpts.FaultPolicy)
-	}
-	if dbOpts.RetryPolicy != nil {
-		db.pool.Disk().SetRetryPolicy(dbOpts.RetryPolicy)
-		db.table.Disk().SetRetryPolicy(dbOpts.RetryPolicy)
-	}
+	db := newDB(st.kind, dbOpts, st.table, pool, ix)
 	db.walfs = wfs
 	db.walEpoch = st.lastEpoch
 	db.walSeq = st.seq
@@ -372,7 +355,7 @@ func (db *DB) foldStagedRecovery(ops []store.WALStagedOp) error {
 	for id := range live {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return db.rebuildBulk(ids)
 }
 
@@ -574,23 +557,9 @@ func (db *DB) repairPages(pool *store.Pool, shadow *store.Disk, bad []PageID, r 
 // badOrQuarantined returns the union of the disk's checksum-failing
 // in-use pages and its quarantined pages, ascending.
 func badOrQuarantined(d *store.Disk) []PageID {
-	bad := d.BadPages()
-	seen := make(map[PageID]bool, len(bad))
-	for _, id := range bad {
-		seen[id] = true
-	}
-	for _, id := range d.Quarantined() {
-		if !seen[id] {
-			bad = append(bad, id)
-		}
-	}
-	// Both inputs are sorted, but the merge above may interleave; re-sort.
-	for i := 1; i < len(bad); i++ {
-		for j := i; j > 0 && bad[j] < bad[j-1]; j-- {
-			bad[j], bad[j-1] = bad[j-1], bad[j]
-		}
-	}
-	return bad
+	bad := append(d.BadPages(), d.Quarantined()...)
+	slices.Sort(bad)
+	return slices.Compact(bad)
 }
 
 // Quarantined returns the pages currently quarantined on each disk

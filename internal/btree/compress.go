@@ -226,7 +226,7 @@ func (n *node) reset() {
 }
 
 // LeafPageInfo describes the physical format of one encoded B+-tree
-// page, for operator tooling and the bench's compression section.
+// page, for operator tooling and the repo benchmark's btree.* metrics.
 type LeafPageInfo struct {
 	// Format is "v1" (classic leaf or internal) or "v3" (compressed
 	// leaf).

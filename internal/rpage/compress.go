@@ -310,7 +310,7 @@ func decodeCompressedSoA(data []byte) (*SoA, error) {
 }
 
 // PageInfo describes the physical format of one encoded page, for
-// operator tooling and the bench's compression section.
+// operator tooling and the repo benchmark's rpage.* metrics.
 type PageInfo struct {
 	// Format is "v1" for the classic 20-byte-entry layout, "v3-16" for
 	// 16-bit offset lanes, "v3-8" for 8-bit quantized lanes.

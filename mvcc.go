@@ -21,6 +21,7 @@ package segdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"segdb/internal/core"
@@ -136,7 +137,7 @@ func (db *DB) collectLiveIDs(ix core.Index) ([]seg.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 

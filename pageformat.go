@@ -142,9 +142,9 @@ func restoreIndex(kind Kind, opts Options, pool *store.Pool, table *seg.Table, m
 
 // PageFormatStats summarizes the physical format of the index's pages:
 // how many pages each on-disk encoding accounts for, and the effective
-// leaf fanout the format achieves. `lsdb verify` prints it, and the
-// bench's compression section derives its bytes/page and fanout columns
-// from it.
+// leaf fanout the format achieves. `lsdb verify` prints it, and
+// TestCompressionShrinksIndex holds level 1 to its fanout claim with
+// it.
 type PageFormatStats struct {
 	// Level is the database's configured compression level (0..2).
 	Level int

@@ -94,9 +94,7 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The sequence number fixes the lock order for two-DB overlays; a
-	// loaded DB needs one just like a freshly opened one.
-	return &DB{seq: dbSeq.Add(1), kind: kind, table: table, opts: opts, pool: pool, index: ix}, nil
+	return newDB(kind, opts, table, pool, ix), nil
 }
 
 // loadImage parses a Save image up to (but not including) index

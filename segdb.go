@@ -280,6 +280,21 @@ func (db *DB) tracerNow() Tracer {
 // databases (Overlay) can always acquire their locks in a global order.
 var dbSeq atomic.Uint64
 
+// newDB wraps a built or restored index in a DB and attaches what every
+// fresh DB carries: the sequence number that fixes its place in the
+// two-DB lock order, the tracer, the degraded-reads flag, and the fault
+// and retry policies on both disks. Callers build the index before it
+// and run WAL set-up and recovery after it, so injected faults miss the
+// former and are live during the latter.
+func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persistable) *DB {
+	db := &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
+	db.setTracer(o.Tracer)
+	db.degraded.Store(o.DegradedReads)
+	db.SetFaultPolicy(o.FaultPolicy)
+	db.SetRetryPolicy(o.RetryPolicy)
+	return db
+}
+
 // Open creates an empty database backed by the chosen index kind. With
 // no options it uses the configuration of the paper's experiments;
 // tune it with functional options (WithPageSize, WithPoolPages,
@@ -300,17 +315,7 @@ func Open(kind Kind, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.FaultPolicy != nil {
-		pool.Disk().SetFaultPolicy(o.FaultPolicy)
-		table.Disk().SetFaultPolicy(o.FaultPolicy)
-	}
-	if o.RetryPolicy != nil {
-		pool.Disk().SetRetryPolicy(o.RetryPolicy)
-		table.Disk().SetRetryPolicy(o.RetryPolicy)
-	}
-	db := &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
-	db.setTracer(o.Tracer)
-	db.degraded.Store(o.DegradedReads)
+	db := newDB(kind, o, table, pool, ix)
 	wfs := o.WALFS
 	if wfs == nil && o.WALDir != "" {
 		wfs, err = store.NewDirWALFS(o.WALDir)
