@@ -1,16 +1,20 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke
+.PHONY: check build test vet fmt-check staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke
 
 # check is the full local gate: what CI runs.
-check: vet staticcheck govulncheck build race fuzz-smoke
+check: fmt-check vet staticcheck govulncheck build race fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any file, and lists them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs if the binary is installed (CI installs the pinned
 # version; locally: go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)).
@@ -40,13 +44,16 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target briefly — a regression net for the
-# image parsers, the WAL replay path and the hand-written response
-# decoder, not a bug hunt.
+# image parsers, the WAL replay path, the hand-written response decoder
+# and the two v3 page decoders (the B+-tree's against its reference
+# decoder), not a bug hunt.
 fuzz-smoke:
 	$(GO) test -run=FuzzReadDiskFrom -fuzz=FuzzReadDiskFrom -fuzztime=10s ./internal/store
 	$(GO) test -run=FuzzWALReplay -fuzz=FuzzWALReplay -fuzztime=20s ./internal/store
 	$(GO) test -run=FuzzLoad -fuzz=FuzzLoad -fuzztime=10s .
 	$(GO) test -run=FuzzDecodeResponse -fuzz=FuzzDecodeResponse -fuzztime=10s ./api
+	$(GO) test -run=FuzzDecodeCompressedLeaf -fuzz=FuzzDecodeCompressedLeaf -fuzztime=10s ./internal/btree
+	$(GO) test -run=FuzzDecodeCompressed -fuzz=FuzzDecodeCompressed -fuzztime=10s ./internal/rpage
 
 # loc prints the non-test Go line count the ROADMAP's "net non-test LOC
 # goes down" refers to: every .go file that is not a test and not under

@@ -14,11 +14,6 @@ import (
 	"segdb/internal/geom"
 )
 
-// rtreeFamily is every kind that answers queries through the shared
-// rsearch traversal: the R*-tree and R-tree run it without a duplicate
-// set, the R+-tree and k-d-B-tree with the pooled one.
-var rtreeFamily = []Kind{RStarTree, ClassicRTree, RPlusTree, KDBTree}
-
 // allocDB builds a warm database of the given kind and page-compression
 // level whose working set fits the buffer pool, so repeated queries hit
 // only warm code paths.
@@ -38,9 +33,13 @@ func allocDB(t *testing.T, kind Kind, level int) *DB {
 	return db
 }
 
-// forFamily runs body once per R-tree-family kind at each level.
-func forFamily(t *testing.T, levels []int, body func(t *testing.T, db *DB)) {
-	for _, kind := range rtreeFamily {
+// forKinds runs body once per index kind at each level. Every kind reads
+// its nodes from the pool's decode-once slots — the R-tree family through
+// the shared rsearch traversal (the R+-tree and k-d-B-tree with the pooled
+// duplicate set), the PMR quadtree and the grid through the B+-tree — so
+// with the whole index resident no query decodes, and none may allocate.
+func forKinds(t *testing.T, levels []int, body func(t *testing.T, db *DB)) {
+	for _, kind := range allKinds() {
 		for _, level := range levels {
 			t.Run(fmt.Sprintf("%v/level%d", kind, level), func(t *testing.T) {
 				body(t, allocDB(t, kind, level))
@@ -79,15 +78,15 @@ func warmWindowZeroAllocs(t *testing.T, db *DB) {
 // without per-query allocation (pooled entry slices are trimmed against
 // the compressed capacity, not the classic one).
 func TestWindowCtxCompressedWarmZeroAllocs(t *testing.T) {
-	forFamily(t, []int{1, 2}, warmWindowZeroAllocs)
+	forKinds(t, []int{1, 2}, warmWindowZeroAllocs)
 }
 
 func TestWindowCtxWarmZeroAllocs(t *testing.T) {
-	forFamily(t, []int{0}, warmWindowZeroAllocs)
+	forKinds(t, []int{0}, warmWindowZeroAllocs)
 }
 
 func TestWindowAppendCtxWarmZeroAllocs(t *testing.T) {
-	forFamily(t, []int{0}, func(t *testing.T, db *DB) {
+	forKinds(t, []int{0, 1}, func(t *testing.T, db *DB) {
 		ctx := context.Background()
 		r := geom.RectOf(2000, 2000, 6000, 6000)
 		buf, _, err := db.WindowAppendCtx(ctx, r, nil)
@@ -111,7 +110,7 @@ func TestWindowAppendCtxWarmZeroAllocs(t *testing.T) {
 }
 
 func TestNearestKAppendCtxWarmAllocs(t *testing.T) {
-	forFamily(t, []int{0}, func(t *testing.T, db *DB) {
+	forKinds(t, []int{0, 1}, func(t *testing.T, db *DB) {
 		ctx := context.Background()
 		p := Point{X: 4000, Y: 4000}
 		buf, _, err := db.NearestKAppendCtx(ctx, p, 8, nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -215,6 +216,61 @@ func TestConcurrentQueryStress(t *testing.T) {
 					sum.PoolRequests, conDelta.PoolRequests)
 			}
 		})
+	}
+}
+
+// TestConcurrentWindowsShareBTreeNodes runs four goroutines of random
+// windows over the two kinds stored in a B+-tree, on a pool of 8 pages:
+// frames are evicted constantly, so goroutines keep decoding the same page
+// at once, publishing into the same slot, and reading nodes whose frame
+// has since gone. Every answer must equal a linear scan of the map (and
+// the race detector must stay quiet).
+func TestConcurrentWindowsShareBTreeNodes(t *testing.T) {
+	m := stressMap(t)
+	const workers, perWorker = 4, 60
+	for _, k := range []Kind{PMRQuadtree, UniformGrid} {
+		for _, level := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%v/level%d", k, level), func(t *testing.T) {
+				t.Parallel()
+				db, err := Open(k, WithPoolPages(8), WithPageCompression(level))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, err := db.AddBatch(m.Segments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := make(map[SegmentID]Segment, len(ids))
+				for i, id := range ids {
+					live[id] = m.Segments[i]
+				}
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(w)))
+						for i := 0; i < perWorker && errs[w] == nil; i++ {
+							x, y, side := rng.Int31n(WorldSize), rng.Int31n(WorldSize), rng.Int31n(WorldSize/4)+16
+							r := RectOf(x, y, min(x+side, WorldSize-1), min(y+side, WorldSize-1))
+							var got []SegmentID
+							err := db.Window(r, func(id SegmentID, _ Segment) bool { got = append(got, id); return true })
+							slices.Sort(got)
+							if want := liveWindowIDs(live, r); err != nil || !sameIDs(got, want) {
+								errs[w] = fmt.Errorf("window %v: %d ids, want %d (err %v)", r, len(got), len(want), err)
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
 	}
 }
 

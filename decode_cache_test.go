@@ -1,105 +1,182 @@
 package segdb
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
-// The decode-once node cache must serve warm R-tree queries without
-// re-decoding, and must never serve a stale node after a scrub repair or
-// across a crash recovery. Kinds without R-tree pages report zero on
-// both counters.
+// liveWindowIDs is the brute-force answer to a window over a model of the
+// live segments.
+func liveWindowIDs(live map[SegmentID]Segment, r Rect) []SegmentID {
+	var ids []SegmentID
+	for id, s := range live {
+		if r.IntersectsSegment(s) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// The decode-once node cache must serve warm queries of every index kind
+// without re-decoding — R-tree nodes and B+-tree nodes alike, classic and
+// compressed — and must never serve a stale node: not after an Add or a
+// Delete, not after DropCaches, not after a scrub repair, not across a
+// crash recovery.
 func TestDecodeCacheWarmQueriesAndFreshness(t *testing.T) {
-	for _, kind := range []Kind{RStarTree, RPlusTree, ClassicRTree, KDBTree} {
+	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			wfs := NewMemWALFS()
-			db, err := Open(kind, WithWALFS(wfs), WithDegradedReads(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs := crashSegments(200, 37)
-			for _, s := range segs {
-				if _, err := db.Add(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := windowIDs(t, db, World())
-			_, misses0 := db.DecodeCacheStats()
-			if misses0 == 0 {
-				t.Fatal("window query over an R-tree recorded no node decodes")
-			}
-			// A repeat of the same window over warm frames must be served
-			// from the decode cache: hits move, misses do not.
-			hits1, misses1 := db.DecodeCacheStats()
-			windowIDs(t, db, World())
-			hits2, misses2 := db.DecodeCacheStats()
-			if hits2 <= hits1 {
-				t.Errorf("warm window recorded no decode hits (%d -> %d)", hits1, hits2)
-			}
-			if misses2 != misses1 {
-				t.Errorf("warm window re-decoded %d nodes", misses2-misses1)
-			}
-
-			// Corrupt an index page at rest, quarantine it through a
-			// degraded query, repair with Scrub: the post-repair window must
-			// see the repaired bytes, not a cached decode of the old frame.
-			if err := db.DropCaches(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.pool.Disk().CorruptPage(0, 123); err != nil {
-				t.Fatal(err)
-			}
-			st, err := db.WindowCtx(t.Context(), World(), func(SegmentID, Segment) bool { return true })
-			if err != nil {
-				t.Fatalf("degraded window: %v", err)
-			}
-			if st.SkippedPages == 0 {
-				t.Fatal("degraded query skipped nothing over a corrupt root")
-			}
-			if rep, err := db.Scrub(); err != nil || rep.Repaired == 0 {
-				t.Fatalf("Scrub: rep=%+v err=%v", rep, err)
-			}
-			if after := windowIDs(t, db, World()); !sameIDs(after, want) {
-				t.Fatalf("post-scrub window: %d ids, want %d", len(after), len(want))
-			}
-
-			// Crash (drop the DB without closing) and recover: the new pool
-			// starts with an empty decode cache and correct contents.
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			rdb, _, err := RecoverFS(wfs)
-			if err != nil {
-				t.Fatalf("RecoverFS: %v", err)
-			}
-			if h, m := rdb.DecodeCacheStats(); h != 0 || m != 0 {
-				t.Fatalf("recovered DB starts with decode stats %d/%d, want 0/0", h, m)
-			}
-			if after := windowIDs(t, rdb, World()); !sameIDs(after, want) {
-				t.Fatalf("post-recover window: %d ids, want %d", len(after), len(want))
-			}
-			if _, m := rdb.DecodeCacheStats(); m == 0 {
-				t.Error("post-recover window decoded nothing")
+			for _, level := range []int{0, 1} {
+				t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
+					decodeCacheFreshness(t, kind, level)
+				})
 			}
 		})
 	}
 }
 
-// Kinds with no R-tree pages never touch the decode cache.
-func TestDecodeCacheZeroForNonRTreeKinds(t *testing.T) {
+func decodeCacheFreshness(t *testing.T, kind Kind, level int) {
+	wfs := NewMemWALFS()
+	// 256 pages hold every index of this size whole, so a repeated query
+	// finds every frame resident.
+	db, err := Open(kind, WithWALFS(wfs), WithDegradedReads(true), WithPoolPages(256), WithPageCompression(level))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[SegmentID]Segment)
+	segs := crashSegments(230, 37)
+	for _, s := range segs[:200] {
+		id, err := db.Add(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[id] = s
+	}
+	windows := []Rect{World(), RectOf(3000, 3000, 9000, 9000)}
+	check := func(when string) {
+		t.Helper()
+		for _, w := range windows {
+			if got, want := windowIDs(t, db, w), liveWindowIDs(live, w); !sameIDs(got, want) {
+				t.Fatalf("%s: window %v: %d ids, want %d", when, w, len(got), len(want))
+			}
+		}
+	}
+	check("after build")
+	if _, misses := db.DecodeCacheStats(); misses == 0 {
+		t.Fatal("window queries recorded no node decodes")
+	}
+	// A repeat of the same windows over warm frames must be served from
+	// the decode cache: hits move, misses do not.
+	hits1, misses1 := db.DecodeCacheStats()
+	check("warm repeat")
+	hits2, misses2 := db.DecodeCacheStats()
+	if hits2 <= hits1 {
+		t.Errorf("warm windows recorded no decode hits (%d -> %d)", hits1, hits2)
+	}
+	if misses2 != misses1 {
+		t.Errorf("warm windows re-decoded %d nodes", misses2-misses1)
+	}
+
+	// Writes between reads: every Add and Delete dirties pages whose
+	// decoded form is resident, and the next read must see the new bytes.
+	for i, s := range segs[200:] {
+		id, err := db.Add(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[id] = s
+		check(fmt.Sprintf("after add %d", i))
+		if i%2 == 0 {
+			victim := slices.Min(liveWindowIDs(live, World()))
+			if err := db.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, victim)
+			check(fmt.Sprintf("after delete %d", victim))
+		}
+	}
+
+	// DropCaches empties the slots with the frames: the next window
+	// decodes again.
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	_, misses3 := db.DecodeCacheStats()
+	check("after DropCaches")
+	if _, misses4 := db.DecodeCacheStats(); misses4 == misses3 {
+		t.Error("window after DropCaches decoded nothing")
+	}
+
+	// Corrupt an index page at rest, quarantine it through a degraded
+	// query, repair with Scrub: the post-repair window must see the
+	// repaired bytes, not a cached decode of the old frame.
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.pool.Disk().CorruptPage(0, 123); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.WindowCtx(t.Context(), World(), func(SegmentID, Segment) bool { return true })
+	if err != nil {
+		t.Fatalf("degraded window: %v", err)
+	}
+	if st.SkippedPages == 0 {
+		t.Fatal("degraded query skipped nothing over a corrupt page")
+	}
+	if rep, err := db.Scrub(); err != nil || rep.Repaired == 0 {
+		t.Fatalf("Scrub: rep=%+v err=%v", rep, err)
+	}
+	check("after Scrub")
+
+	// Crash (drop the DB without closing) and recover: the new pool
+	// starts with an empty decode cache and correct contents.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err = RecoverFS(wfs)
+	if err != nil {
+		t.Fatalf("RecoverFS: %v", err)
+	}
+	if h, m := db.DecodeCacheStats(); h != 0 || m != 0 {
+		t.Fatalf("recovered DB starts with decode stats %d/%d, want 0/0", h, m)
+	}
+	check("after RecoverFS")
+	if _, m := db.DecodeCacheStats(); m == 0 {
+		t.Error("post-recover window decoded nothing")
+	}
+}
+
+// On the kinds stored in a B+-tree a read-only run decodes a page exactly
+// when the page enters the pool: with the pool a fraction of the index,
+// decodes equal pool misses, and every other touch is served from a slot.
+func TestDecodeCacheOneDecodePerBTreePoolMiss(t *testing.T) {
 	for _, kind := range []Kind{UniformGrid, PMRQuadtree} {
 		t.Run(kind.String(), func(t *testing.T) {
-			db, err := Open(kind)
+			db, err := Open(kind, WithPageCompression(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range crashSegments(60, 5) {
+			for _, s := range crashSegments(1500, 5) {
 				if _, err := db.Add(s); err != nil {
 					t.Fatal(err)
 				}
 			}
-			windowIDs(t, db, World())
-			if h, m := db.DecodeCacheStats(); h != 0 || m != 0 {
-				t.Errorf("decode stats %d/%d for %v, want 0/0", h, m, kind)
+			if err := db.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			hits0, misses0 := db.DecodeCacheStats()
+			reads0 := db.pool.Stats().Reads
+			for x := int32(0); x < WorldSize; x += 1024 {
+				windowIDs(t, db, RectOf(x, x, x+2048, x+2048))
+			}
+			hits, misses := db.DecodeCacheStats()
+			reads := db.pool.Stats().Reads - reads0
+			if reads == 0 || misses-misses0 != reads {
+				t.Errorf("%d decodes for %d pool misses, want them equal and non-zero", misses-misses0, reads)
+			}
+			if hits == hits0 {
+				t.Error("no page request was served from a decoded slot")
 			}
 		})
 	}

@@ -18,6 +18,7 @@ package btree
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"segdb/internal/obs"
 	"segdb/internal/store"
@@ -42,6 +43,7 @@ type Tree struct {
 	leafCap     int // max keys in a leaf (classic format)
 	internalCap int // max separator keys in an internal node
 	compress    bool
+	decode      store.DecodeFunc // readNode at this tree's value size
 }
 
 // New creates an empty tree with bare keys (no values).
@@ -60,6 +62,20 @@ func NewWithValues(pool *store.Pool, valueSize int) (*Tree, error) {
 // self-describing, so a compressed tree reads classic leaves and vice
 // versa; the setting only controls what new writes produce.
 func NewWithOptions(pool *store.Pool, valueSize, compression int) (*Tree, error) {
+	t, err := newTree(pool, valueSize, compression)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.allocEmptyRoot(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newTree validates the geometry of a tree over pool and returns it with
+// no root yet: the constructors and Restore differ only in where the root
+// comes from.
+func newTree(pool *store.Pool, valueSize, compression int) (*Tree, error) {
 	if valueSize < 0 || valueSize > pool.PageSize()/4 {
 		return nil, fmt.Errorf("btree: invalid value size %d", valueSize)
 	}
@@ -73,15 +89,23 @@ func NewWithOptions(pool *store.Pool, valueSize, compression int) (*Tree, error)
 	if t.leafCap < 3 || t.internalCap < 3 {
 		return nil, fmt.Errorf("btree: page size %d too small", pool.PageSize())
 	}
-	id, data, err := pool.Allocate()
+	// Built once so that handing it to GetDecodedObs allocates nothing on
+	// the read path.
+	t.decode = func(data []byte) (any, error) { return readNode(data, valueSize) }
+	return t, nil
+}
+
+// allocEmptyRoot makes the tree a single empty leaf.
+func (t *Tree) allocEmptyRoot() error {
+	id, data, err := t.pool.Allocate()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.encode(data, &node{leaf: true, next: store.NilPage})
-	pool.Unpin(id, true)
+	t.pool.Unpin(id, true)
 	t.root = id
 	t.height = 1
-	return t, nil
+	return nil
 }
 
 // encode serializes n into a page buffer in the tree's configured
@@ -137,13 +161,6 @@ func (t *Tree) leafSplitPoint(n *node) int {
 	return best
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Len returns the number of keys stored.
 func (t *Tree) Len() int { return t.count }
 
@@ -175,24 +192,20 @@ func (t *Tree) getNode(id store.PageID) (*node, []byte, error) {
 	return n, data, nil
 }
 
-// getPooled is the read paths' node fetch: the page request is charged
-// to o (nil charges nothing), a NodeVisit trace event is emitted on
-// success, and the node comes from the decode pool instead of a fresh
-// allocation. The page stays pinned; callers unpin it and hand the node
-// back with releaseNode once done.
-func (t *Tree) getPooled(id store.PageID, o *obs.Op) (*node, error) {
-	data, err := t.pool.GetObs(id, o)
+// read is the read paths' node fetch, through the pool's decode-once
+// cache: the page request (hit or miss) is charged to o exactly as a byte
+// fetch would be (nil charges nothing) and a NodeVisit trace event is
+// emitted on success, but only the first request after the page entered
+// the pool, or after its bytes changed, decodes it. The node is shared
+// with every other reader of the page, so the caller must not modify it
+// or anything it points to; it holds no pin and owes no release.
+func (t *Tree) read(id store.PageID, o *obs.Op) (*node, error) {
+	v, err := t.pool.GetDecodedObs(id, o, t.decode)
 	if err != nil {
 		return nil, err
 	}
-	n := acquireNode()
-	if err := readNodeInto(data, t.valSize, n); err != nil {
-		releaseNode(n)
-		t.pool.Unpin(id, false)
-		return nil, err
-	}
 	o.NodeVisit(uint32(id))
-	return n, nil
+	return v.(*node), nil
 }
 
 // node is the decoded in-memory form of a page.
@@ -217,11 +230,10 @@ func (n *node) insertVal(i, valSize int, v []byte) {
 	if valSize == 0 {
 		return
 	}
-	buf := make([]byte, valSize)
-	copy(buf, v)
-	n.vals = append(n.vals, buf...) // grow
+	n.vals = slices.Grow(n.vals, valSize)[:len(n.vals)+valSize]
 	copy(n.vals[(i+1)*valSize:], n.vals[i*valSize:])
-	copy(n.vals[i*valSize:], buf)
+	slot := n.vals[i*valSize : (i+1)*valSize]
+	clear(slot[copy(slot, v):])
 }
 
 // removeVal deletes the payload of entry i.
@@ -379,7 +391,8 @@ func (t *Tree) Scan(lo, hi uint64, visit func(key uint64) bool, o *obs.Op) error
 }
 
 // ScanValues visits the keys in [lo, hi) with their payloads. The value
-// slice aliases an internal buffer valid only during the callback.
+// slice aliases a decoded node shared with other readers: visit must not
+// modify it. No page is pinned while visit runs.
 func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool, o *obs.Op) error {
 	if hi <= lo {
 		return nil
@@ -387,14 +400,11 @@ func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool
 	// Descend to the leaf that would contain lo.
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.getPooled(id, o)
+		n, err := t.read(id, o)
 		if err != nil {
 			return err
 		}
-		next := n.children[upperBound(n.keys, lo)]
-		t.pool.Unpin(id, false)
-		releaseNode(n)
-		id = next
+		id = n.children[upperBound(n.keys, lo)]
 	}
 	// Walk the leaf chain. A corrupted image could link the chain into a
 	// cycle; more hops than the disk has pages proves one.
@@ -403,21 +413,16 @@ func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool
 		if hops++; hops > t.pool.Disk().PageCount() {
 			return fmt.Errorf("btree: leaf chain cycle detected after %d pages", hops-1)
 		}
-		n, err := t.getPooled(id, o)
+		n, err := t.read(id, o)
 		if err != nil {
 			return err
 		}
 		for i := lowerBound(n.keys, lo); i < len(n.keys); i++ {
 			if n.keys[i] >= hi || !visit(n.keys[i], n.val(i, t.valSize)) {
-				t.pool.Unpin(id, false)
-				releaseNode(n)
 				return nil
 			}
 		}
-		next := n.next
-		t.pool.Unpin(id, false)
-		releaseNode(n)
-		id = next
+		id = n.next
 	}
 	return nil
 }
@@ -836,19 +841,11 @@ func Restore(pool *store.Pool, valueSize int, meta [3]uint64) (*Tree, error) {
 // reads the image correctly; it only changes the format of future
 // writes.
 func RestoreWithOptions(pool *store.Pool, valueSize, compression int, meta [3]uint64) (*Tree, error) {
-	t := &Tree{
-		pool:        pool,
-		valSize:     valueSize,
-		leafCap:     (pool.PageSize() - headerSize) / (8 + valueSize),
-		internalCap: (pool.PageSize() - headerSize) / 12,
-		compress:    compression > 0,
-		root:        store.PageID(meta[0]),
-		height:      int(meta[1]),
-		count:       int(meta[2]),
+	t, err := newTree(pool, valueSize, compression)
+	if err != nil {
+		return nil, err
 	}
-	if t.leafCap < 3 || t.internalCap < 3 {
-		return nil, fmt.Errorf("btree: page size %d too small", pool.PageSize())
-	}
+	t.root, t.height, t.count = store.PageID(meta[0]), int(meta[1]), int(meta[2])
 	if int(t.root) >= pool.Disk().PageCount() {
 		return nil, fmt.Errorf("btree: root page %d outside disk (%d pages): %w", t.root, pool.Disk().PageCount(), store.ErrBadPage)
 	}

@@ -35,31 +35,17 @@ func BulkLoad(pool *store.Pool, valueSize, n int, at func(i int) (key uint64, va
 // number of disk accesses a later range scan pays — shrinks with the
 // compression ratio.
 func BulkLoadWithOptions(pool *store.Pool, valueSize, compression, n int, at func(i int) (key uint64, val []byte)) (*Tree, error) {
-	if valueSize < 0 || valueSize > pool.PageSize()/4 {
-		return nil, fmt.Errorf("btree: invalid value size %d", valueSize)
-	}
-	t := &Tree{
-		pool:        pool,
-		valSize:     valueSize,
-		leafCap:     (pool.PageSize() - headerSize) / (8 + valueSize),
-		internalCap: (pool.PageSize() - headerSize) / 12,
-		compress:    compression > 0,
-	}
-	if t.leafCap < 3 || t.internalCap < 3 {
-		return nil, fmt.Errorf("btree: page size %d too small", pool.PageSize())
+	t, err := newTree(pool, valueSize, compression)
+	if err != nil {
+		return nil, err
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("btree: invalid entry count %d", n)
 	}
 	if n == 0 {
-		id, data, err := pool.Allocate()
-		if err != nil {
+		if err := t.allocEmptyRoot(); err != nil {
 			return nil, err
 		}
-		t.encode(data, &node{leaf: true, next: store.NilPage})
-		pool.Unpin(id, true)
-		t.root = id
-		t.height = 1
 		return t, nil
 	}
 

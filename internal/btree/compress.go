@@ -141,6 +141,25 @@ func getPacked14(dst, src []byte) {
 	binary.LittleEndian.PutUint16(dst[6:], uint16(packed>>42&mask))
 }
 
+// uvarintWord is binary.Uvarint over the eight bytes loaded little-endian
+// into w, without its byte loop: the first clear continuation bit gives
+// the length, and three mask-and-shift steps squeeze the continuation
+// bits out of the payload. Key deltas are one byte inside a quadtree
+// block and seven or eight across blocks, the mix a byte loop predicts
+// worst. n is 0 when the varint does not end within the word.
+func uvarintWord(w uint64) (v uint64, n int) {
+	stop := ^w & 0x8080808080808080
+	if stop == 0 {
+		return 0, 0
+	}
+	last := bits.TrailingZeros64(stop) // bit 7 of the varint's last byte
+	w &= 2<<last - 1
+	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+	return w, last/8 + 1
+}
+
 // readCompressedLeafInto decodes a v3 leaf into n (the dispatch target
 // of readNodeInto for type byte 2). Every read is bounds-checked against
 // the page, so truncated or bit-flipped pages fail with a typed error
@@ -171,10 +190,17 @@ func readCompressedLeafInto(data []byte, valSize int, n *node) error {
 	off := headerSize
 	prev := uint64(0)
 	for i := 0; i < count; i++ {
-		v, vn := binary.Uvarint(data[off:])
-		if vn <= 0 {
-			n.reset()
-			return fmt.Errorf("btree: corrupt page: bad varint at entry %d: %w", i, store.ErrBadPage)
+		var v uint64
+		var vn int
+		if off+8 <= len(data) {
+			v, vn = uvarintWord(binary.LittleEndian.Uint64(data[off:]))
+		}
+		if vn == 0 {
+			// Within 8 bytes of the page end, or a 9- or 10-byte varint.
+			if v, vn = binary.Uvarint(data[off:]); vn <= 0 {
+				n.reset()
+				return fmt.Errorf("btree: corrupt page: bad varint at entry %d: %w", i, store.ErrBadPage)
+			}
 		}
 		off += vn
 		if i == 0 {
@@ -277,13 +303,16 @@ func InspectPage(data []byte, valSize int) (LeafPageInfo, bool) {
 }
 
 // DecodePage fully decodes a serialized node page — classic v1 or a
-// compressed v3 leaf — into a pooled scratch node and reports its entry
-// count. Benchmarks and inspection tools use it to exercise the decode
-// path over raw page bytes without standing up a Tree.
+// compressed v3 leaf — and reports its entry count. Benchmarks and
+// inspection tools use it to exercise the decode path over raw page bytes
+// without standing up a Tree. The node lives on the stack for leaves of
+// up to 512 keys and 1 KB of values, so what is timed is the decode and
+// not the allocator (a fuller leaf still decodes, into the heap).
 func DecodePage(data []byte, valSize int) (int, error) {
-	n := acquireNode()
-	defer releaseNode(n)
-	if err := readNodeInto(data, valSize, n); err != nil {
+	var keys [512]uint64
+	var vals [1024]byte
+	n := node{keys: keys[:0], vals: vals[:0]}
+	if err := readNodeInto(data, valSize, &n); err != nil {
 		return 0, err
 	}
 	return len(n.keys), nil

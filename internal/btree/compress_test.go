@@ -1,9 +1,13 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"segdb/internal/store"
@@ -263,6 +267,160 @@ func TestCompressedLeafCorruptTypedErrors(t *testing.T) {
 	}
 }
 
+// refReadCompressedLeaf is the reference decoder of the v3 leaf: the
+// byte-at-a-time binary.Uvarint loop that readCompressedLeafInto ran
+// before it decoded a word at a time, with the same checks in the same
+// order. The differential tests below hold the two to one answer.
+func refReadCompressedLeaf(data []byte, valSize int) (*node, error) {
+	bad := func(what string) (*node, error) { return nil, fmt.Errorf("%s: %w", what, store.ErrBadPage) }
+	vsize, packed := valSize, data[1]&flagPackedValues != 0
+	if data[1]&^byte(flagPackedValues) != 0 || packed && valSize != 8 {
+		return bad("flags")
+	}
+	if packed {
+		vsize = packedValueSize
+	}
+	count := int(binary.LittleEndian.Uint16(data[2:]))
+	if count*(1+vsize) > len(data)-headerSize {
+		return bad("count")
+	}
+	n := &node{leaf: true, next: store.PageID(binary.LittleEndian.Uint32(data[4:])), keys: make([]uint64, count)}
+	off := headerSize
+	for i := range n.keys {
+		v, vn := binary.Uvarint(data[off:])
+		if vn <= 0 {
+			return bad("varint")
+		}
+		off += vn
+		if i > 0 {
+			if v == 0 || n.keys[i-1]+v < v {
+				return bad("delta")
+			}
+			v += n.keys[i-1]
+		}
+		n.keys[i] = v
+	}
+	if off+count*vsize > len(data) {
+		return bad("values")
+	}
+	n.vals = make([]byte, count*valSize)
+	for i := 0; i < count && valSize > 0; i++ {
+		if packed {
+			getPacked14(n.vals[i*valSize:], data[off:])
+		} else {
+			copy(n.vals[i*valSize:], data[off:off+valSize])
+		}
+		off += vsize
+	}
+	return n, nil
+}
+
+// checkAgainstReference decodes a v3 leaf with both decoders and requires
+// one answer: the same keys, sibling and values, or ErrBadPage from both.
+func checkAgainstReference(t *testing.T, data []byte, valSize int) (*node, error) {
+	t.Helper()
+	got, err := readNode(data, valSize)
+	want, refErr := refReadCompressedLeaf(data, valSize)
+	if (err == nil) != (refErr == nil) || err != nil && !errors.Is(err, store.ErrBadPage) {
+		t.Fatalf("decoder err %v, reference err %v", err, refErr)
+	}
+	if err == nil && (!got.leaf || got.next != want.next || !slices.Equal(got.keys, want.keys) || !bytes.Equal(got.vals, want.vals)) {
+		t.Fatalf("decoder and reference disagree:\n got %+v\nwant %+v", got, want)
+	}
+	return got, err
+}
+
+// TestUvarintWordMatchesUvarint holds the word decoder to binary.Uvarint's
+// (value, length) contract on random varints of every length, canonical
+// and padded, followed by random bytes; it may only decline (n == 0) a
+// varint that does not end within the word.
+func TestUvarintWordMatchesUvarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 1<<18; i++ {
+		var buf [18]byte
+		rng.Read(buf[:])
+		vn := binary.PutUvarint(buf[:], rng.Uint64()>>uint(rng.Intn(64)))
+		if pad := rng.Intn(4); pad > 0 && vn+pad <= 8 { // non-canonical: trailing zero groups
+			buf[vn-1] |= 0x80
+			for ; pad > 1; pad-- {
+				buf[vn] = 0x80
+				vn++
+			}
+			buf[vn] = 0
+		}
+		want, wantN := binary.Uvarint(buf[:])
+		got, n := uvarintWord(binary.LittleEndian.Uint64(buf[:]))
+		if wantN >= 1 && wantN <= 8 && (n != wantN || got != want) || (wantN < 1 || wantN > 8) && n != 0 {
+			t.Fatalf("%x: uvarintWord = (%d, %d), binary.Uvarint = (%d, %d)", buf[:10], got, n, want, wantN)
+		}
+	}
+}
+
+// TestCompressedLeafDecoderEdges pins the places where the word decoder
+// hands over to binary.Uvarint, and the checks that follow a key.
+func TestCompressedLeafDecoderEdges(t *testing.T) {
+	// leaf encodes keys and vals and returns exactly the encoded bytes
+	// plus pad zero bytes.
+	leaf := func(valSize, pad int, keys []uint64, vals []byte) []byte {
+		n := &node{leaf: true, next: 9, keys: keys, vals: vals}
+		data := make([]byte, encodedLeafSize(n, valSize)+pad)
+		writeCompressedLeaf(data, n, valSize)
+		return data
+	}
+	// withDelta is keys 5 and 6 with the second delta overwritten by hand.
+	withDelta := func(delta ...byte) []byte {
+		data := leaf(0, 24, []uint64{5, 6}, nil)
+		copy(data[headerSize+1:], delta)
+		return data
+	}
+	vals := func(n int, word uint16) []byte {
+		v := make([]byte, 8*n)
+		for i := 0; i < len(v); i += 2 {
+			binary.LittleEndian.PutUint16(v[i:], word)
+		}
+		return v
+	}
+	const big = uint64(1) << 63
+	far := []uint64{1 << 40, 1 << 41} // six bytes each
+	cases := []struct {
+		name    string
+		data    []byte
+		valSize int
+		keys    []uint64
+		bad     string // corrupt pages: which check must refuse them
+	}{
+		{"page ends with the last key", leaf(0, 0, []uint64{7, 8, 1 << 40}, nil), 0, []uint64{7, 8, 1 << 40}, ""},
+		{"seven bytes in the whole page", leaf(0, 5, []uint64{300}, nil), 0, []uint64{300}, ""},
+		{"8-byte delta", leaf(0, 8, []uint64{1, 1 + 1<<55}, nil), 0, []uint64{1, 1 + 1<<55}, ""},
+		{"9-byte first key", leaf(0, 8, []uint64{1 << 56, 1<<56 + 1}, nil), 0, []uint64{1 << 56, 1<<56 + 1}, ""},
+		{"10-byte first key", leaf(0, 8, []uint64{big, big + 200}, nil), 0, []uint64{big, big + 200}, ""},
+		{"padded delta", withDelta(0x81, 0x80, 0x00), 0, []uint64{5, 6}, ""},
+		{"packed values", leaf(8, 0, far, vals(2, 1<<14-1)), 8, far, ""},
+		{"verbatim values", leaf(8, 0, far, vals(2, 1<<14)), 8, far, ""},
+		{"truncated inside a key", leaf(0, 0, []uint64{7, 1 << 40}, nil)[:headerSize+4], 0, nil, "bad varint"},
+		{"varint over 64 bits", withDelta(0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02), 0, nil, "bad varint"},
+		{"delta wraps the key", func() []byte {
+			data := leaf(0, 16, []uint64{big, big + 1}, nil)
+			binary.PutUvarint(data[headerSize+10:], big)
+			return data
+		}(), 0, nil, "key delta overflow"},
+		{"zero delta", withDelta(0x00), 0, nil, "zero key delta"},
+		{"values overrun", leaf(8, 0, far, vals(2, 1))[:headerSize+12+6], 8, nil, "values overrun"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := checkAgainstReference(t, c.data, c.valSize)
+			if c.bad != "" {
+				if err == nil || !strings.Contains(err.Error(), c.bad) {
+					t.Fatalf("err %v, want the %q check", err, c.bad)
+				}
+			} else if err != nil || !slices.Equal(got.keys, c.keys) {
+				t.Fatalf("keys %v err %v, want %v", got, err, c.keys)
+			}
+		})
+	}
+}
+
 func FuzzDecodeCompressedLeaf(f *testing.F) {
 	n := &node{leaf: true, next: 7, keys: []uint64{10, 300, 301, 1 << 40}}
 	n.vals = make([]byte, 32)
@@ -276,16 +434,12 @@ func FuzzDecodeCompressedLeaf(f *testing.F) {
 		if len(data) < headerSize || valSize < 0 || valSize > len(data)/4 {
 			return
 		}
-		var got node
-		if err := readNodeInto(data, valSize, &got); err != nil {
-			if data[0] == typeCompressedLeaf && !errors.Is(err, store.ErrBadPage) {
-				t.Fatalf("non-typed error for compressed leaf: %v", err)
-			}
+		if data[0] != typeCompressedLeaf {
+			readNode(data, valSize) // classic pages: must not panic
 			return
 		}
-		// A successful decode must re-encode within the original page
-		// footprint and survive a second decode unchanged.
-		if !got.leaf {
+		got, err := checkAgainstReference(t, data, valSize)
+		if err != nil {
 			return
 		}
 		for i := 1; i < len(got.keys); i++ {

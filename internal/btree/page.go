@@ -3,7 +3,6 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"segdb/internal/store"
 )
@@ -44,27 +43,9 @@ func writeNode(data []byte, n *node, valSize int) {
 	}
 }
 
-// nodePool recycles decoded nodes (and their key/child/value buffers)
-// across observed read-path page decodes, so a warm search decodes every
-// visited page into memory it already owns. Mutation paths keep using
-// freshly allocated nodes: they hold nodes across structural edits where
-// a release discipline would be fragile.
-var nodePool = sync.Pool{New: func() any { return new(node) }}
-
-func acquireNode() *node { return nodePool.Get().(*node) }
-
-// releaseNode hands a node back to the decode pool. The caller must not
-// retain n or any slice into it (keys, children, val payloads)
-// afterwards.
-func releaseNode(n *node) {
-	if n == nil {
-		return
-	}
-	nodePool.Put(n)
-}
-
-// readNode decodes a page into a freshly allocated node. Hot read paths
-// go through getNodeObs, which decodes into pooled nodes instead.
+// readNode decodes a page into a freshly allocated node: the form the
+// write paths edit and re-encode, and the immutable form the read paths
+// publish into the pool's decode-once slot (Tree.read).
 func readNode(data []byte, valSize int) (*node, error) {
 	n := new(node)
 	if err := readNodeInto(data, valSize, n); err != nil {

@@ -15,27 +15,17 @@ func (t *Tree) SeekLE(k uint64, o *obs.Op) (uint64, bool, error) {
 }
 
 func (t *Tree) seekLE(id store.PageID, level int, k uint64, o *obs.Op) (uint64, bool, error) {
-	n, err := t.getPooled(id, o)
+	n, err := t.read(id, o)
 	if err != nil {
 		return 0, false, err
 	}
+	ci := upperBound(n.keys, k)
 	if level == 1 {
-		i := upperBound(n.keys, k)
-		t.pool.Unpin(id, false)
-		if i == 0 {
-			releaseNode(n)
+		if ci == 0 {
 			return 0, false, nil
 		}
-		v := n.keys[i-1]
-		releaseNode(n)
-		return v, true, nil
+		return n.keys[ci-1], true, nil
 	}
-	ci := upperBound(n.keys, k)
-	t.pool.Unpin(id, false)
-	// The pooled node (a decoded copy, independent of the unpinned frame)
-	// is held across the descent, so the fallback walk reads n.children
-	// directly instead of copying it per level.
-	defer releaseNode(n)
 	// The natural child may hold no key <= k (k smaller than everything
 	// in it); fall back through the left siblings, whose keys are all
 	// below the separator and hence <= k.

@@ -126,11 +126,11 @@ func TestPackedKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	widths := []int{0, 1, 2, 3, 31, 32, 33, 50, 51, 63, 64}
 	outside := []geom.Rect{
-		{Min: geom.Point{X: -500, Y: -500}, Max: geom.Point{X: -100, Y: -100}},                                 // fully below
-		{Min: geom.Point{X: PackCoordMax + 1, Y: 0}, Max: geom.Point{X: PackCoordMax + 900, Y: 100}},           // fully above in x
-		{Min: geom.Point{X: -100, Y: -100}, Max: geom.Point{X: PackCoordMax + 100, Y: PackCoordMax + 100}},     // superset of the domain
-		{Min: geom.Point{X: -100, Y: 50}, Max: geom.Point{X: 100, Y: 60}},                                      // straddles the low edge
-		{Min: geom.Point{X: PackCoordMax - 5, Y: 0}, Max: geom.Point{X: PackCoordMax + 5, Y: PackCoordMax}},    // straddles the high edge
+		{Min: geom.Point{X: -500, Y: -500}, Max: geom.Point{X: -100, Y: -100}},                                     // fully below
+		{Min: geom.Point{X: PackCoordMax + 1, Y: 0}, Max: geom.Point{X: PackCoordMax + 900, Y: 100}},               // fully above in x
+		{Min: geom.Point{X: -100, Y: -100}, Max: geom.Point{X: PackCoordMax + 100, Y: PackCoordMax + 100}},         // superset of the domain
+		{Min: geom.Point{X: -100, Y: 50}, Max: geom.Point{X: 100, Y: 60}},                                          // straddles the low edge
+		{Min: geom.Point{X: PackCoordMax - 5, Y: 0}, Max: geom.Point{X: PackCoordMax + 5, Y: PackCoordMax}},        // straddles the high edge
 		{Min: geom.Point{X: math.MinInt32, Y: math.MinInt32}, Max: geom.Point{X: math.MaxInt32, Y: math.MaxInt32}}, // extreme
 	}
 	for trial := 0; trial < 500; trial++ {

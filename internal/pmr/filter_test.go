@@ -18,12 +18,12 @@ func TestFilterMembersMatchesScalarDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	queries := []geom.Rect{
 		{Min: geom.Pt(-500, -500), Max: geom.Pt(-100, -100)}, // outside the world
-		{Min: geom.Pt(0, 0), Max: geom.Pt(geom.WorldSize - 1, geom.WorldSize - 1)},
+		{Min: geom.Pt(0, 0), Max: geom.Pt(geom.WorldSize-1, geom.WorldSize-1)},
 	}
 	for i := 0; i < 30; i++ {
 		x1, y1 := int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize))
 		w := int32(rng.Intn(4000))
-		queries = append(queries, geom.Rect{Min: geom.Pt(x1, y1), Max: geom.Pt(x1 + w, y1 + w)})
+		queries = append(queries, geom.Rect{Min: geom.Pt(x1, y1), Max: geom.Pt(x1+w, y1+w)})
 	}
 	for qi, q := range queries {
 		for _, n := range []int{0, 1, 17, 63, 64, 65, 130} {

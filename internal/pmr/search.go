@@ -14,14 +14,14 @@ import (
 )
 
 // Query-scratch pools: block code sets, candidate member buffers, the
-// StoreMBR filter lanes, and the nearest-neighbor priority queue are
-// recycled across queries (like the shared duplicate-suppression set,
+// StoreMBR filter lanes, and the nearest-neighbor search's working memory
+// are recycled across queries (like the shared duplicate-suppression set,
 // seg.AcquireSeen) so warm window/nearest searches allocate nothing.
 var (
 	codeSetPool = sync.Pool{New: func() any { return make(map[geom.Code]struct{}) }}
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
 	lanesPool   = sync.Pool{New: func() any { return new(rectLanes) }}
-	pqPool      = sync.Pool{New: func() any { return new([]pqItem) }}
+	nearestPool = sync.Pool{New: func() any { return new(nearestScratch) }}
 )
 
 // rectLanes holds the stored q-edge rectangles of a scan's candidates as
@@ -338,12 +338,25 @@ type qedgeRef struct {
 }
 
 type pqItem struct {
-	distSq  float64
-	kind    pqKind
-	code    geom.Code
-	id      seg.ID
-	s       geom.Segment
-	members []qedgeRef // bucket items: q-edges of the leaf block, prefetched
+	distSq float64
+	kind   pqKind
+	code   geom.Code
+	id     seg.ID
+	s      geom.Segment
+	// Bucket items: the q-edges of the leaf block, prefetched by the
+	// region scan that found it, are nearestScratch.refs[lo:hi]. A bucket
+	// seeded by point location has none yet (lo == hi).
+	lo, hi int
+}
+
+// nearestScratch is the working memory of one nearest-neighbor search:
+// the queue, the q-edges prefetched for deferred buckets (appended as
+// regions are enumerated, never moved, so queue items address them by
+// index) and the leaf blocks of the region being enumerated.
+type nearestScratch struct {
+	q      []pqItem
+	refs   []qedgeRef
+	groups []pqItem // code, lo and hi of each block
 }
 
 type pqKind uint8
@@ -418,15 +431,15 @@ const nearestEnumLimit = 32
 // counts on this query. Regions with few q-edges are resolved with a
 // single contiguous key-range scan rather than further subdivision,
 // mirroring how a linear quadtree reads whole buckets off sequential
-// B-tree leaves. The queue backing array and the duplicate set are
-// pooled, so a reused dst keeps warm queries off the allocator.
+// B-tree leaves. The queue, the prefetched q-edges and the duplicate set
+// are pooled, so a reused dst keeps warm queries off the allocator.
 func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	var examined uint64
 	defer func() { t.comps(o, examined) }()
-	qp := pqPool.Get().(*[]pqItem)
-	q := (*qp)[:0]
-	defer func() { *qp = q[:0]; pqPool.Put(qp) }()
+	sc := nearestPool.Get().(*nearestScratch)
+	q, refs, groups := sc.q[:0], sc.refs[:0], sc.groups
+	defer func() { sc.q, sc.refs, sc.groups = q, refs, groups; nearestPool.Put(sc) }()
 	// Seed the queue from the leaf block containing p (one predecessor
 	// search) plus the unexplored siblings along its ancestor path. In
 	// the dense regions favored by the two-stage query points, the
@@ -475,12 +488,13 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// Resolve the deferred leaf block only now, when no closer
 			// candidate remains. A bucket seeded by Locate carries no
 			// prefetched keys; scan its exact range.
-			if it.members == nil {
+			if it.lo == it.hi {
+				it.lo = len(refs)
 				exLo, exHi := exactRange(it.code)
 				if err := t.bt.ScanValues(exLo, exHi, func(k uint64, v []byte) bool {
 					ref := qedgeRef{id: keySeg(k)}
 					ref.rect, ref.hasRect = decodeQEdgeRect(it.code, v)
-					it.members = append(it.members, ref)
+					refs = append(refs, ref)
 					return true
 				}, o); err != nil {
 					if !store.IsUnavailable(err) {
@@ -488,8 +502,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					// Degraded: rank whatever members were gathered.
 				}
+				it.hi = len(refs)
 			}
-			for _, ref := range it.members {
+			for _, ref := range refs[it.lo:it.hi] {
 				if ref.hasRect {
 					// StoreMBR variant: defer the segment fetch behind the
 					// stored rectangle's distance. Deduplication happens at
@@ -554,22 +569,19 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				// it fully however many coincident q-edges it holds.
 				limit = int(^uint(0) >> 1)
 			}
-			type blockGroup struct {
-				code    geom.Code
-				members []qedgeRef
-			}
-			var groups []blockGroup
+			groups = groups[:0]
+			mark := len(refs)
 			count := 0
 			if err := t.bt.ScanValues(lo, hi, func(k uint64, v []byte) bool {
 				count++
 				bc := keyCode(k)
 				if len(groups) == 0 || groups[len(groups)-1].code != bc {
-					groups = append(groups, blockGroup{code: bc})
+					groups = append(groups, pqItem{kind: pqBucket, code: bc, lo: len(refs)})
 				}
-				g := &groups[len(groups)-1]
 				ref := qedgeRef{id: keySeg(k)}
 				ref.rect, ref.hasRect = decodeQEdgeRect(bc, v)
-				g.members = append(g.members, ref)
+				refs = append(refs, ref)
+				groups[len(groups)-1].hi = len(refs)
 				return count <= limit
 			}, o); err != nil {
 				if !store.IsUnavailable(err) {
@@ -579,6 +591,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				// quarantined page; the lost remainder is skipped.
 			}
 			if count > limit {
+				refs = refs[:mark]
 				for qd := 0; qd < 4; qd++ {
 					child := it.code.Child(qd)
 					examined++
@@ -590,12 +603,8 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// its segments are fetched only if the bucket is reached.
 			for _, g := range groups {
 				examined++
-				pqPush(&q, pqItem{
-					distSq:  g.code.Block().DistSqToPoint(p),
-					kind:    pqBucket,
-					code:    g.code,
-					members: g.members,
-				})
+				g.distSq = g.code.Block().DistSqToPoint(p)
+				pqPush(&q, g)
 			}
 		}
 	}

@@ -539,15 +539,15 @@ type frame struct {
 	prev, next *frame // LRU list; most recently used at head
 
 	// decoded is the frame's decode-once cache slot: the immutable
-	// in-memory form of the page bytes (e.g. an *rpage.SoA), built by the
-	// first GetDecodedObs after the frame came in and served to every
-	// later one, so warm traversals skip the binary decode entirely. It
-	// is cleared whenever the bytes change (Unpin with dirty=true,
-	// MarkDirty) and vanishes with the frame on eviction, Discard, Free,
-	// and DropAll — install always builds a fresh frame struct even when
-	// it reuses the victim's byte buffer. Recovery builds a whole new
-	// Pool, and Scrub repairs end in Discard, so a recovered or repaired
-	// page can never serve a stale decode.
+	// in-memory form of the page bytes (an *rpage.SoA, a B+-tree node),
+	// built by the first GetDecodedObs after the frame came in and served
+	// to every later one, so warm traversals skip the binary decode
+	// entirely. It is cleared whenever the bytes change (Unpin with
+	// dirty=true, MarkDirty) and vanishes with the frame on eviction,
+	// Discard, Free, and DropAll — install always builds a fresh frame
+	// struct even when it reuses the victim's byte buffer. Recovery builds
+	// a whole new Pool, and Scrub repairs end in Discard, so a recovered
+	// or repaired page can never serve a stale decode.
 	decoded atomic.Pointer[any]
 }
 

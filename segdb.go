@@ -489,12 +489,12 @@ func (db *DB) Metrics() Metrics {
 
 // DecodeCacheStats reports the decode-once node cache's counters on the
 // index buffer pool: hits are page requests served from a frame's cached
-// decoded struct-of-arrays node (the binary decode was skipped), misses
-// are requests that had to decode. The cache sits behind the disk-access
+// decoded node (the binary decode was skipped), misses are requests that
+// had to decode. Every index kind reads through it: the R-tree family
+// caches struct-of-arrays nodes, the PMR quadtree and the uniform grid the
+// nodes of their B+-tree. The cache sits behind the disk-access
 // accounting — it changes neither reads, writes, nor pool hits — so
-// these counters are pure CPU-cost observability. Index kinds that do
-// not use the SoA node layout (grid, the B-tree interiors of the PMR
-// quadtree) report zeros.
+// these counters are pure CPU-cost observability.
 func (db *DB) DecodeCacheStats() (hits, misses uint64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
