@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet fmt-check staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke
+.PHONY: check build test vet fmt-check staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke profile-hot
 
 # check is the full local gate: what CI runs.
 check: fmt-check vet staticcheck govulncheck build race fuzz-smoke
@@ -125,3 +125,15 @@ bench-kernels:
 	@rm -f BENCH_kernels.txt
 	$(GO) test -run xxx -bench 'RStarInsert/map=golden' -benchtime 3x -benchmem ./internal/rstar
 	SEGDB_BENCH_KERNELS=1 $(GO) test -run TestKernelRegressionGate -v -count=1 ./internal/kernel
+
+# profile-hot CPU-profiles BenchmarkHotReads — the repo benchmark's
+# rstar_hot read mix (everything resident: kernels, pool hits, segment
+# fetches, the k-NN queue, the facade) as a Go benchmark, because the
+# frozen harness has no profile flag — and prints the top of the profile
+# by cumulative time. The test binary and the profile stay in
+# .bench_build/; `go tool pprof -list 'Cursor..Get' .bench_build/hot.test
+# .bench_build/hot.prof` reads a function line by line.
+profile-hot:
+	@mkdir -p .bench_build
+	$(GO) test -run xxx -bench HotReads -benchtime 5s -o .bench_build/hot.test -cpuprofile .bench_build/hot.prof .
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/hot.test .bench_build/hot.prof

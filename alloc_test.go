@@ -133,6 +133,42 @@ func TestNearestKAppendCtxWarmAllocs(t *testing.T) {
 	})
 }
 
+// TestPointQueriesWarmAllocs pins what the two queries built on nested
+// point traversals allocate: IncidentAtCtx its one endpoint-filter
+// closure, EnclosingPolygonCtx five closures per boundary edge (one
+// IncidentAt and its filter per edge) plus the growth of its id list. A
+// per-traversal allocation under them — a segment cursor whose page
+// buffer was not recycled — would add one per edge.
+func TestPointQueriesWarmAllocs(t *testing.T) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forKinds(t, []int{0}, func(t *testing.T, db *DB) {
+		ctx := context.Background()
+		end, inside := m.Segments[12345].P2, Point{X: 4000, Y: 4000}
+		visit := func(SegmentID, Segment) bool { return true }
+		poly, _, err := db.EnclosingPolygonCtx(ctx, inside)
+		if err != nil || poly.Size() < 3 {
+			t.Fatalf("polygon of %d edges, %v", poly.Size(), err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := db.IncidentAtCtx(ctx, end, visit); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 1 {
+			t.Errorf("warm IncidentAtCtx allocates %.1f objects/query, want 1", allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := db.EnclosingPolygonCtx(ctx, inside); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > float64(5*poly.Size()+16) {
+			t.Errorf("warm EnclosingPolygonCtx of %d edges allocates %.0f objects, want at most 5 an edge + 16", poly.Size(), allocs)
+		}
+	})
+}
+
 // TestAddWarmAllocs bounds the garbage of a warm one-at-a-time R*-tree
 // Add: the insert path decodes into per-level scratch nodes and keeps its
 // reinsertion queue, split sortings and ChooseSubtree lanes on the tree,

@@ -8,6 +8,7 @@ package segdb
 // full-size runs that EXPERIMENTS.md records come from cmd/experiments.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -623,4 +624,64 @@ func BenchmarkOverlayParallelJoin(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHotReads is the repo benchmark's rstar_hot read mix as a Go
+// benchmark, so it can be profiled (make profile-hot) without touching the
+// frozen harness: the Charles map bulk-built into an R*-tree whose 4096
+// pool pages hold everything, then 80% WindowAppendCtx of side 64-256 and
+// 20% NearestKAppendCtx with k in {1,5,10}, one goroutine, buffers reused.
+// No disk access, no decode: what is left is the node kernels, the pool
+// hit, the segment fetch, the k-NN queue and the facade.
+func BenchmarkHotReads(b *testing.B) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := Open(RStarTree, WithPoolPages(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.AddBatch(m.Segments); err != nil {
+		b.Fatal(err)
+	}
+	type read struct {
+		r Rect
+		p Point
+		k int // 0: window
+	}
+	rng := rand.New(rand.NewSource(7))
+	reads := make([]read, 1<<14)
+	for i := range reads {
+		if rng.Intn(5) == 0 {
+			reads[i] = read{p: Pt(rng.Int31n(WorldSize), rng.Int31n(WorldSize)), k: []int{1, 5, 10}[rng.Intn(3)]}
+			continue
+		}
+		side := 64 + rng.Int31n(193)
+		x, y := rng.Int31n(WorldSize-side), rng.Int31n(WorldSize-side)
+		reads[i] = read{r: RectOf(x, y, x+side, y+side)}
+	}
+	ctx := context.Background()
+	var (
+		hits []WindowHit
+		nn   []NearestResult
+	)
+	run := func(q *read) {
+		var err error
+		if q.k == 0 {
+			hits, _, err = db.WindowAppendCtx(ctx, q.r, hits[:0])
+		} else {
+			nn, _, err = db.NearestKAppendCtx(ctx, q.p, q.k, nn[:0])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range reads { // fault everything in, fill the decode slots
+		run(&reads[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(&reads[i%len(reads)])
+	}
 }

@@ -208,6 +208,8 @@ func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
+	cur := g.table.Cursor(o)
+	defer cur.Close()
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
 			g.comps(o, 1)
@@ -225,7 +227,7 @@ func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 				if _, dup := seen[id]; dup {
 					continue
 				}
-				s, err := g.table.GetObs(id, o)
+				s, err := cur.Get(id)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue // degraded: segment's table page is gone
@@ -317,6 +319,8 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
+	cur := g.table.Cursor(o)
+	defer cur.Close()
 	pcx, pcy := g.cellOf(p)
 	examine := func(cx, cy int32) error {
 		if cx < 0 || cy < 0 || cx >= g.n || cy >= g.n {
@@ -337,7 +341,7 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				continue
 			}
 			seen[id] = struct{}{}
-			s, err := g.table.GetObs(id, o)
+			s, err := cur.Get(id)
 			if err != nil {
 				if store.IsUnavailable(err) {
 					continue // degraded: segment's table page is gone

@@ -132,6 +132,12 @@ type QueryInfo struct {
 // All counter methods are safe for concurrent use (a parallel overlay or
 // batch shares one Op across its workers) and are no-ops on a nil
 // receiver, so uninstrumented paths pay only a nil check.
+//
+// Page requests that reach a pool are charged at once; a traversal's node
+// computations are counted locally and charged when it returns, and its
+// segment fetches when its seg.Cursor closes (SegComps for all of them,
+// PoolHits for those answered from the cursor's page copy). Stats read
+// from a visitor lack those; Stats read after the index call are complete.
 type Op struct {
 	info   QueryInfo
 	tracer Tracer
@@ -277,12 +283,14 @@ func (o *Op) Canceled() error {
 	}
 }
 
-// PoolHit charges one page request served from a buffer pool.
-func (o *Op) PoolHit() {
+// PoolHits charges n page requests served from a buffer pool: one per
+// request that reaches a pool, and at once the fetches a closing
+// seg.Cursor answered from its page copy.
+func (o *Op) PoolHits(n uint64) {
 	if o == nil {
 		return
 	}
-	o.poolHits.Add(1)
+	o.poolHits.Add(n)
 }
 
 // PoolMiss charges one page request that went to the disk, emitting the

@@ -13,7 +13,7 @@ func TestNilOpIsInert(t *testing.T) {
 	if err := o.Canceled(); err != nil {
 		t.Fatal(err)
 	}
-	o.PoolHit()
+	o.PoolHits(1)
 	o.PoolMiss(3)
 	o.DiskWrite()
 	o.SegComps(5)
@@ -32,8 +32,8 @@ func TestNilOpIsInert(t *testing.T) {
 
 func TestOpAccounting(t *testing.T) {
 	o := Begin(context.Background(), nil, QueryInfo{ID: 1, Kind: "window"})
-	o.PoolHit()
-	o.PoolHit()
+	o.PoolHits(1)
+	o.PoolHits(1)
 	o.PoolMiss(9)
 	o.DiskWrite()
 	o.SegComps(3)

@@ -141,8 +141,10 @@ type joinSeg struct {
 // loadGeometries reads the segment table once in storage order.
 func (t *Tree) loadGeometries(o *obs.Op) ([]geom.Segment, error) {
 	out := make([]geom.Segment, t.table.Len())
+	cur := t.table.Cursor(o)
+	defer cur.Close()
 	for i := range out {
-		s, err := t.table.GetObs(seg.ID(i), o)
+		s, err := cur.Get(seg.ID(i))
 		if err != nil {
 			return nil, err
 		}

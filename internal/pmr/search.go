@@ -101,8 +101,10 @@ func (t *Tree) comps(o *obs.Op, n uint64) {
 // locational key, as QUILT's linear quadtree does: a single bucket
 // computation instead of a quadrant descent.
 func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
+	cur := t.table.Cursor(o)
+	defer cur.Close()
 	if r.Min == r.Max {
-		return t.pointQuery(r.Min, visit, o)
+		return t.pointQuery(r.Min, visit, o, cur)
 	}
 	// Depth of the smallest aligned blocks at least as large as the
 	// window: the window then intersects at most 2 blocks per axis, each
@@ -149,13 +151,13 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 				continue
 			}
 			scannedLeaf[leaf] = struct{}{}
-			cont, err := t.scanBlockEntries(leaf, r, seen, visit, o)
+			cont, err := t.scanBlockEntries(leaf, r, seen, visit, o, cur)
 			if err != nil || !cont {
 				return err
 			}
 			continue
 		}
-		cont, err := t.scanBlockEntries(cover, r, seen, visit, o)
+		cont, err := t.scanBlockEntries(cover, r, seen, visit, o, cur)
 		if err != nil || !cont {
 			return err
 		}
@@ -167,7 +169,7 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 // block whose own block intersects r. One bucket computation is charged
 // per distinct stored block encountered; one segment comparison per
 // candidate segment fetched.
-func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op) (bool, error) {
+func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) (bool, error) {
 	lo, hi := blockRange(c)
 	mp := membersPool.Get().(*[]seg.ID)
 	members := (*mp)[:0]
@@ -220,7 +222,7 @@ func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct
 		if _, dup := seen[id]; dup {
 			continue
 		}
-		s, err := t.table.GetObs(id, o)
+		s, err := cur.Get(id)
 		if err != nil {
 			if store.IsUnavailable(err) {
 				continue // degraded: this segment's table page is gone
@@ -265,7 +267,7 @@ func (t *Tree) locate(p geom.Point, o *obs.Op) (geom.Code, bool, error) {
 	return c, true, nil
 }
 
-func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o *obs.Op) error {
+func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) error {
 	c, ok, err := t.locate(p, o)
 	if err != nil {
 		if store.IsUnavailable(err) {
@@ -312,7 +314,7 @@ func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o
 		members = filterMembers(members, ln, pt)
 	}
 	for _, id := range members {
-		s, err := t.table.GetObs(id, o)
+		s, err := cur.Get(id)
 		if err != nil {
 			if store.IsUnavailable(err) {
 				continue // degraded: this segment's table page is gone
@@ -473,6 +475,8 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	}
 	seen := seg.AcquireSeen()
 	defer seg.ReleaseSeen(seen)
+	cur := t.table.Cursor(o)
+	defer cur.Close()
 	for len(q) > 0 && len(dst)-base < k {
 		it := pqPop(&q)
 		switch it.kind {
@@ -525,7 +529,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					continue
 				}
 				seen[ref.id] = struct{}{}
-				s, err := t.table.GetObs(ref.id, o)
+				s, err := cur.Get(ref.id)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue // degraded: segment's table page is gone
@@ -545,7 +549,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				continue
 			}
 			seen[it.id] = struct{}{}
-			s, err := t.table.GetObs(it.id, o)
+			s, err := cur.Get(it.id)
 			if err != nil {
 				if store.IsUnavailable(err) {
 					continue // degraded: segment's table page is gone

@@ -55,13 +55,15 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 		seen = seg.AcquireSeen()
 		defer seg.ReleaseSeen(seen)
 	}
+	cur := t.Segs.Cursor(o)
+	defer cur.Close()
 	var examined uint64
-	_, err := t.window(t.Root, r, seen, visit, o, &examined)
+	_, err := t.window(t.Root, r, seen, visit, o, cur, &examined)
 	t.ChargeComps(o, examined)
 	return err
 }
 
-func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, examined *uint64) (bool, error) {
+func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor, examined *uint64) (bool, error) {
 	n, err := t.readSoA(id, o)
 	if err != nil {
 		if store.IsUnavailable(err) {
@@ -114,7 +116,7 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 						continue
 					}
 				}
-				s, err := t.Segs.GetObs(sid, o)
+				s, err := cur.Get(sid)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue // degraded: this segment's table page is gone
@@ -134,7 +136,7 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 				}
 				continue
 			}
-			cont, err := t.window(store.PageID(n.Ptr[i]), r, seen, visit, o, examined)
+			cont, err := t.window(store.PageID(n.Ptr[i]), r, seen, visit, o, cur, examined)
 			if err != nil || !cont {
 				*examined += uint64(i + 1 - counted)
 				return cont, err
@@ -234,6 +236,8 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		seen = seg.AcquireSeen()
 		defer seg.ReleaseSeen(seen)
 	}
+	cur := t.Segs.Cursor(o)
+	defer cur.Close()
 	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root)})
 	for len(q) > 0 && len(dst)-base < k {
 		it := pqPop(&q)
@@ -264,7 +268,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					seen[sid] = struct{}{}
 				}
-				s, err := t.Segs.GetObs(sid, o)
+				s, err := cur.Get(sid)
 				if err != nil {
 					if store.IsUnavailable(err) {
 						continue // degraded: segment's table page is gone

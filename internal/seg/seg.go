@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"segdb/internal/geom"
@@ -45,6 +46,10 @@ const recordSize = 16
 // for already-visible ids while an Append is in flight — the new slot's
 // bytes are disjoint from every visible record, and visibility of the
 // new id is published by the caller's snapshot pointer, not by count.
+// No read touches bytes past the records visible to it: a one-shot Get
+// copies its own 16, and a Cursor copies a page's visible prefix — the
+// records below the count it loaded before copying, whose bytes Append
+// wrote before its count.Add — never the slot an Append may be filling.
 type Table struct {
 	pool    *store.Pool
 	perPage int
@@ -141,22 +146,116 @@ func (t *Table) Get(id ID) (geom.Segment, error) {
 
 // GetObs is Get with per-query observation: the segment comparison and
 // the underlying page request are charged to o as well as to the table's
-// own counters. A nil o makes this identical to Get.
+// own counters. A nil o makes this identical to Get. It is the one-shot
+// fetch, for a caller with a single id; a traversal opens a Cursor.
 func (t *Table) GetObs(id ID, o *obs.Op) (geom.Segment, error) {
 	if count := t.count.Load(); int64(id) >= count {
-		return geom.Segment{}, fmt.Errorf("seg: id %d out of range (%d segments)", id, count)
+		return geom.Segment{}, errRange(id, count)
 	}
 	t.fetches.Add(1)
 	o.SegComps(1)
-	pid := store.PageID(int(id) / t.perPage)
-	slot := int(id) % t.perPage
-	data, err := t.pool.GetObs(pid, o)
-	if err != nil {
+	var rec [recordSize]byte
+	if err := t.pool.ReadObs(store.PageID(int(id)/t.perPage), int(id)%t.perPage*recordSize, rec[:], o); err != nil {
 		return geom.Segment{}, err
 	}
-	s := decode(data[slot*recordSize:])
-	t.pool.Unpin(pid, false)
-	return s, nil
+	return decode(rec[:]), nil
+}
+
+func errRange(id ID, count int64) error {
+	return fmt.Errorf("seg: id %d out of range (%d segments)", id, count)
+}
+
+// Cursor fetches segments for one traversal. It keeps a private copy of
+// the last table page it read and answers a fetch for that page from the
+// copy — the usual case: an index leaf's candidates were appended
+// together. Every fetch is still one segment comparison and one pool
+// request in every counter; one answered from the copy is a hit that
+// skipped the pool, where re-touching the page served last moves neither
+// an LRU list nor a CLOCK bit.
+//
+// The page must still be the pool's last for that, so the copy is used
+// only while the table's count and fetch total are what they were when it
+// was taken: an Append, a one-shot Get or another cursor's Close (a
+// traversal nested in this one's visitor) moves one, and the next fetch
+// goes back to the pool, as every fetch did before cursors. Other
+// goroutines' open cursors are not seen; the hit/miss split of concurrent
+// requests was never repeatable.
+//
+// A copy, not a pin: a pin held from fetch to fetch would fail other
+// readers with ErrAllPinned once cursors outnumber a pool's frames, and
+// make DropAll panic. Only the page's visible prefix is copied (see
+// Table). Fetches and hits are counted here and charged by Close — to the
+// table, the pool and the Op — so a traversal closes its cursor before its
+// counters are read. Not safe for concurrent use.
+type Cursor struct {
+	t       *Table
+	o       *obs.Op
+	lo      ID     // first id of the copied page
+	n       uint32 // records copied; 0 when no page is held
+	count   int64  // t.count when they were
+	seen    uint64 // t.fetches when they were
+	fetches uint64 // fetches not yet charged
+	hits    uint64 // those of them answered from the copy
+	buf     []byte
+}
+
+// cursorPool recycles cursors with their page buffers.
+var cursorPool = sync.Pool{New: func() any { return new(Cursor) }}
+
+// Cursor opens a cursor charging o (nil charges only the table and the
+// pool). The caller must Close it.
+func (t *Table) Cursor(o *obs.Op) *Cursor {
+	c := cursorPool.Get().(*Cursor)
+	c.t, c.o = t, o
+	if size := t.perPage * recordSize; cap(c.buf) < size {
+		c.buf = make([]byte, size)
+	}
+	return c
+}
+
+// Get is Table.GetObs through the cursor: same segment, same error, same
+// charges (made at Close), cancellation consulted on every fetch.
+func (c *Cursor) Get(id ID) (geom.Segment, error) {
+	t := c.t
+	count := t.count.Load()
+	if int64(id) >= count {
+		return geom.Segment{}, errRange(id, count)
+	}
+	c.fetches++
+	if slot := uint32(id - c.lo); slot < c.n && count == c.count && t.fetches.Load() == c.seen {
+		if err := c.o.Canceled(); err != nil {
+			return geom.Segment{}, err
+		}
+		c.hits++
+		return decode(c.buf[slot*recordSize:]), nil
+	}
+	// Another page, or the copy can no longer stand in for the pool: one
+	// ordinary request, keeping the records visible now. A failed one
+	// leaves no page held, so a quarantined page is asked for (and charged
+	// as skipped) once per candidate on it.
+	page := int(id) / t.perPage
+	lo := page * t.perPage
+	n := min(t.perPage, int(count)-lo)
+	c.n = 0
+	if err := t.pool.ReadObs(store.PageID(page), 0, c.buf[:n*recordSize], c.o); err != nil {
+		return geom.Segment{}, err
+	}
+	c.lo, c.n, c.count, c.seen = ID(lo), uint32(n), count, t.fetches.Load()
+	return decode(c.buf[(int(id)-lo)*recordSize:]), nil
+}
+
+// Close charges the cursor's fetches and recycles it.
+func (c *Cursor) Close() {
+	if c.fetches != 0 {
+		c.t.fetches.Add(c.fetches)
+		c.o.SegComps(c.fetches)
+	}
+	if c.hits != 0 {
+		c.t.pool.CreditHits(c.hits)
+		c.o.PoolHits(c.hits)
+	}
+	c.t, c.o, c.n, c.fetches, c.hits = nil, nil, 0, 0, 0
+	cursorPool.Put(c)
 }
 
 func encode(b []byte, s geom.Segment) {

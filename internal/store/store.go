@@ -36,6 +36,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"segdb/internal/obs"
 )
@@ -613,12 +614,25 @@ type Pool struct {
 // ratio (and risks transient all-pinned shards) for nothing.
 const minAutoShardFrames = 8
 
-// clockEvictRetries bounds how many times a CLOCK shard re-sweeps after
-// finding every frame pinned, yielding between attempts. Pins are held
-// only across a page decode, so a full shard is almost always a transient
-// pin storm, not a deadlock; retrying absorbs it. Exhausting the retries
-// surfaces ErrAllPinned.
-const clockEvictRetries = 128
+// evictRetries bounds how many times a request retries after finding
+// every frame of its shard pinned. No read path holds a pin on return — a
+// pin lasts a page decode or a copy — so a full shard is almost always a
+// transient pin storm, in either eviction mode, even when readers
+// outnumber a small pool's frames. evictWait is the wait before a retry:
+// a yield at first, then short sleeps, because the pin's holder may be
+// off the processor (preempted mid-decode, parked by the collector),
+// which no amount of yielding outlasts. Exhausting the retries — some
+// milliseconds; a write path pinning more pages than the pool has frames
+// — surfaces ErrAllPinned.
+const evictRetries = 128
+
+func evictWait(attempt int) {
+	if attempt < evictRetries/4 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(50 * time.Microsecond)
+}
 
 // NewPool creates a single-shard buffer pool with the given number of
 // frames — one latch and exact LRU eviction, the paper's configuration.
@@ -739,13 +753,13 @@ func (p *Pool) Allocate() (PageID, []byte, error) {
 			return id, f.data, nil
 		}
 		sh.mu.Unlock()
-		if p.lru || attempt >= clockEvictRetries || !errors.Is(err, ErrAllPinned) {
+		if attempt >= evictRetries || !errors.Is(err, ErrAllPinned) {
 			p.disk.release(id)
 			return NilPage, nil, err
 		}
-		// CLOCK shard momentarily all pinned; pins are transient, so
-		// yield and retry rather than failing the allocation.
-		runtime.Gosched()
+		// Shard momentarily all pinned; readers' pins are transient, so
+		// wait and retry rather than failing the allocation.
+		evictWait(attempt)
 	}
 }
 
@@ -788,47 +802,34 @@ func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
 		return nil, &PageUnavailableError{Page: id}
 	}
 	sh := p.shardFor(id)
-	if p.lru {
+	for attempt := 0; ; attempt++ {
+		if !p.lru {
+			// CLOCK hit path: shard read lock, pin, mark referenced.
+			// Eviction needs the write lock and skips pinned frames, so
+			// pinning under the read lock keeps the frame resident.
+			sh.mu.RLock()
+			if f, ok := sh.frames[id]; ok {
+				f.pins.Add(1)
+				f.ref.Store(true)
+				sh.mu.RUnlock()
+				p.hits.Add(1)
+				o.PoolHits(1)
+				return f, nil
+			}
+			sh.mu.RUnlock()
+		}
+		// Exact LRU takes the exclusive latch for every request (a hit
+		// moves the list); CLOCK only to install, where a racer may have
+		// brought the page in meanwhile — still a hit. Released by hand,
+		// charges made after it: a deferred unlock was a measurable share
+		// of an LRU hit.
 		sh.mu.Lock()
-		defer sh.mu.Unlock()
 		if f, ok := sh.frames[id]; ok {
-			p.hits.Add(1)
-			o.PoolHit()
 			sh.touch(f)
 			f.pins.Add(1)
-			return f, nil
-		}
-		f, err := sh.install(p, id, true, o)
-		if err != nil {
-			return nil, p.degrade(id, err, o)
-		}
-		o.PoolMiss(uint32(id))
-		f.pins.Add(1)
-		return f, nil
-	}
-	for attempt := 0; ; attempt++ {
-		// CLOCK hit path: shard read lock, pin, mark referenced. Eviction
-		// needs the write lock and skips pinned frames, so pinning under
-		// the read lock is enough to keep the frame resident.
-		sh.mu.RLock()
-		if f, ok := sh.frames[id]; ok {
-			f.pins.Add(1)
-			f.ref.Store(true)
-			sh.mu.RUnlock()
-			p.hits.Add(1)
-			o.PoolHit()
-			return f, nil
-		}
-		sh.mu.RUnlock()
-		sh.mu.Lock()
-		if f, ok := sh.frames[id]; ok {
-			// A racer installed the page while we upgraded to the write
-			// lock; still a hit.
-			f.pins.Add(1)
-			f.ref.Store(true)
 			sh.mu.Unlock()
 			p.hits.Add(1)
-			o.PoolHit()
+			o.PoolHits(1)
 			return f, nil
 		}
 		f, err := sh.install(p, id, true, o)
@@ -839,13 +840,14 @@ func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
 			return f, nil
 		}
 		sh.mu.Unlock()
-		if attempt >= clockEvictRetries || !errors.Is(err, ErrAllPinned) {
+		if attempt >= evictRetries || !errors.Is(err, ErrAllPinned) {
 			return nil, p.degrade(id, err, o)
 		}
-		// Every frame of the shard pinned: pins are held only across a
-		// page decode, so yield and retry the whole request (the page may
-		// even arrive via a racer, turning the retry into a hit).
-		runtime.Gosched()
+		// Every frame of the shard pinned: a read holds its pin only
+		// across a page decode or a copy, so wait and retry the whole
+		// request (the page may even arrive via a racer, turning the retry
+		// into a hit).
+		evictWait(attempt)
 	}
 }
 
@@ -889,6 +891,28 @@ func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, erro
 	p.decodeMisses.Add(1)
 	return v, nil
 }
+
+// ReadObs copies len(dst) bytes of the page, from byte off, into dst. The
+// request is charged to o and the pool's counters exactly like GetObs; the
+// copy is taken under a pin dropped before returning, so no Unpin is owed.
+// It is the segment table's read primitive (one record, or a cursor's
+// page copy). Bytes a writer may be changing must lie outside the range
+// asked for — the table asks only for records already visible to it.
+func (p *Pool) ReadObs(id PageID, off int, dst []byte, o *obs.Op) error {
+	f, err := p.pin(id, o)
+	if err != nil {
+		return err
+	}
+	copy(dst, f.data[off:off+len(dst)])
+	f.pins.Add(-1)
+	return nil
+}
+
+// CreditHits counts n requests a caller answered from its own copy of the
+// page it last read through ReadObs. Each would have found that page
+// resident and most recently used and changed nothing, so the pool owes
+// it only the count; the caller charges its obs.Op itself.
+func (p *Pool) CreditHits(n uint64) { p.hits.Add(n) }
 
 // DecodeStats returns the decode-once cache counters: requests served
 // from a frame's cached decoded node (the decode was skipped) and
@@ -1078,9 +1102,11 @@ func (sh *shard) flushLocked(d *Disk) error {
 
 // DropAll empties the pool, writing back dirty pages. Used between
 // experiment phases to cold-start the cache. Dropping while any page is
-// pinned panics (programmer error) — in particular, it must not run
-// concurrently with queries, which hold pins while they read. On a write
-// fault the pool is left partially flushed and nothing is dropped.
+// pinned panics (programmer error). No query read path holds a pin on
+// return, but GetDecodedObs and ReadObs hold one across their decode or
+// copy, and write paths and Get/Allocate callers until Unpin, so DropAll
+// must not run concurrently with queries or writes (DropUnpinned may). On
+// a write fault the pool is left partially flushed and nothing is dropped.
 func (p *Pool) DropAll() error {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
@@ -1187,8 +1213,8 @@ func (sh *shard) install(p *Pool, id PageID, readFromDisk bool, o *obs.Op) (*fra
 // clears reference bits (the second chance), the second catches every
 // frame that stayed unreferenced; pins cannot change mid-sweep because
 // both pinning and unpinning take at least the shard read lock. An
-// all-pinned shard reports ErrAllPinned; the pool's request paths retry
-// that with a yield, since pins are transient.
+// all-pinned shard reports ErrAllPinned; the pool's request paths wait
+// and retry (evictWait), since pins are transient.
 func (sh *shard) evictOne(p *Pool, o *obs.Op) (int, []byte, error) {
 	if sh.ring == nil {
 		for f := sh.tail; f != nil; f = f.prev {
@@ -1246,10 +1272,14 @@ func (sh *shard) remove(f *frame) {
 	delete(sh.frames, f.id)
 }
 
-// touch moves a frame to the LRU head; in CLOCK mode recency is the
-// reference bit and this is a no-op.
+// touch records a use under the exclusive latch: the frame moves to the
+// LRU head, or in CLOCK mode has its reference bit set.
 func (sh *shard) touch(f *frame) {
-	if sh.ring != nil || sh.head == f {
+	if sh.ring != nil {
+		f.ref.Store(true)
+		return
+	}
+	if sh.head == f {
 		return
 	}
 	sh.unlink(f)

@@ -521,12 +521,12 @@ func (db *DB) TableSizeBytes() int64 {
 // can fail, leaving the caches partially dropped.
 //
 // In legacy mode DropCaches takes the writer lock: it must not (and,
-// enforced here, cannot) run concurrently with queries, whose pinned
-// pages would make dropping panic. In staged-ingest mode queries hold no
-// lock, so DropCaches instead drops every unpinned frame and leaves the
-// frames pinned by in-flight snapshot readers (and their decoded-node
-// caches) alone — those readers keep their pages; everything else goes
-// cold.
+// enforced here, cannot) run concurrently with queries — a query holds
+// no pin between page requests, but does hold one for the length of a
+// node decode or a segment-page copy, and dropping a pinned page panics.
+// In staged-ingest mode queries hold no lock, so DropCaches instead drops
+// every unpinned frame and leaves alone the few a snapshot reader is
+// decoding or copying at that instant; everything else goes cold.
 func (db *DB) DropCaches() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
