@@ -1,10 +1,10 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: check build test vet fmt-check staticcheck govulncheck race fuzz-smoke loc bench bench-smoke bench-kernels bench-serve serve-smoke profile-hot
+.PHONY: check build test vet fmt-check staticcheck govulncheck race fuzz-smoke loc loc-check bench bench-smoke bench-kernels bench-serve serve-smoke profile-hot
 
 # check is the full local gate: what CI runs.
-check: fmt-check vet staticcheck govulncheck build race fuzz-smoke
+check: fmt-check vet staticcheck govulncheck build loc-check race fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -58,11 +58,21 @@ fuzz-smoke:
 # loc prints the non-test Go line count the ROADMAP's "net non-test LOC
 # goes down" refers to: every .go file that is not a test and not under
 # benchmark/ (frozen between benchmark PRs), per package and in total.
-# The total is `find … | xargs cat | wc -l` over the same files.
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
-		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; for (i = 2; i < n; i++) d = d "/" p[i]; lines[d] += $$1; total += $$1 } \
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; for (i = 2; i < n; i++) d = d "/" p[i]; lines[d] += $$1; total += $$1 } \
 		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
+
+# loc-check is the ratchet on that total: it fails when the count exceeds
+# LOC_BUDGET, the total of the last PR that lowered it. A PR that needs
+# more lines raises the number here, where the diff shows it.
+LOC_BUDGET = 20732
+loc-check:
+	@total=$$($(LOC_FILES) | xargs cat | wc -l); \
+	if [ $$total -gt $(LOC_BUDGET) ]; then \
+		echo "loc-check: $$total non-test lines exceed LOC_BUDGET = $(LOC_BUDGET) (see make loc)"; exit 1; \
+	fi; \
+	echo "loc-check: $$total non-test lines, budget $(LOC_BUDGET)"
 
 # bench runs the repo benchmark (benchmark/README.md): all six workloads
 # untraced then traced, every answer checked against the linear-scan

@@ -492,49 +492,36 @@ func BenchmarkOverlayJoin(b *testing.B) {
 	_ = m
 }
 
-// windowBatchState is the shared fixture of BenchmarkWindowBatch: a
-// ~50k-segment county in a packed R*-tree over a pool large enough to
-// keep the working set resident, so the benchmark measures query
-// execution rather than cold-cache page faults.
-var (
-	windowBatchOnce sync.Once
-	windowBatchDB   *DB
-	windowBatchRect []Rect
-	windowBatchErr  error
-)
-
-func windowBatchSetup(b *testing.B) (*DB, []Rect) {
+// windowBatchSetup is the fixture of BenchmarkWindowBatch: a ~50k-segment
+// county in a packed R*-tree over a pool of the given shard count, large
+// enough to keep the working set resident, so the benchmark measures
+// query execution rather than cold-cache page faults.
+func windowBatchSetup(b *testing.B, shards int) (*DB, []Rect) {
 	b.Helper()
-	windowBatchOnce.Do(func() {
-		var m *MapData
-		m, windowBatchErr = GenerateCounty("Charles")
-		if windowBatchErr != nil {
-			return
-		}
-		windowBatchDB, windowBatchErr = Open(RStarTree, WithPoolPages(4096))
-		if windowBatchErr != nil {
-			return
-		}
-		if _, err := windowBatchDB.LoadPacked(m); err != nil {
-			windowBatchErr = err
-			return
-		}
-		rng := rand.New(rand.NewSource(20260805))
-		for i := 0; i < 256; i++ {
-			x := rng.Int31n(geom.WorldSize - 512)
-			y := rng.Int31n(geom.WorldSize - 512)
-			w := rng.Int31n(768) + 256
-			windowBatchRect = append(windowBatchRect,
-				geom.RectOf(x, y, minInt32(x+w, geom.WorldSize-1), minInt32(y+w, geom.WorldSize-1)))
-		}
-		// Warm the pool so both variants start from the same cache state.
-		windowBatchErr = windowBatchDB.WindowBatch(windowBatchRect, 1,
-			func(int, SegmentID, Segment) bool { return true })
-	})
-	if windowBatchErr != nil {
-		b.Fatal(windowBatchErr)
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		b.Fatal(err)
 	}
-	return windowBatchDB, windowBatchRect
+	db, err := Open(RStarTree, WithPoolPages(4096), WithPoolShards(shards))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.LoadPacked(m); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20260805))
+	rects := make([]Rect, 256)
+	for i := range rects {
+		x := rng.Int31n(geom.WorldSize - 512)
+		y := rng.Int31n(geom.WorldSize - 512)
+		w := rng.Int31n(768) + 256
+		rects[i] = geom.RectOf(x, y, minInt32(x+w, geom.WorldSize-1), minInt32(y+w, geom.WorldSize-1))
+	}
+	// Warm the pool so every variant starts from the same cache state.
+	if err := db.WindowBatch(rects, 1, func(int, SegmentID, Segment) bool { return true }); err != nil {
+		b.Fatal(err)
+	}
+	return db, rects
 }
 
 func minInt32(a, b int32) int32 {
@@ -544,43 +531,51 @@ func minInt32(a, b int32) int32 {
 	return b
 }
 
-// BenchmarkWindowBatch contrasts sequential and parallel execution of a
-// 256-window batch over a ~50k-segment county. The parallel sub-benchmark
-// reports a "speedup" metric (sequential batch time / parallel batch
-// time, measured in the same process) so the scaling with GOMAXPROCS is
-// visible directly in the benchmark output and the bench trajectory.
+// BenchmarkWindowBatch contrasts sequential and 8-worker execution of a
+// 256-window batch over a ~50k-segment county, on the default exact-LRU
+// pool and on the 8-shard CLOCK pool (WithPoolShards(8)). Each parallel
+// sub-benchmark reports a "speedup" metric (its pool's sequential batch
+// time / its own, measured in the same process), and the CLOCK one a
+// "vs-lru" metric (the LRU pool's 8-worker batch time / its own): the
+// number that keeps the sharded pool (DESIGN.md, "Modes and why they
+// exist"). The worker count is fixed, not GOMAXPROCS, so the rows mean
+// the same on every box.
 func BenchmarkWindowBatch(b *testing.B) {
-	db, rects := windowBatchSetup(b)
+	const workers = 8
 	var hits atomic.Uint64
 	sink := func(int, SegmentID, Segment) bool { hits.Add(1); return true }
-	workers := runtime.GOMAXPROCS(0)
-
-	var seqBatchNs float64
-	b.Run("sequential", func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if err := db.WindowBatch(rects, 1, sink); err != nil {
-				b.Fatal(err)
+	var lruParNs float64
+	for _, pool := range []struct {
+		name   string
+		shards int
+	}{{"lru", 1}, {"clock8", 8}} {
+		db, rects := windowBatchSetup(b, pool.shards)
+		// batchNs runs the batch b.N times and returns one batch's time.
+		batchNs := func(b *testing.B, workers int) float64 {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if err := db.WindowBatch(rects, workers, sink); err != nil {
+					b.Fatal(err)
+				}
 			}
+			elapsed := time.Since(start)
+			b.ReportMetric(float64(len(rects))*float64(b.N)/elapsed.Seconds(), "queries/s")
+			return float64(elapsed.Nanoseconds()) / float64(b.N)
 		}
-		elapsed := time.Since(start)
-		seqBatchNs = float64(elapsed.Nanoseconds()) / float64(b.N)
-		b.ReportMetric(float64(len(rects))*float64(b.N)/elapsed.Seconds(), "queries/s")
-	})
-	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if err := db.WindowBatch(rects, workers, sink); err != nil {
-				b.Fatal(err)
+		var seqNs float64
+		b.Run("pool="+pool.name+"/sequential", func(b *testing.B) { seqNs = batchNs(b, 1) })
+		b.Run(fmt.Sprintf("pool=%s/parallel-%d", pool.name, workers), func(b *testing.B) {
+			parNs := batchNs(b, workers)
+			if seqNs > 0 && parNs > 0 {
+				b.ReportMetric(seqNs/parNs, "speedup")
 			}
-		}
-		elapsed := time.Since(start)
-		parBatchNs := float64(elapsed.Nanoseconds()) / float64(b.N)
-		b.ReportMetric(float64(len(rects))*float64(b.N)/elapsed.Seconds(), "queries/s")
-		if seqBatchNs > 0 && parBatchNs > 0 {
-			b.ReportMetric(seqBatchNs/parBatchNs, "speedup")
-		}
-	})
+			if pool.shards == 1 {
+				lruParNs = parNs
+			} else if lruParNs > 0 && parNs > 0 {
+				b.ReportMetric(lruParNs/parNs, "vs-lru")
+			}
+		})
+	}
 }
 
 // BenchmarkOverlayParallelJoin contrasts the sequential nested-loop join

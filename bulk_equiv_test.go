@@ -283,38 +283,6 @@ func TestAddBatchFallbackNonEmpty(t *testing.T) {
 	}
 }
 
-// TestLoadWithBulkLoadOption routes Load through the bulk pipeline and
-// checks it against the incremental build.
-func TestLoadWithBulkLoadOption(t *testing.T) {
-	segs := bulkSample(t, 800)
-	m := &MapData{Name: "sample", Class: "test", Segments: segs}
-	for _, kind := range allKinds() {
-		inc, err := Open(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inc.Load(m); err != nil {
-			t.Fatal(err)
-		}
-		blk, err := Open(kind, WithBulkLoad())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := blk.Load(m); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		for trial := 0; trial < 15; trial++ {
-			x := int32(rng.Intn(WorldSize))
-			y := int32(rng.Intn(WorldSize))
-			r := RectOf(x, y, min32(x+4096, WorldSize-1), min32(y+4096, WorldSize-1))
-			if a, b := windowIDs(t, inc, r), windowIDs(t, blk, r); !slices.Equal(a, b) {
-				t.Fatalf("%v window %v: %d vs %d results", kind, r, len(a), len(b))
-			}
-		}
-	}
-}
-
 // TestLoadPackedAllKinds covers the maps.go fix: LoadPacked now packs
 // every kind (it used to silently fall back to insertion for all but the
 // R-tree kinds) and must agree with the incremental build.

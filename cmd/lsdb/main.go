@@ -155,7 +155,7 @@ func verify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	county := fs.String("county", "Charles", "county name")
 	index := fs.String("index", "pmr", "index kind")
-	compress := fs.Int("compress", 0, "page compression level (0-2) when building")
+	compress := fs.Int("compress", 0, "page compression level (0-1) when building")
 	file := fs.String("load", "", "verify a saved database file instead of building one")
 	fs.Parse(args)
 
@@ -184,7 +184,7 @@ func verify(args []string) error {
 	if stats, serr := db.PageFormatStats(); serr == nil && stats.Pages > 0 {
 		fmt.Printf("page format: compression level %d, %d pages, %.0f bytes/page, leaf fanout %.1f\n",
 			stats.Level, stats.Pages, stats.AvgBytesPerPage(), stats.AvgLeafFanout())
-		for _, format := range []string{"v1", "v3", "v3-16", "v3-8"} {
+		for _, format := range []string{"v1", "v3", "v3-16"} {
 			if n := stats.Formats[format]; n > 0 {
 				fmt.Printf("  %-6s %d pages\n", format, n)
 			}

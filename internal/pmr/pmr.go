@@ -171,10 +171,6 @@ func (t *Tree) Len() int { return t.count }
 // duplication factor times Len.
 func (t *Tree) QEdges() int { return t.bt.Len() }
 
-// BTreeHeight returns the height of the underlying B-tree (the "depth of
-// the B-tree implementations ... was considerably smaller (i.e. 4)").
-func (t *Tree) BTreeHeight() int { return t.bt.Height() }
-
 // key packs a (block, segment) q-edge into a B-tree key: Morton(28) |
 // depth(4) | segment id(32), so keys group by block in Z-order.
 func key(c geom.Code, id seg.ID) uint64 {

@@ -240,14 +240,9 @@ func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct
 	return true, nil
 }
 
-// Locate returns the occupied leaf block containing p, if any, via a
+// locate returns the occupied leaf block containing p, if any, via a
 // single predecessor search on the locational keys. Empty regions (not
 // represented in a linear quadtree) report ok=false.
-func (t *Tree) Locate(p geom.Point) (geom.Code, bool, error) {
-	return t.locate(p, nil)
-}
-
-// locate is Locate with per-query observation.
 func (t *Tree) locate(p geom.Point, o *obs.Op) (geom.Code, bool, error) {
 	full := geom.MakeCode(p, geom.MaxDepth)
 	mlo, _ := full.MortonRange()
@@ -490,7 +485,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 
 		case pqBucket:
 			// Resolve the deferred leaf block only now, when no closer
-			// candidate remains. A bucket seeded by Locate carries no
+			// candidate remains. A bucket seeded by locate carries no
 			// prefetched keys; scan its exact range.
 			if it.lo == it.hi {
 				it.lo = len(refs)
@@ -632,11 +627,4 @@ func (t *Tree) LeafBlocks() ([]geom.Code, error) {
 		return true
 	}, nil)
 	return out, err
-}
-
-// FindLeaves returns the leaf blocks of the decomposition that intersect
-// the segment (exported for tests and tools; insertion uses the same
-// walk).
-func (t *Tree) FindLeaves(s geom.Segment) ([]geom.Code, error) {
-	return t.leavesFor(s)
 }

@@ -16,63 +16,45 @@ import (
 // offsets relative to the MBR minimum:
 //
 //	byte 0       node type: 2 = compressed internal, 3 = compressed leaf
-//	byte 1       lane mode: 1 = uint16 offsets (lossless),
-//	             2 = uint8 quantized (outward-rounded)
+//	byte 1       lane mode: 1 = uint16 offsets
 //	bytes 2..3   entry count (uint16)
 //	bytes 4..19  node MBR: xmin, ymin, xmax, ymax (int32)
-//	entries      mode 1: 4 x uint16 offsets + uint32 ptr (12 bytes)
-//	             mode 2: 4 x uint8 buckets + uint32 ptr  (8 bytes)
+//	entries      4 x uint16 offsets + uint32 ptr (12 bytes)
 //
-// Mode 1 is exact for any node whose MBR extent fits 16 bits — always
-// true for world-bounded data (extent <= 16383) — so decode(encode(n))
-// == n and every structural invariant is preserved bit for bit. Mode 2
-// quantizes each axis into 255 buckets with outward rounding (floor for
-// minima, ceiling for maxima), so a decoded rectangle always contains
-// the encoded one and never escapes the node MBR: traversals prune
-// conservatively and the exact segment tests at the leaves keep results
-// identical. Pages are self-describing — a disk may mix v1 and v3 pages
-// and every decoder dispatches on the type byte.
+// The format is exact for any node whose MBR extent fits 16 bits —
+// always true for world-bounded data (extent <= 16383) — so
+// decode(encode(n)) == n and every structural invariant is preserved bit
+// for bit. Pages are self-describing — a disk may mix v1 and v3 pages
+// and every decoder dispatches on the type byte. Any other lane mode —
+// including 2, the removed 8-bit format (DESIGN.md, "Compressed pages")
+// — decodes to ErrBadPage.
 const (
 	// CHeaderSize is the v3 header: type, mode, count, and the node MBR.
 	CHeaderSize = 20
-	// EntrySize16 is the 12-byte footprint of a mode-1 entry.
+	// EntrySize16 is the 12-byte footprint of a v3 entry.
 	EntrySize16 = 12
-	// EntrySize8 is the 8-byte footprint of a mode-2 entry.
-	EntrySize8 = 8
 
 	typeCompressedInternal = 2
 	typeCompressedLeaf     = 3
 
 	mode16 = 1
-	mode8  = 2
-
-	// quantBuckets is the number of 8-bit quantization steps per axis.
-	quantBuckets = 255
 )
 
 // CapacityLevel returns the entry capacity of a page at the given
-// compression level: level 0 is the classic 20-byte format, level 1 the
-// lossless 16-bit offset format, level 2 the 8-bit quantized format.
+// compression level: level 0 is the classic 20-byte format, every level
+// >= 1 the lossless 16-bit offset format.
 func CapacityLevel(pageSize, level int) int {
-	switch {
-	case level >= 2:
-		return (pageSize - CHeaderSize) / EntrySize8
-	case level == 1:
+	if level >= 1 {
 		return (pageSize - CHeaderSize) / EntrySize16
-	default:
-		return Capacity(pageSize)
 	}
+	return Capacity(pageSize)
 }
 
-// Lossy reports whether the given compression level rounds coordinates
-// (level 2); level 1 round-trips world-bounded rectangles exactly.
-func Lossy(level int) bool { return level >= 2 }
-
 // WriteLevel encodes n into the page buffer using the given compression
-// level (0 = classic format, identical to Write). It fails only when an
-// entry cannot be expressed relative to the node MBR — impossible for
-// world-bounded rectangles, so an error indicates corrupted in-memory
-// state rather than an operational condition.
+// level (0 = classic format, identical to Write; >= 1 = v3). It fails
+// only when an entry cannot be expressed relative to the node MBR —
+// impossible for world-bounded rectangles, so an error indicates
+// corrupted in-memory state rather than an operational condition.
 func WriteLevel(data []byte, n *Node, level int) error {
 	if level <= 0 {
 		Write(data, n)
@@ -87,11 +69,7 @@ func WriteLevel(data []byte, n *Node, level int) error {
 	} else {
 		data[0] = typeCompressedInternal
 	}
-	mode := byte(mode16)
-	if level >= 2 {
-		mode = mode8
-	}
-	data[1] = mode
+	data[1] = mode16
 	binary.LittleEndian.PutUint16(data[2:], uint16(len(n.Entries)))
 	var mbr geom.Rect
 	if len(n.Entries) > 0 {
@@ -115,70 +93,25 @@ func WriteLevel(data []byte, n *Node, level int) error {
 		if x0 < 0 || y0 < 0 || x1 > ex || y1 > ey || x0 > x1 || y0 > y1 {
 			return fmt.Errorf("rpage: entry rect %v escapes node MBR %v", e.Rect, mbr)
 		}
-		if mode == mode16 {
-			binary.LittleEndian.PutUint16(data[off+0:], uint16(x0))
-			binary.LittleEndian.PutUint16(data[off+2:], uint16(y0))
-			binary.LittleEndian.PutUint16(data[off+4:], uint16(x1))
-			binary.LittleEndian.PutUint16(data[off+6:], uint16(y1))
-			binary.LittleEndian.PutUint32(data[off+8:], e.Ptr)
-			off += EntrySize16
-			continue
-		}
-		data[off+0] = quantDown(x0, ex)
-		data[off+1] = quantDown(y0, ey)
-		data[off+2] = quantUp(x1, ex)
-		data[off+3] = quantUp(y1, ey)
-		binary.LittleEndian.PutUint32(data[off+4:], e.Ptr)
-		off += EntrySize8
+		binary.LittleEndian.PutUint16(data[off+0:], uint16(x0))
+		binary.LittleEndian.PutUint16(data[off+2:], uint16(y0))
+		binary.LittleEndian.PutUint16(data[off+4:], uint16(x1))
+		binary.LittleEndian.PutUint16(data[off+6:], uint16(y1))
+		binary.LittleEndian.PutUint32(data[off+8:], e.Ptr)
+		off += EntrySize16
 	}
 	return nil
 }
 
-// quantDown maps an offset in [0, extent] onto a bucket whose dequantized
-// value never exceeds the original (floor at both steps).
-func quantDown(v, extent int64) byte {
-	if extent == 0 {
-		return 0
-	}
-	return byte(v * quantBuckets / extent)
-}
-
-// quantUp maps an offset in [0, extent] onto a bucket whose dequantized
-// value (ceiling at both steps) never falls below the original and never
-// exceeds the extent.
-func quantUp(v, extent int64) byte {
-	if extent == 0 {
-		return 0
-	}
-	return byte((v*quantBuckets + extent - 1) / extent)
-}
-
-// dequantDown is the decode half of quantDown.
-func dequantDown(q byte, extent int64) int64 {
-	return int64(q) * extent / quantBuckets
-}
-
-// dequantUp is the decode half of quantUp.
-func dequantUp(q byte, extent int64) int64 {
-	return (int64(q)*extent + quantBuckets - 1) / quantBuckets
-}
-
 // compressedHeader validates a v3 page header and returns its shape.
-func compressedHeader(data []byte) (leaf bool, mode byte, count int, mbr geom.Rect, err error) {
+func compressedHeader(data []byte) (leaf bool, count int, mbr geom.Rect, err error) {
 	leaf = data[0] == typeCompressedLeaf
-	mode = data[1]
-	var level int
-	switch mode {
-	case mode16:
-		level = 1
-	case mode8:
-		level = 2
-	default:
-		return false, 0, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: lane mode %d: %w", mode, store.ErrBadPage)
+	if mode := data[1]; mode != mode16 {
+		return false, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: lane mode %d: %w", mode, store.ErrBadPage)
 	}
 	count = int(binary.LittleEndian.Uint16(data[2:]))
-	if max := CapacityLevel(len(data), level); count > max {
-		return false, 0, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: %d entries exceed page capacity %d: %w", count, max, store.ErrBadPage)
+	if max := CapacityLevel(len(data), 1); count > max {
+		return false, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: %d entries exceed page capacity %d: %w", count, max, store.ErrBadPage)
 	}
 	mbr = geom.Rect{
 		Min: geom.Point{
@@ -192,40 +125,28 @@ func compressedHeader(data []byte) (leaf bool, mode byte, count int, mbr geom.Re
 	}
 	if count > 0 {
 		if mbr.Min.X > mbr.Max.X || mbr.Min.Y > mbr.Max.Y {
-			return false, 0, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: inverted node MBR %v: %w", mbr, store.ErrBadPage)
+			return false, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: inverted node MBR %v: %w", mbr, store.ErrBadPage)
 		}
 		ex := int64(mbr.Max.X) - int64(mbr.Min.X)
 		ey := int64(mbr.Max.Y) - int64(mbr.Min.Y)
 		if ex > 0xFFFF || ey > 0xFFFF {
-			return false, 0, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: node MBR extent %dx%d exceeds the offset domain: %w", ex, ey, store.ErrBadPage)
+			return false, 0, geom.Rect{}, fmt.Errorf("rpage: corrupt page: node MBR extent %dx%d exceeds the offset domain: %w", ex, ey, store.ErrBadPage)
 		}
 	}
-	return leaf, mode, count, mbr, nil
+	return leaf, count, mbr, nil
 }
 
-// decompressEntry decodes entry i of a v3 page into an exact or
-// conservatively rounded rectangle. The header has already bounded the
-// MBR extent, so the arithmetic cannot overflow int32.
-func decompressEntry(data []byte, mode byte, mbr geom.Rect, i int) (geom.Rect, uint32, error) {
+// decompressEntry decodes entry i of a v3 page. The header has already
+// bounded the MBR extent, so the arithmetic cannot overflow int32.
+func decompressEntry(data []byte, mbr geom.Rect, i int) (geom.Rect, uint32, error) {
 	ex := int64(mbr.Max.X) - int64(mbr.Min.X)
 	ey := int64(mbr.Max.Y) - int64(mbr.Min.Y)
-	var x0, y0, x1, y1 int64
-	var ptr uint32
-	if mode == mode16 {
-		off := CHeaderSize + i*EntrySize16
-		x0 = int64(binary.LittleEndian.Uint16(data[off+0:]))
-		y0 = int64(binary.LittleEndian.Uint16(data[off+2:]))
-		x1 = int64(binary.LittleEndian.Uint16(data[off+4:]))
-		y1 = int64(binary.LittleEndian.Uint16(data[off+6:]))
-		ptr = binary.LittleEndian.Uint32(data[off+8:])
-	} else {
-		off := CHeaderSize + i*EntrySize8
-		x0 = dequantDown(data[off+0], ex)
-		y0 = dequantDown(data[off+1], ey)
-		x1 = dequantUp(data[off+2], ex)
-		y1 = dequantUp(data[off+3], ey)
-		ptr = binary.LittleEndian.Uint32(data[off+4:])
-	}
+	off := CHeaderSize + i*EntrySize16
+	x0 := int64(binary.LittleEndian.Uint16(data[off+0:]))
+	y0 := int64(binary.LittleEndian.Uint16(data[off+2:]))
+	x1 := int64(binary.LittleEndian.Uint16(data[off+4:]))
+	y1 := int64(binary.LittleEndian.Uint16(data[off+6:]))
+	ptr := binary.LittleEndian.Uint32(data[off+8:])
 	if x0 > x1 || y0 > y1 || x1 > ex || y1 > ey {
 		return geom.Rect{}, 0, fmt.Errorf("rpage: corrupt page: entry %d offsets escape node MBR: %w", i, store.ErrBadPage)
 	}
@@ -238,23 +159,18 @@ func decompressEntry(data []byte, mode byte, mbr geom.Rect, i int) (geom.Rect, u
 // readCompressedInto decodes a v3 page into n (the dispatch target of
 // ReadInto for type bytes 2 and 3).
 func readCompressedInto(data []byte, n *Node) error {
-	leaf, mode, count, mbr, err := compressedHeader(data)
+	leaf, count, mbr, err := compressedHeader(data)
 	if err != nil {
 		return err
 	}
-	level := 1
-	if mode == mode8 {
-		level = 2
-	}
 	n.Leaf = leaf
-	n.pageCap = CapacityLevel(len(data), level)
 	if cap(n.Entries) < count {
 		n.Entries = make([]Entry, count)
 	} else {
 		n.Entries = n.Entries[:count]
 	}
 	for i := range n.Entries {
-		r, ptr, err := decompressEntry(data, mode, mbr, i)
+		r, ptr, err := decompressEntry(data, mbr, i)
 		if err != nil {
 			n.Leaf = false
 			n.Entries = n.Entries[:0]
@@ -266,13 +182,11 @@ func readCompressedInto(data []byte, n *Node) error {
 }
 
 // decodeCompressedSoA decodes a v3 page into struct-of-arrays lanes (the
-// dispatch target of DecodeSoA for type bytes 2 and 3). The dequantized
+// dispatch target of DecodeSoA for type bytes 2 and 3). The widened
 // coordinates land directly in the int32 lanes and the SWAR pack, so the
-// kernel path runs on quantized pages with no further widening pass —
-// dequantized rectangles of world-bounded data always sit inside the
-// node MBR and therefore inside the packable 14-bit domain.
+// kernel path runs on compressed pages with no further pass.
 func decodeCompressedSoA(data []byte) (*SoA, error) {
-	leaf, mode, count, mbr, err := compressedHeader(data)
+	leaf, count, mbr, err := compressedHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +202,7 @@ func decodeCompressedSoA(data []byte) (*SoA, error) {
 	packed := make([]uint64, count)
 	packable := true
 	for i := 0; i < count; i++ {
-		r, ptr, err := decompressEntry(data, mode, mbr, i)
+		r, ptr, err := decompressEntry(data, mbr, i)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +227,7 @@ func decodeCompressedSoA(data []byte) (*SoA, error) {
 // operator tooling and the repo benchmark's rpage.* metrics.
 type PageInfo struct {
 	// Format is "v1" for the classic 20-byte-entry layout, "v3-16" for
-	// 16-bit offset lanes, "v3-8" for 8-bit quantized lanes.
+	// 16-bit offset lanes.
 	Format string
 	// Leaf reports the node type.
 	Leaf bool
@@ -346,19 +260,16 @@ func Inspect(data []byte) (PageInfo, bool) {
 		if len(data) < CHeaderSize {
 			return PageInfo{}, false
 		}
-		leaf, mode, count, _, err := compressedHeader(data)
+		leaf, count, _, err := compressedHeader(data)
 		if err != nil {
 			return PageInfo{}, false
 		}
-		info := PageInfo{Leaf: leaf, Entries: count}
-		if mode == mode16 {
-			info.Format = "v3-16"
-			info.BytesUsed = CHeaderSize + count*EntrySize16
-		} else {
-			info.Format = "v3-8"
-			info.BytesUsed = CHeaderSize + count*EntrySize8
-		}
-		return info, true
+		return PageInfo{
+			Format:    "v3-16",
+			Leaf:      leaf,
+			Entries:   count,
+			BytesUsed: CHeaderSize + count*EntrySize16,
+		}, true
 	}
 	return PageInfo{}, false
 }

@@ -1,6 +1,7 @@
 package rpage
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -32,8 +33,10 @@ func TestCapacityLevel(t *testing.T) {
 	if got := CapacityLevel(1024, 1); got != 83 {
 		t.Errorf("level 1 capacity = %d, want 83", got)
 	}
-	if got := CapacityLevel(1024, 2); got != 125 {
-		t.Errorf("level 2 capacity = %d, want 125", got)
+	// Every level >= 1 is the 16-bit format (benchmark/micro.go sizes a
+	// buffer with level 2).
+	if got := CapacityLevel(1024, 2); got != 83 {
+		t.Errorf("level 2 capacity = %d, want 83", got)
 	}
 }
 
@@ -77,93 +80,65 @@ func TestCompressedRoundTripLossless(t *testing.T) {
 	}
 }
 
-func TestCompressedLossyConservative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		count := 1 + rng.Intn(CapacityLevel(1024, 2))
+func TestCompressedSoAMatchesNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		count := 1 + rng.Intn(CapacityLevel(1024, 1))
 		n := randNode(rng, count, trial%2 == 0)
-		mbr := n.MBR()
 		data := make([]byte, 1024)
-		if err := WriteLevel(data, n, 2); err != nil {
+		if err := WriteLevel(data, n, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(data)
+		dec, err := Read(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range n.Entries {
-			orig, dec := n.Entries[i].Rect, got.Entries[i].Rect
-			if !dec.ContainsRect(orig) {
-				t.Fatalf("entry %d decoded %v does not contain original %v", i, dec, orig)
-			}
-			if !mbr.ContainsRect(dec) {
-				t.Fatalf("entry %d decoded %v escapes node MBR %v", i, dec, mbr)
-			}
-			if got.Entries[i].Ptr != n.Entries[i].Ptr {
-				t.Fatalf("entry %d pointer %d, want %d", i, got.Entries[i].Ptr, n.Entries[i].Ptr)
-			}
+		soa, err := DecodeSoA(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The decoded node's MBR must equal the original's: the extreme
-		// offsets 0 and extent quantize exactly.
-		if got.MBR() != mbr {
-			t.Fatalf("decoded MBR %v, want %v", got.MBR(), mbr)
+		if soa.Len() != len(dec.Entries) || soa.Leaf != dec.Leaf {
+			t.Fatalf("SoA shape mismatch")
 		}
-	}
-}
-
-func TestCompressedSoAMatchesNode(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, level := range []int{1, 2} {
-		for trial := 0; trial < 50; trial++ {
-			count := 1 + rng.Intn(CapacityLevel(1024, level))
-			n := randNode(rng, count, trial%2 == 0)
-			data := make([]byte, 1024)
-			if err := WriteLevel(data, n, level); err != nil {
-				t.Fatal(err)
-			}
-			dec, err := Read(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			soa, err := DecodeSoA(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if soa.Len() != len(dec.Entries) || soa.Leaf != dec.Leaf {
-				t.Fatalf("SoA shape mismatch")
-			}
-			if soa.Packed == nil {
-				t.Fatalf("level %d world-bounded page not packable", level)
-			}
-			for i, e := range dec.Entries {
-				if soa.Rect(i) != e.Rect || soa.Ptr[i] != e.Ptr {
-					t.Fatalf("level %d entry %d: SoA %v/%d, Node %v/%d",
-						level, i, soa.Rect(i), soa.Ptr[i], e.Rect, e.Ptr)
-				}
+		if soa.Packed == nil {
+			t.Fatalf("world-bounded page not packable")
+		}
+		for i, e := range dec.Entries {
+			if soa.Rect(i) != e.Rect || soa.Ptr[i] != e.Ptr {
+				t.Fatalf("entry %d: SoA %v/%d, Node %v/%d",
+					i, soa.Rect(i), soa.Ptr[i], e.Rect, e.Ptr)
 			}
 		}
 	}
 }
 
-func TestCompressedReleaseTrimsQuantizedLanes(t *testing.T) {
-	// A node decoded from a level-2 page may hold up to 125 entries; its
-	// pooled entry slice must be trimmed against that page's capacity,
-	// not the classic 50-entry capacity (which would drop every pooled
-	// buffer and re-allocate on the warm path).
-	rng := rand.New(rand.NewSource(5))
-	n := randNode(rng, CapacityLevel(1024, 2), true)
-	data := make([]byte, 1024)
-	if err := WriteLevel(data, n, 2); err != nil {
-		t.Fatal(err)
+// mode2Page and mode2Small are pages in the removed 8-bit format (lane
+// mode 2), byte for byte what WriteLevel(page, n, 2) wrote at the last
+// commit that had it: 30 leaf entries on a 1 KB page and 2 internal
+// entries on a 64-byte page, zero-padded to the page size. Every decoder
+// must refuse them with ErrBadPage.
+var (
+	mode2Page = zeroPadded(1024, ""+
+		"03021e002601000052000000fd3e0000c93f0000c465f3b141f6d08f9a2dc3a1"+
+		"fc2e3c81f4b8ffc887d45d638c68e375ada81e54eb9bedb2d9f6ada15f46ff5a"+
+		"1aa13acfa9a4f9e1800250d3c918ec7b2ef8d843e78eff919c1509f9be72f381"+
+		"b0ec4d39222385ea5dfd1638e620f280e96a171de307f5c55ec3b1d90083c5cb"+
+		"d664896061a7c7d5c82b29cfd746f6e61941e38d162b8c2c559c40642c9c78a3"+
+		"91f523edcb44f37af7cc8c3c0d731cffc7b82ddc2b00d0af9aedd8e28890b5b5"+
+		"26e1b271752bffc0361dfecf5c126dbd22f927d1aeecfefa8263aaf9df34fb4a"+
+		"0e5615cc7317e87e766ad575d2c5f8cdf267ba4fc326d18722910bb33437fc57"+
+		"df733f34")
+	mode2Small = zeroPadded(64, ""+
+		"0202020090090000c5080000702b00006435000043b0ffff4ce64ecb0000db2c"+
+		"b00244e2")
+)
+
+func zeroPadded(size int, live string) []byte {
+	page := make([]byte, size)
+	if _, err := hex.Decode(page, []byte(live)); err != nil {
+		panic(err)
 	}
-	dec := Acquire()
-	if err := ReadInto(data, dec); err != nil {
-		t.Fatal(err)
-	}
-	if dec.pageCap != CapacityLevel(1024, 2) {
-		t.Fatalf("decoded pageCap = %d, want %d", dec.pageCap, CapacityLevel(1024, 2))
-	}
-	Release(dec)
+	return page
 }
 
 func TestCompressedCorruptTypedErrors(t *testing.T) {
@@ -180,6 +155,9 @@ func TestCompressedCorruptTypedErrors(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad mode":       corrupt(func(p []byte) { p[1] = 9 }),
+		"removed mode 2": corrupt(func(p []byte) { p[1] = 2 }),
+		"mode-2 page":    mode2Page,
+		"mode-2 small":   mode2Small,
 		"overflow count": corrupt(func(p []byte) { p[2], p[3] = 0xFF, 0xFF }),
 		"inverted MBR":   corrupt(func(p []byte) { copy(p[4:8], []byte{0xFF, 0xFF, 0xFF, 0x7F}) }),
 		"bad type":       corrupt(func(p []byte) { p[0] = 7 }),
@@ -215,19 +193,18 @@ func TestWriteLevelRejectsOutOfDomain(t *testing.T) {
 
 func FuzzDecodeCompressed(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
-	for _, level := range []int{1, 2} {
-		page := make([]byte, 1024)
-		n := randNode(rng, 30, true)
-		if err := WriteLevel(page, n, level); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(page)
-		small := make([]byte, 64)
-		if err := WriteLevel(small, randNode(rng, 2, false), level); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(small)
+	page := make([]byte, 1024)
+	if err := WriteLevel(page, randNode(rng, 30, true), 1); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(page)
+	small := make([]byte, 64)
+	if err := WriteLevel(small, randNode(rng, 2, false), 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(small)
+	f.Add(mode2Page)
+	f.Add(mode2Small)
 	f.Add([]byte{2, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < CHeaderSize {

@@ -10,7 +10,6 @@ package rpage
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"segdb/internal/geom"
 	"segdb/internal/kernel"
@@ -36,11 +35,6 @@ type Entry struct {
 type Node struct {
 	Leaf    bool
 	Entries []Entry
-
-	// pageCap is the entry capacity of the page this node was last
-	// decoded from; Release uses it to trim pathologically grown entry
-	// slices before pooling.
-	pageCap int
 }
 
 // SoA is the decoded struct-of-arrays form of an R-tree page: the
@@ -146,35 +140,7 @@ func Write(data []byte, n *Node) {
 	}
 }
 
-// nodePool recycles decoded nodes (and, through them, their entry
-// slices) across page reads, so a warm search decodes every visited page
-// into memory it already owns.
-var nodePool = sync.Pool{New: func() any { return new(Node) }}
-
-// Acquire returns a node from the decode pool, ready for ReadInto.
-// Callers on query hot paths pair it with Release; dropping an acquired
-// node is safe (the GC reclaims it) but wastes the reuse.
-func Acquire() *Node { return nodePool.Get().(*Node) }
-
-// Release hands a node back to the decode pool. The caller must not
-// retain n, its Entries slice, or pointers into it afterwards. An entry
-// slice that has grown pathologically large relative to the page it was
-// last decoded from (more than twice the page's entry capacity —
-// possible when one pool serves databases with very different page
-// sizes) is dropped rather than pooled, so a single oversized decode
-// does not pin its memory for the life of the pool.
-func Release(n *Node) {
-	if n == nil {
-		return
-	}
-	if n.pageCap > 0 && cap(n.Entries) > 2*n.pageCap {
-		n.Entries = nil
-	}
-	nodePool.Put(n)
-}
-
-// Read decodes a page into a freshly allocated Node. Hot paths prefer
-// Acquire + ReadInto + Release, which reuses decode buffers.
+// Read decodes a page into a freshly allocated Node.
 func Read(data []byte) (*Node, error) {
 	n := new(Node)
 	if err := ReadInto(data, n); err != nil {
@@ -201,7 +167,6 @@ func ReadInto(data []byte, n *Node) error {
 		return fmt.Errorf("rpage: corrupt page: %d entries exceed page capacity %d: %w", count, max, store.ErrBadPage)
 	}
 	n.Leaf = data[0] == 1
-	n.pageCap = Capacity(len(data))
 	if cap(n.Entries) < count {
 		n.Entries = make([]Entry, count)
 	} else {

@@ -87,48 +87,3 @@ func TestDecodeSoARejectsCorruptHeaders(t *testing.T) {
 		t.Error("oversized entry count accepted")
 	}
 }
-
-// Release must drop entry slices that grew far beyond the page capacity
-// they were last decoded from, and keep normal-sized ones pooled.
-func TestReleaseTrimsOversizedEntrySlices(t *testing.T) {
-	big := make([]byte, 4096)
-	bigNode := &Node{Leaf: true}
-	for i := 0; i < Capacity(4096); i++ {
-		bigNode.Entries = append(bigNode.Entries, Entry{Rect: geom.RectOf(1, 1, 2, 2), Ptr: uint32(i)})
-	}
-	Write(big, bigNode)
-
-	small := make([]byte, 256)
-	Write(small, &Node{Leaf: true, Entries: []Entry{{Rect: geom.RectOf(1, 1, 2, 2), Ptr: 9}}})
-
-	// Decode the big page, then re-point the node at the small page: its
-	// entry capacity (204) is far over twice the small page's (12).
-	n := Acquire()
-	if err := ReadInto(big, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadInto(small, n); err != nil {
-		t.Fatal(err)
-	}
-	if cap(n.Entries) <= 2*Capacity(256) {
-		t.Skip("pool handed back a small node; capacity precondition not met")
-	}
-	Release(n)
-	if n.Entries != nil {
-		t.Error("oversized entry slice survived Release")
-	}
-
-	// A right-sized node keeps its slice through Release.
-	n2 := Acquire()
-	n2.Entries = nil // decouple from whatever the pool held
-	if err := ReadInto(small, n2); err != nil {
-		t.Fatal(err)
-	}
-	if cap(n2.Entries) == 0 || cap(n2.Entries) > 2*Capacity(256) {
-		t.Fatalf("unexpected capacity %d after small decode", cap(n2.Entries))
-	}
-	Release(n2)
-	if n2.Entries == nil {
-		t.Error("right-sized entry slice was trimmed")
-	}
-}

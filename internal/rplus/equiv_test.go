@@ -26,9 +26,8 @@ func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
 		return nil, err
 	}
 	o.NodeVisit(uint32(id))
-	n := rpage.Acquire()
+	n := new(rpage.Node)
 	if err := rpage.ReadInto(data, n); err != nil {
-		rpage.Release(n)
 		t.Pool.Unpin(id, false)
 		return nil, err
 	}
@@ -44,7 +43,6 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, 
 		}
 		return false, err
 	}
-	defer rpage.Release(n)
 	for _, e := range n.Entries {
 		*examined++
 		if !e.Rect.Intersects(r) {
@@ -146,7 +144,6 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 					if store.IsUnavailable(err) {
 						continue
 					}
-					rpage.Release(n)
 					return dst, err
 				}
 				pqPush(&q, pqItem{distSq: geom.DistSqPointSegment(p, s), isSeg: true, ptr: e.Ptr, s: s})
@@ -154,7 +151,6 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 			}
 			pqPush(&q, pqItem{distSq: e.Rect.DistSqToPoint(p), ptr: e.Ptr})
 		}
-		rpage.Release(n)
 	}
 	return dst, nil
 }

@@ -40,20 +40,8 @@ type Config struct {
 	// is identical; only pruning power differs.
 	LeafMBR bool
 	// Compression selects the on-page node format: 0 writes the classic
-	// 20-byte tuples, >=1 the lossless 16-bit MBR-relative offsets. The
-	// lossy 8-bit level is never used here — the R+-tree's internal
-	// regions must stay pairwise disjoint and tile their parent exactly,
-	// which outward rounding would break — so level 2 behaves as level 1.
+	// 20-byte tuples, 1 the lossless 16-bit MBR-relative offsets.
 	Compression int
-}
-
-// effLevel maps a configured compression level onto the formats this
-// tree may write: 0 (classic) or 1 (lossless 16-bit offsets).
-func effLevel(level int) int {
-	if level >= 1 {
-		return 1
-	}
-	return 0
 }
 
 // DefaultConfig returns the hybrid configuration used in the paper.
@@ -75,7 +63,7 @@ type Tree struct {
 // segment is stored in every leaf it crosses, so queries suppress
 // duplicates.
 func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
-	base, err := rsearch.New(pool, table, effLevel(cfg.Compression), true)
+	base, err := rsearch.New(pool, table, cfg.Compression, true)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +165,7 @@ func (t *Tree) leafRect(s geom.Segment, region geom.Rect) geom.Rect {
 // PersistMeta. The pool must wrap the restored disk; cfg must match the
 // original tree's.
 func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [3]uint64) (*Tree, error) {
-	base, err := rsearch.Restore(pool, table, effLevel(cfg.Compression), true, meta)
+	base, err := rsearch.Restore(pool, table, cfg.Compression, true, meta)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func (t *Tree) WriteNode(id store.PageID, n *rpage.Node) error {
 	if err != nil {
 		return err
 	}
-	if err := t.encodeNode(data, n); err != nil {
+	if err := rpage.WriteLevel(data, n, t.Format); err != nil {
 		t.Pool.Unpin(id, false)
 		return err
 	}
@@ -151,28 +151,12 @@ func (t *Tree) AllocNode(n *rpage.Node) (store.PageID, error) {
 	if err != nil {
 		return store.NilPage, err
 	}
-	if err := t.encodeNode(data, n); err != nil {
+	if err := rpage.WriteLevel(data, n, t.Format); err != nil {
 		t.Pool.Unpin(id, false)
 		return store.NilPage, err
 	}
 	t.Pool.Unpin(id, true)
 	return id, nil
-}
-
-// encodeNode serializes n at the tree's compression level. At the lossy
-// level the entries are immediately re-decoded from the page, so n's
-// in-memory rectangles match the stored (outward-rounded) ones — parents
-// that derive their child entry from n.MBR() then bound exactly what a
-// later decode of the child will see, keeping the containment chain
-// intact for queries and Validate alike.
-func (t *Tree) encodeNode(data []byte, n *rpage.Node) error {
-	if err := rpage.WriteLevel(data, n, t.Format); err != nil {
-		return err
-	}
-	if rpage.Lossy(t.Format) {
-		return rpage.ReadInto(data, n)
-	}
-	return nil
 }
 
 // AvgLeafOccupancy returns the mean number of segment entries per leaf

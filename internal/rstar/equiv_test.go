@@ -30,9 +30,8 @@ func refReadNode(t *Tree, id store.PageID, o *obs.Op) (*rpage.Node, error) {
 		return nil, err
 	}
 	o.NodeVisit(uint32(id))
-	n := rpage.Acquire()
+	n := new(rpage.Node)
 	if err := rpage.ReadInto(data, n); err != nil {
-		rpage.Release(n)
 		t.Pool.Unpin(id, false)
 		return nil, err
 	}
@@ -49,7 +48,6 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, visit func(seg.ID, geom.Se
 		}
 		return false, err
 	}
-	defer rpage.Release(n)
 	for _, e := range n.Entries {
 		*examined++
 		if !e.Rect.Intersects(r) {
@@ -142,7 +140,6 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 					if store.IsUnavailable(err) {
 						continue
 					}
-					rpage.Release(n)
 					return dst, err
 				}
 				pqPush(&q, pqItem{distSq: geom.DistSqPointSegment(p, s), isSeg: true, ptr: e.Ptr, s: s})
@@ -150,7 +147,6 @@ func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult,
 			}
 			pqPush(&q, pqItem{distSq: e.Rect.DistSqToPoint(p), ptr: e.Ptr, level: it.level - 1})
 		}
-		rpage.Release(n)
 	}
 	return dst, nil
 }

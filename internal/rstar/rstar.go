@@ -52,9 +52,8 @@ type Config struct {
 	ReinsertFraction float64
 	// Compression selects the on-page node format: 0 writes the paper's
 	// 20-byte absolute-coordinate tuples, 1 the lossless 16-bit
-	// MBR-relative offsets, 2 the 8-bit quantized lanes (outward-rounded,
-	// so stored rectangles may conservatively exceed the exact ones).
-	// Pages are self-describing, so any tree decodes any level.
+	// MBR-relative offsets. Pages are self-describing, so any tree
+	// decodes either.
 	Compression int
 }
 
@@ -79,17 +78,6 @@ type Tree struct {
 	w   scratch
 }
 
-// clampLevel normalizes a configured compression level to [0, 2].
-func clampLevel(level int) int {
-	if level < 0 {
-		return 0
-	}
-	if level > 2 {
-		return 2
-	}
-	return level
-}
-
 // wrap completes a tree over its shared part: m is MinFillFraction of M,
 // kept within [2, M/2].
 func wrap(base *rsearch.Tree, cfg Config) *Tree {
@@ -107,7 +95,7 @@ func wrap(base *rsearch.Tree, cfg Config) *Tree {
 // leaf entries point into table. Every segment is stored in exactly one
 // leaf, so queries need no duplicate suppression.
 func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
-	base, err := rsearch.New(pool, table, clampLevel(cfg.Compression), false)
+	base, err := rsearch.New(pool, table, cfg.Compression, false)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +352,7 @@ func (t *Tree) pickReinsert(n *rpage.Node, level int) {
 // PersistMeta. The pool must wrap the restored disk; cfg must match the
 // original tree's.
 func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [3]uint64) (*Tree, error) {
-	base, err := rsearch.Restore(pool, table, clampLevel(cfg.Compression), false, meta)
+	base, err := rsearch.Restore(pool, table, cfg.Compression, false, meta)
 	if err != nil {
 		return nil, err
 	}

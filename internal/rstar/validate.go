@@ -3,7 +3,6 @@ package rstar
 import (
 	"fmt"
 
-	"segdb/internal/rpage"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -14,11 +13,6 @@ import (
 //   - occupancy between m and M for non-root nodes;
 //   - every leaf entry's rectangle equals the bounding box of its segment;
 //   - the number of leaf entries matches Len().
-//
-// At the lossy compression level (2) the equality checks relax to
-// containment: stored rectangles are outward-rounded, so an entry rect
-// must contain — but need not equal — its child MBR or segment bounds.
-// The lossless levels (0 and 1) keep the exact checks.
 func (t *Tree) Validate() error {
 	leafEntries := 0
 	if err := t.validate(t.Root, t.Levels, true, &leafEntries); err != nil {
@@ -53,11 +47,7 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 			if err != nil {
 				return fmt.Errorf("rstar: leaf page %d: %w", id, err)
 			}
-			if rpage.Lossy(t.Format) {
-				if !e.Rect.ContainsRect(s.Bounds()) {
-					return fmt.Errorf("rstar: leaf page %d entry %d rect %v does not contain segment bounds %v", id, e.Ptr, e.Rect, s.Bounds())
-				}
-			} else if s.Bounds() != e.Rect {
+			if s.Bounds() != e.Rect {
 				return fmt.Errorf("rstar: leaf page %d entry %d rect %v != segment bounds %v", id, e.Ptr, e.Rect, s.Bounds())
 			}
 		}
@@ -72,11 +62,7 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 		if len(child.Entries) == 0 {
 			return fmt.Errorf("rstar: empty child page %d", e.Ptr)
 		}
-		if mbr := child.MBR(); rpage.Lossy(t.Format) {
-			if !e.Rect.ContainsRect(mbr) {
-				return fmt.Errorf("rstar: page %d entry rect %v does not contain child %d MBR %v", id, e.Rect, e.Ptr, mbr)
-			}
-		} else if mbr != e.Rect {
+		if mbr := child.MBR(); mbr != e.Rect {
 			return fmt.Errorf("rstar: page %d entry rect %v != child %d MBR %v", id, e.Rect, e.Ptr, mbr)
 		}
 		if err := t.validate(store.PageID(e.Ptr), level-1, false, leafEntries); err != nil {

@@ -278,19 +278,10 @@ func decode(b []byte) geom.Segment {
 	}
 }
 
-// SaveTo serializes the table (record count followed by its disk image)
-// after flushing buffered pages.
-func (t *Table) SaveTo(w io.Writer) error {
-	if err := t.pool.Flush(); err != nil {
-		return err
-	}
-	return t.WriteSnapshot(w)
-}
-
 // WriteSnapshot serializes the table's durable state only — the record
-// count and the disk image as it stands, without flushing the buffer
-// pool. Crash harnesses use it to capture what a halted disk actually
-// holds.
+// count followed by the disk image as it stands, without flushing the
+// buffer pool. Crash harnesses use it to capture what a halted disk
+// actually holds.
 func (t *Table) WriteSnapshot(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(t.count.Load())); err != nil {
 		return err
@@ -310,14 +301,9 @@ func (t *Table) CheckIntegrity() error {
 	return nil
 }
 
-// RestoreTable reconstructs a table serialized by SaveTo, fronted by a
-// fresh single-shard buffer pool of poolPages frames.
-func RestoreTable(r io.Reader, poolPages int) (*Table, error) {
-	return RestoreTableSharded(r, poolPages, 1)
-}
-
-// RestoreTableSharded is RestoreTable with a sharded buffer pool (see
-// store.NewShardedPool).
+// RestoreTableSharded reconstructs a table serialized by WriteSnapshot,
+// fronted by a fresh buffer pool of poolPages frames in the given number
+// of shards (see store.NewShardedPool).
 func RestoreTableSharded(r io.Reader, poolPages, shards int) (*Table, error) {
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {

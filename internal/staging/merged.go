@@ -45,9 +45,6 @@ func NewMerged(base core.Index, mem *Mem, visible int, version uint64, tombs []s
 	return &Merged{base: base, mem: mem, visible: visible, version: version, tombs: tombs, liveStaged: liveStaged}
 }
 
-// Base returns the underlying immutable base index.
-func (m *Merged) Base() core.Index { return m.base }
-
 // Version returns the snapshot's version (mutations visible).
 func (m *Merged) Version() uint64 { return m.version }
 

@@ -51,7 +51,7 @@ func FuzzReadDiskFrom(f *testing.F) {
 		p := NewPool(d, 4)
 		for i, hdr := range [][]byte{
 			{2, 1, 3, 0, 0x10, 0x00, 0x20, 0x00, 0xff, 0x3f, 0xff, 0x3f}, // compressed internal, u16 lanes
-			{3, 2, 5, 0, 0x00, 0x00, 0x00, 0x00, 0xff, 0x3f, 0xff, 0x3f}, // compressed leaf, u8 lanes
+			{3, 2, 5, 0, 0x00, 0x00, 0x00, 0x00, 0xff, 0x3f, 0xff, 0x3f}, // compressed leaf, lane mode 2 (a removed format: decoders reject it)
 			{2, 1, 4, 0, 7, 0, 0, 0, 0x81, 0x02, 0x83, 0x04},             // delta leaf: flags, count, sibling, varints
 		} {
 			id, data, err := p.Allocate()

@@ -368,13 +368,6 @@ func (d *Disk) Quarantined() []PageID {
 	return out
 }
 
-// ClearQuarantine empties the quarantine set (after an external repair).
-func (d *Disk) ClearQuarantine() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	clear(d.quar)
-}
-
 // SetJournal enables or disables the write journal. Enabling resets it.
 func (d *Disk) SetJournal(on bool) {
 	d.mu.Lock()

@@ -44,21 +44,13 @@ func GenerateCounty(name string) (*MapData, error) {
 }
 
 // Load adds every segment of the map to the database, returning the
-// assigned IDs (in input order). By default segments are inserted one at
-// a time, reproducing the paper's build costs; with WithBulkLoad (and an
-// empty database) the whole map goes through the bulk pipeline instead —
-// same queries, far fewer build disk accesses. It holds the writer lock
-// for the whole load, so queries never observe a half-loaded map.
+// assigned IDs (in input order). Segments are inserted one at a time,
+// reproducing the paper's build costs (LoadPacked is the bulk build). It
+// holds the writer lock for the whole load, so queries never observe a
+// half-loaded map.
 func (db *DB) Load(m *MapData) ([]SegmentID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.opts.BulkLoad && db.table.Len() == 0 {
-		return db.addBatchLocked(m.Segments)
-	}
-	return db.loadLocked(m)
-}
-
-func (db *DB) loadLocked(m *MapData) ([]SegmentID, error) {
 	ids := make([]SegmentID, 0, len(m.Segments))
 	for _, s := range m.Segments {
 		id, err := db.addLocked(s)

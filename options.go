@@ -61,17 +61,11 @@ func WithPMRStoreMBR(enabled bool) Option {
 //	1  lossless compressed pages: B+-tree leaves (PMR quadtree, uniform
 //	   grid) delta-code their sorted keys as varints and bit-pack
 //	   payloads to the 14-bit world domain, R-tree-family nodes store
-//	   child rectangles as 16-bit offsets from the node MBR;
-//	2  as 1, but R-tree-family rectangles quantize to 8-bit lanes with
-//	   outward rounding — decoded rectangles conservatively contain the
-//	   originals, so query results are unchanged while fanout roughly
-//	   doubles again. The R+-tree and k-d-B-tree stay at the lossless
-//	   encoding (their regions must tile exactly), as do B+-tree leaves
-//	   (keys must round-trip).
+//	   child rectangles as 16-bit offsets from the node MBR.
 //
-// Pages are self-describing, so images written at different levels can
-// be read back regardless of the database's current setting; the level
-// only governs what new writes produce.
+// Open refuses any other level. Pages are self-describing, so images
+// written at either level can be read back regardless of the database's
+// current setting; the level only governs what new writes produce.
 func WithPageCompression(level int) Option {
 	return optionFunc(func(o *Options) { o.PageCompression = level })
 }
@@ -79,15 +73,6 @@ func WithPageCompression(level int) Option {
 // WithGridCells sets the uniform grid resolution per side (default 64).
 func WithGridCells(n int32) Option {
 	return optionFunc(func(o *Options) { o.GridCells = n })
-}
-
-// WithBulkLoad makes Load build the index bottom-up through the bulk
-// pipeline instead of per-segment insertion (see AddBatch). A build-time
-// switch only: it is not serialized by SaveTo, and it leaves Add,
-// Delete, and every query exactly as they are. Keep it off to reproduce
-// the paper's build costs (Table 1 measures one-at-a-time insertion).
-func WithBulkLoad() Option {
-	return optionFunc(func(o *Options) { o.BulkLoad = true })
 }
 
 // WithFaultPolicy attaches a fault-injection policy to both of the
@@ -139,7 +124,7 @@ func WithRetryPolicy(rp *RetryPolicy) Option {
 // disk index and publishes it under a new epoch; readers pinned to the
 // old epoch finish against the old index undisturbed. Writers never
 // block readers and readers never block writers. A runtime mode: not
-// serialized by SaveTo.
+// serialized by Save.
 func WithStagedIngest() Option {
 	return optionFunc(func(o *Options) { o.StagedIngest = true })
 }

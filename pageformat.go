@@ -146,13 +146,13 @@ func restoreIndex(kind Kind, opts Options, pool *store.Pool, table *seg.Table, m
 // TestCompressionShrinksIndex holds level 1 to its fanout claim with
 // it.
 type PageFormatStats struct {
-	// Level is the database's configured compression level (0..2).
+	// Level is the database's configured compression level (0 or 1).
 	Level int
 	// Pages is the number of index pages inspected.
 	Pages int
 	// Formats counts pages by physical encoding: "v1" (classic),
-	// "v3-16" / "v3-8" (compressed R-tree-family nodes, 16- and 8-bit
-	// lanes), "v3" (delta-coded B+-tree leaves).
+	// "v3-16" (compressed R-tree-family nodes, 16-bit lanes), "v3"
+	// (delta-coded B+-tree leaves).
 	Formats map[string]int
 	// Leaves and LeafEntries give the effective leaf fanout
 	// LeafEntries/Leaves — the quantity the paper's occupancy numbers

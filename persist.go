@@ -144,8 +144,8 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 	if headerWords > 7 {
 		opts.PageCompression = int(header[7])
 	}
-	if opts.PageCompression < 0 || opts.PageCompression > 2 {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible page compression level %d", opts.PageCompression)
+	if err := checkPageCompression(opts.PageCompression); err != nil {
+		return 0, opts, nil, nil, nil, err
 	}
 	if opts.PageSize < 64 || opts.PageSize > 1<<20 {
 		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible page size %d", opts.PageSize)

@@ -159,19 +159,15 @@ type Options struct {
 	PMRStoreMBR bool
 	// GridCells is the uniform grid resolution per side (default 64).
 	GridCells int32
-	// PageCompression selects the on-disk page format level 0..2 (see
-	// WithPageCompression). Serialized by SaveTo: a compressed image
+	// PageCompression selects the on-disk page format, 0 or 1 (see
+	// WithPageCompression). Serialized by Save: a compressed image
 	// reopens compressed.
 	PageCompression int
-	// BulkLoad makes Load build the index bottom-up through the bulk
-	// pipeline instead of per-segment insertion (see WithBulkLoad and
-	// AddBatch). A build-time switch: not serialized by SaveTo.
-	BulkLoad bool
 	// FaultPolicy, if non-nil, is attached to both disks at open time
-	// (see WithFaultPolicy). Runtime state, not serialized by SaveTo.
+	// (see WithFaultPolicy). Runtime state, not serialized by Save.
 	FaultPolicy *FaultPolicy
 	// Tracer, if non-nil, is installed at open time (see WithTracer).
-	// Runtime state, not serialized by SaveTo.
+	// Runtime state, not serialized by Save.
 	Tracer Tracer
 	// WALDir, if non-empty, makes the database durable: a write-ahead
 	// log and checkpoint are kept in this directory (see WithWAL).
@@ -180,14 +176,14 @@ type Options struct {
 	// filesystem (see WithWALFS); crash harnesses pass a MemWALFS.
 	WALFS WALFS
 	// RetryPolicy, if non-nil, is attached to both disks at open time
-	// (see WithRetryPolicy). Runtime state, not serialized by SaveTo.
+	// (see WithRetryPolicy). Runtime state, not serialized by Save.
 	RetryPolicy *RetryPolicy
 	// DegradedReads makes queries skip quarantined pages and report them
 	// in QueryStats.SkippedPages instead of failing (see
 	// WithDegradedReads).
 	DegradedReads bool
 	// StagedIngest enables MVCC snapshot reads and LSM-staged writes
-	// (see WithStagedIngest). A runtime mode, not serialized by SaveTo.
+	// (see WithStagedIngest). A runtime mode, not serialized by Save.
 	StagedIngest bool
 	// CompactThreshold is the staging-tier size that triggers automatic
 	// compaction (default 4096; negative disables — see
@@ -210,7 +206,7 @@ type Options struct {
 // sequential replay; only the hit/miss split depends on interleaving).
 //
 // By default writes are exclusive: Add, Delete, Load, LoadPacked,
-// DropCaches, CheckIntegrity, SetFaultPolicy, and SaveTo take the writer
+// DropCaches, CheckIntegrity, SetFaultPolicy, and Save take the writer
 // lock and therefore never run concurrently with queries or each other.
 //
 // A database opened with WithStagedIngest instead runs MVCC snapshot
@@ -295,6 +291,19 @@ func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persista
 	return db
 }
 
+// checkPageCompression is the range check Open applies to its option and
+// Load to an image's header word. Level 2 gets its own message because
+// images written at it exist (DESIGN.md, "Compressed pages").
+func checkPageCompression(level int) error {
+	switch level {
+	case 0, 1:
+		return nil
+	case 2:
+		return fmt.Errorf("segdb: page compression level 2 (8-bit lossy R-tree pages) is a removed format; use level 0 or 1")
+	}
+	return fmt.Errorf("segdb: invalid page compression level %d (want 0 or 1)", level)
+}
+
 // Open creates an empty database backed by the chosen index kind. With
 // no options it uses the configuration of the paper's experiments;
 // tune it with functional options (WithPageSize, WithPoolPages,
@@ -302,8 +311,8 @@ func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persista
 // Open(kind, nil) still compiles and means the defaults.
 func Open(kind Kind, opts ...Option) (*DB, error) {
 	o := resolveOptions(opts)
-	if o.PageCompression < 0 || o.PageCompression > 2 {
-		return nil, fmt.Errorf("segdb: invalid page compression level %d (want 0..2)", o.PageCompression)
+	if err := checkPageCompression(o.PageCompression); err != nil {
+		return nil, err
 	}
 	impl, err := implOf(kind)
 	if err != nil {
