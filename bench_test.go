@@ -493,16 +493,16 @@ func BenchmarkOverlayJoin(b *testing.B) {
 }
 
 // windowBatchSetup is the fixture of BenchmarkWindowBatch: a ~50k-segment
-// county in a packed R*-tree over a pool of the given shard count, large
-// enough to keep the working set resident, so the benchmark measures
-// query execution rather than cold-cache page faults.
-func windowBatchSetup(b *testing.B, shards int) (*DB, []Rect) {
+// county in a packed R*-tree over a pool large enough to keep the working
+// set resident, so the benchmark measures query execution rather than
+// cold-cache page faults.
+func windowBatchSetup(b *testing.B) (*DB, []Rect) {
 	b.Helper()
 	m, err := GenerateCounty("Charles")
 	if err != nil {
 		b.Fatal(err)
 	}
-	db, err := Open(RStarTree, WithPoolPages(4096), WithPoolShards(shards))
+	db, err := Open(RStarTree, WithPoolPages(4096))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -532,50 +532,35 @@ func minInt32(a, b int32) int32 {
 }
 
 // BenchmarkWindowBatch contrasts sequential and 8-worker execution of a
-// 256-window batch over a ~50k-segment county, on the default exact-LRU
-// pool and on the 8-shard CLOCK pool (WithPoolShards(8)). Each parallel
-// sub-benchmark reports a "speedup" metric (its pool's sequential batch
-// time / its own, measured in the same process), and the CLOCK one a
-// "vs-lru" metric (the LRU pool's 8-worker batch time / its own): the
-// number that keeps the sharded pool (DESIGN.md, "Modes and why they
-// exist"). The worker count is fixed, not GOMAXPROCS, so the rows mean
-// the same on every box.
+// 256-window batch over a ~50k-segment county. The parallel sub-benchmark
+// reports a "speedup" metric (the sequential batch time / its own,
+// measured in the same process): the number a pool whose hits scale
+// across workers must raise above 1 (ROADMAP). The worker count is fixed,
+// not GOMAXPROCS, so the rows mean the same on every box.
 func BenchmarkWindowBatch(b *testing.B) {
 	const workers = 8
 	var hits atomic.Uint64
 	sink := func(int, SegmentID, Segment) bool { hits.Add(1); return true }
-	var lruParNs float64
-	for _, pool := range []struct {
-		name   string
-		shards int
-	}{{"lru", 1}, {"clock8", 8}} {
-		db, rects := windowBatchSetup(b, pool.shards)
-		// batchNs runs the batch b.N times and returns one batch's time.
-		batchNs := func(b *testing.B, workers int) float64 {
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if err := db.WindowBatch(rects, workers, sink); err != nil {
-					b.Fatal(err)
-				}
+	db, rects := windowBatchSetup(b)
+	// batchNs runs the batch b.N times and returns one batch's time.
+	batchNs := func(b *testing.B, workers int) float64 {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			if err := db.WindowBatch(rects, workers, sink); err != nil {
+				b.Fatal(err)
 			}
-			elapsed := time.Since(start)
-			b.ReportMetric(float64(len(rects))*float64(b.N)/elapsed.Seconds(), "queries/s")
-			return float64(elapsed.Nanoseconds()) / float64(b.N)
 		}
-		var seqNs float64
-		b.Run("pool="+pool.name+"/sequential", func(b *testing.B) { seqNs = batchNs(b, 1) })
-		b.Run(fmt.Sprintf("pool=%s/parallel-%d", pool.name, workers), func(b *testing.B) {
-			parNs := batchNs(b, workers)
-			if seqNs > 0 && parNs > 0 {
-				b.ReportMetric(seqNs/parNs, "speedup")
-			}
-			if pool.shards == 1 {
-				lruParNs = parNs
-			} else if lruParNs > 0 && parNs > 0 {
-				b.ReportMetric(lruParNs/parNs, "vs-lru")
-			}
-		})
+		elapsed := time.Since(start)
+		b.ReportMetric(float64(len(rects))*float64(b.N)/elapsed.Seconds(), "queries/s")
+		return float64(elapsed.Nanoseconds()) / float64(b.N)
 	}
+	var seqNs float64
+	b.Run("sequential", func(b *testing.B) { seqNs = batchNs(b, 1) })
+	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
+		if parNs := batchNs(b, workers); seqNs > 0 && parNs > 0 {
+			b.ReportMetric(seqNs/parNs, "speedup")
+		}
+	})
 }
 
 // BenchmarkOverlayParallelJoin contrasts the sequential nested-loop join

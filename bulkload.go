@@ -143,7 +143,7 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 	if db.walfs != nil {
 		disk.SetJournal(true)
 	}
-	pool := store.NewShardedPool(disk, db.opts.PoolPages, db.opts.PoolShards)
+	pool := store.NewPool(disk, db.opts.PoolPages)
 	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids)
 	if err != nil {
 		return err

@@ -292,7 +292,7 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 	dbOpts.DegradedReads = o.DegradedReads
 	dbOpts.StagedIngest = o.StagedIngest
 	dbOpts.CompactThreshold = o.CompactThreshold
-	pool := store.NewShardedPool(st.disk, dbOpts.PoolPages, dbOpts.PoolShards)
+	pool := store.NewPool(st.disk, dbOpts.PoolPages)
 	ix, err := restoreIndex(st.kind, dbOpts, pool, st.table, st.meta)
 	if err != nil {
 		return nil, nil, err

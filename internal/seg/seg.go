@@ -58,17 +58,10 @@ type Table struct {
 }
 
 // NewTable creates a segment table over its own simulated disk, fronted
-// by a single-shard (exact-LRU) buffer pool.
+// by an exact-LRU buffer pool of poolPages frames.
 func NewTable(pageSize, poolPages int) *Table {
-	return NewTableSharded(pageSize, poolPages, 1)
-}
-
-// NewTableSharded is NewTable with the buffer pool split into the given
-// number of shards (see store.NewShardedPool; shards <= 0 sizes the pool
-// automatically for the machine).
-func NewTableSharded(pageSize, poolPages, shards int) *Table {
 	return &Table{
-		pool:    store.NewShardedPool(store.NewDisk(pageSize), poolPages, shards),
+		pool:    store.NewPool(store.NewDisk(pageSize), poolPages),
 		perPage: pageSize / recordSize,
 	}
 }
@@ -170,8 +163,8 @@ func errRange(id ID, count int64) error {
 // copy — the usual case: an index leaf's candidates were appended
 // together. Every fetch is still one segment comparison and one pool
 // request in every counter; one answered from the copy is a hit that
-// skipped the pool, where re-touching the page served last moves neither
-// an LRU list nor a CLOCK bit.
+// skipped the pool, where re-touching the page served last does not move
+// the LRU list.
 //
 // The page must still be the pool's last for that, so the copy is used
 // only while the table's count and fetch total are what they were when it
@@ -301,10 +294,9 @@ func (t *Table) CheckIntegrity() error {
 	return nil
 }
 
-// RestoreTableSharded reconstructs a table serialized by WriteSnapshot,
-// fronted by a fresh buffer pool of poolPages frames in the given number
-// of shards (see store.NewShardedPool).
-func RestoreTableSharded(r io.Reader, poolPages, shards int) (*Table, error) {
+// RestoreTable reconstructs a table serialized by WriteSnapshot, fronted
+// by a fresh buffer pool of poolPages frames.
+func RestoreTable(r io.Reader, poolPages int) (*Table, error) {
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("seg: reading table header: %w", err)
@@ -317,7 +309,7 @@ func RestoreTableSharded(r io.Reader, poolPages, shards int) (*Table, error) {
 		return nil, fmt.Errorf("seg: table image page size %d below record size %d", disk.PageSize(), recordSize)
 	}
 	t := &Table{
-		pool:    store.NewShardedPool(disk, poolPages, shards),
+		pool:    store.NewPool(disk, poolPages),
 		perPage: disk.PageSize() / recordSize,
 	}
 	t.count.Store(int64(count))

@@ -314,7 +314,7 @@ func TestDecodeCacheDiskCountsMatchBytePath(t *testing.T) {
 // mismatch.
 func TestDecodeCacheConcurrent(t *testing.T) {
 	d := NewDisk(DefaultPageSize)
-	p := NewShardedPool(d, 8, 4) // small: constant eviction pressure
+	p := NewPool(d, 8) // small: constant eviction pressure
 	const pages = 32
 	ids := make([]PageID, pages)
 	for i := range ids {
@@ -360,7 +360,7 @@ func TestDecodeCacheConcurrent(t *testing.T) {
 // other goroutines are reading other pages.
 func TestDecodeCacheWriteInvalidationUnderLoad(t *testing.T) {
 	d := NewDisk(DefaultPageSize)
-	p := NewShardedPool(d, 16, 4)
+	p := NewPool(d, 16)
 	const pages = 8
 	ids := make([]PageID, pages)
 	for i := range ids {

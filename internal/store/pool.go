@@ -1,0 +1,584 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"segdb/internal/obs"
+)
+
+// frame is one buffer-pool slot. Its bookkeeping — dirty, logged and the
+// LRU links — is guarded by the pool latch; the pin count and the decode
+// slot are atomics because GetDecodedObs and ReadObs drop their pin, and
+// read the slot, without it.
+type frame struct {
+	id   PageID
+	data []byte
+	pins atomic.Int32
+	// dirty reports bytes not yet written back to the disk. logged reports
+	// that those bytes are sealed in the write-ahead log: SealLogged sets it
+	// once the commit record covering the frame's page image is in the log,
+	// and modified clears it, so a dirty frame is logged once per change
+	// rather than once per commit. It means nothing on a clean frame.
+	dirty, logged bool
+	prev, next    *frame // LRU list; most recently used at head
+
+	// decoded is the frame's decode-once cache slot: the immutable
+	// in-memory form of the page bytes (an *rpage.SoA, a B+-tree node),
+	// built by the first GetDecodedObs after the frame came in and served
+	// to every later one, so warm traversals skip the binary decode
+	// entirely. It is cleared whenever the bytes change (Unpin with
+	// dirty=true, MarkDirty) and vanishes with the frame on eviction,
+	// Discard, Free, and DropAll — install always builds a fresh frame
+	// struct even when it reuses the victim's byte buffer. Recovery builds
+	// a whole new Pool, and Scrub repairs end in Discard, so a recovered
+	// or repaired page can never serve a stale decode.
+	decoded atomic.Pointer[any]
+}
+
+// modified records that the frame's bytes changed: they must be written
+// back, logged again, and decoded afresh. The pool latch must be held.
+func (f *frame) modified() {
+	f.dirty = true
+	f.logged = false
+	f.decoded.Store(nil)
+}
+
+// Pool is a buffer pool over a Disk: the paper's configuration, one latch
+// over a frame map and an exact-LRU list. Fetching a page that is
+// resident costs nothing (a hit); a miss evicts the least recently used
+// unpinned frame (writing it back if dirty) and reads the page from disk,
+// so the experiments' disk-access counts reproduce precisely.
+//
+// The page bytes returned by Get alias the frame and are protected by the
+// pin, not the latch — they stay valid until Unpin. Callers that *modify*
+// page contents must be externally serialized (one writer at a time), as
+// two concurrent writers to the same frame would race on the bytes
+// themselves.
+type Pool struct {
+	disk     *Disk
+	capacity int
+	hits     atomic.Uint64
+
+	mu     sync.Mutex // guards frames, the LRU list and each frame's dirty/logged
+	frames map[PageID]*frame
+	head   *frame // most recently used
+	tail   *frame // least recently used
+
+	// Decode-once cache counters: decodeHits counts GetDecodedObs calls
+	// served from a frame's cached decoded node (the binary decode was
+	// skipped), decodeMisses those that had to decode.
+	decodeHits   atomic.Uint64
+	decodeMisses atomic.Uint64
+}
+
+// evictRetries bounds how many times a request retries after finding
+// every frame pinned. No read path holds a pin on return — a pin lasts a
+// page decode or a copy — so a full pool is almost always a transient pin
+// storm, even when readers outnumber a small pool's frames. evictWait is
+// the wait before a retry: a yield at first, then short sleeps, because
+// the pin's holder may be off the processor (preempted mid-decode, parked
+// by the collector), which no amount of yielding outlasts. Exhausting the
+// retries — some milliseconds; a write path pinning more pages than the
+// pool has frames — surfaces ErrAllPinned.
+const evictRetries = 128
+
+func evictWait(attempt int) {
+	if attempt < evictRetries/4 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(50 * time.Microsecond)
+}
+
+// NewPool creates a buffer pool with the given number of frames. It
+// panics on a non-positive capacity (programmer error; validate untrusted
+// configuration before calling).
+func NewPool(disk *Disk, capacity int) *Pool {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("store: invalid pool capacity %d", capacity))
+	}
+	return &Pool{disk: disk, capacity: capacity, frames: make(map[PageID]*frame, capacity)}
+}
+
+// Disk returns the underlying disk.
+func (p *Pool) Disk() *Disk { return p.disk }
+
+// PageSize returns the size of pages managed by this pool.
+func (p *Pool) PageSize() int { return p.disk.pageSize }
+
+// Stats returns the accumulated disk statistics plus the pool's hit
+// count.
+func (p *Pool) Stats() Stats {
+	s := p.disk.stats.snapshot()
+	s.Hits = p.hits.Load()
+	return s
+}
+
+// Resident reports whether the page is currently in the pool (test hook).
+func (p *Pool) Resident(id PageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.frames[id]
+	return ok
+}
+
+// Allocate creates a new page and returns it pinned and dirty. The caller
+// must Unpin it when done. On failure (ErrAllPinned, or a write fault
+// evicting a victim) the fresh page is returned to the free list.
+func (p *Pool) Allocate() (PageID, []byte, error) {
+	id := p.disk.allocate()
+	for attempt := 0; ; attempt++ {
+		p.mu.Lock()
+		f, err := p.install(id, false, nil)
+		if err == nil {
+			f.modified()
+			f.pins.Add(1)
+			p.mu.Unlock()
+			return id, f.data, nil
+		}
+		p.mu.Unlock()
+		if attempt >= evictRetries || !errors.Is(err, ErrAllPinned) {
+			p.disk.release(id)
+			return NilPage, nil, err
+		}
+		// Pool momentarily all pinned; readers' pins are transient, so
+		// wait and retry rather than failing the allocation.
+		evictWait(attempt)
+	}
+}
+
+// Get pins the page and returns its contents. The slice aliases the buffer
+// frame: it is valid until Unpin, and writes to it must be followed by
+// Unpin(id, true) (or MarkDirty) to be persisted.
+func (p *Pool) Get(id PageID) ([]byte, error) {
+	return p.GetObs(id, nil)
+}
+
+// GetObs is Get with per-query observation. The page request is charged
+// to o (hit or miss, plus any dirty write-back the miss's eviction
+// causes) as well as to the pool's own counters, and a canceled query
+// context aborts before the request is served — the page fetch is the
+// cancellation granularity of the whole query layer. A nil o makes this
+// identical to Get.
+func (p *Pool) GetObs(id PageID, o *obs.Op) ([]byte, error) {
+	f, err := p.pin(id, o)
+	if err != nil {
+		return nil, err
+	}
+	return f.data, nil
+}
+
+// pin is the shared request path behind GetObs and GetDecodedObs: it
+// brings the page into the pool if needed, charges the request (hit or
+// miss) to o and the pool's counters, and returns the frame with one pin
+// taken.
+func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
+	if id == NilPage {
+		return nil, fmt.Errorf("store: get of nil page: %w", ErrBadPage)
+	}
+	if err := o.Canceled(); err != nil {
+		return nil, err
+	}
+	if o.Degraded() && p.disk.isQuarantined(id) {
+		// Fail fast: the page is known bad; skip without charging the
+		// disk another doomed read.
+		o.PageSkipped()
+		return nil, &PageUnavailableError{Page: id}
+	}
+	for attempt := 0; ; attempt++ {
+		// Released by hand, charges made after it: a deferred unlock was a
+		// measurable share of a hit.
+		p.mu.Lock()
+		if f, ok := p.frames[id]; ok {
+			if p.head != f {
+				p.unlink(f)
+				p.pushFront(f)
+			}
+			f.pins.Add(1)
+			p.mu.Unlock()
+			p.hits.Add(1)
+			o.PoolHits(1)
+			return f, nil
+		}
+		f, err := p.install(id, true, o)
+		if err == nil {
+			f.pins.Add(1)
+			p.mu.Unlock()
+			o.PoolMiss(uint32(id))
+			return f, nil
+		}
+		p.mu.Unlock()
+		if attempt >= evictRetries || !errors.Is(err, ErrAllPinned) {
+			return nil, p.degrade(id, err, o)
+		}
+		// Every frame pinned: a read holds its pin only across a page
+		// decode or a copy, so wait and retry the whole request (the page
+		// may even arrive via a racer, turning the retry into a hit).
+		evictWait(attempt)
+	}
+}
+
+// DecodeFunc builds the immutable in-memory form of a page from its raw
+// bytes, for the decode-once cache. The returned value is shared across
+// every later request for the page while its frame stays resident and
+// clean, so it must be immutable and must not alias data.
+type DecodeFunc func(data []byte) (any, error)
+
+// GetDecodedObs returns the page's decoded form, building it with decode
+// on the first request after the page comes into the pool (or after its
+// bytes changed) and serving the cached value on every later one — the
+// warm path skips the binary decode entirely. The request is charged to
+// o and the pool's counters exactly like GetObs: the decode cache never
+// changes which requests hit the disk, only whether a hit re-decodes.
+//
+// The returned value does not alias the frame, so no pin is held on
+// return and no Unpin is owed. Callers that modify page bytes must be
+// serialized against readers (the database's structural writer lock
+// provides this); under that contract a request can never observe — or
+// cache — a decoded value that is stale relative to the page's bytes.
+func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, error) {
+	f, err := p.pin(id, o)
+	if err != nil {
+		return nil, err
+	}
+	if dp := f.decoded.Load(); dp != nil {
+		f.pins.Add(-1)
+		p.decodeHits.Add(1)
+		return *dp, nil
+	}
+	v, err := decode(f.data)
+	if err != nil {
+		f.pins.Add(-1)
+		return nil, err
+	}
+	dp := new(any)
+	*dp = v
+	f.decoded.Store(dp)
+	f.pins.Add(-1)
+	p.decodeMisses.Add(1)
+	return v, nil
+}
+
+// ReadObs copies len(dst) bytes of the page, from byte off, into dst. The
+// request is charged to o and the pool's counters exactly like GetObs; the
+// copy is taken under a pin dropped before returning, so no Unpin is owed.
+// It is the segment table's read primitive (one record, or a cursor's
+// page copy). Bytes a writer may be changing must lie outside the range
+// asked for — the table asks only for records already visible to it.
+func (p *Pool) ReadObs(id PageID, off int, dst []byte, o *obs.Op) error {
+	f, err := p.pin(id, o)
+	if err != nil {
+		return err
+	}
+	copy(dst, f.data[off:off+len(dst)])
+	f.pins.Add(-1)
+	return nil
+}
+
+// CreditHits counts n requests a caller answered from its own copy of the
+// page it last read through ReadObs. Each would have found that page
+// resident and most recently used and changed nothing, so the pool owes
+// it only the count; the caller charges its obs.Op itself.
+func (p *Pool) CreditHits(n uint64) { p.hits.Add(n) }
+
+// DecodeStats returns the decode-once cache counters: requests served
+// from a frame's cached decoded node (the decode was skipped) and
+// requests that had to decode.
+func (p *Pool) DecodeStats() (hits, misses uint64) {
+	return p.decodeHits.Load(), p.decodeMisses.Load()
+}
+
+// degrade converts a failed page fetch into quarantine-and-skip when the
+// query runs in degraded-read mode and the failure is the page's own —
+// a checksum mismatch or a transient read fault that exhausted its
+// retries. Other failures (crash, cancellation, pinned-out pool, a
+// victim's write-back fault) pass through untouched, as does every
+// failure of a non-degraded query.
+func (p *Pool) degrade(id PageID, err error, o *obs.Op) error {
+	if !o.Degraded() || !quarantineable(err) {
+		return err
+	}
+	p.disk.quarantine(id)
+	o.PageSkipped()
+	return &PageUnavailableError{Page: id, Err: err}
+}
+
+// quarantineable reports whether a read failure condemns the page itself.
+func quarantineable(err error) bool {
+	if errors.Is(err, ErrChecksum) {
+		return true
+	}
+	var fe *FaultError
+	if errors.As(err, &fe) {
+		return fe.Kind == FaultRead
+	}
+	return false
+}
+
+// ForEachUnlogged calls fn with every dirty resident frame whose bytes
+// are not yet sealed in the write-ahead log, in ascending page order,
+// stopping at the first error. The data slice aliases the frame: fn must
+// not retain it past the call. The caller must hold the database's
+// structural writer lock (no concurrent query may be modifying frames) —
+// this is the WAL layer's capture of not-yet-flushed state. It marks
+// nothing: the caller seals the frames with SealLogged once the commit
+// record is in the log.
+func (p *Pool) ForEachUnlogged(fn func(id PageID, data []byte) error) error {
+	var unlogged []*frame
+	p.mu.Lock()
+	for _, f := range p.frames {
+		if f.dirty && !f.logged {
+			unlogged = append(unlogged, f)
+		}
+	}
+	p.mu.Unlock()
+	slices.SortFunc(unlogged, func(a, b *frame) int { return int(a.id) - int(b.id) })
+	for _, f := range unlogged {
+		if err := fn(f.id, f.data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SealLogged records that every dirty frame's current bytes are in the
+// write-ahead log under a commit record. The caller holds the structural
+// writer lock from ForEachUnlogged through the commit append to here, so
+// the dirty frames are exactly those just captured plus those sealed by
+// an earlier commit and untouched since.
+func (p *Pool) SealLogged() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range p.frames {
+		if f.dirty {
+			f.logged = true
+		}
+	}
+}
+
+// Dirty reports whether the page is resident with changes not yet
+// written back to the disk.
+func (p *Pool) Dirty(id PageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	return ok && f.dirty
+}
+
+// Discard drops the page's frame without writing it back, so the next
+// request re-reads the disk — used after an external repair lands newer
+// bytes under a stale frame. It reports false (and leaves the frame) if
+// the page is pinned; a missing frame is a successful no-op.
+func (p *Pool) Discard(id PageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	if !ok {
+		return true
+	}
+	if f.pins.Load() > 0 {
+		return false
+	}
+	p.remove(f)
+	return true
+}
+
+// Unpin releases one pin on the page, marking it dirty if the caller
+// modified it. Unpinning a page that is not pinned panics: pin balance is
+// a programmer invariant (pins are only handed out by Get/Allocate), not
+// an I/O condition.
+func (p *Pool) Unpin(id PageID, dirty bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	if !ok || f.pins.Load() == 0 {
+		panic(fmt.Sprintf("store: unpin of unpinned page %d", id))
+	}
+	if dirty {
+		f.modified()
+	}
+	f.pins.Add(-1)
+}
+
+// MarkDirty flags a currently pinned page as modified. Marking a
+// non-resident page panics (programmer error: the caller claims to hold a
+// pin it does not have).
+func (p *Pool) MarkDirty(id PageID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	if !ok {
+		panic(fmt.Sprintf("store: mark dirty of non-resident page %d", id))
+	}
+	f.modified()
+}
+
+// Free returns the page to the disk free list. The page must be unpinned
+// (freeing a pinned page panics — programmer error); a dirty page being
+// freed is simply dropped without a write-back, since its contents are
+// dead.
+func (p *Pool) Free(id PageID) {
+	p.mu.Lock()
+	if f, ok := p.frames[id]; ok {
+		if f.pins.Load() > 0 {
+			p.mu.Unlock()
+			panic(fmt.Sprintf("store: free of pinned page %d", id))
+		}
+		p.remove(f)
+	}
+	p.mu.Unlock()
+	p.disk.release(id)
+}
+
+// Flush writes back every dirty frame (without evicting), as done once at
+// the end of a build so that sizes and write counts are comparable. On a
+// write fault it stops and reports the error; the failed frame and any
+// not yet visited stay dirty.
+func (p *Pool) Flush() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.flushLocked()
+}
+
+func (p *Pool) flushLocked() error {
+	for _, f := range p.frames {
+		if f.dirty {
+			if err := p.disk.write(f.id, f.data); err != nil {
+				return err
+			}
+			f.dirty = false
+		}
+	}
+	return nil
+}
+
+// DropAll empties the pool, writing back dirty pages. Used between
+// experiment phases to cold-start the cache. Dropping while any page is
+// pinned panics (programmer error). No query read path holds a pin on
+// return, but GetDecodedObs and ReadObs hold one across their decode or
+// copy, and write paths and Get/Allocate callers until Unpin, so DropAll
+// must not run concurrently with queries or writes (DropUnpinned may). On
+// a write fault the pool is left partially flushed and nothing is dropped.
+func (p *Pool) DropAll() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.flushLocked(); err != nil {
+		return err
+	}
+	for id, f := range p.frames {
+		if f.pins.Load() > 0 {
+			panic(fmt.Sprintf("store: drop-all with pinned page %d", id))
+		}
+	}
+	clear(p.frames)
+	p.head, p.tail = nil, nil
+	return nil
+}
+
+// DropUnpinned flushes and evicts every frame not currently pinned,
+// leaving pinned frames (and their decode caches) untouched, and
+// returns how many frames were dropped. It is the cache-drop primitive
+// for databases with snapshot readers in flight: DropAll panics on a
+// pinned frame because dropping data under a reader is a correctness
+// bug, but a pinned frame simply *staying resident* is not — the reader
+// finishes against a warm page and the next drop gets it. On a write
+// fault the pool is left partially flushed and nothing is dropped.
+func (p *Pool) DropUnpinned() (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range p.frames {
+		if f.pins.Load() > 0 || !f.dirty {
+			continue
+		}
+		if err := p.disk.write(f.id, f.data); err != nil {
+			return 0, err
+		}
+		f.dirty = false
+	}
+	dropped := 0
+	for _, f := range p.frames {
+		if f.pins.Load() > 0 {
+			continue
+		}
+		p.remove(f)
+		dropped++
+	}
+	return dropped, nil
+}
+
+// install brings a page into the pool at the head of the LRU list,
+// charging any eviction write-back to o. A full pool first evicts the
+// least recently used unpinned frame — exactly the paper's policy — and
+// reuses its page buffer; one with every frame pinned reports
+// ErrAllPinned, which the request paths wait out and retry (evictWait).
+// The latch must be held.
+func (p *Pool) install(id PageID, readFromDisk bool, o *obs.Op) (*frame, error) {
+	var buf []byte
+	if len(p.frames) >= p.capacity {
+		victim := p.tail
+		for victim != nil && victim.pins.Load() > 0 {
+			victim = victim.prev
+		}
+		if victim == nil {
+			return nil, ErrAllPinned
+		}
+		if victim.dirty {
+			if err := p.disk.writeObs(victim.id, victim.data, o); err != nil {
+				return nil, err
+			}
+			o.DiskWrite()
+		}
+		p.remove(victim)
+		buf = victim.data
+	} else {
+		buf = make([]byte, p.disk.pageSize)
+	}
+	f := &frame{id: id, data: buf}
+	if readFromDisk {
+		if err := p.disk.readObs(id, f.data, o); err != nil {
+			return nil, err
+		}
+	}
+	p.frames[id] = f
+	p.pushFront(f)
+	return f, nil
+}
+
+// remove drops a frame from the map and the LRU list. The latch must be
+// held.
+func (p *Pool) remove(f *frame) {
+	p.unlink(f)
+	delete(p.frames, f.id)
+}
+
+func (p *Pool) pushFront(f *frame) {
+	f.prev = nil
+	f.next = p.head
+	if p.head != nil {
+		p.head.prev = f
+	}
+	p.head = f
+	if p.tail == nil {
+		p.tail = f
+	}
+}
+
+func (p *Pool) unlink(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		p.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		p.tail = f.prev
+	}
+	f.prev, f.next = nil, nil
+}

@@ -1,6 +1,11 @@
 package segdb
 
-import "segdb/internal/store"
+import (
+	"errors"
+	"fmt"
+
+	"segdb/internal/store"
+)
 
 // Option configures Open. Options compose left to right:
 //
@@ -20,27 +25,15 @@ type optionFunc func(*Options)
 func (f optionFunc) apply(o *Options) { f(o) }
 
 // WithPageSize sets the disk page size in bytes (default 1024, the
-// paper's configuration).
+// paper's configuration). Open refuses sizes outside 64 B … 1 MiB.
 func WithPageSize(n int) Option {
 	return optionFunc(func(o *Options) { o.PageSize = n })
 }
 
 // WithPoolPages sets the buffer pool capacity in pages (default 16).
+// Open refuses capacities outside 1 … 65,536.
 func WithPoolPages(n int) Option {
 	return optionFunc(func(o *Options) { o.PoolPages = n })
-}
-
-// WithPoolShards sets how many independently latched shards each buffer
-// pool is split into. The default (0 left unset resolves to 1) keeps the
-// single-shard exact-LRU pool whose eviction order reproduces the
-// paper's disk-access counts page for page. Explicit values are rounded
-// up to a power of two and capped so no shard starves; a negative value
-// sizes the pool automatically from GOMAXPROCS. Multi-shard pools use
-// CLOCK second-chance eviction, which approximates LRU — total page
-// requests are identical, but the hit/miss split can differ from the
-// single-shard numbers.
-func WithPoolShards(n int) Option {
-	return optionFunc(func(o *Options) { o.PoolShards = n })
 }
 
 // WithPMRThreshold sets the PMR quadtree splitting threshold
@@ -164,9 +157,6 @@ func resolveOptions(opts []Option) Options {
 	if o.PoolPages == 0 {
 		o.PoolPages = store.DefaultPoolPages
 	}
-	if o.PoolShards == 0 {
-		o.PoolShards = 1
-	}
 	if o.PMRThreshold == 0 {
 		o.PMRThreshold = 4
 	}
@@ -177,4 +167,34 @@ func resolveOptions(opts []Option) Options {
 		o.CompactThreshold = 4096
 	}
 	return o
+}
+
+// Bounds on the page and pool sizes an image header may carry, and so on
+// what Open accepts: a database Open creates is one whose checkpoint Load
+// and Recover can read back.
+const (
+	minPageSize  = 64
+	maxPageSize  = 1 << 20
+	maxPoolPages = 1 << 16
+)
+
+// checkOptions is the range check Open applies to its resolved options
+// and Load to an image's header, before either sizes anything from them.
+// Level 2 gets its own message because images written at it exist
+// (DESIGN.md, "Compressed pages").
+func checkOptions(o Options) error {
+	switch o.PageCompression {
+	case 0, 1:
+	case 2:
+		return errors.New("page compression level 2 (8-bit lossy R-tree pages) is a removed format; use level 0 or 1")
+	default:
+		return fmt.Errorf("invalid page compression level %d (want 0 or 1)", o.PageCompression)
+	}
+	if o.PageSize < minPageSize || o.PageSize > maxPageSize {
+		return fmt.Errorf("page size %d outside %d..%d bytes", o.PageSize, minPageSize, maxPageSize)
+	}
+	if o.PoolPages < 1 || o.PoolPages > maxPoolPages {
+		return fmt.Errorf("pool size %d outside 1..%d pages", o.PoolPages, maxPoolPages)
+	}
+	return nil
 }

@@ -21,12 +21,10 @@ var (
 	fileMagicV1 = [8]byte{'S', 'E', 'G', 'D', 'B', '0', '0', '1'}
 )
 
-// Load header bounds: a corrupt or hostile file must fail validation
-// before its header fields drive any allocation.
-const (
-	maxPoolPages = 1 << 16
-	maxMetaWords = 64
-)
+// maxMetaWords bounds the index metadata length a header may declare: a
+// corrupt or hostile file must fail validation before its header fields
+// drive any allocation (checkOptions bounds the rest).
+const maxMetaWords = 64
 
 // Save serializes the whole database — options, index metadata, the
 // segment table's disk image, and the index's disk image — so it can be
@@ -89,7 +87,7 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := store.NewShardedPool(disk, opts.PoolPages, opts.PoolShards)
+	pool := store.NewPool(disk, opts.PoolPages)
 	ix, err := restoreIndex(kind, opts, pool, table, meta)
 	if err != nil {
 		return nil, err
@@ -134,24 +132,15 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 		PMRThreshold: int(header[3]),
 		PMRStoreMBR:  header[4] != 0,
 		GridCells:    int32(header[5]),
-		// Pool sharding is runtime tuning, not part of the image; a
-		// loaded database starts on the paper-exact single-shard pool.
-		PoolShards: 1,
-		// Staged ingest is likewise a runtime mode (off after Load); the
+		// Staged ingest is a runtime mode (off after Load); the
 		// compaction threshold resolves to its default as in Open.
 		CompactThreshold: 4096,
 	}
 	if headerWords > 7 {
 		opts.PageCompression = int(header[7])
 	}
-	if err := checkPageCompression(opts.PageCompression); err != nil {
-		return 0, opts, nil, nil, nil, err
-	}
-	if opts.PageSize < 64 || opts.PageSize > 1<<20 {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible page size %d", opts.PageSize)
-	}
-	if opts.PoolPages < 1 || opts.PoolPages > maxPoolPages {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible pool size %d", opts.PoolPages)
+	if err := checkOptions(opts); err != nil {
+		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: image header: %w", err)
 	}
 	if header[6] > maxMetaWords {
 		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])
@@ -180,7 +169,7 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 	if got := crc32.ChecksumIEEE(hdr.Bytes()); got != sum {
 		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: file header checksum mismatch (file %#08x, computed %#08x): %w", sum, got, store.ErrChecksum)
 	}
-	table, err := seg.RestoreTableSharded(r, opts.PoolPages, opts.PoolShards)
+	table, err := seg.RestoreTable(r, opts.PoolPages)
 	if err != nil {
 		return 0, opts, nil, nil, nil, err
 	}

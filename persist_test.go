@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -106,6 +107,57 @@ func TestSaveLoadPreservesOptions(t *testing.T) {
 	res, err := restored.Nearest(Pt(8000, 8000))
 	if err != nil || !res.Found {
 		t.Fatalf("nearest: %+v %v", res, err)
+	}
+}
+
+// TestOpenRefusesWhatLoadRefuses holds Open to the header bounds Load
+// applies: a page or pool size Load would refuse is an invalid argument
+// at Open (not a panic, and not a durable database whose checkpoint can
+// never be recovered), and the largest legal pool round-trips through
+// both Save/Load and a WAL's checkpoint.
+func TestOpenRefusesWhatLoadRefuses(t *testing.T) {
+	bad := map[string]Option{
+		"pool -1":       WithPoolPages(-1),
+		"pool 70000":    WithPoolPages(70000),
+		"page -5":       WithPageSize(-5),
+		"page 48":       WithPageSize(48),
+		"page 2 MiB":    WithPageSize(2 << 20),
+		"compression 3": WithPageCompression(3),
+	}
+	for _, k := range allKinds() {
+		for name, opt := range bad {
+			db, err := Open(k, opt)
+			if !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("%v, %s: Open = %v, %v; want ErrInvalidArgument", k, name, db, err)
+			}
+			if db, err := Open(k, WithWALFS(NewMemWALFS()), opt); !errors.Is(err, ErrInvalidArgument) {
+				t.Errorf("%v, %s, WAL: Open = %v, %v; want ErrInvalidArgument", k, name, db, err)
+			}
+		}
+
+		wfs := NewMemWALFS()
+		db, err := Open(k, WithWALFS(wfs), WithPoolPages(maxPoolPages))
+		if err != nil {
+			t.Fatalf("%v: Open at the largest pool: %v", k, err)
+		}
+		populate(t, db, 50, int64(k))
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatalf("%v: Save: %v", k, err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%v: Load at the largest pool: %v", k, err)
+		}
+		recovered, _, err := RecoverFS(wfs)
+		if err != nil {
+			t.Fatalf("%v: RecoverFS at the largest pool: %v", k, err)
+		}
+		for _, got := range []*DB{loaded, recovered} {
+			if got.opts.PoolPages != maxPoolPages || got.Len() != 50 {
+				t.Errorf("%v: reopened with a %d-page pool and %d segments, want %d and 50", k, got.opts.PoolPages, got.Len(), maxPoolPages)
+			}
+		}
 	}
 }
 

@@ -147,10 +147,6 @@ type Options struct {
 	PageSize int
 	// PoolPages is the buffer pool capacity in pages (default 16).
 	PoolPages int
-	// PoolShards is the number of independently latched buffer pool
-	// shards (default 1, the paper-exact LRU pool; negative sizes the
-	// pool automatically from GOMAXPROCS — see WithPoolShards).
-	PoolShards int
 	// PMRThreshold is the PMR quadtree splitting threshold (default 4).
 	PMRThreshold int
 	// PMRStoreMBR enables the PMR variant of §6 of the paper that stores
@@ -291,19 +287,6 @@ func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persista
 	return db
 }
 
-// checkPageCompression is the range check Open applies to its option and
-// Load to an image's header word. Level 2 gets its own message because
-// images written at it exist (DESIGN.md, "Compressed pages").
-func checkPageCompression(level int) error {
-	switch level {
-	case 0, 1:
-		return nil
-	case 2:
-		return fmt.Errorf("segdb: page compression level 2 (8-bit lossy R-tree pages) is a removed format; use level 0 or 1")
-	}
-	return fmt.Errorf("segdb: invalid page compression level %d (want 0 or 1)", level)
-}
-
 // Open creates an empty database backed by the chosen index kind. With
 // no options it uses the configuration of the paper's experiments;
 // tune it with functional options (WithPageSize, WithPoolPages,
@@ -311,15 +294,15 @@ func checkPageCompression(level int) error {
 // Open(kind, nil) still compiles and means the defaults.
 func Open(kind Kind, opts ...Option) (*DB, error) {
 	o := resolveOptions(opts)
-	if err := checkPageCompression(o.PageCompression); err != nil {
-		return nil, err
+	if err := checkOptions(o); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 	}
 	impl, err := implOf(kind)
 	if err != nil {
 		return nil, err
 	}
-	table := seg.NewTableSharded(o.PageSize, o.PoolPages, o.PoolShards)
-	pool := store.NewShardedPool(store.NewDisk(o.PageSize), o.PoolPages, o.PoolShards)
+	table := seg.NewTable(o.PageSize, o.PoolPages)
+	pool := store.NewPool(store.NewDisk(o.PageSize), o.PoolPages)
 	ix, err := impl.new(o, kind, pool, table)
 	if err != nil {
 		return nil, err
