@@ -16,6 +16,8 @@
 package core
 
 import (
+	"cmp"
+
 	"segdb/internal/geom"
 	"segdb/internal/obs"
 	"segdb/internal/seg"
@@ -92,6 +94,16 @@ type NearestResult struct {
 	Seg    geom.Segment
 	DistSq float64
 	Found  bool
+}
+
+// CompareNearest orders nearest-line results by ascending DistSq, then
+// ascending ID: the total order in which merged k-NN answers (staged and
+// base streams, or shards of a router) are delivered.
+func CompareNearest(a, b NearestResult) int {
+	if c := cmp.Compare(a.DistSq, b.DistSq); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // FirstNearestObs is the paper's nearest-line query (query 3): the first

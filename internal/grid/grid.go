@@ -18,6 +18,7 @@ import (
 	"segdb/internal/btree"
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/knn"
 	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -197,7 +198,7 @@ func (g *Grid) cellMembers(cx, cy int32, dst []seg.ID, o *obs.Op) ([]seg.ID, err
 // searches allocate nothing.
 var (
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
-	pqPool      = sync.Pool{New: func() any { return new([]pqItem) }}
+	nnPool      = sync.Pool{New: func() any { return new([]knn.Item[nnEntry]) }}
 )
 
 // WindowObs visits every segment intersecting r exactly once.
@@ -247,61 +248,10 @@ func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 	return nil
 }
 
-type pqItem struct {
-	distSq float64
-	isSeg  bool
-	cx, cy int32
-	id     seg.ID
-	s      geom.Segment
-}
-
-// The priority queue is a hand-rolled binary min-heap over []pqItem
-// rather than container/heap: the interface methods box every pqItem
-// pushed or popped, an allocation per queue operation. The sift routines
-// mirror container/heap's exactly, so pop order (and therefore scan
-// order and disk access counts) is unchanged.
-
-func pqUp(q []pqItem, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func pqDown(q []pqItem, i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].distSq < q[j].distSq {
-			j = j2
-		}
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-func pqPush(q *[]pqItem, it pqItem) {
-	*q = append(*q, it)
-	pqUp(*q, len(*q)-1)
-}
-
-func pqPop(q *[]pqItem) pqItem {
-	old := *q
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	pqDown(old, 0, n)
-	it := old[n]
-	*q = old[:n]
-	return it
+// nnEntry is the payload of a k-NN queue item: a fetched segment.
+type nnEntry struct {
+	id seg.ID
+	s  geom.Segment
 }
 
 // NearestKAppendObs appends to dst up to k segments in increasing
@@ -312,9 +262,9 @@ func pqPop(q *[]pqItem) pqItem {
 // reused dst a warm query's search machinery allocates nothing.
 func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
-	qp := pqPool.Get().(*[]pqItem)
+	qp := nnPool.Get().(*[]knn.Item[nnEntry])
 	q := (*qp)[:0]
-	defer func() { *qp = q[:0]; pqPool.Put(qp) }()
+	defer func() { *qp = q[:0]; nnPool.Put(qp) }()
 	seen := seg.AcquireSeen()
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
@@ -348,12 +298,7 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				}
 				return err
 			}
-			pqPush(&q, pqItem{
-				distSq: geom.DistSqPointSegment(p, s),
-				isSeg:  true,
-				id:     id,
-				s:      s,
-			})
+			knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{id: id, s: s})
 		}
 		return nil
 	}
@@ -382,9 +327,9 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		bound := (float64(ring) - 1) * float64(g.cellSize)
 		if bound > 0 {
 			b2 := bound * bound
-			for len(q) > 0 && len(dst)-base < k && q[0].distSq <= b2 {
-				it := pqPop(&q)
-				dst = append(dst, core.NearestResult{ID: it.id, Seg: it.s, DistSq: it.distSq, Found: true})
+			for len(q) > 0 && len(dst)-base < k && q[0].DistSq <= b2 {
+				it := knn.Pop(&q)
+				dst = append(dst, core.NearestResult{ID: it.V.id, Seg: it.V.s, DistSq: it.DistSq, Found: true})
 			}
 			if len(dst)-base >= k {
 				return dst, nil
@@ -393,8 +338,8 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	}
 	// Rings exhausted: everything remaining is final.
 	for len(q) > 0 && len(dst)-base < k {
-		it := pqPop(&q)
-		dst = append(dst, core.NearestResult{ID: it.id, Seg: it.s, DistSq: it.distSq, Found: true})
+		it := knn.Pop(&q)
+		dst = append(dst, core.NearestResult{ID: it.V.id, Seg: it.V.s, DistSq: it.DistSq, Found: true})
 	}
 	return dst, nil
 }

@@ -8,6 +8,7 @@ import (
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/kernel"
+	"segdb/internal/knn"
 	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -334,12 +335,13 @@ type qedgeRef struct {
 	hasRect bool
 }
 
-type pqItem struct {
-	distSq float64
-	kind   pqKind
-	code   geom.Code
-	id     seg.ID
-	s      geom.Segment
+// nnEntry is the payload of a k-NN queue item; kind says which fields
+// are valid.
+type nnEntry struct {
+	kind pqKind
+	code geom.Code
+	id   seg.ID
+	s    geom.Segment
 	// Bucket items: the q-edges of the leaf block, prefetched by the
 	// region scan that found it, are nearestScratch.refs[lo:hi]. A bucket
 	// seeded by point location has none yet (lo == hi).
@@ -351,9 +353,9 @@ type pqItem struct {
 // regions are enumerated, never moved, so queue items address them by
 // index) and the leaf blocks of the region being enumerated.
 type nearestScratch struct {
-	q      []pqItem
+	q      []knn.Item[nnEntry]
 	refs   []qedgeRef
-	groups []pqItem // code, lo and hi of each block
+	groups []nnEntry // code, lo and hi of each block
 }
 
 type pqKind uint8
@@ -364,55 +366,6 @@ const (
 	pqEdge                 // one q-edge, lower-bounded by its stored rect
 	pqSeg                  // a fully resolved segment
 )
-
-// The priority queue is a hand-rolled binary min-heap over []pqItem
-// rather than container/heap: the interface methods box every pqItem
-// pushed or popped, an allocation per queue operation. The sift routines
-// mirror container/heap's exactly, so pop order (and therefore scan
-// order and disk access counts) is unchanged.
-
-func pqUp(q []pqItem, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func pqDown(q []pqItem, i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].distSq < q[j].distSq {
-			j = j2
-		}
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-func pqPush(q *[]pqItem, it pqItem) {
-	*q = append(*q, it)
-	pqUp(*q, len(*q)-1)
-}
-
-func pqPop(q *[]pqItem) pqItem {
-	old := *q
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	pqDown(old, 0, n)
-	it := old[n]
-	*q = old[:n]
-	return it
-}
 
 // nearestEnumLimit caps how many q-edges a popped region may hold before
 // the search subdivides it instead of enumerating its members. Small
@@ -451,9 +404,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		}
 		// Degraded: seed a full descent; unreachable blocks are skipped
 		// as the search encounters them.
-		pqPush(&q, pqItem{distSq: 0, kind: pqRegion, code: geom.RootCode()})
+		knn.Push(&q, 0, nnEntry{kind: pqRegion, code: geom.RootCode()})
 	} else if ok {
-		pqPush(&q, pqItem{distSq: 0, kind: pqBucket, code: leaf})
+		knn.Push(&q, 0, nnEntry{kind: pqBucket, code: leaf})
 		for c := leaf; c.Depth() > 0; c = c.Parent() {
 			parent := c.Parent()
 			for qd := 0; qd < 4; qd++ {
@@ -462,24 +415,25 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					continue
 				}
 				examined++
-				pqPush(&q, pqItem{distSq: sib.Block().DistSqToPoint(p), kind: pqRegion, code: sib})
+				knn.Push(&q, sib.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: sib})
 			}
 		}
 	} else {
-		pqPush(&q, pqItem{distSq: 0, kind: pqRegion, code: geom.RootCode()})
+		knn.Push(&q, 0, nnEntry{kind: pqRegion, code: geom.RootCode()})
 	}
 	seen := seg.AcquireSeen()
 	defer seg.ReleaseSeen(seen)
 	cur := t.table.Cursor(o)
 	defer cur.Close()
 	for len(q) > 0 && len(dst)-base < k {
-		it := pqPop(&q)
-		switch it.kind {
+		it := knn.Pop(&q)
+		e := it.V
+		switch e.kind {
 		case pqSeg:
 			dst = append(dst, core.NearestResult{
-				ID:     it.id,
-				Seg:    it.s,
-				DistSq: it.distSq,
+				ID:     e.id,
+				Seg:    e.s,
+				DistSq: it.DistSq,
 				Found:  true,
 			})
 
@@ -487,12 +441,12 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// Resolve the deferred leaf block only now, when no closer
 			// candidate remains. A bucket seeded by locate carries no
 			// prefetched keys; scan its exact range.
-			if it.lo == it.hi {
-				it.lo = len(refs)
-				exLo, exHi := exactRange(it.code)
+			if e.lo == e.hi {
+				e.lo = len(refs)
+				exLo, exHi := exactRange(e.code)
 				if err := t.bt.ScanValues(exLo, exHi, func(k uint64, v []byte) bool {
 					ref := qedgeRef{id: keySeg(k)}
-					ref.rect, ref.hasRect = decodeQEdgeRect(it.code, v)
+					ref.rect, ref.hasRect = decodeQEdgeRect(e.code, v)
 					refs = append(refs, ref)
 					return true
 				}, o); err != nil {
@@ -501,9 +455,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					// Degraded: rank whatever members were gathered.
 				}
-				it.hi = len(refs)
+				e.hi = len(refs)
 			}
-			for _, ref := range refs[it.lo:it.hi] {
+			for _, ref := range refs[e.lo:e.hi] {
 				if ref.hasRect {
 					// StoreMBR variant: defer the segment fetch behind the
 					// stored rectangle's distance. Deduplication happens at
@@ -513,11 +467,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 						continue
 					}
 					examined++
-					pqPush(&q, pqItem{
-						distSq: ref.rect.DistSqToPoint(p),
-						kind:   pqEdge,
-						id:     ref.id,
-					})
+					knn.Push(&q, ref.rect.DistSqToPoint(p), nnEntry{kind: pqEdge, id: ref.id})
 					continue
 				}
 				if _, dup := seen[ref.id]; dup {
@@ -531,39 +481,29 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					return dst, err
 				}
-				pqPush(&q, pqItem{
-					distSq: geom.DistSqPointSegment(p, s),
-					kind:   pqSeg,
-					id:     ref.id,
-					s:      s,
-				})
+				knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: ref.id, s: s})
 			}
 
 		case pqEdge:
-			if _, dup := seen[it.id]; dup {
+			if _, dup := seen[e.id]; dup {
 				continue
 			}
-			seen[it.id] = struct{}{}
-			s, err := cur.Get(it.id)
+			seen[e.id] = struct{}{}
+			s, err := cur.Get(e.id)
 			if err != nil {
 				if store.IsUnavailable(err) {
 					continue // degraded: segment's table page is gone
 				}
 				return dst, err
 			}
-			pqPush(&q, pqItem{
-				distSq: geom.DistSqPointSegment(p, s),
-				kind:   pqSeg,
-				id:     it.id,
-				s:      s,
-			})
+			knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: e.id, s: s})
 
 		case pqRegion:
 			// Enumerate the q-edges under this region, stopping early
 			// when the region is clearly populous.
-			lo, hi := blockRange(it.code)
+			lo, hi := blockRange(e.code)
 			limit := nearestEnumLimit
-			if it.code.Depth() >= geom.MaxDepth {
+			if e.code.Depth() >= geom.MaxDepth {
 				// A maximally deep block cannot be subdivided; enumerate
 				// it fully however many coincident q-edges it holds.
 				limit = int(^uint(0) >> 1)
@@ -575,7 +515,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				count++
 				bc := keyCode(k)
 				if len(groups) == 0 || groups[len(groups)-1].code != bc {
-					groups = append(groups, pqItem{kind: pqBucket, code: bc, lo: len(refs)})
+					groups = append(groups, nnEntry{kind: pqBucket, code: bc, lo: len(refs)})
 				}
 				ref := qedgeRef{id: keySeg(k)}
 				ref.rect, ref.hasRect = decodeQEdgeRect(bc, v)
@@ -592,9 +532,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			if count > limit {
 				refs = refs[:mark]
 				for qd := 0; qd < 4; qd++ {
-					child := it.code.Child(qd)
+					child := e.code.Child(qd)
 					examined++
-					pqPush(&q, pqItem{distSq: child.Block().DistSqToPoint(p), kind: pqRegion, code: child})
+					knn.Push(&q, child.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: child})
 				}
 				continue
 			}
@@ -602,8 +542,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// its segments are fetched only if the bucket is reached.
 			for _, g := range groups {
 				examined++
-				g.distSq = g.code.Block().DistSqToPoint(p)
-				pqPush(&q, g)
+				knn.Push(&q, g.code.Block().DistSqToPoint(p), g)
 			}
 		}
 	}

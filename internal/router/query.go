@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"segdb"
 	"segdb/internal/bulk"
+	"segdb/internal/core"
 )
 
 // The Router's query surface mirrors the DB's Ctx-first API: every
@@ -36,13 +36,10 @@ import (
 // still price the full answer. Callers that need traversal-level early
 // exit should query a shard DB directly.
 
-// Buffer pools for the fan-out paths: each shard's partial answer lands
-// in a recycled slice, so warm routed queries allocate only when an
-// answer outgrows every pooled buffer.
-var (
-	windowBufPool = sync.Pool{New: func() any { return new([]segdb.WindowHit) }}
-	nnBufPool     = sync.Pool{New: func() any { return new([]segdb.NearestResult) }}
-)
+// windowBufPool recycles the fan-out paths' hit buffers: each shard's
+// partial answer lands in a recycled slice, so warm routed queries
+// allocate only when an answer outgrows every pooled buffer.
+var windowBufPool = sync.Pool{New: func() any { return new([]segdb.WindowHit) }}
 
 // addCounters folds src's counter fields into dst, leaving dst.Wall
 // alone (record stamps the router-level wall time at the end).
@@ -283,13 +280,13 @@ func (r *Router) NearestKAppendCtx(ctx context.Context, p segdb.Point, k int, ds
 	return dst, st, err
 }
 
-// nearestKAppend merges per-shard k-NN answers through a bounded
-// max-heap. Shards are visited in ascending order of the lower bound
-// dist(p, coverage); once the heap holds k results, any shard whose
-// lower bound exceeds the heap's worst kept distance cannot contribute
-// and the remaining shards are pruned wholesale (strictly exceeds: an
-// equal bound may still supply a lower-global-ID tie, which the merged
-// order prefers).
+// nearestKAppend merges per-shard k-NN answers: each shard's answer is
+// appended, the merged tail sorted by (DistSq, global ID) and cut to k.
+// Shards are visited in ascending order of the lower bound
+// dist(p, coverage); once k results are kept, any shard whose lower bound
+// exceeds the worst kept distance cannot contribute and the remaining
+// shards are pruned wholesale (strictly exceeds: an equal bound may still
+// supply a lower-global-ID tie, which the merged order prefers).
 func (r *Router) nearestKAppend(ctx context.Context, p segdb.Point, k int, dst []segdb.NearestResult) ([]segdb.NearestResult, segdb.QueryStats, error) {
 	var st segdb.QueryStats
 	if k <= 0 {
@@ -306,31 +303,30 @@ func (r *Router) nearestKAppend(ctx context.Context, p segdb.Point, k int, dst [
 			cands = append(cands, cand{sh, v, v.coverage.DistSqToPoint(p)})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lb < cands[j].lb })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
 
-	h := nnHeap{k: k}
-	buf := nnBufPool.Get().(*[]segdb.NearestResult)
-	defer func() {
-		*buf = (*buf)[:0]
-		nnBufPool.Put(buf)
-	}()
+	base := len(dst)
 	for _, c := range cands {
-		if bound, full := h.bound(); full && c.lb > bound {
+		if len(dst)-base == k && c.lb > dst[len(dst)-1].DistSq {
 			break
 		}
+		mark := len(dst)
 		var sst segdb.QueryStats
 		var err error
-		*buf, sst, err = c.sh.db.NearestKAppendCtx(ctx, p, k, (*buf)[:0])
+		dst, sst, err = c.sh.db.NearestKAppendCtx(ctx, p, k, dst)
 		addCounters(&st, sst)
 		if err != nil {
-			return dst, st, err
+			return dst[:base], st, err
 		}
-		for _, res := range *buf {
-			res.ID = xlate(c.sh, c.v, res.ID)
-			h.push(res)
+		for i := mark; i < len(dst); i++ {
+			dst[i].ID = xlate(c.sh, c.v, dst[i].ID)
+		}
+		slices.SortFunc(dst[base:], core.CompareNearest)
+		if len(dst)-base > k {
+			dst = dst[:base+k]
 		}
 	}
-	return h.appendSorted(dst), st, nil
+	return dst, st, nil
 }
 
 // IncidentAtCtx finds every segment with an endpoint at p, fanning

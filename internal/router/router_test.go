@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"segdb"
+	"segdb/internal/core"
 	"segdb/internal/geom"
 )
 
@@ -222,7 +223,7 @@ func TestRouterNearestKEquivalence(t *testing.T) {
 					t.Fatalf("%v shards=%d k=%d: %d results, want %d", kind, shards, k, len(got), len(want))
 				}
 				for i, res := range got {
-					if i > 0 && after(got[i-1], res) {
+					if i > 0 && core.CompareNearest(got[i-1], res) > 0 {
 						t.Fatalf("%v shards=%d: results not in (dist, id) order", kind, shards)
 					}
 					if res.DistSq != want[i].DistSq {

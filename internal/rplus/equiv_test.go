@@ -86,7 +86,7 @@ func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o
 }
 
 // pqItem and refPQ are the reference's own priority queue, on
-// container/heap — the sift order the production heap in rsearch mirrors,
+// container/heap — the sift order the production queue (internal/knn) mirrors,
 // so pop order (and with it page access order) must agree.
 type pqItem struct {
 	distSq float64

@@ -7,6 +7,7 @@ import (
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/kernel"
+	"segdb/internal/knn"
 	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/seg"
@@ -148,71 +149,22 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 	return true, nil
 }
 
-// pqItem is an element of the incremental nearest-neighbor priority queue:
-// either a node awaiting expansion or a fully resolved segment.
-type pqItem struct {
-	distSq float64
-	isSeg  bool
-	ptr    uint32
-	s      geom.Segment // valid when isSeg
+// nnEntry is the payload of a k-NN queue item: either a node awaiting
+// expansion or a fully resolved segment.
+type nnEntry struct {
+	isSeg bool
+	ptr   uint32
+	s     geom.Segment // valid when isSeg
 }
 
-// The priority queue is a hand-rolled binary min-heap over []pqItem
-// rather than container/heap: the interface methods box every pqItem
-// pushed or popped, which is an allocation per queue operation on the
-// nearest-neighbor hot path. The sift routines mirror container/heap's
-// exactly, so pop order (and therefore page traversal order and disk
-// access counts) is unchanged.
-
-func pqUp(q []pqItem, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
+// nnScratch is the pooled working memory of one nearest-neighbor search:
+// the queue and the lower-bound lanes MinDistLB writes into.
+type nnScratch struct {
+	q    []knn.Item[nnEntry]
+	dist []float64
 }
 
-func pqDown(q []pqItem, i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].distSq < q[j].distSq {
-			j = j2
-		}
-		if !(q[j].distSq < q[i].distSq) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-func pqPush(q *[]pqItem, it pqItem) {
-	*q = append(*q, it)
-	pqUp(*q, len(*q)-1)
-}
-
-func pqPop(q *[]pqItem) pqItem {
-	old := *q
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	pqDown(old, 0, n)
-	it := old[n]
-	*q = old[:n]
-	return it
-}
-
-// pqPool recycles priority-queue backing arrays across nearest-neighbor
-// queries.
-var pqPool = sync.Pool{New: func() any { return new([]pqItem) }}
-
-// distPool recycles the k-NN lower-bound lanes MinDistLB writes into.
-var distPool = sync.Pool{New: func() any { return new([]float64) }}
+var nnPool = sync.Pool{New: func() any { return new(nnScratch) }}
 
 // NearestKAppendObs appends to dst up to k segments in increasing
 // distance from p and returns the extended slice, charging o (nil
@@ -225,12 +177,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	base := len(dst)
 	var examined uint64
 	defer func() { t.ChargeComps(o, examined) }()
-	qp := pqPool.Get().(*[]pqItem)
-	q := (*qp)[:0]
-	defer func() { *qp = q[:0]; pqPool.Put(qp) }()
-	dp := distPool.Get().(*[]float64)
-	dist := *dp
-	defer func() { *dp = dist[:0]; distPool.Put(dp) }()
+	sc := nnPool.Get().(*nnScratch)
+	q, dist := sc.q[:0], sc.dist
+	defer func() { sc.q, sc.dist = q[:0], dist; nnPool.Put(sc) }()
 	var seen map[seg.ID]struct{}
 	if t.dedup {
 		seen = seg.AcquireSeen()
@@ -238,19 +187,19 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	}
 	cur := t.Segs.Cursor(o)
 	defer cur.Close()
-	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root)})
+	knn.Push(&q, 0, nnEntry{ptr: uint32(t.Root)})
 	for len(q) > 0 && len(dst)-base < k {
-		it := pqPop(&q)
-		if it.isSeg {
+		it := knn.Pop(&q)
+		if it.V.isSeg {
 			dst = append(dst, core.NearestResult{
-				ID:     seg.ID(it.ptr),
-				Seg:    it.s,
-				DistSq: it.distSq,
+				ID:     seg.ID(it.V.ptr),
+				Seg:    it.V.s,
+				DistSq: it.DistSq,
 				Found:  true,
 			})
 			continue
 		}
-		n, err := t.readSoA(store.PageID(it.ptr), o)
+		n, err := t.readSoA(store.PageID(it.V.ptr), o)
 		if err != nil {
 			if store.IsUnavailable(err) {
 				continue // degraded: skip the quarantined subtree
@@ -275,12 +224,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					return dst, err
 				}
-				pqPush(&q, pqItem{
-					distSq: geom.DistSqPointSegment(p, s),
-					isSeg:  true,
-					ptr:    n.Ptr[i],
-					s:      s,
-				})
+				knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{isSeg: true, ptr: n.Ptr[i], s: s})
 			}
 			continue
 		}
@@ -296,7 +240,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		kernel.MinDistLB(n.Xmin, n.Ymin, n.Xmax, n.Ymax, p, dist)
 		examined += uint64(N)
 		for i := 0; i < N; i++ {
-			pqPush(&q, pqItem{distSq: dist[i], ptr: n.Ptr[i]})
+			knn.Push(&q, dist[i], nnEntry{ptr: n.Ptr[i]})
 		}
 	}
 	return dst, nil

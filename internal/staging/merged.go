@@ -2,6 +2,7 @@ package staging
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"segdb/internal/core"
@@ -122,12 +123,7 @@ func (m *Merged) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult
 			ID: id, Seg: s, DistSq: geom.DistSqPointSegment(p, s), Found: true,
 		})
 	})
-	sort.Slice(staged, func(i, j int) bool {
-		if staged[i].DistSq != staged[j].DistSq {
-			return staged[i].DistSq < staged[j].DistSq
-		}
-		return staged[i].ID < staged[j].ID
-	})
+	slices.SortFunc(staged, core.CompareNearest)
 	bi, si := 0, 0
 	for k > 0 && (bi < len(base) || si < len(staged)) {
 		takeStaged := bi >= len(base) ||

@@ -128,15 +128,17 @@ func (p *Pool) Resident(id PageID) bool {
 	return ok
 }
 
-// Allocate creates a new page and returns it pinned and dirty. The caller
-// must Unpin it when done. On failure (ErrAllPinned, or a write fault
-// evicting a victim) the fresh page is returned to the free list.
+// Allocate creates a new zeroed page and returns it pinned and dirty.
+// The caller must Unpin it when done. On failure (ErrAllPinned, or a
+// write fault evicting a victim) the fresh page is returned to the free
+// list.
 func (p *Pool) Allocate() (PageID, []byte, error) {
 	id := p.disk.allocate()
 	for attempt := 0; ; attempt++ {
 		p.mu.Lock()
 		f, err := p.install(id, false, nil)
 		if err == nil {
+			clear(f.data) // a reused victim buffer still holds the evicted page
 			f.modified()
 			f.pins.Add(1)
 			p.mu.Unlock()

@@ -86,6 +86,47 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// TestImageIndependentOfPoolSize builds the same map one segment at a
+// time under a pool far smaller than the working set and under one that
+// holds it all, and requires byte-identical segment-table and index
+// images. A page allocated into an evicted page's buffer must not carry
+// the victim's bytes past what its writer fills.
+func TestImageIndependentOfPoolSize(t *testing.T) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Segments = m.Segments[:6000]
+	image := func(kind Kind, poolPages int) []byte {
+		db, err := Open(kind, WithPoolPages(poolPages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Load(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.table.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := db.table.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.pool.Disk().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, kind := range allKinds() {
+		if !bytes.Equal(image(kind, 16), image(kind, 4096)) {
+			t.Errorf("%v: the image saved with a 16-page pool differs from the one saved with 4096 pages", kind)
+		}
+	}
+}
+
 func TestSaveLoadPreservesOptions(t *testing.T) {
 	db, err := Open(PMRQuadtree, WithPageSize(2048), WithPoolPages(8), WithPMRThreshold(8), WithPMRStoreMBR(true))
 	if err != nil {
