@@ -347,11 +347,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	perQuery := make([][]segdb.WindowHit, len(rects))
-	var mu sync.Mutex
-	stats, err := s.router.WindowBatchCtx(ctx, rects, 0, func(q int, id segdb.SegmentID, seg segdb.Segment) bool {
-		mu.Lock()
+	stats, err := s.router.WindowBatchCtx(ctx, rects, func(q int, id segdb.SegmentID, seg segdb.Segment) bool {
 		perQuery[q] = append(perQuery[q], segdb.WindowHit{ID: id, Seg: seg})
-		mu.Unlock()
 		return true
 	})
 	if err != nil {

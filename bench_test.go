@@ -9,11 +9,10 @@ package segdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -518,7 +517,7 @@ func windowBatchSetup(b *testing.B) (*DB, []Rect) {
 		rects[i] = geom.RectOf(x, y, minInt32(x+w, geom.WorldSize-1), minInt32(y+w, geom.WorldSize-1))
 	}
 	// Warm the pool so every variant starts from the same cache state.
-	if err := db.WindowBatch(rects, 1, func(int, SegmentID, Segment) bool { return true }); err != nil {
+	if err := db.WindowBatch(rects, func(int, SegmentID, Segment) bool { return true }); err != nil {
 		b.Fatal(err)
 	}
 	return db, rects
@@ -531,22 +530,22 @@ func minInt32(a, b int32) int32 {
 	return b
 }
 
-// BenchmarkWindowBatch contrasts sequential and 8-worker execution of a
-// 256-window batch over a ~50k-segment county. The parallel sub-benchmark
-// reports a "speedup" metric (the sequential batch time / its own,
-// measured in the same process): the number a pool whose hits scale
-// across workers must raise above 1 (ROADMAP). The worker count is fixed,
-// not GOMAXPROCS, so the rows mean the same on every box.
+// BenchmarkWindowBatch contrasts one goroutine running a 256-window
+// batch over a ~50k-segment county with 8 goroutines splitting the same
+// windows, each running WindowAppendCtx over its own share: callers'
+// concurrency, the traffic a pool whose hits scale must serve. The
+// parallel sub-benchmark reports a "speedup" metric (the sequential batch
+// time / its own, measured in the same process): the number such a pool
+// must raise above 1 (ROADMAP). The goroutine count is fixed, not
+// GOMAXPROCS, so the rows mean the same on every box.
 func BenchmarkWindowBatch(b *testing.B) {
 	const workers = 8
-	var hits atomic.Uint64
-	sink := func(int, SegmentID, Segment) bool { hits.Add(1); return true }
 	db, rects := windowBatchSetup(b)
-	// batchNs runs the batch b.N times and returns one batch's time.
-	batchNs := func(b *testing.B, workers int) float64 {
+	// batchNs runs batch b.N times and returns one batch's time.
+	batchNs := func(b *testing.B, batch func() error) float64 {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if err := db.WindowBatch(rects, workers, sink); err != nil {
+			if err := batch(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -555,53 +554,31 @@ func BenchmarkWindowBatch(b *testing.B) {
 		return float64(elapsed.Nanoseconds()) / float64(b.N)
 	}
 	var seqNs float64
-	b.Run("sequential", func(b *testing.B) { seqNs = batchNs(b, 1) })
-	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-		if parNs := batchNs(b, workers); seqNs > 0 && parNs > 0 {
-			b.ReportMetric(seqNs/parNs, "speedup")
-		}
-	})
-}
-
-// BenchmarkOverlayParallelJoin contrasts the sequential nested-loop join
-// with the fanned-out OverlayParallel on R*-tree-backed databases.
-func BenchmarkOverlayParallelJoin(b *testing.B) {
-	mA, err := tiger.Generate(benchSpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mB, err := tiger.Generate(tiger.Spec{
-		Name: "bench-join-b", Kind: tiger.Suburban, Seed: 777,
-		Lattice: 24, SubdivMin: 2, SubdivMax: 4, DeleteFrac: 0.1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	open := func(m *tiger.Map) *DB {
-		db, err := Open(RStarTree, WithPoolPages(1024))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.LoadPacked(&MapData{Name: "j", Class: "bench", Segments: m.Segments}); err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
-	dbA, dbB := open(mA), open(mB)
-	sink := func(SegmentID, SegmentID, Segment, Segment) bool { return true }
-	workers := runtime.GOMAXPROCS(0)
 	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := dbA.OverlayParallel(dbB, 1, sink); err != nil {
-				b.Fatal(err)
-			}
-		}
+		seqNs = batchNs(b, func() error {
+			return db.WindowBatch(rects, func(int, SegmentID, Segment) bool { return true })
+		})
 	})
 	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := dbA.OverlayParallel(dbB, workers, sink); err != nil {
-				b.Fatal(err)
+		ctx := context.Background()
+		bufs := make([][]WindowHit, workers)
+		errs := make([]error, workers)
+		parNs := batchNs(b, func() error {
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for q := w; q < len(rects) && errs[w] == nil; q += workers {
+						bufs[w], _, errs[w] = db.WindowAppendCtx(ctx, rects[q], bufs[w][:0])
+					}
+				}()
 			}
+			wg.Wait()
+			return errors.Join(errs...)
+		})
+		if seqNs > 0 && parNs > 0 {
+			b.ReportMetric(seqNs/parNs, "speedup")
 		}
 	})
 }

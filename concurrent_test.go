@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -274,9 +275,11 @@ func TestConcurrentWindowsShareBTreeNodes(t *testing.T) {
 	}
 }
 
-// TestWindowBatch checks the parallel batch executor returns exactly the
-// union of per-rectangle sequential window results, at several
-// parallelism settings, and that cancellation stops the batch.
+// TestWindowBatch checks the batch answers every rectangle exactly as a
+// lone Window does, in the same order; that a visitor stop ends the batch
+// after exactly one call with a nil error; and that a context canceled
+// from the first visited rectangle's visitor ends the batch with
+// context.Canceled before any later rectangle is charged a page request.
 func TestWindowBatch(t *testing.T) {
 	m := stressMap(t)
 	db, err := Open(RStarTree, nil)
@@ -300,127 +303,50 @@ func TestWindowBatch(t *testing.T) {
 			want[q] = append(want[q], id)
 			return true
 		})
-		sort.Slice(want[q], func(i, j int) bool { return want[q][i] < want[q][j] })
 	}
 
-	for _, par := range []int{0, 1, 3, 8} {
-		got := make([][]SegmentID, len(rects))
-		var mu sync.Mutex
-		err := db.WindowBatch(rects, par, func(q int, id SegmentID, _ Segment) bool {
-			mu.Lock()
-			got[q] = append(got[q], id)
-			mu.Unlock()
-			return true
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		for q := range rects {
-			sort.Slice(got[q], func(i, j int) bool { return got[q][i] < got[q][j] })
-			if fmt.Sprint(got[q]) != fmt.Sprint(want[q]) {
-				t.Fatalf("parallelism %d, query %d: got %v, want %v", par, q, got[q], want[q])
-			}
-		}
-	}
-
-	// Cancellation: stop after the first visit; the batch must end
-	// without error and without visiting everything.
-	var visited atomic.Int64
-	if err := db.WindowBatch(rects, 4, func(int, SegmentID, Segment) bool {
-		visited.Add(1)
-		return false
+	got := make([][]SegmentID, len(rects))
+	if err := db.WindowBatch(rects, func(q int, id SegmentID, _ Segment) bool {
+		got[q] = append(got[q], id)
+		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var total int
-	for _, w := range want {
-		total += len(w)
+	for q := range rects {
+		if !slices.Equal(got[q], want[q]) {
+			t.Fatalf("query %d: got %v, want %v", q, got[q], want[q])
+		}
 	}
-	if n := int(visited.Load()); n >= total {
-		t.Fatalf("cancelled batch visited all %d results", n)
+
+	calls := 0
+	if err := db.WindowBatch(rects, func(int, SegmentID, Segment) bool {
+		calls++
+		return false
+	}); err != nil || calls != 1 {
+		t.Fatalf("stopped batch: %d visits, err %v; want 1 visit, nil", calls, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	first := -1
+	stats, err := db.WindowBatchCtx(ctx, rects, func(q int, _ SegmentID, _ Segment) bool {
+		if first < 0 {
+			first = q
+			cancel()
+		}
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
+	}
+	for q := first + 1; q < len(stats); q++ {
+		if stats[q].PoolRequests != 0 {
+			t.Fatalf("query %d ran after cancellation: %+v", q, stats[q])
+		}
 	}
 
 	// An empty batch is a no-op.
-	if err := db.WindowBatch(nil, 4, nil); err != nil {
+	if err := db.WindowBatch(nil, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOverlayParallel checks the fanned-out join finds exactly the pairs
-// of the sequential Overlay, for both the nested-loop path and (at
-// parallelism 1) the PMR merge path, and that cancellation works.
-func TestOverlayParallel(t *testing.T) {
-	m := stressMap(t)
-	// A second map shifted so the two genuinely intersect.
-	m2 := stressMap(t)
-	half := len(m2.Segments) / 2
-	m2 = &MapData{Name: "stress-b", Class: "rural", Segments: m2.Segments[half:]}
-
-	for _, kinds := range [][2]Kind{{RStarTree, UniformGrid}, {PMRQuadtree, PMRQuadtree}} {
-		a, err := Open(kinds[0], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Open(kinds[1], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Load(m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Load(m2); err != nil {
-			t.Fatal(err)
-		}
-
-		pairKey := func(idA, idB SegmentID) string { return fmt.Sprintf("%v-%v", idA, idB) }
-		want := map[string]bool{}
-		if err := a.Overlay(b, func(idA, idB SegmentID, _, _ Segment) bool {
-			want[pairKey(idA, idB)] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("%v/%v: overlay found no pairs; bad fixture", kinds[0], kinds[1])
-		}
-
-		for _, par := range []int{1, 4} {
-			got := map[string]bool{}
-			var mu sync.Mutex
-			err := a.OverlayParallel(b, par, func(idA, idB SegmentID, _, _ Segment) bool {
-				mu.Lock()
-				got[pairKey(idA, idB)] = true
-				mu.Unlock()
-				return true
-			})
-			if err != nil {
-				t.Fatalf("%v/%v parallelism %d: %v", kinds[0], kinds[1], par, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v/%v parallelism %d: %d pairs, want %d",
-					kinds[0], kinds[1], par, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("%v/%v parallelism %d: missing pair %s", kinds[0], kinds[1], par, k)
-				}
-			}
-		}
-
-		// Cancellation propagates as a clean stop, not an error.
-		calls := 0
-		var mu sync.Mutex
-		if err := a.OverlayParallel(b, 4, func(SegmentID, SegmentID, Segment, Segment) bool {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			return false
-		}); err != nil {
-			t.Fatalf("cancelled overlay: %v", err)
-		}
-		if calls >= len(want) && len(want) > 4 {
-			t.Fatalf("cancelled overlay still visited %d of %d pairs", calls, len(want))
-		}
 	}
 }
 

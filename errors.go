@@ -60,20 +60,6 @@ var (
 	ErrInvalidArgument = errors.New("segdb: invalid argument")
 )
 
-// CanceledError is the type of ErrCanceled.
-type CanceledError struct{}
-
-// Error implements error.
-func (CanceledError) Error() string { return "segdb: query canceled by visitor" }
-
-// ErrCanceled reports that a visitor callback stopped a query early.
-// It never escapes the public API — visitor-initiated stops return nil,
-// and context-initiated stops return the context's error — but batch
-// visitors running under WindowBatchCtx or OverlayCtx may observe it
-// internally, and custom code threading cancellation through
-// its own worker pools can reuse it. Match with errors.Is.
-var ErrCanceled error = CanceledError{}
-
 // ErrCode is the stable wire classification of an error: a short
 // lower_snake string carried in API error responses and mapped to an
 // HTTP status by the serving tier. Codes are append-only — the mapping
@@ -86,8 +72,7 @@ type ErrCode string
 const (
 	// CodeOK classifies a nil error.
 	CodeOK ErrCode = "ok"
-	// CodeCanceled classifies context.Canceled (and the internal
-	// visitor-stop sentinel, should it ever leak): the client went away.
+	// CodeCanceled classifies context.Canceled: the client went away.
 	CodeCanceled ErrCode = "canceled"
 	// CodeDeadline classifies context.DeadlineExceeded: the per-request
 	// timeout expired and the query was aborted at page-fetch
@@ -129,7 +114,7 @@ func ErrorCode(err error) ErrCode {
 	switch {
 	case err == nil:
 		return CodeOK
-	case errors.Is(err, context.Canceled), errors.Is(err, ErrCanceled):
+	case errors.Is(err, context.Canceled):
 		return CodeCanceled
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeDeadline

@@ -22,7 +22,6 @@ func TestErrorCodeTable(t *testing.T) {
 	}{
 		{"nil", nil, CodeOK, 200},
 		{"context.Canceled", context.Canceled, CodeCanceled, 499},
-		{"ErrCanceled", ErrCanceled, CodeCanceled, 499},
 		{"context.DeadlineExceeded", context.DeadlineExceeded, CodeDeadline, 504},
 		{"ErrInvalidArgument", ErrInvalidArgument, CodeInvalid, 400},
 		{"ErrPageUnavailable", ErrPageUnavailable, CodeUnavailable, 503},

@@ -47,60 +47,32 @@ func Fetch(table *seg.Table, ids []seg.ID) ([]Entry, error) {
 // Workers returns the fan-out width of the pipeline's parallel phases.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// Parallel runs f(0) … f(n-1) across up to Workers goroutines and waits
-// for all of them. Iterations must be independent and write only to
-// their own result slots; the caller sees every slot filled on return,
-// so assembly order (and with it the pipeline's output) stays
-// deterministic regardless of how iterations interleave.
+// Parallel runs f(0) … f(n-1) across up to Workers goroutines drawing
+// indices from one shared cursor, and waits for all of them — on the
+// calling goroutine when one worker suffices. Iterations must be
+// independent and write only to their own result slots, so assembly
+// order (and with it the pipeline's output) stays deterministic however
+// iterations interleave.
 func Parallel(n int, f func(i int)) {
-	_ = ParallelRange(n, Workers(), func(i int) error {
-		f(i)
-		return nil
-	})
-}
-
-// ParallelRange fans the half-open range [0, n) across a pool of at most
-// workers goroutines, calling work(i) for each index. The first error
-// cancels the remaining range (in-flight calls still finish) and is
-// returned. With one worker it runs on the calling goroutine.
-func ParallelRange(n, workers int, work func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
+	workers := min(Workers(), n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := work(i); err != nil {
-				return err
-			}
+		for i := range n {
+			f(i)
 		}
-		return nil
+		return
 	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := work(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
 }
 
 // minParallelSort is the slice length below which Sort stays sequential:

@@ -81,6 +81,43 @@ func TestParallelCoversEveryIndex(t *testing.T) {
 	}
 }
 
+// TestParallelCoversRange checks every index in [0, n) runs exactly once
+// with real parallelism: eight workers on one cursor.
+func TestParallelCoversRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const n = 1000
+	var calls [n]atomic.Int64
+	Parallel(n, func(i int) { calls[i].Add(1) })
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestParallelEmpty checks n == 0 never calls f, whatever the worker
+// count.
+func TestParallelEmpty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		Parallel(0, func(int) { t.Fatal("f called for empty range") })
+	}
+}
+
+// TestParallelMoreWorkersThanItems checks that with more processors than
+// items every index still runs exactly once.
+func TestParallelMoreWorkersThanItems(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	var calls [3]atomic.Int64
+	Parallel(len(calls), func(i int) { calls[i].Add(1) })
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("index %d ran %d times", i, n)
+		}
+	}
+}
+
 func TestGateRunsEverything(t *testing.T) {
 	g := NewGate()
 	var wg sync.WaitGroup

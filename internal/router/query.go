@@ -3,16 +3,12 @@ package router
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"segdb"
-	"segdb/internal/bulk"
 	"segdb/internal/core"
 )
 
@@ -28,7 +24,7 @@ import (
 // and incident results sorted by ascending global ID, and k-NN results
 // by ascending (distance, global ID) — total orders, so the same query
 // over the same Router always yields the same sequence regardless of
-// shard count or fan-out interleaving.
+// shard count.
 //
 // One behavioral divergence from the DB: the Router materializes each
 // shard's answer before invoking the caller's visitor, so a visitor
@@ -36,8 +32,8 @@ import (
 // still price the full answer. Callers that need traversal-level early
 // exit should query a shard DB directly.
 
-// windowBufPool recycles the fan-out paths' hit buffers: each shard's
-// partial answer lands in a recycled slice, so warm routed queries
+// windowBufPool recycles the hit buffers of the visitor-form queries:
+// the merged answer lands in a recycled slice, so warm routed queries
 // allocate only when an answer outgrows every pooled buffer.
 var windowBufPool = sync.Pool{New: func() any { return new([]segdb.WindowHit) }}
 
@@ -75,9 +71,8 @@ func firstError(errs []error) error {
 
 // WindowAppendCtx runs the window query across every shard whose
 // coverage intersects r, appending the merged hits (global IDs,
-// ascending) to dst and returning the extended slice. Shards are
-// queried in parallel; passing a reused buffer makes warm repeated
-// windows allocation-light.
+// ascending) to dst and returning the extended slice. Passing a reused
+// buffer makes warm repeated windows allocation-light.
 func (r *Router) WindowAppendCtx(ctx context.Context, rect segdb.Rect, dst []segdb.WindowHit) ([]segdb.WindowHit, segdb.QueryStats, error) {
 	start := time.Now()
 	dst, st, err := r.windowAppend(ctx, rect, dst)
@@ -85,60 +80,33 @@ func (r *Router) WindowAppendCtx(ctx context.Context, rect segdb.Rect, dst []seg
 	return dst, st, err
 }
 
-// windowAppend is the shared fan-out core of WindowAppendCtx, WindowCtx
-// and the per-rectangle body of WindowBatchCtx (the batch records under
-// its own kind).
+// windowAppend is the shared core of WindowAppendCtx, WindowCtx and the
+// per-rectangle body of WindowBatchCtx (the batch records under its own
+// kind): it queries the shards whose coverage intersects rect in shard
+// order, appending each shard's hits straight into dst, then sorts the
+// appended tail by global ID.
 func (r *Router) windowAppend(ctx context.Context, rect segdb.Rect, dst []segdb.WindowHit) ([]segdb.WindowHit, segdb.QueryStats, error) {
 	var st segdb.QueryStats
-	type shardCand struct {
-		sh *Shard
-		v  *shardView
-	}
-	var cand []shardCand
-	for _, sh := range r.shards {
-		if v := sh.view.Load(); v.nonempty && v.coverage.Intersects(rect) {
-			cand = append(cand, shardCand{sh, v})
-		}
-	}
-	switch len(cand) {
-	case 0:
-		return dst, st, nil
-	case 1:
-		c := cand[0]
-		base := len(dst)
-		dst, st, err := c.sh.db.WindowAppendCtx(ctx, rect, dst)
-		for i := base; i < len(dst); i++ {
-			dst[i].ID = xlate(c.sh, c.v, dst[i].ID)
-		}
-		sortWindowHits(dst[base:])
-		return dst, st, err
-	}
-	bufs := make([]*[]segdb.WindowHit, len(cand))
-	stats := make([]segdb.QueryStats, len(cand))
-	errs := make([]error, len(cand))
-	var wg sync.WaitGroup
-	for i, c := range cand {
-		wg.Add(1)
-		go func(i int, c shardCand) {
-			defer wg.Done()
-			buf := windowBufPool.Get().(*[]segdb.WindowHit)
-			*buf, stats[i], errs[i] = c.sh.db.WindowAppendCtx(ctx, rect, (*buf)[:0])
-			for j := range *buf {
-				(*buf)[j].ID = xlate(c.sh, c.v, (*buf)[j].ID)
-			}
-			bufs[i] = buf
-		}(i, c)
-	}
-	wg.Wait()
 	base := len(dst)
-	for i := range cand {
-		dst = append(dst, *bufs[i]...)
-		*bufs[i] = (*bufs[i])[:0]
-		windowBufPool.Put(bufs[i])
-		addCounters(&st, stats[i])
+	for _, sh := range r.shards {
+		v := sh.view.Load()
+		if !v.nonempty || !v.coverage.Intersects(rect) {
+			continue
+		}
+		mark := len(dst)
+		var sst segdb.QueryStats
+		var err error
+		dst, sst, err = sh.db.WindowAppendCtx(ctx, rect, dst)
+		addCounters(&st, sst)
+		if err != nil {
+			return dst, st, err
+		}
+		for i := mark; i < len(dst); i++ {
+			dst[i].ID = xlate(sh, v, dst[i].ID)
+		}
 	}
 	sortWindowHits(dst[base:])
-	return dst, st, firstError(errs)
+	return dst, st, nil
 }
 
 func sortWindowHits(hits []segdb.WindowHit) {
@@ -166,88 +134,39 @@ func (r *Router) WindowCtx(ctx context.Context, rect segdb.Rect, visit func(segd
 	return st, err
 }
 
-// WindowBatchCtx runs one routed window query per rectangle, fanning
-// the rectangles across parallelism workers (<= 0 means GOMAXPROCS; the
-// per-rectangle shard fan then runs sequentially inside its worker).
-// stats[q] prices exactly the query over rects[q]. visit may be called
-// from several goroutines at once; returning false cancels the batch
-// with a nil error, as in DB.WindowBatchCtx.
-func (r *Router) WindowBatchCtx(ctx context.Context, rects []segdb.Rect, parallelism int, visit func(query int, id segdb.SegmentID, s segdb.Segment) bool) ([]segdb.QueryStats, error) {
+// WindowBatchCtx runs one routed window query per rectangle, in
+// rectangle order. stats[q] prices exactly the query over rects[q].
+// Returning false from visit ends the batch with a nil error, as in
+// DB.WindowBatchCtx.
+func (r *Router) WindowBatchCtx(ctx context.Context, rects []segdb.Rect, visit func(query int, id segdb.SegmentID, s segdb.Segment) bool) ([]segdb.QueryStats, error) {
 	if len(rects) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
 	stats := make([]segdb.QueryStats, len(rects))
-	var stop atomic.Bool
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	err := bulk.ParallelRange(len(rects), parallelism, func(q int) error {
+	buf := windowBufPool.Get().(*[]segdb.WindowHit)
+	var total segdb.QueryStats
+	var err error
+	stopped := false
+	for q := 0; q < len(rects) && err == nil && !stopped; q++ {
 		qstart := time.Now()
-		buf := windowBufPool.Get().(*[]segdb.WindowHit)
-		hits, st, werr := r.windowAppendSequential(ctx, rects[q], (*buf)[:0])
-		st.Wall = time.Since(qstart)
-		stats[q] = st
-		canceled := false
-		if werr == nil {
+		var hits []segdb.WindowHit
+		hits, stats[q], err = r.windowAppend(ctx, rects[q], (*buf)[:0])
+		stats[q].Wall = time.Since(qstart)
+		addCounters(&total, stats[q])
+		if err == nil {
 			for _, h := range hits {
-				if stop.Load() {
-					canceled = true
-					break
-				}
 				if !visit(q, h.ID, h.Seg) {
-					stop.Store(true)
-					canceled = true
+					stopped = true
 					break
 				}
 			}
 		}
 		*buf = hits[:0]
-		windowBufPool.Put(buf)
-		if werr != nil {
-			return werr
-		}
-		if canceled {
-			return segdb.ErrCanceled
-		}
-		return nil
-	})
-	if errors.Is(err, segdb.ErrCanceled) {
-		err = nil
 	}
-	var total segdb.QueryStats
-	for _, st := range stats {
-		addCounters(&total, st)
-	}
+	windowBufPool.Put(buf)
 	r.record(qkWindowBatch, start, &total, err)
 	return stats, err
-}
-
-// windowAppendSequential is windowAppend without the per-shard
-// goroutines — used inside WindowBatchCtx, whose parallelism lives at
-// the rectangle level.
-func (r *Router) windowAppendSequential(ctx context.Context, rect segdb.Rect, dst []segdb.WindowHit) ([]segdb.WindowHit, segdb.QueryStats, error) {
-	var st segdb.QueryStats
-	base := len(dst)
-	for _, sh := range r.shards {
-		v := sh.view.Load()
-		if !v.nonempty || !v.coverage.Intersects(rect) {
-			continue
-		}
-		mark := len(dst)
-		var sst segdb.QueryStats
-		var err error
-		dst, sst, err = sh.db.WindowAppendCtx(ctx, rect, dst)
-		addCounters(&st, sst)
-		if err != nil {
-			return dst, st, err
-		}
-		for i := mark; i < len(dst); i++ {
-			dst[i].ID = xlate(sh, v, dst[i].ID)
-		}
-	}
-	sortWindowHits(dst[base:])
-	return dst, st, nil
 }
 
 // NearestCtx returns the segment nearest to p across all shards.
@@ -401,57 +320,32 @@ func (r *Router) OtherEndpointCtx(ctx context.Context, id segdb.SegmentID, p seg
 
 // OverlayCtx joins the routed collection against another database,
 // reporting every intersecting pair (A-side IDs are global). The shards
-// are fanned across parallelism workers (<= 0 means GOMAXPROCS), each
-// running a sequential per-shard overlay against other, so the counter
-// totals are those of the sequential join. visit may run from several
-// goroutines at once; returning false cancels the overlay with a nil
-// error.
+// are joined against other one after another, in shard order; returning
+// false from visit ends the overlay with a nil error.
 //
 // EnclosingPolygon is deliberately absent from the Router: polygon
 // tracing walks a face boundary edge by edge through globally adjacent
 // segments, a topology no per-shard index holds. Route polygon queries
 // to an unsharded DB.
-func (r *Router) OverlayCtx(ctx context.Context, other *segdb.DB, parallelism int, visit func(idA, idB segdb.SegmentID, sA, sB segdb.Segment) bool) (segdb.QueryStats, error) {
+func (r *Router) OverlayCtx(ctx context.Context, other *segdb.DB, visit func(idA, idB segdb.SegmentID, sA, sB segdb.Segment) bool) (segdb.QueryStats, error) {
 	start := time.Now()
 	var total segdb.QueryStats
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	stats := make([]segdb.QueryStats, len(r.shards))
-	var stop atomic.Bool
-	err := bulk.ParallelRange(len(r.shards), parallelism, func(si int) error {
-		sh := r.shards[si]
+	var err error
+	stopped := false
+	for _, sh := range r.shards {
 		v := sh.view.Load()
 		if !v.nonempty {
-			return nil
+			continue
 		}
-		canceled := false
-		var serr error
-		stats[si], serr = sh.db.OverlayCtx(ctx, other, 1, func(la, lb segdb.SegmentID, sa, sb segdb.Segment) bool {
-			if stop.Load() {
-				canceled = true
-				return false
-			}
-			if !visit(xlate(sh, v, la), lb, sa, sb) {
-				stop.Store(true)
-				canceled = true
-				return false
-			}
-			return true
+		var st segdb.QueryStats
+		st, err = sh.db.OverlayCtx(ctx, other, func(la, lb segdb.SegmentID, sa, sb segdb.Segment) bool {
+			stopped = !visit(xlate(sh, v, la), lb, sa, sb)
+			return !stopped
 		})
-		if serr != nil {
-			return serr
-		}
-		if canceled {
-			return segdb.ErrCanceled
-		}
-		return nil
-	})
-	if errors.Is(err, segdb.ErrCanceled) {
-		err = nil
-	}
-	for _, st := range stats {
 		addCounters(&total, st)
+		if err != nil || stopped {
+			break
+		}
 	}
 	r.record(qkOverlay, start, &total, err)
 	return total, err

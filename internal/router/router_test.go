@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"segdb"
@@ -357,12 +356,9 @@ type overlayPair struct {
 
 func collectOverlayRouted(t *testing.T, r *Router, other *segdb.DB) []overlayPair {
 	t.Helper()
-	var mu sync.Mutex
 	var pairs []overlayPair
-	if _, err := r.OverlayCtx(context.Background(), other, 0, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
-		mu.Lock()
+	if _, err := r.OverlayCtx(context.Background(), other, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
 		pairs = append(pairs, overlayPair{a, b})
-		mu.Unlock()
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -389,7 +385,7 @@ func TestRouterOverlayEquivalence(t *testing.T) {
 		truth := groundTruth(t, kind, segs)
 		other := groundTruth(t, kind, otherSegs)
 		var want []overlayPair
-		if _, err := truth.OverlayCtx(context.Background(), other, 1, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
+		if _, err := truth.OverlayCtx(context.Background(), other, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
 			want = append(want, overlayPair{a, b})
 			return true
 		}); err != nil {
@@ -409,8 +405,9 @@ func TestRouterOverlayEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterWindowBatch compares per-rectangle batch answers and stats
-// attribution against individually routed windows.
+// TestRouterWindowBatch compares per-rectangle batch answers (ascending
+// global IDs) and stats attribution against the unsharded truth, and
+// checks that a visitor stop ends the batch after exactly one visit.
 func TestRouterWindowBatch(t *testing.T) {
 	segs := routerSample(t, 1100)
 	truth := groundTruth(t, segdb.RStarTree, segs)
@@ -427,12 +424,9 @@ func TestRouterWindowBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
 		got := make([][]segdb.SegmentID, len(rects))
-		stats, err := r.WindowBatchCtx(context.Background(), rects, 4, func(q int, id segdb.SegmentID, _ segdb.Segment) bool {
-			mu.Lock()
+		stats, err := r.WindowBatchCtx(context.Background(), rects, func(q int, id segdb.SegmentID, _ segdb.Segment) bool {
 			got[q] = append(got[q], id)
-			mu.Unlock()
 			return true
 		})
 		if err != nil {
@@ -443,13 +437,19 @@ func TestRouterWindowBatch(t *testing.T) {
 		}
 		for q, rect := range rects {
 			want := sortedWindowIDs(t, truth, rect)
-			slices.Sort(got[q])
 			if !slices.Equal(got[q], want) {
 				t.Fatalf("shards=%d rect %d: %d hits, want %d", shards, q, len(got[q]), len(want))
 			}
 			if len(want) > 0 && stats[q].SegComps == 0 {
 				t.Fatalf("shards=%d rect %d: zero SegComps for nonempty answer", shards, q)
 			}
+		}
+		calls := 0
+		if _, err := r.WindowBatchCtx(context.Background(), rects, func(int, segdb.SegmentID, segdb.Segment) bool {
+			calls++
+			return false
+		}); err != nil || calls != 1 {
+			t.Fatalf("shards=%d: stopped batch made %d visits, err %v; want 1 visit, nil", shards, calls, err)
 		}
 	}
 }

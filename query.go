@@ -99,10 +99,11 @@ func (db *DB) finish(qk queryKind, o *obs.Op, err error) (QueryStats, error) {
 // Every single-query method routes through run, and every convenience
 // (non-Ctx) method is a thin wrapper over its *Ctx form, so QueryStats
 // accounting and tracing behavior cannot diverge between the two
-// surfaces. The two multi-op executors — WindowBatchCtx, which opens one
+// surfaces. The two multi-op calls — WindowBatchCtx, which opens one
 // observation per rectangle under a single read acquisition, and
 // OverlayCtx, which must acquire an ordered pair of databases — are the
-// only paths that use the begin/finish pair directly.
+// only paths that use the begin/finish pair directly. Every query, those
+// two included, runs to completion on the calling goroutine.
 //
 // q must not escape its op; run's closure argument is non-escaping, so
 // warm queries through run stay allocation-free (pinned by the

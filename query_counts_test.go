@@ -27,7 +27,7 @@ var countsSpec = tiger.Spec{
 // and in total, for all six kinds × page compression 0/1 × in-place and
 // staged ingest × a 16-page and a 2-page pool (3 pages under the B+-tree
 // kinds): the five queries of the
-// paper, k-NN, a one-worker WindowBatch and an Overlay self-join (which
+// paper, k-NN, a WindowBatch and an Overlay self-join (which
 // nests an inner traversal in the outer one's visitor in staged mode),
 // then a few writes. A change below the indexes — how a segment is
 // fetched, how the pool serves a hit — must leave this file untouched;
@@ -176,13 +176,13 @@ func queryCounts(t *testing.T, out *bytes.Buffer, m *MapData, kind Kind, level i
 		rects[i] = rect()
 	}
 	perRect := make([]int, len(rects))
-	stats, err := db.WindowBatchCtx(ctx, rects, 1, func(q int, _ SegmentID, _ Segment) bool { perRect[q]++; return true })
+	stats, err := db.WindowBatchCtx(ctx, rects, func(q int, _ SegmentID, _ Segment) bool { perRect[q]++; return true })
 	check(err)
 	for q, st := range stats {
 		n = perRect[q]
 		line("batch", st)
 	}
-	st, err := db.OverlayCtx(ctx, db, 1, func(_, _ SegmentID, _, _ Segment) bool { n++; return true })
+	st, err := db.OverlayCtx(ctx, db, func(_, _ SegmentID, _, _ Segment) bool { n++; return true })
 	check(err)
 	line("overlay", st)
 	// Writes after the reads: the index's own segment fetches (deletes

@@ -6,8 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
-	"sync/atomic"
+	"maps"
 	"testing"
 	"time"
 )
@@ -202,7 +201,7 @@ func TestCtxQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowBatchCtxStats checks the batch executor's per-rectangle
+// TestWindowBatchCtxStats checks the batch's per-rectangle
 // stats sum to the global delta for the interleaving-independent totals
 // and that context cancellation aborts the batch with the context's
 // error.
@@ -224,7 +223,7 @@ func TestWindowBatchCtxStats(t *testing.T) {
 	}
 
 	before := db.Metrics()
-	stats, err := db.WindowBatchCtx(context.Background(), rects, 4, func(int, SegmentID, Segment) bool { return true })
+	stats, err := db.WindowBatchCtx(context.Background(), rects, func(int, SegmentID, Segment) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,25 +242,24 @@ func TestWindowBatchCtxStats(t *testing.T) {
 	// Context cancellation is an error (unlike a visitor stop).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.WindowBatchCtx(ctx, rects, 4, func(int, SegmentID, Segment) bool { return true }); !errors.Is(err, context.Canceled) {
+	if _, err := db.WindowBatchCtx(ctx, rects, func(int, SegmentID, Segment) bool { return true }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
 	}
 }
 
-// TestOverlayCtx checks the v2 overlay returns the sequential pair set,
-// a stats total covering the join, a nil error on visitor stop, and the
-// context's error on cancellation.
-func TestOverlayCtx(t *testing.T) {
+// overlayFixture loads the stress map into a database of kind ka and its
+// second half into one of kind kb, so the two genuinely intersect. Fresh
+// databases number segments in load order, so every kind pair reports
+// the same IDs for the same pair.
+func overlayFixture(t *testing.T, ka, kb Kind) (a, b *DB) {
+	t.Helper()
 	m := stressMap(t)
-	m2 := stressMap(t)
-	half := len(m2.Segments) / 2
-	m2 = &MapData{Name: "stress-b", Class: "rural", Segments: m2.Segments[half:]}
-
-	a, err := Open(RStarTree)
+	m2 := &MapData{Name: "stress-b", Class: "rural", Segments: m.Segments[len(m.Segments)/2:]}
+	a, err := Open(ka)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(UniformGrid)
+	b, err = Open(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,62 +269,67 @@ func TestOverlayCtx(t *testing.T) {
 	if _, err := b.Load(m2); err != nil {
 		t.Fatal(err)
 	}
+	return a, b
+}
 
-	want := 0
-	if err := a.Overlay(b, func(SegmentID, SegmentID, Segment, Segment) bool { want++; return true }); err != nil {
+// TestOverlayCtx checks the v2 overlay returns a stats total covering
+// the join, a nil error on visitor stop, and the context's error on
+// cancellation.
+func TestOverlayCtx(t *testing.T) {
+	a, b := overlayFixture(t, RStarTree, UniformGrid)
+	n := 0
+	st, err := a.OverlayCtx(context.Background(), b, func(SegmentID, SegmentID, Segment, Segment) bool { n++; return true })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want == 0 {
+	if n == 0 {
 		t.Fatal("overlay found no pairs; bad fixture")
 	}
-
-	for _, par := range []int{1, 4} {
-		var got atomic.Int64
-		st, err := a.OverlayCtx(context.Background(), b, par, func(SegmentID, SegmentID, Segment, Segment) bool {
-			got.Add(1)
-			return true
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if int(got.Load()) != want {
-			t.Fatalf("parallelism %d: %d pairs, want %d", par, got.Load(), want)
-		}
-		if st.SegComps == 0 || st.PoolRequests == 0 {
-			t.Fatalf("parallelism %d: empty overlay stats %+v", par, st)
-		}
+	if st.SegComps == 0 || st.PoolRequests == 0 {
+		t.Fatalf("empty overlay stats %+v", st)
 	}
 
 	// Visitor stop is a clean nil; context cancellation is an error.
-	var mu sync.Mutex
-	calls := 0
-	if _, err := a.OverlayCtx(context.Background(), b, 4, func(SegmentID, SegmentID, Segment, Segment) bool {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return false
-	}); err != nil {
+	if _, err := a.OverlayCtx(context.Background(), b, func(SegmentID, SegmentID, Segment, Segment) bool { return false }); err != nil {
 		t.Fatalf("visitor-stopped overlay: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.OverlayCtx(ctx, b, 4, func(SegmentID, SegmentID, Segment, Segment) bool { return true }); !errors.Is(err, context.Canceled) {
+	if _, err := a.OverlayCtx(ctx, b, func(SegmentID, SegmentID, Segment, Segment) bool { return true }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled overlay returned %v, want context.Canceled", err)
 	}
 }
 
-// TestErrCanceled pins the public error's identity and that it never
-// escapes the batch/overlay APIs on a visitor stop.
-func TestErrCanceled(t *testing.T) {
-	if !errors.Is(ErrCanceled, CanceledError{}) {
-		t.Fatal("ErrCanceled does not match CanceledError")
-	}
-	if ErrCanceled.Error() == "" {
-		t.Fatal("empty error string")
-	}
-	var ce CanceledError
-	if !errors.As(ErrCanceled, &ce) {
-		t.Fatal("errors.As failed on ErrCanceled")
+// TestOverlayCtxPairSets checks the nested-loop join (R*×grid) and the
+// merge join (PMR×PMR) find the same pair set, and that a visitor stop
+// ends either join after exactly one call with a nil error.
+func TestOverlayCtxPairSets(t *testing.T) {
+	var want map[[2]SegmentID]bool
+	for _, kinds := range [][2]Kind{{RStarTree, UniformGrid}, {PMRQuadtree, PMRQuadtree}} {
+		a, b := overlayFixture(t, kinds[0], kinds[1])
+		got := map[[2]SegmentID]bool{}
+		if _, err := a.OverlayCtx(context.Background(), b, func(idA, idB SegmentID, _, _ Segment) bool {
+			got[[2]SegmentID{idA, idB}] = true
+			return true
+		}); err != nil {
+			t.Fatalf("%v/%v: %v", kinds[0], kinds[1], err)
+		}
+		if want == nil {
+			if len(got) == 0 {
+				t.Fatal("overlay found no pairs; bad fixture")
+			}
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Fatalf("%v/%v: %d pairs, the nested-loop join found %d", kinds[0], kinds[1], len(got), len(want))
+		}
+
+		calls := 0
+		if _, err := a.OverlayCtx(context.Background(), b, func(SegmentID, SegmentID, Segment, Segment) bool {
+			calls++
+			return false
+		}); err != nil || calls != 1 {
+			t.Fatalf("%v/%v: stopped overlay made %d visits, err %v; want 1 visit, nil", kinds[0], kinds[1], calls, err)
+		}
 	}
 }
 

@@ -194,10 +194,10 @@ type Options struct {
 //
 // The read path is fully concurrent: any number of goroutines may run
 // Window, Nearest, NearestK, IncidentAt, OtherEndpoint, EnclosingPolygon,
-// Get, and the batch executors (WindowBatch, OverlayParallel) at the same
-// time. They share a reader lock; underneath, the buffer pools are
-// latched and every metric counter is atomic, so concurrent queries
-// neither race nor skew the paper's accounting (hits+misses, segment
+// Get, WindowBatch and Overlay at the same time; no call spawns
+// goroutines of its own. They share a reader lock; underneath, the buffer
+// pools are latched and every metric counter is atomic, so concurrent
+// queries neither race nor skew the paper's accounting (hits+misses, segment
 // comparisons, and bounding box computations total exactly the same as a
 // sequential replay; only the hit/miss split depends on interleaving).
 //
