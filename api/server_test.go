@@ -57,12 +57,13 @@ func TestWindowEndpointAndCache(t *testing.T) {
 		t.Fatalf("served window %+v not quantum-aligned", w)
 	}
 	// The answer matches a direct routed query over the served window.
-	var want []segdb.SegmentID
-	if _, err := r.WindowCtx(ctx, segdb.RectOf(w.X1, w.Y1, w.X2, w.Y2), func(id segdb.SegmentID, _ segdb.Segment) bool {
-		want = append(want, id)
-		return true
-	}); err != nil {
+	hits, _, err := r.WindowAppendCtx(ctx, segdb.RectOf(w.X1, w.Y1, w.X2, w.Y2), nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]segdb.SegmentID, len(hits))
+	for i, h := range hits {
+		want[i] = h.ID
 	}
 	got := make([]segdb.SegmentID, len(resp.Segments))
 	for i, s := range resp.Segments {
@@ -162,15 +163,12 @@ func TestBatchEndpoint(t *testing.T) {
 		if resp.Queries[q].Window != rw {
 			t.Fatalf("batch window %d snapped: %+v", q, resp.Queries[q].Window)
 		}
-		var want int
-		if _, err := r.WindowCtx(ctx, segdb.RectOf(rw.X1, rw.Y1, rw.X2, rw.Y2), func(segdb.SegmentID, segdb.Segment) bool {
-			want++
-			return true
-		}); err != nil {
+		hits, _, err := r.WindowAppendCtx(ctx, segdb.RectOf(rw.X1, rw.Y1, rw.X2, rw.Y2), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Queries[q].Count != want {
-			t.Fatalf("batch window %d: %d segments, want %d", q, resp.Queries[q].Count, want)
+		if resp.Queries[q].Count != len(hits) {
+			t.Fatalf("batch window %d: %d segments, want %d", q, resp.Queries[q].Count, len(hits))
 		}
 	}
 }

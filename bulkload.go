@@ -1,9 +1,6 @@
 package segdb
 
 import (
-	"fmt"
-
-	"segdb/internal/geom"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -32,20 +29,29 @@ import (
 func (db *DB) AddBatch(segs []Segment) ([]SegmentID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.batchLocked(segs)
+}
+
+// batchLocked is the body of AddBatch and LoadPacked.
+func (db *DB) batchLocked(segs []Segment) ([]SegmentID, error) {
+	if err := db.settleLocked(); err != nil {
+		return nil, err
+	}
+	if err := checkSegments(segs...); err != nil {
+		return nil, err
+	}
 	if db.stagedMode() {
 		return db.addBatchStagedLocked(segs)
 	}
-	return db.addBatchLocked(segs)
+	ids, err := db.addBatchLocked(segs)
+	return ids, db.failLocked(err)
 }
 
-// appendBatch validates and appends the batch to the segment table,
-// returning the new ids in input order.
+// appendBatch appends the checked batch to the segment table, returning
+// the new ids in input order.
 func (db *DB) appendBatch(segs []Segment) ([]SegmentID, error) {
 	ids := make([]SegmentID, 0, len(segs))
 	for _, s := range segs {
-		if !geom.World().ContainsPoint(s.P1) || !geom.World().ContainsPoint(s.P2) {
-			return nil, fmt.Errorf("%w: segment %v outside the %dx%d world", ErrInvalidArgument, s, WorldSize, WorldSize)
-		}
 		id, err := db.table.Append(s)
 		if err != nil {
 			return nil, err
@@ -79,8 +85,9 @@ func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
 		db.bulkMerges.Add(1)
 	}
 	if db.walfs != nil {
-		// The bulk build replaced the index disk wholesale, so incremental
-		// page logging cannot describe it; cut a full checkpoint instead.
+		// The bulk build replaced the index disk wholesale, so op records
+		// would replay it as one-at-a-time inserts; cut a full checkpoint
+		// instead.
 		db.walSeq++
 		if err := db.checkpointLocked(); err != nil {
 			return nil, err
@@ -90,15 +97,22 @@ func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
 }
 
 // addBatchStagedLocked ingests a batch in staged-ingest mode: every
-// segment is staged (readers see the batch as soon as the snapshot
-// publishes, without the index rebuild in their way), the staged
-// operations are sealed by one WAL commit, and the staging tier is
-// compacted inline — the batch reaches the disk index at bulk-build
-// cost while concurrent readers never block.
+// segment is appended and logged under one WAL commit, then staged
+// (readers see the batch as soon as the snapshot publishes, without the
+// index rebuild in their way), and the staging tier is compacted inline
+// — the batch reaches the disk index at bulk-build cost while
+// concurrent readers never block.
 func (db *DB) addBatchStagedLocked(segs []Segment) ([]SegmentID, error) {
 	ids, err := db.appendBatch(segs)
+	if err == nil {
+		ops := make([]store.WALStagedOp, len(ids))
+		for i, id := range ids {
+			ops[i] = addOp(id, segs[i])
+		}
+		err = db.logLocked(ops...)
+	}
 	if err != nil {
-		return nil, err
+		return nil, db.failLocked(err)
 	}
 	for i, id := range ids {
 		db.mem.Add(id, segs[i])
@@ -106,20 +120,6 @@ func (db *DB) addBatchStagedLocked(segs []Segment) ([]SegmentID, error) {
 	}
 	db.stagedOps.Add(uint64(len(ids)))
 	db.publishLocked()
-	if db.wal != nil {
-		for i, id := range ids {
-			s := segs[i]
-			if err := db.wal.AppendStaged(store.WALStagedOp{
-				ID:     uint32(id),
-				Coords: [4]int32{s.P1.X, s.P1.Y, s.P2.X, s.P2.Y},
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if err := db.walCommit(); err != nil {
-			return nil, err
-		}
-	}
 	if err := db.compactLocked(); err != nil {
 		return nil, err
 	}
@@ -135,13 +135,9 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 	if p := db.pool.Disk().FaultPolicy(); p != nil {
 		disk.SetFaultPolicy(p)
 	}
-	// Runtime disk state carries over to the successor disk: the retry
-	// policy, and write journaling when a WAL is attached.
+	// The retry policy carries over to the successor disk too.
 	if rp := db.pool.Disk().RetryPolicy(); rp != nil {
 		disk.SetRetryPolicy(rp)
-	}
-	if db.walfs != nil {
-		disk.SetJournal(true)
 	}
 	pool := store.NewPool(disk, db.opts.PoolPages)
 	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids)

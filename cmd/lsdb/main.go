@@ -218,8 +218,8 @@ func recoverCmd(args []string) error {
 	}
 	fmt.Printf("recovered %v with %d segments from %s\n", db.Kind(), db.Len(), *dir)
 	fmt.Printf("checkpoint: epoch %d, %d committed mutations\n", rep.CheckpointEpoch, rep.CheckpointSeq)
-	fmt.Printf("rolled forward: %d transactions, %d pages (now at mutation %d)\n",
-		rep.Transactions, rep.PagesReplayed, rep.Seq)
+	fmt.Printf("rolled forward: %d transactions, %d operations re-executed (now at mutation %d)\n",
+		rep.Transactions, rep.OpsReplayed, rep.Seq)
 	if rep.TornTail {
 		fmt.Println("log ended in a torn, uncommitted tail (discarded — expected after a crash)")
 	}
@@ -261,7 +261,7 @@ func compactCmd(args []string) error {
 		return err
 	}
 	fmt.Printf("opened %v with %d segments from %s\n", db.Kind(), db.Len(), *dir)
-	fmt.Printf("folded %d staged operation(s) into the disk index\n", rep.StagedReplayed)
+	fmt.Printf("folded %d logged operation(s) into the disk index\n", rep.OpsReplayed)
 	if err := db.Compact(); err != nil {
 		return err
 	}

@@ -9,18 +9,28 @@
 //     the Save image. It is always replaced via write-temp + fsync +
 //     rename, so a crash leaves either the old checkpoint or the new
 //     one, never a torn hybrid.
-//   - wal.log — the write-ahead log. Every mutation (Add, Delete,
-//     Load, AddBatch) appends the page images it changed and seals them
-//     with a CRC-framed commit record carrying the free lists, page
-//     counts, table length, and index metadata; the commit is synced
-//     before the mutation returns. Replay is prefix-valid: recovery
-//     applies committed transactions in order and discards the tail at
-//     the first torn or corrupt frame.
+//   - wal.log — the write-ahead log, which records operations, not
+//     pages. Every Add and Delete appends one op record (an add's
+//     segment ID and endpoints, or a delete's ID) and a CRC-framed
+//     commit record, synced before the write returns; Load logs one op
+//     per segment under one commit. Recovery loads the checkpoint and
+//     re-executes the committed ops, which reproduces the pre-crash
+//     image because insertion is deterministic. Replay is prefix-valid:
+//     it stops at the first torn or corrupt frame. AddBatch and staged
+//     compaction replace the index wholesale and cut a checkpoint
+//     instead.
 //
 // Commit records are stamped with an epoch so a log that was not yet
-// truncated when the process died cannot smear stale pages over a newer
+// truncated when the process died cannot replay stale ops onto a newer
 // checkpoint: a checkpoint at epoch E is followed by commits at epoch
 // E+1, and recovery replays only commits with epoch > E.
+//
+// The log describes memory only while it is open. A checkpoint closes
+// the old log once both disks are flushed and verified, and a write
+// that fails after validation closes it too, because its partial effect
+// on memory is in no record. So with a log directory but no open log, a
+// checkpoint is owed, and every write cuts it before applying its own
+// op. No checkpoint is cut over a page that fails its checksum.
 package segdb
 
 import (
@@ -72,8 +82,7 @@ const ckptPreludeSize = 8 + 8 + 8 + 4
 
 // initWAL arms durability on a freshly opened (empty) database: it
 // refuses a directory that already holds a checkpoint (that state wants
-// Recover, not an overwrite), turns on write journaling, and cuts the
-// initial checkpoint + empty log.
+// Recover, not an overwrite) and cuts the initial checkpoint + empty log.
 func (db *DB) initWAL(wfs store.WALFS) error {
 	if _, err := wfs.ReadFile(ckptFileName); err == nil {
 		return fmt.Errorf("segdb: WAL directory already holds a checkpoint; use Recover to reopen it (or remove %s to start fresh)", ckptFileName)
@@ -83,84 +92,59 @@ func (db *DB) initWAL(wfs store.WALFS) error {
 	db.walfs = wfs
 	db.walEpoch = 0
 	db.walSeq = 0
-	db.pool.Disk().SetJournal(true)
-	db.table.Disk().SetJournal(true)
 	return db.checkpointLocked()
 }
 
-// walCommit captures every page changed since it was last logged into
-// the WAL and seals them with a synced commit record. Only then are the
-// captured frames marked logged: a failed append leaves them to the next
-// commit. Callers hold the writer lock; with no WAL attached it is a
-// no-op.
-func (db *DB) walCommit() error {
-	if db.wal == nil {
+// settleLocked is the first step of every write: if a checkpoint is
+// owed (a log directory but no open log), it cuts one, and the write
+// fails with its error if it cannot. Callers hold the writer lock.
+func (db *DB) settleLocked() error {
+	if db.walfs == nil || db.wal != nil {
+		return nil
+	}
+	return db.cutCheckpointLocked()
+}
+
+// logLocked makes applied operations durable: one op record each, then
+// a synced commit record carrying the table length replay checks
+// against. A failure closes the log (see failLocked). Without a WAL it
+// is a no-op. Callers hold the writer lock and ran settleLocked first,
+// so a WAL's log is open.
+func (db *DB) logLocked(ops ...store.WALStagedOp) error {
+	if db.walfs == nil {
 		return nil
 	}
 	db.walSeq++
-	if err := db.walCapture(store.WALDiskIndex, db.pool); err != nil {
-		return err
+	for _, op := range ops {
+		if err := db.wal.AppendStaged(op); err != nil {
+			return db.failLocked(err)
+		}
 	}
-	if err := db.walCapture(store.WALDiskTable, db.table.Pool()); err != nil {
-		return err
-	}
-	if err := db.wal.AppendCommit(store.WALCommit{
+	return db.failLocked(db.wal.AppendCommit(store.WALCommit{
 		Epoch:      db.walEpoch,
 		Seq:        db.walSeq,
 		TableCount: uint32(db.table.Len()),
-		Meta:       db.index.PersistMeta(),
-		Disks:      db.walDiskStates(),
-	}); err != nil {
-		return err
-	}
-	db.pool.SealLogged()
-	db.table.Pool().SealLogged()
-	return nil
+	}))
 }
 
-// walCapture logs the pages of one disk whose newest bytes are not in
-// the log yet: dirty buffer-pool frames changed since they were last
-// logged, plus journaled write-through pages not shadowed by a dirty
-// frame (whose content is newer, and is logged by the frame pass of this
-// commit or of the earlier one that sealed it).
-func (db *DB) walCapture(diskTag uint8, pool *store.Pool) error {
-	disk := pool.Disk()
-	journal := disk.DrainJournal()
-	err := pool.ForEachUnlogged(func(id store.PageID, data []byte) error {
-		return db.wal.AppendPage(diskTag, id, data)
-	})
-	if err != nil {
-		return err
+// failLocked closes the log when err is a write failure past
+// validation: memory may hold part of the failed op, which no record
+// describes, and the log may end in an unsealed record. The next write
+// then owes a checkpoint. It returns err.
+func (db *DB) failLocked(err error) error {
+	if err != nil && db.wal != nil {
+		db.wal.Close()
+		db.wal = nil
 	}
-	for _, id := range journal {
-		if pool.Dirty(id) {
-			continue
-		}
-		data, rerr := disk.RawPage(id)
-		if rerr != nil {
-			return rerr
-		}
-		if err := db.wal.AppendPage(diskTag, id, data); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
-// walDiskStates snapshots both disks' page counts and free lists for a
-// commit record.
-func (db *DB) walDiskStates() [2]store.WALDiskState {
-	var s [2]store.WALDiskState
-	s[store.WALDiskIndex] = store.WALDiskState{
-		Pages: uint32(db.pool.Disk().PageCount()),
-		Free:  db.pool.Disk().FreeList(),
-	}
-	s[store.WALDiskTable] = store.WALDiskState{
-		Pages: uint32(db.table.Disk().PageCount()),
-		Free:  db.table.Disk().FreeList(),
-	}
-	return s
+// addOp and delOp build the op records of an add and a delete.
+func addOp(id SegmentID, s Segment) store.WALStagedOp {
+	return store.WALStagedOp{ID: uint32(id), Coords: [4]int32{s.P1.X, s.P1.Y, s.P2.X, s.P2.Y}}
 }
+
+func delOp(id SegmentID) store.WALStagedOp { return store.WALStagedOp{Del: true, ID: uint32(id)} }
 
 // Checkpoint folds the write-ahead log into a fresh atomic checkpoint
 // and truncates the log. Recovery time is proportional to the log since
@@ -177,6 +161,12 @@ func (db *DB) Checkpoint() error {
 	if db.walfs == nil {
 		return ErrNoWAL
 	}
+	return db.cutCheckpointLocked()
+}
+
+// cutCheckpointLocked is Checkpoint's body: in staged mode a non-empty
+// staging tier is compacted first (compaction cuts the checkpoint).
+func (db *DB) cutCheckpointLocked() error {
 	if db.stagedMode() && (db.mem.Len() > 0 || len(db.tombs) > 0) {
 		return db.compactLocked()
 	}
@@ -188,7 +178,10 @@ func (db *DB) Checkpoint() error {
 // then starts a fresh log and bumps the epoch for subsequent commits.
 // A crash at any point leaves either the old checkpoint (with its still
 // fully replayable log) or the new one (whose epoch filter ignores any
-// leftover log).
+// leftover log). Both disks are flushed and verified first, with the
+// log still open: a page failing its checksum would make the image
+// unloadable, so the checkpoint is refused. Only then is the old log
+// closed, so a checkpoint that fails later leaves one owed.
 func (db *DB) checkpointLocked() error {
 	if err := db.table.Flush(); err != nil {
 		return err
@@ -196,10 +189,15 @@ func (db *DB) checkpointLocked() error {
 	if err := db.pool.Flush(); err != nil {
 		return err
 	}
-	// The flush's disk writes are part of the checkpoint image; drop them
-	// from the journal so the next commit does not re-log them.
-	db.pool.Disk().DrainJournal()
-	db.table.Disk().DrainJournal()
+	for _, d := range []*store.Disk{db.pool.Disk(), db.table.Disk()} {
+		if err := d.VerifyChecksums(); err != nil {
+			return fmt.Errorf("segdb: checkpoint refused over a damaged disk (Scrub repairs it; with a checkpoint owed, Recover reopens the last durable state): %w", err)
+		}
+	}
+	if db.wal != nil {
+		db.wal.Close()
+		db.wal = nil
+	}
 	var buf bytes.Buffer
 	buf.Write(ckptMagic[:])
 	binary.Write(&buf, binary.LittleEndian, db.walEpoch)
@@ -228,12 +226,8 @@ func (db *DB) checkpointLocked() error {
 	if err := db.walfs.Rename(ckptTmpFileName, ckptFileName); err != nil {
 		return err
 	}
-	if db.wal != nil {
-		db.wal.Close()
-	}
 	w, err := store.CreateWAL(db.walfs, walFileName)
 	if err != nil {
-		db.wal = nil
 		return err
 	}
 	db.wal = w
@@ -247,28 +241,26 @@ type RecoveryReport struct {
 	// from; CheckpointSeq its mutation count.
 	CheckpointEpoch uint64
 	CheckpointSeq   uint64
-	// Transactions and PagesReplayed count the committed WAL work rolled
-	// forward on top of the checkpoint.
-	Transactions  int
-	PagesReplayed int
+	// Transactions counts the committed WAL transactions rolled forward
+	// on top of the checkpoint, and OpsReplayed the operations (adds and
+	// deletes) they held.
+	Transactions int
+	OpsReplayed  int
 	// TornTail reports that the log ended in a discarded tail — a
-	// truncated or CRC-failed frame, or page records never sealed by a
+	// truncated or CRC-failed frame, or op records never sealed by a
 	// commit — which is exactly what a mid-write crash leaves.
 	TornTail bool
 	// Seq is the mutation count of the recovered state.
 	Seq uint64
-	// StagedReplayed counts staged-ingest operations (memtable adds and
-	// deletes) found in the log and folded into the rebuilt index.
-	StagedReplayed int
 }
 
 // Recover reopens a crashed (or cleanly closed) durable database from
 // its WAL directory: the latest checkpoint is loaded and every
-// committed WAL transaction after it is replayed. The recovered
+// committed WAL operation after it is re-executed. The recovered
 // database is durable again — a fresh checkpoint is cut and the log
 // truncated before Recover returns. Options contribute runtime settings
-// only (retry policy, degraded reads, fault policy, tracer); the
-// structural configuration comes from the checkpoint image.
+// only (retry policy, degraded reads, fault policy, tracer, staged
+// ingest); the structural configuration comes from the checkpoint image.
 func Recover(dir string, opts ...Option) (*DB, *RecoveryReport, error) {
 	wfs, err := store.NewDirWALFS(dir)
 	if err != nil {
@@ -280,35 +272,21 @@ func Recover(dir string, opts ...Option) (*DB, *RecoveryReport, error) {
 // RecoverFS is Recover over an explicit WALFS (e.g. a MemWALFS crash
 // harness).
 func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
-	st, err := replayDurableState(wfs)
-	if err != nil {
-		return nil, nil, err
-	}
 	o := resolveOptions(opts)
-	dbOpts := st.opts
-	dbOpts.FaultPolicy = o.FaultPolicy
-	dbOpts.Tracer = o.Tracer
-	dbOpts.RetryPolicy = o.RetryPolicy
-	dbOpts.DegradedReads = o.DegradedReads
-	dbOpts.StagedIngest = o.StagedIngest
-	dbOpts.CompactThreshold = o.CompactThreshold
-	pool := store.NewPool(st.disk, dbOpts.PoolPages)
-	ix, err := restoreIndex(st.kind, dbOpts, pool, st.table, st.meta)
+	st, err := replayDurableState(wfs, o.StagedIngest)
 	if err != nil {
 		return nil, nil, err
 	}
-	db := newDB(st.kind, dbOpts, st.table, pool, ix)
+	db := st.db
+	db.attachRuntime(o)
 	db.walfs = wfs
 	db.walEpoch = st.lastEpoch
 	db.walSeq = st.seq
-	db.pool.Disk().SetJournal(true)
-	db.table.Disk().SetJournal(true)
-	if len(st.staged) > 0 {
-		// The log holds staged-ingest operations: the previous run's
-		// memtable. Its segment geometry is already in the replayed table
-		// pages; fold the operations into the index by rebuilding it over
+	if o.StagedIngest && len(st.ops) > 0 {
+		// The log's ops are the previous run's staging tier; their adds are
+		// back in the table. Fold them into the index by rebuilding it over
 		// the final live set ("recovery replays the memtable").
-		if err := db.foldStagedRecovery(st.staged); err != nil {
+		if err := db.foldStagedRecovery(st.ops); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -324,10 +302,9 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 		CheckpointEpoch: st.epoch,
 		CheckpointSeq:   st.ckptSeq,
 		Transactions:    st.txns,
-		PagesReplayed:   st.pages,
+		OpsReplayed:     len(st.ops),
 		TornTail:        st.torn,
 		Seq:             st.seq,
-		StagedReplayed:  len(st.staged),
 	}, nil
 }
 
@@ -360,32 +337,31 @@ func (db *DB) foldStagedRecovery(ops []store.WALStagedOp) error {
 }
 
 // replayedState is the durable state of a WAL directory, materialized:
-// the checkpoint image with every committed WAL transaction applied.
+// the checkpoint image with every committed op after it replayed.
 type replayedState struct {
-	kind  Kind
-	opts  Options
-	meta  []uint64
-	table *seg.Table
-	disk  *store.Disk // index disk
+	db *DB
+
+	// ops is every committed op, in log order. In place they are already
+	// applied to db; staged, only their adds are (to the table), and the
+	// caller folds them into the index.
+	ops []store.WALStagedOp
 
 	epoch     uint64 // checkpoint epoch
 	ckptSeq   uint64 // checkpoint mutation count
 	lastEpoch uint64 // epoch of the newest replayed commit (= epoch if none)
 	seq       uint64 // mutation count after replay
 	txns      int
-	pages     int
 	torn      bool
-
-	// staged is the concatenation of every committed transaction's
-	// staged-ingest operations, in commit order: the previous run's
-	// memtable as the log remembers it.
-	staged []store.WALStagedOp
 }
 
-// replayDurableState loads the checkpoint and rolls the WAL forward over
-// it. Shared by Recover (which then builds a live DB from it) and Scrub
-// (which uses it as the known-good source for repairing bad pages).
-func replayDurableState(wfs store.WALFS) (*replayedState, error) {
+// replayDurableState loads the checkpoint into a DB with no runtime
+// options attached (so injected faults cannot touch it) and replays the
+// log's committed ops over it, in place or staged. Shared by Recover,
+// which attaches the runtime options to the result, and Scrub, which
+// uses it as the known-good source for repairing bad pages. A replay
+// that diverges from the log — an add given another ID than it was
+// logged with, or a table length other than a commit's — is an error.
+func replayDurableState(wfs store.WALFS, staged bool) (*replayedState, error) {
 	ckpt, err := wfs.ReadFile(ckptFileName)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
@@ -403,7 +379,7 @@ func replayDurableState(wfs store.WALFS) (*replayedState, error) {
 		epoch:   binary.LittleEndian.Uint64(ckpt[8:16]),
 		ckptSeq: binary.LittleEndian.Uint64(ckpt[16:24]),
 	}
-	st.kind, st.opts, st.meta, st.table, st.disk, err = loadImage(bytes.NewReader(ckpt[ckptPreludeSize:]))
+	st.db, err = Load(bytes.NewReader(ckpt[ckptPreludeSize:]))
 	if err != nil {
 		return nil, fmt.Errorf("segdb: loading checkpoint image: %w", err)
 	}
@@ -428,39 +404,49 @@ func replayDurableState(wfs store.WALFS) (*replayedState, error) {
 		return nil, err
 	}
 	st.torn = torn
-	var last *store.WALCommit
 	for _, txn := range txns {
-		for _, p := range txn.Pages {
-			var disk *store.Disk
-			switch p.Disk {
-			case store.WALDiskIndex:
-				disk = st.disk
-			case store.WALDiskTable:
-				disk = st.table.Disk()
-			default:
-				return nil, fmt.Errorf("segdb: WAL page for unknown disk %d", p.Disk)
-			}
-			disk.EnsurePages(int(p.Page) + 1)
-			if err := disk.RawRestore(p.Page, p.Data); err != nil {
-				return nil, err
-			}
-			st.pages++
-		}
 		st.txns++
-		st.staged = append(st.staged, txn.Staged...)
-		last = &txn.Commit
-	}
-	if last != nil {
-		st.disk.EnsurePages(int(last.Disks[store.WALDiskIndex].Pages))
-		st.disk.SetFreeList(last.Disks[store.WALDiskIndex].Free)
-		st.table.Disk().EnsurePages(int(last.Disks[store.WALDiskTable].Pages))
-		st.table.Disk().SetFreeList(last.Disks[store.WALDiskTable].Free)
-		st.table.SetLen(int(last.TableCount))
-		st.meta = last.Meta
-		st.lastEpoch = last.Epoch
-		st.seq = last.Seq
+		for _, op := range txn.Ops {
+			if err := st.db.replayOp(op, staged); err != nil {
+				return nil, fmt.Errorf("segdb: replaying %s transaction %d: %w", walFileName, st.txns, err)
+			}
+		}
+		if n := st.db.table.Len(); n != int(txn.Commit.TableCount) {
+			return nil, fmt.Errorf("segdb: replaying %s transaction %d: table holds %d segments, its commit says %d", walFileName, st.txns, n, txn.Commit.TableCount)
+		}
+		st.ops = append(st.ops, txn.Ops...)
+		st.lastEpoch = txn.Commit.Epoch
+		st.seq = txn.Commit.Seq
 	}
 	return st, nil
+}
+
+// replayOp re-executes one logged op: in place through the write path's
+// own apply; staged, an add is re-appended to the table and a delete is
+// left to the caller's fold. An add must get back the ID it was logged
+// with.
+func (db *DB) replayOp(op store.WALStagedOp, staged bool) error {
+	if op.Del {
+		if staged {
+			return nil
+		}
+		return db.index.Delete(seg.ID(op.ID))
+	}
+	s := Seg(op.Coords[0], op.Coords[1], op.Coords[2], op.Coords[3])
+	if err := checkSegments(s); err != nil {
+		return err
+	}
+	var id SegmentID
+	var err error
+	if staged {
+		id, err = db.table.Append(s)
+	} else {
+		id, err = db.addLocked(s)
+	}
+	if err == nil && id != SegmentID(op.ID) {
+		err = fmt.Errorf("add of %v re-executed as segment %d, logged as %d", s, id, op.ID)
+	}
+	return err
 }
 
 // ScrubReport is the outcome of DB.Scrub.
@@ -485,11 +471,15 @@ func (r *ScrubReport) Clean() bool {
 }
 
 // Scrub walks both disks verifying every in-use page's checksum, then
-// repairs each corrupt or quarantined page from the durable state (last
-// checkpoint + committed WAL), clearing its quarantine so degraded-mode
-// queries see the page again. Because every mutation commits to the WAL
-// before returning, the durable state matches the live state and a
-// repaired page is byte-identical to what the query path expects.
+// repairs each corrupt or quarantined page from the durable state,
+// clearing its quarantine so degraded-mode queries see the page again.
+// The known-good shadow is the last checkpoint with the log replayed in
+// the live database's mode, flushed: because every write is logged
+// before it returns, and replay is deterministic, a shadow page is
+// byte-identical to what the query path expects. While a checkpoint is
+// owed the log is behind memory, so Scrub refuses to repair; as no
+// checkpoint is cut over a damaged page either, writes fail until
+// Recover reopens the last durable state.
 // It takes the writer lock.
 func (db *DB) Scrub() (*ScrubReport, error) {
 	db.mu.Lock()
@@ -505,20 +495,24 @@ func (db *DB) Scrub() (*ScrubReport, error) {
 	if r.Clean() {
 		return r, nil
 	}
-	st, err := replayDurableState(db.walfs)
+	if db.wal == nil {
+		return r, errors.New("segdb: scrub: a failed write left the log behind memory (a checkpoint is owed), so the durable state cannot vouch for any page; Recover reopens that state")
+	}
+	st, err := replayDurableState(db.walfs, db.stagedMode())
 	if err != nil {
 		return r, err
 	}
-	if err := db.repairPages(db.pool, st.disk, r.BadIndexPages, r); err != nil {
+	shadow := st.db
+	if err := shadow.table.Flush(); err != nil {
 		return r, err
 	}
-	if err := db.repairPages(db.table.Pool(), st.table.Disk(), r.BadTablePages, r); err != nil {
+	if err := shadow.pool.Flush(); err != nil {
 		return r, err
 	}
-	// Repairs rewrote the pages through RawRestore, which bypasses the
-	// journal; the durable state is their source, so there is nothing new
-	// to log.
-	return r, nil
+	if err := db.repairPages(db.pool, shadow.pool.Disk(), r.BadIndexPages, r); err != nil {
+		return r, err
+	}
+	return r, db.repairPages(db.table.Pool(), shadow.table.Disk(), r.BadTablePages, r)
 }
 
 // repairPages rewrites each bad page of the live disk from the shadow

@@ -1,10 +1,14 @@
 package segdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"segdb/internal/seg"
 	"segdb/internal/store"
 )
 
@@ -413,124 +417,352 @@ func TestWALOnRealFiles(t *testing.T) {
 	}
 }
 
-var _ = store.ErrInjectedFault // keep the import if assertions change
+// lostLogFS is a WALFS that fails the next Create of the log file once
+// armed: a checkpoint whose rename landed but whose new log could not be
+// opened.
+type lostLogFS struct {
+	*MemWALFS
+	failNext bool
+}
 
-// walTxns parses the live log of a MemWALFS-backed database.
-func walTxns(t *testing.T, wfs *MemWALFS) []*store.WALTxn {
+func (f *lostLogFS) Create(name string) (store.WALFile, error) {
+	if name == walFileName && f.failNext {
+		f.failNext = false
+		return nil, errors.New("log create refused")
+	}
+	return f.MemWALFS.Create(name)
+}
+
+// TestWriteAfterLostLogIsDurableOrFails pins the owed-checkpoint rule: a
+// checkpoint that could not open its new log leaves the database owing
+// one, so the next write must cut it (or fail) rather than return nil
+// with nothing logged.
+func TestWriteAfterLostLogIsDurableOrFails(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("staged=%v", staged), func(t *testing.T) {
+			wfs := &lostLogFS{MemWALFS: NewMemWALFS()}
+			opts := []Option{WithWALFS(wfs)}
+			if staged {
+				opts = append(opts, WithStagedIngest(), WithCompactThreshold(-1))
+			}
+			db, err := Open(RStarTree, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Add(Seg(10, 10, 20, 20)); err != nil {
+				t.Fatal(err)
+			}
+			wfs.failNext = true
+			if err := db.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint succeeded although its log could not be created")
+			}
+			if _, err := db.Add(Seg(30, 30, 40, 40)); err != nil {
+				t.Fatalf("Add after the lost log: %v (the owed checkpoint should have been cut)", err)
+			}
+			rec, _, err := RecoverFS(wfs.MemWALFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rec.Len(), db.Len(); got != want {
+				t.Fatalf("recovered %d segments, live database holds %d: an acknowledged Add was lost", got, want)
+			}
+		})
+	}
+}
+
+// TestFailedStagedAddInvisibleAndNotDurable pins the failed-write
+// contract for staged mode: a crash on the write of an Add's op record
+// makes the Add fail, and the segment is visible neither now nor after
+// recovery.
+func TestFailedStagedAddInvisibleAndNotDurable(t *testing.T) {
+	wfs := NewMemWALFS()
+	db, err := Open(RStarTree, WithWALFS(wfs), WithStagedIngest(), WithCompactThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range crashSegments(20, 5) {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := windowIDs(t, db, World())
+	wfs.SetCrashAfterWrites(1, 9) // the op record's Write
+	if _, err := db.Add(Seg(100, 100, 200, 200)); !errors.Is(err, ErrWALCrash) {
+		t.Fatalf("Add during the crash = %v, want ErrWALCrash", err)
+	}
+	if got := windowIDs(t, db, World()); !sameIDs(got, want) {
+		t.Fatalf("failed Add is visible: window has %d ids, want %d", len(got), len(want))
+	}
+	wfs.Reboot()
+	rec, _, err := RecoverFS(wfs, WithStagedIngest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := windowIDs(t, rec, World()); !sameIDs(got, want) {
+		t.Fatalf("failed Add is durable: recovered window has %d ids, want %d", len(got), len(want))
+	}
+}
+
+// TestScrubRefusesWhileCheckpointOwed: a Delete that misses is a
+// validation error and leaves the log open, but after a write failed
+// past validation the log is behind memory, so Scrub must not rebuild
+// pages from it.
+func TestScrubRefusesWhileCheckpointOwed(t *testing.T) {
+	wfs := NewMemWALFS()
+	db, err := Open(RStarTree, WithWALFS(wfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range crashSegments(50, 8) {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []SegmentID{3, 9999} {
+		if err := db.Delete(id); !errors.Is(err, seg.ErrNotIndexed) {
+			t.Fatalf("Delete(%d) = %v, want ErrNotIndexed", id, err)
+		}
+		if db.wal == nil {
+			t.Fatalf("Delete(%d) that missed closed the log", id)
+		}
+	}
+	wfs.SetCrashAfterWrites(1, 4) // the next Add's op record
+	if _, err := db.Add(Seg(100, 100, 200, 200)); !errors.Is(err, ErrWALCrash) {
+		t.Fatalf("Add during the crash = %v, want ErrWALCrash", err)
+	}
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.table.Disk().CorruptPage(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Scrub(); err == nil || !strings.Contains(err.Error(), "owed") {
+		t.Fatalf("Scrub while a checkpoint is owed = %v, want a refusal", err)
+	}
+}
+
+// TestNoCheckpointOverDamagedDisk: an Add that reads a corrupt index
+// page fails and owes a checkpoint; the next write must not cut that
+// checkpoint over the bad page, so the checkpoint and log still recover
+// the last acknowledged state.
+func TestNoCheckpointOverDamagedDisk(t *testing.T) {
+	for _, kind := range crashKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			wfs := NewMemWALFS()
+			db, err := Open(kind, WithWALFS(wfs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range crashSegments(150, 12) {
+				if _, err := db.Add(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := windowIDs(t, db, World())
+			if err := db.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			for id := range db.pool.Disk().PageCount() {
+				if err := db.pool.Disk().CorruptPage(PageID(id), 99); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.Add(Seg(100, 100, 200, 200)); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("Add over a corrupt index = %v, want ErrChecksum", err)
+			}
+			if _, err := db.Add(Seg(300, 300, 400, 400)); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("Add owing a checkpoint over a corrupt index = %v, want the refusal", err)
+			}
+			rec, _, err := RecoverFS(wfs)
+			if err != nil {
+				t.Fatalf("RecoverFS after the refused checkpoint: %v", err)
+			}
+			if got := windowIDs(t, rec, World()); !sameIDs(got, want) {
+				t.Fatalf("recovered window has %d ids, want %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestStagedLoadScrubs: a staged Load reaches the index only through
+// compaction, so Scrub's staged replay rebuilds the live index pages.
+func TestStagedLoadScrubs(t *testing.T) {
+	db, err := Open(RStarTree, WithWALFS(NewMemWALFS()), WithStagedIngest(), WithCompactThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Load(&MapData{Segments: crashSegments(150, 13)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range crashSegments(20, 14) {
+		if _, err := db.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := windowIDs(t, db, World())
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.pool.Disk().CorruptPage(0, 99); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := db.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Repaired != 1 || rep.Unrepairable != 0 {
+		t.Fatalf("scrub repaired=%d unrepairable=%d, want the one page repaired", rep.Repaired, rep.Unrepairable)
+	}
+	if r := db.CheckIntegrity(); !r.Healthy() {
+		t.Fatalf("unhealthy after scrub: %v", r.Err())
+	}
+	if got := windowIDs(t, db, World()); !sameIDs(got, want) {
+		t.Fatalf("post-scrub window has %d ids, want %d", len(got), len(want))
+	}
+}
+
+// replayOps is TestReplayReproducesImage's workload: Charles segments
+// added one at a time, every seventh add followed by a delete of an
+// earlier one.
+func replayOps(t *testing.T, n int) []crashOp {
 	t.Helper()
-	data, err := wfs.ReadFile(walFileName)
-	if err != nil {
-		t.Fatal(err)
+	var ops []crashOp
+	for i, s := range bulkSample(t, n) {
+		ops = append(ops, crashOp{seg: s})
+		if i%7 == 6 {
+			ops = append(ops, crashOp{del: true, id: SegmentID(i / 2)})
+		}
 	}
-	txns, torn, err := store.ReadWAL(data, 0)
-	if err != nil || torn {
-		t.Fatalf("ReadWAL: torn=%v err=%v", torn, err)
-	}
-	return txns
+	return ops
 }
 
-// TestWALLogsPageOncePerChange pins the logged-bit invariant: a commit
-// carries the pages changed since they were last logged, not every
-// dirty frame of the pools, so a commit with nothing modified since the
-// previous one appends no page record at all.
-func TestWALLogsPageOncePerChange(t *testing.T) {
-	wfs := NewMemWALFS()
-	db, err := Open(RStarTree, WithWALFS(wfs))
-	if err != nil {
+// saveImage returns db's Save image.
+func saveImage(t *testing.T, db *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	segs := crashSegments(300, 21)
-	for _, s := range segs {
-		if _, err := db.Add(s); err != nil {
-			t.Fatal(err)
+	return buf.Bytes()
+}
+
+// opRecordStart returns the log offset of the i-th op record (0-based),
+// walking the [length][CRC][payload] frames after the 8-byte magic.
+func opRecordStart(t *testing.T, log []byte, i int) int {
+	t.Helper()
+	for off := 8; off+8 < len(log); off += 8 + int(binary.LittleEndian.Uint32(log[off:])) {
+		if log[off+8] == 3 { // op record
+			if i == 0 {
+				return off
+			}
+			i--
 		}
 	}
-	db.mu.Lock()
-	err = db.walCommit()
-	db.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	txns := walTxns(t, wfs)
-	if len(txns) != len(segs)+1 {
-		t.Fatalf("%d transactions, want %d", len(txns), len(segs)+1)
-	}
-	if n := len(txns[len(txns)-1].Pages); n != 0 {
-		t.Errorf("a commit with nothing modified logged %d pages, want 0", n)
-	}
-	// Both 16-page pools stay dirty between checkpoints, so logging every
-	// dirty frame would put ~20 pages in each late commit; an insert
-	// changes a leaf, its ancestors and one table page.
-	for i, txn := range txns[len(txns)-50 : len(txns)-1] {
-		if n := len(txn.Pages); n == 0 || n > 8 {
-			t.Errorf("late Add %d logged %d pages, want 1..8 (only what it changed)", i, n)
+	t.Fatalf("log holds fewer op records than asked for")
+	return 0
+}
+
+// TestReplayReproducesImage is the logical log's gate: a checkpoint plus
+// the re-executed ops reproduce the live image byte for byte, for every
+// kind and page format; and a log torn inside op j's record recovers the
+// image of an uninterrupted run of the ops before j.
+func TestReplayReproducesImage(t *testing.T) {
+	ops := replayOps(t, 3000)
+	k := len(ops) / 2 // checkpoint after op k
+	j := k + (len(ops)-k)/2
+	for _, kind := range crashKinds {
+		for _, level := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%v/compression=%d", kind, level), func(t *testing.T) {
+				wfs := NewMemWALFS()
+				db, err := Open(kind, WithWALFS(wfs), WithPageCompression(level))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, op := range ops {
+					if err := op.apply(db); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+					if i == k-1 {
+						if err := db.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				files := wfs.Snapshot()
+				rec, rep, err := RecoverFS(wfs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.OpsReplayed != len(ops)-k {
+					t.Fatalf("replayed %d ops, want %d", rep.OpsReplayed, len(ops)-k)
+				}
+				if !bytes.Equal(saveImage(t, rec), saveImage(t, db)) {
+					t.Fatal("recovered image differs from the live one")
+				}
+
+				torn := NewMemWALFS()
+				for name, data := range files {
+					if name == walFileName {
+						data = data[:opRecordStart(t, data, j-k)+13]
+					}
+					f, err := torn.Create(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Write(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rec, rep, err = RecoverFS(torn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.TornTail || rep.OpsReplayed != j-k {
+					t.Fatalf("torn log: torn=%v, %d ops replayed, want true and %d", rep.TornTail, rep.OpsReplayed, j-k)
+				}
+				ref, err := Open(kind, WithPageCompression(level))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range ops[:j] {
+					if err := op.apply(ref); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(saveImage(t, rec), saveImage(t, ref)) {
+					t.Fatalf("image recovered from a log torn inside op %d differs from a run of ops 0..%d", j, j-1)
+				}
+			})
 		}
 	}
 }
 
-// TestWALRecoversPageLoggedOnceThenEvicted covers the case the logged
-// bit must not lose: a page logged at commit N, untouched at commit
-// N+1 (so not logged again), then evicted from the pool before a crash.
-// Its only image is the one from commit N, and recovery must still
-// reproduce the exact database.
-func TestWALRecoversPageLoggedOnceThenEvicted(t *testing.T) {
+// TestRecoverRefusesPageImageLog pins the format change: a log in the
+// retired page-image format is refused by name, not misread.
+func TestRecoverRefusesPageImageLog(t *testing.T) {
 	wfs := NewMemWALFS()
-	db, err := Open(RStarTree, WithWALFS(wfs))
+	db, err := Open(UniformGrid, WithWALFS(wfs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := crashSegments(1500, 22) // ~60 index pages through a 16-page pool
-	for _, s := range segs {
-		if _, err := db.Add(s); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := db.Add(Seg(1, 1, 5, 5)); err != nil {
+		t.Fatal(err)
 	}
-	// Find an index page logged in one commit, absent from the next, and
-	// no longer resident: the scenario, not just the workload, happened.
-	txns := walTxns(t, wfs)
-	logged := func(txn *store.WALTxn, id store.PageID) bool {
-		for _, p := range txn.Pages {
-			if p.Disk == store.WALDiskIndex && p.Page == id {
-				return true
-			}
-		}
-		return false
-	}
-	found := false
-	for i := 0; i+1 < len(txns) && !found; i++ {
-		for _, p := range txns[i].Pages {
-			if p.Disk == store.WALDiskIndex && !logged(txns[i+1], p.Page) && !db.pool.Resident(p.Page) {
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Fatal("workload never logged a page once, skipped it, and evicted it")
-	}
-
-	// Crash: drop the database without a checkpoint and recover from the
-	// files alone.
-	rec, rep, err := RecoverFS(wfs)
-	if err != nil {
-		t.Fatalf("RecoverFS: %v", err)
-	}
-	if rep.Transactions != len(segs) {
-		t.Errorf("replayed %d transactions, want %d", rep.Transactions, len(segs))
-	}
-	if r := rec.CheckIntegrity(); !r.Healthy() {
-		t.Fatalf("recovered db unhealthy: %v", r.Err())
-	}
-	model, err := Open(RStarTree)
+	log, err := wfs.ReadFile(walFileName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range segs {
-		if _, err := model.Add(s); err != nil {
-			t.Fatal(err)
-		}
+	f, err := wfs.Create(walFileName)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := crashFingerprint(t, rec, segs), crashFingerprint(t, model, segs); got != want {
-		t.Fatalf("recovered queries diverge from the model:\nrecovered:\n%s\nmodel:\n%s", got, want)
+	if _, err := f.Write(append([]byte("SDBWAL01"), log[8:]...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecoverFS(wfs); err == nil || !strings.Contains(err.Error(), "SDBWAL01") {
+		t.Fatalf("RecoverFS over a v1 log = %v, want a refusal naming SDBWAL01", err)
 	}
 }

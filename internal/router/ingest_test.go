@@ -31,7 +31,7 @@ func TestIngestEquivalence(t *testing.T) {
 				if want := segdb.SegmentID(len(initial) + i); id != want {
 					t.Fatalf("%v/%d shards: ingested id[%d] = %d, want %d", kind, shards, i, id, want)
 				}
-				s, err := r.Get(id)
+				s, err := routedSeg(r, id)
 				if err != nil {
 					t.Fatalf("%v/%d shards: Get(%d): %v", kind, shards, id, err)
 				}
@@ -51,11 +51,9 @@ func TestIngestEquivalence(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				rect := segdb.RectOf(rng.Int31n(segdb.WorldSize), rng.Int31n(segdb.WorldSize),
 					rng.Int31n(segdb.WorldSize), rng.Int31n(segdb.WorldSize))
-				var got []segdb.SegmentID
-				if _, err := r.WindowCtx(context.Background(), rect, func(id segdb.SegmentID, _ segdb.Segment) bool {
-					got = append(got, id)
-					return true
-				}); err != nil {
+				hits, _, err := r.WindowAppendCtx(context.Background(), rect, nil)
+				got := hitIDs(hits)
+				if err != nil {
 					t.Fatal(err)
 				}
 				want := sortedWindowIDs(t, truth, rect)
@@ -70,11 +68,9 @@ func TestIngestEquivalence(t *testing.T) {
 				t.Fatalf("%v/%d shards: compact: %v", kind, shards, err)
 			}
 			rect := segdb.World()
-			var got []segdb.SegmentID
-			if _, err := r.WindowCtx(context.Background(), rect, func(id segdb.SegmentID, _ segdb.Segment) bool {
-				got = append(got, id)
-				return true
-			}); err != nil {
+			hits, _, err := r.WindowAppendCtx(context.Background(), rect, nil)
+			got := hitIDs(hits)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if want := sortedWindowIDs(t, truth, rect); !slices.Equal(got, want) {
@@ -131,11 +127,9 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				}
 				rect := segdb.RectOf(rng.Int31n(segdb.WorldSize), rng.Int31n(segdb.WorldSize),
 					rng.Int31n(segdb.WorldSize), rng.Int31n(segdb.WorldSize))
-				var got []segdb.SegmentID
-				if _, err := r.WindowCtx(context.Background(), rect, func(id segdb.SegmentID, _ segdb.Segment) bool {
-					got = append(got, id)
-					return true
-				}); err != nil {
+				hits, _, err := r.WindowAppendCtx(context.Background(), rect, nil)
+				got := hitIDs(hits)
+				if err != nil {
 					t.Errorf("window during ingest: %v", err)
 					failed.Store(true)
 					return
@@ -148,7 +142,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 					}
 				}
 				for _, id := range got {
-					if _, err := r.Get(id); err != nil {
+					if _, err := routedSeg(r, id); err != nil {
 						t.Errorf("window returned unresolvable global id %d: %v", id, err)
 						failed.Store(true)
 						return
@@ -186,11 +180,9 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 		}
 	}
 	truth := groundTruth(t, segdb.PMRQuadtree, segs)
-	var got []segdb.SegmentID
-	if _, err := r.WindowCtx(context.Background(), segdb.World(), func(id segdb.SegmentID, _ segdb.Segment) bool {
-		got = append(got, id)
-		return true
-	}); err != nil {
+	hits, _, err := r.WindowAppendCtx(context.Background(), segdb.World(), nil)
+	got := hitIDs(hits)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if want := sortedWindowIDs(t, truth, segdb.World()); !slices.Equal(got, want) {

@@ -3,7 +3,6 @@ package router
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -31,8 +30,15 @@ import (
 // returning false stops delivery but not traversal — the QueryStats
 // still price the full answer. Callers that need traversal-level early
 // exit should query a shard DB directly.
+//
+// The Router serves only the queries the HTTP server serves: window,
+// k-nearest and incidence. Polygon tracing walks a face boundary
+// through globally adjacent segments, a topology no per-shard index
+// holds; route it, like other-endpoint traversal and overlay, to an
+// unsharded DB.
 
-// windowBufPool recycles the hit buffers of the visitor-form queries:
+// windowBufPool recycles the hit buffers of the visitor-form queries
+// (WindowBatchCtx, IncidentAtCtx):
 // the merged answer lands in a recycled slice, so warm routed queries
 // allocate only when an answer outgrows every pooled buffer.
 var windowBufPool = sync.Pool{New: func() any { return new([]segdb.WindowHit) }}
@@ -80,7 +86,7 @@ func (r *Router) WindowAppendCtx(ctx context.Context, rect segdb.Rect, dst []seg
 	return dst, st, err
 }
 
-// windowAppend is the shared core of WindowAppendCtx, WindowCtx and the
+// windowAppend is the shared core of WindowAppendCtx and the
 // per-rectangle body of WindowBatchCtx (the batch records under its own
 // kind): it queries the shards whose coverage intersects rect in shard
 // order, appending each shard's hits straight into dst, then sorts the
@@ -111,27 +117,6 @@ func (r *Router) windowAppend(ctx context.Context, rect segdb.Rect, dst []segdb.
 
 func sortWindowHits(hits []segdb.WindowHit) {
 	slices.SortFunc(hits, func(a, b segdb.WindowHit) int { return cmp.Compare(a.ID, b.ID) })
-}
-
-// WindowCtx runs the window query across the shards and delivers the
-// merged hits to visit in ascending global-ID order. Returning false
-// from visit stops delivery (the traversal cost has already been paid —
-// see the package note on materialization).
-func (r *Router) WindowCtx(ctx context.Context, rect segdb.Rect, visit func(segdb.SegmentID, segdb.Segment) bool) (segdb.QueryStats, error) {
-	start := time.Now()
-	buf := windowBufPool.Get().(*[]segdb.WindowHit)
-	hits, st, err := r.windowAppend(ctx, rect, (*buf)[:0])
-	if err == nil {
-		for _, h := range hits {
-			if !visit(h.ID, h.Seg) {
-				break
-			}
-		}
-	}
-	*buf = hits[:0]
-	windowBufPool.Put(buf)
-	r.record(qkWindow, start, &st, err)
-	return st, err
 }
 
 // WindowBatchCtx runs one routed window query per rectangle, in
@@ -169,18 +154,6 @@ func (r *Router) WindowBatchCtx(ctx context.Context, rects []segdb.Rect, visit f
 	return stats, err
 }
 
-// NearestCtx returns the segment nearest to p across all shards.
-func (r *Router) NearestCtx(ctx context.Context, p segdb.Point) (segdb.NearestResult, segdb.QueryStats, error) {
-	start := time.Now()
-	var buf [1]segdb.NearestResult
-	res, st, err := r.nearestKAppend(ctx, p, 1, buf[:0])
-	r.record(qkNearest, start, &st, err)
-	if err != nil || len(res) == 0 {
-		return segdb.NearestResult{}, st, err
-	}
-	return res[0], st, err
-}
-
 // NearestKCtx returns up to k segments across all shards ordered by
 // ascending (distance, global ID).
 func (r *Router) NearestKCtx(ctx context.Context, p segdb.Point, k int) ([]segdb.NearestResult, segdb.QueryStats, error) {
@@ -188,15 +161,6 @@ func (r *Router) NearestKCtx(ctx context.Context, p segdb.Point, k int) ([]segdb
 	res, st, err := r.nearestKAppend(ctx, p, k, nil)
 	r.record(qkNearestK, start, &st, err)
 	return res, st, err
-}
-
-// NearestKAppendCtx is NearestKCtx appending into dst, for warm callers
-// reusing a result buffer.
-func (r *Router) NearestKAppendCtx(ctx context.Context, p segdb.Point, k int, dst []segdb.NearestResult) ([]segdb.NearestResult, segdb.QueryStats, error) {
-	start := time.Now()
-	dst, st, err := r.nearestKAppend(ctx, p, k, dst)
-	r.record(qkNearestK, start, &st, err)
-	return dst, st, err
 }
 
 // nearestKAppend merges per-shard k-NN answers: each shard's answer is
@@ -253,12 +217,6 @@ func (r *Router) nearestKAppend(ctx context.Context, p segdb.Point, k int, dst [
 // hits in ascending global-ID order.
 func (r *Router) IncidentAtCtx(ctx context.Context, p segdb.Point, visit func(segdb.SegmentID, segdb.Segment) bool) (segdb.QueryStats, error) {
 	start := time.Now()
-	st, err := r.incidentAt(ctx, p, visit)
-	r.record(qkIncidentAt, start, &st, err)
-	return st, err
-}
-
-func (r *Router) incidentAt(ctx context.Context, p segdb.Point, visit func(segdb.SegmentID, segdb.Segment) bool) (segdb.QueryStats, error) {
 	var st segdb.QueryStats
 	buf := windowBufPool.Get().(*[]segdb.WindowHit)
 	hits := (*buf)[:0]
@@ -290,63 +248,6 @@ func (r *Router) incidentAt(ctx context.Context, p segdb.Point, visit func(segdb
 	}
 	*buf = hits[:0]
 	windowBufPool.Put(buf)
+	r.record(qkIncidentAt, start, &st, ferr)
 	return st, ferr
-}
-
-// OtherEndpointCtx reports the segments reachable from segment id by
-// traversing it away from endpoint p — every segment incident at the
-// other endpoint, id itself included, fanned across shards (the
-// connecting segments need not live in id's home shard).
-//
-// The geometry lookup that resolves the other endpoint is routed to the
-// home shard's segment table; its cost shows up in that shard's
-// cumulative Metrics but not in the returned QueryStats, which price
-// the incidence fan.
-func (r *Router) OtherEndpointCtx(ctx context.Context, id segdb.SegmentID, p segdb.Point, visit func(segdb.SegmentID, segdb.Segment) bool) (segdb.QueryStats, error) {
-	start := time.Now()
-	var st segdb.QueryStats
-	s, err := r.Get(id)
-	if err == nil {
-		other, ok := s.Other(p)
-		if !ok {
-			err = fmt.Errorf("router: %v is not an endpoint of segment %d: %w", p, id, segdb.ErrInvalidArgument)
-		} else {
-			st, err = r.incidentAt(ctx, other, visit)
-		}
-	}
-	r.record(qkOtherEndpoint, start, &st, err)
-	return st, err
-}
-
-// OverlayCtx joins the routed collection against another database,
-// reporting every intersecting pair (A-side IDs are global). The shards
-// are joined against other one after another, in shard order; returning
-// false from visit ends the overlay with a nil error.
-//
-// EnclosingPolygon is deliberately absent from the Router: polygon
-// tracing walks a face boundary edge by edge through globally adjacent
-// segments, a topology no per-shard index holds. Route polygon queries
-// to an unsharded DB.
-func (r *Router) OverlayCtx(ctx context.Context, other *segdb.DB, visit func(idA, idB segdb.SegmentID, sA, sB segdb.Segment) bool) (segdb.QueryStats, error) {
-	start := time.Now()
-	var total segdb.QueryStats
-	var err error
-	stopped := false
-	for _, sh := range r.shards {
-		v := sh.view.Load()
-		if !v.nonempty {
-			continue
-		}
-		var st segdb.QueryStats
-		st, err = sh.db.OverlayCtx(ctx, other, func(la, lb segdb.SegmentID, sa, sb segdb.Segment) bool {
-			stopped = !visit(xlate(sh, v, la), lb, sa, sb)
-			return !stopped
-		})
-		addCounters(&total, st)
-		if err != nil || stopped {
-			break
-		}
-	}
-	r.record(qkOverlay, start, &total, err)
-	return total, err
 }

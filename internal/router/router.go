@@ -119,23 +119,17 @@ type queryKind int
 
 const (
 	qkWindow queryKind = iota
-	qkNearest
 	qkNearestK
 	qkIncidentAt
-	qkOtherEndpoint
-	qkOverlay
 	qkWindowBatch
 	numQueryKinds
 )
 
 var queryKindNames = [numQueryKinds]string{
-	qkWindow:        "window",
-	qkNearest:       "nearest",
-	qkNearestK:      "nearestk",
-	qkIncidentAt:    "incident",
-	qkOtherEndpoint: "otherendpoint",
-	qkOverlay:       "overlay",
-	qkWindowBatch:   "windowbatch",
+	qkWindow:      "window",
+	qkNearestK:    "nearestk",
+	qkIncidentAt:  "incident",
+	qkWindowBatch: "windowbatch",
 }
 
 // kindProfile accumulates one query kind's router-level counts and
@@ -296,17 +290,6 @@ func (r *Router) Shards() int { return len(r.shards) }
 // Shard returns shard i for inspection.
 func (r *Router) Shard(i int) *Shard { return r.shards[i] }
 
-// Get fetches a segment's endpoints by global ID, routed to its home
-// shard.
-func (r *Router) Get(id segdb.SegmentID) (segdb.Segment, error) {
-	home := *r.home.Load()
-	if int(id) >= len(home) {
-		return segdb.Segment{}, fmt.Errorf("router: segment %d out of range: %w", id, segdb.ErrInvalidArgument)
-	}
-	loc := home[id]
-	return r.shards[loc.shard].db.Get(loc.local)
-}
-
 // Ingested returns how many segments Ingest has routed into the
 // collection since Build.
 func (r *Router) Ingested() uint64 { return r.ingested.Load() }
@@ -449,16 +432,6 @@ func (r *Router) ShardMetrics() []segdb.Metrics {
 		ms[i] = sh.db.Metrics()
 	}
 	return ms
-}
-
-// ShardProfiles returns each shard DB's per-query-kind profile, in shard
-// order.
-func (r *Router) ShardProfiles() []segdb.Profile {
-	ps := make([]segdb.Profile, len(r.shards))
-	for i, sh := range r.shards {
-		ps[i] = sh.db.Profile()
-	}
-	return ps
 }
 
 // Profile snapshots the router-level per-query-kind profile: latency is

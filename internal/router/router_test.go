@@ -3,9 +3,9 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"segdb"
@@ -69,6 +69,25 @@ func sortedWindowIDs(t *testing.T, db *segdb.DB, r segdb.Rect) []segdb.SegmentID
 	return ids
 }
 
+// routedSeg fetches a segment's endpoints by global ID from its home
+// shard.
+func routedSeg(r *Router, id segdb.SegmentID) (segdb.Segment, error) {
+	home := *r.home.Load()
+	if int(id) >= len(home) {
+		return segdb.Segment{}, fmt.Errorf("global id %d out of range", id)
+	}
+	return r.shards[home[id].shard].db.Get(home[id].local)
+}
+
+// hitIDs lists the IDs of a window answer.
+func hitIDs(hits []segdb.WindowHit) []segdb.SegmentID {
+	ids := make([]segdb.SegmentID, len(hits))
+	for i, h := range hits {
+		ids[i] = h.ID
+	}
+	return ids
+}
+
 // sumShardMetrics adds up interleaving-independent counters across the
 // shards (pool requests, segment comparisons, node computations — the
 // fields whose totals do not depend on cache state or fan-out order).
@@ -83,7 +102,7 @@ func sumShardMetrics(r *Router) (poolReqs, segComps, nodeComps uint64) {
 
 // TestRouterBuildPartition checks the k-d cut's bookkeeping: every
 // segment lands in exactly one shard, the shards are balanced within
-// the proportional split's rounding, and Get routes global IDs
+// the proportional split's rounding, and the home map routes global IDs
 // correctly.
 func TestRouterBuildPartition(t *testing.T) {
 	segs := routerSample(t, 1100)
@@ -110,16 +129,13 @@ func TestRouterBuildPartition(t *testing.T) {
 			t.Fatalf("shards=%d: unbalanced cut: min %d max %d", shards, minLen, maxLen)
 		}
 		for _, gi := range []int{0, 1, len(segs) / 2, len(segs) - 1} {
-			s, err := r.Get(segdb.SegmentID(gi))
+			s, err := routedSeg(r, segdb.SegmentID(gi))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if s != segs[gi] {
-				t.Fatalf("shards=%d: Get(%d) = %v, want %v", shards, gi, s, segs[gi])
+				t.Fatalf("shards=%d: segment %d routes to %v, want %v", shards, gi, s, segs[gi])
 			}
-		}
-		if _, err := r.Get(segdb.SegmentID(len(segs))); !errors.Is(err, segdb.ErrInvalidArgument) {
-			t.Fatalf("shards=%d: out-of-range Get: %v", shards, err)
 		}
 	}
 	if _, err := Build(segdb.RStarTree, segs, 0); !errors.Is(err, segdb.ErrInvalidArgument) {
@@ -174,17 +190,6 @@ func TestRouterWindowEquivalence(t *testing.T) {
 				if st.PoolRequests != p1-p0 || st.SegComps != s1-s0 || st.NodeComps != n1-n0 {
 					t.Fatalf("%v shards=%d: stats (req %d, seg %d, node %d) != shard deltas (req %d, seg %d, node %d)",
 						kind, shards, st.PoolRequests, st.SegComps, st.NodeComps, p1-p0, s1-s0, n1-n0)
-				}
-				// The visitor form must deliver the identical sequence.
-				var visited []segdb.SegmentID
-				if _, err := r.WindowCtx(context.Background(), rect, func(id segdb.SegmentID, _ segdb.Segment) bool {
-					visited = append(visited, id)
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(visited, got) {
-					t.Fatalf("%v shards=%d: WindowCtx sequence differs from WindowAppendCtx", kind, shards)
 				}
 			}
 		}
@@ -244,14 +249,6 @@ func TestRouterNearestKEquivalence(t *testing.T) {
 						t.Fatalf("%v shards=%d k=%d: ID sets differ: %v vs %v", kind, shards, k, a, b)
 					}
 				}
-				// NearestCtx must agree with the head of the ranking.
-				one, _, err := r.NearestCtx(context.Background(), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) > 0 && (!one.Found || one.DistSq != got[0].DistSq) {
-					t.Fatalf("%v shards=%d: NearestCtx %+v != head %+v", kind, shards, one, got[0])
-				}
 			}
 		}
 	}
@@ -282,9 +279,9 @@ func tiesUnique(rs []segdb.NearestResult) bool {
 	return len(rs) > 0 && countDist(rs, rs[len(rs)-1].DistSq) == 1
 }
 
-// TestRouterIncidentAndOtherEndpoint fans the two topology queries
-// across shard counts and compares against the unsharded answers.
-func TestRouterIncidentAndOtherEndpoint(t *testing.T) {
+// TestRouterIncidentAt fans the incidence query across shard counts
+// and compares against the unsharded answers.
+func TestRouterIncidentAt(t *testing.T) {
 	segs := routerSample(t, 1100)
 	kind := segdb.RStarTree
 	truth := groundTruth(t, kind, segs)
@@ -316,90 +313,6 @@ func TestRouterIncidentAndOtherEndpoint(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("shards=%d incident %v: %v, want %v", shards, p, got, want)
-			}
-		}
-		for trial := 0; trial < 12; trial++ {
-			gi := segdb.SegmentID(rng.Intn(len(segs)))
-			p := segs[gi].P1
-			var want, got []segdb.SegmentID
-			if _, err := truth.OtherEndpointCtx(context.Background(), gi, p, func(id segdb.SegmentID, _ segdb.Segment) bool {
-				want = append(want, id)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			slices.Sort(want)
-			if _, err := r.OtherEndpointCtx(context.Background(), gi, p, func(id segdb.SegmentID, _ segdb.Segment) bool {
-				got = append(got, id)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("shards=%d otherendpoint %d@%v: %v, want %v", shards, gi, p, got, want)
-			}
-			// A non-endpoint probe maps to the invalid-argument code.
-			bad := segdb.Pt(segs[gi].P1.X+1, segs[gi].P1.Y)
-			if !segs[gi].HasEndpoint(bad) {
-				_, err := r.OtherEndpointCtx(context.Background(), gi, bad, func(segdb.SegmentID, segdb.Segment) bool { return true })
-				if segdb.ErrorCode(err) != segdb.CodeInvalid {
-					t.Fatalf("shards=%d: bad endpoint probe: code %v (err %v)", shards, segdb.ErrorCode(err), err)
-				}
-			}
-		}
-	}
-}
-
-type overlayPair struct {
-	a, b segdb.SegmentID
-}
-
-func collectOverlayRouted(t *testing.T, r *Router, other *segdb.DB) []overlayPair {
-	t.Helper()
-	var pairs []overlayPair
-	if _, err := r.OverlayCtx(context.Background(), other, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
-		pairs = append(pairs, overlayPair{a, b})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sortPairs(pairs)
-	return pairs
-}
-
-func sortPairs(pairs []overlayPair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-}
-
-// TestRouterOverlayEquivalence joins the sharded collection against a
-// second database and compares the pair set with the unsharded join.
-func TestRouterOverlayEquivalence(t *testing.T) {
-	segs := routerSample(t, 700)
-	otherSegs := routerSample(t, 900)[200:650]
-	for _, kind := range []segdb.Kind{segdb.RStarTree, segdb.PMRQuadtree} {
-		truth := groundTruth(t, kind, segs)
-		other := groundTruth(t, kind, otherSegs)
-		var want []overlayPair
-		if _, err := truth.OverlayCtx(context.Background(), other, func(a, b segdb.SegmentID, _, _ segdb.Segment) bool {
-			want = append(want, overlayPair{a, b})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sortPairs(want)
-		for _, shards := range shardCounts {
-			r, err := Build(kind, segs, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectOverlayRouted(t, r, other)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v shards=%d overlay: %d pairs, want %d", kind, shards, len(got), len(want))
 			}
 		}
 	}
@@ -498,8 +411,5 @@ func TestRouterProfile(t *testing.T) {
 	}
 	if byKind["window"].LatencyMicros.Count != 5 {
 		t.Fatalf("window latency histogram not recorded: %+v", byKind["window"])
-	}
-	if len(r.ShardProfiles()) != 2 {
-		t.Fatalf("want 2 shard profiles")
 	}
 }

@@ -83,14 +83,9 @@ func (t *Table) SizeBytes() int64 { return t.pool.Disk().SizeBytes() }
 // injection attach here).
 func (t *Table) Disk() *store.Disk { return t.pool.Disk() }
 
-// Pool exposes the table's buffer pool (the durability layer captures
-// its dirty frames into the WAL and discards repaired pages).
+// Pool exposes the table's buffer pool (Scrub discards repaired pages
+// through it).
 func (t *Table) Pool() *store.Pool { return t.pool }
-
-// SetLen overrides the record count during crash recovery, after WAL
-// replay has restored the underlying pages. n must be consistent with
-// the pages actually present (CheckIntegrity verifies).
-func (t *Table) SetLen(n int) { t.count.Store(int64(n)) }
 
 // DropCache empties the table's buffer pool (cold restart between
 // experiment phases), flushing dirty frames first.

@@ -173,6 +173,12 @@ func (m *Mem) Delete(id seg.ID, version uint64) bool {
 	return true
 }
 
+// Staged reports whether id is a live staged add. Writer-side.
+func (m *Mem) Staged(id seg.ID) bool {
+	idx, ok := m.byID[id]
+	return ok && m.at(idx).deletedAt.Load() == 0
+}
+
 // at returns the entry at memtable index i.
 func (m *Mem) at(i int) *entry {
 	chunks := *m.chunks.Load()

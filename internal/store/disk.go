@@ -119,7 +119,7 @@ func (c *counters) snapshot() Stats {
 // concurrent readers; writers of the same page must still be externally
 // coordinated (the buffer pool above provides that).
 type Disk struct {
-	mu       sync.Mutex // guards pages, sums, free, quar, journal
+	mu       sync.Mutex // guards pages, sums, free, quar
 	pageSize int
 	pages    [][]byte
 	sums     []uint32 // per-page CRC32 of the last intended contents
@@ -135,11 +135,6 @@ type Disk struct {
 	// quar is the quarantine set of degraded-read mode: pages whose
 	// fetch failed a checksum or exhausted retries. Lazily allocated.
 	quar map[PageID]struct{}
-
-	// journal, when enabled, records every page written since the last
-	// drain — the WAL layer's capture set.
-	journalOn bool
-	journal   map[PageID]struct{}
 }
 
 // NewDisk creates an empty disk with the given page size. It panics on a
@@ -275,8 +270,8 @@ func (d *Disk) writeObs(id PageID, buf []byte, o *obs.Op) error {
 // writeOnce is one write attempt, counting one disk write. The page's
 // checksum is recorded from the intended contents before any injected
 // tear or bit flip lands, so silent corruption is caught by the next
-// read. A write that reaches the page (even torn) lands in the journal
-// and lifts the page's quarantine — the caller replaced the contents.
+// read. A write that reaches the page (even torn) lifts the page's
+// quarantine — the caller replaced the contents.
 func (d *Disk) writeOnce(id PageID, buf []byte) error {
 	d.stats.writes.Add(1)
 	d.mu.Lock()
@@ -287,7 +282,7 @@ func (d *Disk) writeOnce(id PageID, buf []byte) error {
 	if d.faults == nil {
 		copy(d.pages[id], buf)
 		d.sums[id] = crc32.ChecksumIEEE(d.pages[id])
-		d.noteWrite(id)
+		delete(d.quar, id)
 		return nil
 	}
 	dec := d.faults.beforeWrite(id, d.pageSize)
@@ -303,17 +298,8 @@ func (d *Disk) writeOnce(id PageID, buf []byte) error {
 	if dec.flipBit >= 0 {
 		d.pages[id][dec.flipBit/8] ^= 1 << (dec.flipBit % 8)
 	}
-	d.noteWrite(id)
-	return dec.err
-}
-
-// noteWrite records a write's page in the journal (when enabled) and
-// lifts any quarantine. Caller holds d.mu.
-func (d *Disk) noteWrite(id PageID) {
-	if d.journalOn {
-		d.journal[id] = struct{}{}
-	}
 	delete(d.quar, id)
+	return dec.err
 }
 
 // CorruptPage flips one bit of the stored page without updating its
@@ -361,35 +347,9 @@ func (d *Disk) Quarantined() []PageID {
 	return out
 }
 
-// SetJournal enables or disables the write journal. Enabling resets it.
-func (d *Disk) SetJournal(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.journalOn = on
-	if on {
-		d.journal = make(map[PageID]struct{})
-	} else {
-		d.journal = nil
-	}
-}
-
-// DrainJournal returns the pages written since the last drain, in
-// ascending order, and resets the journal.
-func (d *Disk) DrainJournal() []PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]PageID, 0, len(d.journal))
-	for id := range d.journal {
-		out = append(out, id)
-	}
-	clear(d.journal)
-	slices.Sort(out)
-	return out
-}
-
 // RawPage returns a copy of the page's stored bytes with no checksum
-// verification, fault injection, or accounting — the recovery and WAL
-// layers' view of the medium itself.
+// verification, fault injection, or accounting — the scrub's and the
+// page-format survey's view of the medium itself.
 func (d *Disk) RawPage(id PageID) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -415,32 +375,6 @@ func (d *Disk) RawRestore(id PageID, data []byte) error {
 	d.sums[id] = crc32.ChecksumIEEE(d.pages[id])
 	delete(d.quar, id)
 	return nil
-}
-
-// EnsurePages grows the disk to at least n pages (zeroed, valid
-// checksums). Recovery uses it before restoring page images past the
-// checkpoint's end of disk; it never shrinks.
-func (d *Disk) EnsurePages(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.pages) < n {
-		d.pages = append(d.pages, make([]byte, d.pageSize))
-		d.sums = append(d.sums, d.zeroSum)
-	}
-}
-
-// FreeList returns a copy of the free list (recovery state capture).
-func (d *Disk) FreeList() []PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]PageID(nil), d.free...)
-}
-
-// SetFreeList replaces the free list with recovered state.
-func (d *Disk) SetFreeList(ids []PageID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.free = append(d.free[:0], ids...)
 }
 
 // BadPages returns every in-use page whose contents fail their recorded

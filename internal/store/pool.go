@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,21 +11,16 @@ import (
 	"segdb/internal/obs"
 )
 
-// frame is one buffer-pool slot. Its bookkeeping — dirty, logged and the
+// frame is one buffer-pool slot. Its bookkeeping — the dirty bit and the
 // LRU links — is guarded by the pool latch; the pin count and the decode
 // slot are atomics because GetDecodedObs and ReadObs drop their pin, and
 // read the slot, without it.
 type frame struct {
-	id   PageID
-	data []byte
-	pins atomic.Int32
-	// dirty reports bytes not yet written back to the disk. logged reports
-	// that those bytes are sealed in the write-ahead log: SealLogged sets it
-	// once the commit record covering the frame's page image is in the log,
-	// and modified clears it, so a dirty frame is logged once per change
-	// rather than once per commit. It means nothing on a clean frame.
-	dirty, logged bool
-	prev, next    *frame // LRU list; most recently used at head
+	id         PageID
+	data       []byte
+	pins       atomic.Int32
+	dirty      bool   // bytes not yet written back to the disk
+	prev, next *frame // LRU list; most recently used at head
 
 	// decoded is the frame's decode-once cache slot: the immutable
 	// in-memory form of the page bytes (an *rpage.SoA, a B+-tree node),
@@ -42,10 +36,9 @@ type frame struct {
 }
 
 // modified records that the frame's bytes changed: they must be written
-// back, logged again, and decoded afresh. The pool latch must be held.
+// back and decoded afresh. The pool latch must be held.
 func (f *frame) modified() {
 	f.dirty = true
-	f.logged = false
 	f.decoded.Store(nil)
 }
 
@@ -65,7 +58,7 @@ type Pool struct {
 	capacity int
 	hits     atomic.Uint64
 
-	mu     sync.Mutex // guards frames, the LRU list and each frame's dirty/logged
+	mu     sync.Mutex // guards frames, the LRU list and each frame's dirty bit
 	frames map[PageID]*frame
 	head   *frame // most recently used
 	tail   *frame // least recently used
@@ -321,56 +314,6 @@ func quarantineable(err error) bool {
 		return fe.Kind == FaultRead
 	}
 	return false
-}
-
-// ForEachUnlogged calls fn with every dirty resident frame whose bytes
-// are not yet sealed in the write-ahead log, in ascending page order,
-// stopping at the first error. The data slice aliases the frame: fn must
-// not retain it past the call. The caller must hold the database's
-// structural writer lock (no concurrent query may be modifying frames) —
-// this is the WAL layer's capture of not-yet-flushed state. It marks
-// nothing: the caller seals the frames with SealLogged once the commit
-// record is in the log.
-func (p *Pool) ForEachUnlogged(fn func(id PageID, data []byte) error) error {
-	var unlogged []*frame
-	p.mu.Lock()
-	for _, f := range p.frames {
-		if f.dirty && !f.logged {
-			unlogged = append(unlogged, f)
-		}
-	}
-	p.mu.Unlock()
-	slices.SortFunc(unlogged, func(a, b *frame) int { return int(a.id) - int(b.id) })
-	for _, f := range unlogged {
-		if err := fn(f.id, f.data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SealLogged records that every dirty frame's current bytes are in the
-// write-ahead log under a commit record. The caller holds the structural
-// writer lock from ForEachUnlogged through the commit append to here, so
-// the dirty frames are exactly those just captured plus those sealed by
-// an earlier commit and untouched since.
-func (p *Pool) SealLogged() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range p.frames {
-		if f.dirty {
-			f.logged = true
-		}
-	}
-}
-
-// Dirty reports whether the page is resident with changes not yet
-// written back to the disk.
-func (p *Pool) Dirty(id PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.frames[id]
-	return ok && f.dirty
 }
 
 // Discard drops the page's frame without writing it back, so the next

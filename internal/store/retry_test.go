@@ -15,7 +15,7 @@ func retryDisk(t *testing.T, fp *FaultPolicy, rp *RetryPolicy) (*Disk, PageID) {
 	t.Helper()
 	d := NewDisk(128)
 	id := d.allocate()
-	page := walPage(128, 9)
+	page := fillPage(128, 9)
 	if err := d.write(id, page); err != nil {
 		t.Fatalf("seeding page: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestRetryDoesNotRetryCrash(t *testing.T) {
 	fp := NewFaultPolicy(FaultConfig{Seed: 7, CrashAfterWrites: 1})
 	d, id := retryDisk(t, nil, &RetryPolicy{MaxAttempts: 10})
 	d.SetFaultPolicy(fp)
-	if err := d.write(id, walPage(128, 1)); err == nil {
+	if err := d.write(id, fillPage(128, 1)); err == nil {
 		t.Fatal("crashing write succeeded")
 	}
 	before := d.Stats().Retries
@@ -178,4 +178,13 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	if zero.attempts() != 1 {
 		t.Error("nil policy attempts != 1")
 	}
+}
+
+// fillPage builds a deterministic page image of the given size.
+func fillPage(size int, fill byte) []byte {
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = fill + byte(i%7)
+	}
+	return data
 }

@@ -3,9 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -323,102 +321,5 @@ func TestReadDiskRejectsGarbage(t *testing.T) {
 	d.WriteTo(&buf)
 	if _, err := ReadDiskFrom(bytes.NewReader(buf.Bytes()[:buf.Len()-5])); err == nil {
 		t.Error("truncated image accepted")
-	}
-}
-
-// unloggedPages returns the pages ForEachUnlogged presents, in order.
-func unloggedPages(t *testing.T, p *Pool) []PageID {
-	t.Helper()
-	var ids []PageID
-	if err := p.ForEachUnlogged(func(id PageID, _ []byte) error {
-		ids = append(ids, id)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return ids
-}
-
-// A dirty frame is presented for logging once per change: sealing hides
-// it until Unpin(dirty), MarkDirty or a fresh Allocate changes its bytes
-// again, and a capture that fails before the seal hides nothing.
-func TestUnloggedFramesOncePerChange(t *testing.T) {
-	p := NewPool(NewDisk(64), 8)
-	var ids []PageID
-	for i := 0; i < 4; i++ {
-		id, _, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(id, true)
-		ids = append(ids, id)
-	}
-	if got := unloggedPages(t, p); !slices.Equal(got, ids) {
-		t.Fatalf("fresh pages: unlogged %v, want %v", got, ids)
-	}
-
-	// A capture that errors part-way (a failed WAL append) seals nothing.
-	boom := errors.New("append failed")
-	calls := 0
-	if err := p.ForEachUnlogged(func(PageID, []byte) error {
-		if calls++; calls == 2 {
-			return boom
-		}
-		return nil
-	}); err != boom {
-		t.Fatalf("ForEachUnlogged error = %v, want %v", err, boom)
-	}
-	if got := unloggedPages(t, p); !slices.Equal(got, ids) {
-		t.Fatalf("after a failed capture: unlogged %v, want %v", got, ids)
-	}
-
-	p.SealLogged()
-	if got := unloggedPages(t, p); len(got) != 0 {
-		t.Fatalf("after seal: unlogged %v, want none", got)
-	}
-	for _, id := range ids {
-		if !p.Dirty(id) {
-			t.Errorf("page %d no longer dirty after seal: sealing must not clean", id)
-		}
-	}
-
-	// Reading a sealed page leaves it sealed; each way of modifying one
-	// exposes exactly that page again.
-	if _, err := p.Get(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(ids[0], false)
-	if got := unloggedPages(t, p); len(got) != 0 {
-		t.Fatalf("after a clean unpin: unlogged %v, want none", got)
-	}
-	if _, err := p.Get(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(ids[1], true)
-	if _, err := p.Get(ids[2]); err != nil {
-		t.Fatal(err)
-	}
-	p.MarkDirty(ids[2])
-	p.Unpin(ids[2], false)
-	p.Free(ids[3])
-	again, _, err := p.Allocate() // reuses the freed page
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(again, true)
-	if again != ids[3] {
-		t.Fatalf("allocate reused page %d, want %d", again, ids[3])
-	}
-	if got, want := unloggedPages(t, p), ids[1:]; !slices.Equal(got, want) {
-		t.Fatalf("after modifications: unlogged %v, want %v", got, want)
-	}
-
-	// A flushed frame is clean: nothing to log, and not Dirty.
-	p.SealLogged()
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Dirty(ids[0]) || len(unloggedPages(t, p)) != 0 {
-		t.Fatal("flushed frames still dirty or unlogged")
 	}
 }

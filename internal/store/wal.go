@@ -11,88 +11,66 @@ import (
 //
 //	[u32 payload length][u32 CRC32(payload)][payload]
 //
-// A payload starts with a one-byte record type. Page records carry one
-// full page image; commit records seal everything logged since the
-// previous commit into an atomic transaction and carry the small state
-// that page images alone cannot rebuild (free lists, page counts, table
-// length, index metadata). Replay is prefix-valid: the reader applies
-// committed transactions in order and discards the tail at the first
-// frame that is truncated or fails its CRC — exactly the bytes a torn
-// write at power loss leaves behind.
+// A payload starts with a one-byte record type. The log is logical: an op
+// record names one user operation (an add with its segment ID and
+// endpoints, or a delete with its ID), and a commit record seals the op
+// records before it into an atomic transaction. Recovery re-executes the
+// committed operations over the checkpoint image. Replay is prefix-valid:
+// the reader returns committed transactions in order and discards the
+// tail at the first frame that is truncated, fails its CRC or is not an
+// op or commit record — exactly the bytes a torn write at power loss
+// leaves behind.
 //
 // Each record is appended with a single Write call, so a MemWALFS crash
 // tears at most one record — the case the prefix rule is built for.
 const (
-	walRecPage   = 1
+	walRecPage   = 1 // the page-image record of the v1 format; see AppendPage
 	walRecCommit = 2
-	walRecStaged = 3
+	walRecStaged = 3 // the op record (named for the mode that introduced it)
 
 	// walFrameHead is the byte size of the [length][CRC] frame prefix.
 	walFrameHead = 8
 
-	// MaxWALRecord bounds a single record's payload; anything larger in a
-	// log is corruption, not data. Generous: a page record is one page
-	// (≤ 1 MiB) plus 6 bytes of addressing.
-	MaxWALRecord = 1 << 21
+	// Payload sizes: type, delete flag, ID, four coordinates; type,
+	// epoch, seq, table count.
+	walOpSize     = 1 + 1 + 4 + 16
+	walCommitSize = 1 + 8 + 8 + 4
 )
 
 // walMagic identifies a segdb write-ahead log ("SDBWAL" + version).
-var walMagic = [8]byte{'S', 'D', 'B', 'W', 'A', 'L', '0', '1'}
-
-// Disk tags used in page records and WALCommit.Disks: a database logs
-// pages of two disks, the index disk and the segment-table disk.
-const (
-	WALDiskIndex = 0
-	WALDiskTable = 1
+// Version 01 logged page images; its logs are refused by name.
+var (
+	walMagic   = [8]byte{'S', 'D', 'B', 'W', 'A', 'L', '0', '2'}
+	walMagicV1 = [8]byte{'S', 'D', 'B', 'W', 'A', 'L', '0', '1'}
 )
-
-// WALDiskState is one disk's non-page state as of a commit: how many
-// pages the disk holds and which of them are free. Together with the
-// replayed page images this reconstructs the disk exactly.
-type WALDiskState struct {
-	Pages uint32
-	Free  []PageID
-}
 
 // WALCommit seals a logged transaction. Epoch is the checkpoint epoch
 // the transaction belongs to: recovery replays only commits whose epoch
 // is greater than the checkpoint's, so a log not yet truncated after a
-// checkpoint cannot smear stale pages onto the newer image. Seq is the
-// count of user operations applied when the commit was cut, which the
-// recovery report surfaces. TableCount and Meta mirror the snapshot
-// header fields (segment count, index persist metadata).
+// checkpoint cannot replay stale operations onto the newer image. Seq is
+// the count of user operations applied when the commit was cut, which
+// the recovery report surfaces. TableCount is the segment-table length
+// after the transaction, which replay checks its re-execution against.
 type WALCommit struct {
 	Epoch      uint64
 	Seq        uint64
 	TableCount uint32
-	Meta       []uint64
-	Disks      [2]WALDiskState // indexed by WALDiskIndex / WALDiskTable
 }
 
-// WALPage is one replayed page image.
-type WALPage struct {
-	Disk uint8 // WALDiskIndex or WALDiskTable
-	Page PageID
-	Data []byte
-}
-
-// WALStagedOp is one staged-ingest operation (an LSM memtable entry)
-// logged ahead of its commit. Staged adds carry the segment id and
-// endpoint coordinates; staged deletes carry only the id. Recovery
-// replays these into a fresh memtable — the segment-table *pages* of a
-// staged add are logged as ordinary page records, so the staged record
-// only has to rebuild the in-memory index over them.
+// WALStagedOp is one logged operation, in either write mode: an add
+// carries the segment ID it was assigned and its endpoint coordinates; a
+// delete carries only the ID. It keeps the name of staged mode, which
+// introduced the record, because benchmark/micro.go uses it.
 type WALStagedOp struct {
 	Del    bool
 	ID     uint32
 	Coords [4]int32 // x1, y1, x2, y2 (adds only)
 }
 
-// WALTxn is one committed transaction: the page images and staged
-// operations logged before the commit record, plus the commit itself.
+// WALTxn is one committed transaction: the operations logged before the
+// commit record, plus the commit itself.
 type WALTxn struct {
-	Pages  []WALPage
-	Staged []WALStagedOp
+	Ops    []WALStagedOp
 	Commit WALCommit
 }
 
@@ -127,9 +105,6 @@ func (w *WAL) Size() int64 { return w.size }
 // Close releases the log file.
 func (w *WAL) Close() error { return w.f.Close() }
 
-// Sync makes everything appended so far durable.
-func (w *WAL) Sync() error { return w.f.Sync() }
-
 // appendRecord frames the payload staged in w.buf[walFrameHead:] and
 // appends it with one Write call.
 func (w *WAL) appendRecord() error {
@@ -141,7 +116,9 @@ func (w *WAL) appendRecord() error {
 	return err
 }
 
-// AppendPage logs one full page image.
+// AppendPage appends a v1 page-image record, which ReadWAL treats as a
+// torn tail. No database writes one: it stays only because
+// benchmark/micro.go still times it, and goes when that harness changes.
 func (w *WAL) AppendPage(disk uint8, page PageID, data []byte) error {
 	w.buf = w.buf[:0]
 	w.buf = append(w.buf, make([]byte, walFrameHead)...)
@@ -151,9 +128,8 @@ func (w *WAL) AppendPage(disk uint8, page PageID, data []byte) error {
 	return w.appendRecord()
 }
 
-// AppendStaged logs one staged-ingest operation. Like page records it
-// is sealed by the next commit; an unsealed staged record is discarded
-// by replay exactly like an unsealed page.
+// AppendStaged logs one operation of either write mode. It is sealed by
+// the next commit; replay discards an unsealed one.
 func (w *WAL) AppendStaged(op WALStagedOp) error {
 	w.buf = w.buf[:0]
 	w.buf = append(w.buf, make([]byte, walFrameHead)...)
@@ -172,60 +148,41 @@ func (w *WAL) AppendStaged(op WALStagedOp) error {
 // AppendCommit logs the commit record sealing the transaction and syncs
 // the file: when it returns nil, the transaction is durable.
 func (w *WAL) AppendCommit(c WALCommit) error {
-	if len(c.Meta) > maxWALMetaWords {
-		return fmt.Errorf("store: WAL commit with %d metadata words (max %d)", len(c.Meta), maxWALMetaWords)
-	}
 	w.buf = w.buf[:0]
 	w.buf = append(w.buf, make([]byte, walFrameHead)...)
 	w.buf = append(w.buf, walRecCommit)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, c.Epoch)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, c.Seq)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, c.TableCount)
-	w.buf = append(w.buf, byte(len(c.Meta)))
-	for _, v := range c.Meta {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-	}
-	for _, d := range c.Disks {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, d.Pages)
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(d.Free)))
-		for _, id := range d.Free {
-			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(id))
-		}
-	}
 	if err := w.appendRecord(); err != nil {
 		return err
 	}
 	return w.f.Sync()
 }
 
-// Parsing bounds: a corrupt or hostile log must fail validation before
-// its fields drive any allocation.
-const (
-	maxWALMetaWords = 64
-	maxWALFreePages = 1 << 22
-)
-
 // ReadWAL parses a log image and returns the committed transactions
 // whose commit epoch is greater than afterEpoch, in log order. torn
-// reports that the log had a discarded tail: a truncated or CRC-failed
-// frame (the torn final write of a crash), or trailing page records
-// never sealed by a commit. Neither is an error — prefix-valid replay is
-// the contract — so err is non-nil only when the data is not a WAL at
-// all (bad magic).
+// reports that the log had a discarded tail: a truncated, CRC-failed or
+// unknown frame (the torn final write of a crash), or trailing op
+// records never sealed by a commit. Neither is an error — prefix-valid
+// replay is the contract — so err is non-nil only when the data is not
+// a current WAL at all (bad magic, or a v1 page-image log).
 func ReadWAL(data []byte, afterEpoch uint64) (txns []*WALTxn, torn bool, err error) {
+	if len(data) >= len(walMagicV1) && [8]byte(data[:8]) == walMagicV1 {
+		return nil, false, fmt.Errorf("store: write-ahead log has the page-image format %q, which this version does not replay; recover it with the release that wrote it and checkpoint", data[:8])
+	}
 	if len(data) < len(walMagic) || [8]byte(data[:8]) != walMagic {
 		return nil, false, fmt.Errorf("store: not a WAL (magic %q)", data[:min(len(data), 8)])
 	}
 	rest := data[len(walMagic):]
-	var pending []WALPage
-	var pendingStaged []WALStagedOp
+	var pending []WALStagedOp
 	for len(rest) > 0 {
 		if len(rest) < walFrameHead {
 			return txns, true, nil
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxWALRecord || int(n) > len(rest)-walFrameHead {
+		if int(n) > len(rest)-walFrameHead {
 			return txns, true, nil
 		}
 		payload := rest[walFrameHead : walFrameHead+int(n)]
@@ -233,23 +190,8 @@ func ReadWAL(data []byte, afterEpoch uint64) (txns []*WALTxn, torn bool, err err
 			return txns, true, nil
 		}
 		rest = rest[walFrameHead+int(n):]
-		if len(payload) == 0 {
-			return txns, true, nil
-		}
-		switch payload[0] {
-		case walRecPage:
-			if len(payload) < 6 {
-				return txns, true, nil
-			}
-			pending = append(pending, WALPage{
-				Disk: payload[1],
-				Page: PageID(binary.LittleEndian.Uint32(payload[2:6])),
-				Data: payload[6:],
-			})
-		case walRecStaged:
-			if len(payload) != 2+4+16 {
-				return txns, true, nil
-			}
+		switch {
+		case len(payload) == walOpSize && payload[0] == walRecStaged:
 			op := WALStagedOp{
 				Del: payload[1] != 0,
 				ID:  binary.LittleEndian.Uint32(payload[2:6]),
@@ -257,57 +199,20 @@ func ReadWAL(data []byte, afterEpoch uint64) (txns []*WALTxn, torn bool, err err
 			for i := range op.Coords {
 				op.Coords[i] = int32(binary.LittleEndian.Uint32(payload[6+4*i:]))
 			}
-			pendingStaged = append(pendingStaged, op)
-		case walRecCommit:
-			c, ok := parseCommit(payload[1:])
-			if !ok {
-				return txns, true, nil
+			pending = append(pending, op)
+		case len(payload) == walCommitSize && payload[0] == walRecCommit:
+			c := WALCommit{
+				Epoch:      binary.LittleEndian.Uint64(payload[1:9]),
+				Seq:        binary.LittleEndian.Uint64(payload[9:17]),
+				TableCount: binary.LittleEndian.Uint32(payload[17:21]),
 			}
 			if c.Epoch > afterEpoch {
-				txns = append(txns, &WALTxn{Pages: pending, Staged: pendingStaged, Commit: c})
+				txns = append(txns, &WALTxn{Ops: pending, Commit: c})
 			}
-			pending, pendingStaged = nil, nil
+			pending = nil
 		default:
 			return txns, true, nil
 		}
 	}
-	return txns, len(pending) > 0 || len(pendingStaged) > 0, nil
-}
-
-// parseCommit decodes a commit payload (type byte already consumed).
-func parseCommit(p []byte) (WALCommit, bool) {
-	var c WALCommit
-	if len(p) < 8+8+4+1 {
-		return c, false
-	}
-	c.Epoch = binary.LittleEndian.Uint64(p[0:8])
-	c.Seq = binary.LittleEndian.Uint64(p[8:16])
-	c.TableCount = binary.LittleEndian.Uint32(p[16:20])
-	metaLen := int(p[20])
-	p = p[21:]
-	if metaLen > maxWALMetaWords || len(p) < metaLen*8 {
-		return c, false
-	}
-	c.Meta = make([]uint64, metaLen)
-	for i := range c.Meta {
-		c.Meta[i] = binary.LittleEndian.Uint64(p[i*8:])
-	}
-	p = p[metaLen*8:]
-	for i := range c.Disks {
-		if len(p) < 8 {
-			return c, false
-		}
-		c.Disks[i].Pages = binary.LittleEndian.Uint32(p[0:4])
-		freeLen := binary.LittleEndian.Uint32(p[4:8])
-		p = p[8:]
-		if freeLen > maxWALFreePages || int(freeLen) > len(p)/4 {
-			return c, false
-		}
-		c.Disks[i].Free = make([]PageID, freeLen)
-		for j := range c.Disks[i].Free {
-			c.Disks[i].Free[j] = PageID(binary.LittleEndian.Uint32(p[j*4:]))
-		}
-		p = p[int(freeLen)*4:]
-	}
-	return c, len(p) == 0
+	return txns, len(pending) > 0, nil
 }

@@ -1,19 +1,30 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"io/fs"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// walPage builds a deterministic page image of the given size.
-func walPage(size int, fill byte) []byte {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = fill + byte(i%7)
+// walAdd builds a deterministic add op record.
+func walAdd(id uint32) WALStagedOp {
+	c := int32(id)
+	return WALStagedOp{ID: id, Coords: [4]int32{c, c + 1, c + 2, c + 3}}
+}
+
+// appendTxn logs ops and seals them with a commit at the given epoch.
+func appendTxn(t *testing.T, w *WAL, c WALCommit, ops ...WALStagedOp) {
+	t.Helper()
+	for _, op := range ops {
+		if err := w.AppendStaged(op); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return data
+	if err := w.AppendCommit(c); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -22,35 +33,10 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, p1 := walPage(128, 1), walPage(128, 2)
-	if err := w.AppendPage(WALDiskIndex, 3, p0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendPage(WALDiskTable, 0, p1); err != nil {
-		t.Fatal(err)
-	}
-	c1 := WALCommit{
-		Epoch:      1,
-		Seq:        1,
-		TableCount: 9,
-		Meta:       []uint64{7, 8, 9},
-		Disks: [2]WALDiskState{
-			WALDiskIndex: {Pages: 4, Free: []PageID{2}},
-			WALDiskTable: {Pages: 1},
-		},
-	}
-	if err := w.AppendCommit(c1); err != nil {
-		t.Fatal(err)
-	}
-	p2 := walPage(128, 3)
-	if err := w.AppendPage(WALDiskIndex, 1, p2); err != nil {
-		t.Fatal(err)
-	}
-	c2 := c1
-	c2.Seq = 2
-	if err := w.AppendCommit(c2); err != nil {
-		t.Fatal(err)
-	}
+	c1 := WALCommit{Epoch: 1, Seq: 1, TableCount: 9}
+	appendTxn(t, w, c1, walAdd(7), WALStagedOp{Del: true, ID: 3})
+	c2 := WALCommit{Epoch: 1, Seq: 2, TableCount: 10}
+	appendTxn(t, w, c2, walAdd(9))
 	data, err := mfs.ReadFile("wal.log")
 	if err != nil {
 		t.Fatal(err)
@@ -65,23 +51,11 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(txns) != 2 {
 		t.Fatalf("got %d transactions, want 2", len(txns))
 	}
-	if got := txns[0]; len(got.Pages) != 2 ||
-		got.Pages[0].Disk != WALDiskIndex || got.Pages[0].Page != 3 || !bytes.Equal(got.Pages[0].Data, p0) ||
-		got.Pages[1].Disk != WALDiskTable || got.Pages[1].Page != 0 || !bytes.Equal(got.Pages[1].Data, p1) {
-		t.Errorf("txn 0 pages mismatch: %+v", got.Pages)
+	if got := txns[0]; !slices.Equal(got.Ops, []WALStagedOp{walAdd(7), {Del: true, ID: 3}}) || got.Commit != c1 {
+		t.Errorf("txn 0 = %+v", got)
 	}
-	got := txns[0].Commit
-	if got.Epoch != 1 || got.Seq != 1 || got.TableCount != 9 {
-		t.Errorf("commit fields = %+v, want %+v", got, c1)
-	}
-	if len(got.Meta) != 3 || got.Meta[0] != 7 || got.Meta[2] != 9 {
-		t.Errorf("commit meta = %v", got.Meta)
-	}
-	if got.Disks[WALDiskIndex].Pages != 4 || len(got.Disks[WALDiskIndex].Free) != 1 || got.Disks[WALDiskIndex].Free[0] != 2 {
-		t.Errorf("commit disk state = %+v", got.Disks)
-	}
-	if txns[1].Commit.Seq != 2 || len(txns[1].Pages) != 1 || !bytes.Equal(txns[1].Pages[0].Data, p2) {
-		t.Errorf("txn 1 mismatch: %+v", txns[1])
+	if got := txns[1]; !slices.Equal(got.Ops, []WALStagedOp{walAdd(9)}) || got.Commit != c2 {
+		t.Errorf("txn 1 = %+v", got)
 	}
 }
 
@@ -91,18 +65,8 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	mfs := NewMemWALFS()
 	w, _ := CreateWAL(mfs, "wal.log")
-	if err := w.AppendPage(WALDiskIndex, 0, walPage(64, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendCommit(WALCommit{Epoch: 1, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendPage(WALDiskTable, 1, walPage(64, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendCommit(WALCommit{Epoch: 1, Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
+	appendTxn(t, w, WALCommit{Epoch: 1, Seq: 1, TableCount: 1}, walAdd(0))
+	appendTxn(t, w, WALCommit{Epoch: 1, Seq: 2, TableCount: 1}, WALStagedOp{Del: true, ID: 0})
 	data, _ := mfs.ReadFile("wal.log")
 	fullTxns, torn, err := ReadWAL(data, 0)
 	if err != nil || torn || len(fullTxns) != 2 {
@@ -161,12 +125,7 @@ func TestWALEpochFilter(t *testing.T) {
 	mfs := NewMemWALFS()
 	w, _ := CreateWAL(mfs, "wal.log")
 	for epoch := uint64(1); epoch <= 3; epoch++ {
-		if err := w.AppendPage(WALDiskIndex, PageID(epoch), walPage(32, byte(epoch))); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AppendCommit(WALCommit{Epoch: epoch, Seq: epoch}); err != nil {
-			t.Fatal(err)
-		}
+		appendTxn(t, w, WALCommit{Epoch: epoch, Seq: epoch, TableCount: uint32(epoch)}, walAdd(uint32(epoch)))
 	}
 	data, _ := mfs.ReadFile("wal.log")
 	for after := uint64(0); after <= 3; after++ {
@@ -185,16 +144,14 @@ func TestWALEpochFilter(t *testing.T) {
 	}
 }
 
+// TestWALUncommittedTailDiscarded covers both tails replay discards: op
+// records no commit sealed, and a record of the retired page-image
+// kind, which a v2 log never holds.
 func TestWALUncommittedTailDiscarded(t *testing.T) {
 	mfs := NewMemWALFS()
 	w, _ := CreateWAL(mfs, "wal.log")
-	if err := w.AppendPage(WALDiskIndex, 0, walPage(32, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendCommit(WALCommit{Epoch: 1, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendPage(WALDiskIndex, 1, walPage(32, 2)); err != nil {
+	appendTxn(t, w, WALCommit{Epoch: 1, Seq: 1, TableCount: 1}, walAdd(0))
+	if err := w.AppendStaged(walAdd(1)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := mfs.ReadFile("wal.log")
@@ -203,10 +160,30 @@ func TestWALUncommittedTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !torn {
-		t.Error("trailing uncommitted page not reported as torn")
+		t.Error("trailing uncommitted op not reported as torn")
 	}
 	if len(txns) != 1 {
 		t.Fatalf("got %d txns, want 1", len(txns))
+	}
+
+	if err := w.AppendPage(0, 0, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendCommit(WALCommit{Epoch: 1, Seq: 2, TableCount: 2}); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = mfs.ReadFile("wal.log")
+	if txns, torn, err := ReadWAL(data, 0); err != nil || !torn || len(txns) != 1 {
+		t.Fatalf("log with a page record: %d txns, torn=%v, err=%v; want 1, true, nil", len(txns), torn, err)
+	}
+}
+
+// TestReadWALRefusesV1 pins that a page-image (SDBWAL01) log is refused
+// by name rather than read as a torn v2 log.
+func TestReadWALRefusesV1(t *testing.T) {
+	_, _, err := ReadWAL([]byte("SDBWAL01\x00\x00"), 0)
+	if err == nil || !strings.Contains(err.Error(), "SDBWAL01") {
+		t.Fatalf("ReadWAL(v1) = %v, want a refusal naming SDBWAL01", err)
 	}
 }
 
@@ -260,20 +237,18 @@ func TestMemWALFSCrash(t *testing.T) {
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL reader: it must never
-// panic, and whatever transactions it accepts must be internally
-// consistent (bounded metadata and free lists).
+// panic, and whatever transactions it accepts must be in log order with
+// epochs past the filter.
 func FuzzWALReplay(f *testing.F) {
 	mfs := NewMemWALFS()
 	w, _ := CreateWAL(mfs, "wal.log")
-	w.AppendPage(WALDiskIndex, 0, walPage(64, 1))
-	w.AppendCommit(WALCommit{
-		Epoch: 1, Seq: 1, TableCount: 4, Meta: []uint64{1, 2, 3},
-		Disks: [2]WALDiskState{{Pages: 1, Free: []PageID{0}}, {Pages: 2}},
-	})
+	w.AppendStaged(walAdd(0))
+	w.AppendStaged(WALStagedOp{Del: true, ID: 0})
+	w.AppendCommit(WALCommit{Epoch: 1, Seq: 1, TableCount: 1})
 	seed, _ := mfs.ReadFile("wal.log")
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
-	f.Add([]byte("SDBWAL01"))
+	f.Add([]byte("SDBWAL02"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txns, _, err := ReadWAL(data, 0)
@@ -281,18 +256,11 @@ func FuzzWALReplay(f *testing.F) {
 			return
 		}
 		for _, txn := range txns {
-			if len(txn.Commit.Meta) > maxWALMetaWords {
-				t.Fatalf("accepted commit with %d meta words", len(txn.Commit.Meta))
+			if txn.Commit.Epoch == 0 {
+				t.Fatalf("accepted commit at epoch 0 past filter 0")
 			}
-			for _, d := range txn.Commit.Disks {
-				if len(d.Free) > maxWALFreePages {
-					t.Fatalf("accepted commit with %d free pages", len(d.Free))
-				}
-			}
-			for _, p := range txn.Pages {
-				if len(p.Data) > MaxWALRecord {
-					t.Fatalf("accepted page of %d bytes", len(p.Data))
-				}
+			if len(txn.Ops) > len(data)/walOpSize {
+				t.Fatalf("accepted %d ops from %d bytes", len(txn.Ops), len(data))
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 )
 
@@ -231,12 +232,17 @@ func (f *memWALFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Sync yields the processor, as an fsync blocks its caller: without
+// that, a writer logging to memory never lets a concurrent goroutine on
+// its processor run.
 func (f *memWALFile) Sync() error {
 	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if f.fs.crashed {
+	crashed := f.fs.crashed
+	f.fs.mu.Unlock()
+	if crashed {
 		return fmt.Errorf("store: sync %q: %w", f.name, ErrWALCrash)
 	}
+	runtime.Gosched()
 	return nil
 }
 

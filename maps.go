@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"segdb/internal/store"
 	"segdb/internal/tiger"
 	"segdb/internal/tigerline"
 )
@@ -47,21 +48,35 @@ func GenerateCounty(name string) (*MapData, error) {
 // assigned IDs (in input order). Segments are inserted one at a time,
 // reproducing the paper's build costs (LoadPacked is the bulk build). It
 // holds the writer lock for the whole load, so queries never observe a
-// half-loaded map.
+// half-loaded map. A segment outside the world rejects the whole map
+// before any is added. In staged-ingest mode, where the disk index
+// changes only by compaction, the map is staged and compacted as
+// AddBatch does.
 func (db *DB) Load(m *MapData) ([]SegmentID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.settleLocked(); err != nil {
+		return nil, err
+	}
+	if err := checkSegments(m.Segments...); err != nil {
+		return nil, err
+	}
+	if db.stagedMode() {
+		return db.addBatchStagedLocked(m.Segments)
+	}
 	ids := make([]SegmentID, 0, len(m.Segments))
+	ops := make([]store.WALStagedOp, 0, len(m.Segments))
 	for _, s := range m.Segments {
 		id, err := db.addLocked(s)
 		if err != nil {
-			return nil, err
+			return nil, db.failLocked(err)
 		}
 		ids = append(ids, id)
+		ops = append(ops, addOp(id, s))
 	}
 	// One WAL commit seals the whole map: a crash mid-load rolls the
 	// database back to its pre-load state.
-	return ids, db.walCommit()
+	return ids, db.logLocked(ops...)
 }
 
 // ParseTIGER reads US Census TIGER/Line Record Type 1 data (the format
@@ -100,5 +115,5 @@ func (db *DB) LoadPacked(m *MapData) ([]SegmentID, error) {
 	if n := db.index.Table().Len(); n != 0 {
 		return nil, fmt.Errorf("segdb: LoadPacked requires an empty database (have %d segments)", n)
 	}
-	return db.addBatchLocked(m.Segments)
+	return db.batchLocked(m.Segments)
 }

@@ -152,65 +152,55 @@ func (db *DB) publishLocked() {
 }
 
 // addStagedLocked is the staged-mode Add body: append the geometry to
-// the shared table, stage the index entry in the memtable, publish, and
-// log. The disk index is untouched — that is the whole point.
+// the shared table, log, then stage the index entry in the memtable and
+// publish. Logging before publishing means a write that fails is never
+// visible. The disk index is untouched — that is the whole point.
 func (db *DB) addStagedLocked(s Segment) (SegmentID, error) {
-	if !World().ContainsPoint(s.P1) || !World().ContainsPoint(s.P2) {
-		return seg.NilID, fmt.Errorf("%w: segment %v outside the %dx%d world", ErrInvalidArgument, s, WorldSize, WorldSize)
-	}
 	id, err := db.table.Append(s)
+	if err == nil {
+		err = db.logLocked(addOp(id, s))
+	}
 	if err != nil {
-		return seg.NilID, err
+		return seg.NilID, db.failLocked(err)
 	}
 	db.mem.Add(id, s)
 	db.version++
 	db.stagedOps.Add(1)
 	db.publishLocked()
-	if db.wal != nil {
-		if err := db.wal.AppendStaged(store.WALStagedOp{
-			ID:     uint32(id),
-			Coords: [4]int32{s.P1.X, s.P1.Y, s.P2.X, s.P2.Y},
-		}); err != nil {
-			return id, err
-		}
-		if err := db.walCommit(); err != nil {
-			return id, err
-		}
-	}
 	return id, db.maybeCompactLocked()
 }
 
-// deleteStagedLocked is the staged-mode Delete body: a staged segment
-// is marked dead in the memtable; a base segment gains a tombstone in a
-// copy-on-write sorted slice carried by the snapshot.
+// deleteStagedLocked is the staged-mode Delete body: once logged, a
+// staged segment is marked dead in the memtable, and a base segment
+// gains a tombstone in a copy-on-write sorted slice carried by the
+// snapshot.
 func (db *DB) deleteStagedLocked(id SegmentID) error {
-	version := db.version + 1
-	if !db.mem.Delete(id, version) {
+	staged := db.mem.Staged(id)
+	j := sort.Search(len(db.tombs), func(j int) bool { return db.tombs[j] >= id })
+	if !staged {
 		i := sort.Search(len(db.baseIDs), func(i int) bool { return db.baseIDs[i] >= id })
 		if i >= len(db.baseIDs) || db.baseIDs[i] != id {
 			return seg.ErrNotIndexed
 		}
-		j := sort.Search(len(db.tombs), func(j int) bool { return db.tombs[j] >= id })
 		if j < len(db.tombs) && db.tombs[j] == id {
 			return seg.ErrNotIndexed // already tombstoned
 		}
+	}
+	if err := db.logLocked(delOp(id)); err != nil {
+		return err
+	}
+	db.version++
+	if staged {
+		db.mem.Delete(id, db.version)
+	} else {
 		tombs := make([]seg.ID, 0, len(db.tombs)+1)
 		tombs = append(tombs, db.tombs[:j]...)
 		tombs = append(tombs, id)
 		tombs = append(tombs, db.tombs[j:]...)
 		db.tombs = tombs
 	}
-	db.version = version
 	db.stagedOps.Add(1)
 	db.publishLocked()
-	if db.wal != nil {
-		if err := db.wal.AppendStaged(store.WALStagedOp{Del: true, ID: uint32(id)}); err != nil {
-			return err
-		}
-		if err := db.walCommit(); err != nil {
-			return err
-		}
-	}
 	return db.maybeCompactLocked()
 }
 
@@ -280,11 +270,12 @@ func (db *DB) compactLocked() error {
 	old.Retire(nil)
 	db.compactions.Add(1)
 	if db.walfs != nil {
-		// The rebuild replaced the index disk wholesale; incremental page
-		// logging cannot describe it. Cut a full checkpoint — the memtable
-		// is empty again, so the image is the complete state.
+		// The rebuild replaced the index disk wholesale, and the log's
+		// staged ops are folded into it. Cut a full checkpoint — the
+		// memtable is empty again, so the image is the complete state. If
+		// it fails, the log no longer matches the index, so one is owed.
 		db.walSeq++
-		return db.checkpointLocked()
+		return db.failLocked(db.checkpointLocked())
 	}
 	return nil
 }

@@ -541,8 +541,8 @@ func TestStagedWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StagedReplayed != 60 {
-		t.Fatalf("StagedReplayed = %d, want 60 (50 adds + 10 deletes)", rep.StagedReplayed)
+	if rep.OpsReplayed != 60 {
+		t.Fatalf("OpsReplayed = %d, want 60 (50 adds + 10 deletes)", rep.OpsReplayed)
 	}
 	if got := windowIDs(t, db2, World()); !slices.Equal(got, wantIDs) {
 		t.Fatalf("recovered live set %v != pre-crash %v", got, wantIDs)
@@ -591,8 +591,8 @@ func TestStagedWALRecoveryAfterCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StagedReplayed != 5 {
-		t.Fatalf("StagedReplayed = %d, want 5 (compaction checkpointed the first 30)", rep.StagedReplayed)
+	if rep.OpsReplayed != 5 {
+		t.Fatalf("OpsReplayed = %d, want 5 (compaction checkpointed the first 30)", rep.OpsReplayed)
 	}
 	if got := windowIDs(t, db2, World()); !slices.Equal(got, wantIDs) {
 		t.Fatalf("recovered live set %v != pre-crash %v", got, wantIDs)
@@ -623,8 +623,8 @@ func TestStagedCheckpointCompactsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StagedReplayed != 0 {
-		t.Fatalf("StagedReplayed = %d after a checkpoint, want 0", rep.StagedReplayed)
+	if rep.OpsReplayed != 0 {
+		t.Fatalf("OpsReplayed = %d after a checkpoint, want 0", rep.OpsReplayed)
 	}
 	if db2.Len() != 12 {
 		t.Fatalf("recovered Len = %d, want 12", db2.Len())

@@ -83,35 +83,16 @@ func (db *DB) writeSnapshot(w io.Writer) error {
 
 // Load reopens a database serialized with Save.
 func Load(r io.Reader) (*DB, error) {
-	kind, opts, meta, table, disk, err := loadImage(r)
-	if err != nil {
-		return nil, err
-	}
-	pool := store.NewPool(disk, opts.PoolPages)
-	ix, err := restoreIndex(kind, opts, pool, table, meta)
-	if err != nil {
-		return nil, err
-	}
-	return newDB(kind, opts, table, pool, ix), nil
-}
-
-// loadImage parses a Save image up to (but not including) index
-// restoration: the validated header and options, the index metadata
-// words, the reconstructed segment table, and the raw index disk. Load
-// restores the index immediately; crash recovery first replays the WAL
-// over the disks and only then restores the index, from the newest
-// committed metadata.
-func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, error) {
 	var opts Options
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: reading file magic: %w", err)
+		return nil, fmt.Errorf("segdb: reading file magic: %w", err)
 	}
 	if magic == fileMagicV1 {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: file uses the old unchecksummed format %q; re-save with this version", magic[:])
+		return nil, fmt.Errorf("segdb: file uses the old unchecksummed format %q; re-save with this version", magic[:])
 	}
 	if magic != fileMagic && magic != fileMagicV2 {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: not a segdb file (magic %q)", magic[:])
+		return nil, fmt.Errorf("segdb: not a segdb file (magic %q)", magic[:])
 	}
 	// Format 002 headers carry 7 words; 003 appends the page-compression
 	// level. Both are covered by the trailing CRC exactly as written.
@@ -122,7 +103,7 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 	header := make([]uint32, headerWords)
 	for i := range header {
 		if err := binary.Read(r, binary.LittleEndian, &header[i]); err != nil {
-			return 0, opts, nil, nil, nil, fmt.Errorf("segdb: reading header: %w", err)
+			return nil, fmt.Errorf("segdb: reading header: %w", err)
 		}
 	}
 	kind := Kind(header[0])
@@ -140,18 +121,18 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 		opts.PageCompression = int(header[7])
 	}
 	if err := checkOptions(opts); err != nil {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: image header: %w", err)
+		return nil, fmt.Errorf("segdb: image header: %w", err)
 	}
 	if header[6] > maxMetaWords {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])
+		return nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])
 	}
 	if _, err := implOf(kind); err != nil {
-		return 0, opts, nil, nil, nil, err
+		return nil, err
 	}
 	meta := make([]uint64, header[6])
 	for i := range meta {
 		if err := binary.Read(r, binary.LittleEndian, &meta[i]); err != nil {
-			return 0, opts, nil, nil, nil, fmt.Errorf("segdb: reading index metadata: %w", err)
+			return nil, fmt.Errorf("segdb: reading index metadata: %w", err)
 		}
 	}
 	var hdr bytes.Buffer
@@ -164,23 +145,28 @@ func loadImage(r io.Reader) (Kind, Options, []uint64, *seg.Table, *store.Disk, e
 	}
 	var sum uint32
 	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: reading header checksum: %w", err)
+		return nil, fmt.Errorf("segdb: reading header checksum: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(hdr.Bytes()); got != sum {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: file header checksum mismatch (file %#08x, computed %#08x): %w", sum, got, store.ErrChecksum)
+		return nil, fmt.Errorf("segdb: file header checksum mismatch (file %#08x, computed %#08x): %w", sum, got, store.ErrChecksum)
 	}
 	table, err := seg.RestoreTable(r, opts.PoolPages)
 	if err != nil {
-		return 0, opts, nil, nil, nil, err
+		return nil, err
 	}
 	disk, err := store.ReadDiskFrom(r)
 	if err != nil {
-		return 0, opts, nil, nil, nil, err
+		return nil, err
 	}
 	if disk.PageSize() != opts.PageSize {
-		return 0, opts, nil, nil, nil, fmt.Errorf("segdb: index image page size %d, header says %d", disk.PageSize(), opts.PageSize)
+		return nil, fmt.Errorf("segdb: index image page size %d, header says %d", disk.PageSize(), opts.PageSize)
 	}
-	return kind, opts, meta, table, disk, nil
+	pool := store.NewPool(disk, opts.PoolPages)
+	ix, err := restoreIndex(kind, opts, pool, table, meta)
+	if err != nil {
+		return nil, err
+	}
+	return newDB(kind, opts, table, pool, ix), nil
 }
 
 func boolWord(b bool) uint32 {

@@ -30,6 +30,7 @@ package segdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -272,19 +273,27 @@ func (db *DB) tracerNow() Tracer {
 // databases (Overlay) can always acquire their locks in a global order.
 var dbSeq atomic.Uint64
 
-// newDB wraps a built or restored index in a DB and attaches what every
-// fresh DB carries: the sequence number that fixes its place in the
-// two-DB lock order, the tracer, the degraded-reads flag, and the fault
-// and retry policies on both disks. Callers build the index before it
-// and run WAL set-up and recovery after it, so injected faults miss the
-// former and are live during the latter.
+// newDB wraps a built or restored index in a DB with the sequence
+// number that fixes its place in the two-DB lock order, and attaches
+// o's runtime options. Callers build the index before it and run WAL
+// set-up after it, so injected faults miss the former and are live
+// during the latter.
 func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persistable) *DB {
 	db := &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
+	db.attachRuntime(o)
+	return db
+}
+
+// attachRuntime installs the options no image stores: the tracer, the
+// degraded-reads flag, the fault and retry policies on both disks, and
+// the staged-ingest settings. Recover attaches them after replay.
+func (db *DB) attachRuntime(o Options) {
+	db.opts.FaultPolicy, db.opts.Tracer, db.opts.RetryPolicy = o.FaultPolicy, o.Tracer, o.RetryPolicy
+	db.opts.DegradedReads, db.opts.StagedIngest, db.opts.CompactThreshold = o.DegradedReads, o.StagedIngest, o.CompactThreshold
 	db.setTracer(o.Tracer)
 	db.degraded.Store(o.DegradedReads)
 	db.SetFaultPolicy(o.FaultPolicy)
 	db.SetRetryPolicy(o.RetryPolicy)
-	return db
 }
 
 // Open creates an empty database backed by the chosen index kind. With
@@ -347,23 +356,44 @@ func (db *DB) Len() int {
 // lie in [0, WorldSize). In staged-ingest mode the segment lands in the
 // in-memory staging tier (visible to queries immediately) and reaches
 // the disk index at the next compaction.
+//
+// With a WAL, an Add that returns nil is durable, and one that returns
+// an error is not. In staged mode a failed Add is also never visible; in
+// place, whatever part of it reached memory becomes durable through the
+// checkpoint the next write cuts.
 func (db *DB) Add(s Segment) (SegmentID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.settleLocked(); err != nil {
+		return seg.NilID, err
+	}
+	if err := checkSegments(s); err != nil {
+		return seg.NilID, err
+	}
 	if db.stagedMode() {
 		return db.addStagedLocked(s)
 	}
 	id, err := db.addLocked(s)
 	if err != nil {
-		return id, err
+		return seg.NilID, db.failLocked(err)
 	}
-	return id, db.walCommit()
+	return id, db.logLocked(addOp(id, s))
 }
 
-func (db *DB) addLocked(s Segment) (SegmentID, error) {
-	if !geom.World().ContainsPoint(s.P1) || !geom.World().ContainsPoint(s.P2) {
-		return seg.NilID, fmt.Errorf("%w: segment %v outside the %dx%d world", ErrInvalidArgument, s, WorldSize, WorldSize)
+// checkSegments rejects, before anything is touched, a segment outside
+// the world.
+func checkSegments(segs ...Segment) error {
+	for _, s := range segs {
+		if !geom.World().ContainsPoint(s.P1) || !geom.World().ContainsPoint(s.P2) {
+			return fmt.Errorf("%w: segment %v outside the %dx%d world", ErrInvalidArgument, s, WorldSize, WorldSize)
+		}
 	}
+	return nil
+}
+
+// addLocked applies an add of a checked segment in place: the table
+// append, then the index insert.
+func (db *DB) addLocked(s Segment) (SegmentID, error) {
 	id, err := db.table.Append(s)
 	if err != nil {
 		return seg.NilID, err
@@ -395,13 +425,23 @@ func (db *DB) Get(id SegmentID) (Segment, error) {
 func (db *DB) Delete(id SegmentID) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.settleLocked(); err != nil {
+		return err
+	}
 	if db.stagedMode() {
 		return db.deleteStagedLocked(id)
 	}
-	if err := db.index.Delete(id); err != nil {
-		return err
+	// A miss (an ID past the table, absent or already deleted) touches no
+	// page in any kind: a validation error, as in staged mode.
+	if int(id) >= db.table.Len() {
+		return seg.ErrNotIndexed
 	}
-	return db.walCommit()
+	if err := db.index.Delete(id); errors.Is(err, seg.ErrNotIndexed) {
+		return err
+	} else if err != nil {
+		return db.failLocked(err)
+	}
+	return db.logLocked(delOp(id))
 }
 
 // Window visits every segment intersecting r (query 5 of the paper).
