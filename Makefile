@@ -66,7 +66,7 @@ loc:
 # loc-check is the ratchet on that total: it fails when the count exceeds
 # LOC_BUDGET, the total of the last PR that lowered it. A PR that needs
 # more lines raises the number here, where the diff shows it.
-LOC_BUDGET = 19724
+LOC_BUDGET = 19692
 loc-check:
 	@total=$$($(LOC_FILES) | xargs cat | wc -l); \
 	if [ $$total -gt $(LOC_BUDGET) ]; then \
@@ -91,12 +91,14 @@ bench:
 	bash benchmark/run.sh --seed 1992
 
 # bench-smoke is the CI-sized bench: BenchmarkWindowBatch and the
-# bulk-build Go benchmark at two iterations, then the repo benchmark's smoke run,
+# bulk-build Go benchmark at two iterations, the wire codec benchmarks
+# at one, then the repo benchmark's smoke run,
 # which builds, runs every workload untraced and traced, and exits
 # non-zero on an answer the oracle rejects. It catches a crash or a
 # wrong answer in the measurement path; it measures nothing.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkWindowBatch|BenchmarkBuildBulk' -benchtime 2x .
+	$(GO) test -run xxx -bench WindowResponse -benchtime 1x ./api
 	bash benchmark/run.sh --quick
 
 # serve-smoke drives the serving tier end to end through the real lsdb

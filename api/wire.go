@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,10 +13,11 @@ import (
 // This file holds the only hand-written JSON in the repository: the
 // codec of the three hot responses (and the batch that wraps the window
 // one). The encoders write exactly the bytes encoding/json writes for
-// the same value and the decoder accepts exactly what encoding/json
-// accepts into the same struct, so the wire format is unchanged and any
-// other client or server interoperates; the tests hold both to it.
-// Every other type goes through encoding/json.
+// the same value, so the wire format is unchanged and any other client
+// or server interoperates. The decoder reads exactly those bytes in one
+// pass and hands any other body to encoding/json, so it accepts and
+// decodes what json.Unmarshal does; the tests hold both to it. Every
+// other type goes through encoding/json.
 
 // wireBufs recycles the server's encode buffers and the client's
 // response-body buffers. A buffer one huge batch grew is dropped
@@ -155,301 +155,246 @@ func appendNearestResponse(b []byte, r *NearestResponse) ([]byte, error) {
 	return appendTail(b, &r.Stats, r.Cache), err
 }
 
-// decodeJSON parses body into out the way json.Unmarshal does: a
-// truncated body or trailing data is an error, never a short answer.
+// decodeJSON parses body into out, which must point to a zero value,
+// the way json.Unmarshal does: a truncated body or trailing data is an
+// error, never a short answer. A hot response as the encoders above
+// write it takes the strict reader; every other body goes to
+// encoding/json, which defines the answer.
 func decodeJSON(body []byte, out any) error {
-	switch out.(type) {
-	case *WindowResponse, *NearestResponse, *IncidentResponse, *BatchResponse:
-	default:
-		return json.Unmarshal(body, out)
+	if decodeStrict(body, out) {
+		return nil
 	}
-	d := wireDec{b: body}
-	d.ws()
-	d.value(out)
-	if d.ws(); d.err == nil && d.i < len(d.b) {
-		d.fail("data after the top-level value")
-	}
-	return d.err
+	return json.Unmarshal(body, out)
 }
 
-// wireDec is a pull decoder over one whole response body. The first
-// error sticks and moves the cursor to the end, so every loop over it
-// terminates without checking.
-type wireDec struct {
-	b   []byte
-	i   int
-	err error
-}
-
-func (d *wireDec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("api: decode response: %s at offset %d of %d", msg, d.i, len(d.b))
-	}
-	d.i = len(d.b)
-}
-
-func (d *wireDec) ws() {
-	for d.i < len(d.b) && d.b[d.i] <= ' ' && (d.b[d.i] == ' ' || d.b[d.i] == '\n' || d.b[d.i] == '\t' || d.b[d.i] == '\r') {
-		d.i++
-	}
-}
-
-func (d *wireDec) at(c byte) bool { return d.i < len(d.b) && d.b[d.i] == c }
-
-// eat skips whitespace and consumes c if it is next.
-func (d *wireDec) eat(c byte) bool {
-	d.ws()
-	if d.at(c) {
-		d.i++
-		return true
+// decodeStrict decodes body into out if it is exactly what appendJSON
+// writes for out's type, and reports whether it was. On false, out is
+// untouched.
+func decodeStrict(body []byte, out any) bool {
+	switch out := out.(type) {
+	case *WindowResponse:
+		return readStrict(body, out, (*strictReader).window)
+	case *NearestResponse:
+		return readStrict(body, out, (*strictReader).nearest)
+	case *IncidentResponse:
+		return readStrict(body, out, (*strictReader).incident)
+	case *BatchResponse:
+		return readStrict(body, out, (*strictReader).batch)
 	}
 	return false
 }
 
-// null consumes a null: encoding/json makes it a no-op for every member
-// but a slice, which it sets to nil.
-func (d *wireDec) null() bool {
-	if !d.at('n') {
+// readStrict reads one value and the encoder's trailing newline into a
+// local, and stores it in out only if the whole body was read.
+func readStrict[T any](body []byte, out *T, read func(*strictReader, *T)) bool {
+	r := strictReader{b: body}
+	var v T
+	read(&r, &v)
+	r.lit("\n")
+	if r.bad || r.i != len(r.b) {
 		return false
 	}
-	if bytes.HasPrefix(d.b[d.i:], []byte("null")) {
-		d.i += len("null")
-	} else {
-		d.fail("invalid literal")
-	}
+	*out = v
 	return true
 }
 
-// next steps through an array or object: with first set it consumes
-// open, otherwise the separating comma, and reports whether another
-// element follows, leaving the cursor on it.
-func (d *wireDec) next(first bool, open, close byte) bool {
-	if first && !d.eat(open) {
-		d.fail("unexpected value type")
+// strictReader reads the encoders' layout and nothing else: members in
+// their order, no whitespace, integers with no leading zero and no -0,
+// cache only as "hit" or "miss". At the first byte that differs it sets
+// bad and empties b, so every later read fails and every loop ends.
+// Whatever it accepts is valid JSON that json.Unmarshal decodes to the
+// same value.
+type strictReader struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+func (r *strictReader) fail() { r.b, r.i, r.bad = nil, 0, true }
+
+// eat consumes s if it comes next.
+func (r *strictReader) eat(s string) bool {
+	if len(s) == 1 { // the common case, without a call
+		if r.i >= len(r.b) || r.b[r.i] != s[0] {
+			return false
+		}
+		r.i++
+		return true
 	}
-	if d.eat(close) {
+	if len(r.b)-r.i < len(s) || string(r.b[r.i:r.i+len(s)]) != s {
 		return false
 	}
-	if !first && !d.eat(',') {
-		d.fail("expected a comma or a closing bracket")
-	}
-	d.ws()
-	return d.err == nil
+	r.i += len(s)
+	return true
 }
 
-// str decodes a string. Plain ASCII aliases the body; anything else is
-// unquoted by encoding/json, so escapes and invalid UTF-8 come out as
-// it defines them.
-func (d *wireDec) str() []byte {
-	start, plain := d.i, true
-	if !d.at('"') {
-		d.fail("expected a string")
+// lit consumes s, which must come next.
+func (r *strictReader) lit(s string) {
+	if !r.eat(s) {
+		r.fail()
 	}
-	for d.i++; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; {
-		case c == '"' && plain:
-			d.i++
-			return d.b[start+1 : d.i-1]
-		case c == '"':
-			var s string
-			d.i++
-			if err := json.Unmarshal(d.b[start:d.i], &s); err != nil {
-				d.fail(err.Error())
-			}
-			return []byte(s)
-		case c == '\\':
-			d.i++ // the escaped byte cannot close the string
-			plain = false
-		case c < 0x20 || c >= 0x80:
-			plain = false
-		}
-	}
-	d.fail("unterminated string")
-	return nil
 }
 
-// uint decodes an integer literal of at most max; a fraction or an
-// exponent is an error, as it is to encoding/json for an integer field.
-func (d *wireDec) uint(max uint64) (v uint64) {
-	start := d.i
-	for ; d.i < len(d.b) && d.b[d.i]-'0' <= 9; d.i++ {
-		digit := uint64(d.b[d.i] - '0')
-		if v > (max-digit)/10 {
-			d.fail("integer out of range")
-		}
-		v = v*10 + digit
+// num reads key, then an integer of at most limit, or at least
+// -limit-1 when signed, and returns it in two's complement. The digit
+// run has no leading zero, and -0 is not strict.
+func (r *strictReader) num(key string, limit uint64, signed bool) uint64 {
+	b, i := r.b, r.i
+	// Every key has at least four bytes. A key of up to eight compares
+	// as its first and last four bytes, two words, without the call a
+	// string comparison makes.
+	n := len(key)
+	if len(b)-i < n || word(b[i:]) != word(key) || word(b[i+n-4:]) != word(key[n-4:]) ||
+		n > 8 && string(b[i+4:i+n-4]) != key[4:n-4] {
+		r.fail()
+		return 0
 	}
-	if n := d.i - start; n == 0 || n > 1 && d.b[start] == '0' || d.at('.') || d.at('e') || d.at('E') {
-		d.fail("not an integer")
+	i += n
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+		limit++
 	}
-	return v
+	start := i
+	var mag uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		mag = mag*10 + uint64(b[i]-'0')
+	}
+	// Equal-length digit runs compare as numbers, so the check for a
+	// 20-digit run that wrapped needs no division.
+	digits := b[start:i]
+	if n := len(digits); n == 0 || n > 1 && digits[0] == '0' || neg && (mag == 0 || !signed) ||
+		n > 20 || n == 20 && string(digits) > "18446744073709551615" || mag > limit {
+		r.fail()
+		return 0
+	}
+	r.i = i
+	if neg {
+		return -mag
+	}
+	return mag
 }
 
-func (d *wireDec) int(min, max int64) int64 {
-	if d.at('-') {
-		d.i++
-		return -int64(d.uint(uint64(-min))) // math.MinInt64 wraps to itself, twice
-	}
-	return int64(d.uint(uint64(max)))
+// word is the little-endian value of the first four bytes of s.
+func word[T string | []byte](s T) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
 }
 
-// skip discards one value of any type and nesting. Only a member this
-// client does not know takes this path, so encoding/json validates it.
-func (d *wireDec) skip() {
-	var raw json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(d.b[d.i:]))
-	if err := dec.Decode(&raw); err != nil {
-		d.fail(err.Error())
-		return
-	}
-	d.i += int(dec.InputOffset())
+func (r *strictReader) uint(key string, limit uint64) uint64 { return r.num(key, limit, false) }
+
+func (r *strictReader) int(key string, limit int64) int64 {
+	return int64(r.num(key, uint64(limit), true))
 }
 
-// sized is an array member with the count member that announces its
-// length, which pre-sizes it.
-type sized[T any] struct {
-	s *[]T
-	n *int
+// coords reads what appendCoords writes.
+func (r *strictReader) coords(x1, y1, x2, y2 *int32) {
+	*x1 = int32(r.int(`"x1":`, math.MaxInt32))
+	*y1 = int32(r.int(`,"y1":`, math.MaxInt32))
+	*x2 = int32(r.int(`,"x2":`, math.MaxInt32))
+	*y2 = int32(r.int(`,"y2":`, math.MaxInt32))
+	r.lit("}")
 }
 
 // wireSegmentBytes is the shortest array element the server writes; it
 // caps the pre-sizing a body of a given length can ask for.
 const wireSegmentBytes = len(`{"id":0,"x1":0,"y1":0,"x2":0,"y2":0},`)
 
-// decodeArray decodes an array into s by encoding/json's rules: null
-// makes it nil, an empty array empty but non-nil, and elements already
-// in s are decoded over, not zeroed.
-func decodeArray[T any](d *wireDec, s []T, hint int) []T {
-	if d.null() {
+// strictArray reads what appendArray writes: null is a nil slice, []
+// an empty non-nil one. hint, the count member before the array,
+// pre-sizes it.
+func strictArray[T any](r *strictReader, hint int, elem func(*strictReader, *T)) []T {
+	if r.eat("null") {
 		return nil
 	}
-	if hint = min(hint, (len(d.b)-d.i)/wireSegmentBytes); s == nil && hint > 0 {
-		s = make([]T, 0, hint)
+	r.lit("[")
+	s := make([]T, 0, max(0, min(hint, (len(r.b)-r.i)/wireSegmentBytes)))
+	if r.eat("]") {
+		return s
 	}
-	i := 0
-	for ok := d.next(true, '[', ']'); ok; ok = d.next(false, '[', ']') {
-		if i >= cap(s) {
-			s = append(s[:i], *new(T))
-		} else if i >= len(s) {
-			s = s[:i+1]
+	for {
+		var zero T
+		s = append(s, zero)
+		elem(r, &s[len(s)-1])
+		if !r.eat(",") {
+			break
 		}
-		d.value(&s[i])
-		i++
 	}
-	if i == 0 {
-		return []T{}
-	}
-	return s[:i]
+	r.lit("]")
+	return s
 }
 
-var (
-	rectNames     = []string{"x1", "y1", "x2", "y2"}
-	segmentNames  = []string{"id", "x1", "y1", "x2", "y2"}
-	hitNames      = []string{"id", "dist_sq", "x1", "y1", "x2", "y2"}
-	statsNames    = []string{"disk_accesses", "seg_comps", "node_comps", "pool_hits", "pool_requests", "wall_micros"}
-	windowNames   = []string{"window", "count", "segments", "stats", "cache"}
-	incidentNames = []string{"x", "y", "count", "segments", "stats", "cache"}
-	nearestNames  = []string{"x", "y", "k", "results", "stats", "cache"}
-	batchNames    = []string{"queries"}
-)
-
-// members fills m with pointers to the fields of the struct v points to
-// and returns their wire names in the same order, or nil when v is not
-// one of the hand-decoded structs.
-func members(v any, m *[6]any) []string {
-	switch v := v.(type) {
-	case *RectJSON:
-		*m = [6]any{&v.X1, &v.Y1, &v.X2, &v.Y2}
-		return rectNames
-	case *SegmentJSON:
-		*m = [6]any{&v.ID, &v.X1, &v.Y1, &v.X2, &v.Y2}
-		return segmentNames
-	case *NearestHitJSON:
-		*m = [6]any{&v.ID, &v.DistSq, &v.X1, &v.Y1, &v.X2, &v.Y2}
-		return hitNames
-	case *StatsJSON:
-		*m = [6]any{&v.DiskAccesses, &v.SegComps, &v.NodeComps, &v.PoolHits, &v.PoolRequests, &v.WallMicros}
-		return statsNames
-	case *WindowResponse:
-		*m = [6]any{&v.Window, &v.Count, &sized[SegmentJSON]{&v.Segments, &v.Count}, &v.Stats, &v.Cache}
-		return windowNames
-	case *IncidentResponse:
-		*m = [6]any{&v.X, &v.Y, &v.Count, &sized[SegmentJSON]{&v.Segments, &v.Count}, &v.Stats, &v.Cache}
-		return incidentNames
-	case *NearestResponse:
-		*m = [6]any{&v.X, &v.Y, &v.K, &sized[NearestHitJSON]{&v.Results, &v.K}, &v.Stats, &v.Cache}
-		return nearestNames
-	case *BatchResponse:
-		*m = [6]any{&v.Queries}
-		return batchNames
-	}
-	return nil
+func (r *strictReader) segment(s *SegmentJSON) {
+	s.ID = uint32(r.uint(`{"id":`, math.MaxUint32))
+	r.lit(",")
+	r.coords(&s.X1, &s.Y1, &s.X2, &s.Y2)
 }
 
-// value decodes one value into the field or struct v points to.
-func (d *wireDec) value(v any) {
-	switch v := v.(type) {
-	case *sized[SegmentJSON]:
-		*v.s = decodeArray(d, *v.s, *v.n)
-		return
-	case *sized[NearestHitJSON]:
-		*v.s = decodeArray(d, *v.s, *v.n)
-		return
-	case *[]WindowResponse:
-		*v = decodeArray(d, *v, 0)
-		return
+// hit reads dist_sq as encoding/json does: a JSON number, then
+// strconv.ParseFloat of its text.
+func (r *strictReader) hit(h *NearestHitJSON) {
+	h.ID = uint32(r.uint(`{"id":`, math.MaxUint32))
+	r.lit(`,"dist_sq":`)
+	start := r.i
+	for r.i < len(r.b) && strings.IndexByte("+-.0123456789Ee", r.b[r.i]) >= 0 {
+		r.i++
 	}
-	if d.null() {
-		return
+	var err error
+	text := r.b[start:r.i]
+	if h.DistSq, err = strconv.ParseFloat(string(text), 64); err != nil || !json.Valid(text) {
+		r.fail()
 	}
-	switch v := v.(type) {
-	case *int32:
-		*v = int32(d.int(math.MinInt32, math.MaxInt32))
-	case *int:
-		*v = int(d.int(math.MinInt, math.MaxInt))
-	case *int64:
-		*v = d.int(math.MinInt64, math.MaxInt64)
-	case *uint32:
-		*v = uint32(d.uint(math.MaxUint32))
-	case *uint64:
-		*v = d.uint(math.MaxUint64)
-	case *float64:
-		start := d.i
-		for d.i < len(d.b) && strings.IndexByte("+-.0123456789Ee", d.b[d.i]) >= 0 {
-			d.i++
-		}
-		var err error
-		if text := d.b[start:d.i]; !json.Valid(text) {
-			d.fail("invalid number")
-		} else if *v, err = strconv.ParseFloat(string(text), 64); err != nil {
-			d.fail("number out of range")
-		}
-	case *string:
-		*v = string(d.str())
-	default:
-		var m [6]any
-		names := members(v, &m)
-		for n := 0; d.next(n == 0, '{', '}'); n++ {
-			k := d.str()
-			if !d.eat(':') {
-				d.fail("expected a colon")
-			}
-			d.ws()
-			// encoding/json's rule: the exact name, else the first that
-			// matches under Unicode case folding. The server writes the
-			// members in order, so the n-th name is the first guess.
-			i := n
-			if n >= len(names) || string(k) != names[n] {
-				i = slices.IndexFunc(names, func(n string) bool { return string(k) == n })
-			}
-			if i < 0 {
-				i = slices.IndexFunc(names, func(n string) bool { return bytes.EqualFold(k, []byte(n)) })
-			}
-			if i < 0 {
-				d.skip()
-			} else {
-				d.value(m[i])
-			}
-		}
+	r.lit(",")
+	r.coords(&h.X1, &h.Y1, &h.X2, &h.Y2)
+}
+
+// tail reads what appendTail writes.
+func (r *strictReader) tail(s *StatsJSON, cache *string) {
+	s.DiskAccesses = r.uint(`,"stats":{"disk_accesses":`, math.MaxUint64)
+	s.SegComps = r.uint(`,"seg_comps":`, math.MaxUint64)
+	s.NodeComps = r.uint(`,"node_comps":`, math.MaxUint64)
+	s.PoolHits = r.uint(`,"pool_hits":`, math.MaxUint64)
+	s.PoolRequests = r.uint(`,"pool_requests":`, math.MaxUint64)
+	s.WallMicros = r.int(`,"wall_micros":`, math.MaxInt64)
+	r.lit("}")
+	switch {
+	case r.eat(`,"cache":"hit"`):
+		*cache = "hit"
+	case r.eat(`,"cache":"miss"`):
+		*cache = "miss"
 	}
+	r.lit("}")
+}
+
+func (r *strictReader) window(v *WindowResponse) {
+	r.lit(`{"window":{`)
+	r.coords(&v.Window.X1, &v.Window.Y1, &v.Window.X2, &v.Window.Y2)
+	v.Count = int(r.int(`,"count":`, math.MaxInt))
+	r.lit(`,"segments":`)
+	v.Segments = strictArray(r, v.Count, (*strictReader).segment)
+	r.tail(&v.Stats, &v.Cache)
+}
+
+func (r *strictReader) incident(v *IncidentResponse) {
+	v.X = int32(r.int(`{"x":`, math.MaxInt32))
+	v.Y = int32(r.int(`,"y":`, math.MaxInt32))
+	v.Count = int(r.int(`,"count":`, math.MaxInt))
+	r.lit(`,"segments":`)
+	v.Segments = strictArray(r, v.Count, (*strictReader).segment)
+	r.tail(&v.Stats, &v.Cache)
+}
+
+func (r *strictReader) nearest(v *NearestResponse) {
+	v.X = int32(r.int(`{"x":`, math.MaxInt32))
+	v.Y = int32(r.int(`,"y":`, math.MaxInt32))
+	v.K = int(r.int(`,"k":`, math.MaxInt))
+	r.lit(`,"results":`)
+	v.Results = strictArray(r, v.K, (*strictReader).hit)
+	r.tail(&v.Stats, &v.Cache)
+}
+
+func (r *strictReader) batch(v *BatchResponse) {
+	r.lit(`{"queries":`)
+	v.Queries = strictArray(r, 0, (*strictReader).window)
+	r.lit("}")
 }

@@ -3,9 +3,11 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -101,8 +103,8 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// decodeBoth decodes body into fresh values of v's type with the hand
-// decoder and with encoding/json.
+// decodeBoth decodes body into fresh values of v's type with decodeJSON
+// and with encoding/json.
 func decodeBoth(v any, body []byte) (got, want any, gotErr, wantErr error) {
 	got = reflect.New(reflect.TypeOf(v).Elem()).Interface()
 	want = reflect.New(reflect.TypeOf(v).Elem()).Interface()
@@ -129,11 +131,76 @@ func TestDecoderRoundTripsEncoder(t *testing.T) {
 	}
 }
 
+// TestEveryServerBodyTakesTheStrictPath calls the strict reader itself
+// on the bodies the encoders write and on the recorded ones: an encoder
+// change that sends them to encoding/json, many times slower, fails
+// here and not only in a benchmark.
+func TestEveryServerBodyTakesTheStrictPath(t *testing.T) {
+	check := func(name string, v any, body []byte) {
+		t.Helper()
+		got := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+		want := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+		if !decodeStrict(body, got) {
+			t.Fatalf("%s: the strict reader stopped on\n%s", name, body)
+		}
+		if err := json.Unmarshal(body, want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: strict reader %+v, encoding/json %+v (%v)", name, got, want, err)
+		}
+	}
+	for _, v := range wireSamples(50) {
+		// The server sets cache to "", "hit" or "miss" only.
+		if w, ok := v.(*WindowResponse); ok && w.Cache != "" && w.Cache != "hit" && w.Cache != "miss" {
+			continue
+		}
+		check(fmt.Sprintf("%T", v), v, encodeHot(t, v))
+	}
+	for name, v := range map[string]any{"window": &WindowResponse{}, "nearest": &NearestResponse{}, "incident": &IncidentResponse{}} {
+		check(name, v, readTestdata(t, "head_"+name+".json"))
+	}
+}
+
+// canonicalWindow is a window body as the server writes it, newline
+// included; lateFallbacks are bodies that match it until near the end,
+// or differ only in its segment array.
+const (
+	canonicalSegments = `[{"id":3,"x1":1,"y1":2,"x2":3,"y2":4},{"id":7,"x1":-5,"y1":6,"x2":7,"y2":8}]`
+	canonicalWindow   = `{"window":{"x1":0,"y1":-256,"x2":511,"y2":255},"count":2,"segments":` + canonicalSegments +
+		`,"stats":{"disk_accesses":3,"seg_comps":4,"node_comps":5,"pool_hits":6,"pool_requests":7,"wall_micros":8},"cache":"hit"}` + "\n"
+)
+
+var lateFallbacks = []string{
+	strings.Replace(canonicalWindow, `"hit"}`, `"hit" }`, 1),
+	strings.Replace(canonicalWindow, `"hit"`, `"HIT"`, 1),
+	strings.Replace(canonicalWindow, `"y2":8`, `"y2":-0`, 1),
+	strings.Replace(canonicalWindow, `"disk_accesses":3`, `"disk_accesses":18446744073709551615`, 1) + " ",
+	strings.Replace(canonicalWindow, `"disk_accesses":3`, `"disk_accesses":18446744073709551616`, 1),
+	strings.Replace(canonicalWindow, canonicalSegments, `[ ]`, 1),
+	strings.Replace(canonicalWindow, `"hit"}`, `"miss","more":{"a":[1]}}`, 1),
+	strings.Replace(canonicalWindow, `"hit"}`, `"hit"}{}`, 1),
+	strings.Replace(canonicalWindow, "}\n", "}\n\n", 1),
+	strings.TrimSuffix(canonicalWindow, "\n"),
+}
+
 func TestDecoderAcceptsWhatEncodingJSONAccepts(t *testing.T) {
-	for _, tc := range []struct {
+	type row struct {
 		v    any
 		body string
-	}{
+	}
+	rows := []row{{&WindowResponse{}, canonicalWindow}}
+	if !decodeStrict([]byte(canonicalWindow), &WindowResponse{}) {
+		t.Fatalf("the strict reader stopped on canonicalWindow")
+	}
+	// Canonical until near the end: the strict reader must stop and
+	// leave its output as it was, or encoding/json would decode over
+	// a half-filled struct.
+	for _, body := range lateFallbacks {
+		var w WindowResponse
+		if decodeStrict([]byte(body), &w) || !reflect.DeepEqual(w, WindowResponse{}) {
+			t.Errorf("the strict reader took, or wrote into its output on\n%s", body)
+		}
+		rows = append(rows, row{&WindowResponse{}, body})
+	}
+	for _, tc := range append(rows, []row{
 		// Any key order, any whitespace.
 		{&WindowResponse{}, " {\n\t\"cache\" : \"hit\" , \"stats\":{ \"wall_micros\":-3,\"seg_comps\" :7 },\r\n \"segments\":[ {\"y2\":4,\"id\":9,\"x1\":-1} , { } ],\"count\":2,\"window\":{\"y1\":2,\"x1\":1}} \n"},
 		// Unknown members of every type and nesting are skipped.
@@ -187,32 +254,30 @@ func TestDecoderAcceptsWhatEncodingJSONAccepts(t *testing.T) {
 		{&NearestResponse{}, `{"results":[{"dist_sq":1e999}]}`},
 		{&NearestResponse{}, `{"results":[{"dist_sq":"1"}]}`},
 		{&NearestResponse{}, `{"results":[{"dist_sq":NaN}]}`},
-	} {
+	}...) {
 		got, want, gotErr, wantErr := decodeBoth(tc.v, []byte(tc.body))
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%s\nhand decoder: %v\nencoding/json: %v", tc.body, gotErr, wantErr)
+			t.Errorf("%s\ndecodeJSON: %v\nencoding/json: %v", tc.body, gotErr, wantErr)
 		} else if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s\nhand decoder: %+v\nencoding/json: %+v", tc.body, got, want)
+			t.Errorf("%s\ndecodeJSON: %+v\nencoding/json: %+v", tc.body, got, want)
 		}
 	}
 }
 
-// FuzzDecodeResponse holds the hand decoder to encoding/json on arbitrary
-// bodies: it never panics, it accepts whatever encoding/json accepts, and
-// then both produce the same struct. The seed corpus under testdata/fuzz
-// is encodeHot of wireSamples(1) and bodies of the table above.
+// FuzzDecodeResponse holds decodeJSON to encoding/json on arbitrary
+// bodies: it never panics, it fails exactly when encoding/json does, and
+// otherwise both produce the same struct. The seed corpus under
+// testdata/fuzz is encodeHot of wireSamples(1), bodies of the table
+// above and lateFallbacks.
 func FuzzDecodeResponse(f *testing.F) {
 	kinds := []any{&WindowResponse{}, &NearestResponse{}, &IncidentResponse{}, &BatchResponse{}}
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		got, want, gotErr, wantErr := decodeBoth(kinds[int(kind)%len(kinds)], body)
-		if wantErr != nil {
-			return // the hand decoder may be the more lenient one only about nesting depth
-		}
-		if gotErr != nil {
-			t.Fatalf("encoding/json accepts what the hand decoder rejects: %v", gotErr)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeJSON: %v\nencoding/json: %v", gotErr, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("hand decoder: %+v\nencoding/json: %+v", got, want)
+			t.Fatalf("decodeJSON: %+v\nencoding/json: %+v", got, want)
 		}
 	})
 }
@@ -224,7 +289,7 @@ func TestRecordedBodiesDecode(t *testing.T) {
 		body := readTestdata(t, "head_"+name+".json")
 		got, want, gotErr, wantErr := decodeBoth(v, body)
 		if gotErr != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: hand decoder %+v (%v), encoding/json %+v (%v)", name, got, gotErr, want, wantErr)
+			t.Fatalf("%s: decodeJSON %+v (%v), encoding/json %+v (%v)", name, got, gotErr, want, wantErr)
 		}
 		if again := encodeHot(t, got); !bytes.Equal(again, body) {
 			t.Fatalf("%s: re-encoded\n%s\nrecorded\n%s", name, again, body)

@@ -38,7 +38,7 @@ import (
 // unsharded DB.
 
 // windowBufPool recycles the hit buffers of the visitor-form queries
-// (WindowBatchCtx, IncidentAtCtx):
+// (WindowBatchCtx, IncidentAtCtx) and sortWindowHits' copy:
 // the merged answer lands in a recycled slice, so warm routed queries
 // allocate only when an answer outgrows every pooled buffer.
 var windowBufPool = sync.Pool{New: func() any { return new([]segdb.WindowHit) }}
@@ -115,8 +115,31 @@ func (r *Router) windowAppend(ctx context.Context, rect segdb.Rect, dst []segdb.
 	return dst, st, nil
 }
 
+var sortKeyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// sortWindowHits sorts hits by global ID. It sorts one word per hit,
+// the ID above the hit's position, and then moves each hit once: a
+// shard's answer arrives in its index's traversal order, not by ID, so
+// there are no sorted runs to merge. IDs are unique within one answer,
+// so the order is total, and a position fits in 32 bits because there
+// are no more hits than IDs.
 func sortWindowHits(hits []segdb.WindowHit) {
-	slices.SortFunc(hits, func(a, b segdb.WindowHit) int { return cmp.Compare(a.ID, b.ID) })
+	if len(hits) < 2 {
+		return
+	}
+	kp, hp := sortKeyPool.Get().(*[]uint64), windowBufPool.Get().(*[]segdb.WindowHit)
+	keys := (*kp)[:0]
+	for i, h := range hits {
+		keys = append(keys, uint64(h.ID)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	src := append((*hp)[:0], hits...)
+	for i, k := range keys {
+		hits[i] = src[uint32(k)]
+	}
+	*kp, *hp = keys, src[:0]
+	sortKeyPool.Put(kp)
+	windowBufPool.Put(hp)
 }
 
 // WindowBatchCtx runs one routed window query per rectangle, in

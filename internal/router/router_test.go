@@ -157,6 +157,9 @@ func TestRouterWindowEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(kind)*100 + int64(shards)))
+			// The router appends to dst and sorts only what it appended:
+			// the prefix, out of order on purpose, must come back as is.
+			prefix := []segdb.WindowHit{{ID: 5, Seg: segs[5]}, {ID: 1, Seg: segs[1]}}
 			var buf []segdb.WindowHit
 			for trial := 0; trial < 20; trial++ {
 				side := int32(1) << uint(rng.Intn(15))
@@ -167,13 +170,17 @@ func TestRouterWindowEquivalence(t *testing.T) {
 
 				p0, s0, n0 := sumShardMetrics(r)
 				var st segdb.QueryStats
-				buf, st, err = r.WindowAppendCtx(context.Background(), rect, buf[:0])
+				buf, st, err = r.WindowAppendCtx(context.Background(), rect, append(buf[:0], prefix...))
 				if err != nil {
 					t.Fatal(err)
 				}
 				p1, s1, n1 := sumShardMetrics(r)
-				got := make([]segdb.SegmentID, len(buf))
-				for i, h := range buf {
+				if !slices.Equal(buf[:len(prefix)], prefix) {
+					t.Fatalf("%v shards=%d: dst's prefix became %v", kind, shards, buf[:len(prefix)])
+				}
+				hits := buf[len(prefix):]
+				got := make([]segdb.SegmentID, len(hits))
+				for i, h := range hits {
 					got[i] = h.ID
 					if h.Seg != segs[h.ID] {
 						t.Fatalf("%v shards=%d: hit %d geometry %v != segs[%d]=%v", kind, shards, i, h.Seg, h.ID, segs[h.ID])
@@ -283,6 +290,14 @@ func tiesUnique(rs []segdb.NearestResult) bool {
 // and compares against the unsharded answers.
 func TestRouterIncidentAt(t *testing.T) {
 	segs := routerSample(t, 1100)
+	// A star of segments with one shared endpoint, reaching into every
+	// quadrant: its incidence answer takes hits from several shards, out
+	// of ID order, which the router must permute with their geometry.
+	c := int32(segdb.WorldSize / 2)
+	for i := int32(0); i < 16; i++ {
+		d := 100 + 37*i
+		segs = append(segs, segdb.Seg(c, c, c+d*(i%3-1), c+d*(i/3%3-1)|1))
+	}
 	kind := segdb.RStarTree
 	truth := groundTruth(t, kind, segs)
 	rng := rand.New(rand.NewSource(42))
@@ -297,6 +312,9 @@ func TestRouterIncidentAt(t *testing.T) {
 			if trial%2 == 1 {
 				p = s.P2
 			}
+			if trial == 0 {
+				p = segdb.Pt(c, c)
+			}
 			var want, got []segdb.SegmentID
 			if _, err := truth.IncidentAtCtx(context.Background(), p, func(id segdb.SegmentID, _ segdb.Segment) bool {
 				want = append(want, id)
@@ -305,7 +323,10 @@ func TestRouterIncidentAt(t *testing.T) {
 				t.Fatal(err)
 			}
 			slices.Sort(want)
-			if _, err := r.IncidentAtCtx(context.Background(), p, func(id segdb.SegmentID, _ segdb.Segment) bool {
+			if _, err := r.IncidentAtCtx(context.Background(), p, func(id segdb.SegmentID, seg segdb.Segment) bool {
+				if seg != segs[id] {
+					t.Errorf("shards=%d incident %v: hit %d geometry %v != segs[%d]=%v", shards, p, id, seg, id, segs[id])
+				}
 				got = append(got, id)
 				return true
 			}); err != nil {
