@@ -159,7 +159,8 @@ func TestBulkIncrementalEquivalence(t *testing.T) {
 
 // TestBulkBuildDeterministic asserts the pipeline's determinism
 // guarantee: the same batch produces a byte-identical saved image under
-// any GOMAXPROCS setting.
+// any GOMAXPROCS setting. The builds run on the calling goroutine, so
+// this pins that nothing in them reads the processor count.
 func TestBulkBuildDeterministic(t *testing.T) {
 	segs := bulkSample(t, 9000) // above the parallel-sort threshold
 	prev := runtime.GOMAXPROCS(0)

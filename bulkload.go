@@ -7,8 +7,8 @@ import (
 
 // AddBatch stores the segments and indexes them in one shot, returning
 // their IDs in input order. On an empty database the index is built
-// bottom-up through the bulk pipeline (internal/bulk): segments are
-// sorted and partitioned in memory across GOMAXPROCS workers, then every
+// bottom-up through the bulk pipeline (internal/bulk), on the calling
+// goroutine: segments are sorted and partitioned in memory, then every
 // index page is written exactly once, sequentially — for a county-sized
 // map this is an order of magnitude fewer build disk accesses than
 // calling Add per segment, and the result answers every query through

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"segdb/internal/btree"
 	"segdb/internal/bulk"
@@ -11,16 +12,15 @@ import (
 )
 
 // BulkLoad builds a uniform grid over the given segments in one pass:
-// every (cell, segment) key is generated up front — the cell sweeps fan
-// out across GOMAXPROCS workers into per-segment slots — then the full
-// key set is sorted and handed to the B+-tree's bottom-up builder, which
-// writes each page exactly once, sequentially. Incremental insertion
-// instead descends the B-tree once per q-edge (~4 entries per segment at
-// the default resolution), faulting and splitting pages along the way.
+// every (cell, segment) key is generated up front, then the full key set
+// is sorted and handed to the B+-tree's bottom-up builder, which writes
+// each page exactly once, sequentially. Incremental insertion instead
+// descends the B-tree once per q-edge (~4 entries per segment at the
+// default resolution), faulting and splitting pages along the way.
 //
 // Keys are unique by construction (the segment ID occupies the low bits
 // and a sweep visits each cell once), so the sorted order is a strict
-// total order and the disk image is identical for any worker count.
+// total order and the disk image is deterministic.
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Grid, error) {
 	if cfg.CellsPerSide < 1 || cfg.CellsPerSide > geom.WorldSize {
 		return nil, fmt.Errorf("grid: invalid resolution %d", cfg.CellsPerSide)
@@ -37,33 +37,14 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Gr
 	if err != nil {
 		return nil, err
 	}
-	// Per-segment key generation writes only its own slot; nodeComps is
-	// atomic, so the concurrent sweeps charge it safely.
-	perSeg := make([][]uint64, len(entries))
-	bulk.Parallel(len(entries), func(i int) {
-		e := entries[i]
+	var keys []uint64
+	for _, e := range entries {
 		_ = g.cellsFor(e.Seg, func(cx, cy int32) error {
-			perSeg[i] = append(perSeg[i], g.key(cx, cy, e.ID))
+			keys = append(keys, g.key(cx, cy, e.ID))
 			return nil
 		}) // the visitor never fails
-	})
-	total := 0
-	for _, ks := range perSeg {
-		total += len(ks)
 	}
-	keys := make([]uint64, 0, total)
-	for _, ks := range perSeg {
-		keys = append(keys, ks...)
-	}
-	bulk.Sort(keys, func(a, b uint64) int {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
+	slices.Sort(keys)
 	bt, err := btree.BulkLoadWithOptions(pool, 0, cfg.Compression, len(keys), func(i int) (uint64, []byte) {
 		return keys[i], nil
 	})

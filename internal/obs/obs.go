@@ -129,9 +129,10 @@ type QueryInfo struct {
 // the cancellation source, and the tracer, threaded by the facade through
 // the index, the B-tree, the segment table, and the buffer pools.
 //
-// All counter methods are safe for concurrent use (a parallel overlay or
-// batch shares one Op across its workers) and are no-ops on a nil
-// receiver, so uninstrumented paths pay only a nil check.
+// Each query owns its Op and runs on its caller's goroutine. The counter
+// methods are atomic, so a snapshot may be read from any goroutine, and
+// are no-ops on a nil receiver, so uninstrumented paths pay only a nil
+// check.
 //
 // Page requests that reach a pool are charged at once; a traversal's node
 // computations are counted locally and charged when it returns, and its

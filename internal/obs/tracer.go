@@ -8,8 +8,8 @@ import (
 )
 
 // Tracer receives query lifecycle events. Implementations must be safe
-// for concurrent use: overlapping queries and parallel workers inside a
-// single batch/overlay all call the same tracer.
+// for concurrent use: overlapping queries on different goroutines all
+// call the same tracer.
 //
 // Tracing sits on the hot path of every page fault and node visit, so a
 // tracer should do the minimum per event; the JSONL exporter below is the

@@ -1,10 +1,9 @@
 package pmr
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"segdb/internal/btree"
 	"segdb/internal/bulk"
@@ -29,10 +28,9 @@ import (
 // satisfy Validate's invariants and answer every query identically; only
 // the block boundaries (and so the per-query constants) can differ.
 //
-// The quadrant recursion fans out across GOMAXPROCS goroutines, but
-// children are assembled in quadrant order and all page writes happen
-// sequentially afterwards, so the result is deterministic for any worker
-// count.
+// The sweep runs on the calling goroutine and visits quadrants in order,
+// and all page writes happen sequentially afterwards, so the disk image
+// is deterministic.
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
 	if cfg.SplittingThreshold < 1 {
 		return nil, fmt.Errorf("pmr: invalid splitting threshold %d", cfg.SplittingThreshold)
@@ -53,91 +51,68 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 	// contiguous runs, so the partition sweep below streams memory.
 	bulk.SortByMorton(entries)
 
-	// One in-memory sweep computes the leaf blocks. leafRun holds the
-	// occupied leaves in Z-order; empty leaves are never materialized
-	// (they are not stored — queries reconstruct them from the occupied
-	// antichain, exactly as with incremental builds).
+	// One in-memory sweep computes the leaf blocks. runs collects the
+	// occupied leaves in Z-order, as the recursion visits quadrants in
+	// order; empty leaves are never materialized (they are not stored —
+	// queries reconstruct them from the occupied antichain, exactly as
+	// with incremental builds).
 	type leafRun struct {
 		c       geom.Code
 		members []bulk.Entry
 	}
-	var nodeComps atomic.Uint64
-	gate := bulk.NewGate()
-	var decompose func(c geom.Code, members []bulk.Entry) []leafRun
-	decompose = func(c geom.Code, members []bulk.Entry) []leafRun {
+	var runs []leafRun
+	var nodeComps uint64
+	// scratch[d] collects the members of one depth-d child before they
+	// are copied out at their exact size.
+	scratch := make([][]bulk.Entry, cfg.MaxDepth+1)
+	var decompose func(c geom.Code, members []bulk.Entry)
+	decompose = func(c geom.Code, members []bulk.Entry) {
 		if len(members) == 0 {
-			return nil
+			return
 		}
 		if len(members) <= cfg.SplittingThreshold || c.Depth() >= cfg.MaxDepth {
-			return []leafRun{{c: c, members: members}}
+			runs = append(runs, leafRun{c: c, members: members})
+			return
 		}
-		var parts [4][]bulk.Entry
-		comps := uint64(0)
 		for q := 0; q < 4; q++ {
 			child := c.Child(q)
+			r := reach(child)
+			part := scratch[child.Depth()][:0]
 			for _, e := range members {
-				comps++
-				if touches(child, e.Seg) {
-					parts[q] = append(parts[q], e)
+				if r.IntersectsSegment(e.Seg) {
+					part = append(part, e)
 				}
 			}
+			scratch[child.Depth()] = part
+			nodeComps += uint64(len(members))
+			decompose(child, slices.Clone(part))
 		}
-		nodeComps.Add(comps)
-		var sub [4][]leafRun
-		var wg sync.WaitGroup
-		for q := 0; q < 4; q++ {
-			if len(parts[q]) == 0 {
-				continue
-			}
-			q := q // pin for the closure
-			child := c.Child(q)
-			gate.Run(&wg, func() { sub[q] = decompose(child, parts[q]) })
-		}
-		wg.Wait()
-		out := make([]leafRun, 0, len(sub[0])+len(sub[1])+len(sub[2])+len(sub[3]))
-		for q := 0; q < 4; q++ {
-			out = append(out, sub[q]...)
-		}
-		return out
 	}
-	runs := decompose(geom.RootCode(), entries)
+	decompose(geom.RootCode(), entries)
 
 	// Leaves arrive in Z-order; within each leaf, keys ascend with the
 	// segment ID. That makes the concatenated q-edge keys strictly
 	// increasing — the exact input contract of btree.BulkLoad.
 	total := 0
-	offsets := make([]int, len(runs)+1)
-	for i := range runs {
-		slices.SortFunc(runs[i].members, func(a, b bulk.Entry) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			}
-			return 0
-		})
-		offsets[i] = total
-		total += len(runs[i].members)
+	for _, r := range runs {
+		slices.SortFunc(r.members, func(a, b bulk.Entry) int { return cmp.Compare(a.ID, b.ID) })
+		total += len(r.members)
 	}
-	offsets[len(runs)] = total
-	keys := make([]uint64, total)
+	keys := make([]uint64, 0, total)
 	valSize := 0
 	var vals []byte
 	if cfg.StoreMBR {
 		valSize = qedgeValSize
-		vals = make([]byte, total*qedgeValSize)
+		vals = make([]byte, 0, total*qedgeValSize)
 	}
-	bulk.Parallel(len(runs), func(i int) {
-		r := runs[i]
-		for j, e := range r.members {
-			at := offsets[i] + j
-			keys[at] = key(r.c, e.ID)
+	for _, r := range runs {
+		for _, e := range r.members {
+			keys = append(keys, key(r.c, e.ID))
 			if cfg.StoreMBR {
-				copy(vals[at*qedgeValSize:], encodeQEdgeRect(r.c, e.Seg))
+				vals = append(vals, encodeQEdgeRect(r.c, e.Seg)...)
 			}
 		}
-	})
+	}
 
 	bt, err := btree.BulkLoadWithOptions(pool, valSize, cfg.Compression, total, func(i int) (uint64, []byte) {
 		if valSize == 0 {
@@ -149,6 +124,6 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 		return nil, fmt.Errorf("pmr: bulk load: %w", err)
 	}
 	t := &Tree{bt: bt, table: table, cfg: cfg, count: len(ids)}
-	t.nodeComps.Add(nodeComps.Load())
+	t.nodeComps.Add(nodeComps)
 	return t, nil
 }

@@ -206,9 +206,15 @@ func blockRange(c geom.Code) (lo, hi uint64) {
 // containing its integer floor, even when it falls in the gap where four
 // integer blocks meet. (The spatial join's correctness rests on this.)
 func touches(c geom.Code, s geom.Segment) bool {
+	return reach(c).IntersectsSegment(s)
+}
+
+// reach returns the block's real extent as an integer rectangle: the
+// closed block grown by one unit on its upper sides. A segment touches
+// the block exactly when it intersects this rectangle.
+func reach(c geom.Code) geom.Rect {
 	b := c.Block()
-	grown := geom.Rect{Min: b.Min, Max: geom.Point{X: b.Max.X + 1, Y: b.Max.Y + 1}}
-	return grown.IntersectsSegment(s)
+	return geom.Rect{Min: b.Min, Max: geom.Point{X: b.Max.X + 1, Y: b.Max.Y + 1}}
 }
 
 // exactRange returns the key interval [lo, hi) of the block's own entries

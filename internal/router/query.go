@@ -64,17 +64,6 @@ func xlate(sh *Shard, v *shardView, lid segdb.SegmentID) segdb.SegmentID {
 	return sh.view.Load().global[lid]
 }
 
-// firstError returns the first non-nil error in shard order, so the
-// reported error is deterministic however the fan-out interleaved.
-func firstError(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
 // WindowAppendCtx runs the window query across every shard whose
 // coverage intersects r, appending the merged hits (global IDs,
 // ascending) to dst and returning the extended slice. Passing a reused

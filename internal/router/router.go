@@ -156,8 +156,8 @@ func (r *Router) record(qk queryKind, start time.Time, st *segdb.QueryStats, err
 }
 
 // Build partitions segs across shards databases of the given kind and
-// bulk-builds each shard (in parallel; each build is itself the
-// parallel bottom-up pipeline of AddBatch). Global segment IDs are
+// bulk-builds each shard (one goroutine per shard; each build is the
+// bottom-up pipeline of AddBatch). Global segment IDs are
 // positions in segs — the same IDs an unsharded DB loaded from the same
 // slice assigns. opts configure every shard identically (functional
 // options only; the serving tier does not accept the legacy *Options
@@ -187,11 +187,7 @@ func Build(kind segdb.Kind, segs []segdb.Segment, shards int, opts ...segdb.Opti
 	}
 	home := make([]shardLoc, len(segs))
 	r.home.Store(&home)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
+	subs := make([][]segdb.Segment, shards)
 	for si, part := range parts {
 		// Local insertion order is ascending global ID, so a one-shard
 		// Router builds the byte-identical index an unsharded AddBatch
@@ -213,25 +209,47 @@ func Build(kind segdb.Kind, segs []segdb.Segment, shards int, opts ...segdb.Opti
 			}
 		}
 		sh.view.Store(v)
-		wg.Add(1)
-		go func(sh *Shard, sub []segdb.Segment) {
-			defer wg.Done()
-			db, err := segdb.Open(kind, opts...)
-			if err == nil {
-				_, err = db.AddBatch(sub)
-			}
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			sh.db = db
-		}(sh, sub)
+		subs[si] = sub
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := eachShard(r.shards, func(si int, sh *Shard) error {
+		db, err := segdb.Open(kind, opts...)
+		if err != nil {
+			return err
+		}
+		if _, err := db.AddBatch(subs[si]); err != nil {
+			return err
+		}
+		sh.db = db
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// eachShard runs f(i, shard) for every shard, one goroutine per shard,
+// and returns the first error in shard order, so the reported error is
+// deterministic however the goroutines interleaved. A shard is a whole
+// independent build or compaction, which makes this the module's only
+// write-side parallelism.
+func eachShard(shards []*Shard, f func(i int, sh *Shard) error) error {
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	wg.Add(len(shards))
+	for i, sh := range shards {
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i, sh)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // entry is one segment's routing key: its MBR center and global index.
@@ -393,24 +411,14 @@ func (r *Router) Ingest(segs []segdb.Segment) ([]segdb.SegmentID, error) {
 	return ids, nil
 }
 
-// Compact folds every shard's staging tier into its disk index (in
-// parallel; each shard publishes its rebuilt index under a new epoch
-// without blocking that shard's readers). Errors if the shards were not
-// built with segdb.WithStagedIngest.
+// Compact folds every shard's staging tier into its disk index (one
+// goroutine per shard; each shard publishes its rebuilt index under a
+// new epoch without blocking that shard's readers). Errors if the shards
+// were not built with segdb.WithStagedIngest.
 func (r *Router) Compact() error {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for si, sh := range r.shards {
-		wg.Add(1)
-		go func(si int, sh *Shard) {
-			defer wg.Done()
-			errs[si] = sh.db.Compact()
-		}(si, sh)
-	}
-	wg.Wait()
-	return firstError(errs)
+	return eachShard(r.shards, func(_ int, sh *Shard) error { return sh.db.Compact() })
 }
 
 // Metrics returns the field-wise sum of every shard's cumulative

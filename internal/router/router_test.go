@@ -143,6 +143,39 @@ func TestRouterBuildPartition(t *testing.T) {
 	}
 }
 
+// TestEachShardReportsFirstErrorInShardOrder checks that the build and
+// compaction fan-out runs every shard and reports the failure of the
+// lowest-numbered shard, even when a later shard failed first in time.
+func TestEachShardReportsFirstErrorInShardOrder(t *testing.T) {
+	shards := make([]*Shard, 4)
+	for i := range shards {
+		shards[i] = &Shard{}
+	}
+	ran := make([]bool, len(shards))
+	shard3Failed := make(chan struct{})
+	err := eachShard(shards, func(i int, sh *Shard) error {
+		if sh != shards[i] {
+			t.Errorf("f(%d) got another shard", i)
+		}
+		ran[i] = true
+		switch i {
+		case 1:
+			<-shard3Failed
+			return fmt.Errorf("shard %d", i)
+		case 3:
+			close(shard3Failed)
+			return fmt.Errorf("shard %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "shard 1" {
+		t.Fatalf("eachShard returned %v, want shard 1's error", err)
+	}
+	if !slices.Equal(ran, []bool{true, true, true, true}) {
+		t.Fatalf("shards run: %v", ran)
+	}
+}
+
 // TestRouterWindowEquivalence is the core sharding property: for every
 // index kind and shard count, routed window queries return exactly the
 // unsharded result set, and the router's reported QueryStats reconcile

@@ -3,8 +3,6 @@ package rplus
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"segdb/internal/bulk"
 	"segdb/internal/geom"
@@ -33,12 +31,10 @@ import (
 //  3. Pages are written children-first in a single deterministic
 //     sequence — one write per node, no downward splits, no re-descents.
 //
-// The partition recursion fans out across GOMAXPROCS goroutines, but
-// child results land in fixed slots and phase 3 is sequential, so the
-// disk image is identical for any worker count. ErrUnsplittable is
-// returned when more than a page's worth of segments cannot be
-// separated by any cut (footnote 2 of the paper; unreachable for noded
-// planar maps).
+// Every phase runs on the calling goroutine, so the disk image is
+// deterministic. ErrUnsplittable is returned when more than a page's
+// worth of segments cannot be separated by any cut (footnote 2 of the
+// paper; unreachable for noded planar maps).
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
 	t, err := New(pool, table, cfg)
 	if err != nil {
@@ -56,12 +52,12 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 	if target < 2 {
 		target = 2
 	}
-	b := &kdBuilder{max: t.Max, target: target, gate: bulk.NewGate()}
+	b := &kdBuilder{max: t.Max, target: target}
 	root, err := b.build(geom.World(), entries)
 	if err != nil {
 		return nil, err
 	}
-	t.Comps.Add(b.comps.Load())
+	t.Comps.Add(b.comps)
 
 	// Free the empty root New allocated; the pack writes its own pages.
 	pool.Free(t.Root)
@@ -87,8 +83,7 @@ type kdNode struct {
 type kdBuilder struct {
 	max    int
 	target int
-	gate   bulk.Gate
-	comps  atomic.Uint64
+	comps  uint64
 }
 
 // build recursively partitions region until each leaf holds at most
@@ -108,7 +103,7 @@ func (b *kdBuilder) build(region geom.Rect, segs []bulk.Entry) (*kdNode, error) 
 	lr, rr := splitRegion(region, axis, cut)
 	var lsegs, rsegs []bulk.Entry
 	for _, e := range segs {
-		b.comps.Add(2)
+		b.comps += 2
 		if lr.IntersectsSegment(e.Seg) {
 			lsegs = append(lsegs, e)
 		}
@@ -116,19 +111,15 @@ func (b *kdBuilder) build(region geom.Rect, segs []bulk.Entry) (*kdNode, error) 
 			rsegs = append(rsegs, e)
 		}
 	}
-	n := &kdNode{region: region}
-	var wg sync.WaitGroup
-	var lerr, rerr error
-	b.gate.Run(&wg, func() { n.left, lerr = b.build(lr, lsegs) })
-	n.right, rerr = b.build(rr, rsegs)
-	wg.Wait()
-	if lerr != nil {
-		return nil, lerr
+	left, err := b.build(lr, lsegs)
+	if err != nil {
+		return nil, err
 	}
-	if rerr != nil {
-		return nil, rerr
+	right, err := b.build(rr, rsegs)
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	return &kdNode{region: region, left: left, right: right}, nil
 }
 
 // bestCut evaluates the candidate cut lines deterministically and keeps
@@ -168,7 +159,7 @@ func (b *kdBuilder) bestCut(region geom.Rect, segs []bulk.Entry) (axis int, cut 
 		lr, rr := splitRegion(region, p.axis, p.cut)
 		l, r := 0, 0
 		for _, e := range segs {
-			b.comps.Add(2)
+			b.comps += 2
 			if lr.IntersectsSegment(e.Seg) {
 				l++
 			}

@@ -1,8 +1,10 @@
 package rstar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"segdb/internal/bulk"
 	"segdb/internal/rpage"
@@ -14,11 +16,10 @@ import (
 // Sort-Tile-Recursive algorithm (Leutenegger et al.): entries are sorted
 // into √n vertical slices by center x, each slice sorted by center y, and
 // packed into leaves at the target fill; upper levels pack the same way
-// recursively. The sorts run through the bulk package's parallel merge
-// sort with the entry pointer as tie-break (segment IDs at the leaf
-// level, freshly allocated page IDs above — unique either way), so the
-// packing is a strict total order and the disk image is identical for
-// any worker count.
+// recursively. The sorts tie-break on the entry pointer (segment IDs at
+// the leaf level, freshly allocated page IDs above — unique either way),
+// so the packing is a strict total order and the disk image is
+// deterministic.
 //
 // The paper builds its trees by one-at-a-time insertion (that is what
 // Table 1 measures), so bulk loading is an extension: it shows how much
@@ -77,14 +78,10 @@ func (t *Tree) packLevel(entries []rpage.Entry, perNode int, leaf bool) ([]rpage
 	nodeCount := (len(entries) + perNode - 1) / perNode
 	sliceCount := int(math.Ceil(math.Sqrt(float64(nodeCount))))
 
-	bulk.Sort(entries, func(a, b rpage.Entry) int {
-		return centerCmp(a.Rect.Center().X, b.Rect.Center().X, a.Ptr, b.Ptr)
-	})
+	sortByCenter(entries, false)
 	var parents []rpage.Entry
 	for _, slice := range evenChunks(entries, sliceCount) {
-		bulk.Sort(slice, func(a, b rpage.Entry) int {
-			return centerCmp(a.Rect.Center().Y, b.Rect.Center().Y, a.Ptr, b.Ptr)
-		})
+		sortByCenter(slice, true)
 		nodesInSlice := (len(slice) + perNode - 1) / perNode
 		for _, group := range evenChunks(slice, nodesInSlice) {
 			n := &rpage.Node{Leaf: leaf, Entries: group}
@@ -101,20 +98,29 @@ func (t *Tree) packLevel(entries []rpage.Entry, perNode int, leaf bool) ([]rpage
 	return parents, nil
 }
 
-// centerCmp orders by a center coordinate, tie-broken by the entry
-// pointer, which is unique within a level.
-func centerCmp(ca, cb int32, pa, pb uint32) int {
-	switch {
-	case ca < cb:
-		return -1
-	case ca > cb:
-		return 1
-	case pa < pb:
-		return -1
-	case pa > pb:
-		return 1
+// sortByCenter sorts entries by their center's x (or y), tie-broken by
+// the entry pointer, which is unique within a level. Each key is
+// computed once, not once per comparison: the center in the high word
+// with its sign bit flipped, so unsigned order is signed order, and the
+// pointer in the low word.
+func sortByCenter(entries []rpage.Entry, y bool) {
+	type keyed struct {
+		key uint64
+		e   rpage.Entry
 	}
-	return 0
+	ks := make([]keyed, len(entries))
+	for i, e := range entries {
+		c := e.Rect.Center()
+		v := c.X
+		if y {
+			v = c.Y
+		}
+		ks[i] = keyed{uint64(uint32(v)^1<<31)<<32 | uint64(e.Ptr), e}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for i, k := range ks {
+		entries[i] = k.e
+	}
 }
 
 // evenChunks splits s into at most n contiguous chunks whose sizes differ
