@@ -66,7 +66,7 @@ loc:
 # loc-check is the ratchet on that total: it fails when the count exceeds
 # LOC_BUDGET, the total of the last PR that lowered it. A PR that needs
 # more lines raises the number here, where the diff shows it.
-LOC_BUDGET = 19512
+LOC_BUDGET = 19741
 loc-check:
 	@total=$$($(LOC_FILES) | xargs cat | wc -l); \
 	if [ $$total -gt $(LOC_BUDGET) ]; then \
@@ -145,7 +145,9 @@ bench-kernels:
 # frozen harness has no profile flag — and prints the top of the profile
 # by cumulative time. The test binary and the profile stay in
 # .bench_build/; `go tool pprof -list 'Cursor..Get' .bench_build/hot.test
-# .bench_build/hot.prof` reads a function line by line.
+# .bench_build/hot.prof` reads a function line by line. The k-NN share
+# alone is BenchmarkNearestK (same resident R*-tree, k = 1, 5, 10):
+# `go test -run xxx -bench NearestK -benchmem .`
 profile-hot:
 	@mkdir -p .bench_build
 	$(GO) test -run xxx -bench HotReads -benchtime 5s -o .bench_build/hot.test -cpuprofile .bench_build/hot.prof .

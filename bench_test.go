@@ -591,17 +591,7 @@ func BenchmarkWindowBatch(b *testing.B) {
 // No disk access, no decode: what is left is the node kernels, the pool
 // hit, the segment fetch, the k-NN queue and the facade.
 func BenchmarkHotReads(b *testing.B) {
-	m, err := GenerateCounty("Charles")
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := Open(RStarTree, WithPoolPages(4096))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.AddBatch(m.Segments); err != nil {
-		b.Fatal(err)
-	}
+	db := hotRStar(b)
 	type read struct {
 		r Rect
 		p Point
@@ -640,5 +630,56 @@ func BenchmarkHotReads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(&reads[i%len(reads)])
+	}
+}
+
+// hotRStar bulk-builds the Charles map into an R*-tree whose 4096 pool
+// pages hold everything, as the repo benchmark's rstar_hot does.
+func hotRStar(b *testing.B) *DB {
+	b.Helper()
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := Open(RStarTree, WithPoolPages(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.AddBatch(m.Segments); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkNearestK prices the nearest-line query alone on the resident
+// R*-tree of BenchmarkHotReads: NearestKAppendCtx at uniform points, one
+// sub-benchmark per k, result buffer reused, so allocs/op is the search's
+// own (zero when warm).
+func BenchmarkNearestK(b *testing.B) {
+	db := hotRStar(b)
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]Point, 1<<12)
+	for i := range pts {
+		pts[i] = Pt(rng.Int31n(WorldSize), rng.Int31n(WorldSize))
+	}
+	ctx := context.Background()
+	for _, k := range []int{1, 5, 10} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var nn []NearestResult
+			query := func(p Point) {
+				var err error
+				if nn, _, err = db.NearestKAppendCtx(ctx, p, k, nn[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, p := range pts { // fill the decode slots and the scratch
+				query(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(pts[i%len(pts)])
+			}
+		})
 	}
 }

@@ -198,7 +198,7 @@ func (g *Grid) cellMembers(cx, cy int32, dst []seg.ID, o *obs.Op) ([]seg.ID, err
 // searches allocate nothing.
 var (
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
-	nnPool      = sync.Pool{New: func() any { return new([]knn.Item[nnEntry]) }}
+	nnPool      = sync.Pool{New: func() any { return new(nnScratch) }}
 )
 
 // WindowObs visits every segment intersecting r exactly once.
@@ -254,6 +254,13 @@ type nnEntry struct {
 	s  geom.Segment
 }
 
+// nnScratch is the pooled working memory of one nearest-neighbor search:
+// the queue and the payloads its items' Slots index.
+type nnScratch struct {
+	q    knn.Queue
+	segs []nnEntry
+}
+
 // NearestKAppendObs appends to dst up to k segments in increasing
 // distance from p. Rings of cells are examined outward from the query
 // point, keeping a candidate priority queue, until the k-th best
@@ -262,9 +269,16 @@ type nnEntry struct {
 // reused dst a warm query's search machinery allocates nothing.
 func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
-	qp := nnPool.Get().(*[]knn.Item[nnEntry])
-	q := (*qp)[:0]
-	defer func() { *qp = q[:0]; nnPool.Put(qp) }()
+	sc := nnPool.Get().(*nnScratch)
+	sc.q.Reset(k)
+	sc.segs = sc.segs[:0]
+	defer nnPool.Put(sc)
+	q := &sc.q
+	emit := func() {
+		it := q.Pop()
+		e := sc.segs[it.Slot]
+		dst = append(dst, core.NearestResult{ID: e.id, Seg: e.s, DistSq: it.DistSq, Found: true})
+	}
 	seen := seg.AcquireSeen()
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
@@ -298,7 +312,9 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				}
 				return err
 			}
-			knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{id: id, s: s})
+			if q.PushExact(geom.DistSqPointSegment(p, s), uint32(len(sc.segs))) {
+				sc.segs = append(sc.segs, nnEntry{id: id, s: s})
+			}
 		}
 		return nil
 	}
@@ -327,9 +343,8 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		bound := (float64(ring) - 1) * float64(g.cellSize)
 		if bound > 0 {
 			b2 := bound * bound
-			for len(q) > 0 && len(dst)-base < k && q[0].DistSq <= b2 {
-				it := knn.Pop(&q)
-				dst = append(dst, core.NearestResult{ID: it.V.id, Seg: it.V.s, DistSq: it.DistSq, Found: true})
+			for q.Len() > 0 && len(dst)-base < k && q.Min().DistSq <= b2 {
+				emit()
 			}
 			if len(dst)-base >= k {
 				return dst, nil
@@ -337,9 +352,8 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		}
 	}
 	// Rings exhausted: everything remaining is final.
-	for len(q) > 0 && len(dst)-base < k {
-		it := knn.Pop(&q)
-		dst = append(dst, core.NearestResult{ID: it.V.id, Seg: it.V.s, DistSq: it.DistSq, Found: true})
+	for q.Len() > 0 && len(dst)-base < k {
+		emit()
 	}
 	return dst, nil
 }

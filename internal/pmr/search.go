@@ -349,13 +349,29 @@ type nnEntry struct {
 }
 
 // nearestScratch is the working memory of one nearest-neighbor search:
-// the queue, the q-edges prefetched for deferred buckets (appended as
-// regions are enumerated, never moved, so queue items address them by
-// index) and the leaf blocks of the region being enumerated.
+// the queue, the payloads its items' Slots index, the q-edges prefetched
+// for deferred buckets (appended as regions are enumerated, never moved,
+// so queue items address them by index) and the leaf blocks of the region
+// being enumerated.
 type nearestScratch struct {
-	q      []knn.Item[nnEntry]
+	q      knn.Queue
+	ents   []nnEntry
 	refs   []qedgeRef
 	groups []nnEntry // code, lo and hi of each block
+}
+
+// lower queues e under the lower bound d unless the queue drops it.
+func (sc *nearestScratch) lower(d float64, e nnEntry) {
+	if sc.q.PushBound(d, sc.q.Reserve(1), uint32(len(sc.ents))) {
+		sc.ents = append(sc.ents, e)
+	}
+}
+
+// exact queues the segment e at its distance d unless the queue drops it.
+func (sc *nearestScratch) exact(d float64, e nnEntry) {
+	if sc.q.PushExact(d, uint32(len(sc.ents))) {
+		sc.ents = append(sc.ents, e)
+	}
 }
 
 type pqKind uint8
@@ -388,8 +404,10 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	var examined uint64
 	defer func() { t.comps(o, examined) }()
 	sc := nearestPool.Get().(*nearestScratch)
-	q, refs, groups := sc.q[:0], sc.refs[:0], sc.groups
-	defer func() { sc.q, sc.refs, sc.groups = q, refs, groups; nearestPool.Put(sc) }()
+	sc.q.Reset(k)
+	sc.ents = sc.ents[:0]
+	refs, groups := sc.refs[:0], sc.groups
+	defer func() { sc.refs, sc.groups = refs, groups; nearestPool.Put(sc) }()
 	// Seed the queue from the leaf block containing p (one predecessor
 	// search) plus the unexplored siblings along its ancestor path. In
 	// the dense regions favored by the two-stage query points, the
@@ -404,9 +422,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		}
 		// Degraded: seed a full descent; unreachable blocks are skipped
 		// as the search encounters them.
-		knn.Push(&q, 0, nnEntry{kind: pqRegion, code: geom.RootCode()})
+		sc.lower(0, nnEntry{kind: pqRegion, code: geom.RootCode()})
 	} else if ok {
-		knn.Push(&q, 0, nnEntry{kind: pqBucket, code: leaf})
+		sc.lower(0, nnEntry{kind: pqBucket, code: leaf})
 		for c := leaf; c.Depth() > 0; c = c.Parent() {
 			parent := c.Parent()
 			for qd := 0; qd < 4; qd++ {
@@ -415,19 +433,19 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					continue
 				}
 				examined++
-				knn.Push(&q, sib.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: sib})
+				sc.lower(sib.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: sib})
 			}
 		}
 	} else {
-		knn.Push(&q, 0, nnEntry{kind: pqRegion, code: geom.RootCode()})
+		sc.lower(0, nnEntry{kind: pqRegion, code: geom.RootCode()})
 	}
 	seen := seg.AcquireSeen()
 	defer seg.ReleaseSeen(seen)
 	cur := t.table.Cursor(o)
 	defer cur.Close()
-	for len(q) > 0 && len(dst)-base < k {
-		it := knn.Pop(&q)
-		e := it.V
+	for sc.q.Len() > 0 && len(dst)-base < k {
+		it := sc.q.Pop()
+		e := sc.ents[it.Slot]
 		switch e.kind {
 		case pqSeg:
 			dst = append(dst, core.NearestResult{
@@ -467,7 +485,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 						continue
 					}
 					examined++
-					knn.Push(&q, ref.rect.DistSqToPoint(p), nnEntry{kind: pqEdge, id: ref.id})
+					sc.lower(ref.rect.DistSqToPoint(p), nnEntry{kind: pqEdge, id: ref.id})
 					continue
 				}
 				if _, dup := seen[ref.id]; dup {
@@ -481,7 +499,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					return dst, err
 				}
-				knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: ref.id, s: s})
+				sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: ref.id, s: s})
 			}
 
 		case pqEdge:
@@ -496,7 +514,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				}
 				return dst, err
 			}
-			knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: e.id, s: s})
+			sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: e.id, s: s})
 
 		case pqRegion:
 			// Enumerate the q-edges under this region, stopping early
@@ -534,7 +552,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				for qd := 0; qd < 4; qd++ {
 					child := e.code.Child(qd)
 					examined++
-					knn.Push(&q, child.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: child})
+					sc.lower(child.Block().DistSqToPoint(p), nnEntry{kind: pqRegion, code: child})
 				}
 				continue
 			}
@@ -542,7 +560,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// its segments are fetched only if the bucket is reached.
 			for _, g := range groups {
 				examined++
-				knn.Push(&q, g.code.Block().DistSqToPoint(p), g)
+				sc.lower(g.code.Block().DistSqToPoint(p), g)
 			}
 		}
 	}

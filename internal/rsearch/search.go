@@ -1,7 +1,9 @@
 package rsearch
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"segdb/internal/core"
@@ -149,37 +151,68 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 	return true, nil
 }
 
-// nnEntry is the payload of a k-NN queue item: either a node awaiting
-// expansion or a fully resolved segment.
-type nnEntry struct {
-	isSeg bool
-	ptr   uint32
-	s     geom.Segment // valid when isSeg
+// cursorSlot marks a queue item's Slot as a node cursor's index; other
+// items are segments, and their Slot indexes nnScratch.segs.
+const cursorSlot = 1 << 31
+
+// nodeCursor stands in the queue for every child of one expanded node not
+// yet taken: their lower bounds are nnScratch.dist[off:off+n] (+Inf once
+// taken), their pointers nnScratch.ptrs[off:off+n], and child i orders
+// under the push number ref+i reserved at expansion.
+type nodeCursor struct{ off, n, ref uint32 }
+
+// nnSeg is a queued segment's payload.
+type nnSeg struct {
+	id seg.ID
+	s  geom.Segment
 }
 
 // nnScratch is the pooled working memory of one nearest-neighbor search:
-// the queue and the lower-bound lanes MinDistLB writes into.
+// the queue and the payloads its items index.
 type nnScratch struct {
-	q    []knn.Item[nnEntry]
-	dist []float64
+	q       knn.Queue
+	dist    []float64
+	ptrs    []uint32
+	cursors []nodeCursor
+	segs    []nnSeg
 }
 
 var nnPool = sync.Pool{New: func() any { return new(nnScratch) }}
 
+// queueCursor queues cursor c at its least remaining child, by distance
+// and then index, unless it has none or the queue drops it; the least
+// child orders before all the others, so dropping it drops them all.
+func (sc *nnScratch) queueCursor(c uint32) {
+	cr := sc.cursors[c]
+	lanes := sc.dist[cr.off : cr.off+cr.n]
+	best, bestD := 0, math.Inf(1)
+	for i, d := range lanes {
+		if d < bestD {
+			best, bestD = i, d
+		}
+	}
+	if bestD < math.Inf(1) {
+		sc.q.PushBound(bestD, cr.ref+uint32(best), c|cursorSlot)
+	}
+}
+
 // NearestKAppendObs appends to dst up to k segments in increasing
 // distance from p and returns the extended slice, charging o (nil
 // charges nothing). It is the incremental priority-queue search of Hoel
-// & Samet [11]: nodes and segments are ordered by distance and emitted
-// one at a time. The queue backing array, the lower-bound lanes and the
-// duplicate set are pooled, so with a reused dst a warm query's search
-// machinery allocates nothing.
+// & Samet [11]: nodes and segments are ordered by distance, ties by push
+// order, and emitted one at a time. An expanded node queues one cursor
+// rather than all its children, and the queue drops whatever could only
+// pop after the k-th segment, so the search reads, fetches and counts
+// exactly what pushing every child would. The scratch is pooled, so with
+// a reused dst a warm query's search machinery allocates nothing.
 func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	var examined uint64
 	defer func() { t.ChargeComps(o, examined) }()
 	sc := nnPool.Get().(*nnScratch)
-	q, dist := sc.q[:0], sc.dist
-	defer func() { sc.q, sc.dist = q[:0], dist; nnPool.Put(sc) }()
+	sc.q.Reset(k)
+	sc.dist, sc.ptrs, sc.cursors, sc.segs = sc.dist[:0], sc.ptrs[:0], sc.cursors[:0], sc.segs[:0]
+	defer nnPool.Put(sc)
 	var seen map[seg.ID]struct{}
 	if t.dedup {
 		seen = seg.AcquireSeen()
@@ -187,19 +220,22 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	}
 	cur := t.Segs.Cursor(o)
 	defer cur.Close()
-	knn.Push(&q, 0, nnEntry{ptr: uint32(t.Root)})
-	for len(q) > 0 && len(dst)-base < k {
-		it := knn.Pop(&q)
-		if it.V.isSeg {
-			dst = append(dst, core.NearestResult{
-				ID:     seg.ID(it.V.ptr),
-				Seg:    it.V.s,
-				DistSq: it.DistSq,
-				Found:  true,
-			})
+	// The root enters the queue as the only child of a one-entry cursor.
+	sc.dist, sc.ptrs = append(sc.dist, 0), append(sc.ptrs, uint32(t.Root))
+	sc.cursors = append(sc.cursors, nodeCursor{n: 1, ref: sc.q.Reserve(1)})
+	sc.queueCursor(0)
+	for sc.q.Len() > 0 && len(dst)-base < k {
+		it := sc.q.Pop()
+		if it.Slot&cursorSlot == 0 {
+			s := sc.segs[it.Slot]
+			dst = append(dst, core.NearestResult{ID: s.id, Seg: s.s, DistSq: it.DistSq, Found: true})
 			continue
 		}
-		n, err := t.readSoA(store.PageID(it.V.ptr), o)
+		c := it.Slot &^ cursorSlot
+		child := sc.cursors[c].off + it.Ref - sc.cursors[c].ref
+		sc.dist[child] = math.Inf(1)
+		sc.queueCursor(c)
+		n, err := t.readSoA(store.PageID(sc.ptrs[child]), o)
 		if err != nil {
 			if store.IsUnavailable(err) {
 				continue // degraded: skip the quarantined subtree
@@ -224,24 +260,25 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					}
 					return dst, err
 				}
-				knn.Push(&q, geom.DistSqPointSegment(p, s), nnEntry{isSeg: true, ptr: n.Ptr[i], s: s})
+				if sc.q.PushExact(geom.DistSqPointSegment(p, s), uint32(len(sc.segs))) {
+					sc.segs = append(sc.segs, nnSeg{id: sid, s: s})
+				}
 			}
 			continue
 		}
 		// Internal node: the k-NN lower bounds for every child come from
 		// one branch-free MinDistLB sweep over the coordinate lanes
-		// (bit-equivalent to per-entry Rect.DistSqToPoint), then the
-		// children are pushed in entry order, so pop order and page
-		// access order match the scalar loop exactly.
-		if cap(dist) < N {
-			dist = make([]float64, N)
-		}
-		dist = dist[:N]
-		kernel.MinDistLB(n.Xmin, n.Ymin, n.Xmax, n.Ymax, p, dist)
+		// (bit-equivalent to per-entry Rect.DistSqToPoint) into the
+		// cursor's lanes, and the children take consecutive push numbers
+		// in entry order, so pop order and page access order match
+		// pushing them one by one.
+		off := len(sc.dist)
+		sc.dist = slices.Grow(sc.dist, N)[:off+N]
+		kernel.MinDistLB(n.Xmin, n.Ymin, n.Xmax, n.Ymax, p, sc.dist[off:])
+		sc.ptrs = append(sc.ptrs, n.Ptr...)
 		examined += uint64(N)
-		for i := 0; i < N; i++ {
-			knn.Push(&q, dist[i], nnEntry{ptr: n.Ptr[i]})
-		}
+		sc.cursors = append(sc.cursors, nodeCursor{off: uint32(off), n: uint32(N), ref: sc.q.Reserve(N)})
+		sc.queueCursor(uint32(len(sc.cursors) - 1))
 	}
 	return dst, nil
 }

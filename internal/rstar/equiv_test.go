@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"segdb/internal/core"
@@ -85,9 +86,11 @@ func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o
 }
 
 // pqItem and refPQ are the reference's own priority queue, on
-// container/heap — the sift order the production queue (internal/knn) mirrors,
-// so pop order (and with it page access order) must agree.
+// container/heap, in the production queue's order (internal/knn):
+// distance, then push order, so pop order (and with it page access order)
+// must agree.
 type pqItem struct {
+	seq    int64
 	distSq float64
 	isSeg  bool
 	ptr    uint32
@@ -97,10 +100,12 @@ type pqItem struct {
 
 type refPQ []pqItem
 
-func (q refPQ) Len() int           { return len(q) }
-func (q refPQ) Less(i, j int) bool { return q[i].distSq < q[j].distSq }
-func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q refPQ) Len() int { return len(q) }
+func (q refPQ) Less(i, j int) bool {
+	return q[i].distSq < q[j].distSq || q[i].distSq == q[j].distSq && q[i].seq < q[j].seq
+}
+func (q refPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x any)   { *q = append(*q, x.(pqItem)) }
 func (q *refPQ) Pop() any {
 	old := *q
 	it := old[len(old)-1]
@@ -108,8 +113,13 @@ func (q *refPQ) Pop() any {
 	return it
 }
 
-func pqPush(q *[]pqItem, it pqItem) { heap.Push((*refPQ)(q), it) }
-func pqPop(q *[]pqItem) pqItem      { return heap.Pop((*refPQ)(q)).(pqItem) }
+var pqSeq atomic.Int64
+
+func pqPush(q *[]pqItem, it pqItem) {
+	it.seq = pqSeq.Add(1)
+	heap.Push((*refPQ)(q), it)
+}
+func pqPop(q *[]pqItem) pqItem { return heap.Pop((*refPQ)(q)).(pqItem) }
 
 // refNearestK is the scalar reference k-NN: the same incremental
 // priority-queue search with per-entry Rect.DistSqToPoint lower bounds.

@@ -11,15 +11,18 @@ import (
 	"segdb/internal/obs"
 )
 
-// frame is one buffer-pool slot. Its bookkeeping — the dirty bit and the
-// LRU links — is guarded by the pool latch; the pin count and the decode
-// slot are atomics because GetDecodedObs and ReadObs drop their pin, and
-// read the slot, without it.
+// frame is one buffer-pool slot. Its bookkeeping — the dirty bit, the
+// held count and the LRU links — is guarded by the pool latch; the pin
+// count and the decode slot are atomics because GetDecodedObs and ReadObs
+// drop their pin, and read the slot, without it.
 type frame struct {
-	id         PageID
-	data       []byte
-	pins       atomic.Int32
-	dirty      bool   // bytes not yet written back to the disk
+	id    PageID
+	data  []byte
+	pins  atomic.Int32
+	dirty bool // bytes not yet written back to the disk
+	// held counts the pins handed out with the bytes (Get, Allocate),
+	// whose holders may be writing them; Flush leaves such a frame alone.
+	held       uint16
 	prev, next *frame // LRU list; most recently used at head
 
 	// decoded is the frame's decode-once cache slot: the immutable
@@ -35,6 +38,15 @@ type frame struct {
 	decoded atomic.Pointer[any]
 }
 
+// take adds a pin, counted as held when its taker gets the bytes. The
+// pool latch must be held.
+func (f *frame) take(held bool) {
+	f.pins.Add(1)
+	if held {
+		f.held++
+	}
+}
+
 // modified records that the frame's bytes changed: they must be written
 // back and decoded afresh. The pool latch must be held.
 func (f *frame) modified() {
@@ -43,7 +55,7 @@ func (f *frame) modified() {
 }
 
 // Pool is a buffer pool over a Disk: the paper's configuration, one latch
-// over a frame map and an exact-LRU list. Fetching a page that is
+// over a page table and an exact-LRU list. Fetching a page that is
 // resident costs nothing (a hit); a miss evicts the least recently used
 // unpinned frame (writing it back if dirty) and reads the page from disk,
 // so the experiments' disk-access counts reproduce precisely.
@@ -58,10 +70,15 @@ type Pool struct {
 	capacity int
 	hits     atomic.Uint64
 
-	mu     sync.Mutex // guards frames, the LRU list and each frame's dirty bit
-	frames map[PageID]*frame
-	head   *frame // most recently used
-	tail   *frame // least recently used
+	mu sync.Mutex // guards frames, resident, the LRU list and each frame's dirty bit
+	// frames is the page table: the resident frame of page id is
+	// frames[id], nil when the page is not resident. Page IDs are dense
+	// from the disk's allocator, so a slice replaces a hash lookup; it
+	// grows when a page beyond its end comes in.
+	frames   []*frame
+	resident int    // the non-nil entries of frames
+	head     *frame // most recently used
+	tail     *frame // least recently used
 
 	// Decode-once cache counters: decodeHits counts GetDecodedObs calls
 	// served from a frame's cached decoded node (the binary decode was
@@ -96,7 +113,7 @@ func NewPool(disk *Disk, capacity int) *Pool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("store: invalid pool capacity %d", capacity))
 	}
-	return &Pool{disk: disk, capacity: capacity, frames: make(map[PageID]*frame, capacity)}
+	return &Pool{disk: disk, capacity: capacity}
 }
 
 // Disk returns the underlying disk.
@@ -117,8 +134,16 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) Resident(id PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.frames[id]
-	return ok
+	return p.lookup(id) != nil
+}
+
+// lookup returns the resident frame of page id, or nil. The latch must be
+// held.
+func (p *Pool) lookup(id PageID) *frame {
+	if int(id) < len(p.frames) {
+		return p.frames[id]
+	}
+	return nil
 }
 
 // Allocate creates a new zeroed page and returns it pinned and dirty.
@@ -133,7 +158,7 @@ func (p *Pool) Allocate() (PageID, []byte, error) {
 		if err == nil {
 			clear(f.data) // a reused victim buffer still holds the evicted page
 			f.modified()
-			f.pins.Add(1)
+			f.take(true)
 			p.mu.Unlock()
 			return id, f.data, nil
 		}
@@ -162,18 +187,19 @@ func (p *Pool) Get(id PageID) ([]byte, error) {
 // cancellation granularity of the whole query layer. A nil o makes this
 // identical to Get.
 func (p *Pool) GetObs(id PageID, o *obs.Op) ([]byte, error) {
-	f, err := p.pin(id, o)
+	f, err := p.pin(id, o, true)
 	if err != nil {
 		return nil, err
 	}
 	return f.data, nil
 }
 
-// pin is the shared request path behind GetObs and GetDecodedObs: it
-// brings the page into the pool if needed, charges the request (hit or
-// miss) to o and the pool's counters, and returns the frame with one pin
-// taken.
-func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
+// pin is the shared request path behind GetObs, GetDecodedObs and
+// ReadObs: it brings the page into the pool if needed, charges the
+// request (hit or miss) to o and the pool's counters, and returns the
+// frame with one pin taken, counted as held when the caller gets the
+// bytes.
+func (p *Pool) pin(id PageID, o *obs.Op, held bool) (*frame, error) {
 	if id == NilPage {
 		return nil, fmt.Errorf("store: get of nil page: %w", ErrBadPage)
 	}
@@ -190,12 +216,12 @@ func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
 		// Released by hand, charges made after it: a deferred unlock was a
 		// measurable share of a hit.
 		p.mu.Lock()
-		if f, ok := p.frames[id]; ok {
+		if f := p.lookup(id); f != nil {
 			if p.head != f {
 				p.unlink(f)
 				p.pushFront(f)
 			}
-			f.pins.Add(1)
+			f.take(held)
 			p.mu.Unlock()
 			p.hits.Add(1)
 			o.PoolHits(1)
@@ -203,7 +229,7 @@ func (p *Pool) pin(id PageID, o *obs.Op) (*frame, error) {
 		}
 		f, err := p.install(id, true, o)
 		if err == nil {
-			f.pins.Add(1)
+			f.take(held)
 			p.mu.Unlock()
 			o.PoolMiss(uint32(id))
 			return f, nil
@@ -238,7 +264,7 @@ type DecodeFunc func(data []byte) (any, error)
 // provides this); under that contract a request can never observe — or
 // cache — a decoded value that is stale relative to the page's bytes.
 func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, error) {
-	f, err := p.pin(id, o)
+	f, err := p.pin(id, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +293,7 @@ func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, erro
 // page copy). Bytes a writer may be changing must lie outside the range
 // asked for — the table asks only for records already visible to it.
 func (p *Pool) ReadObs(id PageID, off int, dst []byte, o *obs.Op) error {
-	f, err := p.pin(id, o)
+	f, err := p.pin(id, o, false)
 	if err != nil {
 		return err
 	}
@@ -323,8 +349,8 @@ func quarantineable(err error) bool {
 func (p *Pool) Discard(id PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[id]
-	if !ok {
+	f := p.lookup(id)
+	if f == nil {
 		return true
 	}
 	if f.pins.Load() > 0 {
@@ -341,13 +367,14 @@ func (p *Pool) Discard(id PageID) bool {
 func (p *Pool) Unpin(id PageID, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[id]
-	if !ok || f.pins.Load() == 0 {
+	f := p.lookup(id)
+	if f == nil || f.held == 0 {
 		panic(fmt.Sprintf("store: unpin of unpinned page %d", id))
 	}
 	if dirty {
 		f.modified()
 	}
+	f.held--
 	f.pins.Add(-1)
 }
 
@@ -357,8 +384,8 @@ func (p *Pool) Unpin(id PageID, dirty bool) {
 func (p *Pool) MarkDirty(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[id]
-	if !ok {
+	f := p.lookup(id)
+	if f == nil {
 		panic(fmt.Sprintf("store: mark dirty of non-resident page %d", id))
 	}
 	f.modified()
@@ -370,7 +397,7 @@ func (p *Pool) MarkDirty(id PageID) {
 // dead.
 func (p *Pool) Free(id PageID) {
 	p.mu.Lock()
-	if f, ok := p.frames[id]; ok {
+	if f := p.lookup(id); f != nil {
 		if f.pins.Load() > 0 {
 			p.mu.Unlock()
 			panic(fmt.Sprintf("store: free of pinned page %d", id))
@@ -382,9 +409,15 @@ func (p *Pool) Free(id PageID) {
 }
 
 // Flush writes back every dirty frame (without evicting), as done once at
-// the end of a build so that sizes and write counts are comparable. On a
-// write fault it stops and reports the error; the failed frame and any
-// not yet visited stay dirty.
+// the end of a build so that sizes and write counts are comparable. A
+// frame pinned by a Get or Allocate caller is skipped and stays dirty:
+// that caller may be writing the bytes, so they are written by a later
+// Flush or by the frame's eviction, both after its Unpin. Pins taken by
+// GetDecodedObs and ReadObs only read, so a staged-mode checkpoint still
+// writes a page a concurrent query is decoding. The database flushes
+// under its writer lock, when no write path holds a pin. On a write fault
+// it stops and reports the error; the failed frame and any not yet
+// visited stay dirty.
 func (p *Pool) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -392,8 +425,8 @@ func (p *Pool) Flush() error {
 }
 
 func (p *Pool) flushLocked() error {
-	for _, f := range p.frames {
-		if f.dirty {
+	for f := p.head; f != nil; f = f.next {
+		if f.dirty && f.held == 0 {
 			if err := p.disk.write(f.id, f.data); err != nil {
 				return err
 			}
@@ -416,12 +449,13 @@ func (p *Pool) DropAll() error {
 	if err := p.flushLocked(); err != nil {
 		return err
 	}
-	for id, f := range p.frames {
+	for f := p.head; f != nil; f = f.next {
 		if f.pins.Load() > 0 {
-			panic(fmt.Sprintf("store: drop-all with pinned page %d", id))
+			panic(fmt.Sprintf("store: drop-all with pinned page %d", f.id))
 		}
 	}
 	clear(p.frames)
+	p.resident = 0
 	p.head, p.tail = nil, nil
 	return nil
 }
@@ -437,22 +471,17 @@ func (p *Pool) DropAll() error {
 func (p *Pool) DropUnpinned() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, f := range p.frames {
-		if f.pins.Load() > 0 || !f.dirty {
-			continue
-		}
-		if err := p.disk.write(f.id, f.data); err != nil {
-			return 0, err
-		}
-		f.dirty = false
+	if err := p.flushLocked(); err != nil {
+		return 0, err
 	}
 	dropped := 0
-	for _, f := range p.frames {
-		if f.pins.Load() > 0 {
-			continue
+	for f := p.head; f != nil; {
+		next := f.next
+		if f.pins.Load() == 0 {
+			p.remove(f)
+			dropped++
 		}
-		p.remove(f)
-		dropped++
+		f = next
 	}
 	return dropped, nil
 }
@@ -465,7 +494,7 @@ func (p *Pool) DropUnpinned() (int, error) {
 // The latch must be held.
 func (p *Pool) install(id PageID, readFromDisk bool, o *obs.Op) (*frame, error) {
 	var buf []byte
-	if len(p.frames) >= p.capacity {
+	if p.resident >= p.capacity {
 		victim := p.tail
 		for victim != nil && victim.pins.Load() > 0 {
 			victim = victim.prev
@@ -490,16 +519,21 @@ func (p *Pool) install(id PageID, readFromDisk bool, o *obs.Op) (*frame, error) 
 			return nil, err
 		}
 	}
+	if int(id) >= len(p.frames) {
+		p.frames = append(p.frames, make([]*frame, int(id)+1-len(p.frames))...)
+	}
 	p.frames[id] = f
+	p.resident++
 	p.pushFront(f)
 	return f, nil
 }
 
-// remove drops a frame from the map and the LRU list. The latch must be
-// held.
+// remove drops a frame from the page table and the LRU list. The latch
+// must be held.
 func (p *Pool) remove(f *frame) {
 	p.unlink(f)
-	delete(p.frames, f.id)
+	p.frames[f.id] = nil
+	p.resident--
 }
 
 func (p *Pool) pushFront(f *frame) {

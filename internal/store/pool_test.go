@@ -147,6 +147,57 @@ func TestPoolMatchesLRUModel(t *testing.T) {
 	}
 }
 
+// TestFlushSkipsHeldFrames pins the Flush contract: a frame whose bytes a
+// Get or Allocate caller still holds stays dirty through a Flush, and the
+// Flush after its Unpin writes it; a read-only pin does not stop the
+// write-back.
+func TestFlushSkipsHeldFrames(t *testing.T) {
+	p := NewPool(NewDisk(64), 4)
+	id, data, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 7
+	onDisk := func() byte {
+		t.Helper()
+		raw, err := p.Disk().RawPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw[0]
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Writes; got != 0 || onDisk() != 0 {
+		t.Fatalf("Flush wrote a held frame: %d writes, disk byte %d", got, onDisk())
+	}
+	p.Unpin(id, true)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Writes; got != 1 || onDisk() != 7 {
+		t.Fatalf("Flush after Unpin: %d writes, disk byte %d; want 1 write of byte 7", got, onDisk())
+	}
+
+	// A query's pin (GetDecodedObs, ReadObs) only reads the bytes.
+	data, err = p.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 9
+	p.Unpin(id, true)
+	f := p.frames[id]
+	f.pins.Add(1)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.pins.Add(-1)
+	if got := p.Stats().Writes; got != 2 || onDisk() != 9 {
+		t.Fatalf("Flush under a read pin: %d writes, disk byte %d; want 2 writes, byte 9", got, onDisk())
+	}
+}
+
 func TestShardedPoolConcurrentStress(t *testing.T) {
 	// Hammer one pool from many goroutines mixing Get, GetObs, Unpin,
 	// Allocate, Free, and Flush. Run under -race this checks the latching
