@@ -13,7 +13,7 @@ import (
 	"segdb/internal/tiger"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/query_counts.golden from this build's counts")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files of the tests that run")
 
 // countsSpec is a 4,175-segment rural county: 66 table pages, so a 16-page
 // table pool evicts on every query and a 2-page one on nearly every
@@ -60,34 +60,41 @@ func TestQueryCountsGolden(t *testing.T) {
 			}
 		}
 	}
-	const golden = "testdata/query_counts.golden"
+	matchGolden(t, "testdata/query_counts.golden", out.Bytes())
+}
+
+// matchGolden compares out with the golden file at path line by line,
+// naming the first line that moved and the "== " section it is in; with
+// -update it rewrites the file instead.
+func matchGolden(t *testing.T, path string, out []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(out.Bytes(), want) {
+	if bytes.Equal(out, want) {
 		return
 	}
-	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	got, exp := strings.Split(string(out), "\n"), strings.Split(string(want), "\n")
 	section := ""
 	for i := 0; i < len(got) && i < len(exp); i++ {
 		if strings.HasPrefix(got[i], "== ") {
 			section = got[i]
 		}
 		if got[i] != exp[i] {
-			t.Fatalf("counts moved at line %d (%s):\n got  %s\n want %s", i+1, section, got[i], exp[i])
+			t.Fatalf("%s moved at line %d (%s):\n got  %s\n want %s", path, i+1, section, got[i], exp[i])
 		}
 	}
-	t.Fatalf("counts moved: %d lines, golden has %d", len(got), len(exp))
+	t.Fatalf("%s moved: %d lines, golden has %d", path, len(got), len(exp))
 }
 
 // queryCounts builds one configuration, replays the fixed stream and
