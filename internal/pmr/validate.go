@@ -32,6 +32,7 @@ func (t *Tree) Validate() error {
 		}
 	}
 	segsSeen := make(map[seg.ID]struct{})
+	var order []seg.ID // segsSeen in first-seen order, so the check's page requests repeat
 	for _, c := range blocks {
 		exLo, exHi := exactRange(c)
 		var members []seg.ID
@@ -56,7 +57,10 @@ func (t *Tree) Validate() error {
 			if !touches(c, s) {
 				return fmt.Errorf("pmr: segment %d %v does not touch its block %v", id, s, c.Block())
 			}
-			segsSeen[id] = struct{}{}
+			if _, ok := segsSeen[id]; !ok {
+				segsSeen[id] = struct{}{}
+				order = append(order, id)
+			}
 		}
 	}
 	if len(segsSeen) != t.count {
@@ -64,7 +68,7 @@ func (t *Tree) Validate() error {
 	}
 	// Completeness: every stored segment is present in every leaf it
 	// intersects.
-	for id := range segsSeen {
+	for _, id := range order {
 		s, err := t.table.Get(id)
 		if err != nil {
 			return err
