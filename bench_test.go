@@ -19,6 +19,7 @@ import (
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/harness"
+	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/rstar"
 	"segdb/internal/seg"
@@ -147,52 +148,56 @@ func itoa(v int) string {
 // per operation.
 func BenchmarkTable2Queries(b *testing.B) {
 	_, built, wl := benchSetup(b)
-	type op func(ix core.Index, i int) error
+	type op func(ix core.Index, i int, o *obs.Op) error
 	sink := func(SegmentID, Segment) bool { return true }
 	ops := []struct {
 		kind harness.QueryKind
 		run  op
 	}{
-		{harness.Point1, func(ix core.Index, i int) error {
-			return core.IncidentAtObs(ix, wl.EndpointPts[i%len(wl.EndpointPts)], sink, nil)
+		{harness.Point1, func(ix core.Index, i int, o *obs.Op) error {
+			return core.IncidentAtObs(ix, wl.EndpointPts[i%len(wl.EndpointPts)], sink, o)
 		}},
-		{harness.Point2, func(ix core.Index, i int) error {
+		{harness.Point2, func(ix core.Index, i int, o *obs.Op) error {
 			j := i % len(wl.EndpointSegs)
-			return core.OtherEndpointObs(ix, wl.EndpointSegs[j], wl.EndpointPts[j], sink, nil)
+			return core.OtherEndpointObs(ix, wl.EndpointSegs[j], wl.EndpointPts[j], sink, o)
 		}},
-		{harness.Nearest2Stage, func(ix core.Index, i int) error {
-			_, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil)
+		{harness.Nearest2Stage, func(ix core.Index, i int, o *obs.Op) error {
+			_, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], o)
 			return err
 		}},
-		{harness.Nearest1Stage, func(ix core.Index, i int) error {
-			_, err := core.FirstNearestObs(ix, wl.OneStage[i%len(wl.OneStage)], nil)
+		{harness.Nearest1Stage, func(ix core.Index, i int, o *obs.Op) error {
+			_, err := core.FirstNearestObs(ix, wl.OneStage[i%len(wl.OneStage)], o)
 			return err
 		}},
-		{harness.Polygon2Stage, func(ix core.Index, i int) error {
-			_, err := core.EnclosingPolygonObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil)
+		{harness.Polygon2Stage, func(ix core.Index, i int, o *obs.Op) error {
+			_, err := core.EnclosingPolygonObs(ix, wl.TwoStage[i%len(wl.TwoStage)], o)
 			return err
 		}},
-		{harness.Polygon1Stage, func(ix core.Index, i int) error {
-			_, err := core.EnclosingPolygonObs(ix, wl.OneStage[i%len(wl.OneStage)], nil)
+		{harness.Polygon1Stage, func(ix core.Index, i int, o *obs.Op) error {
+			_, err := core.EnclosingPolygonObs(ix, wl.OneStage[i%len(wl.OneStage)], o)
 			return err
 		}},
-		{harness.Range, func(ix core.Index, i int) error {
-			return ix.WindowObs(wl.Windows[i%len(wl.Windows)], sink, nil)
+		{harness.Range, func(ix core.Index, i int, o *obs.Op) error {
+			return ix.WindowObs(wl.Windows[i%len(wl.Windows)], sink, o)
 		}},
 	}
 	for _, s := range harness.Core() {
 		for _, o := range ops {
 			b.Run(s.String()+"/"+o.kind.String(), func(b *testing.B) {
 				ix := built[s]
-				before := core.Snapshot(ix)
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := o.run(ix, i); err != nil {
-						b.Fatal(err)
+				d, err := core.Measure(ix, func(op *obs.Op) error {
+					for i := 0; i < b.N; i++ {
+						if err := o.run(ix, i, op); err != nil {
+							return err
+						}
 					}
-				}
+					return nil
+				})
 				b.StopTimer()
-				d := core.Snapshot(ix).Sub(before)
+				if err != nil {
+					b.Fatal(err)
+				}
 				n := float64(b.N)
 				b.ReportMetric(float64(d.DiskAccesses)/n, "disk-accesses/op")
 				b.ReportMetric(float64(d.SegComps)/n, "seg-comps/op")
@@ -200,6 +205,25 @@ func BenchmarkTable2Queries(b *testing.B) {
 			})
 		}
 	}
+}
+
+// measureNearest runs b.N first-nearest queries on ix over pts, in
+// order and wrapping around, and returns what they cost. It stops the
+// timer.
+func measureNearest(b *testing.B, ix core.Index, pts []geom.Point) core.Metrics {
+	d, err := core.Measure(ix, func(o *obs.Op) error {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.FirstNearestObs(ix, pts[i%len(pts)], o); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // BenchmarkFigure7BBoxComputations regenerates Figure 7's quantity — the
@@ -211,15 +235,9 @@ func BenchmarkFigure7BBoxComputations(b *testing.B) {
 	for _, s := range []harness.Structure{harness.RStar, harness.RPlus, harness.PMR} {
 		b.Run(s.String(), func(b *testing.B) {
 			ix := built[s]
-			before := ix.NodeComps()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(ix.NodeComps()-before)/float64(b.N), "bbox-comps/op")
+			d := measureNearest(b, ix, wl.TwoStage)
+			b.ReportMetric(float64(d.NodeComps)/float64(b.N), "bbox-comps/op")
 		})
 	}
 }
@@ -231,15 +249,19 @@ func BenchmarkFigure8DiskAccesses(b *testing.B) {
 	for _, s := range harness.Core() {
 		b.Run(s.String(), func(b *testing.B) {
 			ix := built[s]
-			before := core.Snapshot(ix)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ix.WindowObs(wl.Windows[i%len(wl.Windows)], func(SegmentID, Segment) bool { return true }, nil); err != nil {
-					b.Fatal(err)
+			d, err := core.Measure(ix, func(o *obs.Op) error {
+				for i := 0; i < b.N; i++ {
+					if err := ix.WindowObs(wl.Windows[i%len(wl.Windows)], func(SegmentID, Segment) bool { return true }, o); err != nil {
+						return err
+					}
 				}
-			}
+				return nil
+			})
 			b.StopTimer()
-			d := core.Snapshot(ix).Sub(before)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(float64(d.DiskAccesses)/float64(b.N), "disk-accesses/op")
 		})
 	}
@@ -253,15 +275,9 @@ func BenchmarkFigure9SegmentComparisons(b *testing.B) {
 	for _, s := range harness.Core() {
 		b.Run(s.String(), func(b *testing.B) {
 			ix := built[s]
-			before := ix.Table().Comparisons()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(ix.Table().Comparisons()-before)/float64(b.N), "seg-comps/op")
+			d := measureNearest(b, ix, wl.TwoStage)
+			b.ReportMetric(float64(d.SegComps)/float64(b.N), "seg-comps/op")
 		})
 	}
 }
@@ -278,15 +294,8 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			before := core.Snapshot(ix)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.FirstNearestObs(ix, wl.TwoStage[i%len(wl.TwoStage)], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			d := core.Snapshot(ix).Sub(before)
+			d := measureNearest(b, ix, wl.TwoStage)
 			b.ReportMetric(float64(br.SizeBytes)/1024, "KB")
 			b.ReportMetric(float64(d.SegComps)/float64(b.N), "seg-comps/op")
 		})
@@ -338,16 +347,8 @@ func BenchmarkAblationGridVsPMR(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				before := core.Snapshot(ix)
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := wl.OneStage[i%len(wl.OneStage)]
-					if _, err := core.FirstNearestObs(ix, p, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				d := core.Snapshot(ix).Sub(before)
+				d := measureNearest(b, ix, wl.OneStage)
 				b.ReportMetric(float64(br.SizeBytes)/1024, "KB")
 				b.ReportMetric(float64(d.DiskAccesses)/float64(b.N), "disk-accesses/op")
 			})

@@ -1,6 +1,7 @@
 package segdb
 
 import (
+	"segdb/internal/core"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -28,7 +29,7 @@ import (
 // throughout; the batch appears atomically.
 func (db *DB) AddBatch(segs []Segment) ([]SegmentID, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	return db.batchLocked(segs)
 }
 
@@ -67,7 +68,7 @@ func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
 	if merge {
 		// Bulk merge: the survivors of the current index (live segments
 		// only — deleted table slots stay dead) plus the batch.
-		existing, err := db.collectLiveIDs(db.index)
+		existing, err := db.collectLiveIDs(db.index, &db.wop)
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +128,10 @@ func (db *DB) addBatchStagedLocked(segs []Segment) ([]SegmentID, error) {
 	return ids, nil
 }
 
-// rebuildBulk replaces the database's (empty) index with one bulk-built
-// over ids, on a fresh disk so the old index's abandoned pages do not
-// linger in the file. A fault policy live on the old disk carries over.
+// rebuildBulk replaces the database's index with one bulk-built over ids,
+// charging the build to wop, on a fresh disk so the old index's abandoned
+// pages do not linger in the file. A fault policy live on the old disk
+// carries over, and the old pool's device counters move to retired.
 func (db *DB) rebuildBulk(ids []seg.ID) error {
 	disk := store.NewDisk(db.opts.PageSize)
 	if p := db.pool.Disk().FaultPolicy(); p != nil {
@@ -140,11 +142,14 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 		disk.SetRetryPolicy(rp)
 	}
 	pool := store.NewPool(disk, db.opts.PoolPages)
-	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids)
+	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids, &db.wop)
 	if err != nil {
 		return err
 	}
+	db.devMu.Lock()
+	db.retired = db.retired.Add(core.Devices(db.pool.Stats()))
 	db.pool = pool
+	db.devMu.Unlock()
 	db.index = ix
 	return nil
 }

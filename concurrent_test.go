@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -351,8 +352,9 @@ func TestWindowBatch(t *testing.T) {
 }
 
 // TestConcurrentMetricsReaders checks Metrics() can be called while
-// queries are in flight (the counters are atomic), without tripping the
-// race detector.
+// queries and a bulk merge (which swaps the index pool) are in flight,
+// without tripping the race detector, and that no field of the
+// snapshots it takes ever runs backwards.
 func TestConcurrentMetricsReaders(t *testing.T) {
 	m := stressMap(t)
 	db, err := Open(PMRQuadtree, nil)
@@ -362,18 +364,47 @@ func TestConcurrentMetricsReaders(t *testing.T) {
 	if _, err := db.Load(m); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	stop, done := make(chan struct{}), make(chan struct{})
+	var snaps atomic.Int64
 	go func() {
 		defer close(done)
-		for i := 0; i < 50; i++ {
-			_ = db.Metrics()
+		prev, backwards := db.Metrics(), false
+		for {
+			cur := db.Metrics()
+			if !backwards && (cur.DiskAccesses < prev.DiskAccesses || cur.SegComps < prev.SegComps ||
+				cur.NodeComps < prev.NodeComps || cur.PoolHits < prev.PoolHits || cur.PoolRequests < prev.PoolRequests) {
+				backwards = true
+				t.Errorf("Metrics ran backwards: %+v -> %+v", prev, cur)
+			}
+			prev = cur
+			snaps.Add(1)
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
 		}
 	}()
+	// nextSnap waits until the reader has taken a snapshot after the call.
+	nextSnap := func() {
+		for n := snaps.Load(); snaps.Load() == n; {
+			runtime.Gosched()
+		}
+	}
 	for i := 0; i < 20; i++ {
 		if _, err := db.Nearest(Pt(int32(i*700%WorldSize), 5000)); err != nil {
 			t.Fatal(err)
 		}
+		if i == 10 {
+			nextSnap()
+			if _, err := db.AddBatch(m.Segments[:50]); err != nil {
+				t.Fatal(err)
+			}
+			nextSnap()
+		}
 	}
+	close(stop)
 	<-done
 	mtr := db.Metrics()
 	if mtr.PoolRequests < mtr.PoolHits {

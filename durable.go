@@ -298,6 +298,7 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 			return nil, nil, err
 		}
 	}
+	db.foldWrite() // the replay's comparisons
 	return db, &RecoveryReport{
 		CheckpointEpoch: st.epoch,
 		CheckpointSeq:   st.ckptSeq,
@@ -313,7 +314,7 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 // live segments plus staged adds minus every delete, and the index is
 // bulk-rebuilt over it.
 func (db *DB) foldStagedRecovery(ops []store.WALStagedOp) error {
-	base, err := db.collectLiveIDs(db.index)
+	base, err := db.collectLiveIDs(db.index, &db.wop)
 	if err != nil {
 		return err
 	}
@@ -430,7 +431,7 @@ func (db *DB) replayOp(op store.WALStagedOp, staged bool) error {
 		if staged {
 			return nil
 		}
-		return db.index.Delete(seg.ID(op.ID))
+		return db.index.Delete(seg.ID(op.ID), &db.wop)
 	}
 	s := Seg(op.Coords[0], op.Coords[1], op.Coords[2], op.Coords[3])
 	if err := checkSegments(s); err != nil {

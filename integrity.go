@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"segdb/internal/core"
 )
 
 // IntegrityReport is the outcome of DB.CheckIntegrity: a few size facts
@@ -20,8 +18,8 @@ type IntegrityReport struct {
 	IndexPages int
 	TablePages int
 	// PoolHits and PoolRequests snapshot the buffer pools' lifetime cache
-	// behaviour (both disks combined) as of the check; PoolHitRatio is
-	// hits/requests, 0 for an untouched database.
+	// behaviour (both disks combined, as in Metrics) as of the check;
+	// PoolHitRatio is hits/requests, 0 for an untouched database.
 	PoolHits     uint64
 	PoolRequests uint64
 	PoolHitRatio float64
@@ -77,8 +75,8 @@ func (r *IntegrityReport) add(err error) {
 // traffic would make the structural checks race.
 func (db *DB) CheckIntegrity() *IntegrityReport {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	pre := core.Snapshot(db.index)
+	defer db.unlock()
+	pre := db.Metrics()
 	r := &IntegrityReport{
 		Kind:         db.kind,
 		Segments:     db.table.Len(),
@@ -101,7 +99,7 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 		r.add(fmt.Errorf("table disk: %w", err))
 	}
 	r.add(db.table.CheckIntegrity())
-	if err := db.index.Validate(); err != nil {
+	if err := db.index.Validate(&db.wop); err != nil {
 		r.add(fmt.Errorf("%s: %w", db.index.Name(), err))
 	}
 	if n := db.index.Len(); n > db.table.Len() {

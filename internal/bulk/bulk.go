@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 )
 
@@ -25,13 +26,14 @@ type Entry struct {
 	Seg geom.Segment
 }
 
-// Fetch reads the segments for ids from the table in order. The scan is
-// sequential: table pages are laid out in append order, so a 16-page
-// pool already turns this into one read per table page.
-func Fetch(table *seg.Table, ids []seg.ID) ([]Entry, error) {
+// Fetch reads the segments for ids from the table in order, charging o
+// a segment comparison each. The scan is sequential: table pages are laid
+// out in append order, so a 16-page pool already turns this into one read
+// per table page.
+func Fetch(table *seg.Table, ids []seg.ID, o *obs.Op) ([]Entry, error) {
 	out := make([]Entry, len(ids))
 	for i, id := range ids {
-		s, err := table.Get(id)
+		s, err := table.GetObs(id, o)
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,11 @@
 //   - bounding box / bucket computations — geometric predicate evaluations
 //     against node rectangles (R-trees) or quadtree blocks (PMR).
 //
-// Every index implementation charges these counters as it works; the
-// harness snapshots them around operations.
+// An index charges the two comparison counts to the operation it is
+// given (an *obs.Op) and keeps no totals of its own; the disk and pool
+// figures are kept by the devices underneath. Measure costs a call with
+// both: the comparisons from the op it hands the call, the accesses from
+// the devices.
 package core
 
 import (
@@ -29,21 +32,21 @@ import (
 // Guttman R-tree, k-d-B-tree and uniform-grid baselines — and by the
 // merged snapshot view a staged-ingest database reads through.
 //
-// Each of the two index-specific queries has exactly one method, taking
-// the per-query observation o: all disk, segment comparison, and node
-// computation costs are charged to o in addition to the index's own
-// counters, and a canceled query context aborts the traversal at the
-// next page fetch with the context's error. A nil o charges nothing and
-// checks nothing.
+// Every method that reads or writes the structure takes the observation
+// o of the operation it serves: all disk, segment comparison, and node
+// computation costs are charged to o (the index keeps no comparison
+// totals of its own), and a canceled query context aborts the traversal
+// at the next page fetch with the context's error. A nil o charges
+// nothing and checks nothing.
 type Index interface {
 	// Name identifies the structure ("R*-tree", "R+-tree", "PMR").
 	Name() string
 
 	// Insert adds the segment with the given table ID to the index.
-	Insert(id seg.ID) error
+	Insert(id seg.ID, o *obs.Op) error
 
 	// Delete removes a previously inserted segment.
-	Delete(id seg.ID) error
+	Delete(id seg.ID, o *obs.Op) error
 
 	// WindowObs visits every segment whose geometry intersects the closed
 	// rectangle r, passing the already-fetched geometry. Each segment is
@@ -67,10 +70,6 @@ type Index interface {
 	// pages (excluding the segment table, which keeps its own stats).
 	DiskStats() store.Stats
 
-	// NodeComps returns the cumulative bounding box (R-trees) or bounding
-	// bucket (PMR) computation count.
-	NodeComps() uint64
-
 	// SizeBytes returns the storage footprint of the index pages, the
 	// quantity in Table 1 (segment table excluded, as in the paper).
 	SizeBytes() int64
@@ -85,7 +84,7 @@ type Index interface {
 	// Validate checks the index's structural invariants, returning an
 	// error describing the first violation. It is the per-index half of
 	// the database-wide integrity check.
-	Validate() error
+	Validate(o *obs.Op) error
 }
 
 // NearestResult describes the outcome of a nearest-line query.
@@ -156,18 +155,18 @@ func (m Metrics) HitRatio() float64 {
 	return float64(m.PoolHits) / float64(m.PoolRequests)
 }
 
-// Snapshot captures the current cumulative counters of an index and its
-// segment table.
-func Snapshot(ix Index) Metrics {
-	ixStats, tabStats := ix.DiskStats(), ix.Table().DiskStats()
-	return Metrics{
-		DiskAccesses: ixStats.Accesses() + tabStats.Accesses(),
-		SegComps:     ix.Table().Comparisons(),
-		NodeComps:    ix.NodeComps(),
-		PoolHits:     ixStats.Hits + tabStats.Hits,
-		PoolRequests: ixStats.Requests() + tabStats.Requests(),
-		Retries:      ixStats.Retries + tabStats.Retries,
+// Devices sums the disk and buffer-pool counters of the given pools into
+// the device fields of a Metrics (disk accesses, pool hits and requests,
+// retries); the comparison fields stay zero.
+func Devices(pools ...store.Stats) Metrics {
+	var m Metrics
+	for _, s := range pools {
+		m.DiskAccesses += s.Accesses()
+		m.PoolHits += s.Hits
+		m.PoolRequests += s.Requests()
+		m.Retries += s.Retries
 	}
+	return m
 }
 
 // Sub returns the per-operation deltas between two snapshots.
@@ -200,12 +199,17 @@ func (m Metrics) Add(o Metrics) Metrics {
 	}
 }
 
-// Measure runs f and returns the metric deltas it caused on ix. All
-// counters are atomic, so f may fan work across goroutines; the deltas
-// are exact provided every goroutine f started has finished when f
-// returns.
-func Measure(ix Index, f func() error) (Metrics, error) {
-	before := Snapshot(ix)
-	err := f()
-	return Snapshot(ix).Sub(before), err
+// Measure runs f on one operation and returns what it cost on ix: the
+// comparisons charged to the op it passes f, and the disk and pool
+// deltas of ix's pools (index and segment table) around the call. f runs
+// on the caller's goroutine and must charge its work to that op.
+func Measure(ix Index, f func(o *obs.Op) error) (Metrics, error) {
+	devices := func() Metrics { return Devices(ix.DiskStats(), ix.Table().DiskStats()) }
+	before := devices()
+	var o obs.Op
+	err := f(&o)
+	m := devices().Sub(before)
+	st := o.Stats()
+	m.SegComps, m.NodeComps = st.SegComps, st.NodeComps
+	return m, err
 }

@@ -8,6 +8,7 @@ import (
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/grid"
+	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/rplus"
 	"segdb/internal/rstar"
@@ -33,7 +34,7 @@ func buildAll(t *testing.T, segs []geom.Segment) []core.Index {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.Insert(id); err != nil {
+			if err := ix.Insert(id, nil); err != nil {
 				t.Fatalf("%s: insert: %v", ix.Name(), err)
 			}
 		}
@@ -317,8 +318,8 @@ func TestEnclosingPolygonMatchesFaceDecomposition(t *testing.T) {
 func TestMeasureDeltas(t *testing.T) {
 	m := smallMap(t, tiger.Urban)
 	ix := buildAll(t, m.Segments)[0]
-	m1, err := core.Measure(ix, func() error {
-		_, err := core.FirstNearestObs(ix, geom.Pt(4000, 4000), nil)
+	m1, err := core.Measure(ix, func(o *obs.Op) error {
+		_, err := core.FirstNearestObs(ix, geom.Pt(4000, 4000), o)
 		return err
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"segdb/internal/btree"
 	"segdb/internal/bulk"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -22,6 +23,12 @@ import (
 // and a sweep visits each cell once), so the sorted order is a strict
 // total order and the disk image is deterministic.
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Grid, error) {
+	return BulkLoadObs(pool, table, cfg, ids, nil)
+}
+
+// BulkLoadObs is BulkLoad charging o the build's segment fetches and cell
+// computations.
+func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Grid, error) {
 	if cfg.CellsPerSide < 1 || cfg.CellsPerSide > geom.WorldSize {
 		return nil, fmt.Errorf("grid: invalid resolution %d", cfg.CellsPerSide)
 	}
@@ -33,13 +40,13 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Gr
 		n:        cfg.CellsPerSide,
 		cellSize: geom.WorldSize / cfg.CellsPerSide,
 	}
-	entries, err := bulk.Fetch(table, ids)
+	entries, err := bulk.Fetch(table, ids, o)
 	if err != nil {
 		return nil, err
 	}
 	var keys []uint64
 	for _, e := range entries {
-		_ = g.cellsFor(e.Seg, func(cx, cy int32) error {
+		_ = g.cellsFor(e.Seg, o, func(cx, cy int32) error {
 			keys = append(keys, g.key(cx, cy, e.ID))
 			return nil
 		}) // the visitor never fails

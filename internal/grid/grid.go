@@ -13,7 +13,6 @@ package grid
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"segdb/internal/btree"
 	"segdb/internal/core"
@@ -40,12 +39,11 @@ func DefaultConfig() Config { return Config{CellsPerSide: 64} }
 
 // Grid is a disk-resident uniform grid over line segments.
 type Grid struct {
-	bt        *btree.Tree
-	table     *seg.Table
-	n         int32 // cells per side
-	cellSize  int32
-	count     int
-	nodeComps atomic.Uint64
+	bt       *btree.Tree
+	table    *seg.Table
+	n        int32 // cells per side
+	cellSize int32
+	count    int
 }
 
 // New creates an empty grid.
@@ -76,9 +74,6 @@ func (g *Grid) Table() *seg.Table { return g.table }
 
 // DiskStats returns the disk activity of the grid's pages.
 func (g *Grid) DiskStats() store.Stats { return g.bt.Pool().Stats() }
-
-// NodeComps returns the cumulative cell computation count.
-func (g *Grid) NodeComps() uint64 { return g.nodeComps.Load() }
 
 // SizeBytes returns the storage footprint.
 func (g *Grid) SizeBytes() int64 { return g.bt.Pool().Disk().SizeBytes() }
@@ -111,14 +106,15 @@ func (g *Grid) cellOf(p geom.Point) (int32, int32) {
 	return p.X / g.cellSize, p.Y / g.cellSize
 }
 
-// cellsFor visits every cell the segment intersects.
-func (g *Grid) cellsFor(s geom.Segment, visit func(cx, cy int32) error) error {
+// cellsFor visits every cell the segment intersects, charging o one cell
+// computation per cell of the segment's bounding box.
+func (g *Grid) cellsFor(s geom.Segment, o *obs.Op, visit func(cx, cy int32) error) error {
 	b := s.Bounds()
 	cx0, cy0 := g.cellOf(b.Min)
 	cx1, cy1 := g.cellOf(b.Max)
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			g.nodeComps.Add(1)
+			o.NodeComps(1)
 			if g.cellRect(cx, cy).IntersectsSegment(s) {
 				if err := visit(cx, cy); err != nil {
 					return err
@@ -129,13 +125,13 @@ func (g *Grid) cellsFor(s geom.Segment, visit func(cx, cy int32) error) error {
 	return nil
 }
 
-// Insert adds the segment to every cell it crosses.
-func (g *Grid) Insert(id seg.ID) error {
-	s, err := g.table.Get(id)
+// Insert adds the segment to every cell it crosses, charging o.
+func (g *Grid) Insert(id seg.ID, o *obs.Op) error {
+	s, err := g.table.GetObs(id, o)
 	if err != nil {
 		return err
 	}
-	if err := g.cellsFor(s, func(cx, cy int32) error {
+	if err := g.cellsFor(s, o, func(cx, cy int32) error {
 		return g.bt.Insert(g.key(cx, cy, id))
 	}); err != nil {
 		return err
@@ -144,14 +140,14 @@ func (g *Grid) Insert(id seg.ID) error {
 	return nil
 }
 
-// Delete removes the segment from every cell it crosses.
-func (g *Grid) Delete(id seg.ID) error {
-	s, err := g.table.Get(id)
+// Delete removes the segment from every cell it crosses, charging o.
+func (g *Grid) Delete(id seg.ID, o *obs.Op) error {
+	s, err := g.table.GetObs(id, o)
 	if err != nil {
 		return err
 	}
 	removed := 0
-	if err := g.cellsFor(s, func(cx, cy int32) error {
+	if err := g.cellsFor(s, o, func(cx, cy int32) error {
 		switch err := g.bt.Delete(g.key(cx, cy, id)); err {
 		case nil:
 			removed++
@@ -169,13 +165,6 @@ func (g *Grid) Delete(id seg.ID) error {
 	}
 	g.count--
 	return nil
-}
-
-// comps charges n cell computations to both the grid's global counter
-// and the per-query sink.
-func (g *Grid) comps(o *obs.Op, n uint64) {
-	g.nodeComps.Add(n)
-	o.NodeComps(n)
 }
 
 // cellMembers appends the distinct segment ids stored in a cell to dst.
@@ -213,7 +202,7 @@ func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 	defer cur.Close()
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			g.comps(o, 1)
+			o.NodeComps(1)
 			members, err := g.cellMembers(cx, cy, (*mp)[:0], o)
 			*mp = members[:0]
 			if err != nil {
@@ -290,7 +279,7 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		if cx < 0 || cy < 0 || cx >= g.n || cy >= g.n {
 			return nil
 		}
-		g.comps(o, 1)
+		o.NodeComps(1)
 		members, err := g.cellMembers(cx, cy, (*mp)[:0], o)
 		*mp = members[:0]
 		if err != nil {
@@ -399,7 +388,7 @@ func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [4]uint64) (*G
 // (cell, segment) entry points at a stored segment that intersects the
 // cell's rectangle, and the number of distinct segments matches the
 // recorded count.
-func (g *Grid) Validate() error {
+func (g *Grid) Validate(o *obs.Op) error {
 	if err := g.bt.Validate(); err != nil {
 		return err
 	}
@@ -413,7 +402,7 @@ func (g *Grid) Validate() error {
 			verr = fmt.Errorf("grid: entry for cell (%d,%d) outside %dx%d grid", cx, cy, g.n, g.n)
 			return false
 		}
-		s, err := g.table.Get(id)
+		s, err := g.table.GetObs(id, o)
 		if err != nil {
 			verr = fmt.Errorf("grid: cell (%d,%d): %w", cx, cy, err)
 			return false

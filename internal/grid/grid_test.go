@@ -28,7 +28,7 @@ func addSegs(t *testing.T, g *Grid, table *seg.Table, segs []geom.Segment) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Insert(id); err != nil {
+		if err := g.Insert(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestDelete(t *testing.T) {
 	segs := randSegs(rng, 200, 800)
 	addSegs(t, g, table, segs)
 	for i := 0; i < 100; i++ {
-		if err := g.Delete(seg.ID(i)); err != nil {
+		if err := g.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("seg %d: present=%v want %v", i, got[seg.ID(i)], want)
 		}
 	}
-	if err := g.Delete(seg.ID(0)); err != seg.ErrNotIndexed {
+	if err := g.Delete(seg.ID(0), nil); err != seg.ErrNotIndexed {
 		t.Fatalf("double delete: %v", err)
 	}
 }

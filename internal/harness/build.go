@@ -11,6 +11,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/grid"
+	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/rplus"
 	"segdb/internal/rstar"
@@ -62,7 +63,6 @@ type Options struct {
 	// PMRStoreMBR enables the §6 "3-tuple" PMR variant (a bounding
 	// rectangle stored with every q-edge).
 	PMRStoreMBR bool
-	GridCells   int32
 	// DisableReinsert turns off R*-tree forced reinsertion (ablation).
 	DisableReinsert bool
 	// BulkLoad builds the structure bottom-up through the bulk pipeline
@@ -78,7 +78,6 @@ func DefaultOptions() Options {
 		PageSize:     store.DefaultPageSize,
 		PoolPages:    store.DefaultPoolPages,
 		PMRThreshold: 4,
-		GridCells:    64,
 	}
 }
 
@@ -95,7 +94,7 @@ type BuildResult struct {
 	// are meaningful (the paper used a 57 MIPS HP 720).
 	CPU time.Duration
 	// BBoxComps counts the bounding box (R-trees) or bounding bucket
-	// (PMR) computations of the build, from the index's own counter: the
+	// (PMR) computations the build charged to its operation: the
 	// deterministic currency behind the CPU column's ordering.
 	BBoxComps uint64
 	// AvgLeafOccupancy is the mean segment count per leaf page or bucket
@@ -123,12 +122,13 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		pmrCfg.SplittingThreshold = opts.PMRThreshold
 	}
 	pmrCfg.StoreMBR = opts.PMRStoreMBR
-	gridCfg := grid.Config{CellsPerSide: opts.GridCells}
+	gridCfg := grid.DefaultConfig()
 
 	var (
 		ix      core.Index
 		elapsed time.Duration
 		before  store.Stats
+		o       obs.Op // the build
 	)
 	if opts.BulkLoad {
 		// Bottom-up build: the whole construction, including the final
@@ -136,17 +136,17 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		start := time.Now()
 		switch s {
 		case RStar:
-			ix, err = rstar.BulkLoad(pool, table, rstarCfg, ids)
+			ix, err = rstar.BulkLoadObs(pool, table, rstarCfg, ids, &o)
 		case RTree:
-			ix, err = rstar.BulkLoad(pool, table, rstar.GuttmanConfig(), ids)
+			ix, err = rstar.BulkLoadObs(pool, table, rstar.GuttmanConfig(), ids, &o)
 		case RPlus:
-			ix, err = rplus.BulkLoad(pool, table, rplus.DefaultConfig(), ids)
+			ix, err = rplus.BulkLoadObs(pool, table, rplus.DefaultConfig(), ids, &o)
 		case KDB:
-			ix, err = rplus.BulkLoad(pool, table, rplus.KDBConfig(), ids)
+			ix, err = rplus.BulkLoadObs(pool, table, rplus.KDBConfig(), ids, &o)
 		case PMR:
-			ix, err = pmr.BulkLoad(pool, table, pmrCfg, ids)
+			ix, err = pmr.BulkLoadObs(pool, table, pmrCfg, ids, &o)
 		case UniformGrid:
-			ix, err = grid.BulkLoad(pool, table, gridCfg, ids)
+			ix, err = grid.BulkLoadObs(pool, table, gridCfg, ids, &o)
 		default:
 			err = fmt.Errorf("harness: unknown structure %v", s)
 		}
@@ -177,7 +177,7 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		start := time.Now()
 		before = ix.DiskStats()
 		for _, id := range ids {
-			if err := ix.Insert(id); err != nil {
+			if err := ix.Insert(id, &o); err != nil {
 				return nil, BuildResult{}, fmt.Errorf("%v on %s: %w", s, m.Spec.Name, err)
 			}
 		}
@@ -191,7 +191,7 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		SizeBytes:    ix.SizeBytes(),
 		DiskAccesses: ix.DiskStats().Sub(before).Accesses(),
 		CPU:          elapsed,
-		BBoxComps:    ix.NodeComps(),
+		BBoxComps:    o.Stats().NodeComps,
 	}
 	switch t := ix.(type) {
 	case *rstar.Tree:

@@ -7,6 +7,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/seg"
 	"segdb/internal/tiger"
@@ -132,8 +133,8 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 	sink := func(seg.ID, geom.Segment) bool { return true }
 
 	for i := range w.EndpointSegs {
-		m, err := core.Measure(ix, func() error {
-			return core.IncidentAtObs(ix, w.EndpointPts[i], sink, nil)
+		m, err := core.Measure(ix, func(o *obs.Op) error {
+			return core.IncidentAtObs(ix, w.EndpointPts[i], sink, o)
 		})
 		if err != nil {
 			return out, err
@@ -141,8 +142,8 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 		out[Point1].add(m)
 	}
 	for i := range w.EndpointSegs {
-		m, err := core.Measure(ix, func() error {
-			return core.OtherEndpointObs(ix, w.EndpointSegs[i], w.EndpointPts[i], sink, nil)
+		m, err := core.Measure(ix, func(o *obs.Op) error {
+			return core.OtherEndpointObs(ix, w.EndpointSegs[i], w.EndpointPts[i], sink, o)
 		})
 		if err != nil {
 			return out, err
@@ -158,8 +159,8 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 		{w.OneStage, Nearest1Stage, Polygon1Stage},
 	} {
 		for _, p := range batch.pts {
-			m, err := core.Measure(ix, func() error {
-				_, err := core.FirstNearestObs(ix, p, nil)
+			m, err := core.Measure(ix, func(o *obs.Op) error {
+				_, err := core.FirstNearestObs(ix, p, o)
 				return err
 			})
 			if err != nil {
@@ -168,8 +169,8 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 			out[batch.near].add(m)
 		}
 		for _, p := range batch.pts {
-			m, err := core.Measure(ix, func() error {
-				_, err := core.EnclosingPolygonObs(ix, p, nil)
+			m, err := core.Measure(ix, func(o *obs.Op) error {
+				_, err := core.EnclosingPolygonObs(ix, p, o)
 				return err
 			})
 			if err != nil {
@@ -179,8 +180,8 @@ func RunQueries(ix core.Index, w *Workload) ([NumQueryKinds]AvgMetrics, error) {
 		}
 	}
 	for _, r := range w.Windows {
-		m, err := core.Measure(ix, func() error {
-			return ix.WindowObs(r, sink, nil)
+		m, err := core.Measure(ix, func(o *obs.Op) error {
+			return ix.WindowObs(r, sink, o)
 		})
 		if err != nil {
 			return out, err

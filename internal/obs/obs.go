@@ -1,28 +1,25 @@
-// Package obs is the per-query observability layer of the query API v2:
-// a stats sink (Op) threaded through every query path, a Tracer hook
-// interface for query lifecycle events, and lock-free histograms for the
-// facade's latency/disk-access profiles.
+// Package obs is the per-operation observability layer of the query API
+// v2: a stats sink (Op) threaded through every query and write path, a
+// Tracer hook interface for query lifecycle events, and lock-free
+// histograms for the facade's latency/disk-access profiles.
 //
 // The paper's evaluation is per-query accounting — disk accesses, segment
 // comparisons, and bounding box computations per window/nearest/polygon
-// query. The global atomic counters of the store and the indexes total
-// correctly under concurrency but cannot attribute cost to an individual
-// query once two overlap. An *Op rides along with one logical query and
-// receives exactly the charges that query causes, at the same sites that
-// charge the global counters, so the two accountings always reconcile:
-// with N concurrent queries, the sum of the N Op stats equals the global
-// counter deltas for every interleaving-independent total (segment
-// comparisons, node computations, pool page requests).
+// query. An *Op rides along with one operation and receives exactly the
+// charges it causes. Comparisons are charged to the Op only: the database
+// totals them by folding each finished query's and write's Op into its
+// ledger, so that ledger is the sum of the Ops by construction. Disk and
+// pool figures are also kept by the devices, whose counters Metrics reads.
 //
-// A nil *Op is valid everywhere and charges nothing — the fast path for
-// legacy callers and for internal operations (inserts, integrity scans)
-// that only need the global totals.
+// An Op belongs to one operation on one goroutine, so its counters are
+// plain integers. A nil *Op is valid everywhere and charges nothing — the
+// path for callers that want no accounting, such as a harness calling an
+// index directly.
 package obs
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -125,14 +122,14 @@ type QueryInfo struct {
 	Kind string
 }
 
-// Op is the observation context of one in-flight query: the stats sink,
-// the cancellation source, and the tracer, threaded by the facade through
-// the index, the B-tree, the segment table, and the buffer pools.
+// Op is the observation context of one in-flight operation: the stats
+// sink, the cancellation source, and the tracer, threaded by the facade
+// through the index, the B-tree, the segment table, and the buffer pools.
 //
-// Each query owns its Op and runs on its caller's goroutine. The counter
-// methods are atomic, so a snapshot may be read from any goroutine, and
-// are no-ops on a nil receiver, so uninstrumented paths pay only a nil
-// check.
+// Each operation owns its Op and runs on its caller's goroutine, so the
+// counters are plain fields; the counter methods are no-ops on a nil
+// receiver, so uninstrumented paths pay only a nil check. The zero Op is
+// a working sink with no tracer and no cancellation: what writes use.
 //
 // Page requests that reach a pool are charged at once; a traversal's node
 // computations are counted locally and charged when it returns, and its
@@ -156,14 +153,14 @@ type Op struct {
 	// mode); set once by the facade before the query runs.
 	epoch uint64
 
-	diskReads  atomic.Uint64
-	diskWrites atomic.Uint64
-	poolHits   atomic.Uint64
-	segComps   atomic.Uint64
-	nodeComps  atomic.Uint64
-	retries    atomic.Uint64
-	skipped    atomic.Uint64
-	staged     atomic.Uint64
+	diskReads  uint64
+	diskWrites uint64
+	poolHits   uint64
+	segComps   uint64
+	nodeComps  uint64
+	retries    uint64
+	skipped    uint64
+	staged     uint64
 }
 
 // opPool recycles Op allocations across queries, so a warm query's hot
@@ -178,25 +175,10 @@ var opPool = sync.Pool{New: func() any { return new(Op) }}
 // with Release.
 func Begin(ctx context.Context, tracer Tracer, info QueryInfo) *Op {
 	o := opPool.Get().(*Op)
-	o.info = info
-	o.tracer = tracer
-	o.ctx = ctx
-	o.start = time.Now()
-	o.end = time.Time{}
-	o.done = nil
-	o.degraded = false
-	o.epoch = 0
+	*o = Op{info: info, tracer: tracer, ctx: ctx, start: time.Now()}
 	if ctx != nil {
 		o.done = ctx.Done()
 	}
-	o.diskReads.Store(0)
-	o.diskWrites.Store(0)
-	o.poolHits.Store(0)
-	o.segComps.Store(0)
-	o.nodeComps.Store(0)
-	o.retries.Store(0)
-	o.skipped.Store(0)
-	o.staged.Store(0)
 	if tracer != nil {
 		tracer.QueryStart(info)
 	}
@@ -215,14 +197,6 @@ func (o *Op) Release() {
 	o.ctx = nil
 	o.done = nil
 	opPool.Put(o)
-}
-
-// Info returns the query's identity.
-func (o *Op) Info() QueryInfo {
-	if o == nil {
-		return QueryInfo{}
-	}
-	return o.info
 }
 
 // SetDegraded marks the query as running in degraded-read mode. It must
@@ -253,7 +227,7 @@ func (o *Op) StagedHit() {
 	if o == nil {
 		return
 	}
-	o.staged.Add(1)
+	o.staged++
 }
 
 // Done exposes the query context's cancellation channel (nil when the
@@ -291,7 +265,7 @@ func (o *Op) PoolHits(n uint64) {
 	if o == nil {
 		return
 	}
-	o.poolHits.Add(n)
+	o.poolHits += n
 }
 
 // PoolMiss charges one page request that went to the disk, emitting the
@@ -300,7 +274,7 @@ func (o *Op) PoolMiss(page uint32) {
 	if o == nil {
 		return
 	}
-	o.diskReads.Add(1)
+	o.diskReads++
 	if o.tracer != nil {
 		o.tracer.PageFault(o.info, page)
 	}
@@ -312,7 +286,7 @@ func (o *Op) DiskWrite() {
 	if o == nil {
 		return
 	}
-	o.diskWrites.Add(1)
+	o.diskWrites++
 }
 
 // Retry charges one retried disk operation.
@@ -320,7 +294,7 @@ func (o *Op) Retry() {
 	if o == nil {
 		return
 	}
-	o.retries.Add(1)
+	o.retries++
 }
 
 // PageSkipped charges one page fetch skipped under degraded-read mode.
@@ -328,7 +302,7 @@ func (o *Op) PageSkipped() {
 	if o == nil {
 		return
 	}
-	o.skipped.Add(1)
+	o.skipped++
 }
 
 // SegComps charges n segment comparisons (segment-table fetches).
@@ -336,7 +310,7 @@ func (o *Op) SegComps(n uint64) {
 	if o == nil {
 		return
 	}
-	o.segComps.Add(n)
+	o.segComps += n
 }
 
 // NodeComps charges n bounding box / bucket computations.
@@ -344,7 +318,7 @@ func (o *Op) NodeComps(n uint64) {
 	if o == nil {
 		return
 	}
-	o.nodeComps.Add(n)
+	o.nodeComps += n
 }
 
 // NodeVisit emits the tracer's NodeVisit event for one index node (an
@@ -363,18 +337,16 @@ func (o *Op) Stats() Stats {
 	if o == nil {
 		return Stats{}
 	}
-	hits := o.poolHits.Load()
-	reads := o.diskReads.Load()
 	return Stats{
-		DiskReads:    reads,
-		DiskWrites:   o.diskWrites.Load(),
-		PoolHits:     hits,
-		PoolRequests: hits + reads,
-		SegComps:     o.segComps.Load(),
-		NodeComps:    o.nodeComps.Load(),
-		Retries:      o.retries.Load(),
-		SkippedPages: o.skipped.Load(),
-		StagedHits:   o.staged.Load(),
+		DiskReads:    o.diskReads,
+		DiskWrites:   o.diskWrites,
+		PoolHits:     o.poolHits,
+		PoolRequests: o.poolHits + o.diskReads,
+		SegComps:     o.segComps,
+		NodeComps:    o.nodeComps,
+		Retries:      o.retries,
+		SkippedPages: o.skipped,
+		StagedHits:   o.staged,
 		Epoch:        o.epoch,
 		Wall:         o.wall(),
 	}

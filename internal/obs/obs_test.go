@@ -25,9 +25,6 @@ func TestNilOpIsInert(t *testing.T) {
 	if st := o.Finish(nil); st != (Stats{}) {
 		t.Fatalf("nil op finish: %+v", st)
 	}
-	if info := o.Info(); info != (QueryInfo{}) {
-		t.Fatalf("nil op info: %+v", info)
-	}
 }
 
 func TestOpAccounting(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"segdb/internal/btree"
 	"segdb/internal/bulk"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -32,13 +33,19 @@ import (
 // and all page writes happen sequentially afterwards, so the disk image
 // is deterministic.
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
+	return BulkLoadObs(pool, table, cfg, ids, nil)
+}
+
+// BulkLoadObs is BulkLoad charging o the build's segment fetches and the
+// block tests of its decomposition sweep.
+func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Tree, error) {
 	if cfg.SplittingThreshold < 1 {
 		return nil, fmt.Errorf("pmr: invalid splitting threshold %d", cfg.SplittingThreshold)
 	}
 	if cfg.MaxDepth < 1 || cfg.MaxDepth > geom.MaxDepth {
 		return nil, fmt.Errorf("pmr: invalid max depth %d", cfg.MaxDepth)
 	}
-	entries, err := bulk.Fetch(table, ids)
+	entries, err := bulk.Fetch(table, ids, o)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +130,6 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 	if err != nil {
 		return nil, fmt.Errorf("pmr: bulk load: %w", err)
 	}
-	t := &Tree{bt: bt, table: table, cfg: cfg, count: len(ids)}
-	t.nodeComps.Add(nodeComps)
-	return t, nil
+	o.NodeComps(nodeComps)
+	return &Tree{bt: bt, table: table, cfg: cfg, count: len(ids)}, nil
 }

@@ -26,7 +26,7 @@ import (
 // pair-test computations are counted against tree a.
 func JoinObs(a, b *Tree, visit func(idA, idB seg.ID, sA, sB geom.Segment) bool, o *obs.Op) error {
 	var examined uint64
-	defer func() { a.comps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	streamA, err := a.loadEntries(o)
 	if err != nil {
 		return err

@@ -36,7 +36,7 @@ func buildPMR(t *testing.T, segs []geom.Segment, cfg Config) *Tree {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Insert(id); err != nil {
+		if err := tree.Insert(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,10 +21,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"segdb/internal/btree"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -59,11 +59,10 @@ func DefaultConfig() Config {
 
 // Tree is a disk-resident PMR quadtree.
 type Tree struct {
-	bt        *btree.Tree
-	table     *seg.Table
-	cfg       Config
-	count     int
-	nodeComps atomic.Uint64
+	bt    *btree.Tree
+	table *seg.Table
+	cfg   Config
+	count int
 }
 
 // New creates an empty PMR quadtree whose linear representation lives on
@@ -155,9 +154,6 @@ func (t *Tree) Table() *seg.Table { return t.table }
 // DiskStats returns the disk activity of the B-tree pages.
 func (t *Tree) DiskStats() store.Stats { return t.bt.Pool().Stats() }
 
-// NodeComps returns the cumulative bounding bucket computation count.
-func (t *Tree) NodeComps() uint64 { return t.nodeComps.Load() }
-
 // SizeBytes returns the storage footprint of the B-tree pages.
 func (t *Tree) SizeBytes() int64 { return t.bt.Pool().Disk().SizeBytes() }
 
@@ -225,29 +221,6 @@ func exactRange(c geom.Code) (lo, hi uint64) {
 	return base, base + (1 << 32)
 }
 
-// blockState classifies a block from the linear representation: a block is
-// split when the first key in its range belongs to a deeper block;
-// otherwise it is a leaf (possibly empty — empty leaves are not stored and
-// are indistinguishable from undecomposed space, which is harmless).
-func (t *Tree) blockState(c geom.Code) (split bool, err error) {
-	lo, hi := blockRange(c)
-	exLo, exHi := exactRange(c)
-	var firstKey uint64
-	found := false
-	err = t.bt.Scan(lo, hi, func(k uint64) bool {
-		firstKey = k
-		found = true
-		return false
-	}, nil)
-	if err != nil {
-		return false, err
-	}
-	if !found {
-		return false, nil
-	}
-	return firstKey < exLo || firstKey >= exHi, nil
-}
-
 // leavesFor collects the codes of all leaf blocks of the implicit
 // decomposition that intersect segment s — occupied leaves and the empty
 // leaves induced by their siblings' splits.
@@ -259,9 +232,10 @@ func (t *Tree) blockState(c geom.Code) (split bool, err error) {
 // the local decomposition in memory from the occupied codes (a block is
 // split exactly when an occupied block nests properly inside it). Leaves
 // larger than a cover block are found via predecessor/successor key
-// probes, which land on the same B-tree pages the scans touch.
-func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
-	t.nodeComps.Add(1)
+// probes, which land on the same B-tree pages the scans touch. Every
+// block test is charged to o.
+func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
+	o.NodeComps(1)
 	if !geom.World().IntersectsSegment(s) {
 		return nil, fmt.Errorf("pmr: segment %v outside the world", s)
 	}
@@ -296,7 +270,7 @@ func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
 			continue
 		}
 		covered[cover] = struct{}{}
-		t.nodeComps.Add(1)
+		o.NodeComps(1)
 		if !touches(cover, s) {
 			continue
 		}
@@ -319,7 +293,7 @@ func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.nodeComps.Add(1)
+			o.NodeComps(1)
 			if touches(leaf, s) {
 				emit(leaf)
 			}
@@ -330,7 +304,7 @@ func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
 		// base, smaller depth). By the antichain invariant it is then the
 		// only code present, and the whole cover lies inside it.
 		if enc := occupied[0]; enc.Depth() < depth && enc.Contains(cover) {
-			t.nodeComps.Add(1)
+			o.NodeComps(1)
 			if touches(enc, s) {
 				emit(enc)
 			}
@@ -353,7 +327,7 @@ func (t *Tree) leavesFor(s geom.Segment) ([]geom.Code, error) {
 			}
 			for q := 0; q < 4; q++ {
 				child := c.Child(q)
-				t.nodeComps.Add(1)
+				o.NodeComps(1)
 				if touches(child, s) {
 					walk(child)
 				}
@@ -442,49 +416,15 @@ func minInt(a, b int) int {
 	return b
 }
 
-// leavesForDescent is the straightforward top-down reference
-// implementation of leavesFor, retained as the oracle for the
-// differential tests.
-func (t *Tree) leavesForDescent(s geom.Segment) ([]geom.Code, error) {
-	var out []geom.Code
-	var walk func(c geom.Code) error
-	walk = func(c geom.Code) error {
-		split, err := t.blockState(c)
-		if err != nil {
-			return err
-		}
-		if !split {
-			out = append(out, c)
-			return nil
-		}
-		for q := 0; q < 4; q++ {
-			child := c.Child(q)
-			if touches(child, s) {
-				if err := walk(child); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if !geom.World().IntersectsSegment(s) {
-		return nil, fmt.Errorf("pmr: segment %v outside the world", s)
-	}
-	if err := walk(geom.RootCode()); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Insert adds the segment with the given table ID to every leaf block it
 // intersects, splitting blocks (once each) whose occupancy exceeds the
-// splitting threshold.
-func (t *Tree) Insert(id seg.ID) error {
-	s, err := t.table.Get(id)
+// splitting threshold. It charges o.
+func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
+	s, err := t.table.GetObs(id, o)
 	if err != nil {
 		return err
 	}
-	leaves, err := t.leavesFor(s)
+	leaves, err := t.leavesFor(s, o)
 	if err != nil {
 		return err
 	}
@@ -498,7 +438,7 @@ func (t *Tree) Insert(id seg.ID) error {
 			return err
 		}
 		if occ > t.cfg.SplittingThreshold && c.Depth() < t.cfg.MaxDepth {
-			if err := t.splitBlock(c); err != nil {
+			if err := t.splitBlock(c, o); err != nil {
 				return err
 			}
 		}
@@ -508,8 +448,8 @@ func (t *Tree) Insert(id seg.ID) error {
 }
 
 // splitBlock splits a leaf block once into its four quadrants,
-// redistributing its q-edges.
-func (t *Tree) splitBlock(c geom.Code) error {
+// redistributing its q-edges, charging o.
+func (t *Tree) splitBlock(c geom.Code, o *obs.Op) error {
 	exLo, exHi := exactRange(c)
 	var members []seg.ID
 	if err := t.bt.Scan(exLo, exHi, func(k uint64) bool {
@@ -524,13 +464,13 @@ func (t *Tree) splitBlock(c geom.Code) error {
 		}
 	}
 	for _, id := range members {
-		s, err := t.table.Get(id)
+		s, err := t.table.GetObs(id, o)
 		if err != nil {
 			return err
 		}
 		for q := 0; q < 4; q++ {
 			child := c.Child(q)
-			t.nodeComps.Add(1)
+			o.NodeComps(1)
 			if touches(child, s) {
 				if err := t.insertQEdge(child, id, s); err != nil {
 					return err
@@ -543,13 +483,13 @@ func (t *Tree) splitBlock(c geom.Code) error {
 
 // Delete removes the segment from every block containing it and merges
 // blocks with their brothers while their combined occupancy falls below
-// the splitting threshold.
-func (t *Tree) Delete(id seg.ID) error {
-	s, err := t.table.Get(id)
+// the splitting threshold. It charges o.
+func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
+	s, err := t.table.GetObs(id, o)
 	if err != nil {
 		return err
 	}
-	leaves, err := t.leavesFor(s)
+	leaves, err := t.leavesFor(s, o)
 	if err != nil {
 		return err
 	}
@@ -571,7 +511,7 @@ func (t *Tree) Delete(id seg.ID) error {
 	t.count--
 	// Merge upward from each affected block.
 	for _, c := range leaves {
-		if err := t.mergeUpward(c); err != nil {
+		if err := t.mergeUpward(c, o); err != nil {
 			return err
 		}
 	}
@@ -579,8 +519,8 @@ func (t *Tree) Delete(id seg.ID) error {
 }
 
 // mergeUpward merges the block's parent while the distinct segments below
-// it number fewer than the splitting threshold.
-func (t *Tree) mergeUpward(c geom.Code) error {
+// it number fewer than the splitting threshold, charging o.
+func (t *Tree) mergeUpward(c geom.Code, o *obs.Op) error {
 	for c.Depth() > 0 {
 		parent := c.Parent()
 		lo, hi := blockRange(parent)
@@ -610,7 +550,7 @@ func (t *Tree) mergeUpward(c geom.Code) error {
 		}
 		for id := range distinct {
 			if t.cfg.StoreMBR {
-				s, err := t.table.Get(id)
+				s, err := t.table.GetObs(id, o)
 				if err != nil {
 					return err
 				}

@@ -1,6 +1,7 @@
 package pmr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -34,7 +36,7 @@ func (e *testEnv) add(t *testing.T, s geom.Segment) seg.ID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.tree.Insert(id); err != nil {
+	if err := e.tree.Insert(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.segs = append(e.segs, s)
@@ -73,7 +75,7 @@ func TestEmpty(t *testing.T) {
 	if res.Found {
 		t.Error("found in empty tree")
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +89,7 @@ func TestPaperFigure5Shape(t *testing.T) {
 	for i := int32(0); i < 6; i++ {
 		e.add(t, geom.Seg(10, 10+i*40, half/4, 10+i*40)) // all in SW quadrant
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	blocks, err := e.tree.LeafBlocks()
@@ -112,7 +114,7 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 	for _, s := range segs {
 		e.add(t, s)
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 40; trial++ {
@@ -173,7 +175,7 @@ func TestSplitOnceRule(t *testing.T) {
 	e.add(t, geom.Seg(100, 100, 110, 110))
 	e.add(t, geom.Seg(100, 101, 110, 111))
 	e.add(t, geom.Seg(100, 102, 110, 112))
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,7 +188,7 @@ func TestMaxDepthStopsSplitting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.add(t, geom.Seg(1000, 1000, 1400, 1400))
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _ := e.tree.LeafBlocks()
@@ -207,11 +209,11 @@ func TestDeleteAndMerge(t *testing.T) {
 	peakBlocks, _ := e.tree.LeafBlocks()
 	perm := rng.Perm(len(segs))
 	for _, i := range perm[:250] {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.tree.Len() != 50 {
@@ -231,7 +233,7 @@ func TestDeleteAndMerge(t *testing.T) {
 		t.Fatalf("window found %d segments, want 50", len(got))
 	}
 	// Double delete fails.
-	if err := e.tree.Delete(seg.ID(perm[0])); err != seg.ErrNotIndexed {
+	if err := e.tree.Delete(seg.ID(perm[0]), nil); err != seg.ErrNotIndexed {
 		t.Fatalf("double delete: %v", err)
 	}
 }
@@ -244,7 +246,7 @@ func TestDeleteAllMergesToRoot(t *testing.T) {
 		e.add(t, s)
 	}
 	for i := range segs {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +269,7 @@ func TestThresholdTradeoff(t *testing.T) {
 		}
 		for _, s := range segs {
 			id, _ := table.Append(s)
-			if err := tree.Insert(id); err != nil {
+			if err := tree.Insert(id, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -367,7 +369,7 @@ func TestLeavesForMatchesDescent(t *testing.T) {
 			e.add(t, s)
 			if i%25 == 0 {
 				probe := randSegs(rng, 1, 800)[0]
-				got, err := e.tree.leavesFor(probe)
+				got, err := e.tree.leavesFor(probe, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -390,7 +392,7 @@ func TestLeavesForMatchesDescent(t *testing.T) {
 				}
 			}
 		}
-		if err := e.tree.Validate(); err != nil {
+		if err := e.tree.Validate(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +400,7 @@ func TestLeavesForMatchesDescent(t *testing.T) {
 
 func TestLeavesForEmptyTree(t *testing.T) {
 	e := newEnv(t, 512, 8, DefaultConfig())
-	got, err := e.tree.leavesFor(geom.Seg(10, 10, 500, 500))
+	got, err := e.tree.leavesFor(geom.Seg(10, 10, 500, 500), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +422,7 @@ func TestStoreMBRVariantAgrees(t *testing.T) {
 		for _, s := range segs {
 			e.add(t, s)
 		}
-		if err := e.tree.Validate(); err != nil {
+		if err := e.tree.Validate(nil); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -463,12 +465,12 @@ func TestStoreMBRVariantAgrees(t *testing.T) {
 
 	// The point of the variant: fewer segment-table fetches per query.
 	run := func(e *testEnv) uint64 {
-		before := e.table.Comparisons()
+		var o obs.Op
 		for trial := 0; trial < 200; trial++ {
 			s := segs[trial%len(segs)]
-			core.IncidentAtObs(e.tree, s.P1, func(seg.ID, geom.Segment) bool { return true }, nil)
+			core.IncidentAtObs(e.tree, s.P1, func(seg.ID, geom.Segment) bool { return true }, &o)
 		}
-		return e.table.Comparisons() - before
+		return o.Stats().SegComps
 	}
 	fp, fm := run(plain), run(mbr)
 	if fm >= fp {
@@ -486,11 +488,11 @@ func TestStoreMBRDeleteAndMerge(t *testing.T) {
 		e.add(t, s)
 	}
 	for i := 0; i < 150; i++ {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	got := map[seg.ID]bool{}
@@ -590,4 +592,61 @@ func TestKeyRangeNestingQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// blockState classifies a block from the linear representation: a block is
+// split when the first key in its range belongs to a deeper block;
+// otherwise it is a leaf (possibly empty — empty leaves are not stored and
+// are indistinguishable from undecomposed space, which is harmless).
+func (t *Tree) blockState(c geom.Code) (split bool, err error) {
+	lo, hi := blockRange(c)
+	exLo, exHi := exactRange(c)
+	var firstKey uint64
+	found := false
+	err = t.bt.Scan(lo, hi, func(k uint64) bool {
+		firstKey = k
+		found = true
+		return false
+	}, nil)
+	if err != nil {
+		return false, err
+	}
+	if !found {
+		return false, nil
+	}
+	return firstKey < exLo || firstKey >= exHi, nil
+}
+
+// leavesForDescent is the straightforward top-down reference
+// implementation of leavesFor, retained as the oracle for the
+// differential tests.
+func (t *Tree) leavesForDescent(s geom.Segment) ([]geom.Code, error) {
+	var out []geom.Code
+	var walk func(c geom.Code) error
+	walk = func(c geom.Code) error {
+		split, err := t.blockState(c)
+		if err != nil {
+			return err
+		}
+		if !split {
+			out = append(out, c)
+			return nil
+		}
+		for q := 0; q < 4; q++ {
+			child := c.Child(q)
+			if touches(child, s) {
+				if err := walk(child); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if !geom.World().IntersectsSegment(s) {
+		return nil, fmt.Errorf("pmr: segment %v outside the world", s)
+	}
+	if err := walk(geom.RootCode()); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

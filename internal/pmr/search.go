@@ -80,17 +80,6 @@ func releaseCodeSet(m map[geom.Code]struct{}) {
 	codeSetPool.Put(m)
 }
 
-// comps charges n bounding bucket computations to both the tree's global
-// counter and the per-query sink. Scan loops accumulate counts locally
-// and flush once per call to keep atomic traffic off the hot path.
-func (t *Tree) comps(o *obs.Op, n uint64) {
-	if n == 0 {
-		return
-	}
-	t.nodeComps.Add(n)
-	o.NodeComps(n)
-}
-
 // WindowObs visits every segment intersecting r exactly once. Like the
 // data-driven window decomposition of Aref & Samet used in the paper's
 // experiments, it decomposes the window into at most four aligned quadtree
@@ -182,7 +171,7 @@ func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct
 	}
 	var lastBlock geom.Code
 	var examined uint64
-	defer func() { t.comps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	blockHits, haveBlock := false, false
 	if err := t.bt.ScanValues(lo, hi, func(k uint64, v []byte) bool {
 		bc := keyCode(k)
@@ -256,7 +245,7 @@ func (t *Tree) locate(p geom.Point, o *obs.Op) (geom.Code, bool, error) {
 	// One bounding bucket computation: does the predecessor's block
 	// contain the point? (Occupied blocks form an antichain, so if any
 	// occupied block contains p it is the predecessor's.)
-	t.comps(o, 1)
+	o.NodeComps(1)
 	if !c.Block().ContainsPoint(p) {
 		return 0, false, nil
 	}
@@ -284,7 +273,7 @@ func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o
 		defer func() { ln.reset(); lanesPool.Put(ln) }()
 	}
 	var examined uint64
-	defer func() { t.comps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	if err := t.bt.ScanValues(exLo, exHi, func(k uint64, v []byte) bool {
 		// StoreMBR: gather the stored rects for the batched point filter
 		// (rect contains p ⟺ rect intersects the degenerate window
@@ -402,7 +391,7 @@ const nearestEnumLimit = 32
 func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	var examined uint64
-	defer func() { t.comps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	sc := nearestPool.Get().(*nearestScratch)
 	sc.q.Reset(k)
 	sc.ents = sc.ents[:0]

@@ -3,6 +3,7 @@ package pmr
 import (
 	"fmt"
 
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 )
 
@@ -15,7 +16,7 @@ import (
 //   - the underlying B-tree validates;
 //   - every indexed segment appears in exactly the leaf blocks that it
 //     intersects (checked via the same descent insertion uses).
-func (t *Tree) Validate() error {
+func (t *Tree) Validate(o *obs.Op) error {
 	if err := t.bt.Validate(); err != nil {
 		return err
 	}
@@ -50,7 +51,7 @@ func (t *Tree) Validate() error {
 				c.Block(), c.Depth(), len(members), max)
 		}
 		for _, id := range members {
-			s, err := t.table.Get(id)
+			s, err := t.table.GetObs(id, o)
 			if err != nil {
 				return err
 			}
@@ -69,11 +70,11 @@ func (t *Tree) Validate() error {
 	// Completeness: every stored segment is present in every leaf it
 	// intersects.
 	for _, id := range order {
-		s, err := t.table.Get(id)
+		s, err := t.table.GetObs(id, o)
 		if err != nil {
 			return err
 		}
-		leaves, err := t.leavesFor(s)
+		leaves, err := t.leavesFor(s, o)
 		if err != nil {
 			return err
 		}

@@ -110,7 +110,9 @@ type Router struct {
 	ingestMu sync.Mutex
 	ingested atomic.Uint64
 
-	prof [numQueryKinds]kindProfile
+	// prof is the per-kind profile: latency of the whole fan-out and
+	// merge, disk accesses summed over the shards.
+	prof [numQueryKinds]obs.KindProfile
 }
 
 // queryKind indexes the router-level profile slots; the names match the
@@ -132,27 +134,11 @@ var queryKindNames = [numQueryKinds]string{
 	qkWindowBatch: "windowbatch",
 }
 
-// kindProfile accumulates one query kind's router-level counts and
-// histograms (latency of the whole fan-out+merge, summed disk accesses).
-// All fields are atomic.
-type kindProfile struct {
-	count   atomic.Uint64
-	errors  atomic.Uint64
-	latency obs.Histogram // wall time of the merged query, microseconds
-	disk    obs.Histogram // summed per-shard disk accesses
-}
-
 // record folds one finished router-level query into the profile and
 // stamps the router's wall time into st.
 func (r *Router) record(qk queryKind, start time.Time, st *segdb.QueryStats, err error) {
 	st.Wall = time.Since(start)
-	c := &r.prof[qk]
-	c.count.Add(1)
-	if err != nil {
-		c.errors.Add(1)
-	}
-	c.latency.Record(uint64(st.Wall / time.Microsecond))
-	c.disk.Record(st.DiskAccesses())
+	r.prof[qk].Record(st.Wall, st.DiskAccesses(), err)
 }
 
 // Build partitions segs across shards databases of the given kind and
@@ -447,20 +433,5 @@ func (r *Router) ShardMetrics() []segdb.Metrics {
 // per-query sums across shards. The shape matches segdb.DB.Profile, so
 // the two levels aggregate identically.
 func (r *Router) Profile() segdb.Profile {
-	var p segdb.Profile
-	for k := queryKind(0); k < numQueryKinds; k++ {
-		c := &r.prof[k]
-		n := c.count.Load()
-		if n == 0 {
-			continue
-		}
-		p.Queries = append(p.Queries, segdb.QueryKindProfile{
-			Kind:          queryKindNames[k],
-			Count:         n,
-			Errors:        c.errors.Load(),
-			LatencyMicros: c.latency.Snapshot(),
-			DiskAccesses:  c.disk.Snapshot(),
-		})
-	}
-	return p
+	return segdb.Profile{Queries: obs.Snapshot(r.prof[:], queryKindNames[:])}
 }

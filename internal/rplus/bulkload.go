@@ -6,6 +6,7 @@ import (
 
 	"segdb/internal/bulk"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -36,6 +37,12 @@ import (
 // worth of segments cannot be separated by any cut (footnote 2 of the
 // paper; unreachable for noded planar maps).
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
+	return BulkLoadObs(pool, table, cfg, ids, nil)
+}
+
+// BulkLoadObs is BulkLoad charging o the build's segment fetches and the
+// region tests of its cut search.
+func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Tree, error) {
 	t, err := New(pool, table, cfg)
 	if err != nil {
 		return nil, err
@@ -43,7 +50,7 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 	if len(ids) == 0 {
 		return t, nil
 	}
-	entries, err := bulk.Fetch(table, ids)
+	entries, err := bulk.Fetch(table, ids, o)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +64,7 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 	if err != nil {
 		return nil, err
 	}
-	t.Comps.Add(b.comps)
+	o.NodeComps(b.comps)
 
 	// Free the empty root New allocated; the pack writes its own pages.
 	pool.Free(t.Root)

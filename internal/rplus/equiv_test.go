@@ -82,7 +82,7 @@ func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o
 	seen := make(map[seg.ID]struct{})
 	var examined uint64
 	_, err := refWindow(t, t.Root, r, seen, visit, o, &examined)
-	t.ChargeComps(o, examined)
+	o.NodeComps(examined)
 	return err
 }
 
@@ -124,7 +124,7 @@ func pqPop(q *[]pqItem) pqItem { return heap.Pop((*refPQ)(q)).(pqItem) }
 func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
 	var dst []core.NearestResult
 	var examined uint64
-	defer func() { t.ChargeComps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	seen := make(map[seg.ID]struct{})
 	var q []pqItem
 	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root)})

@@ -20,6 +20,7 @@ import (
 	"errors"
 
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/rsearch"
 	"segdb/internal/seg"
@@ -57,6 +58,9 @@ func KDBConfig() Config { return Config{LeafMBR: false} }
 type Tree struct {
 	*rsearch.Tree
 	cfg Config
+	// o is the write in flight, set by Insert and Delete: its descent and
+	// splits charge every comparison to it.
+	o *obs.Op
 }
 
 // New creates an empty tree. The root region is the whole world. A
@@ -79,12 +83,13 @@ func (t *Tree) Name() string {
 }
 
 // Insert adds the segment with the given table ID, placing it in every
-// leaf whose region it intersects.
-func (t *Tree) Insert(id seg.ID) error {
-	s, err := t.Segs.Get(id)
+// leaf whose region it intersects, charging o.
+func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
+	s, err := t.Segs.GetObs(id, o)
 	if err != nil {
 		return err
 	}
+	t.o = o
 	repl, err := t.insertRec(t.Root, geom.World(), s, id)
 	if err != nil {
 		return err
@@ -131,7 +136,7 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 	}
 	var out []rpage.Entry
 	for _, e := range n.Entries {
-		t.Comps.Add(1)
+		t.o.NodeComps(1)
 		if !e.Rect.IntersectsSegment(s) {
 			out = append(out, e)
 			continue

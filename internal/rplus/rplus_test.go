@@ -7,6 +7,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -16,6 +17,7 @@ type testEnv struct {
 	tree  *Tree
 	table *seg.Table
 	segs  []geom.Segment
+	op    obs.Op // what add charges
 }
 
 func newEnv(t *testing.T, pageSize, poolPages int, cfg Config) *testEnv {
@@ -34,7 +36,7 @@ func (e *testEnv) add(t *testing.T, s geom.Segment) seg.ID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.tree.Insert(id); err != nil {
+	if err := e.tree.Insert(id, &e.op); err != nil {
 		t.Fatal(err)
 	}
 	e.segs = append(e.segs, s)
@@ -73,7 +75,7 @@ func TestEmptyTree(t *testing.T) {
 	if res.Found {
 		t.Error("found in empty tree")
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,7 +88,7 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 		for _, s := range segs {
 			e.add(t, s)
 		}
-		if err := e.tree.Validate(); err != nil {
+		if err := e.tree.Validate(nil); err != nil {
 			t.Fatalf("%s: %v", e.tree.Name(), err)
 		}
 		if e.tree.Height() < 2 {
@@ -159,7 +161,7 @@ func TestLongSegmentsDuplicateAcrossLeaves(t *testing.T) {
 	for _, s := range segs {
 		e.add(t, s)
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	got := map[seg.ID]int{}
@@ -187,7 +189,7 @@ func TestDelete(t *testing.T) {
 	perm := rng.Perm(len(segs))
 	deleted := map[seg.ID]bool{}
 	for _, i := range perm[:200] {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 		deleted[seg.ID(i)] = true
@@ -206,7 +208,7 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("segment %d: deleted=%v reported=%v", id, deleted[id], got[id])
 		}
 	}
-	if err := e.tree.Delete(seg.ID(perm[0])); err != seg.ErrNotIndexed {
+	if err := e.tree.Delete(seg.ID(perm[0]), nil); err != seg.ErrNotIndexed {
 		t.Fatalf("double delete: %v", err)
 	}
 }
@@ -248,15 +250,15 @@ func TestKDBVariantFetchesMoreSegments(t *testing.T) {
 		}
 		for _, s := range segs {
 			id, _ := table.Append(s)
-			if err := tree.Insert(id); err != nil {
+			if err := tree.Insert(id, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := table.Comparisons()
+		var o obs.Op
 		for _, p := range probes {
-			core.IncidentAtObs(tree, p, func(seg.ID, geom.Segment) bool { return true }, nil)
+			core.IncidentAtObs(tree, p, func(seg.ID, geom.Segment) bool { return true }, &o)
 		}
-		return table.Comparisons() - before
+		return o.Stats().SegComps
 	}
 	hybrid := run(DefaultConfig())
 	kdb := run(KDBConfig())
@@ -275,7 +277,7 @@ func TestUnsplittableNode(t *testing.T) {
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
-		err = e.tree.Insert(id)
+		err = e.tree.Insert(id, nil)
 	}
 	if err == nil {
 		t.Skip("splits remained productive; no unsplittable state reached")
@@ -337,7 +339,7 @@ func TestDownwardSplits(t *testing.T) {
 	for _, s := range segs {
 		e.add(t, s)
 		if len(e.segs)%50 == 0 {
-			if err := e.tree.Validate(); err != nil {
+			if err := e.tree.Validate(nil); err != nil {
 				t.Fatalf("after %d inserts: %v", len(e.segs), err)
 			}
 		}
@@ -345,7 +347,7 @@ func TestDownwardSplits(t *testing.T) {
 	if e.tree.Height() < 3 {
 		t.Fatalf("height %d; test needs internal splits", e.tree.Height())
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Exhaustive windows against brute force.
@@ -363,11 +365,11 @@ func TestDownwardSplits(t *testing.T) {
 	}
 	// Deep deletes after downward splits still work.
 	for i := 0; i < 100; i++ {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -381,7 +383,7 @@ func TestAvgLeafOccupancyAndAccessors(t *testing.T) {
 	if e.tree.Name() != "R+-tree" || e.tree.Table() != e.table {
 		t.Error("accessors wrong")
 	}
-	if e.tree.SizeBytes() <= 0 || e.tree.NodeComps() == 0 {
+	if e.tree.SizeBytes() <= 0 || e.op.Stats().NodeComps == 0 {
 		t.Error("stats not advancing")
 	}
 	occ, err := e.tree.AvgLeafOccupancy()
@@ -431,7 +433,7 @@ func TestSplitSubtreeDirect(t *testing.T) {
 	}
 	e.tree.Root = rid
 	e.tree.Levels++
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {

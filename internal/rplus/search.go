@@ -2,6 +2,7 @@ package rplus
 
 import (
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -9,11 +10,13 @@ import (
 // Delete removes the segment from every leaf containing it. The R+-tree
 // literature does not specify an underflow policy and neither does the
 // paper (deletion "is not so common"); pages are left as they are.
-func (t *Tree) Delete(id seg.ID) error {
-	s, err := t.Segs.Get(id)
+// It charges o.
+func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
+	s, err := t.Segs.GetObs(id, o)
 	if err != nil {
 		return err
 	}
+	t.o = o
 	removed, err := t.deleteRec(t.Root, s, id)
 	if err != nil {
 		return err
@@ -48,7 +51,7 @@ func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID) (int, erro
 	}
 	total := 0
 	for _, e := range n.Entries {
-		t.Comps.Add(1)
+		t.o.NodeComps(1)
 		if !e.Rect.IntersectsSegment(s) {
 			continue
 		}

@@ -38,7 +38,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	// the exact cut counts; they show up in the build's segment traffic).
 	segs := make([]geom.Segment, len(n.Entries))
 	for i, e := range n.Entries {
-		s, err := t.Segs.Get(seg.ID(e.Ptr))
+		s, err := t.Segs.GetObs(seg.ID(e.Ptr), t.o)
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +47,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	cands := t.leafCandidates(region, segs)
 	best, ok := t.chooseLine(region, cands, len(n.Entries), func(lo, hi geom.Rect) (nLo, nHi int) {
 		for _, s := range segs {
-			t.Comps.Add(1)
+			t.o.NodeComps(1)
 			if lo.IntersectsSegment(s) {
 				nLo++
 			}
@@ -113,7 +113,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 	cands := t.internalCandidates(region, entries)
 	best, ok := t.chooseLine(region, cands, len(entries), func(lo, hi geom.Rect) (nLo, nHi int) {
 		for _, e := range entries {
-			t.Comps.Add(1)
+			t.o.NodeComps(1)
 			if e.Rect.Intersects(lo) {
 				nLo++
 			}
@@ -183,11 +183,11 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 	var loE, hiE []rpage.Entry
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.Segs.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.GetObs(seg.ID(e.Ptr), t.o)
 			if err != nil {
 				return 0, 0, err
 			}
-			t.Comps.Add(1)
+			t.o.NodeComps(1)
 			if loR.IntersectsSegment(s) {
 				loE = append(loE, rpage.Entry{Rect: t.leafRect(s, loR), Ptr: e.Ptr})
 			}
@@ -197,7 +197,7 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 		}
 	} else {
 		for _, e := range n.Entries {
-			t.Comps.Add(1)
+			t.o.NodeComps(1)
 			inLo := e.Rect.Intersects(loR)
 			inHi := e.Rect.Intersects(hiR)
 			switch {

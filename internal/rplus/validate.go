@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -15,11 +16,11 @@ import (
 //   - occupancy never exceeds the page capacity;
 //   - every leaf entry's segment truly intersects the leaf's region;
 //   - in the hybrid configuration, leaf entry rects equal segment MBRs.
-func (t *Tree) Validate() error {
-	return t.validate(t.Root, geom.World(), t.Levels)
+func (t *Tree) Validate(o *obs.Op) error {
+	return t.validate(t.Root, geom.World(), t.Levels, o)
 }
 
-func (t *Tree) validate(id store.PageID, region geom.Rect, level int) error {
+func (t *Tree) validate(id store.PageID, region geom.Rect, level int, o *obs.Op) error {
 	n, err := t.ReadNode(id)
 	if err != nil {
 		return err
@@ -32,7 +33,7 @@ func (t *Tree) validate(id store.PageID, region geom.Rect, level int) error {
 	}
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.Segs.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.GetObs(seg.ID(e.Ptr), o)
 			if err != nil {
 				return fmt.Errorf("rplus: leaf %d: %w", id, err)
 			}
@@ -56,7 +57,7 @@ func (t *Tree) validate(id store.PageID, region geom.Rect, level int) error {
 				return fmt.Errorf("rplus: page %d children %d and %d overlap: %v, %v", id, i, j, e.Rect, n.Entries[j].Rect)
 			}
 		}
-		if err := t.validate(store.PageID(e.Ptr), e.Rect, level-1); err != nil {
+		if err := t.validate(store.PageID(e.Ptr), e.Rect, level-1, o); err != nil {
 			return err
 		}
 	}

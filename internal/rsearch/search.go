@@ -35,19 +35,6 @@ func (t *Tree) readSoA(id store.PageID, o *obs.Op) (*rpage.SoA, error) {
 	return v.(*rpage.SoA), nil
 }
 
-// ChargeComps charges n bounding box computations to both the tree's
-// global counter and the per-query sink. Search loops accumulate counts
-// locally and flush once per query: two atomic adds total instead of two
-// per entry examined, which keeps the observability overhead off the hot
-// path.
-func (t *Tree) ChargeComps(o *obs.Op, n uint64) {
-	if n == 0 {
-		return
-	}
-	t.Comps.Add(n)
-	o.NodeComps(n)
-}
-
 // WindowObs visits every segment whose geometry intersects r exactly
 // once, charging o (nil charges nothing). Each candidate entry costs one
 // bounding box computation; each surviving leaf entry costs one segment
@@ -62,7 +49,7 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 	defer cur.Close()
 	var examined uint64
 	_, err := t.window(t.Root, r, seen, visit, o, cur, &examined)
-	t.ChargeComps(o, examined)
+	o.NodeComps(examined)
 	return err
 }
 
@@ -208,7 +195,7 @@ func (sc *nnScratch) queueCursor(c uint32) {
 func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, o *obs.Op) ([]core.NearestResult, error) {
 	base := len(dst)
 	var examined uint64
-	defer func() { t.ChargeComps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	sc := nnPool.Get().(*nnScratch)
 	sc.q.Reset(k)
 	sc.dist, sc.ptrs, sc.cursors, sc.segs = sc.dist[:0], sc.ptrs[:0], sc.cursors[:0], sc.segs[:0]

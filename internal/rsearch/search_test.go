@@ -79,7 +79,7 @@ func TestEachIDReportedOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ix.Insert(id); err != nil {
+				if err := ix.Insert(id, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

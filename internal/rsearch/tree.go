@@ -15,7 +15,6 @@ package rsearch
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"segdb/internal/rpage"
 	"segdb/internal/seg"
@@ -29,12 +28,11 @@ type Tree struct {
 	Pool   *store.Pool
 	Segs   *seg.Table
 	Root   store.PageID
-	Levels int           // 1 = root is a leaf
-	Max    int           // M: page capacity in entries
-	Format int           // page compression level new writes use
-	Count  int           // distinct segments indexed
-	Comps  atomic.Uint64 // cumulative bounding box computations
-	dedup  bool          // leaves may repeat a segment
+	Levels int  // 1 = root is a leaf
+	Max    int  // M: page capacity in entries
+	Format int  // page compression level new writes use
+	Count  int  // distinct segments indexed
+	dedup  bool // leaves may repeat a segment
 }
 
 // attach fills in the fields every tree derives from its pool.
@@ -99,9 +97,6 @@ func (t *Tree) Table() *seg.Table { return t.Segs }
 
 // DiskStats returns the disk activity of the tree's own pages.
 func (t *Tree) DiskStats() store.Stats { return t.Pool.Stats() }
-
-// NodeComps returns the cumulative bounding box computation count.
-func (t *Tree) NodeComps() uint64 { return t.Comps.Load() }
 
 // SizeBytes returns the storage footprint of the tree pages.
 func (t *Tree) SizeBytes() int64 { return t.Pool.Disk().SizeBytes() }

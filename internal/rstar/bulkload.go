@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"segdb/internal/bulk"
+	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/seg"
 	"segdb/internal/store"
@@ -26,6 +27,11 @@ import (
 // of the R*-tree's build cost is the price of incremental maintenance.
 // The resulting tree answers queries through the same code paths.
 func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
+	return BulkLoadObs(pool, table, cfg, ids, nil)
+}
+
+// BulkLoadObs is BulkLoad charging o the build's segment fetches.
+func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Tree, error) {
 	t, err := New(pool, table, cfg)
 	if err != nil {
 		return nil, err
@@ -39,7 +45,7 @@ func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tr
 		perNode = 2
 	}
 
-	fetched, err := bulk.Fetch(table, ids)
+	fetched, err := bulk.Fetch(table, ids, o)
 	if err != nil {
 		return nil, err
 	}

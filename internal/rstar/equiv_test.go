@@ -81,7 +81,7 @@ func refWindow(t *Tree, id store.PageID, r geom.Rect, visit func(seg.ID, geom.Se
 func refWindowObs(t *Tree, r geom.Rect, visit func(seg.ID, geom.Segment) bool, o *obs.Op) error {
 	var examined uint64
 	_, err := refWindow(t, t.Root, r, visit, o, &examined)
-	t.ChargeComps(o, examined)
+	o.NodeComps(examined)
 	return err
 }
 
@@ -126,7 +126,7 @@ func pqPop(q *[]pqItem) pqItem { return heap.Pop((*refPQ)(q)).(pqItem) }
 func refNearestK(t *Tree, p geom.Point, k int, o *obs.Op) ([]core.NearestResult, error) {
 	var dst []core.NearestResult
 	var examined uint64
-	defer func() { t.ChargeComps(o, examined) }()
+	defer func() { o.NodeComps(examined) }()
 	var q []pqItem
 	pqPush(&q, pqItem{distSq: 0, ptr: uint32(t.Root), level: t.Levels})
 	for len(q) > 0 && len(dst) < k {

@@ -56,7 +56,7 @@ func goldenSegments(tb testing.TB) []geom.Segment {
 // goldenBuild inserts the golden workload one segment at a time, then
 // deletes and reinserts a tenth of it, and returns the SHA-256 of the
 // flushed disk image followed by the tree's root, height and count, and
-// the cumulative bounding box computations.
+// the bounding box computations the whole workload charged.
 func goldenBuild(t *testing.T, cfg Config) (string, uint64) {
 	t.Helper()
 	segs := goldenSegments(t)
@@ -70,14 +70,14 @@ func goldenBuild(t *testing.T, cfg Config) (string, uint64) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, i := range rng.Perm(len(ids))[:len(ids)/10] {
-		if err := env.tree.Delete(ids[i]); err != nil {
+		if err := env.tree.Delete(ids[i], &env.op); err != nil {
 			t.Fatalf("delete %d: %v", ids[i], err)
 		}
-		if err := env.tree.Insert(ids[i]); err != nil {
+		if err := env.tree.Insert(ids[i], &env.op); err != nil {
 			t.Fatalf("reinsert %d: %v", ids[i], err)
 		}
 	}
-	if err := env.tree.Validate(); err != nil {
+	if err := env.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := env.tree.Pool.Flush(); err != nil {
@@ -90,7 +90,7 @@ func goldenBuild(t *testing.T, cfg Config) (string, uint64) {
 	for _, v := range env.tree.PersistMeta() {
 		h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
 	}
-	return hex.EncodeToString(h.Sum(nil)), env.tree.NodeComps()
+	return hex.EncodeToString(h.Sum(nil)), env.op.Stats().NodeComps
 }
 
 func TestInsertPathMatchesGolden(t *testing.T) {
@@ -155,7 +155,7 @@ func BenchmarkRStarInsert(b *testing.B) {
 				}
 				b.StartTimer()
 				for _, id := range ids {
-					if err := tree.Insert(id); err != nil {
+					if err := tree.Insert(id, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

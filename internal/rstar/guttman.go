@@ -20,7 +20,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 	worst := int64(-1)
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
-			t.w.comps++
+			t.w.o.NodeComps(1)
 			d := entries[i].Rect.Union(entries[j].Rect).Area() -
 				entries[i].Rect.Area() - entries[j].Rect.Area()
 			if d > worst {
@@ -59,7 +59,7 @@ func (t *Tree) quadraticSplit(entries []rpage.Entry) (left, right []rpage.Entry)
 		best, bestDiff := 0, int64(-1)
 		var bestDL, bestDR int64
 		for i, e := range remaining {
-			t.w.comps += 2
+			t.w.o.NodeComps(2)
 			dl := lbb.Enlargement(e.Rect)
 			dr := rbb.Enlargement(e.Rect)
 			diff := dl - dr

@@ -17,6 +17,7 @@ import (
 
 	"segdb/internal/geom"
 	"segdb/internal/kernel"
+	"segdb/internal/obs"
 	"segdb/internal/rpage"
 	"segdb/internal/rsearch"
 	"segdb/internal/seg"
@@ -122,11 +123,9 @@ type pending struct {
 // every insert and delete: after the first few operations the write
 // path allocates only when a node splits or the tree grows.
 type scratch struct {
-	// comps accumulates the bounding box computations of the logical
-	// operation in flight. Insert and Delete flush it into Tree.Comps
-	// once, on every return path, so the counter advances by exactly what
-	// a per-computation charge would have added.
-	comps uint64
+	// o is the operation in flight, set by Insert and Delete: every
+	// bounding box computation of the write is charged to it.
+	o *obs.Op
 	// handled has bit l set once level l has been force-reinserted
 	// during the current logical insertion.
 	handled uint64
@@ -143,15 +142,6 @@ type scratch struct {
 	sorted         [4][]rpage.Entry
 	prefix, suffix []geom.Rect
 	dist           []distEntry
-}
-
-// flushComps moves the operation's accumulated bounding box
-// computations into the tree's counter.
-func (t *Tree) flushComps() {
-	if c := t.w.comps; c != 0 {
-		t.w.comps = 0
-		t.Comps.Add(c)
-	}
 }
 
 // readLevel decodes page id into the scratch node of its level. The
@@ -172,13 +162,13 @@ func (t *Tree) readLevel(id store.PageID, level int) (*rpage.Node, error) {
 	return n, err
 }
 
-// Insert adds the segment with the given table ID.
-func (t *Tree) Insert(id seg.ID) error {
-	s, err := t.Segs.Get(id)
+// Insert adds the segment with the given table ID, charging o.
+func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
+	s, err := t.Segs.GetObs(id, o)
 	if err != nil {
 		return err
 	}
-	defer t.flushComps()
+	t.w.o = o
 	e := rpage.Entry{Rect: s.Bounds(), Ptr: uint32(id)}
 	if err := t.insertAll(pending{e: e, level: 1}); err != nil {
 		return err
@@ -294,7 +284,7 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 		for i, e := range n.Entries {
 			xmin[i], ymin[i], xmax[i], ymax[i] = e.Rect.Min.X, e.Rect.Min.Y, e.Rect.Max.X, e.Rect.Max.Y
 		}
-		t.w.comps += uint64(N) * uint64(N)
+		t.w.o.NodeComps(uint64(N) * uint64(N))
 		return kernel.ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, t.w.dOverlap[:N])
 	}
 	best := 0
@@ -307,7 +297,7 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 			best, bestEnlarge, bestArea = i, dEnlarge, area
 		}
 	}
-	t.w.comps += uint64(N)
+	t.w.o.NodeComps(uint64(N))
 	return best
 }
 
@@ -335,7 +325,7 @@ func (t *Tree) pickReinsert(n *rpage.Node, level int) {
 		ds = append(ds, distEntry{d: dx*dx + dy*dy, e: e})
 	}
 	t.w.dist = ds
-	t.w.comps += uint64(len(ds))
+	t.w.o.NodeComps(uint64(len(ds)))
 	// Sort ascending by distance; the tail is reinserted.
 	slices.SortStableFunc(ds, func(a, b distEntry) int { return cmp.Compare(a.d, b.d) })
 	cut := len(ds) - p

@@ -7,6 +7,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -16,6 +17,7 @@ type testEnv struct {
 	tree  *Tree
 	table *seg.Table
 	segs  []geom.Segment
+	op    obs.Op // what add charges
 }
 
 func newEnv(t *testing.T, pageSize, poolPages int, cfg Config) *testEnv {
@@ -34,7 +36,7 @@ func (e *testEnv) add(t *testing.T, s geom.Segment) seg.ID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.tree.Insert(id); err != nil {
+	if err := e.tree.Insert(id, &e.op); err != nil {
 		t.Fatal(err)
 	}
 	e.segs = append(e.segs, s)
@@ -80,7 +82,7 @@ func TestEmptyTree(t *testing.T) {
 	if len(ids) != 0 {
 		t.Errorf("window on empty tree returned %d", len(ids))
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +94,7 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 	for _, s := range segs {
 		e.add(t, s)
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.tree.Height() < 2 {
@@ -178,12 +180,12 @@ func TestDeleteAndReinsert(t *testing.T) {
 	perm := rng.Perm(len(segs))
 	deleted := map[seg.ID]bool{}
 	for _, i := range perm[:300] {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 		deleted[seg.ID(i)] = true
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.tree.Len() != 300 {
@@ -205,7 +207,7 @@ func TestDeleteAndReinsert(t *testing.T) {
 		}
 	}
 	// Deleting a deleted segment fails.
-	if err := e.tree.Delete(seg.ID(perm[0])); err != seg.ErrNotIndexed {
+	if err := e.tree.Delete(seg.ID(perm[0]), nil); err != seg.ErrNotIndexed {
 		t.Fatalf("double delete: %v", err)
 	}
 }
@@ -218,14 +220,14 @@ func TestDeleteAll(t *testing.T) {
 		e.add(t, s)
 	}
 	for i := range segs {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
 	if e.tree.Len() != 0 || e.tree.Height() != 1 {
 		t.Fatalf("Len=%d Height=%d after deleting all", e.tree.Len(), e.tree.Height())
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -242,16 +244,17 @@ func TestForcedReinsertAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var o obs.Op
 		for _, s := range segs {
 			id, _ := table.Append(s)
-			if err := tree.Insert(id); err != nil {
+			if err := tree.Insert(id, &o); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := tree.Validate(); err != nil {
+		if err := tree.Validate(nil); err != nil {
 			t.Fatal(err)
 		}
-		return tree, tree.NodeComps()
+		return tree, o.Stats().NodeComps
 	}
 	withR, compsWith := build(DefaultConfig())
 	withoutR, compsWithout := build(Config{MinFillFraction: 0.4, ReinsertFraction: 0})
@@ -310,8 +313,8 @@ func TestMetricsAdvance(t *testing.T) {
 	}
 	e.tree.DropCache()
 	e.table.DropCache()
-	m, err := core.Measure(e.tree, func() error {
-		_, err := core.FirstNearestObs(e.tree, geom.Pt(8000, 8000), nil)
+	m, err := core.Measure(e.tree, func(o *obs.Op) error {
+		_, err := core.FirstNearestObs(e.tree, geom.Pt(8000, 8000), o)
 		return err
 	})
 	if err != nil {
@@ -338,7 +341,7 @@ func TestGuttmanVariantCorrectness(t *testing.T) {
 	for _, s := range segs {
 		e.add(t, s)
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Exhaustive window agreement with brute force.
@@ -373,11 +376,11 @@ func TestGuttmanVariantCorrectness(t *testing.T) {
 	}
 	// Delete still works under quadratic splits.
 	for i := 0; i < 400; i++ {
-		if err := e.tree.Delete(seg.ID(i)); err != nil {
+		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
-	if err := e.tree.Validate(); err != nil {
+	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -394,25 +397,26 @@ func TestGuttmanBuildsCheaperQueriesWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var o obs.Op
 		for _, s := range segs {
 			id, _ := table.Append(s)
-			if err := tree.Insert(id); err != nil {
+			if err := tree.Insert(id, &o); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return tree, tree.NodeComps()
+		return tree, o.Stats().NodeComps
 	}
 	star, starBuild := build(DefaultConfig())
 	gut, gutBuild := build(GuttmanConfig())
 
 	queryComps := func(tr *Tree) uint64 {
-		before := tr.NodeComps()
+		var o obs.Op
 		for trial := 0; trial < 300; trial++ {
 			x := int32(rng.Intn(geom.WorldSize - 200))
 			y := int32(rng.Intn(geom.WorldSize - 200))
-			tr.WindowObs(geom.RectOf(x, y, x+164, y+164), func(seg.ID, geom.Segment) bool { return true }, nil)
+			tr.WindowObs(geom.RectOf(x, y, x+164, y+164), func(seg.ID, geom.Segment) bool { return true }, &o)
 		}
-		return tr.NodeComps() - before
+		return o.Stats().NodeComps
 	}
 	starQ, gutQ := queryComps(star), queryComps(gut)
 	t.Logf("build comps: R*=%d R=%d; window query comps: R*=%d R=%d",
@@ -438,7 +442,7 @@ func TestBulkLoadCorrectness(t *testing.T) {
 		if tree.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, tree.Len())
 		}
-		if err := tree.Validate(); err != nil {
+		if err := tree.Validate(nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		// Window agreement with brute force.
@@ -457,13 +461,13 @@ func TestBulkLoadCorrectness(t *testing.T) {
 		// The packed tree accepts further inserts and deletes.
 		if n > 10 {
 			extra, _ := table.Append(geom.Seg(5, 5, 9, 9))
-			if err := tree.Insert(extra); err != nil {
+			if err := tree.Insert(extra, nil); err != nil {
 				t.Fatalf("n=%d: insert after bulk load: %v", n, err)
 			}
-			if err := tree.Delete(ids[0]); err != nil {
+			if err := tree.Delete(ids[0], nil); err != nil {
 				t.Fatalf("n=%d: delete after bulk load: %v", n, err)
 			}
-			if err := tree.Validate(); err != nil {
+			if err := tree.Validate(nil); err != nil {
 				t.Fatalf("n=%d after updates: %v", n, err)
 			}
 		}
@@ -495,7 +499,7 @@ func TestBulkLoadCheaperAndTighter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range segs {
-		if err := incr.Insert(seg.ID(i)); err != nil {
+		if err := incr.Insert(seg.ID(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

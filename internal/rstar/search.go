@@ -2,18 +2,19 @@ package rstar
 
 import (
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
 
 // Delete removes a segment, condensing underfull nodes by reinsertion (the
-// classic R-tree CondenseTree step).
-func (t *Tree) Delete(id seg.ID) error {
-	s, err := t.Segs.Get(id)
+// classic R-tree CondenseTree step), charging o.
+func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
+	s, err := t.Segs.GetObs(id, o)
 	if err != nil {
 		return err
 	}
-	defer t.flushComps()
+	t.w.o = o
 	r := s.Bounds()
 	var orphans []pending
 	found, _, err := t.deleteRec(t.Root, t.Levels, id, r, &orphans)
@@ -57,7 +58,7 @@ func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect,
 	}
 	if n.Leaf {
 		for i, e := range n.Entries {
-			t.w.comps++
+			t.w.o.NodeComps(1)
 			if seg.ID(e.Ptr) != target {
 				continue
 			}
@@ -75,7 +76,7 @@ func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect,
 	}
 	for i := 0; i < len(n.Entries); i++ {
 		e := n.Entries[i]
-		t.w.comps++
+		t.w.o.NodeComps(1)
 		if !e.Rect.ContainsRect(r) {
 			continue
 		}

@@ -52,7 +52,7 @@ func (t *Tree) split(entries []rpage.Entry) (left, right []rpage.Entry) {
 	for _, s := range t.w.sorted[axis : axis+2] {
 		t.groupMBRs(s)
 		for cut := m; cut <= len(s)-m; cut++ {
-			t.w.comps += 2
+			t.w.o.NodeComps(2)
 			r1, r2 := t.w.prefix[cut-1], t.w.suffix[cut]
 			overlap := r1.OverlapArea(r2)
 			area := r1.Area() + r2.Area()
@@ -72,7 +72,7 @@ func (t *Tree) marginSum(s []rpage.Entry, m int) int64 {
 	t.groupMBRs(s)
 	var sum int64
 	for cut := m; cut <= len(s)-m; cut++ {
-		t.w.comps += 2
+		t.w.o.NodeComps(2)
 		sum += t.w.prefix[cut-1].Perimeter() + t.w.suffix[cut].Perimeter()
 	}
 	return sum

@@ -3,6 +3,7 @@ package rstar
 import (
 	"fmt"
 
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -13,9 +14,9 @@ import (
 //   - occupancy between m and M for non-root nodes;
 //   - every leaf entry's rectangle equals the bounding box of its segment;
 //   - the number of leaf entries matches Len().
-func (t *Tree) Validate() error {
+func (t *Tree) Validate(o *obs.Op) error {
 	leafEntries := 0
-	if err := t.validate(t.Root, t.Levels, true, &leafEntries); err != nil {
+	if err := t.validate(t.Root, t.Levels, true, &leafEntries, o); err != nil {
 		return err
 	}
 	if leafEntries != t.Count {
@@ -24,7 +25,7 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *int) error {
+func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *int, o *obs.Op) error {
 	n, err := t.ReadNode(id)
 	if err != nil {
 		return err
@@ -43,7 +44,7 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 	}
 	if n.Leaf {
 		for _, e := range n.Entries {
-			s, err := t.Segs.Get(seg.ID(e.Ptr))
+			s, err := t.Segs.GetObs(seg.ID(e.Ptr), o)
 			if err != nil {
 				return fmt.Errorf("rstar: leaf page %d: %w", id, err)
 			}
@@ -65,7 +66,7 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 		if mbr := child.MBR(); mbr != e.Rect {
 			return fmt.Errorf("rstar: page %d entry rect %v != child %d MBR %v", id, e.Rect, e.Ptr, mbr)
 		}
-		if err := t.validate(store.PageID(e.Ptr), level-1, false, leafEntries); err != nil {
+		if err := t.validate(store.PageID(e.Ptr), level-1, false, leafEntries, o); err != nil {
 			return err
 		}
 	}

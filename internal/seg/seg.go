@@ -5,7 +5,7 @@
 // this table (the spatial index proper); the endpoints of each line segment
 // live here, packed into pages behind a small buffer pool. A "segment
 // comparison" in the paper's statistics is one fetch of a segment's
-// geometry from this table, counted by Table.Comparisons.
+// geometry from this table, charged to the fetching operation's obs.Op.
 package seg
 
 import (
@@ -39,7 +39,7 @@ const recordSize = 16
 // Table is the append-only, disk-resident table of line segments.
 //
 // Concurrency: Get may be called from any number of goroutines (the pool
-// underneath is latched and the comparison counter is atomic). Append is
+// underneath is latched and the fetch stamp is atomic). Append is
 // a structural write and must be serialized with other writes by the
 // caller (the facade's writer lock); because the table is append-only
 // and the record count is atomic, snapshot readers may keep calling Get
@@ -54,7 +54,11 @@ type Table struct {
 	pool    *store.Pool
 	perPage int
 	count   atomic.Int64
-	fetches atomic.Uint64
+	// stamp changes with every fetch that reaches the pool or that a
+	// cursor answered from its copy (once per Close): a Cursor's copy
+	// stands in for the pool only while it is unchanged. It counts
+	// nothing anyone reads.
+	stamp atomic.Uint64
 }
 
 // NewTable creates a segment table over its own simulated disk, fronted
@@ -71,10 +75,6 @@ func (t *Table) Len() int { return int(t.count.Load()) }
 
 // DiskStats returns the disk activity of the table's buffer pool.
 func (t *Table) DiskStats() store.Stats { return t.pool.Stats() }
-
-// Comparisons returns the cumulative number of segment fetches — the
-// paper's "segment comparisons" counter.
-func (t *Table) Comparisons() uint64 { return t.fetches.Load() }
 
 // SizeBytes returns the storage occupied by the table.
 func (t *Table) SizeBytes() int64 { return t.pool.Disk().SizeBytes() }
@@ -127,20 +127,20 @@ func (t *Table) Append(s geom.Segment) (ID, error) {
 	return id, nil
 }
 
-// Get fetches a segment's endpoints, counting one segment comparison.
+// Get fetches a segment's endpoints, charging no operation.
 func (t *Table) Get(id ID) (geom.Segment, error) {
 	return t.GetObs(id, nil)
 }
 
-// GetObs is Get with per-query observation: the segment comparison and
-// the underlying page request are charged to o as well as to the table's
-// own counters. A nil o makes this identical to Get. It is the one-shot
-// fetch, for a caller with a single id; a traversal opens a Cursor.
+// GetObs is Get charging o one segment comparison and the underlying page
+// request (the pool's own hit/miss counters see the request either way).
+// It is the one-shot fetch, for a caller with a single id; a traversal
+// opens a Cursor.
 func (t *Table) GetObs(id ID, o *obs.Op) (geom.Segment, error) {
 	if count := t.count.Load(); int64(id) >= count {
 		return geom.Segment{}, errRange(id, count)
 	}
-	t.fetches.Add(1)
+	t.stamp.Add(1)
 	o.SegComps(1)
 	var rec [recordSize]byte
 	if err := t.pool.ReadObs(store.PageID(int(id)/t.perPage), int(id)%t.perPage*recordSize, rec[:], o); err != nil {
@@ -162,7 +162,7 @@ func errRange(id ID, count int64) error {
 // the LRU list.
 //
 // The page must still be the pool's last for that, so the copy is used
-// only while the table's count and fetch total are what they were when it
+// only while the table's count and fetch stamp are what they were when it
 // was taken: an Append, a one-shot Get or another cursor's Close (a
 // traversal nested in this one's visitor) moves one, and the next fetch
 // goes back to the pool, as every fetch did before cursors. Other
@@ -173,15 +173,15 @@ func errRange(id ID, count int64) error {
 // readers with ErrAllPinned once cursors outnumber a pool's frames, and
 // make DropAll panic. Only the page's visible prefix is copied (see
 // Table). Fetches and hits are counted here and charged by Close — to the
-// table, the pool and the Op — so a traversal closes its cursor before its
-// counters are read. Not safe for concurrent use.
+// Op, and the hits to the pool — so a traversal closes its cursor before
+// its counters are read. Not safe for concurrent use.
 type Cursor struct {
 	t       *Table
 	o       *obs.Op
 	lo      ID     // first id of the copied page
 	n       uint32 // records copied; 0 when no page is held
 	count   int64  // t.count when they were
-	seen    uint64 // t.fetches when they were
+	seen    uint64 // t.stamp when they were
 	fetches uint64 // fetches not yet charged
 	hits    uint64 // those of them answered from the copy
 	buf     []byte
@@ -190,8 +190,8 @@ type Cursor struct {
 // cursorPool recycles cursors with their page buffers.
 var cursorPool = sync.Pool{New: func() any { return new(Cursor) }}
 
-// Cursor opens a cursor charging o (nil charges only the table and the
-// pool). The caller must Close it.
+// Cursor opens a cursor charging o (nil charges only the pool's hit
+// counter). The caller must Close it.
 func (t *Table) Cursor(o *obs.Op) *Cursor {
 	c := cursorPool.Get().(*Cursor)
 	c.t, c.o = t, o
@@ -210,7 +210,7 @@ func (c *Cursor) Get(id ID) (geom.Segment, error) {
 		return geom.Segment{}, errRange(id, count)
 	}
 	c.fetches++
-	if slot := uint32(id - c.lo); slot < c.n && count == c.count && t.fetches.Load() == c.seen {
+	if slot := uint32(id - c.lo); slot < c.n && count == c.count && t.stamp.Load() == c.seen {
 		if err := c.o.Canceled(); err != nil {
 			return geom.Segment{}, err
 		}
@@ -228,14 +228,14 @@ func (c *Cursor) Get(id ID) (geom.Segment, error) {
 	if err := t.pool.ReadObs(store.PageID(page), 0, c.buf[:n*recordSize], c.o); err != nil {
 		return geom.Segment{}, err
 	}
-	c.lo, c.n, c.count, c.seen = ID(lo), uint32(n), count, t.fetches.Load()
+	c.lo, c.n, c.count, c.seen = ID(lo), uint32(n), count, t.stamp.Load()
 	return decode(c.buf[(int(id)-lo)*recordSize:]), nil
 }
 
 // Close charges the cursor's fetches and recycles it.
 func (c *Cursor) Close() {
 	if c.fetches != 0 {
-		c.t.fetches.Add(c.fetches)
+		c.t.stamp.Add(1)
 		c.o.SegComps(c.fetches)
 	}
 	if c.hits != 0 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 )
 
 func TestAppendGetRoundTrip(t *testing.T) {
@@ -53,14 +54,13 @@ func TestGetOutOfRange(t *testing.T) {
 
 func TestComparisonCounting(t *testing.T) {
 	tab := NewTable(1024, 4)
+	var o obs.Op
 	id, _ := tab.Append(geom.Seg(1, 2, 3, 4))
-	if tab.Comparisons() != 0 {
-		t.Fatal("append should not count as comparison")
-	}
-	tab.Get(id)
-	tab.Get(id)
-	if got := tab.Comparisons(); got != 2 {
-		t.Errorf("Comparisons = %d, want 2", got)
+	tab.GetObs(id, &o)
+	tab.GetObs(id, &o)
+	tab.Get(id) // charges no op
+	if got := o.Stats().SegComps; got != 2 {
+		t.Errorf("SegComps = %d, want 2 (an append is no comparison)", got)
 	}
 }
 

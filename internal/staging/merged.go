@@ -64,10 +64,10 @@ func (m *Merged) tombstoned(id seg.ID) bool {
 func (m *Merged) Name() string { return m.base.Name() }
 
 // Insert implements core.Index; snapshots are immutable.
-func (m *Merged) Insert(seg.ID) error { return ErrImmutable }
+func (m *Merged) Insert(seg.ID, *obs.Op) error { return ErrImmutable }
 
 // Delete implements core.Index; snapshots are immutable.
-func (m *Merged) Delete(seg.ID) error { return ErrImmutable }
+func (m *Merged) Delete(seg.ID, *obs.Op) error { return ErrImmutable }
 
 // WindowObs implements core.Index: the base traversal with tombstoned
 // results suppressed, then the staged grid scan. Early stop from visit
@@ -149,9 +149,6 @@ func (m *Merged) Table() *seg.Table { return m.base.Table() }
 // DiskStats implements core.Index (the staging tier touches no pages).
 func (m *Merged) DiskStats() store.Stats { return m.base.DiskStats() }
 
-// NodeComps implements core.Index.
-func (m *Merged) NodeComps() uint64 { return m.base.NodeComps() }
-
 // SizeBytes implements core.Index (the memtable is not disk-resident).
 func (m *Merged) SizeBytes() int64 { return m.base.SizeBytes() }
 
@@ -164,4 +161,4 @@ func (m *Merged) DropCache() error { return m.base.DropCache() }
 
 // Validate implements core.Index by validating the base index (the
 // memtable has no disk invariants to check).
-func (m *Merged) Validate() error { return m.base.Validate() }
+func (m *Merged) Validate(o *obs.Op) error { return m.base.Validate(o) }

@@ -54,7 +54,7 @@ func GenerateCounty(name string) (*MapData, error) {
 // AddBatch does.
 func (db *DB) Load(m *MapData) ([]SegmentID, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	if err := db.settleLocked(); err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func ParseTIGER(r io.Reader, cfccPrefixes ...string) (*MapData, error) {
 // here — use Load for the paper-exact incremental build.)
 func (db *DB) LoadPacked(m *MapData) ([]SegmentID, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	if n := db.index.Table().Len(); n != 0 {
 		return nil, fmt.Errorf("segdb: LoadPacked requires an empty database (have %d segments)", n)
 	}

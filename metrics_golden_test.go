@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -114,4 +115,58 @@ func metricsHistory(t *testing.T, out *bytes.Buffer, kind Kind, segs []Segment, 
 	phase("drop")
 	windows()
 	phase("window")
+}
+
+// TestMetricsNeverRunBackwards holds Metrics() to being cumulative across
+// the two calls that replace the index: a bulk merge (AddBatch on a
+// non-empty in-place database) and a staged compaction. Every field of
+// the snapshot after the swap is at least the one before it, for six
+// kinds.
+func TestMetricsNeverRunBackwards(t *testing.T) {
+	segs := bulkSample(t, 1600)
+	for _, kind := range allKinds() {
+		for _, staged := range []bool{false, true} {
+			opts := []Option(nil)
+			if staged {
+				opts = []Option{WithStagedIngest()}
+			}
+			db, err := Open(kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := 0 // one-at-a-time adds from here to 1500
+			if staged {
+				_, err = db.AddBatch(segs[:1000])
+				first = 1000
+			}
+			for _, s := range segs[first:1500] {
+				if err == nil {
+					_, err = db.Add(s)
+				}
+			}
+			for i := 0; err == nil && i < 100; i++ {
+				err = db.Window(segs[i*7].Bounds(), func(SegmentID, Segment) bool { return true })
+			}
+			if err != nil {
+				t.Fatalf("%v staged=%v: %v", kind, staged, err)
+			}
+			before := db.Metrics()
+			if staged {
+				err = db.Compact()
+			} else {
+				_, err = db.AddBatch(segs[1500:])
+			}
+			if err != nil {
+				t.Fatalf("%v staged=%v: %v", kind, staged, err)
+			}
+			after := db.Metrics()
+			b, a := reflect.ValueOf(before), reflect.ValueOf(after)
+			for i := 0; i < b.NumField(); i++ {
+				if a.Field(i).Uint() < b.Field(i).Uint() {
+					t.Errorf("%v staged=%v: Metrics().%s ran backwards across the swap: %d -> %d",
+						kind, staged, b.Type().Field(i).Name, b.Field(i).Uint(), a.Field(i).Uint())
+				}
+			}
+		}
+	}
 }

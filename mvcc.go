@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"segdb/internal/core"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/staging"
 	"segdb/internal/store"
@@ -115,7 +116,7 @@ func (db *DB) stagedMode() bool { return db.snap.Load() != nil }
 // publishes the first snapshot. Called before the DB escapes, so no
 // locking.
 func (db *DB) initStaged() error {
-	ids, err := db.collectLiveIDs(db.index)
+	ids, err := db.collectLiveIDs(db.index, &db.wop)
 	if err != nil {
 		return err
 	}
@@ -127,13 +128,14 @@ func (db *DB) initStaged() error {
 }
 
 // collectLiveIDs enumerates the ids the index currently answers for —
-// its live segments, excluding deleted table slots — sorted ascending.
-func (db *DB) collectLiveIDs(ix core.Index) ([]seg.ID, error) {
+// its live segments, excluding deleted table slots — sorted ascending,
+// charging o.
+func (db *DB) collectLiveIDs(ix core.Index, o *obs.Op) ([]seg.ID, error) {
 	var ids []seg.ID
 	err := ix.WindowObs(World(), func(id SegmentID, _ Segment) bool {
 		ids = append(ids, id)
 		return true
-	}, nil)
+	}, o)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +232,7 @@ func (db *DB) maybeCompactLocked() error {
 // opened without WithStagedIngest.
 func (db *DB) Compact() error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	if !db.stagedMode() {
 		return ErrNotStaged
 	}

@@ -63,11 +63,6 @@ func WithPageCompression(level int) Option {
 	return optionFunc(func(o *Options) { o.PageCompression = level })
 }
 
-// WithGridCells sets the uniform grid resolution per side (default 64).
-func WithGridCells(n int32) Option {
-	return optionFunc(func(o *Options) { o.GridCells = n })
-}
-
 // WithFaultPolicy attaches a fault-injection policy to both of the
 // database's simulated disks at open time (equivalent to calling
 // SetFaultPolicy immediately after Open).
@@ -159,9 +154,6 @@ func resolveOptions(opts []Option) Options {
 	}
 	if o.PMRThreshold == 0 {
 		o.PMRThreshold = 4
-	}
-	if o.GridCells == 0 {
-		o.GridCells = 64
 	}
 	if o.CompactThreshold == 0 {
 		o.CompactThreshold = 4096

@@ -6,6 +6,7 @@ import (
 	"segdb/internal/btree"
 	"segdb/internal/core"
 	"segdb/internal/grid"
+	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/rpage"
 	"segdb/internal/rplus"
@@ -49,7 +50,9 @@ func (o Options) pmrConfig(Kind) pmr.Config {
 
 // gridConfig builds the uniform grid configuration.
 func (o Options) gridConfig(Kind) grid.Config {
-	return grid.Config{CellsPerSide: o.GridCells, Compression: o.PageCompression}
+	c := grid.DefaultConfig()
+	c.Compression = o.PageCompression
+	return c
 }
 
 // The five implementers of the index contract: four disk structures and
@@ -75,7 +78,7 @@ type persistable interface {
 type kindImpl struct {
 	metaWords int
 	new       func(o Options, k Kind, pool *store.Pool, table *seg.Table) (persistable, error)
-	bulk      func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID) (persistable, error)
+	bulk      func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID, op *obs.Op) (persistable, error)
 	restore   func(o Options, k Kind, pool *store.Pool, table *seg.Table, meta []uint64) (persistable, error)
 }
 
@@ -86,7 +89,7 @@ type kindImpl struct {
 func family[C any, T persistable, M [3]uint64 | [4]uint64](
 	cfg func(Options, Kind) C,
 	create func(*store.Pool, *seg.Table, C) (T, error),
-	bulk func(*store.Pool, *seg.Table, C, []seg.ID) (T, error),
+	bulk func(*store.Pool, *seg.Table, C, []seg.ID, *obs.Op) (T, error),
 	restore func(*store.Pool, *seg.Table, C, M) (T, error),
 ) kindImpl {
 	var m M
@@ -95,8 +98,8 @@ func family[C any, T persistable, M [3]uint64 | [4]uint64](
 		new: func(o Options, k Kind, pool *store.Pool, table *seg.Table) (persistable, error) {
 			return create(pool, table, cfg(o, k))
 		},
-		bulk: func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID) (persistable, error) {
-			return bulk(pool, table, cfg(o, k), ids)
+		bulk: func(o Options, k Kind, pool *store.Pool, table *seg.Table, ids []seg.ID, op *obs.Op) (persistable, error) {
+			return bulk(pool, table, cfg(o, k), ids, op)
 		},
 		restore: func(o Options, k Kind, pool *store.Pool, table *seg.Table, meta []uint64) (persistable, error) {
 			return restore(pool, table, cfg(o, k), M(meta))
@@ -107,12 +110,12 @@ func family[C any, T persistable, M [3]uint64 | [4]uint64](
 // kinds is the one per-kind construction table: Open, the bulk rebuild,
 // Load and crash recovery all go through it.
 var kinds = map[Kind]kindImpl{
-	RStarTree:    family(Options.rstarConfig, rstar.New, rstar.BulkLoad, rstar.Restore),
-	ClassicRTree: family(Options.rstarConfig, rstar.New, rstar.BulkLoad, rstar.Restore),
-	RPlusTree:    family(Options.rplusConfig, rplus.New, rplus.BulkLoad, rplus.Restore),
-	KDBTree:      family(Options.rplusConfig, rplus.New, rplus.BulkLoad, rplus.Restore),
-	PMRQuadtree:  family(Options.pmrConfig, pmr.New, pmr.BulkLoad, pmr.Restore),
-	UniformGrid:  family(Options.gridConfig, grid.New, grid.BulkLoad, grid.Restore),
+	RStarTree:    family(Options.rstarConfig, rstar.New, rstar.BulkLoadObs, rstar.Restore),
+	ClassicRTree: family(Options.rstarConfig, rstar.New, rstar.BulkLoadObs, rstar.Restore),
+	RPlusTree:    family(Options.rplusConfig, rplus.New, rplus.BulkLoadObs, rplus.Restore),
+	KDBTree:      family(Options.rplusConfig, rplus.New, rplus.BulkLoadObs, rplus.Restore),
+	PMRQuadtree:  family(Options.pmrConfig, pmr.New, pmr.BulkLoadObs, pmr.Restore),
+	UniformGrid:  family(Options.gridConfig, grid.New, grid.BulkLoadObs, grid.Restore),
 }
 
 // implOf looks a kind up in the table; the error for a kind outside it

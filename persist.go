@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"segdb/internal/grid"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -55,7 +56,7 @@ func (db *DB) writeSnapshot(w io.Writer) error {
 		uint32(o.PoolPages),
 		uint32(o.PMRThreshold),
 		boolWord(o.PMRStoreMBR),
-		uint32(o.GridCells),
+		uint32(grid.DefaultConfig().CellsPerSide),
 		uint32(len(meta)),
 		uint32(o.PageCompression),
 	}
@@ -112,7 +113,6 @@ func Load(r io.Reader) (*DB, error) {
 		PoolPages:    int(header[2]),
 		PMRThreshold: int(header[3]),
 		PMRStoreMBR:  header[4] != 0,
-		GridCells:    int32(header[5]),
 		// Staged ingest is a runtime mode (off after Load); the
 		// compaction threshold resolves to its default as in Open.
 		CompactThreshold: 4096,
@@ -122,6 +122,9 @@ func Load(r io.Reader) (*DB, error) {
 	}
 	if err := checkOptions(opts); err != nil {
 		return nil, fmt.Errorf("segdb: image header: %w", err)
+	}
+	if cells := grid.DefaultConfig().CellsPerSide; header[5] != uint32(cells) {
+		return nil, fmt.Errorf("segdb: image header: grid resolution %d (only %d is supported)", header[5], cells)
 	}
 	if header[6] > maxMetaWords {
 		return nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])

@@ -2,9 +2,12 @@ package segdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -213,6 +216,30 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	db.Save(&buf)
 	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated file accepted")
+	}
+}
+
+// TestLoadRefusesOtherGridResolution holds Load to the one uniform grid
+// resolution: an image whose header (checksum intact) records any other
+// is refused with an error naming it.
+func TestLoadRefusesOtherGridResolution(t *testing.T) {
+	db, _ := Open(UniformGrid)
+	populate(t, db, 50, 5)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// Magic, eight header words, the metadata words, then the CRC32.
+	const cellsWord = 8 + 5*4
+	if got := binary.LittleEndian.Uint32(img[cellsWord:]); got != 64 {
+		t.Fatalf("header word 5 = %d, want 64", got)
+	}
+	crcAt := 8 + 8*4 + 8*int(binary.LittleEndian.Uint32(img[8+6*4:]))
+	binary.LittleEndian.PutUint32(img[cellsWord:], 16)
+	binary.LittleEndian.PutUint32(img[crcAt:], crc32.ChecksumIEEE(img[:crcAt]))
+	if _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "grid resolution 16") {
+		t.Fatalf("Load of a 16-cell image = %v, want a grid resolution error", err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package segdb
 
-import (
-	"sync/atomic"
-
-	"segdb/internal/obs"
-)
+import "segdb/internal/obs"
 
 // queryKind indexes the per-kind profile slots.
 type queryKind int
@@ -35,32 +31,10 @@ var queryKindNames = [numQueryKinds]string{
 // String returns the kind name used in QueryInfo.Kind and Profile.
 func (k queryKind) String() string { return queryKindNames[k] }
 
-// kindProfile accumulates one query kind's counts and histograms. All
-// fields are atomic: queries fold themselves in concurrently with no
-// extra locking.
-type kindProfile struct {
-	count   atomic.Uint64
-	errors  atomic.Uint64
-	latency obs.Histogram // wall time, microseconds
-	disk    obs.Histogram // disk accesses (reads + write-backs)
-}
-
-// QueryKindProfile is one query kind's aggregate in a Profile snapshot.
-type QueryKindProfile struct {
-	// Kind is the query kind name ("window", "nearestk", ...), the same
-	// string a Tracer sees in QueryInfo.Kind.
-	Kind string
-	// Count is the number of completed queries of this kind, Errors the
-	// subset that returned a non-nil error (including context
-	// cancellation).
-	Count, Errors uint64
-	// LatencyMicros is the distribution of per-query wall time in
-	// microseconds, in logarithmic buckets.
-	LatencyMicros HistogramSnapshot
-	// DiskAccesses is the distribution of per-query disk accesses
-	// (reads plus eviction write-backs), the paper's primary currency.
-	DiskAccesses HistogramSnapshot
-}
+// QueryKindProfile is one query kind's aggregate in a Profile snapshot:
+// its name, how many queries completed and failed, and the distributions
+// of their wall time (microseconds) and disk accesses.
+type QueryKindProfile = obs.KindSnapshot
 
 // Profile is a snapshot of the database's per-query-kind latency and
 // disk-access distributions; see DB.Profile.
@@ -76,20 +50,5 @@ type Profile struct {
 // queries are in flight; each kind's snapshot is internally consistent
 // to within the queries completing during the call.
 func (db *DB) Profile() Profile {
-	var p Profile
-	for k := queryKind(0); k < numQueryKinds; k++ {
-		c := &db.prof[k]
-		n := c.count.Load()
-		if n == 0 {
-			continue
-		}
-		p.Queries = append(p.Queries, QueryKindProfile{
-			Kind:          k.String(),
-			Count:         n,
-			Errors:        c.errors.Load(),
-			LatencyMicros: c.latency.Snapshot(),
-			DiskAccesses:  c.disk.Snapshot(),
-		})
-	}
-	return p
+	return Profile{Queries: obs.Snapshot(db.prof[:], queryKindNames[:])}
 }

@@ -9,17 +9,16 @@
 // bounding box computations) plus buffer-pool hit statistics and wall
 // time. Attribution is exact even under concurrency: the counters are
 // carried by a per-query operation threaded through the index, the
-// segment table, and the buffer pool, not diffed from the global
-// counters. The context-free methods (Window, Nearest, ...) are thin
-// wrappers over the *Ctx forms with context.Background() and the stats
-// discarded.
+// segment table, and the buffer pool, and the database's comparison
+// totals are the sum of those operations. The context-free methods
+// (Window, Nearest, ...) are thin wrappers over the *Ctx forms with
+// context.Background() and the stats discarded.
 package segdb
 
 import (
 	"context"
 	"io"
 	"sync"
-	"time"
 
 	"segdb/internal/core"
 	"segdb/internal/obs"
@@ -62,7 +61,7 @@ func (db *DB) SetTracer(t Tracer) {
 // queries call it with nothing held. Ops are recycled through a pool —
 // finish releases them — so with a nil tracer and a background context a
 // warm query allocates nothing here; every per-counter charge on the hot
-// path is a nil-checked atomic add.
+// path is a nil-checked add to a field of the query's own op.
 func (db *DB) begin(ctx context.Context, qk queryKind) *obs.Op {
 	o := obs.Begin(ctx, db.tracerNow(), obs.QueryInfo{
 		ID:   db.qid.Add(1),
@@ -72,19 +71,15 @@ func (db *DB) begin(ctx context.Context, qk queryKind) *obs.Op {
 	return o
 }
 
-// finish closes the observation, folds the query into the per-kind
-// profile, recycles the op, and returns the final stats alongside err.
-// The caller must not touch o afterwards.
+// finish closes the observation, folds the query's comparisons into the
+// ledger and the query into the per-kind profile, recycles the op, and
+// returns the final stats alongside err. The caller must not touch o
+// afterwards.
 func (db *DB) finish(qk queryKind, o *obs.Op, err error) (QueryStats, error) {
 	st := o.Finish(err)
 	o.Release()
-	c := &db.prof[qk]
-	c.count.Add(1)
-	if err != nil {
-		c.errors.Add(1)
-	}
-	c.latency.Record(uint64(st.Wall / time.Microsecond))
-	c.disk.Record(st.DiskAccesses())
+	db.ledger.Fold(st)
+	db.prof[qk].Record(st.Wall, st.DiskAccesses(), err)
 	return st, err
 }
 

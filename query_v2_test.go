@@ -478,7 +478,7 @@ func TestProfile(t *testing.T) {
 func TestFunctionalOptions(t *testing.T) {
 	// Defaults.
 	o := resolveOptions(nil)
-	if o.PageSize != 1024 || o.PoolPages != 16 || o.PMRThreshold != 4 || o.GridCells != 64 {
+	if o.PageSize != 1024 || o.PoolPages != 16 || o.PMRThreshold != 4 {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	// Functional options compose left to right.
@@ -487,8 +487,8 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatalf("composition wrong: %+v", o)
 	}
 	// Nil options are skipped wherever they appear.
-	o = resolveOptions([]Option{WithPageSize(4096), nil, WithGridCells(8)})
-	if o.PageSize != 4096 || o.GridCells != 8 || o.PoolPages != 16 {
+	o = resolveOptions([]Option{WithPageSize(4096), nil, WithPMRThreshold(8)})
+	if o.PageSize != 4096 || o.PMRThreshold != 8 || o.PoolPages != 16 {
 		t.Fatalf("nil option not skipped: %+v", o)
 	}
 
@@ -496,7 +496,7 @@ func TestFunctionalOptions(t *testing.T) {
 	for _, open := range []func() (*DB, error){
 		func() (*DB, error) { return Open(UniformGrid) },
 		func() (*DB, error) { return Open(UniformGrid, nil) },
-		func() (*DB, error) { return Open(UniformGrid, WithGridCells(16), WithPoolPages(8)) },
+		func() (*DB, error) { return Open(UniformGrid, WithPoolPages(8)) },
 	} {
 		db, err := open()
 		if err != nil {

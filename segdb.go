@@ -37,6 +37,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/staging"
 	"segdb/internal/store"
@@ -154,8 +155,6 @@ type Options struct {
 	// a small bounding rectangle with every q-edge ("3-tuples"), trading
 	// storage for fewer segment comparisons.
 	PMRStoreMBR bool
-	// GridCells is the uniform grid resolution per side (default 64).
-	GridCells int32
 	// PageCompression selects the on-disk page format, 0 or 1 (see
 	// WithPageCompression). Serialized by Save: a compressed image
 	// reopens compressed.
@@ -197,10 +196,12 @@ type Options struct {
 // Window, Nearest, NearestK, IncidentAt, OtherEndpoint, EnclosingPolygon,
 // Get, WindowBatch and Overlay at the same time; no call spawns
 // goroutines of its own. They share a reader lock; underneath, the buffer
-// pools are latched and every metric counter is atomic, so concurrent
-// queries neither race nor skew the paper's accounting (hits+misses, segment
-// comparisons, and bounding box computations total exactly the same as a
-// sequential replay; only the hit/miss split depends on interleaving).
+// pools are latched. Each query charges its own operation, which no other
+// goroutine touches, and folds it into the database's ledger once, when
+// it finishes, so concurrent queries neither race nor skew the paper's
+// accounting (hits+misses, segment comparisons, and bounding box
+// computations total exactly the same as a sequential replay; only the
+// hit/miss split depends on interleaving).
 //
 // By default writes are exclusive: Add, Delete, Load, LoadPacked,
 // DropCaches, CheckIntegrity, SetFaultPolicy, and Save take the writer
@@ -221,10 +222,22 @@ type DB struct {
 	pool  *store.Pool
 	index persistable
 
-	trc      atomic.Pointer[tracerBox]  // installed tracer; queries read lock-free
-	degraded atomic.Bool                // live degraded-reads flag; queries read lock-free
-	qid      atomic.Uint64              // query IDs for QueryInfo
-	prof     [numQueryKinds]kindProfile // per-kind latency/disk histograms
+	trc      atomic.Pointer[tracerBox]      // installed tracer; queries read lock-free
+	degraded atomic.Bool                    // live degraded-reads flag; queries read lock-free
+	qid      atomic.Uint64                  // query IDs for QueryInfo
+	prof     [numQueryKinds]obs.KindProfile // per-kind latency/disk histograms
+
+	// ledger totals the comparisons of every finished query and write. A
+	// query folds its op in finish; a write charges wop, which unlock
+	// folds before it releases the writer lock.
+	ledger obs.Ledger
+	wop    obs.Op // the write in flight; guarded by the writer half of mu
+
+	// devMu guards pool and retired against Metrics, which takes no other
+	// lock. retired sums the device counters of the index pools a bulk
+	// rebuild replaced, so Metrics never runs backwards.
+	devMu   sync.Mutex
+	retired Metrics
 
 	// Staged-ingest (MVCC) state; snap is non-nil exactly in staged
 	// mode. The writer-side fields are guarded by the writer half of mu;
@@ -334,6 +347,7 @@ func Open(kind Kind, opts ...Option) (*DB, error) {
 			return nil, err
 		}
 	}
+	db.foldWrite() // the staged tier's enumeration of the empty index
 	return db, nil
 }
 
@@ -363,7 +377,7 @@ func (db *DB) Len() int {
 // checkpoint the next write cuts.
 func (db *DB) Add(s Segment) (SegmentID, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	if err := db.settleLocked(); err != nil {
 		return seg.NilID, err
 	}
@@ -391,6 +405,22 @@ func checkSegments(segs ...Segment) error {
 	return nil
 }
 
+// unlock folds the comparisons the write charged to wop into the ledger
+// and releases the writer lock. Every write path that can compare
+// anything releases the lock through it.
+func (db *DB) unlock() {
+	db.foldWrite()
+	db.mu.Unlock()
+}
+
+// foldWrite moves wop's comparisons into the ledger and resets it. Code
+// that writes before the database escapes (Open, recovery) calls it
+// directly.
+func (db *DB) foldWrite() {
+	db.ledger.Fold(db.wop.Stats())
+	db.wop = obs.Op{}
+}
+
 // addLocked applies an add of a checked segment in place: the table
 // append, then the index insert.
 func (db *DB) addLocked(s Segment) (SegmentID, error) {
@@ -398,7 +428,7 @@ func (db *DB) addLocked(s Segment) (SegmentID, error) {
 	if err != nil {
 		return seg.NilID, err
 	}
-	if err := db.index.Insert(id); err != nil {
+	if err := db.index.Insert(id, &db.wop); err != nil {
 		return seg.NilID, err
 	}
 	return id, nil
@@ -407,14 +437,16 @@ func (db *DB) addLocked(s Segment) (SegmentID, error) {
 // Get fetches a segment's endpoints (counting one segment comparison,
 // like any access to the disk-resident segment table).
 func (db *DB) Get(id SegmentID) (Segment, error) {
-	if db.stagedMode() {
-		// The table is append-only with an atomic record count and a
-		// latched pool; reads need no database lock.
-		return db.table.Get(id)
+	// In staged mode the table is append-only with an atomic record count
+	// and a latched pool; reads need no database lock.
+	if !db.stagedMode() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.table.Get(id)
+	var o obs.Op
+	s, err := db.table.GetObs(id, &o)
+	db.ledger.Fold(o.Stats())
+	return s, err
 }
 
 // Delete removes a segment from the index. The table slot is retained
@@ -424,7 +456,7 @@ func (db *DB) Get(id SegmentID) (Segment, error) {
 // applied to the disk index at the next compaction.
 func (db *DB) Delete(id SegmentID) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.unlock()
 	if err := db.settleLocked(); err != nil {
 		return err
 	}
@@ -436,7 +468,7 @@ func (db *DB) Delete(id SegmentID) error {
 	if int(id) >= db.table.Len() {
 		return seg.ErrNotIndexed
 	}
-	if err := db.index.Delete(id); errors.Is(err, seg.ErrNotIndexed) {
+	if err := db.index.Delete(id, &db.wop); errors.Is(err, seg.ErrNotIndexed) {
 		return err
 	} else if err != nil {
 		return db.failLocked(err)
@@ -500,19 +532,17 @@ func (db *DB) EnclosingPolygon(p Point) (Polygon, error) {
 // Metrics returns the cumulative counter snapshot; subtract two snapshots
 // to cost an operation. Beyond the paper's three counters it carries the
 // buffer-pool hit statistics (PoolHits, PoolRequests, HitRatio), so cache
-// effectiveness is visible. Counters are atomic: Metrics may be called at
-// any time, including while queries are in flight. The staged-ingest
-// counters (StagedOps, Compactions, BulkMerges) are facade-level and
-// filled in here; note a compaction rebuilds the index on a fresh disk,
-// so the index-side disk counters restart from zero (table counters
-// persist), exactly as a bulk AddBatch always has.
+// effectiveness is visible. Metrics may be called at any time, including
+// while queries are in flight, and never runs backwards: the comparisons
+// come from the ledger every finished query and write folds into, and
+// the disk and pool figures from the devices, those of index pools a
+// bulk rebuild retired included. The staged-ingest counters (StagedOps,
+// Compactions, BulkMerges) are facade-level and filled in here.
 func (db *DB) Metrics() Metrics {
-	var m Metrics
-	if s := db.snap.Load(); s != nil {
-		m = core.Snapshot(s.merged)
-	} else {
-		m = core.Snapshot(db.index)
-	}
+	db.devMu.Lock()
+	m := db.retired.Add(core.Devices(db.pool.Stats(), db.table.DiskStats()))
+	db.devMu.Unlock()
+	m.SegComps, m.NodeComps = db.ledger.Comps()
 	m.StagedOps = db.stagedOps.Load()
 	m.Compactions = db.compactions.Load()
 	m.BulkMerges = db.bulkMerges.Load()
