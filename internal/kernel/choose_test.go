@@ -7,22 +7,16 @@ import (
 	"segdb/internal/geom"
 )
 
-// checkChoose asserts the exported kernel and the scalar reference pick
-// the same candidate and report the same overlap enlargement for every
-// candidate.
+// checkChoose asserts the exported kernel picks the reference's child
+// and reports that child's overlap enlargement as the reference's
+// all-pairs loop sums it (the kernel stops summing the children it
+// rules out, so theirs are not compared).
 func checkChoose(t *testing.T, label string, xmin, ymin, xmax, ymax []int32, r geom.Rect) {
 	t.Helper()
-	n := len(xmin)
-	got, want := make([]int64, n), make([]int64, n)
-	gi := ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, got)
-	wi := RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, want)
-	if gi != wi {
-		t.Fatalf("%s n=%d r=%v: kernel chose %d, reference %d", label, n, r, gi, wi)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s n=%d r=%v candidate %d: Δoverlap %d, reference %d", label, n, r, i, got[i], want[i])
-		}
+	gi, gd := ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
+	wi, wd := RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
+	if gi != wi || gd != wd {
+		t.Fatalf("%s n=%d r=%v: kernel chose %d (Δoverlap %d), reference %d (Δoverlap %d)", label, len(xmin), r, gi, gd, wi, wd)
 	}
 }
 
@@ -38,7 +32,7 @@ func lanesOf(rects []geom.Rect) (xmin, ymin, xmax, ymax []int32) {
 }
 
 // The overlap-enlargement kernel must agree with the scalar reference
-// on the chosen index and on every candidate's Δoverlap, for every node
+// on the chosen index and its Δoverlap, for every node
 // width the page formats produce (M = 2…51 classic, past LaneWidth for
 // the compressed levels) and for r inside, outside and straddling the
 // node's rectangles.
@@ -128,16 +122,89 @@ func TestChooseSubtreeOverlapAdversarial(t *testing.T) {
 	// Pinned: with every candidate tied on all three criteria the first
 	// index wins.
 	xmin, ymin, xmax, ymax := lanesOf(rep(box(100, 100, 200, 200), 9))
-	if got := ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, box(0, 0, 1, 1), make([]int64, 9)); got != 0 {
+	if got, _ := ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, box(0, 0, 1, 1)); got != 0 {
 		t.Errorf("all-tied node: chose %d, want the first index", got)
+	}
+}
+
+// Cases only the kernel's early exit can get wrong: the children it
+// stops summing must be the ones the all-pairs reference would have
+// passed over. Each node is shown with every child's (Δoverlap,
+// area enlargement, area) for its r; want is the reference's choice.
+func TestChooseSubtreeOverlapEarlyExit(t *testing.T) {
+	box := func(x0, y0, x1, y1 int32) geom.Rect {
+		return geom.Rect{Min: geom.Point{X: x0, Y: y0}, Max: geom.Point{X: x1, Y: y1}}
+	}
+	cases := []struct {
+		name  string
+		rects []geom.Rect
+		r     geom.Rect
+		want  int
+	}{
+		// Seed 2 (least enlargement) has Δ 5; children 1 and 3 tie at Δ
+		// 2 and the later one wins on enlargement, so it must be summed
+		// to the end although its sum reaches the best Δ so far.
+		{"later-tie-smaller-enlargement", []geom.Rect{
+			box(5, 8, 7, 12),  // Δ 7, enlargement 12, area 8
+			box(1, 4, 3, 5),   // Δ 2, enlargement 12, area 2
+			box(1, 9, 7, 10),  // Δ 5, enlargement 6, area 6
+			box(4, 8, 10, 12), // Δ 2, enlargement 8, area 24
+		}, box(2, 11, 3, 11), 3},
+		// Seed 0 has Δ 4; children 2 and 4 tie on Δ 3 and enlargement
+		// 18, and the later one wins on area.
+		{"later-tie-smaller-area", []geom.Rect{
+			box(0, 6, 4, 7),  // Δ 4, enlargement 16, area 4
+			box(5, 4, 11, 5), // Δ 8, enlargement 27, area 6
+			box(3, 1, 6, 7),  // Δ 3, enlargement 18, area 18
+			box(4, 7, 5, 8),  // Δ 14, enlargement 29, area 1
+			box(0, 8, 3, 12), // Δ 3, enlargement 18, area 12
+		}, box(0, 2, 0, 2), 4},
+		// The least Δ is the last child's alone.
+		{"best-at-last-child", []geom.Rect{
+			box(3, 6, 5, 7),  // Δ 15, enlargement 61, area 2
+			box(9, 4, 12, 7), // Δ 1, enlargement 12, area 9 (seed)
+			box(8, 3, 10, 5), // Δ 2, enlargement 16, area 4
+			box(5, 2, 6, 3),  // Δ 1, enlargement 20, area 1
+			box(5, 1, 6, 2),  // Δ 0, enlargement 13, area 1
+		}, box(11, 0, 12, 0), 4},
+		// The seed has Δ 5 > 0 while children 2 and 4 have Δ 0: the
+		// search must go on past the seed and keep the first zero. Padded,
+		// the first far-off point has Δ 0 too and loses the tie to child
+		// 2, so the search must also go on past a best Δ of 0.
+		{"seed-overlaps-other-zero", []geom.Rect{
+			box(3, 6, 5, 7),  // Δ 7, enlargement 30, area 2
+			box(2, 8, 6, 9),  // Δ 5, enlargement 14, area 4 (seed)
+			box(7, 3, 12, 6), // Δ 0, enlargement 20, area 15
+			box(3, 3, 5, 5),  // Δ 21, enlargement 52, area 4
+			box(1, 9, 7, 15), // Δ 0, enlargement 24, area 36
+		}, box(11, 10, 11, 10), 2},
+	}
+	// Far-off points ahead of a case move its children past the first
+	// eight lanes, so the per-group stop is taken on them too. A point's
+	// enlarged box reaches back to r, so it neither seeds the search nor
+	// wins it (the reference check below holds the case to that).
+	var far []geom.Rect
+	for i := int32(0); i < 12; i++ {
+		far = append(far, box(16000+i, 16000, 16000+i, 16000))
+	}
+	for _, c := range cases {
+		for _, pad := range [][]geom.Rect{nil, far} {
+			xmin, ymin, xmax, ymax := lanesOf(append(append([]geom.Rect(nil), pad...), c.rects...))
+			if got, _ := RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, c.r); got != len(pad)+c.want {
+				t.Fatalf("%s: reference chose %d, the case expects %d", c.name, got, len(pad)+c.want)
+			}
+			checkChoose(t, c.name, xmin, ymin, xmax, ymax, c.r)
+		}
 	}
 }
 
 // chooseBenchNode is a leaf-parent node as the insert path sees it: 51
 // leaf MBRs a few hundred units across, scattered over one
 // neighbourhood, with the new segment's bounding box somewhere among
-// them.
-func chooseBenchNode(rng *rand.Rand) (xmin, ymin, xmax, ymax []int32, rs []geom.Rect) {
+// them. With seedOverlaps every box is one the seed child (least area
+// enlargement, then area, then index) cannot take without growing its
+// overlap, so every call runs the bounded search past the seed.
+func chooseBenchNode(rng *rand.Rand, seedOverlaps bool) (xmin, ymin, xmax, ymax []int32, rs []geom.Rect) {
 	var rects []geom.Rect
 	for i := 0; i < 51; i++ {
 		x, y := int32(4000+rng.Intn(2500)), int32(9000+rng.Intn(2500))
@@ -147,28 +214,57 @@ func chooseBenchNode(rng *rand.Rand) (xmin, ymin, xmax, ymax []int32, rs []geom.
 		})
 	}
 	xmin, ymin, xmax, ymax = lanesOf(rects)
-	for i := 0; i < benchWindows; i++ {
+	for len(rs) < benchWindows {
 		x, y := int32(4000+rng.Intn(2800)), int32(9000+rng.Intn(2800))
-		rs = append(rs, geom.Rect{
+		r := geom.Rect{
 			Min: geom.Point{X: x, Y: y},
 			Max: geom.Point{X: x + int32(rng.Intn(40)), Y: y + int32(rng.Intn(40))},
-		})
+		}
+		if !seedOverlaps || seedDeltaOverlap(rects, r) > 0 {
+			rs = append(rs, r)
+		}
 	}
 	return
 }
 
-func benchChoose(b *testing.B, choose func(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int) {
-	xmin, ymin, xmax, ymax, rs := chooseBenchNode(rand.New(rand.NewSource(43)))
-	dov := make([]int64, len(xmin))
+// seedDeltaOverlap returns the overlap enlargement of the child least in
+// (area enlargement, area, index) when it takes r.
+func seedDeltaOverlap(rects []geom.Rect, r geom.Rect) int64 {
+	seed := 0
+	for i, e := range rects {
+		s := rects[seed]
+		if d, ds := e.Enlargement(r), s.Enlargement(r); d < ds || (d == ds && e.Area() < s.Area()) {
+			seed = i
+		}
+	}
+	e, enlarged := rects[seed], rects[seed].Union(r)
+	var d int64
+	for _, o := range rects {
+		d += enlarged.OverlapArea(o) - e.OverlapArea(o)
+	}
+	return d
+}
+
+func benchChoose(b *testing.B, seedOverlaps bool, choose func(xmin, ymin, xmax, ymax []int32, r geom.Rect) (int, int64)) {
+	xmin, ymin, xmax, ymax, rs := chooseBenchNode(rand.New(rand.NewSource(43)), seedOverlaps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		sink += choose(xmin, ymin, xmax, ymax, rs[i%benchWindows], dov)
+		c, _ := choose(xmin, ymin, xmax, ymax, rs[i%benchWindows])
+		sink += c
 	}
 	gateSink = uint64(sink)
 }
 
-func BenchmarkChooseSubtreeOverlap(b *testing.B) { benchChoose(b, ChooseSubtreeOverlap) }
+// The node=any fixture is the insert path's common case; node=seed-overlaps
+// prices the bounded search alone.
+func BenchmarkChooseSubtreeOverlap(b *testing.B) {
+	b.Run("node=any", func(b *testing.B) { benchChoose(b, false, ChooseSubtreeOverlap) })
+	b.Run("node=seed-overlaps", func(b *testing.B) { benchChoose(b, true, ChooseSubtreeOverlap) })
+}
 
-func BenchmarkChooseSubtreeOverlapScalarRef(b *testing.B) { benchChoose(b, RefChooseSubtreeOverlap) }
+func BenchmarkChooseSubtreeOverlapScalarRef(b *testing.B) {
+	b.Run("node=any", func(b *testing.B) { benchChoose(b, false, RefChooseSubtreeOverlap) })
+	b.Run("node=seed-overlaps", func(b *testing.B) { benchChoose(b, true, RefChooseSubtreeOverlap) })
+}

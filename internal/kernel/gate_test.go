@@ -13,7 +13,8 @@ import (
 // the packed SWAR kernel — the form every in-domain page search actually
 // runs — must not be more than 5% slower than the scalar reference it
 // replaced, and the overlap-enlargement kernel of the insert path must
-// not be slower than its scalar reference. It measures with
+// be at least 4x faster than its scalar reference on the common-case
+// node (its bounded search alone is logged beside it). It measures with
 // testing.Benchmark and compares medians of several runs so a single
 // scheduler hiccup cannot fail the gate, and it only runs when
 // SEGDB_BENCH_KERNELS=1 because wall-clock assertions do not belong in
@@ -72,11 +73,14 @@ func TestKernelRegressionGate(t *testing.T) {
 		t.Fatalf("packed kernel regressed: %.1f ns/node vs scalar reference %.1f ns/node (>5%% over)", pk, scalar)
 	}
 
-	chooseRef := medianOf(func(b *testing.B) { benchChoose(b, RefChooseSubtreeOverlap) })
-	choose := medianOf(func(b *testing.B) { benchChoose(b, ChooseSubtreeOverlap) })
-	t.Logf("ChooseSubtree scalar reference %.0f ns/node, overlap-enlargement kernel %.0f ns/node (%.2fx)", chooseRef, choose, chooseRef/choose)
-	if choose > chooseRef {
-		t.Fatalf("overlap-enlargement kernel regressed: %.0f ns/node vs scalar reference %.0f ns/node", choose, chooseRef)
+	for _, seedOverlaps := range []bool{false, true} {
+		chooseRef := medianOf(func(b *testing.B) { benchChoose(b, seedOverlaps, RefChooseSubtreeOverlap) })
+		choose := medianOf(func(b *testing.B) { benchChoose(b, seedOverlaps, ChooseSubtreeOverlap) })
+		t.Logf("ChooseSubtree (seed overlaps: %v) scalar reference %.0f ns/node, overlap-enlargement kernel %.0f ns/node (%.2fx)",
+			seedOverlaps, chooseRef, choose, chooseRef/choose)
+		if !seedOverlaps && 4*choose > chooseRef {
+			t.Fatalf("overlap-enlargement kernel regressed: %.0f ns/node vs scalar reference %.0f ns/node (under 4x)", choose, chooseRef)
+		}
 	}
 }
 

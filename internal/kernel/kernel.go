@@ -19,7 +19,11 @@
 // whole test suite can be run against the scalar forms.
 package kernel
 
-import "segdb/internal/geom"
+import (
+	"math"
+
+	"segdb/internal/geom"
+)
 
 // LaneWidth is the number of entries a single mask kernel call covers:
 // one bit of the returned uint64 per entry.
@@ -225,61 +229,86 @@ func minDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 //
 //	Δoverlap_i = Σ_{j≠i} area(E_i ∩ e_j) − area(e_i ∩ e_j)
 //
-// which is the O(M²) work Hoel & Samet's Table 1 charges the R*-tree
-// for. The kernel keeps all of it — no candidate and no pair is pruned —
-// but runs it straight-line over the coordinate lanes: an overlap area is
-// max(w,0)·max(h,0) of the clipped extents, which equals
-// geom.Rect.OverlapArea bit for bit (a disjoint or edge-touching pair
-// has w or h ≤ 0 on some axis) without its two non-inlined calls and
-// their branches. The two sums are taken separately over all M lanes:
-// the j == i terms need no skip because they cancel (e_i ⊆ E_i, so both
-// are area(e_i)).
+// ties falling to the least area enlargement, then the least area, then
+// the lowest index. In full that is the O(M²) work Hoel & Samet's Table 1
+// charges the R*-tree for; the kernel makes the same choice by branch and
+// bound. Every term is ≥ 0 (E_i ⊇ e_i, so each clipped extent of
+// E_i ∩ e_j is at least that of e_i ∩ e_j), so a partial sum only grows.
+// One O(M) pass seeds the search with the child least in (area
+// enlargement, area, index) and sums its Δ in full. A seed with Δ = 0 is
+// the answer: any other child with Δ = 0 loses the tie-break to it.
+// Otherwise every other child sums its terms and stops, at each group of
+// eight lanes, once the sum reaches the best Δ so far (best Δ + 1 if the
+// child wins the tie-break against the best), since it can no longer win.
+//
+// An overlap area is max(w,0)·max(h,0) of the clipped extents, which
+// equals geom.Rect.OverlapArea bit for bit (a disjoint or edge-touching
+// pair has w or h ≤ 0 on some axis). The sums run over all M lanes: the
+// j == i term needs no skip because it is 0 (e_i ⊆ E_i, so both of its
+// areas are area(e_i)).
 
 // chooseSubtreeOverlap is the shared implementation behind
 // ChooseSubtreeOverlap.
-func chooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+func chooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect) (int, int64) {
 	n := len(xmin)
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
 	xmn, ymn := xmin[:n], ymin[:n]
 	xmx, ymx := xmax[:n], ymax[:n]
-	dov := dOverlap[:n]
 	rx0, ry0, rx1, ry1 := int64(r.Min.X), int64(r.Min.Y), int64(r.Max.X), int64(r.Max.Y)
-	best := 0
-	bestOverlap, bestEnlarge, bestArea := int64(-1), int64(0), int64(0)
-	for i := 0; i < n; i++ {
+	// enlargeArea returns child i's area enlargement and area.
+	enlargeArea := func(i int) (int64, int64) {
 		ex0, ey0, ex1, ey1 := int64(xmn[i]), int64(ymn[i]), int64(xmx[i]), int64(ymx[i])
-		x0, y0 := min(ex0, rx0), min(ey0, ry0)
-		x1, y1 := max(ex1, rx1), max(ey1, ry1)
-		d := overlapSum(xmn, ymn, xmx, ymx, x0, y0, x1, y1) -
-			overlapSum(xmn, ymn, xmx, ymx, ex0, ey0, ex1, ey1)
-		dov[i] = d
 		area := (ex1 - ex0) * (ey1 - ey0)
-		enlarge := (x1-x0)*(y1-y0) - area
-		// Ties fall to the smaller area enlargement, then the smaller
-		// area, then the lower index.
-		if bestOverlap < 0 || d < bestOverlap ||
-			(d == bestOverlap && (enlarge < bestEnlarge ||
-				(enlarge == bestEnlarge && area < bestArea))) {
+		return (max(ex1, rx1)-min(ex0, rx0))*(max(ey1, ry1)-min(ey0, ry0)) - area, area
+	}
+	seed := 0
+	bestEnlarge, bestArea := enlargeArea(0)
+	for i := 1; i < n; i++ {
+		if enlarge, area := enlargeArea(i); enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
+			seed, bestEnlarge, bestArea = i, enlarge, area
+		}
+	}
+	best, bestOverlap := seed, deltaOverlap(xmn, ymn, xmx, ymx, seed, r, math.MaxInt64)
+	if bestOverlap == 0 {
+		return best, 0
+	}
+	for i := 0; i < n; i++ {
+		if i == seed {
+			continue
+		}
+		enlarge, area := enlargeArea(i)
+		limit := bestOverlap
+		if enlarge < bestEnlarge || (enlarge == bestEnlarge && (area < bestArea || (area == bestArea && i < best))) {
+			limit++ // i wins a tie on Δoverlap
+		}
+		if d := deltaOverlap(xmn, ymn, xmx, ymx, i, r, limit); d < limit {
 			best, bestOverlap, bestEnlarge, bestArea = i, d, enlarge, area
 		}
 	}
-	return best
+	return best, bestOverlap
 }
 
-// overlapSum returns Σ_j area([x0,x1]×[y0,y1] ∩ rect j) over the lanes.
-// It is kept out of line so the pair loop has the registers to itself.
+// deltaOverlap returns lane i's Δoverlap for r, or, once a partial sum
+// checked after every eight lanes reaches limit, that partial sum. It is
+// kept out of line so the pair loop has the registers to itself.
 //
 //go:noinline
-func overlapSum(xmn, ymn, xmx, ymx []int32, x0, y0, x1, y1 int64) int64 {
+func deltaOverlap(xmn, ymn, xmx, ymx []int32, i int, r geom.Rect, limit int64) int64 {
 	n := len(xmn)
 	ymn, xmx, ymx = ymn[:n], xmx[:n], ymx[:n]
+	ex0, ey0, ex1, ey1 := int64(xmn[i]), int64(ymn[i]), int64(xmx[i]), int64(ymx[i])
+	x0, y0 := min(ex0, int64(r.Min.X)), min(ey0, int64(r.Min.Y))
+	x1, y1 := max(ex1, int64(r.Max.X)), max(ey1, int64(r.Max.Y))
 	var acc int64
-	for j := 0; j < n; j++ {
-		w := min(x1, int64(xmx[j])) - max(x0, int64(xmn[j]))
-		h := min(y1, int64(ymx[j])) - max(y0, int64(ymn[j]))
-		acc += max(w, 0) * max(h, 0)
+	for j0 := 0; j0 < n && acc < limit; j0 += 8 {
+		for j := j0; j < min(j0+8, n); j++ {
+			lx, ly, hx, hy := int64(xmn[j]), int64(ymn[j]), int64(xmx[j]), int64(ymx[j])
+			w, h := min(x1, hx)-max(x0, lx), min(y1, hy)-max(y0, ly)
+			ew, eh := min(ex1, hx)-max(ex0, lx), min(ey1, hy)-max(ey0, ly)
+			acc += max(w, 0)*max(h, 0) - max(ew, 0)*max(eh, 0)
+		}
 	}
 	return acc
 }

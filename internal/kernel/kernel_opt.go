@@ -49,11 +49,12 @@ func MinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 // ChooseSubtreeOverlap is the R*-tree's leaf-level ChooseSubtree over a
 // node's coordinate lanes: it returns the index of the rectangle whose
 // overlap with its siblings grows least when enlarged to cover r (ties:
-// least area enlargement, then least area, then lowest index) and writes
-// every candidate's overlap enlargement into dOverlap, which must have at
-// least len(xmin) elements. All len·(len−1) pairs are evaluated. It
+// least area enlargement, then least area, then lowest index) and that
+// rectangle's overlap enlargement. It is exact, the choice
+// RefChooseSubtreeOverlap's all-pairs loop makes, but evaluates only the
+// pairs it needs (see the write-path kernel notes in kernel.go). It
 // charges nothing: the caller accounts len² bounding box computations,
-// what the scalar reference's loops would have counted.
-func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
-	return chooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, dOverlap)
+// what Beckmann et al.'s algorithm specifies.
+func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect) (int, int64) {
+	return chooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
 }

@@ -92,8 +92,9 @@ func RefMinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 
 // RefChooseSubtreeOverlap is the scalar reference for
 // ChooseSubtreeOverlap: the R*-tree's candidate-by-sibling loop over the
-// geom.Rect operations, as the insert path ran it before the kernel.
-func RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
+// geom.Rect operations, as the insert path ran it before the kernel,
+// evaluating every one of the len·(len−1) pairs.
+func RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect) (int, int64) {
 	rect := func(i int) geom.Rect {
 		return geom.Rect{
 			Min: geom.Point{X: xmin[i], Y: ymin[i]},
@@ -113,7 +114,6 @@ func RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverl
 			o := rect(j)
 			d += enlarged.OverlapArea(o) - e.OverlapArea(o)
 		}
-		dOverlap[i] = d
 		enlarge := enlarged.Area() - e.Area()
 		area := e.Area()
 		if bestOverlap < 0 || d < bestOverlap ||
@@ -122,5 +122,5 @@ func RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverl
 			best, bestOverlap, bestEnlarge, bestArea = i, d, enlarge, area
 		}
 	}
-	return best
+	return best, bestOverlap
 }

@@ -40,6 +40,6 @@ func MinDistLB(xmin, ymin, xmax, ymax []int32, p geom.Point, out []float64) {
 
 // ChooseSubtreeOverlap is RefChooseSubtreeOverlap under the kernelref
 // tag.
-func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect, dOverlap []int64) int {
-	return RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, dOverlap)
+func ChooseSubtreeOverlap(xmin, ymin, xmax, ymax []int32, r geom.Rect) (int, int64) {
+	return RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
 }

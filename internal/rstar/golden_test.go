@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"segdb/internal/geom"
+	"segdb/internal/kernel"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 	"segdb/internal/tiger"
@@ -127,14 +128,7 @@ func BenchmarkRStarInsert(b *testing.B) {
 		segs func() []geom.Segment
 	}{
 		{"map=golden", func() []geom.Segment { return goldenSegments(b) }},
-		{"map=Charles", func() []geom.Segment {
-			spec, _ := tiger.CountyByName("Charles")
-			m, err := tiger.Generate(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return m.Segments
-		}},
+		{"map=Charles", func() []geom.Segment { return charlesSegments(b) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			segs := c.segs()
@@ -163,4 +157,84 @@ func BenchmarkRStarInsert(b *testing.B) {
 			b.ReportMetric(float64(len(segs)), "segments")
 		})
 	}
+}
+
+// charlesSegments is the repository benchmark's Charles county (50,187
+// segments).
+func charlesSegments(tb testing.TB) []geom.Segment {
+	tb.Helper()
+	spec, _ := tiger.CountyByName("Charles")
+	m, err := tiger.Generate(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.Segments
+}
+
+// The overlap-enlargement kernel stops summing a child once it cannot
+// win; on the nodes a real load builds it must still make the all-pairs
+// reference's choice. Every leaf-parent node of a Charles load is asked
+// to take the bounding boxes of the map's segments in and around it,
+// inside and outside its children alike.
+func TestChooseSubtreeMatchesReferenceOnCharles(t *testing.T) {
+	if kernel.UsingRef {
+		t.Skip("-tags kernelref serves the reference as the kernel; nothing to compare")
+	}
+	segs := charlesSegments(t)
+	env := newEnv(t, store.DefaultPageSize, store.DefaultPoolPages, DefaultConfig())
+	boxes := make([]geom.Rect, len(segs))
+	for i, s := range segs {
+		env.add(t, s)
+		boxes[i] = s.Bounds()
+	}
+	const perNode = 300
+	var nodes, calls, bounded int
+	var walk func(id store.PageID, level int)
+	walk = func(id store.PageID, level int) {
+		n, err := env.tree.ReadNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if level > 2 {
+			for _, e := range n.Entries {
+				walk(store.PageID(e.Ptr), level-1)
+			}
+			return
+		}
+		nodes++
+		var xmin, ymin, xmax, ymax []int32
+		for _, e := range n.Entries {
+			xmin, ymin = append(xmin, e.Rect.Min.X), append(ymin, e.Rect.Min.Y)
+			xmax, ymax = append(xmax, e.Rect.Max.X), append(ymax, e.Rect.Max.Y)
+		}
+		// The node's MBR grown by a quarter of its extent on each side.
+		around := n.MBR()
+		dx, dy := (around.Max.X-around.Min.X)/4, (around.Max.Y-around.Min.Y)/4
+		around.Min.X, around.Min.Y, around.Max.X, around.Max.Y = around.Min.X-dx, around.Min.Y-dy, around.Max.X+dx, around.Max.Y+dy
+		var near []geom.Rect
+		for _, b := range boxes {
+			if b.Intersects(around) {
+				near = append(near, b)
+			}
+		}
+		step := max(1, len(near)/perNode)
+		for i := 0; i < len(near); i += step {
+			r := near[i]
+			gi, gd := kernel.ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
+			wi, wd := kernel.RefChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
+			if gi != wi || gd != wd {
+				t.Fatalf("leaf-parent page %d (%d children) r=%v: kernel chose %d (Δoverlap %d), reference %d (Δoverlap %d)",
+					id, len(n.Entries), r, gi, gd, wi, wd)
+			}
+			calls++
+			if wd > 0 { // only the bounded search past the seed returns Δ > 0
+				bounded++
+			}
+		}
+	}
+	walk(env.tree.Root, env.tree.Levels)
+	if nodes < 10 || bounded == 0 {
+		t.Fatalf("%d leaf-parent nodes, %d of %d boxes chosen with Δoverlap > 0: the load no longer exercises the bounded search", nodes, bounded, calls)
+	}
+	t.Logf("%d leaf-parent nodes, %d boxes, %d chosen with Δoverlap > 0", nodes, calls, bounded)
 }

@@ -133,10 +133,8 @@ type scratch struct {
 	// nodes[l] is the decode target for the one node of level l a
 	// descent holds at a time.
 	nodes []*rpage.Node
-	// lanes and dOverlap are ChooseSubtree's coordinate lanes and the
-	// kernel's per-candidate output.
-	lanes    []int32
-	dOverlap []int64
+	// lanes are ChooseSubtree's coordinate lanes.
+	lanes []int32
 	// sorted, prefix and suffix are the split's sortings and group MBRs;
 	// dist is pickReinsert's center distances.
 	sorted         [4][]rpage.Entry
@@ -271,13 +269,13 @@ func (t *Tree) resolveOverflow(id store.PageID, n *rpage.Node, level int) (geom.
 // it is the minimum area enlargement. Ties fall back to area enlargement,
 // then to smallest area. The charge is one bounding box computation per
 // candidate plus, under the overlap criterion, one per ordered pair of
-// distinct entries.
+// distinct entries: the work Beckmann et al.'s algorithm specifies, even
+// though the kernel's exact bound leaves most pairs unevaluated.
 func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool) int {
 	N := len(n.Entries)
 	if childrenAreTarget && t.cfg.Algorithm == AlgorithmRStar {
 		if cap(t.w.lanes) < 4*N {
 			t.w.lanes = make([]int32, 4*N)
-			t.w.dOverlap = make([]int64, N)
 		}
 		lanes := t.w.lanes[:4*N]
 		xmin, ymin, xmax, ymax := lanes[:N], lanes[N:2*N], lanes[2*N:3*N], lanes[3*N:]
@@ -285,7 +283,8 @@ func (t *Tree) chooseSubtree(n *rpage.Node, r geom.Rect, childrenAreTarget bool)
 			xmin[i], ymin[i], xmax[i], ymax[i] = e.Rect.Min.X, e.Rect.Min.Y, e.Rect.Max.X, e.Rect.Max.Y
 		}
 		t.w.o.NodeComps(uint64(N) * uint64(N))
-		return kernel.ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r, t.w.dOverlap[:N])
+		best, _ := kernel.ChooseSubtreeOverlap(xmin, ymin, xmax, ymax, r)
+		return best
 	}
 	best := 0
 	bestEnlarge, bestArea := int64(-1), int64(0)
