@@ -111,16 +111,18 @@ func (db *DB) pinSnapshot() *dbSnapshot {
 func (db *DB) stagedMode() bool { return db.snap.Load() != nil }
 
 // initStaged arms staged-ingest mode on a constructed database: it
-// enumerates the base index's live segments (empty at Open; possibly
-// not after Recover), installs an empty memtable under epoch 1, and
-// publishes the first snapshot. Called before the DB escapes, so no
-// locking.
+// enumerates the base index's live segments if it has any (none at
+// Open; possibly some after Recover), installs an empty memtable under
+// epoch 1, and publishes the first snapshot. Called before the DB
+// escapes, so no locking.
 func (db *DB) initStaged() error {
-	ids, err := db.collectLiveIDs(db.index, &db.wop)
-	if err != nil {
-		return err
+	if db.index.Len() > 0 {
+		ids, err := db.collectLiveIDs(db.index, &db.wop)
+		if err != nil {
+			return err
+		}
+		db.baseIDs = ids
 	}
-	db.baseIDs = ids
 	db.mem = staging.NewMem()
 	db.curEpoch = store.NewEpoch(1)
 	db.publishLocked()
