@@ -39,6 +39,52 @@ func TestBulkBuildImageGolden(t *testing.T) {
 	matchGolden(t, "testdata/bulk_images.golden", out.Bytes())
 }
 
+// TestIncrementalImageGolden pins the saved image of a one-at-a-time
+// build over the whole Charles map, and of the same database after every
+// 7th segment is deleted, for the two kinds that sit on the B+-tree (PMR
+// quadtree, uniform grid) × page compression 0/1. The inserts exercise
+// leaf and internal splits; the deletes exercise borrows, merges and root
+// collapse. A change to the B+-tree's write path must leave every page
+// byte where it was.
+func TestIncrementalImageGolden(t *testing.T) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, kind := range []Kind{PMRQuadtree, UniformGrid} {
+		for _, level := range []int{0, 1} {
+			db, err := Open(kind, WithPageCompression(level))
+			if err != nil {
+				t.Fatal(err)
+			}
+			image := func(phase string) {
+				h := sha256.New()
+				if err := db.Save(h); err != nil {
+					t.Fatalf("%v level%d %s: %v", kind, level, phase, err)
+				}
+				fmt.Fprintf(&out, "%v level%d %s %x\n", kind, level, phase, h.Sum(nil))
+			}
+			ids := make([]SegmentID, 0, len(m.Segments))
+			for _, s := range m.Segments {
+				id, err := db.Add(s)
+				if err != nil {
+					t.Fatalf("%v level%d: %v", kind, level, err)
+				}
+				ids = append(ids, id)
+			}
+			image("add")
+			for i := 0; i < len(ids); i += 7 {
+				if err := db.Delete(ids[i]); err != nil {
+					t.Fatalf("%v level%d: delete %d: %v", kind, level, ids[i], err)
+				}
+			}
+			image("delete")
+		}
+	}
+	matchGolden(t, "testdata/incremental_images.golden", out.Bytes())
+}
+
 // TestMetricsHistoryGolden pins Metrics() after every phase of a fixed
 // mixed workload for six kinds × in-place and staged ingest: one-at-a-time
 // adds, windows, k-NN, incidence queries, deletes, an integrity check, a
