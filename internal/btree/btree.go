@@ -44,6 +44,14 @@ type Tree struct {
 	internalCap int // max separator keys in an internal node
 	compress    bool
 	decode      store.DecodeFunc // readNode at this tree's value size
+
+	// Write-path scratch, reused by every Insert and Delete (writes are
+	// serialized): entry encodes the entry being inserted, spill holds a
+	// full page's entries plus that one while it splits, and cn and sn
+	// are the decoded child and sibling of a compressed tree's leaf edit.
+	entry  []byte
+	spill  []byte
+	cn, sn node
 }
 
 // New creates an empty tree with bare keys (no values).
@@ -83,8 +91,10 @@ func newTree(pool *store.Pool, valueSize, compression int) (*Tree, error) {
 		pool:        pool,
 		valSize:     valueSize,
 		leafCap:     (pool.PageSize() - headerSize) / (8 + valueSize),
-		internalCap: (pool.PageSize() - headerSize) / 12,
+		internalCap: (pool.PageSize() - headerSize) / internalStride,
 		compress:    compression > 0,
+		entry:       make([]byte, max(8+valueSize, internalStride)),
+		spill:       make([]byte, pool.PageSize()+max(8+valueSize, internalStride)),
 	}
 	if t.leafCap < 3 || t.internalCap < 3 {
 		return nil, fmt.Errorf("btree: page size %d too small", pool.PageSize())
@@ -119,41 +129,29 @@ func (t *Tree) encode(data []byte, n *node) {
 	writeNode(data, n, t.valSize)
 }
 
-// leafFits reports whether n can be written to one page: a key-count
-// check classically, a byte-budget check for delta-coded leaves.
-func (t *Tree) leafFits(n *node) bool {
-	if !t.compress {
-		return len(n.keys) <= t.leafCap
-	}
-	return encodedLeafSize(n, t.valSize) <= t.pool.PageSize()
-}
-
-// leafSplitPoint returns the index where an overflowing leaf splits:
-// the key midpoint classically, the byte-balanced point for delta-coded
-// leaves (whose entries have variable encoded widths, so the key
-// midpoint can leave one side still overflowing).
+// leafSplitPoint returns the index where an overflowing delta-coded leaf
+// splits: the byte-balanced point, because its entries have variable
+// encoded widths and the key midpoint can leave one side still
+// overflowing.
 func (t *Tree) leafSplitPoint(n *node) int {
-	if !t.compress {
-		return len(n.keys) / 2
-	}
 	vsize, _ := leafValSize(n, t.valSize)
-	cost := make([]int, len(n.keys))
-	total := 0
-	for i, k := range n.keys {
+	cost := func(i int) int {
 		if i == 0 {
-			cost[i] = uvarintLen(k) + vsize
-		} else {
-			cost[i] = uvarintLen(k-n.keys[i-1]) + vsize
+			return uvarintLen(n.keys[0]) + vsize
 		}
-		total += cost[i]
+		return uvarintLen(n.keys[i]-n.keys[i-1]) + vsize
+	}
+	total := 0
+	for i := range n.keys {
+		total += cost(i)
 	}
 	best, bestMax := len(n.keys)/2, int(^uint(0)>>1)
 	left := 0
 	for mid := 1; mid < len(n.keys); mid++ {
-		left += cost[mid-1]
+		left += cost(mid - 1)
 		// The right half re-encodes its first key in full rather than as
 		// a delta from the left half's last key.
-		right := total - left - cost[mid] + uvarintLen(n.keys[mid]) + vsize
+		right := total - left - cost(mid) + uvarintLen(n.keys[mid]) + vsize
 		if m := max(headerSize+left, headerSize+right); m < bestMax {
 			best, bestMax = mid, m
 		}
@@ -176,36 +174,55 @@ func (t *Tree) ValueSize() int { return t.valSize }
 // Pool returns the buffer pool backing the tree.
 func (t *Tree) Pool() *store.Pool { return t.pool }
 
-// getNode pins page id and decodes it. On success the page stays pinned
-// and the frame buffer is returned alongside the decoded node; on failure
-// the page is left unpinned.
-func (t *Tree) getNode(id store.PageID) (*node, []byte, error) {
+// pin is the write path's page fetch: it pins page id and returns the
+// view of its bytes, which must be a v1 page of the given kind. On
+// failure the page is left unpinned.
+func (t *Tree) pin(id store.PageID, leaf bool) (page, error) {
 	data, err := t.pool.Get(id)
 	if err != nil {
-		return nil, nil, err
+		return page{}, err
 	}
-	n, err := readNode(data, t.valSize)
+	p, err := t.view(data, leaf)
 	if err != nil {
 		t.pool.Unpin(id, false)
-		return nil, nil, err
 	}
-	return n, data, nil
+	return p, err
 }
 
-// read is the read paths' node fetch, through the pool's decode-once
-// cache: the page request (hit or miss) is charged to o exactly as a byte
-// fetch would be (nil charges nothing) and a NodeVisit trace event is
-// emitted on success, but only the first request after the page entered
-// the pool, or after its bytes changed, decodes it. The node is shared
-// with every other reader of the page, so the caller must not modify it
-// or anything it points to; it holds no pin and owes no release.
-func (t *Tree) read(id store.PageID, o *obs.Op) (*node, error) {
-	v, err := t.pool.GetDecodedObs(id, o, t.decode)
+// view returns the view over the pinned bytes of a v1 page of the given
+// kind (see classic). A compressed leaf met by an uncompressed tree (one
+// restored over a compressed image) is first rewritten in the classic
+// layout; the bytes then encode the same entries, so that alone does not
+// dirty the page.
+func (t *Tree) view(data []byte, leaf bool) (page, error) {
+	if leaf && data[0] == typeCompressedLeaf {
+		if err := readCompressedLeafInto(data, t.valSize, &t.cn); err != nil {
+			return page{}, err
+		}
+		if len(t.cn.keys) > t.leafCap {
+			return page{}, fmt.Errorf("btree: compressed leaf of %d entries exceeds the classic capacity %d: %w", len(t.cn.keys), t.leafCap, store.ErrBadPage)
+		}
+		writeNode(data, &t.cn, t.valSize)
+	}
+	return classic(data, leaf, t.valSize)
+}
+
+// pinNode pins leaf page id and decodes it into n, the compressed
+// tree's leaf discipline. On failure the page is left unpinned.
+func (t *Tree) pinNode(id store.PageID, n *node) ([]byte, error) {
+	data, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	o.NodeVisit(uint32(id))
-	return v.(*node), nil
+	if err := readNodeInto(data, t.valSize, n); err != nil {
+		t.pool.Unpin(id, false)
+		return nil, err
+	}
+	if !n.leaf {
+		t.pool.Unpin(id, false)
+		return nil, fmt.Errorf("btree: corrupt page: internal node %d at the leaf level: %w", id, store.ErrBadPage)
+	}
+	return data, nil
 }
 
 // node is the decoded in-memory form of a page.
@@ -280,10 +297,9 @@ func (t *Tree) InsertValue(key uint64, val []byte) error {
 		if err != nil {
 			return err
 		}
-		t.encode(data, &node{
-			keys:     []uint64{sep},
-			children: []store.PageID{t.root, right},
-		})
+		root := page{data, internalStride}
+		root.setChild(0, t.root)
+		putChildEntry(root.insertAt(0), sep, right)
 		t.pool.Unpin(id, true)
 		t.root = id
 		t.height++
@@ -294,91 +310,113 @@ func (t *Tree) InsertValue(key uint64, val []byte) error {
 
 // insert descends to the leaf, inserts, and splits on the way back up.
 func (t *Tree) insert(id store.PageID, level int, key uint64, val []byte) (sep uint64, right store.PageID, split bool, err error) {
-	n, data, err := t.getNode(id)
+	if level == 1 && t.compress {
+		return t.insertCompressed(id, key, val)
+	}
+	p, err := t.pin(id, level == 1)
 	if err != nil {
 		return 0, store.NilPage, false, err
 	}
-	if level == 1 { // leaf
-		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
+	if level == 1 {
+		i := p.lowerBound(key)
+		if i < p.count() && p.key(i) == key {
 			t.pool.Unpin(id, false)
 			return 0, store.NilPage, false, ErrDuplicate
 		}
-		n.keys = insertAt(n.keys, i, key)
-		n.insertVal(i, t.valSize, val)
-		if t.leafFits(n) {
-			t.encode(data, n)
-			t.pool.Unpin(id, true)
-			return 0, store.NilPage, false, nil
-		}
-		// Split the leaf: right half moves to a new page.
-		mid := t.leafSplitPoint(n)
-		rn := &node{
-			leaf: true,
-			keys: append([]uint64(nil), n.keys[mid:]...),
-			next: n.next,
-		}
-		if t.valSize > 0 {
-			rn.vals = append([]byte(nil), n.vals[mid*t.valSize:]...)
-		}
-		rid, rdata, err := t.pool.Allocate()
-		if err != nil {
-			t.pool.Unpin(id, false)
-			return 0, store.NilPage, false, err
-		}
-		t.encode(rdata, rn)
-		t.pool.Unpin(rid, true)
-		n.keys = n.keys[:mid]
-		if t.valSize > 0 {
-			n.vals = n.vals[:mid*t.valSize]
-		}
-		n.next = rid
-		t.encode(data, n)
-		t.pool.Unpin(id, true)
-		return rn.keys[0], rid, true, nil
+		putEntry(t.entry, key, val)
+		return t.add(id, p, i)
 	}
 	// Internal node: descend into the child for key.
-	ci := upperBound(n.keys, key)
-	child := n.children[ci]
+	child := p.child(p.upperBound(key))
 	t.pool.Unpin(id, false) // release during recursion; re-fetch if child split
 	csep, cright, csplit, err := t.insert(child, level-1, key, val)
-	if err != nil {
+	if err != nil || !csplit {
 		return 0, store.NilPage, false, err
 	}
-	if !csplit {
-		return 0, store.NilPage, false, nil
-	}
-	n, data, err = t.getNode(id)
-	if err != nil {
+	if p, err = t.pin(id, false); err != nil {
 		return 0, store.NilPage, false, err
 	}
-	i := upperBound(n.keys, csep)
-	n.keys = insertAt(n.keys, i, csep)
-	n.children = insertChildAt(n.children, i+1, cright)
-	if len(n.keys) <= t.internalCap {
-		t.encode(data, n)
+	putChildEntry(t.entry, csep, cright)
+	return t.add(id, p, p.upperBound(csep))
+}
+
+// add inserts t.entry at slot i of pinned page id and releases it. A full
+// page splits at the midpoint of its entries plus the new one: the lower
+// half stays, the upper half moves to a new right page, and the
+// separator for the parent comes back. A leaf's separator is the right
+// page's first key; an internal page's middle key moves up, and its child
+// becomes the right page's child 0.
+func (t *Tree) add(id store.PageID, p page, i int) (sep uint64, right store.PageID, split bool, err error) {
+	n := p.count()
+	if n < p.capacity() {
+		copy(p.insertAt(i), t.entry)
 		t.pool.Unpin(id, true)
 		return 0, store.NilPage, false, nil
-	}
-	// Split the internal node: the middle key moves up.
-	mid := len(n.keys) / 2
-	sep = n.keys[mid]
-	rn := &node{
-		keys:     append([]uint64(nil), n.keys[mid+1:]...),
-		children: append([]store.PageID(nil), n.children[mid+1:]...),
 	}
 	rid, rdata, err := t.pool.Allocate()
 	if err != nil {
 		t.pool.Unpin(id, false)
 		return 0, store.NilPage, false, err
 	}
-	t.encode(rdata, rn)
+	s := page{t.spill, p.stride}
+	copy(s.data, p.data[:p.off(n)])
+	copy(s.insertAt(i), t.entry)
+	mid := (n + 1) / 2
+	r := page{rdata, p.stride}
+	sep = s.key(mid)
+	if p.leaf() {
+		rdata[0] = 1
+		r.setNext(p.next())
+		r.append(s.entries(mid, n+1))
+		p.setNext(rid)
+	} else {
+		r.setChild(0, s.child(mid+1))
+		r.append(s.entries(mid+1, n+1))
+	}
+	copy(p.entries(0, mid), s.entries(0, mid))
+	p.setCount(mid)
 	t.pool.Unpin(rid, true)
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	t.encode(data, n)
 	t.pool.Unpin(id, true)
 	return sep, rid, true, nil
+}
+
+// insertCompressed is insert at a delta-coded leaf: decode into the
+// scratch node, edit, and re-encode, splitting at the byte-balanced
+// point when the encoding outgrows the page.
+func (t *Tree) insertCompressed(id store.PageID, key uint64, val []byte) (sep uint64, right store.PageID, split bool, err error) {
+	n := &t.cn
+	data, err := t.pinNode(id, n)
+	if err != nil {
+		return 0, store.NilPage, false, err
+	}
+	i := lowerBound(n.keys, key)
+	if i < len(n.keys) && n.keys[i] == key {
+		t.pool.Unpin(id, false)
+		return 0, store.NilPage, false, ErrDuplicate
+	}
+	n.keys = slices.Insert(n.keys, i, key)
+	n.insertVal(i, t.valSize, val)
+	if encodedLeafSize(n, t.valSize) <= t.pool.PageSize() {
+		writeCompressedLeaf(data, n, t.valSize)
+		t.pool.Unpin(id, true)
+		return 0, store.NilPage, false, nil
+	}
+	rid, rdata, err := t.pool.Allocate()
+	if err != nil {
+		t.pool.Unpin(id, false)
+		return 0, store.NilPage, false, err
+	}
+	mid := t.leafSplitPoint(n)
+	rn := &t.sn
+	rn.leaf, rn.next = true, n.next
+	rn.keys = append(rn.keys[:0], n.keys[mid:]...)
+	rn.vals = append(rn.vals[:0], n.vals[mid*t.valSize:]...)
+	writeCompressedLeaf(rdata, rn, t.valSize)
+	t.pool.Unpin(rid, true)
+	n.keys, n.vals, n.next = n.keys[:mid], n.vals[:mid*t.valSize], rid
+	writeCompressedLeaf(data, n, t.valSize)
+	t.pool.Unpin(id, true)
+	return rn.keys[0], rid, true, nil
 }
 
 // Scan visits the keys in [lo, hi) in ascending order, stopping early when
@@ -390,41 +428,89 @@ func (t *Tree) Scan(lo, hi uint64, visit func(key uint64) bool, o *obs.Op) error
 	return t.ScanValues(lo, hi, func(k uint64, _ []byte) bool { return visit(k) }, o)
 }
 
-// ScanValues visits the keys in [lo, hi) with their payloads. The value
-// slice aliases a decoded node shared with other readers: visit must not
-// modify it. No page is pinned while visit runs.
+// ScanValues visits the keys in [lo, hi) with their payloads. visit
+// runs under a read pin on the leaf (see descend): it must neither modify
+// val nor keep it past its return, and must not request pages from the
+// tree's pool.
 func (t *Tree) ScanValues(lo, hi uint64, visit func(key uint64, val []byte) bool, o *obs.Op) error {
 	if hi <= lo {
 		return nil
 	}
-	// Descend to the leaf that would contain lo.
-	id := t.root
-	for level := t.height; level > 1; level-- {
-		n, err := t.read(id, o)
-		if err != nil {
-			return err
-		}
-		id = n.children[upperBound(n.keys, lo)]
-	}
+	id, err := t.descend(lo, o)
 	// Walk the leaf chain. A corrupted image could link the chain into a
 	// cycle; more hops than the disk has pages proves one.
-	hops := 0
-	for id != store.NilPage {
+	for hops := 0; err == nil && id != store.NilPage; {
 		if hops++; hops > t.pool.Disk().PageCount() {
 			return fmt.Errorf("btree: leaf chain cycle detected after %d pages", hops-1)
 		}
-		n, err := t.read(id, o)
-		if err != nil {
-			return err
+		var v store.View
+		if v, err = t.viewObs(id, o); err == nil {
+			id, err = t.scanLeaf(v, lo, hi, visit)
+			v.Release()
 		}
+	}
+	return err
+}
+
+// descend returns the leaf that would hold key. Like every read path of
+// the tree it reads each page under a store.View: a v1 page is searched
+// in place, with no decode, and only a compressed leaf goes through the
+// pool's decode-once slot. The request (hit or miss) is charged to o and
+// a NodeVisit trace event emitted, exactly as a byte fetch would be.
+func (t *Tree) descend(key uint64, o *obs.Op) (store.PageID, error) {
+	id := t.root
+	for level := t.height; level > 1; level-- {
+		v, err := t.viewObs(id, o)
+		if err != nil {
+			return store.NilPage, err
+		}
+		p, err := classic(v.Data(), false, t.valSize)
+		if err == nil {
+			id = p.child(p.upperBound(key))
+		}
+		v.Release()
+		if err != nil {
+			return store.NilPage, err
+		}
+	}
+	return id, nil
+}
+
+// viewObs is the read paths' page fetch: a read pin, charged to o.
+func (t *Tree) viewObs(id store.PageID, o *obs.Op) (store.View, error) {
+	v, err := t.pool.ViewObs(id, o)
+	if err == nil {
+		o.NodeVisit(uint32(id))
+	}
+	return v, err
+}
+
+// scanLeaf visits the viewed leaf's entries from lo on, and returns its
+// right sibling, or NilPage once a key reaches hi or visit stops.
+func (t *Tree) scanLeaf(v store.View, lo, hi uint64, visit func(key uint64, val []byte) bool) (store.PageID, error) {
+	if v.Data()[0] == typeCompressedLeaf {
+		d, err := v.Decoded(t.decode)
+		if err != nil {
+			return store.NilPage, err
+		}
+		n := d.(*node)
 		for i := lowerBound(n.keys, lo); i < len(n.keys); i++ {
 			if n.keys[i] >= hi || !visit(n.keys[i], n.val(i, t.valSize)) {
-				return nil
+				return store.NilPage, nil
 			}
 		}
-		id = n.next
+		return n.next, nil
 	}
-	return nil
+	p, err := classic(v.Data(), true, t.valSize)
+	if err != nil {
+		return store.NilPage, err
+	}
+	for i := p.lowerBound(lo); i < p.count(); i++ {
+		if k := p.key(i); k >= hi || !visit(k, p.val(i)) {
+			return store.NilPage, nil
+		}
+	}
+	return p.next(), nil
 }
 
 // CountRange returns the number of keys in [lo, hi).
@@ -443,16 +529,15 @@ func (t *Tree) Delete(key uint64) error {
 	t.count--
 	// Collapse the root when it has a single child.
 	for t.height > 1 {
-		n, _, err := t.getNode(t.root)
+		p, err := t.pin(t.root, false)
 		if err != nil {
 			return err
 		}
-		if len(n.keys) > 0 {
-			t.pool.Unpin(t.root, false)
+		keys, child := p.count(), p.child(0)
+		t.pool.Unpin(t.root, false)
+		if keys > 0 {
 			break
 		}
-		child := n.children[0]
-		t.pool.Unpin(t.root, false)
 		t.pool.Free(t.root)
 		t.root = child
 		t.height--
@@ -470,24 +555,39 @@ func (t *Tree) minKeys(level int) int {
 // delete removes key from the subtree rooted at id. Parents repair child
 // underflows after the recursive call returns.
 func (t *Tree) delete(id store.PageID, level int, key uint64) error {
-	n, data, err := t.getNode(id)
-	if err != nil {
-		return err
-	}
-	if level == 1 {
+	if level == 1 && t.compress {
+		n := &t.cn
+		data, err := t.pinNode(id, n)
+		if err != nil {
+			return err
+		}
 		i := lowerBound(n.keys, key)
 		if i >= len(n.keys) || n.keys[i] != key {
 			t.pool.Unpin(id, false)
 			return ErrNotFound
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
+		n.keys = slices.Delete(n.keys, i, i+1)
 		n.removeVal(i, t.valSize)
-		t.encode(data, n)
+		writeCompressedLeaf(data, n, t.valSize)
 		t.pool.Unpin(id, true)
 		return nil
 	}
-	ci := upperBound(n.keys, key)
-	child := n.children[ci]
+	p, err := t.pin(id, level == 1)
+	if err != nil {
+		return err
+	}
+	if level == 1 {
+		i := p.lowerBound(key)
+		if i >= p.count() || p.key(i) != key {
+			t.pool.Unpin(id, false)
+			return ErrNotFound
+		}
+		p.removeAt(i)
+		t.pool.Unpin(id, true)
+		return nil
+	}
+	ci := p.upperBound(key)
+	child := p.child(ci)
 	t.pool.Unpin(id, false)
 	if err := t.delete(child, level-1, key); err != nil {
 		return err
@@ -500,17 +600,18 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 	if t.compress && level-1 == 1 {
 		return t.fixLeafCompressed(id, ci)
 	}
-	n, data, err := t.getNode(id)
+	leaf, floor := level-1 == 1, t.minKeys(level-1)
+	n, err := t.pin(id, false)
 	if err != nil {
 		return err
 	}
-	child := n.children[ci]
-	cn, cdata, err := t.getNode(child)
+	child := n.child(ci)
+	c, err := t.pin(child, leaf)
 	if err != nil {
 		t.pool.Unpin(id, false)
 		return err
 	}
-	if len(cn.keys) >= t.minKeys(level-1) {
+	if c.count() >= floor {
 		t.pool.Unpin(child, false)
 		t.pool.Unpin(id, false)
 		return nil
@@ -518,68 +619,52 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 	// Prefer borrowing from the left sibling, then the right; merge
 	// otherwise. All siblings share parent id.
 	if ci > 0 {
-		left := n.children[ci-1]
-		ln, ldata, err := t.getNode(left)
+		left := n.child(ci - 1)
+		l, err := t.pin(left, leaf)
 		if err != nil {
 			t.pool.Unpin(child, false)
 			t.pool.Unpin(id, false)
 			return err
 		}
-		if len(ln.keys) > t.minKeys(level-1) {
-			if cn.leaf {
-				last := len(ln.keys) - 1
-				cn.keys = insertAt(cn.keys, 0, ln.keys[last])
-				cn.insertVal(0, t.valSize, ln.val(last, t.valSize))
-				ln.keys = ln.keys[:last]
-				ln.removeVal(last, t.valSize)
-				n.keys[ci-1] = cn.keys[0]
+		if last := l.count() - 1; last >= floor {
+			if leaf {
+				copy(c.insertAt(0), l.entries(last, last+1))
+				n.setKey(ci-1, c.key(0))
 			} else {
 				// Rotate through the parent separator.
-				cn.keys = insertAt(cn.keys, 0, n.keys[ci-1])
-				cn.children = insertChildAt(cn.children, 0, ln.children[len(ln.children)-1])
-				n.keys[ci-1] = ln.keys[len(ln.keys)-1]
-				ln.keys = ln.keys[:len(ln.keys)-1]
-				ln.children = ln.children[:len(ln.children)-1]
+				putChildEntry(c.insertAt(0), n.key(ci-1), c.child(0))
+				c.setChild(0, l.child(last+1))
+				n.setKey(ci-1, l.key(last))
 			}
-			t.encode(ldata, ln)
+			l.setCount(last)
 			t.pool.Unpin(left, true)
-			t.encode(cdata, cn)
 			t.pool.Unpin(child, true)
-			t.encode(data, n)
 			t.pool.Unpin(id, true)
 			return nil
 		}
 		t.pool.Unpin(left, false)
 	}
-	if ci < len(n.children)-1 {
-		right := n.children[ci+1]
-		rn, rdata, err := t.getNode(right)
+	if ci < n.count() {
+		right := n.child(ci + 1)
+		r, err := t.pin(right, leaf)
 		if err != nil {
 			t.pool.Unpin(child, false)
 			t.pool.Unpin(id, false)
 			return err
 		}
-		if len(rn.keys) > t.minKeys(level-1) {
-			if cn.leaf {
-				cn.keys = append(cn.keys, rn.keys[0])
-				if t.valSize > 0 {
-					cn.vals = append(cn.vals, rn.val(0, t.valSize)...)
-				}
-				rn.keys = rn.keys[1:]
-				rn.removeVal(0, t.valSize)
-				n.keys[ci] = rn.keys[0]
+		if r.count() > floor {
+			if leaf {
+				c.append(r.entries(0, 1))
+				r.removeAt(0)
+				n.setKey(ci, r.key(0))
 			} else {
-				cn.keys = append(cn.keys, n.keys[ci])
-				cn.children = append(cn.children, rn.children[0])
-				n.keys[ci] = rn.keys[0]
-				rn.keys = rn.keys[1:]
-				rn.children = rn.children[1:]
+				putChildEntry(c.insertAt(c.count()), n.key(ci), r.child(0))
+				n.setKey(ci, r.key(0))
+				r.setChild(0, r.child(1))
+				r.removeAt(0)
 			}
-			t.encode(rdata, rn)
 			t.pool.Unpin(right, true)
-			t.encode(cdata, cn)
 			t.pool.Unpin(child, true)
-			t.encode(data, n)
 			t.pool.Unpin(id, true)
 			return nil
 		}
@@ -587,76 +672,51 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 	}
 	// Merge with a sibling. Normalize to merging children[mi] and
 	// children[mi+1] into children[mi].
-	mi := ci
-	if ci == len(n.children)-1 {
-		mi = ci - 1
-	}
-	leftID, rightID := n.children[mi], n.children[mi+1]
-	var ldata, rdata []byte
+	mi := min(ci, n.count()-1)
+	leftID, rightID := n.child(mi), n.child(mi+1)
+	l, r := c, c
 	if leftID == child {
-		ldata, rdata = cdata, nil
+		r, err = t.pin(rightID, leaf)
 	} else {
-		rdata = cdata
+		l, err = t.pin(leftID, leaf)
 	}
-	if ldata == nil {
-		if ldata, err = t.pool.Get(leftID); err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
-		}
-	}
-	if rdata == nil {
-		if rdata, err = t.pool.Get(rightID); err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
-		}
-	}
-	ln, lerr := readNode(ldata, t.valSize)
-	rn, rerr := readNode(rdata, t.valSize)
-	if lerr != nil || rerr != nil {
-		t.pool.Unpin(leftID, false)
-		t.pool.Unpin(rightID, false)
-		if leftID != child && rightID != child {
-			t.pool.Unpin(child, false)
-		}
+	if err != nil {
+		t.pool.Unpin(child, false)
 		t.pool.Unpin(id, false)
-		if lerr != nil {
-			return lerr
-		}
-		return rerr
+		return err
 	}
-	if ln.leaf {
-		ln.keys = append(ln.keys, rn.keys...)
-		ln.vals = append(ln.vals, rn.vals...)
-		ln.next = rn.next
+	if leaf {
+		l.setNext(r.next())
 	} else {
-		ln.keys = append(ln.keys, n.keys[mi])
-		ln.keys = append(ln.keys, rn.keys...)
-		ln.children = append(ln.children, rn.children...)
+		putChildEntry(l.insertAt(l.count()), n.key(mi), r.child(0))
 	}
-	t.encode(ldata, ln)
+	l.append(r.entries(0, r.count()))
 	t.pool.Unpin(leftID, true)
 	t.pool.Unpin(rightID, false)
 	t.pool.Free(rightID)
-	n.keys = append(n.keys[:mi], n.keys[mi+1:]...)
-	n.children = append(n.children[:mi+1], n.children[mi+2:]...)
-	t.encode(data, n)
+	n.removeAt(mi)
 	t.pool.Unpin(id, true)
 	return nil
 }
 
 // mergedLeafSize returns the encoded byte footprint of a and b's
-// entries combined into one delta-coded leaf. It materializes the
-// merge because the value-packing flag is a whole-leaf property: two
-// individually packable leaves stay packable, but a packable leaf
-// absorbing unpackable values does not.
+// entries combined into one delta-coded leaf, without building it. The
+// value-packing flag is a whole-leaf property: two individually
+// packable leaves stay packable, but a packable leaf absorbing
+// unpackable values does not.
 func mergedLeafSize(a, b *node, valSize int) int {
-	m := &node{leaf: true, keys: append(append([]uint64(nil), a.keys...), b.keys...)}
-	if valSize > 0 {
-		m.vals = append(append([]byte(nil), a.vals...), b.vals...)
+	size := encodedLeafSize(a, valSize) + encodedLeafSize(b, valSize) - headerSize
+	if len(a.keys) > 0 && len(b.keys) > 0 {
+		// b's first key is coded as a delta from a's last.
+		size += uvarintLen(b.keys[0]-a.keys[len(a.keys)-1]) - uvarintLen(b.keys[0])
 	}
-	return encodedLeafSize(m, valSize)
+	av, _ := leafValSize(a, valSize)
+	bv, _ := leafValSize(b, valSize)
+	if av != bv { // one side packs and the other does not: neither packs
+		size += (len(a.keys) + len(b.keys)) * valSize
+		size -= len(a.keys)*av + len(b.keys)*bv
+	}
+	return size
 }
 
 // fixLeafCompressed rebalances leaf child ci of internal node id when
@@ -666,14 +726,16 @@ func mergedLeafSize(a, b *node, valSize int) int {
 // moves entries until the child clears the floor. When no sibling can
 // help — both neighbours near-full yet the merge does not fit — the
 // leaf is left under the floor, which costs occupancy but breaks no
-// search invariant.
+// search invariant. The parent is edited in place; the leaves are
+// decoded into the tree's scratch nodes and re-encoded.
 func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
-	n, data, err := t.getNode(id)
+	n, err := t.pin(id, false)
 	if err != nil {
 		return err
 	}
-	child := n.children[ci]
-	cn, cdata, err := t.getNode(child)
+	child := n.child(ci)
+	cn, sn := &t.cn, &t.sn
+	cdata, err := t.pinNode(child, cn)
 	if err != nil {
 		t.pool.Unpin(id, false)
 		return err
@@ -685,24 +747,22 @@ func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
 		return nil
 	}
 	if ci > 0 {
-		left := n.children[ci-1]
-		ln, ldata, err := t.getNode(left)
+		left := n.child(ci - 1)
+		ldata, err := t.pinNode(left, sn)
 		if err != nil {
 			t.pool.Unpin(child, false)
 			t.pool.Unpin(id, false)
 			return err
 		}
-		if mergedLeafSize(ln, cn, t.valSize) <= t.pool.PageSize() {
-			ln.keys = append(ln.keys, cn.keys...)
-			ln.vals = append(ln.vals, cn.vals...)
-			ln.next = cn.next
-			t.encode(ldata, ln)
+		if mergedLeafSize(sn, cn, t.valSize) <= t.pool.PageSize() {
+			sn.keys = append(sn.keys, cn.keys...)
+			sn.vals = append(sn.vals, cn.vals...)
+			sn.next = cn.next
+			writeCompressedLeaf(ldata, sn, t.valSize)
 			t.pool.Unpin(left, true)
 			t.pool.Unpin(child, false)
 			t.pool.Free(child)
-			n.keys = append(n.keys[:ci-1], n.keys[ci:]...)
-			n.children = append(n.children[:ci], n.children[ci+1:]...)
-			t.encode(data, n)
+			n.removeAt(ci - 1)
 			t.pool.Unpin(id, true)
 			return nil
 		}
@@ -710,67 +770,61 @@ func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
 		// three quarter-pages of entries: it can lend until the child
 		// clears the floor without itself underflowing.
 		moved := false
-		for encodedLeafSize(cn, t.valSize) < floor && len(ln.keys) > 1 &&
-			encodedLeafSize(ln, t.valSize) > floor {
-			last := len(ln.keys) - 1
-			cn.keys = insertAt(cn.keys, 0, ln.keys[last])
-			cn.insertVal(0, t.valSize, ln.val(last, t.valSize))
-			ln.keys = ln.keys[:last]
-			ln.removeVal(last, t.valSize)
+		for encodedLeafSize(cn, t.valSize) < floor && len(sn.keys) > 1 &&
+			encodedLeafSize(sn, t.valSize) > floor {
+			last := len(sn.keys) - 1
+			cn.keys = slices.Insert(cn.keys, 0, sn.keys[last])
+			cn.insertVal(0, t.valSize, sn.val(last, t.valSize))
+			sn.keys = sn.keys[:last]
+			sn.removeVal(last, t.valSize)
 			moved = true
 		}
 		if moved {
-			n.keys[ci-1] = cn.keys[0]
-			t.encode(ldata, ln)
+			n.setKey(ci-1, cn.keys[0])
+			writeCompressedLeaf(ldata, sn, t.valSize)
 			t.pool.Unpin(left, true)
-			t.encode(cdata, cn)
+			writeCompressedLeaf(cdata, cn, t.valSize)
 			t.pool.Unpin(child, true)
-			t.encode(data, n)
 			t.pool.Unpin(id, true)
 			return nil
 		}
 		t.pool.Unpin(left, false)
 	}
-	if ci < len(n.children)-1 {
-		right := n.children[ci+1]
-		rn, rdata, err := t.getNode(right)
+	if ci < n.count() {
+		right := n.child(ci + 1)
+		rdata, err := t.pinNode(right, sn)
 		if err != nil {
 			t.pool.Unpin(child, false)
 			t.pool.Unpin(id, false)
 			return err
 		}
-		if mergedLeafSize(cn, rn, t.valSize) <= t.pool.PageSize() {
-			cn.keys = append(cn.keys, rn.keys...)
-			cn.vals = append(cn.vals, rn.vals...)
-			cn.next = rn.next
-			t.encode(cdata, cn)
+		if mergedLeafSize(cn, sn, t.valSize) <= t.pool.PageSize() {
+			cn.keys = append(cn.keys, sn.keys...)
+			cn.vals = append(cn.vals, sn.vals...)
+			cn.next = sn.next
+			writeCompressedLeaf(cdata, cn, t.valSize)
 			t.pool.Unpin(child, true)
 			t.pool.Unpin(right, false)
 			t.pool.Free(right)
-			n.keys = append(n.keys[:ci], n.keys[ci+1:]...)
-			n.children = append(n.children[:ci+1], n.children[ci+2:]...)
-			t.encode(data, n)
+			n.removeAt(ci)
 			t.pool.Unpin(id, true)
 			return nil
 		}
 		moved := false
-		for encodedLeafSize(cn, t.valSize) < floor && len(rn.keys) > 1 &&
-			encodedLeafSize(rn, t.valSize) > floor {
-			cn.keys = append(cn.keys, rn.keys[0])
-			if t.valSize > 0 {
-				cn.vals = append(cn.vals, rn.val(0, t.valSize)...)
-			}
-			rn.keys = rn.keys[1:]
-			rn.removeVal(0, t.valSize)
+		for encodedLeafSize(cn, t.valSize) < floor && len(sn.keys) > 1 &&
+			encodedLeafSize(sn, t.valSize) > floor {
+			cn.keys = append(cn.keys, sn.keys[0])
+			cn.vals = append(cn.vals, sn.val(0, t.valSize)...)
+			sn.keys = slices.Delete(sn.keys, 0, 1)
+			sn.removeVal(0, t.valSize)
 			moved = true
 		}
 		if moved {
-			n.keys[ci] = rn.keys[0]
-			t.encode(rdata, rn)
+			n.setKey(ci, sn.keys[0])
+			writeCompressedLeaf(rdata, sn, t.valSize)
 			t.pool.Unpin(right, true)
-			t.encode(cdata, cn)
+			writeCompressedLeaf(cdata, cn, t.valSize)
 			t.pool.Unpin(child, true)
-			t.encode(data, n)
 			t.pool.Unpin(id, true)
 			return nil
 		}
@@ -807,20 +861,6 @@ func upperBound(keys []uint64, key uint64) int {
 		}
 	}
 	return lo
-}
-
-func insertAt(s []uint64, i int, v uint64) []uint64 {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertChildAt(s []store.PageID, i int, v store.PageID) []store.PageID {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // PersistMeta captures the tree's in-memory state (root page, height, key

@@ -15,28 +15,59 @@ func (t *Tree) SeekLE(k uint64, o *obs.Op) (uint64, bool, error) {
 }
 
 func (t *Tree) seekLE(id store.PageID, level int, k uint64, o *obs.Op) (uint64, bool, error) {
-	n, err := t.read(id, o)
+	v, err := t.viewObs(id, o)
 	if err != nil {
 		return 0, false, err
 	}
-	ci := upperBound(n.keys, k)
 	if level == 1 {
-		if ci == 0 {
-			return 0, false, nil
-		}
-		return n.keys[ci-1], true, nil
+		key, ok, err := t.leafLE(v, k)
+		v.Release()
+		return key, ok, err
+	}
+	p, err := classic(v.Data(), false, t.valSize)
+	if err != nil {
+		v.Release()
+		return 0, false, err
 	}
 	// The natural child may hold no key <= k (k smaller than everything
-	// in it); fall back through the left siblings, whose keys are all
-	// below the separator and hence <= k.
-	for ; ci >= 0; ci-- {
-		v, ok, err := t.seekLE(n.children[ci], level-1, k, o)
+	// in it); fall back to its left sibling, whose keys all lie below the
+	// separator and hence <= k. No non-root subtree is empty, so one step
+	// back always finds one. The ids are read before the pin drops, so
+	// none is held below this page.
+	ci := p.upperBound(k)
+	kids := [2]store.PageID{p.child(ci)}
+	if ci > 0 {
+		kids[1] = p.child(ci - 1)
+	}
+	v.Release()
+	for _, c := range kids[:min(ci, 1)+1] {
+		key, ok, err := t.seekLE(c, level-1, k, o)
+		if err != nil || ok {
+			return key, ok, err
+		}
+	}
+	return 0, false, nil
+}
+
+// leafLE returns the viewed leaf's largest key <= k.
+func (t *Tree) leafLE(v store.View, k uint64) (uint64, bool, error) {
+	if v.Data()[0] == typeCompressedLeaf {
+		d, err := v.Decoded(t.decode)
 		if err != nil {
 			return 0, false, err
 		}
-		if ok {
-			return v, true, nil
+		n := d.(*node)
+		if i := upperBound(n.keys, k); i > 0 {
+			return n.keys[i-1], true, nil
 		}
+		return 0, false, nil
+	}
+	p, err := classic(v.Data(), true, t.valSize)
+	if err != nil {
+		return 0, false, err
+	}
+	if i := p.upperBound(k); i > 0 {
+		return p.key(i - 1), true, nil
 	}
 	return 0, false, nil
 }

@@ -42,45 +42,49 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
+// validate checks the subtree at id. It reads a page through the same
+// views the write path edits — a compressed leaf decoded, a v1 page in
+// place — and holds no pin while it descends.
 func (t *Tree) validate(id store.PageID, level int, lo, hi uint64, isRoot bool, keysSeen *int, prevLast *uint64, first *bool) error {
-	n, _, err := t.getNode(id)
-	if err != nil {
-		return err
-	}
-	keys := append([]uint64(nil), n.keys...)
-	children := append([]store.PageID(nil), n.children...)
-	leaf := n.leaf
-	encodedSize := 0
-	if leaf && t.compress {
-		encodedSize = encodedLeafSize(n, t.valSize)
-	}
-	t.pool.Unpin(id, false)
-
-	if leaf != (level == 1) {
-		return fmt.Errorf("btree: page %d leaf=%v at level %d (height %d)", id, leaf, level, t.height)
-	}
+	leaf := level == 1
+	var keys []uint64
+	var children []store.PageID
 	if leaf && t.compress {
 		// Delta-coded leaves have no fixed key capacity: the hard
 		// invariant is that the encoding fits its page, and that non-root
 		// leaves are non-empty. The byte-occupancy floor is best-effort
 		// (rebalancing may legitimately leave a leaf under it when no
 		// sibling can lend), so it is not enforced here.
-		if encodedSize > t.pool.PageSize() {
-			return fmt.Errorf("btree: page %d overfull: %d encoded bytes, page size %d", id, encodedSize, t.pool.PageSize())
+		var n node
+		if _, err := t.pinNode(id, &n); err != nil {
+			return fmt.Errorf("btree: page %d at level %d (height %d): %w", id, level, t.height, err)
 		}
-		if !isRoot && len(keys) == 0 {
+		t.pool.Unpin(id, false)
+		if size := encodedLeafSize(&n, t.valSize); size > t.pool.PageSize() {
+			return fmt.Errorf("btree: page %d overfull: %d encoded bytes, page size %d", id, size, t.pool.PageSize())
+		}
+		if !isRoot && len(n.keys) == 0 {
 			return fmt.Errorf("btree: page %d is an empty non-root leaf", id)
 		}
+		keys = n.keys
 	} else {
+		p, err := t.pin(id, leaf)
+		if err != nil {
+			return fmt.Errorf("btree: page %d at level %d (height %d): %w", id, level, t.height, err)
+		}
+		keys = make([]uint64, p.count())
+		for i := range keys {
+			keys[i] = p.key(i)
+		}
+		if !leaf {
+			children = make([]store.PageID, p.count()+1)
+			for i := range children {
+				children[i] = p.child(i)
+			}
+		}
+		t.pool.Unpin(id, false)
 		if !isRoot && len(keys) < t.minKeys(level) {
 			return fmt.Errorf("btree: page %d underfull: %d keys, min %d", id, len(keys), t.minKeys(level))
-		}
-		capacity := t.internalCap
-		if leaf {
-			capacity = t.leafCap
-		}
-		if len(keys) > capacity {
-			return fmt.Errorf("btree: page %d overfull: %d keys, cap %d", id, len(keys), capacity)
 		}
 	}
 	for i, k := range keys {
@@ -101,9 +105,6 @@ func (t *Tree) validate(id store.PageID, level int, lo, hi uint64, isRoot bool, 
 		}
 		*keysSeen += len(keys)
 		return nil
-	}
-	if len(children) != len(keys)+1 {
-		return fmt.Errorf("btree: page %d has %d keys but %d children", id, len(keys), len(children))
 	}
 	for i, c := range children {
 		clo, chi := lo, hi

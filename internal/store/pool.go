@@ -137,6 +137,18 @@ func (p *Pool) Resident(id PageID) bool {
 	return p.lookup(id) != nil
 }
 
+// Pinned returns the number of pins held on resident frames (test hook:
+// every request path must leave it where it found it).
+func (p *Pool) Pinned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for f := p.head; f != nil; f = f.next {
+		n += int(f.pins.Load())
+	}
+	return n
+}
+
 // lookup returns the resident frame of page id, or nil. The latch must be
 // held.
 func (p *Pool) lookup(id PageID) *frame {
@@ -264,26 +276,58 @@ type DecodeFunc func(data []byte) (any, error)
 // provides this); under that contract a request can never observe — or
 // cache — a decoded value that is stale relative to the page's bytes.
 func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, error) {
-	f, err := p.pin(id, o, false)
+	v, err := p.ViewObs(id, o)
 	if err != nil {
 		return nil, err
 	}
-	if dp := f.decoded.Load(); dp != nil {
-		f.pins.Add(-1)
-		p.decodeHits.Add(1)
+	d, err := v.Decoded(decode)
+	v.Release()
+	return d, err
+}
+
+// View is a read pin on one page, taken by ViewObs: Data aliases the
+// frame's bytes and Decoded serves its decode-once slot, both until
+// Release drops the pin (without the pool latch). It is for a read that
+// looks at the page in place and hands none of its bytes on.
+type View struct {
+	p *Pool
+	f *frame
+}
+
+// ViewObs pins the page for a read in place. The request is charged to
+// o and the pool's counters exactly like GetObs; the caller owes one
+// Release.
+func (p *Pool) ViewObs(id PageID, o *obs.Op) (View, error) {
+	f, err := p.pin(id, o, false)
+	if err != nil {
+		return View{}, err
+	}
+	return View{p, f}, nil
+}
+
+// Data returns the page bytes; they must not be modified.
+func (v View) Data() []byte { return v.f.data }
+
+// Release drops the view's pin.
+func (v View) Release() { v.f.pins.Add(-1) }
+
+// Decoded returns the page's decoded form from the frame's decode-once
+// slot, building it with decode when the slot is empty (see
+// GetDecodedObs).
+func (v View) Decoded(decode DecodeFunc) (any, error) {
+	if dp := v.f.decoded.Load(); dp != nil {
+		v.p.decodeHits.Add(1)
 		return *dp, nil
 	}
-	v, err := decode(f.data)
+	d, err := decode(v.f.data)
 	if err != nil {
-		f.pins.Add(-1)
 		return nil, err
 	}
 	dp := new(any)
-	*dp = v
-	f.decoded.Store(dp)
-	f.pins.Add(-1)
-	p.decodeMisses.Add(1)
-	return v, nil
+	*dp = d
+	v.f.decoded.Store(dp)
+	v.p.decodeMisses.Add(1)
+	return d, nil
 }
 
 // ReadObs copies len(dst) bytes of the page, from byte off, into dst. The
