@@ -18,7 +18,6 @@ package btree
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"segdb/internal/obs"
 	"segdb/internal/store"
@@ -43,15 +42,14 @@ type Tree struct {
 	leafCap     int // max keys in a leaf (classic format)
 	internalCap int // max separator keys in an internal node
 	compress    bool
-	decode      store.DecodeFunc // readNode at this tree's value size
+	decode      store.DecodeFunc // expandLeaf at this tree's value size
 
 	// Write-path scratch, reused by every Insert and Delete (writes are
-	// serialized): entry encodes the entry being inserted, spill holds a
-	// full page's entries plus that one while it splits, and cn and sn
-	// are the decoded child and sibling of a compressed tree's leaf edit.
-	entry  []byte
-	spill  []byte
-	cn, sn node
+	// serialized): entry encodes the entry being inserted, and scratch
+	// holds two v1 images — a full page's entries plus the new one while
+	// it splits, or the expanded child and sibling of a compressed leaf.
+	entry   []byte
+	scratch [2][]byte
 }
 
 // New creates an empty tree with bare keys (no values).
@@ -94,14 +92,23 @@ func newTree(pool *store.Pool, valueSize, compression int) (*Tree, error) {
 		internalCap: (pool.PageSize() - headerSize) / internalStride,
 		compress:    compression > 0,
 		entry:       make([]byte, max(8+valueSize, internalStride)),
-		spill:       make([]byte, pool.PageSize()+max(8+valueSize, internalStride)),
 	}
 	if t.leafCap < 3 || t.internalCap < 3 {
 		return nil, fmt.Errorf("btree: page size %d too small", pool.PageSize())
 	}
-	// Built once so that handing it to GetDecodedObs allocates nothing on
+	// A split needs a page plus an entry; a compressed leaf holds at most
+	// one entry per byte, plus the one being inserted.
+	size := pool.PageSize() + max(8+valueSize, internalStride)
+	if t.compress {
+		size = headerSize + (pool.PageSize()-headerSize+1)*(8+valueSize)
+	}
+	t.scratch = [2][]byte{make([]byte, size), make([]byte, size)}
+	// Built once so that handing it to View.Decoded allocates nothing on
 	// the read path.
-	t.decode = func(data []byte) (any, error) { return readNode(data, valueSize) }
+	t.decode = func(data []byte) (any, error) {
+		p, err := expandLeaf(data, valueSize, nil)
+		return p.data, err
+	}
 	return t, nil
 }
 
@@ -111,47 +118,56 @@ func (t *Tree) allocEmptyRoot() error {
 	if err != nil {
 		return err
 	}
-	t.encode(data, &node{leaf: true, next: store.NilPage})
+	t.store(data, t.leafImage(data, store.NilPage))
 	t.pool.Unpin(id, true)
 	t.root = id
 	t.height = 1
 	return nil
 }
 
-// encode serializes n into a page buffer in the tree's configured
-// format: delta-coded leaves when compression is on, the classic layout
-// otherwise (and always for internal nodes).
-func (t *Tree) encode(data []byte, n *node) {
-	if t.compress && n.leaf {
-		writeCompressedLeaf(data, n, t.valSize)
-		return
+// leafImage makes buf an empty v1 leaf with right sibling next.
+func (t *Tree) leafImage(buf []byte, next store.PageID) page {
+	p := page{buf, 8 + t.valSize}
+	buf[0], buf[1] = 1, 0
+	p.setCount(0)
+	p.setNext(next)
+	return p
+}
+
+// store writes an edited leaf back to its page bytes: a compressed
+// tree encodes the image; an uncompressed tree edited the page itself.
+func (t *Tree) store(data []byte, p page) {
+	if t.compress {
+		writeCompressedLeaf(data, p)
 	}
-	writeNode(data, n, t.valSize)
 }
 
 // leafSplitPoint returns the index where an overflowing delta-coded leaf
 // splits: the byte-balanced point, because its entries have variable
 // encoded widths and the key midpoint can leave one side still
 // overflowing.
-func (t *Tree) leafSplitPoint(n *node) int {
-	vsize, _ := leafValSize(n, t.valSize)
+func leafSplitPoint(p page) int {
+	vsize := p.stride - 8
+	if p.packable() {
+		vsize = packedValueSize
+	}
 	cost := func(i int) int {
 		if i == 0 {
-			return uvarintLen(n.keys[0]) + vsize
+			return uvarintLen(p.key(0)) + vsize
 		}
-		return uvarintLen(n.keys[i]-n.keys[i-1]) + vsize
+		return uvarintLen(p.key(i)-p.key(i-1)) + vsize
 	}
-	total := 0
-	for i := range n.keys {
+	n, total := p.count(), 0
+	for i := 0; i < n; i++ {
 		total += cost(i)
 	}
-	best, bestMax := len(n.keys)/2, int(^uint(0)>>1)
+	best, bestMax := n/2, int(^uint(0)>>1)
 	left := 0
-	for mid := 1; mid < len(n.keys); mid++ {
+	for mid := 1; mid < n; mid++ {
 		left += cost(mid - 1)
 		// The right half re-encodes its first key in full rather than as
 		// a delta from the left half's last key.
-		right := total - left - cost(mid) + uvarintLen(n.keys[mid]) + vsize
+		right := total - left - cost(mid) + uvarintLen(p.key(mid)) + vsize
 		if m := max(headerSize+left, headerSize+right); m < bestMax {
 			best, bestMax = mid, m
 		}
@@ -175,90 +191,60 @@ func (t *Tree) ValueSize() int { return t.valSize }
 func (t *Tree) Pool() *store.Pool { return t.pool }
 
 // pin is the write path's page fetch: it pins page id and returns the
-// view of its bytes, which must be a v1 page of the given kind. On
-// failure the page is left unpinned.
+// view of its bytes, which must be a v1 page of the given kind. A
+// compressed leaf met by an uncompressed tree (one restored over a
+// compressed image) is first rewritten in the classic layout; the bytes
+// then encode the same entries, so that alone does not dirty the page.
+// On failure the page is left unpinned.
 func (t *Tree) pin(id store.PageID, leaf bool) (page, error) {
 	data, err := t.pool.Get(id)
 	if err != nil {
 		return page{}, err
 	}
-	p, err := t.view(data, leaf)
-	if err != nil {
-		t.pool.Unpin(id, false)
-	}
-	return p, err
-}
-
-// view returns the view over the pinned bytes of a v1 page of the given
-// kind (see classic). A compressed leaf met by an uncompressed tree (one
-// restored over a compressed image) is first rewritten in the classic
-// layout; the bytes then encode the same entries, so that alone does not
-// dirty the page.
-func (t *Tree) view(data []byte, leaf bool) (page, error) {
 	if leaf && data[0] == typeCompressedLeaf {
-		if err := readCompressedLeafInto(data, t.valSize, &t.cn); err != nil {
-			return page{}, err
+		p, err := expandLeaf(data, t.valSize, t.scratch[0])
+		if err == nil && p.count() > t.leafCap {
+			err = fmt.Errorf("btree: compressed leaf of %d entries exceeds the classic capacity %d: %w", p.count(), t.leafCap, store.ErrBadPage)
 		}
-		if len(t.cn.keys) > t.leafCap {
-			return page{}, fmt.Errorf("btree: compressed leaf of %d entries exceeds the classic capacity %d: %w", len(t.cn.keys), t.leafCap, store.ErrBadPage)
+		if err != nil {
+			return page{}, t.release(err, id)
 		}
-		writeNode(data, &t.cn, t.valSize)
+		data[0] = 1
+		copy(data[2:], p.data[2:p.off(p.count())])
 	}
-	return classic(data, leaf, t.valSize)
+	p, err := classic(data, leaf, t.valSize)
+	if err != nil {
+		return page{}, t.release(err, id)
+	}
+	return p, nil
 }
 
-// pinNode pins leaf page id and decodes it into n, the compressed
-// tree's leaf discipline. On failure the page is left unpinned.
-func (t *Tree) pinNode(id store.PageID, n *node) ([]byte, error) {
+// pinLeaf pins leaf page id for an edit and returns its bytes and the
+// view to edit: the page itself in an uncompressed tree, its v1 image in
+// img in a compressed one, which store then encodes back. On failure the
+// page is left unpinned.
+func (t *Tree) pinLeaf(id store.PageID, img []byte) ([]byte, page, error) {
+	if !t.compress {
+		p, err := t.pin(id, true)
+		return p.data, p, err
+	}
 	data, err := t.pool.Get(id)
 	if err != nil {
-		return nil, err
+		return nil, page{}, err
 	}
-	if err := readNodeInto(data, t.valSize, n); err != nil {
-		t.pool.Unpin(id, false)
-		return nil, err
+	var p page
+	if data[0] == typeCompressedLeaf {
+		p, err = expandLeaf(data, t.valSize, img)
+	} else if p, err = classic(data, true, t.valSize); err == nil {
+		// A classic leaf under a compressed tree: its next write
+		// compresses it.
+		copy(img, data[:p.off(p.count())])
+		p.data = img
 	}
-	if !n.leaf {
-		t.pool.Unpin(id, false)
-		return nil, fmt.Errorf("btree: corrupt page: internal node %d at the leaf level: %w", id, store.ErrBadPage)
+	if err != nil {
+		return nil, page{}, t.release(err, id)
 	}
-	return data, nil
-}
-
-// node is the decoded in-memory form of a page.
-type node struct {
-	leaf     bool
-	keys     []uint64
-	vals     []byte         // leaf only: len(keys)*valSize payload bytes
-	children []store.PageID // internal only; len(children) == len(keys)+1
-	next     store.PageID   // leaf only: right sibling
-}
-
-// val returns the payload slice of leaf entry i.
-func (n *node) val(i, valSize int) []byte {
-	if valSize == 0 {
-		return nil
-	}
-	return n.vals[i*valSize : (i+1)*valSize]
-}
-
-// insertVal inserts v (padded/truncated to valSize) at entry position i.
-func (n *node) insertVal(i, valSize int, v []byte) {
-	if valSize == 0 {
-		return
-	}
-	n.vals = slices.Grow(n.vals, valSize)[:len(n.vals)+valSize]
-	copy(n.vals[(i+1)*valSize:], n.vals[i*valSize:])
-	slot := n.vals[i*valSize : (i+1)*valSize]
-	clear(slot[copy(slot, v):])
-}
-
-// removeVal deletes the payload of entry i.
-func (n *node) removeVal(i, valSize int) {
-	if valSize == 0 {
-		return
-	}
-	n.vals = append(n.vals[:i*valSize], n.vals[(i+1)*valSize:]...)
+	return data, p, nil
 }
 
 // Contains reports whether key is present.
@@ -310,23 +296,26 @@ func (t *Tree) InsertValue(key uint64, val []byte) error {
 
 // insert descends to the leaf, inserts, and splits on the way back up.
 func (t *Tree) insert(id store.PageID, level int, key uint64, val []byte) (sep uint64, right store.PageID, split bool, err error) {
-	if level == 1 && t.compress {
-		return t.insertCompressed(id, key, val)
-	}
-	p, err := t.pin(id, level == 1)
-	if err != nil {
-		return 0, store.NilPage, false, err
-	}
 	if level == 1 {
+		data, p, err := t.pinLeaf(id, t.scratch[0])
+		if err != nil {
+			return 0, store.NilPage, false, err
+		}
 		i := p.lowerBound(key)
 		if i < p.count() && p.key(i) == key {
-			t.pool.Unpin(id, false)
-			return 0, store.NilPage, false, ErrDuplicate
+			return 0, store.NilPage, false, t.release(ErrDuplicate, id)
 		}
 		putEntry(t.entry, key, val)
+		if t.compress {
+			return t.addCompressed(id, data, p, i)
+		}
 		return t.add(id, p, i)
 	}
 	// Internal node: descend into the child for key.
+	p, err := t.pin(id, false)
+	if err != nil {
+		return 0, store.NilPage, false, err
+	}
 	child := p.child(p.upperBound(key))
 	t.pool.Unpin(id, false) // release during recursion; re-fetch if child split
 	csep, cright, csplit, err := t.insert(child, level-1, key, val)
@@ -355,16 +344,15 @@ func (t *Tree) add(id store.PageID, p page, i int) (sep uint64, right store.Page
 	}
 	rid, rdata, err := t.pool.Allocate()
 	if err != nil {
-		t.pool.Unpin(id, false)
-		return 0, store.NilPage, false, err
+		return 0, store.NilPage, false, t.release(err, id)
 	}
-	s := page{t.spill, p.stride}
+	s := page{t.scratch[0], p.stride}
 	copy(s.data, p.data[:p.off(n)])
 	copy(s.insertAt(i), t.entry)
 	mid := (n + 1) / 2
 	r := page{rdata, p.stride}
 	sep = s.key(mid)
-	if p.leaf() {
+	if p.data[0] == 1 { // a leaf
 		rdata[0] = 1
 		r.setNext(p.next())
 		r.append(s.entries(mid, n+1))
@@ -375,48 +363,34 @@ func (t *Tree) add(id store.PageID, p page, i int) (sep uint64, right store.Page
 	}
 	copy(p.entries(0, mid), s.entries(0, mid))
 	p.setCount(mid)
-	t.pool.Unpin(rid, true)
-	t.pool.Unpin(id, true)
+	t.commit(rid, id)
 	return sep, rid, true, nil
 }
 
-// insertCompressed is insert at a delta-coded leaf: decode into the
-// scratch node, edit, and re-encode, splitting at the byte-balanced
-// point when the encoding outgrows the page.
-func (t *Tree) insertCompressed(id store.PageID, key uint64, val []byte) (sep uint64, right store.PageID, split bool, err error) {
-	n := &t.cn
-	data, err := t.pinNode(id, n)
-	if err != nil {
-		return 0, store.NilPage, false, err
-	}
-	i := lowerBound(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		t.pool.Unpin(id, false)
-		return 0, store.NilPage, false, ErrDuplicate
-	}
-	n.keys = slices.Insert(n.keys, i, key)
-	n.insertVal(i, t.valSize, val)
-	if encodedLeafSize(n, t.valSize) <= t.pool.PageSize() {
-		writeCompressedLeaf(data, n, t.valSize)
+// addCompressed inserts t.entry at slot i of the image p of compressed
+// leaf id (bytes data) and writes it back, splitting at the
+// byte-balanced point when the encoding outgrows the page.
+func (t *Tree) addCompressed(id store.PageID, data []byte, p page, i int) (sep uint64, right store.PageID, split bool, err error) {
+	copy(p.insertAt(i), t.entry)
+	if encodedSize(p) <= t.pool.PageSize() {
+		writeCompressedLeaf(data, p)
 		t.pool.Unpin(id, true)
 		return 0, store.NilPage, false, nil
 	}
 	rid, rdata, err := t.pool.Allocate()
 	if err != nil {
-		t.pool.Unpin(id, false)
-		return 0, store.NilPage, false, err
+		return 0, store.NilPage, false, t.release(err, id)
 	}
-	mid := t.leafSplitPoint(n)
-	rn := &t.sn
-	rn.leaf, rn.next = true, n.next
-	rn.keys = append(rn.keys[:0], n.keys[mid:]...)
-	rn.vals = append(rn.vals[:0], n.vals[mid*t.valSize:]...)
-	writeCompressedLeaf(rdata, rn, t.valSize)
+	mid := leafSplitPoint(p)
+	r := t.leafImage(t.scratch[1], p.next())
+	r.append(p.entries(mid, p.count()))
+	writeCompressedLeaf(rdata, r)
 	t.pool.Unpin(rid, true)
-	n.keys, n.vals, n.next = n.keys[:mid], n.vals[:mid*t.valSize], rid
-	writeCompressedLeaf(data, n, t.valSize)
+	p.setCount(mid)
+	p.setNext(rid)
+	writeCompressedLeaf(data, p)
 	t.pool.Unpin(id, true)
-	return rn.keys[0], rid, true, nil
+	return r.key(0), rid, true, nil
 }
 
 // Scan visits the keys in [lo, hi) in ascending order, stopping early when
@@ -488,20 +462,7 @@ func (t *Tree) viewObs(id store.PageID, o *obs.Op) (store.View, error) {
 // scanLeaf visits the viewed leaf's entries from lo on, and returns its
 // right sibling, or NilPage once a key reaches hi or visit stops.
 func (t *Tree) scanLeaf(v store.View, lo, hi uint64, visit func(key uint64, val []byte) bool) (store.PageID, error) {
-	if v.Data()[0] == typeCompressedLeaf {
-		d, err := v.Decoded(t.decode)
-		if err != nil {
-			return store.NilPage, err
-		}
-		n := d.(*node)
-		for i := lowerBound(n.keys, lo); i < len(n.keys); i++ {
-			if n.keys[i] >= hi || !visit(n.keys[i], n.val(i, t.valSize)) {
-				return store.NilPage, nil
-			}
-		}
-		return n.next, nil
-	}
-	p, err := classic(v.Data(), true, t.valSize)
+	p, err := t.leaf(v)
 	if err != nil {
 		return store.NilPage, err
 	}
@@ -511,6 +472,19 @@ func (t *Tree) scanLeaf(v store.View, lo, hi uint64, visit func(key uint64, val 
 		}
 	}
 	return p.next(), nil
+}
+
+// leaf returns the view of a viewed leaf's entries: a v1 page in place,
+// or the v1 image of a compressed leaf from the decode-once slot.
+func (t *Tree) leaf(v store.View) (page, error) {
+	if v.Data()[0] != typeCompressedLeaf {
+		return classic(v.Data(), true, t.valSize)
+	}
+	d, err := v.Decoded(t.decode)
+	if err != nil {
+		return page{}, err
+	}
+	return page{d.([]byte), 8 + t.valSize}, nil
 }
 
 // CountRange returns the number of keys in [lo, hi).
@@ -545,6 +519,23 @@ func (t *Tree) Delete(key uint64) error {
 	return nil
 }
 
+// release unpins pages an operation read and did not change, in order,
+// and passes err on.
+func (t *Tree) release(err error, ids ...store.PageID) error {
+	for _, id := range ids {
+		t.pool.Unpin(id, false)
+	}
+	return err
+}
+
+// commit unpins pages an operation changed, in order.
+func (t *Tree) commit(ids ...store.PageID) error {
+	for _, id := range ids {
+		t.pool.Unpin(id, true)
+	}
+	return nil
+}
+
 func (t *Tree) minKeys(level int) int {
 	if level == 1 {
 		return t.leafCap / 2
@@ -555,36 +546,23 @@ func (t *Tree) minKeys(level int) int {
 // delete removes key from the subtree rooted at id. Parents repair child
 // underflows after the recursive call returns.
 func (t *Tree) delete(id store.PageID, level int, key uint64) error {
-	if level == 1 && t.compress {
-		n := &t.cn
-		data, err := t.pinNode(id, n)
+	if level == 1 {
+		data, p, err := t.pinLeaf(id, t.scratch[0])
 		if err != nil {
 			return err
 		}
-		i := lowerBound(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
-			t.pool.Unpin(id, false)
-			return ErrNotFound
-		}
-		n.keys = slices.Delete(n.keys, i, i+1)
-		n.removeVal(i, t.valSize)
-		writeCompressedLeaf(data, n, t.valSize)
-		t.pool.Unpin(id, true)
-		return nil
-	}
-	p, err := t.pin(id, level == 1)
-	if err != nil {
-		return err
-	}
-	if level == 1 {
 		i := p.lowerBound(key)
 		if i >= p.count() || p.key(i) != key {
-			t.pool.Unpin(id, false)
-			return ErrNotFound
+			return t.release(ErrNotFound, id)
 		}
 		p.removeAt(i)
+		t.store(data, p)
 		t.pool.Unpin(id, true)
 		return nil
+	}
+	p, err := t.pin(id, false)
+	if err != nil {
+		return err
 	}
 	ci := p.upperBound(key)
 	child := p.child(ci)
@@ -608,13 +586,10 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 	child := n.child(ci)
 	c, err := t.pin(child, leaf)
 	if err != nil {
-		t.pool.Unpin(id, false)
-		return err
+		return t.release(err, id)
 	}
 	if c.count() >= floor {
-		t.pool.Unpin(child, false)
-		t.pool.Unpin(id, false)
-		return nil
+		return t.release(nil, child, id)
 	}
 	// Prefer borrowing from the left sibling, then the right; merge
 	// otherwise. All siblings share parent id.
@@ -622,9 +597,7 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 		left := n.child(ci - 1)
 		l, err := t.pin(left, leaf)
 		if err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
+			return t.release(err, child, id)
 		}
 		if last := l.count() - 1; last >= floor {
 			if leaf {
@@ -637,10 +610,7 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 				n.setKey(ci-1, l.key(last))
 			}
 			l.setCount(last)
-			t.pool.Unpin(left, true)
-			t.pool.Unpin(child, true)
-			t.pool.Unpin(id, true)
-			return nil
+			return t.commit(left, child, id)
 		}
 		t.pool.Unpin(left, false)
 	}
@@ -648,9 +618,7 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 		right := n.child(ci + 1)
 		r, err := t.pin(right, leaf)
 		if err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
+			return t.release(err, child, id)
 		}
 		if r.count() > floor {
 			if leaf {
@@ -663,10 +631,7 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 				r.setChild(0, r.child(1))
 				r.removeAt(0)
 			}
-			t.pool.Unpin(right, true)
-			t.pool.Unpin(child, true)
-			t.pool.Unpin(id, true)
-			return nil
+			return t.commit(right, child, id)
 		}
 		t.pool.Unpin(right, false)
 	}
@@ -681,9 +646,7 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 		l, err = t.pin(leftID, leaf)
 	}
 	if err != nil {
-		t.pool.Unpin(child, false)
-		t.pool.Unpin(id, false)
-		return err
+		return t.release(err, child, id)
 	}
 	if leaf {
 		l.setNext(r.next())
@@ -699,26 +662,6 @@ func (t *Tree) fixChild(id store.PageID, level, ci int) error {
 	return nil
 }
 
-// mergedLeafSize returns the encoded byte footprint of a and b's
-// entries combined into one delta-coded leaf, without building it. The
-// value-packing flag is a whole-leaf property: two individually
-// packable leaves stay packable, but a packable leaf absorbing
-// unpackable values does not.
-func mergedLeafSize(a, b *node, valSize int) int {
-	size := encodedLeafSize(a, valSize) + encodedLeafSize(b, valSize) - headerSize
-	if len(a.keys) > 0 && len(b.keys) > 0 {
-		// b's first key is coded as a delta from a's last.
-		size += uvarintLen(b.keys[0]-a.keys[len(a.keys)-1]) - uvarintLen(b.keys[0])
-	}
-	av, _ := leafValSize(a, valSize)
-	bv, _ := leafValSize(b, valSize)
-	if av != bv { // one side packs and the other does not: neither packs
-		size += (len(a.keys) + len(b.keys)) * valSize
-		size -= len(a.keys)*av + len(b.keys)*bv
-	}
-	return size
-}
-
 // fixLeafCompressed rebalances leaf child ci of internal node id when
 // leaves are delta-coded. Classic rebalancing reasons in key counts;
 // here the occupancy floor is a byte floor (a quarter page), the merge
@@ -726,39 +669,32 @@ func mergedLeafSize(a, b *node, valSize int) int {
 // moves entries until the child clears the floor. When no sibling can
 // help — both neighbours near-full yet the merge does not fit — the
 // leaf is left under the floor, which costs occupancy but breaks no
-// search invariant. The parent is edited in place; the leaves are
-// decoded into the tree's scratch nodes and re-encoded.
+// search invariant. The parent is edited in place; the leaves through
+// their v1 images.
 func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
 	n, err := t.pin(id, false)
 	if err != nil {
 		return err
 	}
 	child := n.child(ci)
-	cn, sn := &t.cn, &t.sn
-	cdata, err := t.pinNode(child, cn)
+	cdata, c, err := t.pinLeaf(child, t.scratch[0])
 	if err != nil {
-		t.pool.Unpin(id, false)
-		return err
+		return t.release(err, id)
 	}
 	floor := t.pool.PageSize() / 4
-	if encodedLeafSize(cn, t.valSize) >= floor {
-		t.pool.Unpin(child, false)
-		t.pool.Unpin(id, false)
-		return nil
+	if encodedSize(c) >= floor {
+		return t.release(nil, child, id)
 	}
 	if ci > 0 {
 		left := n.child(ci - 1)
-		ldata, err := t.pinNode(left, sn)
+		ldata, l, err := t.pinLeaf(left, t.scratch[1])
 		if err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
+			return t.release(err, child, id)
 		}
-		if mergedLeafSize(sn, cn, t.valSize) <= t.pool.PageSize() {
-			sn.keys = append(sn.keys, cn.keys...)
-			sn.vals = append(sn.vals, cn.vals...)
-			sn.next = cn.next
-			writeCompressedLeaf(ldata, sn, t.valSize)
+		if mergedSize(l, c) <= t.pool.PageSize() {
+			l.append(c.entries(0, c.count()))
+			l.setNext(c.next())
+			writeCompressedLeaf(ldata, l)
 			t.pool.Unpin(left, true)
 			t.pool.Unpin(child, false)
 			t.pool.Free(child)
@@ -770,39 +706,30 @@ func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
 		// three quarter-pages of entries: it can lend until the child
 		// clears the floor without itself underflowing.
 		moved := false
-		for encodedLeafSize(cn, t.valSize) < floor && len(sn.keys) > 1 &&
-			encodedLeafSize(sn, t.valSize) > floor {
-			last := len(sn.keys) - 1
-			cn.keys = slices.Insert(cn.keys, 0, sn.keys[last])
-			cn.insertVal(0, t.valSize, sn.val(last, t.valSize))
-			sn.keys = sn.keys[:last]
-			sn.removeVal(last, t.valSize)
+		for encodedSize(c) < floor && l.count() > 1 && encodedSize(l) > floor {
+			last := l.count() - 1
+			copy(c.insertAt(0), l.entries(last, last+1))
+			l.setCount(last)
 			moved = true
 		}
 		if moved {
-			n.setKey(ci-1, cn.keys[0])
-			writeCompressedLeaf(ldata, sn, t.valSize)
-			t.pool.Unpin(left, true)
-			writeCompressedLeaf(cdata, cn, t.valSize)
-			t.pool.Unpin(child, true)
-			t.pool.Unpin(id, true)
-			return nil
+			n.setKey(ci-1, c.key(0))
+			writeCompressedLeaf(ldata, l)
+			writeCompressedLeaf(cdata, c)
+			return t.commit(left, child, id)
 		}
 		t.pool.Unpin(left, false)
 	}
 	if ci < n.count() {
 		right := n.child(ci + 1)
-		rdata, err := t.pinNode(right, sn)
+		rdata, r, err := t.pinLeaf(right, t.scratch[1])
 		if err != nil {
-			t.pool.Unpin(child, false)
-			t.pool.Unpin(id, false)
-			return err
+			return t.release(err, child, id)
 		}
-		if mergedLeafSize(cn, sn, t.valSize) <= t.pool.PageSize() {
-			cn.keys = append(cn.keys, sn.keys...)
-			cn.vals = append(cn.vals, sn.vals...)
-			cn.next = sn.next
-			writeCompressedLeaf(cdata, cn, t.valSize)
+		if mergedSize(c, r) <= t.pool.PageSize() {
+			c.append(r.entries(0, r.count()))
+			c.setNext(r.next())
+			writeCompressedLeaf(cdata, c)
 			t.pool.Unpin(child, true)
 			t.pool.Unpin(right, false)
 			t.pool.Free(right)
@@ -811,56 +738,20 @@ func (t *Tree) fixLeafCompressed(id store.PageID, ci int) error {
 			return nil
 		}
 		moved := false
-		for encodedLeafSize(cn, t.valSize) < floor && len(sn.keys) > 1 &&
-			encodedLeafSize(sn, t.valSize) > floor {
-			cn.keys = append(cn.keys, sn.keys[0])
-			cn.vals = append(cn.vals, sn.val(0, t.valSize)...)
-			sn.keys = slices.Delete(sn.keys, 0, 1)
-			sn.removeVal(0, t.valSize)
+		for encodedSize(c) < floor && r.count() > 1 && encodedSize(r) > floor {
+			c.append(r.entries(0, 1))
+			r.removeAt(0)
 			moved = true
 		}
 		if moved {
-			n.setKey(ci, sn.keys[0])
-			writeCompressedLeaf(rdata, sn, t.valSize)
-			t.pool.Unpin(right, true)
-			writeCompressedLeaf(cdata, cn, t.valSize)
-			t.pool.Unpin(child, true)
-			t.pool.Unpin(id, true)
-			return nil
+			n.setKey(ci, r.key(0))
+			writeCompressedLeaf(rdata, r)
+			writeCompressedLeaf(cdata, c)
+			return t.commit(right, child, id)
 		}
 		t.pool.Unpin(right, false)
 	}
-	t.pool.Unpin(child, false)
-	t.pool.Unpin(id, false)
-	return nil
-}
-
-// lowerBound returns the first index i with keys[i] >= key.
-func lowerBound(keys []uint64, key uint64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first index i with keys[i] > key.
-func upperBound(keys []uint64, key uint64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return t.release(nil, child, id)
 }
 
 // PersistMeta captures the tree's in-memory state (root page, height, key

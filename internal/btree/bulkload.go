@@ -69,21 +69,15 @@ func BulkLoadWithOptions(pool *store.Pool, valueSize, compression, n int, at fun
 		for _, size := range sizes {
 			children := level[lo : lo+size]
 			lo += size
-			in := &node{
-				keys:     make([]uint64, 0, size-1),
-				children: make([]store.PageID, 0, size),
-			}
-			for ci, c := range children {
-				if ci > 0 {
-					in.keys = append(in.keys, c.firstKey)
-				}
-				in.children = append(in.children, c.id)
-			}
 			id, data, err := pool.Allocate()
 			if err != nil {
 				return nil, err
 			}
-			writeNode(data, in, valueSize)
+			in := page{data, internalStride}
+			in.setChild(0, children[0].id)
+			for _, c := range children[1:] {
+				putChildEntry(in.insertAt(in.count()), c.firstKey, c.id)
+			}
 			pool.Unpin(id, true)
 			next = append(next, levelRef{firstKey: children[0].firstKey, id: id})
 		}
@@ -102,9 +96,10 @@ type levelRef struct {
 	id       store.PageID
 }
 
-// bulkLeaves builds the leaf level left to right. Each leaf is written
-// when its successor is allocated, so the sibling chain needs no second
-// pass (at most two pages are pinned at a time).
+// bulkLeaves builds the leaf level left to right in the tree's two
+// scratch images: a leaf is written when its successor is allocated, so
+// the sibling chain needs no second pass (at most two pages are pinned
+// at a time).
 //
 // Classic leaves are cut by chunkSizes (full pages, last two balanced
 // above the deletion minimum). Delta-coded leaves are cut greedily by
@@ -116,14 +111,24 @@ func (t *Tree) bulkLeaves(n int, at func(i int) (key uint64, val []byte)) ([]lev
 		cuts = chunkSizes(n, t.leafCap, t.leafCap/2)
 	}
 	refs := make([]levelRef, 0, len(cuts))
-	idx := 0
-	var last uint64
 	var (
+		last     uint64
 		prevID   store.PageID
 		prevData []byte
-		prevNode *node
+		prev     page // the last leaf allocated, written once its sibling is
+		k        int  // cur fills scratch[k], prev holds the other
 	)
-	flush := func(ln *node) error {
+	cur := t.leafImage(t.scratch[0], store.NilPage)
+	write := func() {
+		if t.compress {
+			writeCompressedLeaf(prevData, prev)
+		} else {
+			copy(prevData, prev.data[:prev.off(prev.count())])
+		}
+	}
+	// flush allocates cur's page and writes prev, whose right sibling it
+	// is; cur becomes prev.
+	flush := func() error {
 		id, data, err := t.pool.Allocate()
 		if err != nil {
 			if prevData != nil {
@@ -132,78 +137,47 @@ func (t *Tree) bulkLeaves(n int, at func(i int) (key uint64, val []byte)) ([]lev
 			return err
 		}
 		if prevData != nil {
-			prevNode.next = id
-			t.encode(prevData, prevNode)
+			prev.setNext(id)
+			write()
 			t.pool.Unpin(prevID, true)
 		}
-		prevID, prevData, prevNode = id, data, ln
-		refs = append(refs, levelRef{firstKey: ln.keys[0], id: id})
+		refs = append(refs, levelRef{firstKey: cur.key(0), id: id})
+		prevID, prevData, prev, k = id, data, cur, 1-k
+		cur = t.leafImage(t.scratch[k], store.NilPage)
 		return nil
 	}
-	next := func(ln *node) error {
-		k, v := at(idx)
-		if idx > 0 && k <= last {
+	for i := 0; i < n; i++ {
+		key, val := at(i)
+		if i > 0 && key <= last {
 			if prevData != nil {
 				t.pool.Unpin(prevID, false)
 			}
-			return fmt.Errorf("btree: bulk load keys not strictly increasing at entry %d (%d after %d)", idx, k, last)
+			return nil, fmt.Errorf("btree: bulk load keys not strictly increasing at entry %d (%d after %d)", i, key, last)
 		}
-		last = k
-		idx++
-		ln.keys = append(ln.keys, k)
-		if t.valSize > 0 {
-			off := len(ln.vals)
-			ln.vals = append(ln.vals, make([]byte, t.valSize)...)
-			copy(ln.vals[off:], v)
+		last = key
+		putEntry(cur.insertAt(cur.count()), key, val)
+		switch {
+		case t.compress && encodedSize(cur) > t.pool.PageSize():
+			// The page is one entry over budget: the overflow entry
+			// starts the next leaf.
+			over := cur.count() - 1
+			cur.setCount(over)
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			cur.append(prev.entries(over, over+1))
+		case !t.compress && cur.count() == cuts[len(refs)]:
+			if err := flush(); err != nil {
+				return nil, err
+			}
 		}
-		return nil
 	}
 	if t.compress {
-		ln := &node{leaf: true, next: store.NilPage}
-		for idx < n {
-			if err := next(ln); err != nil {
-				return nil, err
-			}
-			if encodedLeafSize(ln, t.valSize) > t.pool.PageSize() {
-				// The page is one entry over budget: peel the overflow
-				// entry into a fresh leaf.
-				over := len(ln.keys) - 1
-				spill := &node{leaf: true, next: store.NilPage, keys: []uint64{ln.keys[over]}}
-				if t.valSize > 0 {
-					spill.vals = append([]byte(nil), ln.val(over, t.valSize)...)
-					ln.vals = ln.vals[:over*t.valSize]
-				}
-				ln.keys = ln.keys[:over]
-				if err := flush(ln); err != nil {
-					return nil, err
-				}
-				ln = spill
-			}
-		}
-		if err := flush(ln); err != nil {
+		if err := flush(); err != nil {
 			return nil, err
 		}
-	} else {
-		for _, size := range cuts {
-			ln := &node{
-				leaf: true,
-				keys: make([]uint64, 0, size),
-				next: store.NilPage,
-			}
-			if t.valSize > 0 {
-				ln.vals = make([]byte, 0, size*t.valSize)
-			}
-			for j := 0; j < size; j++ {
-				if err := next(ln); err != nil {
-					return nil, err
-				}
-			}
-			if err := flush(ln); err != nil {
-				return nil, err
-			}
-		}
 	}
-	t.encode(prevData, prevNode)
+	write()
 	t.pool.Unpin(prevID, true)
 	return refs, nil
 }

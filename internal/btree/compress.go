@@ -23,8 +23,11 @@ import (
 //
 // Internal nodes keep the classic format — they are a small minority of
 // pages and their separator keys span the whole key space, where deltas
-// buy little. Pages are self-describing: readNodeInto dispatches on the
-// type byte, so one tree may mix classic and compressed leaves.
+// buy little. Pages are self-describing, so one tree may mix classic and
+// compressed leaves. A compressed leaf has no random access, so nothing
+// works on its bytes: expandLeaf decodes it into a v1 image (the classic
+// leaf layout, in a buffer), the page view reads and edits the image like
+// any v1 page, and writeCompressedLeaf encodes it back.
 const (
 	typeCompressedLeaf = 2
 	flagPackedValues   = 1
@@ -40,15 +43,16 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// valuesPackable reports whether every 8-byte value in vals consists of
-// four uint16 words below 1<<14, the precondition for 14-bit packing.
-func valuesPackable(vals []byte, valSize int) bool {
-	if valSize != 8 {
+// packable reports whether every value of leaf p is 8 bytes of four
+// uint16 words below 1<<14, the precondition for 14-bit packing.
+func (p page) packable() bool {
+	if p.stride != 16 {
 		return false
 	}
-	for off := 0; off+8 <= len(vals); off += 8 {
-		for i := 0; i < 8; i += 2 {
-			if binary.LittleEndian.Uint16(vals[off+i:]) >= 1<<14 {
+	for i := 0; i < p.count(); i++ {
+		v := p.val(i)
+		for j := 0; j < 8; j += 2 {
+			if binary.LittleEndian.Uint16(v[j:]) >= 1<<14 {
 				return false
 			}
 		}
@@ -56,60 +60,60 @@ func valuesPackable(vals []byte, valSize int) bool {
 	return true
 }
 
-// leafValSize returns the per-entry value footprint for a compressed
-// leaf holding n's values.
-func leafValSize(n *node, valSize int) (vsize int, packed bool) {
-	if valSize == 8 && valuesPackable(n.vals, valSize) {
-		return packedValueSize, true
+// encodedSize returns the byte footprint of leaf p as a compressed leaf.
+func encodedSize(p page) int {
+	vsize := p.stride - 8
+	if p.packable() {
+		vsize = packedValueSize
 	}
-	return valSize, false
-}
-
-// encodedLeafSize returns the byte footprint of n as a compressed leaf.
-func encodedLeafSize(n *node, valSize int) int {
-	vsize, _ := leafValSize(n, valSize)
-	size := headerSize + len(n.keys)*vsize
-	prev := uint64(0)
-	for i, k := range n.keys {
-		if i == 0 {
-			size += uvarintLen(k)
-		} else {
-			size += uvarintLen(k - prev)
-		}
-		prev = k
+	size, prev := headerSize+p.count()*vsize, uint64(0)
+	for i := 0; i < p.count(); i++ {
+		size += uvarintLen(p.key(i) - prev) // the first key in full
+		prev = p.key(i)
 	}
 	return size
 }
 
-// writeCompressedLeaf encodes a leaf in the v3 format. The caller is
-// responsible for ensuring it fits (encodedLeafSize <= len(data)); the
+// mergedSize returns the encoded footprint of a's entries followed by
+// b's in one compressed leaf, without building it. Packing is a
+// whole-leaf property: two packable leaves stay packable, but a packable
+// leaf absorbing unpackable values does not.
+func mergedSize(a, b page) int {
+	size := encodedSize(a) + encodedSize(b) - headerSize
+	if a.count() > 0 && b.count() > 0 {
+		// b's first key becomes a delta from a's last.
+		size += uvarintLen(b.key(0)-a.key(a.count()-1)) - uvarintLen(b.key(0))
+	}
+	if ap, bp := a.packable(), b.packable(); ap && !bp {
+		size += a.count() // 8 verbatim bytes a value instead of 7
+	} else if bp && !ap {
+		size += b.count()
+	}
+	return size
+}
+
+// writeCompressedLeaf encodes leaf p in the v3 format. The caller is
+// responsible for ensuring it fits (encodedSize(p) <= len(data)); the
 // tree's insert and rebalance paths maintain that as their occupancy
 // invariant.
-func writeCompressedLeaf(data []byte, n *node, valSize int) {
-	vsize, packed := leafValSize(n, valSize)
-	data[0] = typeCompressedLeaf
-	data[1] = 0
+func writeCompressedLeaf(data []byte, p page) {
+	count, next, packed, vsize := p.count(), p.next(), p.packable(), p.stride-8
+	data[0], data[1] = typeCompressedLeaf, 0
 	if packed {
-		data[1] = flagPackedValues
+		data[1], vsize = flagPackedValues, packedValueSize
 	}
-	binary.LittleEndian.PutUint16(data[2:], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint32(data[4:], uint32(n.next))
-	off := headerSize
-	prev := uint64(0)
-	for i, k := range n.keys {
-		if i == 0 {
-			off += binary.PutUvarint(data[off:], k)
-		} else {
-			off += binary.PutUvarint(data[off:], k-prev)
-		}
-		prev = k
+	binary.LittleEndian.PutUint16(data[2:], uint16(count))
+	binary.LittleEndian.PutUint32(data[4:], uint32(next))
+	off, prev := headerSize, uint64(0)
+	for i := 0; i < count; i++ {
+		off += binary.PutUvarint(data[off:], p.key(i)-prev)
+		prev = p.key(i)
 	}
-	for i := 0; i < len(n.keys); i++ {
-		v := n.val(i, valSize)
+	for i := 0; i < count; i++ {
 		if packed {
-			putPacked14(data[off:], v)
+			putPacked14(data[off:], p.val(i))
 		} else {
-			copy(data[off:off+valSize], v)
+			copy(data[off:off+vsize], p.val(i))
 		}
 		off += vsize
 	}
@@ -160,35 +164,36 @@ func uvarintWord(w uint64) (v uint64, n int) {
 	return w, last/8 + 1
 }
 
-// readCompressedLeafInto decodes a v3 leaf into n (the dispatch target
-// of readNodeInto for type byte 2). Every read is bounds-checked against
-// the page, so truncated or bit-flipped pages fail with a typed error
+// expandLeaf decodes the v3 leaf in data into img as a v1 image and
+// returns the view over it. img is used when it has room for the leaf's
+// entries (the write path hands in its scratch); otherwise a buffer of
+// the exact size is allocated. Every read is bounds-checked against the
+// page, so truncated or bit-flipped pages fail with a typed error
 // instead of panicking or over-reading.
-func readCompressedLeafInto(data []byte, valSize int, n *node) error {
+func expandLeaf(data []byte, valSize int, img []byte) (page, error) {
 	flags := data[1]
 	if flags&^byte(flagPackedValues) != 0 {
-		return fmt.Errorf("btree: corrupt page: leaf flags %#x: %w", flags, store.ErrBadPage)
+		return page{}, fmt.Errorf("btree: corrupt page: leaf flags %#x: %w", flags, store.ErrBadPage)
 	}
 	vsize, packed := valSize, false
 	if flags&flagPackedValues != 0 {
 		if valSize != 8 {
-			return fmt.Errorf("btree: corrupt page: packed values on a %d-byte-value tree: %w", valSize, store.ErrBadPage)
+			return page{}, fmt.Errorf("btree: corrupt page: packed values on a %d-byte-value tree: %w", valSize, store.ErrBadPage)
 		}
 		vsize, packed = packedValueSize, true
 	}
 	count := int(binary.LittleEndian.Uint16(data[2:]))
 	if count*(1+vsize) > len(data)-headerSize {
-		return fmt.Errorf("btree: corrupt page: %d entries cannot fit the page: %w", count, store.ErrBadPage)
+		return page{}, fmt.Errorf("btree: corrupt page: %d entries cannot fit the page: %w", count, store.ErrBadPage)
 	}
-	n.leaf = true
-	n.next = store.PageID(binary.LittleEndian.Uint32(data[4:]))
-	if cap(n.keys) < count {
-		n.keys = make([]uint64, count)
-	} else {
-		n.keys = n.keys[:count]
+	p := page{img, 8 + valSize}
+	if len(img) < p.off(count) {
+		p.data = make([]byte, p.off(count))
 	}
-	off := headerSize
-	prev := uint64(0)
+	p.data[0], p.data[1] = 1, 0
+	p.setCount(count)
+	p.setNext(store.PageID(binary.LittleEndian.Uint32(data[4:])))
+	off, prev := headerSize, uint64(0)
 	for i := 0; i < count; i++ {
 		var v uint64
 		var vn int
@@ -198,57 +203,33 @@ func readCompressedLeafInto(data []byte, valSize int, n *node) error {
 		if vn == 0 {
 			// Within 8 bytes of the page end, or a 9- or 10-byte varint.
 			if v, vn = binary.Uvarint(data[off:]); vn <= 0 {
-				n.reset()
-				return fmt.Errorf("btree: corrupt page: bad varint at entry %d: %w", i, store.ErrBadPage)
+				return page{}, fmt.Errorf("btree: corrupt page: bad varint at entry %d: %w", i, store.ErrBadPage)
 			}
 		}
 		off += vn
-		if i == 0 {
-			prev = v
-		} else {
-			next := prev + v
-			if next < prev {
-				n.reset()
-				return fmt.Errorf("btree: corrupt page: key delta overflow at entry %d: %w", i, store.ErrBadPage)
+		if i > 0 {
+			if prev+v < prev {
+				return page{}, fmt.Errorf("btree: corrupt page: key delta overflow at entry %d: %w", i, store.ErrBadPage)
 			}
 			if v == 0 {
-				n.reset()
-				return fmt.Errorf("btree: corrupt page: zero key delta at entry %d: %w", i, store.ErrBadPage)
+				return page{}, fmt.Errorf("btree: corrupt page: zero key delta at entry %d: %w", i, store.ErrBadPage)
 			}
-			prev = next
 		}
-		n.keys[i] = prev
+		prev += v
+		p.setKey(i, prev)
 	}
 	if off+count*vsize > len(data) {
-		n.reset()
-		return fmt.Errorf("btree: corrupt page: values overrun the page: %w", store.ErrBadPage)
+		return page{}, fmt.Errorf("btree: corrupt page: values overrun the page: %w", store.ErrBadPage)
 	}
-	if valSize > 0 {
-		if need := count * valSize; cap(n.vals) < need {
-			n.vals = make([]byte, need)
+	for i := 0; i < count && valSize > 0; i++ {
+		if packed {
+			getPacked14(p.val(i), data[off:])
 		} else {
-			n.vals = n.vals[:need]
+			copy(p.val(i), data[off:off+valSize])
 		}
-		for i := 0; i < count; i++ {
-			if packed {
-				getPacked14(n.vals[i*valSize:], data[off:])
-			} else {
-				copy(n.vals[i*valSize:], data[off:off+valSize])
-			}
-			off += vsize
-		}
+		off += vsize
 	}
-	return nil
-}
-
-// reset clears a node back to the empty decode state after a failed
-// parse.
-func (n *node) reset() {
-	n.leaf = false
-	n.keys = n.keys[:0]
-	n.vals = n.vals[:0]
-	n.children = n.children[:0]
-	n.next = 0
+	return p, nil
 }
 
 // LeafPageInfo describes the physical format of one encoded B+-tree
@@ -272,48 +253,42 @@ func InspectPage(data []byte, valSize int) (LeafPageInfo, bool) {
 	}
 	switch data[0] {
 	case 0, 1:
-		leaf := data[0] == 1
-		count := int(binary.LittleEndian.Uint16(data[2:]))
-		entrySize := 12
-		if leaf {
-			entrySize = 8 + valSize
-		}
-		if count > (len(data)-headerSize)/entrySize {
+		p, err := classic(data, data[0] == 1, valSize)
+		if err != nil {
 			return LeafPageInfo{}, false
 		}
-		return LeafPageInfo{
-			Format:    "v1",
-			Leaf:      leaf,
-			Entries:   count,
-			BytesUsed: headerSize + count*entrySize,
-		}, true
+		return LeafPageInfo{Format: "v1", Leaf: data[0] == 1, Entries: p.count(), BytesUsed: p.off(p.count())}, true
 	case typeCompressedLeaf:
-		var n node
-		if err := readCompressedLeafInto(data, valSize, &n); err != nil {
+		p, err := expandLeaf(data, valSize, nil)
+		if err != nil {
 			return LeafPageInfo{}, false
 		}
-		return LeafPageInfo{
-			Format:    "v3",
-			Leaf:      true,
-			Entries:   len(n.keys),
-			BytesUsed: encodedLeafSize(&n, valSize),
-		}, true
+		return LeafPageInfo{Format: "v3", Leaf: true, Entries: p.count(), BytesUsed: encodedSize(p)}, true
 	}
 	return LeafPageInfo{}, false
 }
 
-// DecodePage fully decodes a serialized node page — classic v1 or a
-// compressed v3 leaf — and reports its entry count. Benchmarks and
-// inspection tools use it to exercise the decode path over raw page bytes
-// without standing up a Tree. The node lives on the stack for leaves of
-// up to 512 keys and 1 KB of values, so what is timed is the decode and
-// not the allocator (a fuller leaf still decodes, into the heap).
+// DecodePage decodes a serialized node page — a compressed v3 leaf into
+// its v1 image, the work a read path does when such a leaf enters the
+// pool; a classic v1 page is only checked, since nothing decodes one —
+// and reports its entry count. Benchmarks and inspection tools use it to
+// exercise the decode path over raw page bytes without standing up a
+// Tree. The image lives on the stack for leaves of up to 16 KB of
+// entries, so what is timed is the decode and not the allocator.
 func DecodePage(data []byte, valSize int) (int, error) {
-	var keys [512]uint64
-	var vals [1024]byte
-	n := node{keys: keys[:0], vals: vals[:0]}
-	if err := readNodeInto(data, valSize, &n); err != nil {
+	if len(data) < headerSize {
+		return 0, fmt.Errorf("btree: corrupt page: %d bytes: %w", len(data), store.ErrBadPage)
+	}
+	var p page
+	var err error
+	if data[0] == typeCompressedLeaf {
+		var img [16 << 10]byte
+		p, err = expandLeaf(data, valSize, img[:])
+	} else {
+		p, err = classic(data, data[0] == 1, valSize)
+	}
+	if err != nil {
 		return 0, err
 	}
-	return len(n.keys), nil
+	return p.count(), nil
 }

@@ -38,15 +38,15 @@ func TestCompressedLeafRoundTrip(t *testing.T) {
 		n.vals = append(n.vals, randVal(rng)...)
 	}
 	data := make([]byte, 1024)
-	if size := encodedLeafSize(n, 8); size > len(data) {
+	if size := encodedSize(imageOf(n, 8)); size > len(data) {
 		t.Fatalf("test node too large: %d bytes", size)
 	}
-	writeCompressedLeaf(data, n, 8)
+	writeCompressedLeaf(data, imageOf(n, 8))
 	if data[1]&flagPackedValues == 0 {
 		t.Fatal("world-domain values not packed")
 	}
-	var got node
-	if err := readNodeInto(data, 8, &got); err != nil {
+	got, err := decodeLeaf(data, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.leaf || got.next != 42 || len(got.keys) != len(n.keys) {
@@ -69,12 +69,12 @@ func TestCompressedLeafUnpackableValues(t *testing.T) {
 	n := &node{leaf: true, keys: []uint64{1, 2}, vals: make([]byte, 16)}
 	binary.LittleEndian.PutUint16(n.vals[0:], 0xFFFF)
 	data := make([]byte, 1024)
-	writeCompressedLeaf(data, n, 8)
+	writeCompressedLeaf(data, imageOf(n, 8))
 	if data[1]&flagPackedValues != 0 {
 		t.Fatal("out-of-domain values marked packed")
 	}
-	var got node
-	if err := readNodeInto(data, 8, &got); err != nil {
+	got, err := decodeLeaf(data, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if binary.LittleEndian.Uint16(got.vals[0:]) != 0xFFFF {
@@ -243,7 +243,7 @@ func TestCompressedLeafCorruptTypedErrors(t *testing.T) {
 		n.vals = append(n.vals, randVal(rng)...)
 	}
 	good := make([]byte, 1024)
-	writeCompressedLeaf(good, n, 8)
+	writeCompressedLeaf(good, imageOf(n, 8))
 	corrupt := func(mut func(p []byte)) []byte {
 		p := append([]byte(nil), good...)
 		mut(p)
@@ -260,8 +260,7 @@ func TestCompressedLeafCorruptTypedErrors(t *testing.T) {
 		}),
 	}
 	for name, page := range cases {
-		var got node
-		if err := readNodeInto(page, 8, &got); !errors.Is(err, store.ErrBadPage) {
+		if _, err := decodeLeaf(page, 8); !errors.Is(err, store.ErrBadPage) {
 			t.Errorf("%s: err = %v, want ErrBadPage", name, err)
 		}
 	}
@@ -315,11 +314,38 @@ func refReadCompressedLeaf(data []byte, valSize int) (*node, error) {
 	return n, nil
 }
 
+// imageOf lays leaf n out as a v1 image, the form writeCompressedLeaf
+// encodes.
+func imageOf(n *node, valSize int) page {
+	p := page{make([]byte, headerSize+len(n.keys)*(8+valSize)), 8 + valSize}
+	p.data[0] = 1
+	p.setNext(n.next)
+	for i, k := range n.keys {
+		putEntry(p.insertAt(i), k, n.val(i, valSize))
+	}
+	return p
+}
+
+// decodeLeaf decodes a v3 leaf with expandLeaf and returns its entries
+// as a node.
+func decodeLeaf(data []byte, valSize int) (*node, error) {
+	p, err := expandLeaf(data, valSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	n := &node{leaf: true, next: p.next(), keys: make([]uint64, p.count())}
+	for i := range n.keys {
+		n.keys[i] = p.key(i)
+		n.vals = append(n.vals, p.val(i)...)
+	}
+	return n, nil
+}
+
 // checkAgainstReference decodes a v3 leaf with both decoders and requires
 // one answer: the same keys, sibling and values, or ErrBadPage from both.
 func checkAgainstReference(t *testing.T, data []byte, valSize int) (*node, error) {
 	t.Helper()
-	got, err := readNode(data, valSize)
+	got, err := decodeLeaf(data, valSize)
 	want, refErr := refReadCompressedLeaf(data, valSize)
 	if (err == nil) != (refErr == nil) || err != nil && !errors.Is(err, store.ErrBadPage) {
 		t.Fatalf("decoder err %v, reference err %v", err, refErr)
@@ -362,9 +388,9 @@ func TestCompressedLeafDecoderEdges(t *testing.T) {
 	// leaf encodes keys and vals and returns exactly the encoded bytes
 	// plus pad zero bytes.
 	leaf := func(valSize, pad int, keys []uint64, vals []byte) []byte {
-		n := &node{leaf: true, next: 9, keys: keys, vals: vals}
-		data := make([]byte, encodedLeafSize(n, valSize)+pad)
-		writeCompressedLeaf(data, n, valSize)
+		p := imageOf(&node{leaf: true, next: 9, keys: keys, vals: vals}, valSize)
+		data := make([]byte, encodedSize(p)+pad)
+		writeCompressedLeaf(data, p)
 		return data
 	}
 	// withDelta is keys 5 and 6 with the second delta overwritten by hand.
@@ -426,7 +452,7 @@ func FuzzDecodeCompressedLeaf(f *testing.F) {
 	n.vals = make([]byte, 32)
 	for _, valSize := range []int{0, 8} {
 		page := make([]byte, 256)
-		writeCompressedLeaf(page, n, valSize)
+		writeCompressedLeaf(page, imageOf(n, valSize))
 		f.Add(page, valSize)
 	}
 	f.Add([]byte{2, 1, 0xFF, 0xFF, 0, 0, 0, 0, 1}, 8)
@@ -435,7 +461,7 @@ func FuzzDecodeCompressedLeaf(f *testing.F) {
 			return
 		}
 		if data[0] != typeCompressedLeaf {
-			readNode(data, valSize) // classic pages: must not panic
+			DecodePage(data, valSize) // classic pages: must not panic
 			return
 		}
 		got, err := checkAgainstReference(t, data, valSize)

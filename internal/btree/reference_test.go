@@ -8,6 +8,10 @@ package btree
 // and the same bytes on every page after every operation.
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
 	"segdb/internal/store"
 )
 
@@ -534,4 +538,361 @@ func insertChildAt(s []store.PageID, i int, v store.PageID) []store.PageID {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
+}
+
+// The reference codec: the decoded node form and its v1 and v3
+// encoders and decoders, as the write path used them.
+
+// encode serializes n into a page buffer in the tree's configured
+// format: delta-coded leaves when compression is on, the classic layout
+// otherwise (and always for internal nodes).
+func (t *Tree) encode(data []byte, n *node) {
+	if t.compress && n.leaf {
+		refWriteCompressedLeaf(data, n, t.valSize)
+		return
+	}
+	writeNode(data, n, t.valSize)
+}
+
+// node is the decoded in-memory form of a page.
+type node struct {
+	leaf     bool
+	keys     []uint64
+	vals     []byte         // leaf only: len(keys)*valSize payload bytes
+	children []store.PageID // internal only; len(children) == len(keys)+1
+	next     store.PageID   // leaf only: right sibling
+}
+
+// val returns the payload slice of leaf entry i.
+func (n *node) val(i, valSize int) []byte {
+	if valSize == 0 {
+		return nil
+	}
+	return n.vals[i*valSize : (i+1)*valSize]
+}
+
+// insertVal inserts v (padded/truncated to valSize) at entry position i.
+func (n *node) insertVal(i, valSize int, v []byte) {
+	if valSize == 0 {
+		return
+	}
+	n.vals = slices.Grow(n.vals, valSize)[:len(n.vals)+valSize]
+	copy(n.vals[(i+1)*valSize:], n.vals[i*valSize:])
+	slot := n.vals[i*valSize : (i+1)*valSize]
+	clear(slot[copy(slot, v):])
+}
+
+// removeVal deletes the payload of entry i.
+func (n *node) removeVal(i, valSize int) {
+	if valSize == 0 {
+		return
+	}
+	n.vals = append(n.vals[:i*valSize], n.vals[(i+1)*valSize:]...)
+}
+
+// lowerBound returns the first index i with keys[i] >= key.
+func lowerBound(keys []uint64, key uint64) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// upperBound returns the first index i with keys[i] > key.
+func upperBound(keys []uint64, key uint64) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if keys[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Page layout (little-endian):
+//
+//	byte 0      node type: 1 = leaf, 0 = internal
+//	bytes 2..3  key count (uint16)
+//	bytes 4..7  leaf: right-sibling page id; internal: first child page id
+//	leaf:       (key, value) entries at 8 + (8+valSize)*i
+//	internal:   (key, child) pairs at 8 + 12*i
+func writeNode(data []byte, n *node, valSize int) {
+	if n.leaf {
+		data[0] = 1
+	} else {
+		data[0] = 0
+	}
+	binary.LittleEndian.PutUint16(data[2:], uint16(len(n.keys)))
+	if n.leaf {
+		binary.LittleEndian.PutUint32(data[4:], uint32(n.next))
+		off := headerSize
+		for i, k := range n.keys {
+			binary.LittleEndian.PutUint64(data[off:], k)
+			off += 8
+			if valSize > 0 {
+				copy(data[off:off+valSize], n.val(i, valSize))
+				off += valSize
+			}
+		}
+		return
+	}
+	binary.LittleEndian.PutUint32(data[4:], uint32(n.children[0]))
+	off := headerSize
+	for i, k := range n.keys {
+		binary.LittleEndian.PutUint64(data[off:], k)
+		binary.LittleEndian.PutUint32(data[off+8:], uint32(n.children[i+1]))
+		off += 12
+	}
+}
+
+// readNode decodes a page into a freshly allocated node: the form the
+// write paths edit and re-encode, and the immutable form the read paths
+// publish into the pool's decode-once slot (Tree.read).
+func readNode(data []byte, valSize int) (*node, error) {
+	n := new(node)
+	if err := readNodeInto(data, valSize, n); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// readNodeInto decodes a page into n, reusing n's slice capacity. It
+// rejects headers whose entry count cannot fit the page (stale or
+// corrupted data that survived its checksum, e.g. a page recycled from
+// another structure after a crash); on error n is left empty.
+func readNodeInto(data []byte, valSize int, n *node) error {
+	n.leaf = false
+	n.keys = n.keys[:0]
+	n.vals = n.vals[:0]
+	n.children = n.children[:0]
+	n.next = 0
+	if data[0] == typeCompressedLeaf {
+		return readCompressedLeafInto(data, valSize, n)
+	}
+	if data[0] > 1 {
+		return fmt.Errorf("btree: corrupt page: node type %d: %w", data[0], store.ErrBadPage)
+	}
+	leaf := data[0] == 1
+	count := int(binary.LittleEndian.Uint16(data[2:]))
+	entrySize := 12
+	if leaf {
+		entrySize = 8 + valSize
+	}
+	if count > (len(data)-headerSize)/entrySize {
+		return fmt.Errorf("btree: corrupt page: %d entries exceed page capacity %d: %w", count, (len(data)-headerSize)/entrySize, store.ErrBadPage)
+	}
+	n.leaf = leaf
+	if cap(n.keys) < count {
+		n.keys = make([]uint64, count)
+	} else {
+		n.keys = n.keys[:count]
+	}
+	if leaf {
+		n.next = store.PageID(binary.LittleEndian.Uint32(data[4:]))
+		if valSize > 0 {
+			if need := count * valSize; cap(n.vals) < need {
+				n.vals = make([]byte, need)
+			} else {
+				n.vals = n.vals[:need]
+			}
+		}
+		off := headerSize
+		for i := range n.keys {
+			n.keys[i] = binary.LittleEndian.Uint64(data[off:])
+			off += 8
+			if valSize > 0 {
+				copy(n.vals[i*valSize:], data[off:off+valSize])
+				off += valSize
+			}
+		}
+		return nil
+	}
+	if need := count + 1; cap(n.children) < need {
+		n.children = make([]store.PageID, need)
+	} else {
+		n.children = n.children[:need]
+	}
+	n.children[0] = store.PageID(binary.LittleEndian.Uint32(data[4:]))
+	off := headerSize
+	for i := 0; i < count; i++ {
+		n.keys[i] = binary.LittleEndian.Uint64(data[off:])
+		n.children[i+1] = store.PageID(binary.LittleEndian.Uint32(data[off+8:]))
+		off += 12
+	}
+	return nil
+}
+
+// valuesPackable reports whether every 8-byte value in vals consists of
+// four uint16 words below 1<<14, the precondition for 14-bit packing.
+func valuesPackable(vals []byte, valSize int) bool {
+	if valSize != 8 {
+		return false
+	}
+	for off := 0; off+8 <= len(vals); off += 8 {
+		for i := 0; i < 8; i += 2 {
+			if binary.LittleEndian.Uint16(vals[off+i:]) >= 1<<14 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// leafValSize returns the per-entry value footprint for a compressed
+// leaf holding n's values.
+func leafValSize(n *node, valSize int) (vsize int, packed bool) {
+	if valSize == 8 && valuesPackable(n.vals, valSize) {
+		return packedValueSize, true
+	}
+	return valSize, false
+}
+
+// encodedLeafSize returns the byte footprint of n as a compressed leaf.
+func encodedLeafSize(n *node, valSize int) int {
+	vsize, _ := leafValSize(n, valSize)
+	size := headerSize + len(n.keys)*vsize
+	prev := uint64(0)
+	for i, k := range n.keys {
+		if i == 0 {
+			size += uvarintLen(k)
+		} else {
+			size += uvarintLen(k - prev)
+		}
+		prev = k
+	}
+	return size
+}
+
+// refWriteCompressedLeaf encodes a leaf in the v3 format. The caller is
+// responsible for ensuring it fits (encodedLeafSize <= len(data)); the
+// tree's insert and rebalance paths maintain that as their occupancy
+// invariant.
+func refWriteCompressedLeaf(data []byte, n *node, valSize int) {
+	vsize, packed := leafValSize(n, valSize)
+	data[0] = typeCompressedLeaf
+	data[1] = 0
+	if packed {
+		data[1] = flagPackedValues
+	}
+	binary.LittleEndian.PutUint16(data[2:], uint16(len(n.keys)))
+	binary.LittleEndian.PutUint32(data[4:], uint32(n.next))
+	off := headerSize
+	prev := uint64(0)
+	for i, k := range n.keys {
+		if i == 0 {
+			off += binary.PutUvarint(data[off:], k)
+		} else {
+			off += binary.PutUvarint(data[off:], k-prev)
+		}
+		prev = k
+	}
+	for i := 0; i < len(n.keys); i++ {
+		v := n.val(i, valSize)
+		if packed {
+			putPacked14(data[off:], v)
+		} else {
+			copy(data[off:off+valSize], v)
+		}
+		off += vsize
+	}
+}
+
+// readCompressedLeafInto decodes a v3 leaf into n (the dispatch target
+// of readNodeInto for type byte 2). Every read is bounds-checked against
+// the page, so truncated or bit-flipped pages fail with a typed error
+// instead of panicking or over-reading.
+func readCompressedLeafInto(data []byte, valSize int, n *node) error {
+	flags := data[1]
+	if flags&^byte(flagPackedValues) != 0 {
+		return fmt.Errorf("btree: corrupt page: leaf flags %#x: %w", flags, store.ErrBadPage)
+	}
+	vsize, packed := valSize, false
+	if flags&flagPackedValues != 0 {
+		if valSize != 8 {
+			return fmt.Errorf("btree: corrupt page: packed values on a %d-byte-value tree: %w", valSize, store.ErrBadPage)
+		}
+		vsize, packed = packedValueSize, true
+	}
+	count := int(binary.LittleEndian.Uint16(data[2:]))
+	if count*(1+vsize) > len(data)-headerSize {
+		return fmt.Errorf("btree: corrupt page: %d entries cannot fit the page: %w", count, store.ErrBadPage)
+	}
+	n.leaf = true
+	n.next = store.PageID(binary.LittleEndian.Uint32(data[4:]))
+	if cap(n.keys) < count {
+		n.keys = make([]uint64, count)
+	} else {
+		n.keys = n.keys[:count]
+	}
+	off := headerSize
+	prev := uint64(0)
+	for i := 0; i < count; i++ {
+		var v uint64
+		var vn int
+		if off+8 <= len(data) {
+			v, vn = uvarintWord(binary.LittleEndian.Uint64(data[off:]))
+		}
+		if vn == 0 {
+			// Within 8 bytes of the page end, or a 9- or 10-byte varint.
+			if v, vn = binary.Uvarint(data[off:]); vn <= 0 {
+				n.reset()
+				return fmt.Errorf("btree: corrupt page: bad varint at entry %d: %w", i, store.ErrBadPage)
+			}
+		}
+		off += vn
+		if i == 0 {
+			prev = v
+		} else {
+			next := prev + v
+			if next < prev {
+				n.reset()
+				return fmt.Errorf("btree: corrupt page: key delta overflow at entry %d: %w", i, store.ErrBadPage)
+			}
+			if v == 0 {
+				n.reset()
+				return fmt.Errorf("btree: corrupt page: zero key delta at entry %d: %w", i, store.ErrBadPage)
+			}
+			prev = next
+		}
+		n.keys[i] = prev
+	}
+	if off+count*vsize > len(data) {
+		n.reset()
+		return fmt.Errorf("btree: corrupt page: values overrun the page: %w", store.ErrBadPage)
+	}
+	if valSize > 0 {
+		if need := count * valSize; cap(n.vals) < need {
+			n.vals = make([]byte, need)
+		} else {
+			n.vals = n.vals[:need]
+		}
+		for i := 0; i < count; i++ {
+			if packed {
+				getPacked14(n.vals[i*valSize:], data[off:])
+			} else {
+				copy(n.vals[i*valSize:], data[off:off+valSize])
+			}
+			off += vsize
+		}
+	}
+	return nil
+}
+
+// reset clears a node back to the empty decode state after a failed
+// parse.
+func (n *node) reset() {
+	n.leaf = false
+	n.keys = n.keys[:0]
+	n.vals = n.vals[:0]
+	n.children = n.children[:0]
+	n.next = 0
 }

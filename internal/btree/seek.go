@@ -51,18 +51,7 @@ func (t *Tree) seekLE(id store.PageID, level int, k uint64, o *obs.Op) (uint64, 
 
 // leafLE returns the viewed leaf's largest key <= k.
 func (t *Tree) leafLE(v store.View, k uint64) (uint64, bool, error) {
-	if v.Data()[0] == typeCompressedLeaf {
-		d, err := v.Decoded(t.decode)
-		if err != nil {
-			return 0, false, err
-		}
-		n := d.(*node)
-		if i := upperBound(n.keys, k); i > 0 {
-			return n.keys[i-1], true, nil
-		}
-		return 0, false, nil
-	}
-	p, err := classic(v.Data(), true, t.valSize)
+	p, err := t.leaf(v)
 	if err != nil {
 		return 0, false, err
 	}

@@ -42,50 +42,52 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// validate checks the subtree at id. It reads a page through the same
-// views the write path edits — a compressed leaf decoded, a v1 page in
-// place — and holds no pin while it descends.
+// validate checks the subtree at id. It reads each page as the read
+// paths do, and holds no pin while it descends.
 func (t *Tree) validate(id store.PageID, level int, lo, hi uint64, isRoot bool, keysSeen *int, prevLast *uint64, first *bool) error {
+	v, err := t.viewObs(id, nil)
+	if err != nil {
+		return err
+	}
 	leaf := level == 1
-	var keys []uint64
-	var children []store.PageID
+	p, err := classic(v.Data(), false, t.valSize)
+	if leaf {
+		p, err = t.leaf(v)
+	}
+	if err != nil {
+		v.Release()
+		return fmt.Errorf("btree: page %d at level %d (height %d): %w", id, level, t.height, err)
+	}
+	keys, children := make([]uint64, p.count()), make([]store.PageID, 0, p.count()+1)
+	for i := range keys {
+		keys[i] = p.key(i)
+	}
+	for i := 0; !leaf && i <= len(keys); i++ {
+		children = append(children, p.child(i))
+	}
+	size := 0
 	if leaf && t.compress {
+		size = encodedSize(p)
+	}
+	v.Release()
+
+	switch {
+	case leaf && t.compress:
 		// Delta-coded leaves have no fixed key capacity: the hard
 		// invariant is that the encoding fits its page, and that non-root
 		// leaves are non-empty. The byte-occupancy floor is best-effort
 		// (rebalancing may legitimately leave a leaf under it when no
 		// sibling can lend), so it is not enforced here.
-		var n node
-		if _, err := t.pinNode(id, &n); err != nil {
-			return fmt.Errorf("btree: page %d at level %d (height %d): %w", id, level, t.height, err)
-		}
-		t.pool.Unpin(id, false)
-		if size := encodedLeafSize(&n, t.valSize); size > t.pool.PageSize() {
+		if size > t.pool.PageSize() {
 			return fmt.Errorf("btree: page %d overfull: %d encoded bytes, page size %d", id, size, t.pool.PageSize())
 		}
-		if !isRoot && len(n.keys) == 0 {
+		if !isRoot && len(keys) == 0 {
 			return fmt.Errorf("btree: page %d is an empty non-root leaf", id)
 		}
-		keys = n.keys
-	} else {
-		p, err := t.pin(id, leaf)
-		if err != nil {
-			return fmt.Errorf("btree: page %d at level %d (height %d): %w", id, level, t.height, err)
-		}
-		keys = make([]uint64, p.count())
-		for i := range keys {
-			keys[i] = p.key(i)
-		}
-		if !leaf {
-			children = make([]store.PageID, p.count()+1)
-			for i := range children {
-				children[i] = p.child(i)
-			}
-		}
-		t.pool.Unpin(id, false)
-		if !isRoot && len(keys) < t.minKeys(level) {
-			return fmt.Errorf("btree: page %d underfull: %d keys, min %d", id, len(keys), t.minKeys(level))
-		}
+	case !isRoot && len(keys) < t.minKeys(level):
+		return fmt.Errorf("btree: page %d underfull: %d keys, min %d", id, len(keys), t.minKeys(level))
+	case leaf && len(keys) > t.leafCap: // a compressed leaf under an uncompressed tree
+		return fmt.Errorf("btree: page %d overfull: %d keys, cap %d", id, len(keys), t.leafCap)
 	}
 	for i, k := range keys {
 		if i > 0 && keys[i-1] >= k {
@@ -94,17 +96,15 @@ func (t *Tree) validate(id store.PageID, level int, lo, hi uint64, isRoot bool, 
 		if k < lo || k >= hi {
 			return fmt.Errorf("btree: page %d key %d outside separator range [%d,%d)", id, k, lo, hi)
 		}
-	}
-	if leaf {
-		for _, k := range keys {
+		if leaf {
 			if !*first && k <= *prevLast {
 				return fmt.Errorf("btree: global key order violated at %d", k)
 			}
-			*prevLast = k
-			*first = false
+			*prevLast, *first = k, false
 		}
+	}
+	if leaf {
 		*keysSeen += len(keys)
-		return nil
 	}
 	for i, c := range children {
 		clo, chi := lo, hi

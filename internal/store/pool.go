@@ -137,8 +137,7 @@ func (p *Pool) Resident(id PageID) bool {
 	return p.lookup(id) != nil
 }
 
-// Pinned returns the number of pins held on resident frames (test hook:
-// every request path must leave it where it found it).
+// Pinned returns the pins held on resident frames (test hook).
 func (p *Pool) Pinned() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -263,18 +262,10 @@ func (p *Pool) pin(id PageID, o *obs.Op, held bool) (*frame, error) {
 // clean, so it must be immutable and must not alias data.
 type DecodeFunc func(data []byte) (any, error)
 
-// GetDecodedObs returns the page's decoded form, building it with decode
-// on the first request after the page comes into the pool (or after its
-// bytes changed) and serving the cached value on every later one — the
-// warm path skips the binary decode entirely. The request is charged to
-// o and the pool's counters exactly like GetObs: the decode cache never
-// changes which requests hit the disk, only whether a hit re-decodes.
-//
-// The returned value does not alias the frame, so no pin is held on
-// return and no Unpin is owed. Callers that modify page bytes must be
-// serialized against readers (the database's structural writer lock
-// provides this); under that contract a request can never observe — or
-// cache — a decoded value that is stale relative to the page's bytes.
+// GetDecodedObs returns the page's decoded form: ViewObs, View.Decoded
+// and Release in one call. The request is charged to o and the pool's
+// counters exactly like GetObs, and the value does not alias the frame,
+// so no pin is held on return and no Unpin is owed.
 func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, error) {
 	v, err := p.ViewObs(id, o)
 	if err != nil {
@@ -311,9 +302,15 @@ func (v View) Data() []byte { return v.f.data }
 // Release drops the view's pin.
 func (v View) Release() { v.f.pins.Add(-1) }
 
-// Decoded returns the page's decoded form from the frame's decode-once
-// slot, building it with decode when the slot is empty (see
-// GetDecodedObs).
+// Decoded returns the page's decoded form, building it with decode on
+// the first request after the page came into the pool (or after its
+// bytes changed) and serving the cached value on every later one — the
+// warm path skips the binary decode entirely. The decode cache never
+// changes which requests hit the disk, only whether a hit re-decodes.
+// Callers that modify page bytes must be serialized against readers
+// (the database's structural writer lock provides this); under that
+// contract a request can never observe — or cache — a decoded value
+// that is stale relative to the page's bytes.
 func (v View) Decoded(decode DecodeFunc) (any, error) {
 	if dp := v.f.decoded.Load(); dp != nil {
 		v.p.decodeHits.Add(1)
