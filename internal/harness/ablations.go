@@ -20,6 +20,8 @@ import (
 //     uses the adaptive decomposition);
 //  6. the classic Guttman R-tree vs the R*-tree (the baseline the
 //     R*-tree improves upon — "a variant of the R-tree [9]").
+//
+// The "build cpu" columns are BuildTimed medians with their spread.
 func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 	opts := DefaultOptions()
 
@@ -54,11 +56,11 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 	}
 
 	fmt.Fprintf(w, "\nAblation 2: R*-tree forced reinsertion (%s)\n", m.Spec.Name)
-	fmt.Fprintf(w, "%-12s | %10s %10s %12s %14s\n", "reinsertion", "size KB", "build cpu", "build dacc", "nearest dacc")
+	fmt.Fprintf(w, "%-12s | %10s %16s %12s %14s\n", "reinsertion", "size KB", "build cpu", "build dacc", "nearest dacc")
 	for _, disable := range []bool{false, true} {
 		o := opts
 		o.DisableReinsert = disable
-		ix, br, err := Build(RStar, m, o)
+		ix, br, err := BuildTimed(RStar, m, o)
 		if err != nil {
 			return err
 		}
@@ -70,14 +72,14 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if disable {
 			label = "off"
 		}
-		fmt.Fprintf(w, "%-12s | %10d %9.2fs %12d %14.2f\n",
-			label, br.SizeBytes/1024, br.CPU.Seconds(), br.DiskAccesses, res[Nearest2Stage].Disk)
+		fmt.Fprintf(w, "%-12s | %10d %16s %12d %14.2f\n",
+			label, br.SizeBytes/1024, br.CPUCell(), br.DiskAccesses, res[Nearest2Stage].Disk)
 	}
 
 	fmt.Fprintf(w, "\nAblation 3: hybrid R+-tree vs pure k-d-B-tree (%s)\n", m.Spec.Name)
-	fmt.Fprintf(w, "%-10s | %10s %10s %14s %14s\n", "variant", "size KB", "build cpu", "point1 segc", "point1 dacc")
+	fmt.Fprintf(w, "%-10s | %10s %16s %14s %14s\n", "variant", "size KB", "build cpu", "point1 segc", "point1 dacc")
 	for _, s := range []Structure{RPlus, KDB} {
-		ix, br, err := Build(s, m, opts)
+		ix, br, err := BuildTimed(s, m, opts)
 		if err != nil {
 			return err
 		}
@@ -85,8 +87,8 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10v | %10d %9.2fs %14.2f %14.2f\n",
-			s, br.SizeBytes/1024, br.CPU.Seconds(), res[Point1].Seg, res[Point1].Disk)
+		fmt.Fprintf(w, "%-10v | %10d %16s %14.2f %14.2f\n",
+			s, br.SizeBytes/1024, br.CPUCell(), res[Point1].Seg, res[Point1].Disk)
 	}
 
 	fmt.Fprintf(w, "\nAblation 4: PMR with per-q-edge bounding rectangles (§6 3-tuples) (%s)\n", m.Spec.Name)
@@ -125,9 +127,9 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 			s, br.SizeBytes/1024, res[Point1].Disk, res[Nearest2Stage].Seg)
 	}
 	fmt.Fprintf(w, "\nAblation 6: classic R-tree vs R*-tree (%s)\n", m.Spec.Name)
-	fmt.Fprintf(w, "%-10s | %10s %10s %14s %14s\n", "variant", "size KB", "build cpu", "range dacc", "range bbox")
+	fmt.Fprintf(w, "%-10s | %10s %16s %14s %14s\n", "variant", "size KB", "build cpu", "range dacc", "range bbox")
 	for _, s := range []Structure{RTree, RStar} {
-		ix, br, err := Build(s, m, opts)
+		ix, br, err := BuildTimed(s, m, opts)
 		if err != nil {
 			return err
 		}
@@ -135,8 +137,8 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10v | %10d %9.2fs %14.2f %14.2f\n",
-			s, br.SizeBytes/1024, br.CPU.Seconds(), res[Range].Disk, res[Range].Node)
+		fmt.Fprintf(w, "%-10v | %10d %16s %14.2f %14.2f\n",
+			s, br.SizeBytes/1024, br.CPUCell(), res[Range].Disk, res[Range].Node)
 	}
 	return nil
 }

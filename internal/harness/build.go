@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"segdb/internal/core"
@@ -91,8 +92,10 @@ type BuildResult struct {
 	// pages during the build (the paper's "disk accesses" column).
 	DiskAccesses uint64
 	// CPU is the wall-clock build time; only ratios between structures
-	// are meaningful (the paper used a 57 MIPS HP 720).
-	CPU time.Duration
+	// are meaningful (the paper used a 57 MIPS HP 720). BuildTimed sets
+	// it to the median of TimedBuilds builds and CPUMin and CPUMax to
+	// their spread; Build times its one build and leaves the spread zero.
+	CPU, CPUMin, CPUMax time.Duration
 	// BBoxComps counts the bounding box (R-trees) or bounding bucket
 	// (PMR) computations the build charged to its operation: the
 	// deterministic currency behind the CPU column's ordering.
@@ -202,6 +205,32 @@ func Build(s Structure, m *tiger.Map, opts Options) (core.Index, BuildResult, er
 		res.AvgLeafOccupancy, _ = t.AvgBlockOccupancy()
 	}
 	return ix, res, nil
+}
+
+// TimedBuilds is how many builds a timed cell takes. One build on a
+// shared machine varies by a third from run to run, enough to flip the
+// order of two structures; the median of five repeats.
+const TimedBuilds = 5
+
+// BuildTimed is Build repeated TimedBuilds times: it returns the last
+// build, with CPU the median elapsed time and CPUMin and CPUMax the
+// fastest and slowest. Every other field is deterministic.
+func BuildTimed(s Structure, m *tiger.Map, opts Options) (ix core.Index, br BuildResult, err error) {
+	var times [TimedBuilds]time.Duration
+	for i := range times {
+		if ix, br, err = Build(s, m, opts); err != nil {
+			return nil, BuildResult{}, err
+		}
+		times[i] = br.CPU
+	}
+	slices.Sort(times[:])
+	br.CPU, br.CPUMin, br.CPUMax = times[TimedBuilds/2], times[0], times[TimedBuilds-1]
+	return ix, br, nil
+}
+
+// CPUCell formats the build time as "median [min-max]" seconds.
+func (r BuildResult) CPUCell() string {
+	return fmt.Sprintf("%.2f [%.2f-%.2f]", r.CPU.Seconds(), r.CPUMin.Seconds(), r.CPUMax.Seconds())
 }
 
 // GenerateAll produces the six county maps (deterministic).

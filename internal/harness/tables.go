@@ -14,7 +14,8 @@ import (
 // ratios against the R+-tree).
 func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
 	fmt.Fprintf(w, "Table 1: Data structure building statistics\n")
-	fmt.Fprintf(w, "%-14s %6s | %8s %8s %8s | %8s %8s %8s | %8s %8s %8s\n",
+	fmt.Fprintf(w, "(cpu: seconds, median [min-max] of %d builds)\n", TimedBuilds)
+	fmt.Fprintf(w, "%-14s %6s | %8s %8s %8s | %8s %8s %8s | %16s %16s %16s\n",
 		"map name", "segs",
 		"R* KB", "R+ KB", "PMR KB",
 		"R* dacc", "R+ dacc", "PMR dacc",
@@ -25,18 +26,18 @@ func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
 	for _, m := range maps {
 		r := row{res: make(map[Structure]BuildResult)}
 		for _, s := range Core() {
-			_, br, err := Build(s, m, opts)
+			_, br, err := BuildTimed(s, m, opts)
 			if err != nil {
 				return err
 			}
 			r.res[s] = br
 		}
 		rows = append(rows, r)
-		fmt.Fprintf(w, "%-14s %6d | %8d %8d %8d | %8d %8d %8d | %7.2fs %7.2fs %7.2fs\n",
+		fmt.Fprintf(w, "%-14s %6d | %8d %8d %8d | %8d %8d %8d | %16s %16s %16s\n",
 			m.Spec.Name, len(m.Segments),
 			r.res[RStar].SizeBytes/1024, r.res[RPlus].SizeBytes/1024, r.res[PMR].SizeBytes/1024,
 			r.res[RStar].DiskAccesses, r.res[RPlus].DiskAccesses, r.res[PMR].DiskAccesses,
-			r.res[RStar].CPU.Seconds(), r.res[RPlus].CPU.Seconds(), r.res[PMR].CPU.Seconds())
+			r.res[RStar].CPUCell(), r.res[RPlus].CPUCell(), r.res[PMR].CPUCell())
 	}
 
 	fmt.Fprintf(w, "\nRatios (paper: PMR 13-43%% and R+ 26-43%% more storage than R*;\n")
