@@ -115,8 +115,8 @@ func (p page) insertAt(i int) []byte {
 	return p.data[p.off(i):p.off(i+1)]
 }
 
-// removeAt closes entry slot i. The bytes of the last slot stay behind,
-// past the count, as a re-encode of the shorter node would leave them.
+// removeAt closes entry slot i. The last slot's old bytes stay past the
+// count: saved images are pinned byte for byte, stale bytes included.
 func (p page) removeAt(i int) {
 	n := p.count()
 	copy(p.data[p.off(i):], p.data[p.off(i+1):p.off(n)])

@@ -267,12 +267,12 @@ type DecodeFunc func(data []byte) (any, error)
 // counters exactly like GetObs, and the value does not alias the frame,
 // so no pin is held on return and no Unpin is owed.
 func (p *Pool) GetDecodedObs(id PageID, o *obs.Op, decode DecodeFunc) (any, error) {
-	v, err := p.ViewObs(id, o)
+	f, err := p.pin(id, o, false)
 	if err != nil {
 		return nil, err
 	}
-	d, err := v.Decoded(decode)
-	v.Release()
+	d, err := View{p, f}.Decoded(decode)
+	f.pins.Add(-1)
 	return d, err
 }
 
