@@ -67,9 +67,10 @@ func encodedSize(p page) int {
 		vsize = packedValueSize
 	}
 	size, prev := headerSize+p.count()*vsize, uint64(0)
-	for i := 0; i < p.count(); i++ {
-		size += uvarintLen(p.key(i) - prev) // the first key in full
-		prev = p.key(i)
+	for off := headerSize; off < p.off(p.count()); off += p.stride {
+		k := binary.LittleEndian.Uint64(p.data[off : off+8])
+		size += uvarintLen(k - prev) // the first key in full
+		prev = k
 	}
 	return size
 }
@@ -193,8 +194,9 @@ func expandLeaf(data []byte, valSize int, img []byte) (page, error) {
 	p.data[0], p.data[1] = 1, 0
 	p.setCount(count)
 	p.setNext(store.PageID(binary.LittleEndian.Uint32(data[4:])))
+	keys := p.data[headerSize:p.off(count)]
 	off, prev := headerSize, uint64(0)
-	for i := 0; i < count; i++ {
+	for i, w := 0, 0; i < count; i, w = i+1, w+p.stride {
 		var v uint64
 		var vn int
 		if off+8 <= len(data) {
@@ -216,7 +218,7 @@ func expandLeaf(data []byte, valSize int, img []byte) (page, error) {
 			}
 		}
 		prev += v
-		p.setKey(i, prev)
+		binary.LittleEndian.PutUint64(keys[w:w+8], prev)
 	}
 	if off+count*vsize > len(data) {
 		return page{}, fmt.Errorf("btree: corrupt page: values overrun the page: %w", store.ErrBadPage)

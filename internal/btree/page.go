@@ -31,13 +31,11 @@ type page struct {
 	stride int // 8+valSize in a leaf, internalStride in an internal page
 }
 
-func (p page) count() int     { return int(binary.LittleEndian.Uint16(p.data[2:])) }
-func (p page) setCount(n int) { binary.LittleEndian.PutUint16(p.data[2:], uint16(n)) }
-func (p page) capacity() int  { return (len(p.data) - headerSize) / p.stride }
-func (p page) off(i int) int  { return headerSize + i*p.stride }
-func (p page) key(i int) uint64 {
-	return binary.LittleEndian.Uint64(p.data[p.off(i):])
-}
+func (p page) count() int             { return int(binary.LittleEndian.Uint16(p.data[2:])) }
+func (p page) setCount(n int)         { binary.LittleEndian.PutUint16(p.data[2:], uint16(n)) }
+func (p page) capacity() int          { return (len(p.data) - headerSize) / p.stride }
+func (p page) off(i int) int          { return headerSize + i*p.stride }
+func (p page) key(i int) uint64       { return binary.LittleEndian.Uint64(p.data[p.off(i) : p.off(i)+8]) }
 func (p page) setKey(i int, k uint64) { binary.LittleEndian.PutUint64(p.data[p.off(i):], k) }
 
 // val returns the payload of leaf entry i (nil without values).

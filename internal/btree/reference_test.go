@@ -1,8 +1,8 @@
 package btree
 
-// The reference write path: the decode, edit, re-encode discipline the
-// tree used before its page view. Every page it touches is decoded into a
-// fresh node and written back whole. FuzzBTreeOps and
+// The reference write path: decode, edit, re-encode. Every page it
+// touches is decoded into a fresh node, edited as slices and written
+// back whole, which makes it slow and obviously right. FuzzBTreeOps and
 // TestWritePathMatchesReference drive it beside the page-view write path
 // over a second disk and require the same page requests, the same hits
 // and the same bytes on every page after every operation.

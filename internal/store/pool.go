@@ -13,8 +13,8 @@ import (
 
 // frame is one buffer-pool slot. Its bookkeeping — the dirty bit, the
 // held count and the LRU links — is guarded by the pool latch; the pin
-// count and the decode slot are atomics because GetDecodedObs and ReadObs
-// drop their pin, and read the slot, without it.
+// count and the decode slot are atomics because GetDecodedObs, ReadObs and
+// View.Release drop their pin, and View.Decoded reads the slot, without it.
 type frame struct {
 	id    PageID
 	data  []byte
@@ -89,8 +89,8 @@ type Pool struct {
 
 // evictRetries bounds how many times a request retries after finding
 // every frame pinned. No read path holds a pin on return — a pin lasts a
-// page decode or a copy — so a full pool is almost always a transient pin
-// storm, even when readers outnumber a small pool's frames. evictWait is
+// page decode, a copy, or a B+-tree leaf's visit under a View — so a
+// full pool is almost always a transient pin storm, even when readers outnumber a small pool's frames. evictWait is
 // the wait before a retry: a yield at first, then short sleeps, because
 // the pin's holder may be off the processor (preempted mid-decode, parked
 // by the collector), which no amount of yielding outlasts. Exhausting the
@@ -454,8 +454,8 @@ func (p *Pool) Free(id PageID) {
 // frame pinned by a Get or Allocate caller is skipped and stays dirty:
 // that caller may be writing the bytes, so they are written by a later
 // Flush or by the frame's eviction, both after its Unpin. Pins taken by
-// GetDecodedObs and ReadObs only read, so a staged-mode checkpoint still
-// writes a page a concurrent query is decoding. The database flushes
+// GetDecodedObs, ReadObs and ViewObs only read, so a staged-mode
+// checkpoint still writes a page a concurrent query is reading. The database flushes
 // under its writer lock, when no write path holds a pin. On a write fault
 // it stops and reports the error; the failed frame and any not yet
 // visited stay dirty.
@@ -480,8 +480,8 @@ func (p *Pool) flushLocked() error {
 // DropAll empties the pool, writing back dirty pages. Used between
 // experiment phases to cold-start the cache. Dropping while any page is
 // pinned panics (programmer error). No query read path holds a pin on
-// return, but GetDecodedObs and ReadObs hold one across their decode or
-// copy, and write paths and Get/Allocate callers until Unpin, so DropAll
+// return, but GetDecodedObs, ReadObs and a View hold one across their
+// decode, copy or read, and write paths and Get/Allocate callers until Unpin, so DropAll
 // must not run concurrently with queries or writes (DropUnpinned may). On
 // a write fault the pool is left partially flushed and nothing is dropped.
 func (p *Pool) DropAll() error {
