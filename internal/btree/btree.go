@@ -760,17 +760,11 @@ func (t *Tree) PersistMeta() [3]uint64 {
 	return [3]uint64{uint64(t.root), uint64(t.height), uint64(t.count)}
 }
 
-// Restore reattaches a tree to a disk image previously saved with its
-// PersistMeta. The pool must wrap the restored disk; valueSize must match
-// the original tree's.
-func Restore(pool *store.Pool, valueSize int, meta [3]uint64) (*Tree, error) {
-	return RestoreWithOptions(pool, valueSize, 0, meta)
-}
-
-// RestoreWithOptions is Restore for trees built with NewWithOptions.
-// Pages are self-describing, so a mismatched compression setting still
-// reads the image correctly; it only changes the format of future
-// writes.
+// RestoreWithOptions reattaches a tree to a disk image previously saved
+// with its PersistMeta. The pool must wrap the restored disk; valueSize
+// must match the original tree's. Pages are self-describing, so a
+// mismatched compression setting still reads the image correctly; it
+// only changes the format of future writes.
 func RestoreWithOptions(pool *store.Pool, valueSize, compression int, meta [3]uint64) (*Tree, error) {
 	t, err := newTree(pool, valueSize, compression)
 	if err != nil {
