@@ -47,14 +47,16 @@ race:
 # image parsers, the WAL replay path, the hand-written response decoder,
 # the two v3 page decoders (the B+-tree's against its reference
 # decoder) and the B+-tree's write path (against its reference
-# decode/edit/encode write path), not a bug hunt.
+# decode/edit/encode write path), not a bug hunt. FuzzBTreeOps plays
+# whole operation streams, so its new inputs are minimized for 2 s, not
+# the default 60 s that would eat the smoke's time.
 fuzz-smoke:
 	$(GO) test -run=FuzzReadDiskFrom -fuzz=FuzzReadDiskFrom -fuzztime=10s ./internal/store
 	$(GO) test -run=FuzzWALReplay -fuzz=FuzzWALReplay -fuzztime=20s ./internal/store
 	$(GO) test -run=FuzzLoad -fuzz=FuzzLoad -fuzztime=10s .
 	$(GO) test -run=FuzzDecodeResponse -fuzz=FuzzDecodeResponse -fuzztime=10s ./api
 	$(GO) test -run=FuzzDecodeCompressedLeaf -fuzz=FuzzDecodeCompressedLeaf -fuzztime=10s ./internal/btree
-	$(GO) test -run=FuzzBTreeOps -fuzz=FuzzBTreeOps -fuzztime=20s -parallel=2 ./internal/btree
+	$(GO) test -run=FuzzBTreeOps -fuzz=FuzzBTreeOps -fuzztime=20s -fuzzminimizetime=2s -parallel=2 ./internal/btree
 	$(GO) test -run=FuzzDecodeCompressed -fuzz=FuzzDecodeCompressed -fuzztime=10s ./internal/rpage
 
 # loc prints the non-test Go line count the ROADMAP's "net non-test LOC

@@ -115,7 +115,7 @@ func (t *Tree) bulkLeaves(n int, at func(i int) (key uint64, val []byte)) ([]lev
 		last     uint64
 		prevID   store.PageID
 		prevData []byte
-		prev     page // the last leaf allocated, written once its sibling is
+		prev     page // the last leaf allocated, written once its right sibling is
 		k        int  // cur fills scratch[k], prev holds the other
 	)
 	cur := t.leafImage(t.scratch[0], store.NilPage)

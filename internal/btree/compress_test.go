@@ -475,3 +475,43 @@ func FuzzDecodeCompressedLeaf(f *testing.F) {
 		}
 	})
 }
+
+// TestMergedSizeMatchesEncodedSize holds mergedSize, which decides every
+// compressed-leaf merge, to the encoded size of the merged leaf itself
+// and to the reference's, across value sizes 0 and 8 and every mix of
+// packable and unpackable sides.
+func TestMergedSizeMatchesEncodedSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	leaf := func(from uint64, n, valSize int, packable bool) *node {
+		l := &node{leaf: true, next: store.NilPage}
+		for i := 0; i < n; i++ {
+			from += uint64(1 + rng.Intn(1<<uint(rng.Intn(40))))
+			l.keys = append(l.keys, from)
+			if valSize > 0 {
+				v := randVal(rng)
+				if !packable && i == n/2 {
+					binary.LittleEndian.PutUint16(v[2:], 1<<15)
+				}
+				l.vals = append(l.vals, v...)
+			}
+		}
+		return l
+	}
+	for i := 0; i < 2000; i++ {
+		valSize := 8 * rng.Intn(2)
+		a := leaf(0, rng.Intn(40), valSize, rng.Intn(2) == 0)
+		last := uint64(0)
+		if len(a.keys) > 0 {
+			last = a.keys[len(a.keys)-1]
+		}
+		b := leaf(last, rng.Intn(40), valSize, rng.Intn(2) == 0)
+		merged := &node{leaf: true, keys: append(slices.Clone(a.keys), b.keys...), vals: append(slices.Clone(a.vals), b.vals...)}
+		got := mergedSize(imageOf(a, valSize), imageOf(b, valSize))
+		if want := encodedSize(imageOf(merged, valSize)); got != want {
+			t.Fatalf("case %d: mergedSize %d, encoded merged leaf %d", i, got, want)
+		}
+		if ref := refMergedLeafSize(a, b, valSize); got != ref {
+			t.Fatalf("case %d: mergedSize %d, reference %d", i, got, ref)
+		}
+	}
+}
