@@ -515,3 +515,80 @@ func TestMergedSizeMatchesEncodedSize(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedLeafFormats restores a tree over an image whose leaves are in
+// the other format and keeps writing. A compressed tree takes classic
+// leaves and compresses them as it writes them; an uncompressed tree
+// rewrites a compressed leaf in the classic layout, or refuses one
+// holding more entries than a classic leaf can, changing nothing.
+func TestMixedLeafFormats(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, c := range []struct{ from, keys int }{{0, 3000}, {1, 40}} {
+		pool := newCompressedPool(t)
+		tr, err := NewWithOptions(pool, 8, c.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[uint64]bool{}
+		for i := 0; i < c.keys; i++ {
+			k := uint64(i) * 7
+			if err := tr.InsertValue(k, randVal(rng)); err != nil {
+				t.Fatal(err)
+			}
+			live[k] = true
+		}
+		re, err := RestoreWithOptions(pool, 8, 1-c.from, tr.PersistMeta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			k := uint64(rng.Intn(3*c.keys+3000)) * 7
+			if live[k] {
+				if err := re.Delete(k); err != nil {
+					t.Fatalf("from level %d: delete %d: %v", c.from, k, err)
+				}
+				delete(live, k)
+			} else {
+				if err := re.InsertValue(k, randVal(rng)); err != nil {
+					t.Fatalf("from level %d: insert %d: %v", c.from, k, err)
+				}
+				live[k] = true
+			}
+		}
+		if err := re.Validate(); err != nil {
+			t.Fatalf("from level %d: %v", c.from, err)
+		}
+		n := 0
+		if err := re.Scan(0, ^uint64(0), func(k uint64) bool { n++; return live[k] }, nil); err != nil || n != len(live) {
+			t.Fatalf("from level %d: scan saw %d keys (err %v), want %d", c.from, n, err, len(live))
+		}
+	}
+	// A compressed leaf of 120 entries cannot become a 63-entry classic one.
+	pool := newCompressedPool(t)
+	tr, err := NewWithOptions(pool, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 120; k++ {
+		if err := tr.InsertValue(k, randVal(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := RestoreWithOptions(pool, 8, 0, tr.PersistMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := pool.Disk().RawPage(re.root)
+	if err := re.InsertValue(500, nil); !errors.Is(err, store.ErrBadPage) {
+		t.Fatalf("insert into an oversized compressed leaf: %v, want ErrBadPage", err)
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := pool.Disk().RawPage(re.root); !bytes.Equal(before, after) || pool.Pinned() != 0 {
+		t.Fatal("a refused write changed the page or left a pin")
+	}
+}
