@@ -42,17 +42,18 @@ func TestBulkBuildImageGolden(t *testing.T) {
 // TestIncrementalImageGolden pins the saved image of a one-at-a-time
 // build over the whole Charles map, and of the same database after every
 // 7th segment is deleted, for the two kinds that sit on the B+-tree (PMR
-// quadtree, uniform grid) × page compression 0/1. The inserts exercise
-// leaf and internal splits; the deletes exercise borrows, merges and root
-// collapse. A change to the B+-tree's write path must leave every page
-// byte where it was.
+// quadtree, uniform grid) and the two that split by a cut line (R+-tree,
+// k-d-B-tree) × page compression 0/1. The inserts exercise leaf and
+// internal splits; the deletes exercise borrows, merges and root collapse
+// on the B+-tree. A change to the B+-tree's write path or to how an R+ or
+// k-d-B split chooses its line must leave every page byte where it was.
 func TestIncrementalImageGolden(t *testing.T) {
 	m, err := GenerateCounty("Charles")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	for _, kind := range []Kind{PMRQuadtree, UniformGrid} {
+	for _, kind := range []Kind{PMRQuadtree, UniformGrid, RPlusTree, KDBTree} {
 		for _, level := range []int{0, 1} {
 			db, err := Open(kind, WithPageCompression(level))
 			if err != nil {
