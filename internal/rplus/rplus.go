@@ -61,6 +61,46 @@ type Tree struct {
 	// o is the write in flight, set by Insert and Delete: its descent and
 	// splits charge every comparison to it.
 	o *obs.Op
+	w scratch
+}
+
+// scratch is the write path's reusable state. A tree has one writer at
+// a time (the database's structural lock), so one set per tree serves
+// every insert and delete: a warm insert allocates only when a node
+// splits or the tree grows.
+type scratch struct {
+	// nodes[d] is the decode target for the one node of depth d (the
+	// root is depth 0) a descent holds at a time; outs[d] collects that
+	// node's replacement entries.
+	nodes []*rpage.Node
+	outs  [][]rpage.Entry
+	// segs are a splitting leaf's member segments and lo, hi its two
+	// halves; xs, ys and cands the candidate lines; cnt the sweep's
+	// threshold counts.
+	segs   []geom.Segment
+	lo, hi []rpage.Entry
+	xs, ys []int32
+	cands  []splitLine
+	cnt    []int
+}
+
+// readDepth decodes page id into the scratch node of its depth. The
+// node stays valid until the next readDepth of the same depth; a descent
+// holds one node per depth, so recursion never clobbers a live one. The
+// entry buffer has room for the overflowing M+1st entry.
+func (t *Tree) readDepth(id store.PageID, depth int) (*rpage.Node, error) {
+	for len(t.w.nodes) <= depth {
+		t.w.nodes = append(t.w.nodes, &rpage.Node{Entries: make([]rpage.Entry, 0, t.Max+1)})
+		t.w.outs = append(t.w.outs, make([]rpage.Entry, 0, t.Max+1))
+	}
+	data, err := t.Pool.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	n := t.w.nodes[depth]
+	err = rpage.ReadInto(data, n)
+	t.Pool.Unpin(id, false)
+	return n, err
 }
 
 // New creates an empty tree. The root region is the whole world. A
@@ -90,7 +130,7 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 		return err
 	}
 	t.o = o
-	repl, err := t.insertRec(t.Root, geom.World(), s, id)
+	repl, err := t.insertRec(t.Root, geom.World(), s, id, 0)
 	if err != nil {
 		return err
 	}
@@ -117,44 +157,44 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 }
 
 // insertRec inserts the segment into the subtree rooted at id covering
-// region. It returns the entry list that must replace the subtree's entry
-// in its parent: one entry normally, two when the node split.
-func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid seg.ID) ([]rpage.Entry, error) {
-	n, err := t.ReadNode(id)
+// region, whose root sits at the given depth. It returns nil when the
+// subtree still fits under its one parent entry, else the entries that
+// must replace that entry (the node split).
+func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid seg.ID, depth int) ([]rpage.Entry, error) {
+	n, err := t.readDepth(id, depth)
 	if err != nil {
 		return nil, err
 	}
 	if n.Leaf {
 		n.Entries = append(n.Entries, rpage.Entry{Rect: t.leafRect(s, region), Ptr: uint32(sid)})
 		if len(n.Entries) <= t.Max {
-			if err := t.WriteNode(id, n); err != nil {
-				return nil, err
-			}
-			return []rpage.Entry{{Rect: region, Ptr: uint32(id)}}, nil
+			return nil, t.WriteNode(id, n)
 		}
 		return t.splitLeaf(id, region, n)
 	}
-	var out []rpage.Entry
+	out := t.w.outs[depth][:0]
 	for _, e := range n.Entries {
 		t.o.NodeComps(1)
 		if !e.Rect.IntersectsSegment(s) {
 			out = append(out, e)
 			continue
 		}
-		repl, err := t.insertRec(store.PageID(e.Ptr), e.Rect, s, sid)
+		repl, err := t.insertRec(store.PageID(e.Ptr), e.Rect, s, sid, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, repl...)
-	}
-	n.Entries = out
-	if len(n.Entries) <= t.Max {
-		if err := t.WriteNode(id, n); err != nil {
-			return nil, err
+		if repl == nil {
+			out = append(out, e)
+		} else {
+			out = append(out, repl...)
 		}
-		return []rpage.Entry{{Rect: region, Ptr: uint32(id)}}, nil
 	}
-	return t.splitInternal(id, region, n)
+	t.w.outs[depth] = out
+	if len(out) <= t.Max {
+		n.Entries = append(n.Entries[:0], out...)
+		return nil, t.WriteNode(id, n)
+	}
+	return t.splitInternal(id, region, out)
 }
 
 // leafRect is the rectangle stored with a leaf entry: the segment MBR for

@@ -17,7 +17,7 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 		return err
 	}
 	t.o = o
-	removed, err := t.deleteRec(t.Root, s, id)
+	removed, err := t.deleteRec(t.Root, s, id, 0)
 	if err != nil {
 		return err
 	}
@@ -28,8 +28,8 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 	return nil
 }
 
-func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID) (int, error) {
-	n, err := t.ReadNode(id)
+func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID, depth int) (int, error) {
+	n, err := t.readDepth(id, depth)
 	if err != nil {
 		return 0, err
 	}
@@ -55,7 +55,7 @@ func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID) (int, erro
 		if !e.Rect.IntersectsSegment(s) {
 			continue
 		}
-		r, err := t.deleteRec(store.PageID(e.Ptr), s, sid)
+		r, err := t.deleteRec(store.PageID(e.Ptr), s, sid, depth+1)
 		if err != nil {
 			return 0, err
 		}

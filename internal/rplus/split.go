@@ -1,6 +1,7 @@
 package rplus
 
 import (
+	"slices"
 	"sort"
 
 	"segdb/internal/geom"
@@ -36,32 +37,22 @@ func (l splitLine) halves(region geom.Rect) (lo, hi geom.Rect) {
 func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rpage.Entry, error) {
 	// Fetch every member segment once (these table reads are the price of
 	// the exact cut counts; they show up in the build's segment traffic).
-	segs := make([]geom.Segment, len(n.Entries))
-	for i, e := range n.Entries {
+	segs := t.w.segs[:0]
+	for _, e := range n.Entries {
 		s, err := t.Segs.GetObs(seg.ID(e.Ptr), t.o)
 		if err != nil {
 			return nil, err
 		}
-		segs[i] = s
+		segs = append(segs, s)
 	}
+	t.w.segs = segs
 	cands := t.leafCandidates(region, segs)
-	best, ok := t.chooseLine(region, cands, len(n.Entries), func(lo, hi geom.Rect) (nLo, nHi int) {
-		for _, s := range segs {
-			t.o.NodeComps(1)
-			if lo.IntersectsSegment(s) {
-				nLo++
-			}
-			if hi.IntersectsSegment(s) {
-				nHi++
-			}
-		}
-		return nLo, nHi
-	})
+	best, ok := t.chooseLine(region, cands, segs, nil)
 	if !ok {
 		return nil, ErrUnsplittable
 	}
 	loR, hiR := best.halves(region)
-	var loE, hiE []rpage.Entry
+	loE, hiE := t.w.lo[:0], t.w.hi[:0]
 	for i, e := range n.Entries {
 		if loR.IntersectsSegment(segs[i]) {
 			loE = append(loE, rpage.Entry{Rect: t.leafRect(segs[i], loR), Ptr: e.Ptr})
@@ -70,6 +61,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 			hiE = append(hiE, rpage.Entry{Rect: t.leafRect(segs[i], hiR), Ptr: e.Ptr})
 		}
 	}
+	t.w.lo, t.w.hi = loE, hiE
 	if err := t.WriteNode(id, &rpage.Node{Leaf: true, Entries: loE}); err != nil {
 		return nil, err
 	}
@@ -83,14 +75,15 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	}, nil
 }
 
-// splitInternal splits an overflowing internal node. Children straddling
-// the chosen line are split downward, k-d-B style. A single insertion can
-// split several children of the same node (a segment is placed in every
-// leaf it crosses), so a node may arrive more than one entry over
-// capacity; each half is split again recursively until every node fits,
-// and the full set of replacement entries is returned.
-func (t *Tree) splitInternal(id store.PageID, region geom.Rect, n *rpage.Node) ([]rpage.Entry, error) {
-	return t.emitInternal(id, true, region, n.Entries)
+// splitInternal splits an overflowing internal node, given its entries.
+// Children straddling the chosen line are split downward, k-d-B style. A
+// single insertion can split several children of the same node (a
+// segment is placed in every leaf it crosses), so a node may arrive more
+// than one entry over capacity; each half is split again recursively
+// until every node fits, and the full set of replacement entries is
+// returned.
+func (t *Tree) splitInternal(id store.PageID, region geom.Rect, entries []rpage.Entry) ([]rpage.Entry, error) {
+	return t.emitInternal(id, true, region, entries)
 }
 
 // emitInternal writes entries as one internal node when they fit (into
@@ -111,18 +104,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 		return []rpage.Entry{{Rect: region, Ptr: uint32(nid)}}, nil
 	}
 	cands := t.internalCandidates(region, entries)
-	best, ok := t.chooseLine(region, cands, len(entries), func(lo, hi geom.Rect) (nLo, nHi int) {
-		for _, e := range entries {
-			t.o.NodeComps(1)
-			if e.Rect.Intersects(lo) {
-				nLo++
-			}
-			if e.Rect.Intersects(hi) {
-				nHi++
-			}
-		}
-		return nLo, nHi
-	})
+	best, ok := t.chooseLine(region, cands, nil, entries)
 	if !ok {
 		return nil, ErrUnsplittable
 	}
@@ -227,60 +209,112 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 	return id, hid, nil
 }
 
-// chooseLine evaluates the candidate lines and returns the one minimizing
-// the number of cut objects, breaking ties by the most even distribution.
-// Productivity is required: both sides must end up with fewer objects than
-// the overflowing node holds (otherwise splitting would not terminate).
-func (t *Tree) chooseLine(region geom.Rect, cands []splitLine, total int, count func(lo, hi geom.Rect) (int, int)) (splitLine, bool) {
+// chooseLine returns the candidate line that cuts the fewest members —
+// the segments of a leaf (segs) or the child regions of an internal node
+// (entries), one of them nil — breaking ties by the most even
+// distribution and then by candidate order. Productivity is required:
+// both sides must end up with fewer members than the overflowing node
+// holds (otherwise splitting would not terminate).
+//
+// The paper's policy counts, for every candidate, the members meeting
+// each half. Whether a member meets the low half [min, c-1] is monotone
+// in c: the half only grows, and every step of the predicate (the
+// Liang–Barsky clip for a segment, the interval test for a rectangle)
+// moves one way as c grows. So on each axis's ascending candidates one
+// binary search per member and half finds the candidate where its answer
+// flips, and a prefix sum over those thresholds yields every (nLo, nHi)
+// pair the brute-force count would. The comparisons charged are the
+// brute force's: one per (candidate, member) pair.
+func (t *Tree) chooseLine(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry) (splitLine, bool) {
+	total := len(segs) + len(entries)
+	meets := func(i int, r geom.Rect) bool {
+		if segs != nil {
+			return r.IntersectsSegment(segs[i])
+		}
+		return entries[i].Rect.Intersects(r)
+	}
+	t.o.NodeComps(uint64(len(cands) * total))
 	bestCuts, bestSkew := -1, 0
 	var best splitLine
-	for _, l := range cands {
-		lo, hi := l.halves(region)
-		if !lo.Valid() || !hi.Valid() {
-			continue
+	for rest := cands; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && rest[k].axis == rest[0].axis {
+			k++
 		}
-		nLo, nHi := count(lo, hi)
-		if nLo >= total || nHi >= total {
-			continue // unproductive: one side keeps everything
+		axis := rest[:k]
+		rest = rest[k:]
+		// enter[j] members first meet the low half at axis[j]; leave[j]
+		// members first miss the high half there (index k: never).
+		t.w.cnt = append(t.w.cnt[:0], make([]int, 2*(k+1))...)
+		enter, leave := t.w.cnt[:k+1], t.w.cnt[k+1:]
+		for i := 0; i < total; i++ {
+			enter[sort.Search(k, func(j int) bool {
+				lo, _ := axis[j].halves(region)
+				return meets(i, lo)
+			})]++
+			leave[sort.Search(k, func(j int) bool {
+				_, hi := axis[j].halves(region)
+				return !meets(i, hi)
+			})]++
 		}
-		cuts := nLo + nHi - total
-		skew := nLo - nHi
-		if skew < 0 {
-			skew = -skew
+		nLo, nHi := 0, total
+		for j, l := range axis {
+			nLo += enter[j]
+			nHi -= leave[j]
+			if nLo >= total || nHi >= total {
+				continue // unproductive: one side keeps everything
+			}
+			cuts := nLo + nHi - total
+			skew := nLo - nHi
+			if skew < 0 {
+				skew = -skew
+			}
+			if bestCuts < 0 || cuts < bestCuts || (cuts == bestCuts && skew < bestSkew) {
+				bestCuts, bestSkew, best = cuts, skew, l
+			}
 		}
-		if bestCuts < 0 || cuts < bestCuts || (cuts == bestCuts && skew < bestSkew) {
-			bestCuts, bestSkew, best = cuts, skew, l
-		}
+	}
+	if lineProbe != nil {
+		lineProbe(region, cands, segs, entries, best, bestCuts >= 0)
 	}
 	return best, bestCuts >= 0
 }
+
+// lineProbe, when set, sees every line choice: its region, candidates,
+// members and result. The tests replay each through the brute-force
+// count.
+var lineProbe func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool)
 
 // leafCandidates proposes split lines at the MBR boundaries of the member
 // segments (both just-before and just-after each extent), restricted to
 // lines interior to the region.
 func (t *Tree) leafCandidates(region geom.Rect, segs []geom.Segment) []splitLine {
-	var xs, ys []int32
+	xs, ys := t.w.xs[:0], t.w.ys[:0]
 	for _, s := range segs {
 		b := s.Bounds()
 		xs = append(xs, b.Min.X, b.Max.X+1)
 		ys = append(ys, b.Min.Y, b.Max.Y+1)
 	}
-	return makeLines(region, xs, ys)
+	return t.makeLines(region, xs, ys)
 }
 
 // internalCandidates proposes split lines at the child region boundaries,
 // which are the only lines that avoid cutting children when possible.
 func (t *Tree) internalCandidates(region geom.Rect, entries []rpage.Entry) []splitLine {
-	var xs, ys []int32
+	xs, ys := t.w.xs[:0], t.w.ys[:0]
 	for _, e := range entries {
 		xs = append(xs, e.Rect.Min.X, e.Rect.Max.X+1)
 		ys = append(ys, e.Rect.Min.Y, e.Rect.Max.Y+1)
 	}
-	return makeLines(region, xs, ys)
+	return t.makeLines(region, xs, ys)
 }
 
-func makeLines(region geom.Rect, xs, ys []int32) []splitLine {
-	var out []splitLine
+// makeLines returns the distinct coordinates strictly inside the region
+// as lines, x lines then y lines, each ascending: both halves of every
+// line are non-empty.
+func (t *Tree) makeLines(region geom.Rect, xs, ys []int32) []splitLine {
+	t.w.xs, t.w.ys = xs, ys
+	out := t.w.cands[:0]
 	for _, x := range dedupSorted(xs) {
 		if x > region.Min.X && x <= region.Max.X {
 			out = append(out, splitLine{axis: 0, coord: x})
@@ -291,11 +325,12 @@ func makeLines(region geom.Rect, xs, ys []int32) []splitLine {
 			out = append(out, splitLine{axis: 1, coord: y})
 		}
 	}
+	t.w.cands = out
 	return out
 }
 
 func dedupSorted(vs []int32) []int32 {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	out := vs[:0]
 	for i, v := range vs {
 		if i == 0 || v != out[len(out)-1] {
