@@ -95,13 +95,15 @@ bench:
 	bash benchmark/run.sh --seed 1992
 
 # bench-smoke is the CI-sized bench: BenchmarkWindowBatch and the
-# bulk-build Go benchmark at two iterations, the wire codec benchmarks
-# at one, then the repo benchmark's smoke run,
+# bulk-build Go benchmark at two iterations, the six one-at-a-time
+# builds and the wire codec benchmarks at one, then the repo benchmark's
+# smoke run,
 # which builds, runs every workload untraced and traced, and exits
 # non-zero on an answer the oracle rejects. It catches a crash or a
 # wrong answer in the measurement path; it measures nothing.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkWindowBatch|BenchmarkBuildBulk' -benchtime 2x .
+	$(GO) test -run xxx -bench BenchmarkBuildIncremental -benchtime 1x .
 	$(GO) test -run xxx -bench WindowResponse -benchtime 1x ./api
 	bash benchmark/run.sh --quick
 
@@ -125,8 +127,10 @@ bench-serve:
 # side by side (summarized through benchstat when installed; locally: go
 # install golang.org/x/perf/cmd/benchstat@latest), the one-at-a-time
 # R*-tree loads of the fixed golden map and of Charles county that kernel
-# serves, then the enforced gate — the packed kernel, the form every
-# in-domain page search runs, must stay within 5% of the scalar reference
+# serves, the one-at-a-time R+-tree and k-d-B-tree builds whose split
+# line the sorted sweep chooses, then the enforced gate — the packed
+# kernel, the form every in-domain page search runs, must stay within 5%
+# of the scalar reference
 # (it currently beats it by ~2.8x, so tripping the gate means the
 # optimization was lost, not that noise moved), and the overlap-
 # enlargement kernel must be at least 4x faster than its own on the
@@ -142,6 +146,7 @@ bench-kernels:
 	fi
 	@rm -f BENCH_kernels.txt
 	$(GO) test -run xxx -bench 'RStarInsert' -benchtime 3x -benchmem ./internal/rstar
+	$(GO) test -run xxx -bench 'BuildIncremental/(R\+|k-d-B)' -benchtime 3x -benchmem .
 	SEGDB_BENCH_KERNELS=1 $(GO) test -run TestKernelRegressionGate -v -count=1 ./internal/kernel
 
 # profile-hot CPU-profiles BenchmarkHotReads — the repo benchmark's

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"segdb/internal/btree"
 	"segdb/internal/geom"
@@ -63,6 +64,18 @@ type Tree struct {
 	table *seg.Table
 	cfg   Config
 	count int
+	w     scratch
+}
+
+// scratch is the write path's reusable state. A tree has one writer at
+// a time (the database's structural lock), so one set per tree serves
+// every insert, delete and validation.
+type scratch struct {
+	// leaves is leavesFor's result, valid until its next call; occupied
+	// the occupied codes below one of its cover blocks.
+	leaves, occupied []geom.Code
+	// members are the segments of the block splitBlock redistributes.
+	members []seg.ID
 }
 
 // New creates an empty PMR quadtree whose linear representation lives on
@@ -233,7 +246,8 @@ func exactRange(c geom.Code) (lo, hi uint64) {
 // split exactly when an occupied block nests properly inside it). Leaves
 // larger than a cover block are found via predecessor/successor key
 // probes, which land on the same B-tree pages the scans touch. Every
-// block test is charged to o.
+// block test is charged to o. The result is the tree's scratch, valid
+// until the next call.
 func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 	o.NodeComps(1)
 	if !geom.World().IntersectsSegment(s) {
@@ -248,35 +262,32 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 	for depth < t.cfg.MaxDepth && int64(geom.BlockSide(depth+1)) >= side {
 		depth++
 	}
-	corners := []geom.Point{
+	corners := [4]geom.Point{
 		bbox.Min,
 		{X: bbox.Max.X, Y: bbox.Min.Y},
 		{X: bbox.Min.X, Y: bbox.Max.Y},
 		bbox.Max,
 	}
-	var out []geom.Code
-	emitted := make(map[geom.Code]struct{})
+	out := t.w.leaves[:0]
 	emit := func(c geom.Code) {
-		if _, dup := emitted[c]; dup {
-			return
+		if !slices.Contains(out, c) {
+			out = append(out, c)
 		}
-		emitted[c] = struct{}{}
-		out = append(out, c)
 	}
-	covered := make(map[geom.Code]struct{})
-	for _, corner := range corners {
+	var covered [4]geom.Code
+	for i, corner := range corners {
 		cover := geom.MakeCode(corner, depth)
-		if _, dup := covered[cover]; dup {
+		if slices.Contains(covered[:i], cover) {
 			continue
 		}
-		covered[cover] = struct{}{}
+		covered[i] = cover
 		o.NodeComps(1)
 		if !touches(cover, s) {
 			continue
 		}
 		// Occupied codes nested in (or equal to) the cover block.
 		lo, hi := blockRange(cover)
-		var occupied []geom.Code
+		occupied := t.w.occupied[:0]
 		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
 			c := keyCode(k)
 			if len(occupied) == 0 || occupied[len(occupied)-1] != c {
@@ -286,6 +297,7 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 		}, nil); err != nil {
 			return nil, err
 		}
+		t.w.occupied = occupied
 		if len(occupied) == 0 {
 			// The cover lies inside a leaf (occupied or empty) at least
 			// as large as itself; locate it from the neighboring keys.
@@ -335,6 +347,7 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 		}
 		walk(cover)
 	}
+	t.w.leaves = out
 	return out, nil
 }
 
@@ -451,13 +464,14 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 // redistributing its q-edges, charging o.
 func (t *Tree) splitBlock(c geom.Code, o *obs.Op) error {
 	exLo, exHi := exactRange(c)
-	var members []seg.ID
+	members := t.w.members[:0]
 	if err := t.bt.Scan(exLo, exHi, func(k uint64) bool {
 		members = append(members, keySeg(k))
 		return true
 	}, nil); err != nil {
 		return err
 	}
+	t.w.members = members
 	for _, id := range members {
 		if err := t.bt.Delete(key(c, id)); err != nil {
 			return err
