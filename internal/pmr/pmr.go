@@ -67,15 +67,14 @@ type Tree struct {
 	w     scratch
 }
 
-// scratch is the write path's reusable state. A tree has one writer at
-// a time (the database's structural lock), so one set per tree serves
-// every insert, delete and validation.
+// scratch is the write path's reusable state: leavesFor's result and
+// the occupied codes below one cover block, and the members of the block
+// splitBlock redistributes. A tree has one writer at a time (the
+// database's structural lock), so one set per tree serves every insert,
+// delete and validation.
 type scratch struct {
-	// leaves is leavesFor's result, valid until its next call; occupied
-	// the occupied codes below one of its cover blocks.
 	leaves, occupied []geom.Code
-	// members are the segments of the block splitBlock redistributes.
-	members []seg.ID
+	members          []seg.ID
 }
 
 // New creates an empty PMR quadtree whose linear representation lives on

@@ -69,17 +69,15 @@ type Tree struct {
 // every insert and delete: a warm insert allocates only when a node
 // splits or the tree grows.
 type scratch struct {
-	// nodes[d] is the decode target for the one node of depth d (the
-	// root is depth 0) a descent holds at a time; outs[d] collects that
-	// node's replacement entries.
-	nodes []*rpage.Node
-	outs  [][]rpage.Entry
-	// segs are a splitting leaf's member segments and lo, hi its two
-	// halves; xs, ys and cands the candidate lines; cnt the sweep's
-	// threshold counts.
+	// nodes[d] decodes the one node of depth d (root 0) a descent holds;
+	// outs[d] collects its replacement entries. A split keeps its member
+	// segments, halves, candidate coordinates and lines and sweep counts
+	// here too.
+	nodes  []*rpage.Node
+	outs   [][]rpage.Entry
 	segs   []geom.Segment
 	lo, hi []rpage.Entry
-	xs, ys []int32
+	coords []int32
 	cands  []splitLine
 	cnt    []int
 }
@@ -194,7 +192,7 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 		n.Entries = append(n.Entries[:0], out...)
 		return nil, t.WriteNode(id, n)
 	}
-	return t.splitInternal(id, region, out)
+	return t.emitInternal(id, true, region, out)
 }
 
 // leafRect is the rectangle stored with a leaf entry: the segment MBR for

@@ -20,14 +20,7 @@ type splitLine struct {
 
 // halves returns the two sub-regions produced by the line.
 func (l splitLine) halves(region geom.Rect) (lo, hi geom.Rect) {
-	if l.axis == 0 {
-		lo = geom.Rect{Min: region.Min, Max: geom.Point{X: l.coord - 1, Y: region.Max.Y}}
-		hi = geom.Rect{Min: geom.Point{X: l.coord, Y: region.Min.Y}, Max: region.Max}
-	} else {
-		lo = geom.Rect{Min: region.Min, Max: geom.Point{X: region.Max.X, Y: l.coord - 1}}
-		hi = geom.Rect{Min: geom.Point{X: region.Min.X, Y: l.coord}, Max: region.Max}
-	}
-	return lo, hi
+	return splitRegion(region, l.axis, l.coord)
 }
 
 // splitLeaf splits an overflowing leaf along the line that cuts the fewest
@@ -46,8 +39,7 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 		segs = append(segs, s)
 	}
 	t.w.segs = segs
-	cands := t.leafCandidates(region, segs)
-	best, ok := t.chooseLine(region, cands, segs, nil)
+	best, ok := t.chooseLine(region, segs, nil)
 	if !ok {
 		return nil, ErrUnsplittable
 	}
@@ -75,20 +67,14 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 	}, nil
 }
 
-// splitInternal splits an overflowing internal node, given its entries.
-// Children straddling the chosen line are split downward, k-d-B style. A
-// single insertion can split several children of the same node (a
-// segment is placed in every leaf it crosses), so a node may arrive more
-// than one entry over capacity; each half is split again recursively
-// until every node fits, and the full set of replacement entries is
-// returned.
-func (t *Tree) splitInternal(id store.PageID, region geom.Rect, entries []rpage.Entry) ([]rpage.Entry, error) {
-	return t.emitInternal(id, true, region, entries)
-}
-
 // emitInternal writes entries as one internal node when they fit (into
 // page id when reuse is set, else a fresh page), or splits the region and
-// recurses. It returns the parent entries for everything it created.
+// recurses. Children straddling the chosen line are split downward, k-d-B
+// style. A single insertion can split several children of the same node
+// (a segment is placed in every leaf it crosses), so an internal node may
+// arrive more than one entry over capacity; each half is split again
+// until every node fits. It returns the parent entries for everything it
+// created.
 func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entries []rpage.Entry) ([]rpage.Entry, error) {
 	if len(entries) <= t.Max {
 		if reuse {
@@ -103,8 +89,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 		}
 		return []rpage.Entry{{Rect: region, Ptr: uint32(nid)}}, nil
 	}
-	cands := t.internalCandidates(region, entries)
-	best, ok := t.chooseLine(region, cands, nil, entries)
+	best, ok := t.chooseLine(region, nil, entries)
 	if !ok {
 		return nil, ErrUnsplittable
 	}
@@ -209,40 +194,55 @@ func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (
 	return id, hid, nil
 }
 
-// chooseLine returns the candidate line that cuts the fewest members —
-// the segments of a leaf (segs) or the child regions of an internal node
-// (entries), one of them nil — breaking ties by the most even
-// distribution and then by candidate order. Productivity is required:
-// both sides must end up with fewer members than the overflowing node
-// holds (otherwise splitting would not terminate).
+// chooseLine returns the split line that cuts the fewest members — the
+// segments of a leaf (segs) or the child regions of an internal node
+// (entries), one of them nil — then the most even split, then the first
+// candidate. The candidates lie just before and just after each member's
+// extent (segment MBR or child region: for an internal node, the only
+// lines that can avoid cutting children), strictly inside the region:
+// x lines, then y lines, each ascending. Lines that leave one side with
+// every member are skipped, or splitting would not terminate.
 //
-// The paper's policy counts, for every candidate, the members meeting
-// each half. Whether a member meets the low half [min, c-1] is monotone
-// in c: the half only grows, and every step of the predicate (the
-// Liang–Barsky clip for a segment, the interval test for a rectangle)
-// moves one way as c grows. So on each axis's ascending candidates one
-// binary search per member and half finds the candidate where its answer
-// flips, and a prefix sum over those thresholds yields every (nLo, nHi)
-// pair the brute-force count would. The comparisons charged are the
-// brute force's: one per (candidate, member) pair.
-func (t *Tree) chooseLine(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry) (splitLine, bool) {
+// Meeting the low half [min, c-1] is monotone in c (the high half
+// antitone), so per axis one binary search of the predicate per member
+// and half finds where its answer flips, and a prefix sum yields every
+// (nLo, nHi) the brute-force count would (DESIGN.md, "Write-path
+// kernel"). The charge is the brute force's: one comparison per
+// (candidate, member) pair.
+func (t *Tree) chooseLine(region geom.Rect, segs []geom.Segment, entries []rpage.Entry) (splitLine, bool) {
 	total := len(segs) + len(entries)
+	bound := func(i int) geom.Rect {
+		if segs != nil {
+			return segs[i].Bounds()
+		}
+		return entries[i].Rect
+	}
 	meets := func(i int, r geom.Rect) bool {
 		if segs != nil {
 			return r.IntersectsSegment(segs[i])
 		}
 		return entries[i].Rect.Intersects(r)
 	}
-	t.o.NodeComps(uint64(len(cands) * total))
 	bestCuts, bestSkew := -1, 0
 	var best splitLine
-	for rest := cands; len(rest) > 0; {
-		k := 1
-		for k < len(rest) && rest[k].axis == rest[0].axis {
-			k++
+	cands := t.w.cands[:0]
+	for a := 0; a < 2; a++ {
+		vs := t.w.coords[:0]
+		for i := 0; i < total; i++ {
+			lo, hi := axisRange(bound(i), a)
+			vs = append(vs, lo, hi+1)
 		}
-		axis := rest[:k]
-		rest = rest[k:]
+		slices.Sort(vs)
+		t.w.coords = vs
+		first := len(cands)
+		rmin, rmax := axisRange(region, a)
+		for _, v := range slices.Compact(vs) {
+			if v > rmin && v <= rmax {
+				cands = append(cands, splitLine{axis: a, coord: v})
+			}
+		}
+		axis := cands[first:]
+		k := len(axis)
 		// enter[j] members first meet the low half at axis[j]; leave[j]
 		// members first miss the high half there (index k: never).
 		t.w.cnt = append(t.w.cnt[:0], make([]int, 2*(k+1))...)
@@ -274,71 +274,17 @@ func (t *Tree) chooseLine(region geom.Rect, cands []splitLine, segs []geom.Segme
 			}
 		}
 	}
+	t.w.cands = cands
+	t.o.NodeComps(uint64(len(cands) * total))
 	if lineProbe != nil {
 		lineProbe(region, cands, segs, entries, best, bestCuts >= 0)
 	}
 	return best, bestCuts >= 0
 }
 
-// lineProbe, when set, sees every line choice: its region, candidates,
-// members and result. The tests replay each through the brute-force
-// count.
+// lineProbe, when set, sees every line choice; the tests replay each
+// through the brute-force count.
 var lineProbe func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool)
-
-// leafCandidates proposes split lines at the MBR boundaries of the member
-// segments (both just-before and just-after each extent), restricted to
-// lines interior to the region.
-func (t *Tree) leafCandidates(region geom.Rect, segs []geom.Segment) []splitLine {
-	xs, ys := t.w.xs[:0], t.w.ys[:0]
-	for _, s := range segs {
-		b := s.Bounds()
-		xs = append(xs, b.Min.X, b.Max.X+1)
-		ys = append(ys, b.Min.Y, b.Max.Y+1)
-	}
-	return t.makeLines(region, xs, ys)
-}
-
-// internalCandidates proposes split lines at the child region boundaries,
-// which are the only lines that avoid cutting children when possible.
-func (t *Tree) internalCandidates(region geom.Rect, entries []rpage.Entry) []splitLine {
-	xs, ys := t.w.xs[:0], t.w.ys[:0]
-	for _, e := range entries {
-		xs = append(xs, e.Rect.Min.X, e.Rect.Max.X+1)
-		ys = append(ys, e.Rect.Min.Y, e.Rect.Max.Y+1)
-	}
-	return t.makeLines(region, xs, ys)
-}
-
-// makeLines returns the distinct coordinates strictly inside the region
-// as lines, x lines then y lines, each ascending: both halves of every
-// line are non-empty.
-func (t *Tree) makeLines(region geom.Rect, xs, ys []int32) []splitLine {
-	t.w.xs, t.w.ys = xs, ys
-	out := t.w.cands[:0]
-	for _, x := range dedupSorted(xs) {
-		if x > region.Min.X && x <= region.Max.X {
-			out = append(out, splitLine{axis: 0, coord: x})
-		}
-	}
-	for _, y := range dedupSorted(ys) {
-		if y > region.Min.Y && y <= region.Max.Y {
-			out = append(out, splitLine{axis: 1, coord: y})
-		}
-	}
-	t.w.cands = out
-	return out
-}
-
-func dedupSorted(vs []int32) []int32 {
-	slices.Sort(vs)
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // SplitSubtreeForTest exposes the downward split to the test suite (see
 // the reachability note on splitSubtree).

@@ -3,6 +3,8 @@ package rplus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"segdb/internal/geom"
@@ -10,6 +12,36 @@ import (
 	"segdb/internal/rpage"
 	"segdb/internal/tiger"
 )
+
+// refLines is the candidate set the brute-force choice was given: the
+// distinct member-extent boundaries (min and max+1 on each axis) strictly
+// inside the region, x lines then y lines, each ascending.
+func refLines(region geom.Rect, segs []geom.Segment, entries []rpage.Entry) []splitLine {
+	var xs, ys []int32
+	for _, s := range segs {
+		b := s.Bounds()
+		xs = append(xs, b.Min.X, b.Max.X+1)
+		ys = append(ys, b.Min.Y, b.Max.Y+1)
+	}
+	for _, e := range entries {
+		xs = append(xs, e.Rect.Min.X, e.Rect.Max.X+1)
+		ys = append(ys, e.Rect.Min.Y, e.Rect.Max.Y+1)
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
+	var out []splitLine
+	for i, x := range xs {
+		if (i == 0 || x != xs[i-1]) && x > region.Min.X && x <= region.Max.X {
+			out = append(out, splitLine{axis: 0, coord: x})
+		}
+	}
+	for i, y := range ys {
+		if (i == 0 || y != ys[i-1]) && y > region.Min.Y && y <= region.Max.Y {
+			out = append(out, splitLine{axis: 1, coord: y})
+		}
+	}
+	return out
+}
 
 // refChooseLine is the brute-force line choice the sweep replaces, kept
 // as its oracle: for every candidate, count the members meeting each
@@ -76,37 +108,43 @@ func refInternalCount(entries []rpage.Entry, o *obs.Op) func(lo, hi geom.Rect) (
 // lineChoice is one split's input and the line the tree chose for it.
 type lineChoice struct {
 	region  geom.Rect
-	cands   []splitLine
 	segs    []geom.Segment
 	entries []rpage.Entry
 	best    splitLine
 	ok      bool
 }
 
-// checkChoice runs c through the sweep and the oracle, each charging its
-// own operation, and fails unless both choose the same line at the same
-// charge, the line c.best records.
-func checkChoice(t *testing.T, tr *Tree, name string, c lineChoice) {
+// checkChoice runs a split's members through the sweep and through the
+// brute-force candidates, choice and count, each charging its own
+// operation, and fails unless both propose the same candidates and choose
+// the same line at the same charge. It returns the sweep's choice.
+func checkChoice(t *testing.T, tr *Tree, name string, c lineChoice) (splitLine, bool) {
 	t.Helper()
 	var sweepOp, refOp obs.Op
+	var cands []splitLine
+	lineProbe = func(_ geom.Rect, cs []splitLine, _ []geom.Segment, _ []rpage.Entry, _ splitLine, _ bool) {
+		cands = append([]splitLine(nil), cs...)
+	}
 	tr.o = &sweepOp
-	got, gotOK := tr.chooseLine(c.region, c.cands, c.segs, c.entries)
-	tr.o = nil
+	got, gotOK := tr.chooseLine(c.region, c.segs, c.entries)
+	tr.o, lineProbe = nil, nil
+	refCands := refLines(c.region, c.segs, c.entries)
+	if !slices.Equal(cands, refCands) {
+		t.Fatalf("%s: sweep proposed %v, oracle %v", name, cands, refCands)
+	}
 	count := refLeafCount(c.segs, &refOp)
 	if c.segs == nil {
 		count = refInternalCount(c.entries, &refOp)
 	}
-	want, wantOK := refChooseLine(c.region, c.cands, len(c.segs)+len(c.entries), count)
+	want, wantOK := refChooseLine(c.region, refCands, len(c.segs)+len(c.entries), count)
 	if got != want || gotOK != wantOK {
 		t.Fatalf("%s: region %v, %d members, %d candidates: sweep chose %+v (ok %v), oracle %+v (ok %v)",
-			name, c.region, len(c.segs)+len(c.entries), len(c.cands), got, gotOK, want, wantOK)
+			name, c.region, len(c.segs)+len(c.entries), len(refCands), got, gotOK, want, wantOK)
 	}
 	if g, w := sweepOp.Stats().NodeComps, refOp.Stats().NodeComps; g != w {
 		t.Fatalf("%s: sweep charged %d comparisons, oracle %d", name, g, w)
 	}
-	if c.best != got || c.ok != gotOK {
-		t.Fatalf("%s: the load chose %+v (ok %v), the replay %+v (ok %v)", name, c.best, c.ok, got, gotOK)
-	}
+	return got, gotOK
 }
 
 // TestChooseLineMatchesOracle holds the sweep to the brute-force count:
@@ -125,10 +163,9 @@ func TestChooseLineMatchesOracle(t *testing.T) {
 			cfg.Compression = level
 			t.Run(fmt.Sprintf("charles/leafMBR=%v/level%d", cfg.LeafMBR, level), func(t *testing.T) {
 				var choices []lineChoice
-				lineProbe = func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool) {
+				lineProbe = func(region geom.Rect, _ []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool) {
 					choices = append(choices, lineChoice{
 						region: region, best: best, ok: ok,
-						cands:   append([]splitLine(nil), cands...),
 						segs:    append([]geom.Segment(nil), segs...),
 						entries: append([]rpage.Entry(nil), entries...),
 					})
@@ -146,7 +183,9 @@ func TestChooseLineMatchesOracle(t *testing.T) {
 					} else {
 						internals++
 					}
-					checkChoice(t, e.tree, fmt.Sprintf("split %d", i), c)
+					if got, ok := checkChoice(t, e.tree, fmt.Sprintf("split %d", i), c); got != c.best || ok != c.ok {
+						t.Fatalf("split %d: the load chose %+v (ok %v), the replay %+v (ok %v)", i, c.best, c.ok, got, ok)
+					}
 				}
 				if leaves == 0 || internals == 0 {
 					t.Fatalf("load made %d leaf and %d internal splits; want both", leaves, internals)
@@ -159,10 +198,7 @@ func TestChooseLineMatchesOracle(t *testing.T) {
 		region := geom.RectOf(100, 100, 200, 200)
 		leaf := func(name string, segs ...geom.Segment) {
 			t.Helper()
-			c := lineChoice{region: region, segs: segs, cands: e.tree.leafCandidates(region, segs)}
-			c.cands = append([]splitLine(nil), c.cands...)
-			c.best, c.ok = refChooseLine(region, c.cands, len(segs), refLeafCount(segs, nil))
-			checkChoice(t, e.tree, name, c)
+			checkChoice(t, e.tree, name, lineChoice{region: region, segs: segs})
 		}
 		leaf("on a candidate line",
 			geom.Seg(150, 100, 150, 200), geom.Seg(150, 120, 150, 130), geom.Seg(140, 150, 160, 150),
