@@ -70,7 +70,7 @@ loc:
 # loc-check is the ratchet on that total: it fails when the count exceeds
 # LOC_BUDGET, the total of the last PR that lowered it. A PR that needs
 # more lines raises the number here, where the diff shows it.
-LOC_BUDGET = 19719
+LOC_BUDGET = 19744
 loc-check:
 	@total=$$($(LOC_FILES) | xargs cat | wc -l); \
 	if [ $$total -gt $(LOC_BUDGET) ]; then \

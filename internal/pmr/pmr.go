@@ -64,15 +64,10 @@ type Tree struct {
 	table *seg.Table
 	cfg   Config
 	count int
-	w     scratch
-}
-
-// scratch is the write path's reusable state: leavesFor's result and
-// the occupied codes below one cover block, and the members of the block
-// splitBlock redistributes. A tree has one writer at a time (the
-// database's structural lock), so one set per tree serves every insert,
-// delete and validation.
-type scratch struct {
+	// leaves, occupied and members are leavesFor's result, the occupied
+	// codes below one of its cover blocks and splitBlock's members, kept
+	// for the next call: a tree has one writer at a time (the database's
+	// structural lock).
 	leaves, occupied []geom.Code
 	members          []seg.ID
 }
@@ -245,8 +240,7 @@ func exactRange(c geom.Code) (lo, hi uint64) {
 // split exactly when an occupied block nests properly inside it). Leaves
 // larger than a cover block are found via predecessor/successor key
 // probes, which land on the same B-tree pages the scans touch. Every
-// block test is charged to o. The result is the tree's scratch, valid
-// until the next call.
+// block test is charged to o. The result is valid until the next call.
 func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 	o.NodeComps(1)
 	if !geom.World().IntersectsSegment(s) {
@@ -267,7 +261,7 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 		{X: bbox.Min.X, Y: bbox.Max.Y},
 		bbox.Max,
 	}
-	out := t.w.leaves[:0]
+	out := t.leaves[:0]
 	emit := func(c geom.Code) {
 		if !slices.Contains(out, c) {
 			out = append(out, c)
@@ -276,17 +270,17 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 	var covered [4]geom.Code
 	for i, corner := range corners {
 		cover := geom.MakeCode(corner, depth)
+		covered[i] = cover
 		if slices.Contains(covered[:i], cover) {
 			continue
 		}
-		covered[i] = cover
 		o.NodeComps(1)
 		if !touches(cover, s) {
 			continue
 		}
 		// Occupied codes nested in (or equal to) the cover block.
 		lo, hi := blockRange(cover)
-		occupied := t.w.occupied[:0]
+		occupied := t.occupied[:0]
 		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
 			c := keyCode(k)
 			if len(occupied) == 0 || occupied[len(occupied)-1] != c {
@@ -296,7 +290,7 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 		}, nil); err != nil {
 			return nil, err
 		}
-		t.w.occupied = occupied
+		t.occupied = occupied
 		if len(occupied) == 0 {
 			// The cover lies inside a leaf (occupied or empty) at least
 			// as large as itself; locate it from the neighboring keys.
@@ -346,7 +340,7 @@ func (t *Tree) leavesFor(s geom.Segment, o *obs.Op) ([]geom.Code, error) {
 		}
 		walk(cover)
 	}
-	t.w.leaves = out
+	t.leaves = out
 	return out, nil
 }
 
@@ -463,14 +457,14 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 // redistributing its q-edges, charging o.
 func (t *Tree) splitBlock(c geom.Code, o *obs.Op) error {
 	exLo, exHi := exactRange(c)
-	members := t.w.members[:0]
+	members := t.members[:0]
 	if err := t.bt.Scan(exLo, exHi, func(k uint64) bool {
 		members = append(members, keySeg(k))
 		return true
 	}, nil); err != nil {
 		return err
 	}
-	t.w.members = members
+	t.members = members
 	for _, id := range members {
 		if err := t.bt.Delete(key(c, id)); err != nil {
 			return err

@@ -80,6 +80,9 @@ type scratch struct {
 	coords []int32
 	cands  []splitLine
 	cnt    []int
+	// probe, when set, sees every line choice; the tests replay each
+	// through the brute-force count.
+	probe func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool)
 }
 
 // readDepth decodes page id into the scratch node of its depth. The

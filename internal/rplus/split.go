@@ -276,15 +276,11 @@ func (t *Tree) chooseLine(region geom.Rect, segs []geom.Segment, entries []rpage
 	}
 	t.w.cands = cands
 	t.o.NodeComps(uint64(len(cands) * total))
-	if lineProbe != nil {
-		lineProbe(region, cands, segs, entries, best, bestCuts >= 0)
+	if t.w.probe != nil {
+		t.w.probe(region, cands, segs, entries, best, bestCuts >= 0)
 	}
 	return best, bestCuts >= 0
 }
-
-// lineProbe, when set, sees every line choice; the tests replay each
-// through the brute-force count.
-var lineProbe func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool)
 
 // SplitSubtreeForTest exposes the downward split to the test suite (see
 // the reachability note on splitSubtree).

@@ -122,12 +122,12 @@ func checkChoice(t *testing.T, tr *Tree, name string, c lineChoice) (splitLine, 
 	t.Helper()
 	var sweepOp, refOp obs.Op
 	var cands []splitLine
-	lineProbe = func(_ geom.Rect, cs []splitLine, _ []geom.Segment, _ []rpage.Entry, _ splitLine, _ bool) {
+	tr.w.probe = func(_ geom.Rect, cs []splitLine, _ []geom.Segment, _ []rpage.Entry, _ splitLine, _ bool) {
 		cands = append([]splitLine(nil), cs...)
 	}
 	tr.o = &sweepOp
 	got, gotOK := tr.chooseLine(c.region, c.segs, c.entries)
-	tr.o, lineProbe = nil, nil
+	tr.o, tr.w.probe = nil, nil
 	refCands := refLines(c.region, c.segs, c.entries)
 	if !slices.Equal(cands, refCands) {
 		t.Fatalf("%s: sweep proposed %v, oracle %v", name, cands, refCands)
@@ -149,49 +149,44 @@ func checkChoice(t *testing.T, tr *Tree, name string, c lineChoice) (splitLine, 
 
 // TestChooseLineMatchesOracle holds the sweep to the brute-force count:
 // every leaf and internal split of a one-at-a-time Charles load, for the
-// R+-tree and the k-d-B-tree at page compression 0 and 1, and leaves
-// built to sit on the predicate's edges.
+// R+-tree and the k-d-B-tree, and leaves built to sit on the predicate's
+// edges.
 func TestChooseLineMatchesOracle(t *testing.T) {
 	spec, _ := tiger.CountyByName("Charles")
 	m, err := tiger.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []Config{DefaultConfig(), KDBConfig()} {
-		for _, level := range []int{0, 1} {
-			cfg := base
-			cfg.Compression = level
-			t.Run(fmt.Sprintf("charles/leafMBR=%v/level%d", cfg.LeafMBR, level), func(t *testing.T) {
-				var choices []lineChoice
-				lineProbe = func(region geom.Rect, _ []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool) {
-					choices = append(choices, lineChoice{
-						region: region, best: best, ok: ok,
-						segs:    append([]geom.Segment(nil), segs...),
-						entries: append([]rpage.Entry(nil), entries...),
-					})
+	for _, cfg := range []Config{DefaultConfig(), KDBConfig()} {
+		t.Run(fmt.Sprintf("charles/leafMBR=%v", cfg.LeafMBR), func(t *testing.T) {
+			var choices []lineChoice
+			e := newEnv(t, 1024, 64, cfg)
+			e.tree.w.probe = func(region geom.Rect, _ []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool) {
+				choices = append(choices, lineChoice{
+					region: region, best: best, ok: ok,
+					segs:    append([]geom.Segment(nil), segs...),
+					entries: append([]rpage.Entry(nil), entries...),
+				})
+			}
+			for _, s := range m.Segments {
+				e.add(t, s)
+			}
+			e.tree.w.probe = nil
+			leaves, internals := 0, 0
+			for i, c := range choices {
+				if c.segs != nil {
+					leaves++
+				} else {
+					internals++
 				}
-				defer func() { lineProbe = nil }()
-				e := newEnv(t, 1024, 64, cfg)
-				for _, s := range m.Segments {
-					e.add(t, s)
+				if got, ok := checkChoice(t, e.tree, fmt.Sprintf("split %d", i), c); got != c.best || ok != c.ok {
+					t.Fatalf("split %d: the load chose %+v (ok %v), the replay %+v (ok %v)", i, c.best, c.ok, got, ok)
 				}
-				lineProbe = nil
-				leaves, internals := 0, 0
-				for i, c := range choices {
-					if c.segs != nil {
-						leaves++
-					} else {
-						internals++
-					}
-					if got, ok := checkChoice(t, e.tree, fmt.Sprintf("split %d", i), c); got != c.best || ok != c.ok {
-						t.Fatalf("split %d: the load chose %+v (ok %v), the replay %+v (ok %v)", i, c.best, c.ok, got, ok)
-					}
-				}
-				if leaves == 0 || internals == 0 {
-					t.Fatalf("load made %d leaf and %d internal splits; want both", leaves, internals)
-				}
-			})
-		}
+			}
+			if leaves == 0 || internals == 0 {
+				t.Fatalf("load made %d leaf and %d internal splits; want both", leaves, internals)
+			}
+		})
 	}
 	t.Run("adversarial", func(t *testing.T) {
 		e := newEnv(t, 1024, 64, DefaultConfig())
