@@ -684,3 +684,73 @@ func BenchmarkNearestK(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDedupReads times the reads of the structures that suppress
+// duplicates after one whole-world window has grown the pooled seen set
+// to the whole table: the Charles map in an R+-tree and a PMR quadtree
+// behind the default 16-page pool, then a fixed mix of 80% windows of
+// side 100-500, 15% incident probes at segment endpoints and 5%
+// enclosing polygons (each some 30-300 incident probes). A set whose
+// release costs what the largest set held, not what the query added,
+// shows here; `-cpuprofile` profiles that path without the repo
+// benchmark's binary.
+func BenchmarkDedupReads(b *testing.B) {
+	m, err := GenerateCounty("Charles")
+	if err != nil {
+		b.Fatal(err)
+	}
+	type read struct {
+		kind int // 0 window, 1 incident, 2 polygon
+		r    Rect
+		p    Point
+	}
+	rng := rand.New(rand.NewSource(43))
+	reads := make([]read, 1<<10)
+	for i := range reads {
+		switch roll := rng.Intn(100); {
+		case roll < 80:
+			side := 100 + rng.Int31n(401)
+			x, y := rng.Int31n(WorldSize-side), rng.Int31n(WorldSize-side)
+			reads[i] = read{r: RectOf(x, y, x+side, y+side)}
+		case roll < 95:
+			reads[i] = read{kind: 1, p: m.Segments[rng.Intn(len(m.Segments))].P1}
+		default:
+			reads[i] = read{kind: 2, p: Pt(rng.Int31n(WorldSize), rng.Int31n(WorldSize))}
+		}
+	}
+	ctx := context.Background()
+	visit := func(SegmentID, Segment) bool { return true }
+	for _, kind := range []Kind{RPlusTree, PMRQuadtree} {
+		name := "R+"
+		if kind == PMRQuadtree {
+			name = "PMR"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, err := Open(kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.LoadPacked(m); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.WindowCtx(ctx, RectOf(0, 0, WorldSize-1, WorldSize-1), visit); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &reads[i%len(reads)]
+				switch q.kind {
+				case 0:
+					_, err = db.WindowCtx(ctx, q.r, visit)
+				case 1:
+					_, err = db.IncidentAtCtx(ctx, q.p, visit)
+				case 2:
+					_, _, err = db.EnclosingPolygonCtx(ctx, q.p)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"segdb/internal/geom"
 	"segdb/internal/obs"
@@ -19,14 +20,26 @@ import (
 // each reported segment. Like every query here it charges o; nil charges
 // nothing.
 func IncidentAtObs(ix Index, p geom.Point, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
-	pt := geom.Rect{Min: p, Max: p}
-	return ix.WindowObs(pt, func(id seg.ID, s geom.Segment) bool {
-		if !s.HasEndpoint(p) {
-			return true
-		}
-		return visit(id, s)
-	}, o)
+	f := endpointFilterPool.Get().(*endpointFilter)
+	f.p, f.visit = p, visit
+	err := ix.WindowObs(geom.Rect{Min: p, Max: p}, f.filter, o)
+	f.visit = nil
+	endpointFilterPool.Put(f)
+	return err
 }
+
+// endpointFilter passes visit the segments ending at p. Its filter is
+// bound once per pooled filter, so a warm IncidentAtObs allocates none.
+type endpointFilter struct {
+	p             geom.Point
+	visit, filter func(seg.ID, geom.Segment) bool
+}
+
+var endpointFilterPool = sync.Pool{New: func() any {
+	f := new(endpointFilter)
+	f.filter = func(id seg.ID, s geom.Segment) bool { return !s.HasEndpoint(f.p) || f.visit(id, s) }
+	return f
+}}
 
 // OtherEndpointObs is query 2: given segment id and one of its endpoints
 // p, find all segments incident at the segment's other endpoint.
@@ -104,28 +117,12 @@ func EnclosingPolygonObs(ix Index, p geom.Point, o *obs.Op) (Polygon, error) {
 // is a dead end the reverse edge itself is returned and the traversal
 // doubles back.
 func nextBoundaryEdge(ix Index, curID seg.ID, a, b geom.Point, o *obs.Op) (seg.ID, geom.Segment, error) {
-	refAngle := math.Atan2(float64(a.Y-b.Y), float64(a.X-b.X))
-	bestID := seg.NilID
-	var bestSeg geom.Segment
-	bestTurn := math.Inf(1)
-	err := IncidentAtObs(ix, b, func(id seg.ID, s geom.Segment) bool {
-		out, _ := s.Other(b)
-		if id == curID && out == a {
-			return true // the reverse edge: only taken as a last resort
-		}
-		angle := math.Atan2(float64(out.Y-b.Y), float64(out.X-b.X))
-		turn := math.Mod(refAngle-angle, 2*math.Pi)
-		if turn < 0 {
-			turn += 2 * math.Pi
-		}
-		if turn == 0 {
-			turn = 2 * math.Pi // collinear with the reverse direction: last
-		}
-		if turn < bestTurn {
-			bestTurn, bestID, bestSeg = turn, id, s
-		}
-		return true
-	}, o)
+	st := turnPool.Get().(*turnState)
+	st.a, st.b, st.curID, st.bestID, st.bestTurn = a, b, curID, seg.NilID, math.Inf(1)
+	st.refAngle = math.Atan2(float64(a.Y-b.Y), float64(a.X-b.X))
+	err := IncidentAtObs(ix, b, st.visit, o)
+	bestID, bestSeg := st.bestID, st.bestSeg
+	turnPool.Put(st)
 	if err != nil {
 		return seg.NilID, geom.Segment{}, err
 	}
@@ -138,6 +135,43 @@ func nextBoundaryEdge(ix Index, curID seg.ID, a, b geom.Point, o *obs.Op) (seg.I
 		return curID, s, nil
 	}
 	return bestID, bestSeg, nil
+}
+
+// turnState is one nextBoundaryEdge probe: the edge a->b arrived along
+// and the least clockwise turn out of b so far. Its visit, the consider
+// method, is bound once per pooled state, so a step allocates nothing.
+type turnState struct {
+	a, b               geom.Point
+	curID, bestID      seg.ID
+	bestSeg            geom.Segment
+	refAngle, bestTurn float64
+	visit              func(seg.ID, geom.Segment) bool
+}
+
+var turnPool = sync.Pool{New: func() any {
+	st := new(turnState)
+	st.visit = st.consider
+	return st
+}}
+
+// consider weighs the segment id, incident at b, as the next edge.
+func (st *turnState) consider(id seg.ID, s geom.Segment) bool {
+	out, _ := s.Other(st.b)
+	if id == st.curID && out == st.a {
+		return true // the reverse edge: only taken as a last resort
+	}
+	angle := math.Atan2(float64(out.Y-st.b.Y), float64(out.X-st.b.X))
+	turn := math.Mod(st.refAngle-angle, 2*math.Pi)
+	if turn < 0 {
+		turn += 2 * math.Pi
+	}
+	if turn == 0 {
+		turn = 2 * math.Pi // collinear with the reverse direction: last
+	}
+	if turn < st.bestTurn {
+		st.bestTurn, st.bestID, st.bestSeg = turn, id, s
+	}
+	return true
 }
 
 func orientSign(a, b, c geom.Point) int64 {

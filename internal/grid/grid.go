@@ -194,7 +194,7 @@ var (
 func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	cx0, cy0 := g.cellOf(r.Min)
 	cx1, cy1 := g.cellOf(r.Max)
-	seen := seg.AcquireSeen()
+	seen := seg.AcquireSeen(g.table.Len())
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
@@ -213,24 +213,8 @@ func (g *Grid) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 				// Keep whatever members the scan reached and move on to
 				// the next cell (partial results).
 			}
-			for _, id := range members {
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				s, err := cur.Get(id)
-				if err != nil {
-					if store.IsUnavailable(err) {
-						continue // degraded: segment's table page is gone
-					}
-					return err
-				}
-				if !r.IntersectsSegment(s) {
-					continue
-				}
-				seen[id] = struct{}{}
-				if !visit(id, s) {
-					return nil
-				}
+			if cont, err := seen.Visit(members, r, cur, visit); err != nil || !cont {
+				return err
 			}
 		}
 	}
@@ -268,7 +252,7 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 		e := sc.segs[it.Slot]
 		dst = append(dst, core.NearestResult{ID: e.id, Seg: e.s, DistSq: it.DistSq, Found: true})
 	}
-	seen := seg.AcquireSeen()
+	seen := seg.AcquireSeen(g.table.Len())
 	defer seg.ReleaseSeen(seen)
 	mp := membersPool.Get().(*[]seg.ID)
 	defer func() { membersPool.Put(mp) }()
@@ -290,18 +274,11 @@ func (g *Grid) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 			// page; the lost remainder is skipped.
 		}
 		for _, id := range members {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			s, err := cur.Get(id)
+			s, ok, err := seen.Fetch(id, cur)
 			if err != nil {
-				if store.IsUnavailable(err) {
-					continue // degraded: segment's table page is gone
-				}
 				return err
 			}
-			if q.PushExact(geom.DistSqPointSegment(p, s), uint32(len(sc.segs))) {
+			if ok && q.PushExact(geom.DistSqPointSegment(p, s), uint32(len(sc.segs))) {
 				sc.segs = append(sc.segs, nnEntry{id: id, s: s})
 			}
 		}

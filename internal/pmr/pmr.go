@@ -64,12 +64,13 @@ type Tree struct {
 	table *seg.Table
 	cfg   Config
 	count int
-	// leaves, occupied and members are leavesFor's result, the occupied
-	// codes below one of its cover blocks and splitBlock's members, kept
-	// for the next call: a tree has one writer at a time (the database's
-	// structural lock).
-	leaves, occupied []geom.Code
-	members          []seg.ID
+	// Working sets kept for the next call (a tree has one writer at a
+	// time, the database's structural lock): leavesFor's result, the
+	// occupied codes below one of its cover blocks, splitBlock's members,
+	// and mergeUpward's distinct segments and keys below a parent.
+	leaves, occupied  []geom.Code
+	members, distinct []seg.ID
+	keys              []uint64
 }
 
 // New creates an empty PMR quadtree whose linear representation lives on
@@ -531,31 +532,37 @@ func (t *Tree) mergeUpward(c geom.Code, o *obs.Op) error {
 	for c.Depth() > 0 {
 		parent := c.Parent()
 		lo, hi := blockRange(parent)
-		distinct := make(map[seg.ID]struct{})
-		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
-			distinct[keySeg(k)] = struct{}{}
+		seen := seg.AcquireSeen(t.table.Len())
+		t.distinct = t.distinct[:0]
+		err := t.bt.Scan(lo, hi, func(k uint64) bool {
+			if id := keySeg(k); !seen.Has(id) {
+				seen.Add(id)
+				t.distinct = append(t.distinct, id)
+			}
 			return true
-		}, nil); err != nil {
+		}, nil)
+		seg.ReleaseSeen(seen)
+		if err != nil {
 			return err
 		}
-		if len(distinct) >= t.cfg.SplittingThreshold {
+		if len(t.distinct) >= t.cfg.SplittingThreshold {
 			return nil
 		}
 		// Collect and remove every key below the parent, then store the
-		// distinct segments at the parent itself.
-		var keys []uint64
+		// distinct segments at the parent itself, in first-seen order.
+		t.keys = t.keys[:0]
 		if err := t.bt.Scan(lo, hi, func(k uint64) bool {
-			keys = append(keys, k)
+			t.keys = append(t.keys, k)
 			return true
 		}, nil); err != nil {
 			return err
 		}
-		for _, k := range keys {
+		for _, k := range t.keys {
 			if err := t.bt.Delete(k); err != nil {
 				return err
 			}
 		}
-		for id := range distinct {
+		for _, id := range t.distinct {
 			if t.cfg.StoreMBR {
 				s, err := t.table.GetObs(id, o)
 				if err != nil {

@@ -3,6 +3,7 @@ package pmr
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"segdb/internal/core"
@@ -14,12 +15,11 @@ import (
 	"segdb/internal/store"
 )
 
-// Query-scratch pools: block code sets, candidate member buffers, the
-// StoreMBR filter lanes, and the nearest-neighbor search's working memory
-// are recycled across queries (like the shared duplicate-suppression set,
+// Query-scratch pools: candidate member buffers, the StoreMBR filter
+// lanes, and the nearest-neighbor search's working memory are recycled
+// across queries (like the shared duplicate-suppression set,
 // seg.AcquireSeen) so warm window/nearest searches allocate nothing.
 var (
-	codeSetPool = sync.Pool{New: func() any { return make(map[geom.Code]struct{}) }}
 	membersPool = sync.Pool{New: func() any { return new([]seg.ID) }}
 	lanesPool   = sync.Pool{New: func() any { return new(rectLanes) }}
 	nearestPool = sync.Pool{New: func() any { return new(nearestScratch) }}
@@ -73,13 +73,6 @@ func filterMembers(members []seg.ID, ln *rectLanes, r geom.Rect) []seg.ID {
 	return kept
 }
 
-func acquireCodeSet() map[geom.Code]struct{} { return codeSetPool.Get().(map[geom.Code]struct{}) }
-
-func releaseCodeSet(m map[geom.Code]struct{}) {
-	clear(m)
-	codeSetPool.Put(m)
-}
-
 // WindowObs visits every segment intersecting r exactly once. Like the
 // data-driven window decomposition of Aref & Samet used in the paper's
 // experiments, it decomposes the window into at most four aligned quadtree
@@ -93,8 +86,10 @@ func releaseCodeSet(m map[geom.Code]struct{}) {
 func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
 	cur := t.table.Cursor(o)
 	defer cur.Close()
+	seen := seg.AcquireSeen(t.table.Len())
+	defer seg.ReleaseSeen(seen)
 	if r.Min == r.Max {
-		return t.pointQuery(r.Min, visit, o, cur)
+		return t.pointQuery(r.Min, seen, visit, o, cur)
 	}
 	// Depth of the smallest aligned blocks at least as large as the
 	// window: the window then intersects at most 2 blocks per axis, each
@@ -113,18 +108,15 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 		{X: r.Min.X, Y: r.Max.Y},
 		r.Max,
 	}
-	seen := seg.AcquireSeen()
-	defer seg.ReleaseSeen(seen)
-	scannedCover := acquireCodeSet()
-	defer releaseCodeSet(scannedCover)
-	scannedLeaf := acquireCodeSet()
-	defer releaseCodeSet(scannedLeaf)
+	// The blocks already scanned: at most one cover and one leaf a corner.
+	var coverBuf, leafBuf [4]geom.Code
+	scannedCover, scannedLeaf := coverBuf[:0], leafBuf[:0]
 	for _, corner := range corners {
 		cover := geom.MakeCode(corner, depth)
-		if _, dup := scannedCover[cover]; dup {
+		if slices.Contains(scannedCover, cover) {
 			continue
 		}
-		scannedCover[cover] = struct{}{}
+		scannedCover = append(scannedCover, cover)
 		// A leaf larger than the cover block would not appear in the
 		// cover's key range; point location on the corner finds it.
 		leaf, ok, err := t.locate(corner, o)
@@ -137,10 +129,10 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 			ok = false
 		}
 		if ok && leaf.Depth() < depth {
-			if _, dup := scannedLeaf[leaf]; dup {
+			if slices.Contains(scannedLeaf, leaf) {
 				continue
 			}
-			scannedLeaf[leaf] = struct{}{}
+			scannedLeaf = append(scannedLeaf, leaf)
 			cont, err := t.scanBlockEntries(leaf, r, seen, visit, o, cur)
 			if err != nil || !cont {
 				return err
@@ -159,7 +151,7 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 // block whose own block intersects r. One bucket computation is charged
 // per distinct stored block encountered; one segment comparison per
 // candidate segment fetched.
-func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) (bool, error) {
+func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen *seg.Seen, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) (bool, error) {
 	lo, hi := blockRange(c)
 	mp := membersPool.Get().(*[]seg.ID)
 	members := (*mp)[:0]
@@ -208,26 +200,7 @@ func (t *Tree) scanBlockEntries(c geom.Code, r geom.Rect, seen map[seg.ID]struct
 	if ln != nil {
 		members = filterMembers(members, ln, r)
 	}
-	for _, id := range members {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		s, err := cur.Get(id)
-		if err != nil {
-			if store.IsUnavailable(err) {
-				continue // degraded: this segment's table page is gone
-			}
-			return false, err
-		}
-		if !r.IntersectsSegment(s) {
-			continue
-		}
-		seen[id] = struct{}{}
-		if !visit(id, s) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return seen.Visit(members, r, cur, visit)
 }
 
 // locate returns the occupied leaf block containing p, if any, via a
@@ -252,7 +225,7 @@ func (t *Tree) locate(p geom.Point, o *obs.Op) (geom.Code, bool, error) {
 	return c, true, nil
 }
 
-func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) error {
+func (t *Tree) pointQuery(p geom.Point, seen *seg.Seen, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor) error {
 	c, ok, err := t.locate(p, o)
 	if err != nil {
 		if store.IsUnavailable(err) {
@@ -298,22 +271,8 @@ func (t *Tree) pointQuery(p geom.Point, visit func(seg.ID, geom.Segment) bool, o
 	if ln != nil {
 		members = filterMembers(members, ln, pt)
 	}
-	for _, id := range members {
-		s, err := cur.Get(id)
-		if err != nil {
-			if store.IsUnavailable(err) {
-				continue // degraded: this segment's table page is gone
-			}
-			return err
-		}
-		if !pt.IntersectsSegment(s) {
-			continue
-		}
-		if !visit(id, s) {
-			return nil
-		}
-	}
-	return nil
+	_, err = seen.Visit(members, pt, cur, visit)
+	return err
 }
 
 // qedgeRef is one member of a bucket: a segment id with, in the StoreMBR
@@ -428,7 +387,7 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	} else {
 		sc.lower(0, nnEntry{kind: pqRegion, code: geom.RootCode()})
 	}
-	seen := seg.AcquireSeen()
+	seen := seg.AcquireSeen(t.table.Len())
 	defer seg.ReleaseSeen(seen)
 	cur := t.table.Cursor(o)
 	defer cur.Close()
@@ -470,40 +429,30 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 					// stored rectangle's distance. Deduplication happens at
 					// fetch time since another q-edge of the same segment
 					// may carry a smaller lower bound.
-					if _, dup := seen[ref.id]; dup {
+					if seen.Has(ref.id) {
 						continue
 					}
 					examined++
 					sc.lower(ref.rect.DistSqToPoint(p), nnEntry{kind: pqEdge, id: ref.id})
 					continue
 				}
-				if _, dup := seen[ref.id]; dup {
-					continue
-				}
-				seen[ref.id] = struct{}{}
-				s, err := cur.Get(ref.id)
+				s, ok, err := seen.Fetch(ref.id, cur)
 				if err != nil {
-					if store.IsUnavailable(err) {
-						continue // degraded: segment's table page is gone
-					}
 					return dst, err
 				}
-				sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: ref.id, s: s})
+				if ok {
+					sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: ref.id, s: s})
+				}
 			}
 
 		case pqEdge:
-			if _, dup := seen[e.id]; dup {
-				continue
-			}
-			seen[e.id] = struct{}{}
-			s, err := cur.Get(e.id)
+			s, ok, err := seen.Fetch(e.id, cur)
 			if err != nil {
-				if store.IsUnavailable(err) {
-					continue // degraded: segment's table page is gone
-				}
 				return dst, err
 			}
-			sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: e.id, s: s})
+			if ok {
+				sc.exact(geom.DistSqPointSegment(p, s), nnEntry{kind: pqSeg, id: e.id, s: s})
+			}
 
 		case pqRegion:
 			// Enumerate the q-edges under this region, stopping early

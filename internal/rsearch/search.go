@@ -40,9 +40,9 @@ func (t *Tree) readSoA(id store.PageID, o *obs.Op) (*rpage.SoA, error) {
 // bounding box computation; each surviving leaf entry costs one segment
 // comparison (the exact segment/window test).
 func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool, o *obs.Op) error {
-	var seen map[seg.ID]struct{}
+	var seen *seg.Seen
 	if t.dedup {
-		seen = seg.AcquireSeen()
+		seen = seg.AcquireSeen(t.Segs.Len())
 		defer seg.ReleaseSeen(seen)
 	}
 	cur := t.Segs.Cursor(o)
@@ -53,7 +53,7 @@ func (t *Tree) WindowObs(r geom.Rect, visit func(id seg.ID, s geom.Segment) bool
 	return err
 }
 
-func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor, examined *uint64) (bool, error) {
+func (t *Tree) window(id store.PageID, r geom.Rect, seen *seg.Seen, visit func(seg.ID, geom.Segment) bool, o *obs.Op, cur *seg.Cursor, examined *uint64) (bool, error) {
 	n, err := t.readSoA(id, o)
 	if err != nil {
 		if store.IsUnavailable(err) {
@@ -101,10 +101,8 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 			i := base + bits.TrailingZeros64(m)
 			if n.Leaf {
 				sid := seg.ID(n.Ptr[i])
-				if seen != nil {
-					if _, dup := seen[sid]; dup {
-						continue
-					}
+				if seen != nil && seen.Has(sid) {
+					continue
 				}
 				s, err := cur.Get(sid)
 				if err != nil {
@@ -118,7 +116,7 @@ func (t *Tree) window(id store.PageID, r geom.Rect, seen map[seg.ID]struct{}, vi
 					continue
 				}
 				if seen != nil {
-					seen[sid] = struct{}{}
+					seen.Add(sid)
 				}
 				if !visit(sid, s) {
 					*examined += uint64(i + 1 - counted)
@@ -200,9 +198,9 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 	sc.q.Reset(k)
 	sc.dist, sc.ptrs, sc.cursors, sc.segs = sc.dist[:0], sc.ptrs[:0], sc.cursors[:0], sc.segs[:0]
 	defer nnPool.Put(sc)
-	var seen map[seg.ID]struct{}
+	var seen *seg.Seen
 	if t.dedup {
-		seen = seg.AcquireSeen()
+		seen = seg.AcquireSeen(t.Segs.Len())
 		defer seg.ReleaseSeen(seen)
 	}
 	cur := t.Segs.Cursor(o)
@@ -235,10 +233,10 @@ func (t *Tree) NearestKAppendObs(p geom.Point, k int, dst []core.NearestResult, 
 				examined++
 				sid := seg.ID(n.Ptr[i])
 				if seen != nil {
-					if _, dup := seen[sid]; dup {
+					if seen.Has(sid) {
 						continue
 					}
-					seen[sid] = struct{}{}
+					seen.Add(sid)
 				}
 				s, err := cur.Get(sid)
 				if err != nil {
