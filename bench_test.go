@@ -19,6 +19,7 @@ import (
 	"segdb/internal/core"
 	"segdb/internal/geom"
 	"segdb/internal/harness"
+	"segdb/internal/kinds"
 	"segdb/internal/obs"
 	"segdb/internal/pmr"
 	"segdb/internal/rstar"
@@ -44,12 +45,12 @@ var (
 	benchOnce   sync.Once
 	benchMap    *tiger.Map
 	benchUrban  *tiger.Map
-	benchBuilt  map[harness.Structure]core.Index
+	benchBuilt  map[Kind]core.Index
 	benchLoad   *harness.Workload
 	benchSetupE error
 )
 
-func benchSetup(b *testing.B) (*tiger.Map, map[harness.Structure]core.Index, *harness.Workload) {
+func benchSetup(b *testing.B) (*tiger.Map, map[Kind]core.Index, *harness.Workload) {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchMap, benchSetupE = tiger.Generate(benchSpec)
@@ -60,9 +61,9 @@ func benchSetup(b *testing.B) (*tiger.Map, map[harness.Structure]core.Index, *ha
 		if benchSetupE != nil {
 			return
 		}
-		benchBuilt = make(map[harness.Structure]core.Index)
+		benchBuilt = make(map[Kind]core.Index)
 		for _, s := range harness.Core() {
-			ix, _, err := harness.Build(s, benchMap, harness.DefaultOptions())
+			ix, _, err := harness.Build(s, benchMap, kinds.DefaultConfig())
 			if err != nil {
 				benchSetupE = err
 				return
@@ -70,7 +71,7 @@ func benchSetup(b *testing.B) (*tiger.Map, map[harness.Structure]core.Index, *ha
 			benchBuilt[s] = ix
 		}
 		benchLoad, benchSetupE = harness.NewWorkload(
-			benchMap, benchBuilt[harness.PMR].(*pmr.Tree), 512, 1234)
+			benchMap, benchBuilt[PMRQuadtree].(*pmr.Tree), 512, 1234)
 	})
 	if benchSetupE != nil {
 		b.Fatal(benchSetupE)
@@ -83,10 +84,10 @@ func benchSetup(b *testing.B) (*tiger.Map, map[harness.Structure]core.Index, *ha
 func BenchmarkTable1Build(b *testing.B) {
 	m, _, _ := benchSetup(b)
 	for _, s := range harness.Core() {
-		b.Run(s.String(), func(b *testing.B) {
+		b.Run(s.Label(), func(b *testing.B) {
 			var last harness.BuildResult
 			for i := 0; i < b.N; i++ {
-				_, br, err := harness.Build(s, m, harness.DefaultOptions())
+				_, br, err := harness.Build(s, m, kinds.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,9 +107,9 @@ func BenchmarkFigure6PageSweep(b *testing.B) {
 	for _, cfg := range []struct{ page, pool int }{
 		{512, 8}, {1024, 16}, {2048, 32}, {4096, 64},
 	} {
-		for _, s := range []harness.Structure{harness.RPlus, harness.PMR} {
-			b.Run(benchName(s.String(), cfg.page, cfg.pool), func(b *testing.B) {
-				opts := harness.DefaultOptions()
+		for _, s := range []Kind{RPlusTree, PMRQuadtree} {
+			b.Run(benchName(s.Label(), cfg.page, cfg.pool), func(b *testing.B) {
+				opts := kinds.DefaultConfig()
 				opts.PageSize = cfg.page
 				opts.PoolPages = cfg.pool
 				var acc uint64
@@ -183,7 +184,7 @@ func BenchmarkTable2Queries(b *testing.B) {
 	}
 	for _, s := range harness.Core() {
 		for _, o := range ops {
-			b.Run(s.String()+"/"+o.kind.String(), func(b *testing.B) {
+			b.Run(s.Label()+"/"+o.kind.String(), func(b *testing.B) {
 				ix := built[s]
 				b.ResetTimer()
 				d, err := core.Measure(ix, func(op *obs.Op) error {
@@ -232,8 +233,8 @@ func measureNearest(b *testing.B, ix core.Index, pts []geom.Point) core.Metrics 
 // paper describes).
 func BenchmarkFigure7BBoxComputations(b *testing.B) {
 	_, built, wl := benchSetup(b)
-	for _, s := range []harness.Structure{harness.RStar, harness.RPlus, harness.PMR} {
-		b.Run(s.String(), func(b *testing.B) {
+	for _, s := range []Kind{RStarTree, RPlusTree, PMRQuadtree} {
+		b.Run(s.Label(), func(b *testing.B) {
 			ix := built[s]
 			b.ResetTimer()
 			d := measureNearest(b, ix, wl.TwoStage)
@@ -247,7 +248,7 @@ func BenchmarkFigure7BBoxComputations(b *testing.B) {
 func BenchmarkFigure8DiskAccesses(b *testing.B) {
 	_, built, wl := benchSetup(b)
 	for _, s := range harness.Core() {
-		b.Run(s.String(), func(b *testing.B) {
+		b.Run(s.Label(), func(b *testing.B) {
 			ix := built[s]
 			b.ResetTimer()
 			d, err := core.Measure(ix, func(o *obs.Op) error {
@@ -273,7 +274,7 @@ func BenchmarkFigure8DiskAccesses(b *testing.B) {
 func BenchmarkFigure9SegmentComparisons(b *testing.B) {
 	_, built, wl := benchSetup(b)
 	for _, s := range harness.Core() {
-		b.Run(s.String(), func(b *testing.B) {
+		b.Run(s.Label(), func(b *testing.B) {
 			ix := built[s]
 			b.ResetTimer()
 			d := measureNearest(b, ix, wl.TwoStage)
@@ -288,9 +289,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	m, _, wl := benchSetup(b)
 	for _, th := range []int{2, 4, 16, 64} {
 		b.Run("threshold="+itoa(th), func(b *testing.B) {
-			opts := harness.DefaultOptions()
+			opts := kinds.DefaultConfig()
 			opts.PMRThreshold = th
-			ix, br, err := harness.Build(harness.PMR, m, opts)
+			ix, br, err := harness.Build(PMRQuadtree, m, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,12 +314,12 @@ func BenchmarkAblationReinsert(b *testing.B) {
 			name = "reinsert-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := harness.DefaultOptions()
+			opts := kinds.DefaultConfig()
 			opts.DisableReinsert = disable
 			var br harness.BuildResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, br, err = harness.Build(harness.RStar, m, opts)
+				_, br, err = harness.Build(RStarTree, m, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -341,9 +342,9 @@ func BenchmarkAblationGridVsPMR(b *testing.B) {
 		{"rural", benchMap},
 		{"urban", benchUrban},
 	} {
-		for _, s := range []harness.Structure{harness.UniformGrid, harness.PMR} {
-			b.Run(tc.name+"/"+s.String(), func(b *testing.B) {
-				ix, br, err := harness.Build(s, tc.m, harness.DefaultOptions())
+		for _, s := range []Kind{UniformGrid, PMRQuadtree} {
+			b.Run(tc.name+"/"+s.Label(), func(b *testing.B) {
+				ix, br, err := harness.Build(s, tc.m, kinds.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -388,7 +389,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		var br harness.BuildResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			_, br, err = harness.Build(harness.RStar, m, harness.DefaultOptions())
+			_, br, err = harness.Build(RStarTree, m, kinds.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,9 +420,9 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 }
 
 // benchAllStructures lists every structure for the build benchmarks.
-var benchAllStructures = []harness.Structure{
-	harness.RStar, harness.RTree, harness.RPlus,
-	harness.KDB, harness.PMR, harness.UniformGrid,
+var benchAllStructures = []Kind{
+	RStarTree, ClassicRTree, RPlusTree,
+	KDBTree, PMRQuadtree, UniformGrid,
 }
 
 // BenchmarkBuildIncremental and BenchmarkBuildBulk are the paired build
@@ -437,13 +438,15 @@ func BenchmarkBuildBulk(b *testing.B) { benchmarkBuild(b, true) }
 func benchmarkBuild(b *testing.B, bulk bool) {
 	m, _, _ := benchSetup(b)
 	for _, s := range benchAllStructures {
-		b.Run(s.String(), func(b *testing.B) {
-			opts := harness.DefaultOptions()
-			opts.BulkLoad = bulk
+		b.Run(s.Label(), func(b *testing.B) {
+			build := harness.Build
+			if bulk {
+				build = harness.BuildBulk
+			}
 			var br harness.BuildResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, br, err = harness.Build(s, m, opts)
+				_, br, err = build(s, m, kinds.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -465,8 +468,8 @@ func BenchmarkOverlayJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pmrA := built[harness.PMR].(*pmr.Tree)
-	pmrB, _, err := harness.Build(harness.PMR, other, harness.DefaultOptions())
+	pmrA := built[PMRQuadtree].(*pmr.Tree)
+	pmrB, _, err := harness.Build(PMRQuadtree, other, kinds.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,13 +481,13 @@ func BenchmarkOverlayJoin(b *testing.B) {
 			}
 		}
 	})
-	rstarB, _, err := harness.Build(harness.RStar, other, harness.DefaultOptions())
+	rstarB, _, err := harness.Build(RStarTree, other, kinds.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("nested-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := core.JoinNestedLoopObs(built[harness.RStar], rstarB, sink, nil); err != nil {
+			if err := core.JoinNestedLoopObs(built[RStarTree], rstarB, sink, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"segdb/internal/core"
+	"segdb/internal/kinds"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -142,7 +143,7 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 		disk.SetRetryPolicy(rp)
 	}
 	pool := store.NewPool(disk, db.opts.PoolPages)
-	ix, err := kinds[db.kind].bulk(db.opts, db.kind, pool, db.table, ids, &db.wop)
+	ix, err := kinds.Bulk(db.kind, db.opts.config(), pool, db.table, ids, &db.wop)
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"segdb/internal/harness"
+	"segdb/internal/kinds"
 	"segdb/internal/tiger"
 )
 
@@ -40,7 +41,7 @@ func main() {
 }
 
 func run(what, county string, queries int) error {
-	opts := harness.DefaultOptions()
+	cfg := kinds.DefaultConfig()
 	out := os.Stdout
 
 	needMaps := func() ([]*tiger.Map, error) {
@@ -64,7 +65,7 @@ func run(what, county string, queries int) error {
 		if err != nil {
 			return err
 		}
-		return harness.Table1(out, maps, opts)
+		return harness.Table1(out, maps, cfg)
 
 	case "figure6":
 		m, err := needOne()
@@ -78,14 +79,14 @@ func run(what, county string, queries int) error {
 		if err != nil {
 			return err
 		}
-		return harness.Table2(out, m, queries, opts)
+		return harness.Table2(out, m, queries, cfg)
 
 	case "figures789":
 		maps, err := needMaps()
 		if err != nil {
 			return err
 		}
-		fd, err := harness.Figures(maps, queries, opts)
+		fd, err := harness.Figures(maps, queries, cfg)
 		if err != nil {
 			return err
 		}

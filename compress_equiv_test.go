@@ -336,3 +336,32 @@ func TestLoadAcceptsV2Images(t *testing.T) {
 		t.Fatalf("v2 image has %d segments, want %d", re.Len(), db.Len())
 	}
 }
+
+// TestPageFormatStatsCountsEveryQEdge holds PageFormatStats's B+-tree
+// page classifier to the tree it walks: for the PMR quadtree (with and
+// without a rectangle per q-edge) and the grid, at both compression
+// levels, its leaf entries are the index's q-edges.
+func TestPageFormatStatsCountsEveryQEdge(t *testing.T) {
+	segs := bulkSample(t, 3000)
+	for _, kind := range []Kind{PMRQuadtree, UniformGrid} {
+		for _, storeMBR := range []bool{false, true} {
+			for _, level := range []int{0, 1} {
+				db, err := Open(kind, WithPMRStoreMBR(storeMBR), WithPageCompression(level))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Load(&MapData{Segments: segs}); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := db.PageFormatStats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := db.index.(interface{ QEdges() int }).QEdges(); stats.LeafEntries != want {
+					t.Errorf("%v StoreMBR=%v level %d: %d leaf entries, index holds %d q-edges",
+						kind, storeMBR, level, stats.LeafEntries, want)
+				}
+			}
+		}
+	}
+}

@@ -75,6 +75,9 @@ func (g *Grid) Table() *seg.Table { return g.table }
 // DiskStats returns the disk activity of the grid's pages.
 func (g *Grid) DiskStats() store.Stats { return g.bt.Pool().Stats() }
 
+// Pool returns the buffer pool over the index's own pages.
+func (g *Grid) Pool() *store.Pool { return g.bt.Pool() }
+
 // SizeBytes returns the storage footprint.
 func (g *Grid) SizeBytes() int64 { return g.bt.Pool().Disk().SizeBytes() }
 

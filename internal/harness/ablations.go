@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"segdb/internal/kinds"
 	"segdb/internal/pmr"
 	"segdb/internal/tiger"
 )
@@ -23,26 +24,22 @@ import (
 //
 // The "build cpu" columns are BuildTimed medians with their spread.
 func Ablations(w io.Writer, m *tiger.Map, queries int) error {
-	opts := DefaultOptions()
+	cfg := kinds.DefaultConfig()
 
 	fmt.Fprintf(w, "Ablation 1: PMR splitting threshold sweep (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-10s | %10s %12s %14s %14s\n", "threshold", "size KB", "avg bucket", "nearest dacc", "nearest segc")
-	pmrIxBase, _, err := Build(PMR, m, opts)
+	pmrIx, _, err := Build(kinds.PMR, m, cfg)
 	if err != nil {
 		return err
 	}
-	pmrIx, err := asPMR(pmrIxBase)
-	if err != nil {
-		return err
-	}
-	wl, err := NewWorkload(m, pmrIx, queries, m.Spec.Seed+888)
+	wl, err := NewWorkload(m, pmrIx.(*pmr.Tree), queries, m.Spec.Seed+888)
 	if err != nil {
 		return err
 	}
 	for _, th := range []int{2, 4, 8, 16, 32, 64} {
-		o := opts
-		o.PMRThreshold = th
-		ix, br, err := Build(PMR, m, o)
+		c := cfg
+		c.PMRThreshold = th
+		ix, br, err := Build(kinds.PMR, m, c)
 		if err != nil {
 			return err
 		}
@@ -58,9 +55,9 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 	fmt.Fprintf(w, "\nAblation 2: R*-tree forced reinsertion (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-12s | %10s %16s %12s %14s\n", "reinsertion", "size KB", "build cpu", "build dacc", "nearest dacc")
 	for _, disable := range []bool{false, true} {
-		o := opts
-		o.DisableReinsert = disable
-		ix, br, err := BuildTimed(RStar, m, o)
+		c := cfg
+		c.DisableReinsert = disable
+		ix, br, err := BuildTimed(kinds.RStar, m, c)
 		if err != nil {
 			return err
 		}
@@ -78,8 +75,8 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 
 	fmt.Fprintf(w, "\nAblation 3: hybrid R+-tree vs pure k-d-B-tree (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-10s | %10s %16s %14s %14s\n", "variant", "size KB", "build cpu", "point1 segc", "point1 dacc")
-	for _, s := range []Structure{RPlus, KDB} {
-		ix, br, err := BuildTimed(s, m, opts)
+	for _, k := range []kinds.Kind{kinds.RPlus, kinds.KDB} {
+		ix, br, err := BuildTimed(k, m, cfg)
 		if err != nil {
 			return err
 		}
@@ -87,16 +84,16 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10v | %10d %16s %14.2f %14.2f\n",
-			s, br.SizeBytes/1024, br.CPUCell(), res[Point1].Seg, res[Point1].Disk)
+		fmt.Fprintf(w, "%-10s | %10d %16s %14.2f %14.2f\n",
+			k.Label(), br.SizeBytes/1024, br.CPUCell(), res[Point1].Seg, res[Point1].Disk)
 	}
 
 	fmt.Fprintf(w, "\nAblation 4: PMR with per-q-edge bounding rectangles (§6 3-tuples) (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-10s | %10s %14s %14s %14s\n", "variant", "size KB", "point1 segc", "range segc", "range dacc")
 	for _, storeMBR := range []bool{false, true} {
-		o := opts
-		o.PMRStoreMBR = storeMBR
-		ix, br, err := Build(PMR, m, o)
+		c := cfg
+		c.PMRStoreMBR = storeMBR
+		ix, br, err := Build(kinds.PMR, m, c)
 		if err != nil {
 			return err
 		}
@@ -114,8 +111,8 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 
 	fmt.Fprintf(w, "\nAblation 5: uniform grid vs PMR quadtree (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-10s | %10s %14s %14s\n", "structure", "size KB", "point1 dacc", "nearest segc")
-	for _, s := range []Structure{UniformGrid, PMR} {
-		ix, br, err := Build(s, m, opts)
+	for _, k := range []kinds.Kind{kinds.UniformGrid, kinds.PMR} {
+		ix, br, err := Build(k, m, cfg)
 		if err != nil {
 			return err
 		}
@@ -123,13 +120,13 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10v | %10d %14.2f %14.2f\n",
-			s, br.SizeBytes/1024, res[Point1].Disk, res[Nearest2Stage].Seg)
+		fmt.Fprintf(w, "%-10s | %10d %14.2f %14.2f\n",
+			k.Label(), br.SizeBytes/1024, res[Point1].Disk, res[Nearest2Stage].Seg)
 	}
 	fmt.Fprintf(w, "\nAblation 6: classic R-tree vs R*-tree (%s)\n", m.Spec.Name)
 	fmt.Fprintf(w, "%-10s | %10s %16s %14s %14s\n", "variant", "size KB", "build cpu", "range dacc", "range bbox")
-	for _, s := range []Structure{RTree, RStar} {
-		ix, br, err := BuildTimed(s, m, opts)
+	for _, k := range []kinds.Kind{kinds.RTree, kinds.RStar} {
+		ix, br, err := BuildTimed(k, m, cfg)
 		if err != nil {
 			return err
 		}
@@ -137,16 +134,8 @@ func Ablations(w io.Writer, m *tiger.Map, queries int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10v | %10d %16s %14.2f %14.2f\n",
-			s, br.SizeBytes/1024, br.CPUCell(), res[Range].Disk, res[Range].Node)
+		fmt.Fprintf(w, "%-10s | %10d %16s %14.2f %14.2f\n",
+			k.Label(), br.SizeBytes/1024, br.CPUCell(), res[Range].Disk, res[Range].Node)
 	}
 	return nil
-}
-
-func asPMR(ix interface{ Name() string }) (*pmr.Tree, error) {
-	t, ok := ix.(*pmr.Tree)
-	if !ok {
-		return nil, fmt.Errorf("harness: %s is not a PMR quadtree", ix.Name())
-	}
-	return t, nil
 }

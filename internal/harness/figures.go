@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"segdb/internal/kinds"
 	"segdb/internal/tiger"
 )
 
@@ -43,10 +44,10 @@ type FigureData struct {
 
 // Figures runs the full §6 query study — every map, structure and query
 // kind — and reduces it to the normalized ranges plotted in Figures 7-9.
-func Figures(maps []*tiger.Map, queries int, opts Options) (*FigureData, error) {
-	perMap := make([]map[Structure][NumQueryKinds]AvgMetrics, len(maps))
+func Figures(maps []*tiger.Map, queries int, cfg kinds.Config) (*FigureData, error) {
+	perMap := make([]map[kinds.Kind][NumQueryKinds]AvgMetrics, len(maps))
 	for i, m := range maps {
-		res, err := StudyMap(m, queries, opts)
+		res, err := StudyMap(m, queries, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -56,12 +57,12 @@ func Figures(maps []*tiger.Map, queries int, opts Options) (*FigureData, error) 
 	for k := QueryKind(0); k < NumQueryKinds; k++ {
 		var bbox, pmrNode, diskRP, diskRS, segRP, segRS []float64
 		for _, res := range perMap {
-			bbox = append(bbox, ratio(res[RPlus][k].Node, res[RStar][k].Node))
-			pmrNode = append(pmrNode, ratio(res[PMR][k].Node, res[RStar][k].Node))
-			diskRP = append(diskRP, ratio(res[RPlus][k].Disk, res[PMR][k].Disk))
-			diskRS = append(diskRS, ratio(res[RStar][k].Disk, res[PMR][k].Disk))
-			segRP = append(segRP, ratio(res[RPlus][k].Seg, res[PMR][k].Seg))
-			segRS = append(segRS, ratio(res[RStar][k].Seg, res[PMR][k].Seg))
+			bbox = append(bbox, ratio(res[kinds.RPlus][k].Node, res[kinds.RStar][k].Node))
+			pmrNode = append(pmrNode, ratio(res[kinds.PMR][k].Node, res[kinds.RStar][k].Node))
+			diskRP = append(diskRP, ratio(res[kinds.RPlus][k].Disk, res[kinds.PMR][k].Disk))
+			diskRS = append(diskRS, ratio(res[kinds.RStar][k].Disk, res[kinds.PMR][k].Disk))
+			segRP = append(segRP, ratio(res[kinds.RPlus][k].Seg, res[kinds.PMR][k].Seg))
+			segRS = append(segRS, ratio(res[kinds.RStar][k].Seg, res[kinds.PMR][k].Seg))
 		}
 		fd.BBoxRPlusVsRStar[k] = rangeOf(bbox)
 		fd.PMRNodeVsRStar[k] = rangeOf(pmrNode)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"segdb/internal/kinds"
 	"segdb/internal/pmr"
 	"segdb/internal/tiger"
 )
@@ -32,10 +33,13 @@ func smallMaps(t *testing.T) []*tiger.Map {
 	return out
 }
 
+// allKinds lists the six kinds in the order the golden file prints them.
+var allKinds = []kinds.Kind{kinds.RStar, kinds.RPlus, kinds.PMR, kinds.KDB, kinds.UniformGrid, kinds.RTree}
+
 func TestBuildAllStructures(t *testing.T) {
 	m := smallMaps(t)[0]
-	for _, s := range []Structure{RStar, RPlus, PMR, KDB, UniformGrid, RTree} {
-		ix, br, err := Build(s, m, DefaultOptions())
+	for _, s := range allKinds {
+		ix, br, err := Build(s, m, kinds.DefaultConfig())
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -52,8 +56,8 @@ func TestBuildStatsShapeMatchesPaper(t *testing.T) {
 	// Storage: R* most compact; R+ and PMR carry a duplication premium
 	// (Table 1: R+ 26-43% and PMR 13-43% larger than R*).
 	m := smallMaps(t)[1]
-	opts := DefaultOptions()
-	res := map[Structure]BuildResult{}
+	opts := kinds.DefaultConfig()
+	res := map[kinds.Kind]BuildResult{}
 	for _, s := range Core() {
 		_, br, err := Build(s, m, opts)
 		if err != nil {
@@ -61,27 +65,27 @@ func TestBuildStatsShapeMatchesPaper(t *testing.T) {
 		}
 		res[s] = br
 	}
-	if res[RPlus].SizeBytes <= res[RStar].SizeBytes {
-		t.Errorf("R+ size %d should exceed R* size %d", res[RPlus].SizeBytes, res[RStar].SizeBytes)
+	if res[kinds.RPlus].SizeBytes <= res[kinds.RStar].SizeBytes {
+		t.Errorf("R+ size %d should exceed R* size %d", res[kinds.RPlus].SizeBytes, res[kinds.RStar].SizeBytes)
 	}
 	// The PMR premium over R* depends on the q-edge duplication factor of
 	// the data (see EXPERIMENTS.md); what must hold structurally is that
 	// its 8-byte entries keep it well under the R+-tree.
-	if res[PMR].SizeBytes >= res[RPlus].SizeBytes {
-		t.Errorf("PMR size %d should be below R+ size %d", res[PMR].SizeBytes, res[RPlus].SizeBytes)
+	if res[kinds.PMR].SizeBytes >= res[kinds.RPlus].SizeBytes {
+		t.Errorf("PMR size %d should be below R+ size %d", res[kinds.PMR].SizeBytes, res[kinds.RPlus].SizeBytes)
 	}
 	// Build cost: R* dearest by a wide margin (overlap-minimizing
 	// ChooseSubtree and forced reinsertion). Asserted on the build's
 	// bounding box computations, which repeat exactly; the wall-clock
 	// ratio is a number `experiments table1` reports, not a test.
-	if res[RStar].BBoxComps < 3*res[RPlus].BBoxComps {
-		t.Errorf("R* build (%d bbox computations) should cost over 3x the R+ build (%d)", res[RStar].BBoxComps, res[RPlus].BBoxComps)
+	if res[kinds.RStar].BBoxComps < 3*res[kinds.RPlus].BBoxComps {
+		t.Errorf("R* build (%d bbox computations) should cost over 3x the R+ build (%d)", res[kinds.RStar].BBoxComps, res[kinds.RPlus].BBoxComps)
 	}
 }
 
 func TestWorkloadDeterministic(t *testing.T) {
 	m := smallMaps(t)[0]
-	ix, _, err := Build(PMR, m, DefaultOptions())
+	ix, _, err := Build(kinds.PMR, m, kinds.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 
 func TestRunQueriesProducesSaneMetrics(t *testing.T) {
 	m := smallMaps(t)[1]
-	res, err := StudyMap(m, 30, DefaultOptions())
+	res, err := StudyMap(m, 30, kinds.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,22 +136,22 @@ func TestRunQueriesProducesSaneMetrics(t *testing.T) {
 	// linear quadtree is a single bucket computation (Table 2 shows 1.00
 	// vs ~105-150), and the gap stays wide for the other queries.
 	for _, k := range []QueryKind{Point1, Point2} {
-		if res[PMR][k].Node > 2 {
-			t.Errorf("%v: PMR point location should cost ~1 bucket comp, got %.2f", k, res[PMR][k].Node)
+		if res[kinds.PMR][k].Node > 2 {
+			t.Errorf("%v: PMR point location should cost ~1 bucket comp, got %.2f", k, res[kinds.PMR][k].Node)
 		}
-		if res[RStar][k].Node < 10*res[PMR][k].Node {
+		if res[kinds.RStar][k].Node < 10*res[kinds.PMR][k].Node {
 			t.Errorf("%v: R* bbox comps %.1f should dwarf PMR bucket comps %.1f",
-				k, res[RStar][k].Node, res[PMR][k].Node)
+				k, res[kinds.RStar][k].Node, res[kinds.PMR][k].Node)
 		}
 	}
 	for k := QueryKind(0); k < NumQueryKinds; k++ {
-		if res[RStar][k].Node < 2*res[PMR][k].Node {
+		if res[kinds.RStar][k].Node < 2*res[kinds.PMR][k].Node {
 			t.Errorf("%v: R* bbox comps %.1f should exceed PMR bucket comps %.1f",
-				k, res[RStar][k].Node, res[PMR][k].Node)
+				k, res[kinds.RStar][k].Node, res[kinds.PMR][k].Node)
 		}
 	}
 	// The polygon queries are far costlier than the point queries.
-	if res[PMR][Polygon2Stage].Disk < 2*res[PMR][Point1].Disk {
+	if res[kinds.PMR][Polygon2Stage].Disk < 2*res[kinds.PMR][Point1].Disk {
 		t.Errorf("polygon query should cost much more than a point query")
 	}
 }
@@ -155,7 +159,7 @@ func TestRunQueriesProducesSaneMetrics(t *testing.T) {
 func TestTable1AndFigure6Print(t *testing.T) {
 	maps := smallMaps(t)[:2]
 	var buf bytes.Buffer
-	if err := Table1(&buf, maps, DefaultOptions()); err != nil {
+	if err := Table1(&buf, maps, kinds.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -177,8 +181,8 @@ func TestFigure6Monotonicity(t *testing.T) {
 	// The paper's Figure 6 claims: disk accesses decrease as the page
 	// size and the buffer pool grow, for both structures.
 	m := smallMaps(t)[1]
-	get := func(s Structure, page, pool int) uint64 {
-		opts := DefaultOptions()
+	get := func(s kinds.Kind, page, pool int) uint64 {
+		opts := kinds.DefaultConfig()
 		opts.PageSize = page
 		opts.PoolPages = pool
 		_, br, err := Build(s, m, opts)
@@ -187,7 +191,7 @@ func TestFigure6Monotonicity(t *testing.T) {
 		}
 		return br.DiskAccesses
 	}
-	for _, s := range []Structure{RPlus, PMR} {
+	for _, s := range []kinds.Kind{kinds.RPlus, kinds.PMR} {
 		smallPool := get(s, 1024, 4)
 		bigPool := get(s, 1024, 64)
 		if bigPool >= smallPool {
@@ -204,13 +208,13 @@ func TestFigure6Monotonicity(t *testing.T) {
 func TestTable2AndFiguresPrint(t *testing.T) {
 	m := smallMaps(t)[2]
 	var buf bytes.Buffer
-	if err := Table2(&buf, m, 20, DefaultOptions()); err != nil {
+	if err := Table2(&buf, m, 20, kinds.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "disk accesses") {
 		t.Error("Table2 output malformed")
 	}
-	fd, err := Figures(smallMaps(t), 15, DefaultOptions())
+	fd, err := Figures(smallMaps(t), 15, kinds.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +256,5 @@ func TestQueryKindStrings(t *testing.T) {
 			t.Errorf("bad or duplicate name %q", s)
 		}
 		seen[s] = true
-	}
-	for _, s := range []Structure{RStar, RPlus, PMR, KDB, UniformGrid, RTree} {
-		if s.String() == "" || strings.HasPrefix(s.String(), "Structure(") {
-			t.Errorf("bad structure name for %d", int(s))
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"segdb/internal/kinds"
 	"segdb/internal/pmr"
 	"segdb/internal/tiger"
 )
@@ -12,7 +13,7 @@ import (
 // accesses and build CPU time for every map and structure, followed by the
 // ratio summary of §6 (storage premiums over the R*-tree and build-time
 // ratios against the R+-tree).
-func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
+func Table1(w io.Writer, maps []*tiger.Map, cfg kinds.Config) error {
 	fmt.Fprintf(w, "Table 1: Data structure building statistics\n")
 	fmt.Fprintf(w, "(cpu: seconds, median [min-max] of %d builds)\n", TimedBuilds)
 	fmt.Fprintf(w, "%-14s %6s | %8s %8s %8s | %8s %8s %8s | %16s %16s %16s\n",
@@ -21,23 +22,23 @@ func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
 		"R* dacc", "R+ dacc", "PMR dacc",
 		"R* cpu", "R+ cpu", "PMR cpu")
 
-	type row struct{ res map[Structure]BuildResult }
+	type row struct{ res map[kinds.Kind]BuildResult }
 	var rows []row
 	for _, m := range maps {
-		r := row{res: make(map[Structure]BuildResult)}
-		for _, s := range Core() {
-			_, br, err := BuildTimed(s, m, opts)
+		r := row{res: make(map[kinds.Kind]BuildResult)}
+		for _, k := range Core() {
+			_, br, err := BuildTimed(k, m, cfg)
 			if err != nil {
 				return err
 			}
-			r.res[s] = br
+			r.res[k] = br
 		}
 		rows = append(rows, r)
 		fmt.Fprintf(w, "%-14s %6d | %8d %8d %8d | %8d %8d %8d | %16s %16s %16s\n",
 			m.Spec.Name, len(m.Segments),
-			r.res[RStar].SizeBytes/1024, r.res[RPlus].SizeBytes/1024, r.res[PMR].SizeBytes/1024,
-			r.res[RStar].DiskAccesses, r.res[RPlus].DiskAccesses, r.res[PMR].DiskAccesses,
-			r.res[RStar].CPUCell(), r.res[RPlus].CPUCell(), r.res[PMR].CPUCell())
+			r.res[kinds.RStar].SizeBytes/1024, r.res[kinds.RPlus].SizeBytes/1024, r.res[kinds.PMR].SizeBytes/1024,
+			r.res[kinds.RStar].DiskAccesses, r.res[kinds.RPlus].DiskAccesses, r.res[kinds.PMR].DiskAccesses,
+			r.res[kinds.RStar].CPUCell(), r.res[kinds.RPlus].CPUCell(), r.res[kinds.PMR].CPUCell())
 	}
 
 	fmt.Fprintf(w, "\nRatios (paper: PMR 13-43%% and R+ 26-43%% more storage than R*;\n")
@@ -48,13 +49,13 @@ func Table1(w io.Writer, maps []*tiger.Map, opts Options) error {
 		r := rows[i]
 		fmt.Fprintf(w, "%-14s | %10.2f%% %10.2f%% | %11.2f %11.2f | %9.1f %9.1f | %10.2f\n",
 			m.Spec.Name,
-			100*(ratio(float64(r.res[PMR].SizeBytes), float64(r.res[RStar].SizeBytes))-1),
-			100*(ratio(float64(r.res[RPlus].SizeBytes), float64(r.res[RStar].SizeBytes))-1),
-			ratio(r.res[PMR].CPU.Seconds(), r.res[RPlus].CPU.Seconds()),
-			ratio(r.res[RStar].CPU.Seconds(), r.res[RPlus].CPU.Seconds()),
-			r.res[RStar].AvgLeafOccupancy,
-			r.res[RPlus].AvgLeafOccupancy,
-			ratio(float64(r.res[RStar].BBoxComps), float64(r.res[RPlus].BBoxComps)))
+			100*(ratio(float64(r.res[kinds.PMR].SizeBytes), float64(r.res[kinds.RStar].SizeBytes))-1),
+			100*(ratio(float64(r.res[kinds.RPlus].SizeBytes), float64(r.res[kinds.RStar].SizeBytes))-1),
+			ratio(r.res[kinds.PMR].CPU.Seconds(), r.res[kinds.RPlus].CPU.Seconds()),
+			ratio(r.res[kinds.RStar].CPU.Seconds(), r.res[kinds.RPlus].CPU.Seconds()),
+			r.res[kinds.RStar].AvgLeafOccupancy,
+			r.res[kinds.RPlus].AvgLeafOccupancy,
+			ratio(float64(r.res[kinds.RStar].BBoxComps), float64(r.res[kinds.RPlus].BBoxComps)))
 	}
 	return nil
 }
@@ -68,14 +69,14 @@ func Figure6(w io.Writer, m *tiger.Map, pageSizes, poolSizes []int) error {
 	fmt.Fprintf(w, "%-10s %-10s | %12s %12s\n", "page size", "buffers", "R+", "PMR")
 	for _, ps := range pageSizes {
 		for _, bs := range poolSizes {
-			opts := DefaultOptions()
-			opts.PageSize = ps
-			opts.PoolPages = bs
-			_, rp, err := Build(RPlus, m, opts)
+			cfg := kinds.DefaultConfig()
+			cfg.PageSize = ps
+			cfg.PoolPages = bs
+			_, rp, err := Build(kinds.RPlus, m, cfg)
 			if err != nil {
 				return err
 			}
-			_, pm, err := Build(PMR, m, opts)
+			_, pm, err := Build(kinds.PMR, m, cfg)
 			if err != nil {
 				return err
 			}
@@ -88,8 +89,8 @@ func Figure6(w io.Writer, m *tiger.Map, pageSizes, poolSizes []int) error {
 // Table2 reproduces the paper's Table 2 for one county (Charles in the
 // paper): per-query average disk accesses, segment comparisons, and
 // bounding box / bucket computations for the three structures.
-func Table2(w io.Writer, m *tiger.Map, queries int, opts Options) error {
-	results, err := StudyMap(m, queries, opts)
+func Table2(w io.Writer, m *tiger.Map, queries int, cfg kinds.Config) error {
+	results, err := StudyMap(m, queries, cfg)
 	if err != nil {
 		return err
 	}
@@ -98,22 +99,22 @@ func Table2(w io.Writer, m *tiger.Map, queries int, opts Options) error {
 	fmt.Fprintf(w, "%-17s %-18s | %10s %10s %10s\n", "query", "metric", "PMR", "R+", "R*")
 	for k := QueryKind(0); k < NumQueryKinds; k++ {
 		fmt.Fprintf(w, "%-17s %-18s | %10.2f %10.2f %10.2f\n", k, "disk accesses",
-			results[PMR][k].Disk, results[RPlus][k].Disk, results[RStar][k].Disk)
+			results[kinds.PMR][k].Disk, results[kinds.RPlus][k].Disk, results[kinds.RStar][k].Disk)
 		fmt.Fprintf(w, "%-17s %-18s | %10.2f %10.2f %10.2f\n", "", "segment comps",
-			results[PMR][k].Seg, results[RPlus][k].Seg, results[RStar][k].Seg)
+			results[kinds.PMR][k].Seg, results[kinds.RPlus][k].Seg, results[kinds.RStar][k].Seg)
 		fmt.Fprintf(w, "%-17s %-18s | %10.2f %10.2f %10.2f\n", "", "bbox/bucket comps",
-			results[PMR][k].Node, results[RPlus][k].Node, results[RStar][k].Node)
+			results[kinds.PMR][k].Node, results[kinds.RPlus][k].Node, results[kinds.RStar][k].Node)
 	}
 	return nil
 }
 
 // StudyMap builds the three structures over one map and runs the shared
 // workload against each, returning per-structure per-query averages.
-func StudyMap(m *tiger.Map, queries int, opts Options) (map[Structure][NumQueryKinds]AvgMetrics, error) {
-	out := make(map[Structure][NumQueryKinds]AvgMetrics)
+func StudyMap(m *tiger.Map, queries int, cfg kinds.Config) (map[kinds.Kind][NumQueryKinds]AvgMetrics, error) {
+	out := make(map[kinds.Kind][NumQueryKinds]AvgMetrics)
 	// Build the PMR first: its blocks drive the two-stage point generator
 	// used for every structure, exactly as in §6.
-	pmrIx, _, err := Build(PMR, m, opts)
+	pmrIx, _, err := Build(kinds.PMR, m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -125,9 +126,9 @@ func StudyMap(m *tiger.Map, queries int, opts Options) (map[Structure][NumQueryK
 	if err != nil {
 		return nil, err
 	}
-	out[PMR] = res
-	for _, s := range []Structure{RPlus, RStar} {
-		ix, _, err := Build(s, m, opts)
+	out[kinds.PMR] = res
+	for _, k := range []kinds.Kind{kinds.RPlus, kinds.RStar} {
+		ix, _, err := Build(k, m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +136,7 @@ func StudyMap(m *tiger.Map, queries int, opts Options) (map[Structure][NumQueryK
 		if err != nil {
 			return nil, err
 		}
-		out[s] = res
+		out[k] = res
 	}
 	return out, nil
 }

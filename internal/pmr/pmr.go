@@ -162,6 +162,9 @@ func (t *Tree) Table() *seg.Table { return t.table }
 // DiskStats returns the disk activity of the B-tree pages.
 func (t *Tree) DiskStats() store.Stats { return t.bt.Pool().Stats() }
 
+// Pool returns the buffer pool over the index's own pages.
+func (t *Tree) Pool() *store.Pool { return t.bt.Pool() }
+
 // SizeBytes returns the storage footprint of the B-tree pages.
 func (t *Tree) SizeBytes() int64 { return t.bt.Pool().Disk().SizeBytes() }
 

@@ -282,7 +282,7 @@ func TestThresholdTradeoff(t *testing.T) {
 	}
 	// Occupied blocks hold on average about half the threshold (§7) —
 	// loosely: the average must rise substantially with the threshold.
-	occ, _ := t64.AvgBlockOccupancy()
+	occ, _ := t64.AvgLeafOccupancy()
 	if occ < 4 {
 		t.Errorf("avg occupancy at threshold 64 = %.1f, expected well above 4", occ)
 	}

@@ -91,9 +91,9 @@ func (t *Tree) Validate(o *obs.Op) error {
 	return nil
 }
 
-// AvgBlockOccupancy returns the mean number of q-edges per occupied block
+// AvgLeafOccupancy returns the mean number of q-edges per occupied block
 // (§7 observes this is about half the splitting threshold).
-func (t *Tree) AvgBlockOccupancy() (float64, error) {
+func (t *Tree) AvgLeafOccupancy() (float64, error) {
 	blocks, err := t.LeafBlocks()
 	if err != nil {
 		return 0, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"segdb/internal/kinds"
 	"segdb/internal/store"
 )
 
@@ -159,6 +160,18 @@ func resolveOptions(opts []Option) Options {
 		o.CompactThreshold = 4096
 	}
 	return o
+}
+
+// config is what index construction reads of the options: Open, the
+// bulk rebuild, Load and crash recovery all build through it.
+func (o Options) config() kinds.Config {
+	return kinds.Config{
+		PageSize:        o.PageSize,
+		PoolPages:       o.PoolPages,
+		PMRThreshold:    o.PMRThreshold,
+		PMRStoreMBR:     o.PMRStoreMBR,
+		PageCompression: o.PageCompression,
+	}
 }
 
 // Bounds on the page and pool sizes an image header may carry, and so on

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"segdb/internal/grid"
+	"segdb/internal/kinds"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -129,7 +130,7 @@ func Load(r io.Reader) (*DB, error) {
 	if header[6] > maxMetaWords {
 		return nil, fmt.Errorf("segdb: implausible index metadata length %d", header[6])
 	}
-	if _, err := implOf(kind); err != nil {
+	if err := kinds.Check(kind); err != nil {
 		return nil, err
 	}
 	meta := make([]uint64, header[6])
@@ -165,7 +166,7 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("segdb: index image page size %d, header says %d", disk.PageSize(), opts.PageSize)
 	}
 	pool := store.NewPool(disk, opts.PoolPages)
-	ix, err := restoreIndex(kind, opts, pool, table, meta)
+	ix, err := kinds.Restore(kind, opts.config(), pool, table, meta)
 	if err != nil {
 		return nil, err
 	}

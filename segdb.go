@@ -37,6 +37,7 @@ import (
 
 	"segdb/internal/core"
 	"segdb/internal/geom"
+	"segdb/internal/kinds"
 	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/staging"
@@ -95,48 +96,29 @@ func RectOf(x1, y1, x2, y2 int32) Rect { return geom.RectOf(x1, y1, x2, y2) }
 func World() Rect { return geom.World() }
 
 // Kind selects the spatial index backing a DB.
-type Kind int
+type Kind = kinds.Kind
 
 // The six index kinds.
 const (
 	// RStarTree is the R*-tree of Beckmann et al. (minimum bounding
 	// rectangles, forced reinsertion; the most compact structure).
-	RStarTree Kind = iota
+	RStarTree = kinds.RStar
 	// RPlusTree is the paper's hybrid R+-tree: disjoint k-d-B style space
 	// partition with segment MBRs in the leaves.
-	RPlusTree
+	RPlusTree = kinds.RPlus
 	// PMRQuadtree is the PMR quadtree stored as a linear quadtree in a
 	// disk B+-tree (splitting threshold 4, max depth 14 by default).
-	PMRQuadtree
+	PMRQuadtree = kinds.PMR
 	// KDBTree is the pure k-d-B-tree variant of the hybrid (no leaf
 	// MBRs); an ablation of RPlusTree.
-	KDBTree
+	KDBTree = kinds.KDB
 	// UniformGrid is the fixed-resolution grid of the paper's §2.
-	UniformGrid
+	UniformGrid = kinds.UniformGrid
 	// ClassicRTree is the original R-tree of Guttman (least-enlargement
 	// insertion, quadratic split, no forced reinsertion) — the baseline
 	// the R*-tree improves on.
-	ClassicRTree
+	ClassicRTree = kinds.RTree
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case RStarTree:
-		return "R*-tree"
-	case RPlusTree:
-		return "R+-tree"
-	case PMRQuadtree:
-		return "PMR quadtree"
-	case KDBTree:
-		return "k-d-B-tree"
-	case UniformGrid:
-		return "uniform grid"
-	case ClassicRTree:
-		return "R-tree"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Options tunes the simulated disk and the index parameters. The zero
 // value of any field selects the paper's default.
@@ -220,7 +202,7 @@ type DB struct {
 	opts  Options
 	table *seg.Table
 	pool  *store.Pool
-	index persistable
+	index kinds.Index
 
 	trc      atomic.Pointer[tracerBox]      // installed tracer; queries read lock-free
 	degraded atomic.Bool                    // live degraded-reads flag; queries read lock-free
@@ -291,7 +273,7 @@ var dbSeq atomic.Uint64
 // o's runtime options. Callers build the index before it and run WAL
 // set-up after it, so injected faults miss the former and are live
 // during the latter.
-func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix persistable) *DB {
+func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix kinds.Index) *DB {
 	db := &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
 	db.attachRuntime(o)
 	return db
@@ -319,13 +301,9 @@ func Open(kind Kind, opts ...Option) (*DB, error) {
 	if err := checkOptions(o); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 	}
-	impl, err := implOf(kind)
-	if err != nil {
-		return nil, err
-	}
 	table := seg.NewTable(o.PageSize, o.PoolPages)
 	pool := store.NewPool(store.NewDisk(o.PageSize), o.PoolPages)
-	ix, err := impl.new(o, kind, pool, table)
+	ix, err := kinds.New(kind, o.config(), pool, table)
 	if err != nil {
 		return nil, err
 	}
