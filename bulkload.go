@@ -50,12 +50,13 @@ func (db *DB) batchLocked(segs []Segment) ([]SegmentID, error) {
 }
 
 // appendBatch appends the checked batch to the segment table, returning
-// the new ids in input order.
+// the new ids in input order. On failure it kills what it appended.
 func (db *DB) appendBatch(segs []Segment) ([]SegmentID, error) {
 	ids := make([]SegmentID, 0, len(segs))
 	for _, s := range segs {
 		id, err := db.table.Append(s)
 		if err != nil {
+			db.killAll(ids)
 			return nil, err
 		}
 		ids = append(ids, id)
@@ -63,24 +64,25 @@ func (db *DB) appendBatch(segs []Segment) ([]SegmentID, error) {
 	return ids, nil
 }
 
-func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
-	merge := db.table.Len() != 0
-	var all []seg.ID
-	if merge {
-		// Bulk merge: the survivors of the current index (live segments
-		// only — deleted table slots stay dead) plus the batch.
-		existing, err := db.collectLiveIDs(db.index, &db.wop)
-		if err != nil {
-			return nil, err
-		}
-		all = existing
+// killAll kills the slots of a batch that failed: a write that returns
+// no ids leaves none of them live.
+func (db *DB) killAll(ids []SegmentID) {
+	for _, id := range ids {
+		db.table.Kill(id)
 	}
+}
+
+func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
+	// Bulk merge: the table's live slots plus the batch, whose ids are
+	// allocated past every existing one.
+	merge := db.table.Len() != 0
+	live := db.table.AppendLive(nil)
 	ids, err := db.appendBatch(segs)
 	if err != nil {
 		return nil, err
 	}
-	all = append(all, ids...) // batch ids are allocated past every existing id
-	if err := db.rebuildBulk(all); err != nil {
+	if err := db.rebuildBulk(append(live, ids...)); err != nil {
+		db.killAll(ids)
 		return nil, err
 	}
 	if merge {
@@ -106,15 +108,16 @@ func (db *DB) addBatchLocked(segs []Segment) ([]SegmentID, error) {
 // concurrent readers never block.
 func (db *DB) addBatchStagedLocked(segs []Segment) ([]SegmentID, error) {
 	ids, err := db.appendBatch(segs)
-	if err == nil {
-		ops := make([]store.WALStagedOp, len(ids))
-		for i, id := range ids {
-			ops[i] = addOp(id, segs[i])
-		}
-		err = db.logLocked(ops...)
-	}
 	if err != nil {
 		return nil, db.failLocked(err)
+	}
+	ops := make([]store.WALStagedOp, len(ids))
+	for i, id := range ids {
+		ops[i] = addOp(id, segs[i])
+	}
+	if err := db.logLocked(ops...); err != nil {
+		db.killAll(ids)
+		return nil, err
 	}
 	for i, id := range ids {
 		db.mem.Add(id, segs[i])

@@ -282,11 +282,11 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 	db.walfs = wfs
 	db.walEpoch = st.lastEpoch
 	db.walSeq = st.seq
-	if o.StagedIngest && len(st.ops) > 0 {
-		// The log's ops are the previous run's staging tier; their adds are
-		// back in the table. Fold them into the index by rebuilding it over
-		// the final live set ("recovery replays the memtable").
-		if err := db.foldStagedRecovery(st.ops); err != nil {
+	if o.StagedIngest && st.ops > 0 {
+		// The log's ops are the previous run's staging tier, replayed into
+		// the table. Fold them into the index by rebuilding it over the
+		// table's live slots ("recovery replays the memtable").
+		if err := db.rebuildBulk(db.table.AppendLive(nil)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -294,47 +294,17 @@ func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	if o.StagedIngest {
-		if err := db.initStaged(); err != nil {
-			return nil, nil, err
-		}
+		db.initStaged()
 	}
 	db.foldWrite() // the replay's comparisons
 	return db, &RecoveryReport{
 		CheckpointEpoch: st.epoch,
 		CheckpointSeq:   st.ckptSeq,
 		Transactions:    st.txns,
-		OpsReplayed:     len(st.ops),
+		OpsReplayed:     st.ops,
 		TornTail:        st.torn,
 		Seq:             st.seq,
 	}, nil
-}
-
-// foldStagedRecovery applies replayed staged operations to the
-// recovered base index: the live set after the operations is the base's
-// live segments plus staged adds minus every delete, and the index is
-// bulk-rebuilt over it.
-func (db *DB) foldStagedRecovery(ops []store.WALStagedOp) error {
-	base, err := db.collectLiveIDs(db.index, &db.wop)
-	if err != nil {
-		return err
-	}
-	live := make(map[seg.ID]bool, len(base)+len(ops))
-	for _, id := range base {
-		live[id] = true
-	}
-	for _, op := range ops {
-		if op.Del {
-			delete(live, seg.ID(op.ID))
-		} else {
-			live[seg.ID(op.ID)] = true
-		}
-	}
-	ids := make([]seg.ID, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return db.rebuildBulk(ids)
 }
 
 // replayedState is the durable state of a WAL directory, materialized:
@@ -342,10 +312,9 @@ func (db *DB) foldStagedRecovery(ops []store.WALStagedOp) error {
 type replayedState struct {
 	db *DB
 
-	// ops is every committed op, in log order. In place they are already
-	// applied to db; staged, only their adds are (to the table), and the
-	// caller folds them into the index.
-	ops []store.WALStagedOp
+	// ops counts the committed ops. In place they are applied to db;
+	// staged, only to its table, and the caller folds them into the index.
+	ops int
 
 	epoch     uint64 // checkpoint epoch
 	ckptSeq   uint64 // checkpoint mutation count
@@ -415,7 +384,7 @@ func replayDurableState(wfs store.WALFS, staged bool) (*replayedState, error) {
 		if n := st.db.table.Len(); n != int(txn.Commit.TableCount) {
 			return nil, fmt.Errorf("segdb: replaying %s transaction %d: table holds %d segments, its commit says %d", walFileName, st.txns, n, txn.Commit.TableCount)
 		}
-		st.ops = append(st.ops, txn.Ops...)
+		st.ops += len(txn.Ops)
 		st.lastEpoch = txn.Commit.Epoch
 		st.seq = txn.Commit.Seq
 	}
@@ -423,15 +392,19 @@ func replayDurableState(wfs store.WALFS, staged bool) (*replayedState, error) {
 }
 
 // replayOp re-executes one logged op: in place through the write path's
-// own apply; staged, an add is re-appended to the table and a delete is
-// left to the caller's fold. An add must get back the ID it was logged
-// with.
+// own apply; staged, an add is re-appended to the table and a delete
+// kills its slot, leaving the index to the caller's fold. An add must
+// get back the ID it was logged with.
 func (db *DB) replayOp(op store.WALStagedOp, staged bool) error {
-	if op.Del {
+	if id := seg.ID(op.ID); op.Del {
+		if !db.table.Live(id) {
+			return seg.ErrNotIndexed
+		}
 		if staged {
+			db.table.Kill(id)
 			return nil
 		}
-		return db.index.Delete(seg.ID(op.ID), &db.wop)
+		return db.deleteLocked(id)
 	}
 	s := Seg(op.Coords[0], op.Coords[1], op.Coords[2], op.Coords[3])
 	if err := checkSegments(s); err != nil {

@@ -46,8 +46,10 @@ func JoinLiveNestedLoopObs(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.S
 // order dictates, so their page traffic is far less sequential than the
 // PMR merge join's.
 //
-// The outer table must contain exactly the segments indexed by a (no
-// deletions), which holds for freshly built maps.
+// The scan skips the table's dead slots (Table.Live), so a's index must
+// answer for every live one: true of an index the facade maintains in
+// place, not of a merged snapshot view, which JoinLiveNestedLoopObs
+// serves.
 //
 // visit is called exactly once per unordered intersecting pair (idA from
 // a, idB from b); returning false stops the join. The outer table scan
@@ -56,6 +58,9 @@ func JoinNestedLoopObs(a, b Index, visit func(idA, idB seg.ID, sA, sB geom.Segme
 	outer := a.Table()
 	for i := 0; i < outer.Len(); i++ {
 		idA := seg.ID(i)
+		if !outer.Live(idA) {
+			continue
+		}
 		sA, err := outer.GetObs(idA, o)
 		if err != nil {
 			return err

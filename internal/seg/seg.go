@@ -50,10 +50,14 @@ const recordSize = 16
 // copies its own 16, and a Cursor copies a page's visible prefix — the
 // records below the count it loaded before copying, whose bytes Append
 // wrote before its count.Add — never the slot an Append may be filling.
+// The dead-slot bitmap (Kill, Live, AppendLive), never on disk, is the
+// writer's: Kill is a write like Append, and snapshot readers, which
+// answer through their own view, never read it.
 type Table struct {
 	pool    *store.Pool
 	perPage int
 	count   atomic.Int64
+	dead    []uint64 // bit id set once Kill(id); nil until the first Kill
 	// stamp changes with every fetch that reaches the pool or that a
 	// cursor answered from its copy (once per Close): a Cursor's copy
 	// stands in for the pool only while it is unchanged. It counts
@@ -125,6 +129,32 @@ func (t *Table) Append(s geom.Segment) (ID, error) {
 	t.pool.Unpin(pid, true)
 	t.count.Add(1)
 	return id, nil
+}
+
+// Kill marks slot id dead: the writer's view no longer answers for it.
+// The slot's record stays, as the table is append-only.
+func (t *Table) Kill(id ID) {
+	w := int(id >> 6)
+	if w >= len(t.dead) {
+		t.dead = append(t.dead, make([]uint64, w+1-len(t.dead))...)
+	}
+	t.dead[w] |= 1 << (id & 63)
+}
+
+// Live reports whether id is a slot of the table that was never killed.
+func (t *Table) Live(id ID) bool {
+	w := int(id >> 6)
+	return int64(id) < t.count.Load() && (w >= len(t.dead) || t.dead[w]&(1<<(id&63)) == 0)
+}
+
+// AppendLive appends the live ids to dst in ascending order.
+func (t *Table) AppendLive(dst []ID) []ID {
+	for id := ID(0); int(id) < t.Len(); id++ {
+		if t.Live(id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // Get fetches a segment's endpoints, charging no operation.

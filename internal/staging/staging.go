@@ -157,8 +157,8 @@ func (c *cell) append(idx int32) {
 }
 
 // Delete marks the staged add for id dead as of version. It reports
-// false when id is not a live staged add (the caller then consults the
-// base tombstones). Writer-side.
+// false when id is not a live staged add (the caller then tombstones a
+// base segment). Writer-side.
 func (m *Mem) Delete(id seg.ID, version uint64) bool {
 	idx, ok := m.byID[id]
 	if !ok {
@@ -171,12 +171,6 @@ func (m *Mem) Delete(id seg.ID, version uint64) bool {
 	e.deletedAt.Store(version)
 	m.live--
 	return true
-}
-
-// Staged reports whether id is a live staged add. Writer-side.
-func (m *Mem) Staged(id seg.ID) bool {
-	idx, ok := m.byID[id]
-	return ok && m.at(idx).deletedAt.Load() == 0
 }
 
 // at returns the entry at memtable index i.
@@ -252,18 +246,4 @@ func (m *Mem) ForEachVisibleLive(visible int, version uint64, visit func(id seg.
 			visit(e.id, e.s)
 		}
 	}
-}
-
-// LiveIDs appends the ids of all live staged adds (writer-side; used by
-// compaction). The result is ascending because staged ids are allocated
-// by the append-only table.
-func (m *Mem) LiveIDs(dst []seg.ID) []seg.ID {
-	chunks := *m.chunks.Load()
-	for i := 0; i < m.n; i++ {
-		e := &chunks[i>>chunkShift].entries[i&(chunkSize-1)]
-		if e.deletedAt.Load() == 0 {
-			dst = append(dst, e.id)
-		}
-	}
-	return dst
 }

@@ -127,24 +127,6 @@ func TestMemDeleteVisibility(t *testing.T) {
 	}
 }
 
-func TestMemLiveIDsAscending(t *testing.T) {
-	m := NewMem()
-	for i := 0; i < 100; i++ {
-		m.Add(seg.ID(i), geom.Seg(int32(i), 0, int32(i), 9))
-	}
-	m.Delete(13, 1)
-	m.Delete(77, 2)
-	ids := m.LiveIDs(nil)
-	if len(ids) != 98 {
-		t.Fatalf("LiveIDs returned %d ids, want 98", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("LiveIDs not strictly ascending at %d: %d then %d", i, ids[i-1], ids[i])
-		}
-	}
-}
-
 // TestMemConcurrentReadersOneWriter runs the memtable's intended
 // concurrency pattern — one writer appending and deleting, many readers
 // scanning at fixed (visible, version) horizons — under the race

@@ -22,10 +22,8 @@ package segdb
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"segdb/internal/core"
-	"segdb/internal/obs"
 	"segdb/internal/seg"
 	"segdb/internal/staging"
 	"segdb/internal/store"
@@ -111,38 +109,13 @@ func (db *DB) pinSnapshot() *dbSnapshot {
 func (db *DB) stagedMode() bool { return db.snap.Load() != nil }
 
 // initStaged arms staged-ingest mode on a constructed database: it
-// enumerates the base index's live segments if it has any (none at
-// Open; possibly some after Recover), installs an empty memtable under
-// epoch 1, and publishes the first snapshot. Called before the DB
-// escapes, so no locking.
-func (db *DB) initStaged() error {
-	if db.index.Len() > 0 {
-		ids, err := db.collectLiveIDs(db.index, &db.wop)
-		if err != nil {
-			return err
-		}
-		db.baseIDs = ids
-	}
+// installs an empty memtable under epoch 1 and publishes the first
+// snapshot. The base index's live set is the table's already. Called
+// before the DB escapes, so no locking.
+func (db *DB) initStaged() {
 	db.mem = staging.NewMem()
 	db.curEpoch = store.NewEpoch(1)
 	db.publishLocked()
-	return nil
-}
-
-// collectLiveIDs enumerates the ids the index currently answers for —
-// its live segments, excluding deleted table slots — sorted ascending,
-// charging o.
-func (db *DB) collectLiveIDs(ix core.Index, o *obs.Op) ([]seg.ID, error) {
-	var ids []seg.ID
-	err := ix.WindowObs(World(), func(id SegmentID, _ Segment) bool {
-		ids = append(ids, id)
-		return true
-	}, o)
-	if err != nil {
-		return nil, err
-	}
-	slices.Sort(ids)
-	return ids, nil
 }
 
 // publishLocked builds the merged view of the writer's current state
@@ -161,11 +134,12 @@ func (db *DB) publishLocked() {
 // visible. The disk index is untouched — that is the whole point.
 func (db *DB) addStagedLocked(s Segment) (SegmentID, error) {
 	id, err := db.table.Append(s)
-	if err == nil {
-		err = db.logLocked(addOp(id, s))
-	}
 	if err != nil {
 		return seg.NilID, db.failLocked(err)
+	}
+	if err := db.logLocked(addOp(id, s)); err != nil {
+		db.table.Kill(id) // an Add that returns no id is not live
+		return seg.NilID, err
 	}
 	db.mem.Add(id, s)
 	db.version++
@@ -174,34 +148,21 @@ func (db *DB) addStagedLocked(s Segment) (SegmentID, error) {
 	return id, db.maybeCompactLocked()
 }
 
-// deleteStagedLocked is the staged-mode Delete body: once logged, a
-// staged segment is marked dead in the memtable, and a base segment
-// gains a tombstone in a copy-on-write sorted slice carried by the
-// snapshot.
+// deleteStagedLocked is the staged-mode Delete body for a live id:
+// once logged, a staged segment is marked dead in the memtable, and a
+// base segment gains a tombstone in a copy-on-write sorted slice
+// carried by the snapshot.
 func (db *DB) deleteStagedLocked(id SegmentID) error {
-	staged := db.mem.Staged(id)
-	j := sort.Search(len(db.tombs), func(j int) bool { return db.tombs[j] >= id })
-	if !staged {
-		i := sort.Search(len(db.baseIDs), func(i int) bool { return db.baseIDs[i] >= id })
-		if i >= len(db.baseIDs) || db.baseIDs[i] != id {
-			return seg.ErrNotIndexed
-		}
-		if j < len(db.tombs) && db.tombs[j] == id {
-			return seg.ErrNotIndexed // already tombstoned
-		}
-	}
 	if err := db.logLocked(delOp(id)); err != nil {
 		return err
 	}
+	db.table.Kill(id)
 	db.version++
-	if staged {
-		db.mem.Delete(id, db.version)
-	} else {
-		tombs := make([]seg.ID, 0, len(db.tombs)+1)
-		tombs = append(tombs, db.tombs[:j]...)
-		tombs = append(tombs, id)
-		tombs = append(tombs, db.tombs[j:]...)
-		db.tombs = tombs
+	if !db.mem.Delete(id, db.version) {
+		// A base segment: the tombstone goes into a fresh copy, since
+		// published snapshots hold the old one.
+		j, _ := slices.BinarySearch(db.tombs, id)
+		db.tombs = slices.Insert(slices.Clip(db.tombs), j, id)
 	}
 	db.stagedOps.Add(1)
 	db.publishLocked()
@@ -244,25 +205,10 @@ func (db *DB) Compact() error {
 // compactLocked rebuilds and republishes under a new epoch. Caller
 // holds the writer lock and has verified staged mode.
 func (db *DB) compactLocked() error {
-	// Survivors: base minus tombstones, then the live staged ids. Staged
-	// ids are allocated by the append-only table after every base id, so
-	// the concatenation stays sorted.
-	ids := make([]seg.ID, 0, len(db.baseIDs)+db.mem.Live())
-	ti := 0
-	for _, id := range db.baseIDs {
-		for ti < len(db.tombs) && db.tombs[ti] < id {
-			ti++
-		}
-		if ti < len(db.tombs) && db.tombs[ti] == id {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	ids = db.mem.LiveIDs(ids)
-	if err := db.rebuildBulk(ids); err != nil {
+	// Survivors: the table's live slots, base and staged alike.
+	if err := db.rebuildBulk(db.table.AppendLive(nil)); err != nil {
 		return err
 	}
-	db.baseIDs = ids
 	db.mem = staging.NewMem()
 	db.tombs = nil
 	old := db.curEpoch

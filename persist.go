@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"segdb/internal/core"
 	"segdb/internal/grid"
 	"segdb/internal/kinds"
 	"segdb/internal/seg"
@@ -32,7 +33,8 @@ const maxMetaWords = 64
 // segment table's disk image, and the index's disk image — so it can be
 // reopened later with Load. Both buffer pools are flushed first; counters
 // are not persisted (a reopened database starts cold with zeroed
-// statistics, like a fresh process over the same disk).
+// statistics, like a fresh process over the same disk, but for the one
+// traversal Load makes when the image holds deleted slots).
 func (db *DB) Save(w io.Writer) error {
 	if err := db.table.Flush(); err != nil {
 		return err
@@ -170,7 +172,44 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDB(kind, opts, table, pool, ix), nil
+	db := newDB(kind, opts, table, pool, ix)
+	if err := db.killUnindexed(meta); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// killUnindexed rebuilds the dead slots, which no image stores: none if
+// the index counts every slot; else one whole-world window, charged as a
+// write, through a pool of its own (so the database starts cold) finds
+// the slots the index answers for, and the others die.
+func (db *DB) killUnindexed(meta []uint64) error {
+	n := db.table.Len()
+	if db.index.Len() == n {
+		return nil
+	}
+	pool := store.NewPool(db.pool.Disk(), db.opts.PoolPages)
+	ix, err := kinds.Restore(db.kind, db.opts.config(), pool, db.table, meta)
+	if err != nil {
+		return err
+	}
+	seen := seg.AcquireSeen(n)
+	defer seg.ReleaseSeen(seen)
+	err = ix.WindowObs(World(), func(id SegmentID, _ Segment) bool {
+		seen.Add(id)
+		return true
+	}, &db.wop)
+	db.foldWrite()
+	db.retired = db.retired.Add(core.Devices(pool.Stats()))
+	if err != nil {
+		return err
+	}
+	for id := range seg.ID(n) {
+		if !seen.Has(id) {
+			db.table.Kill(id)
+		}
+	}
+	return db.table.DropCache()
 }
 
 func boolWord(b bool) uint32 {

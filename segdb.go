@@ -30,7 +30,6 @@ package segdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -217,7 +216,7 @@ type DB struct {
 
 	// devMu guards pool and retired against Metrics, which takes no other
 	// lock. retired sums the device counters of the index pools a bulk
-	// rebuild replaced, so Metrics never runs backwards.
+	// rebuild replaced or Load read through, so Metrics never runs backwards.
 	devMu   sync.Mutex
 	retired Metrics
 
@@ -228,7 +227,6 @@ type DB struct {
 	curEpoch *store.Epoch // current epoch (writer-side)
 	version  uint64       // mutations published so far (writer-side)
 	mem      *staging.Mem // current memtable (writer-side)
-	baseIDs  []seg.ID     // sorted live ids of the base index (writer-side)
 	tombs    []seg.ID     // sorted tombstoned base ids (copy-on-write)
 
 	lockedReads atomic.Uint64 // reader-lock acquisitions by query paths
@@ -321,11 +319,8 @@ func Open(kind Kind, opts ...Option) (*DB, error) {
 		}
 	}
 	if o.StagedIngest {
-		if err := db.initStaged(); err != nil {
-			return nil, err
-		}
+		db.initStaged()
 	}
-	db.foldWrite() // the staged tier's enumeration of the empty index
 	return db, nil
 }
 
@@ -400,13 +395,15 @@ func (db *DB) foldWrite() {
 }
 
 // addLocked applies an add of a checked segment in place: the table
-// append, then the index insert.
+// append, then the index insert. A failed insert kills the slot: an Add
+// that returns no id is not live.
 func (db *DB) addLocked(s Segment) (SegmentID, error) {
 	id, err := db.table.Append(s)
 	if err != nil {
 		return seg.NilID, err
 	}
 	if err := db.index.Insert(id, &db.wop); err != nil {
+		db.table.Kill(id)
 		return seg.NilID, err
 	}
 	return id, nil
@@ -438,20 +435,28 @@ func (db *DB) Delete(id SegmentID) error {
 	if err := db.settleLocked(); err != nil {
 		return err
 	}
+	// A miss (an ID past the table, never added or already deleted)
+	// touches no page: a validation error in either mode.
+	if !db.table.Live(id) {
+		return seg.ErrNotIndexed
+	}
 	if db.stagedMode() {
 		return db.deleteStagedLocked(id)
 	}
-	// A miss (an ID past the table, absent or already deleted) touches no
-	// page in any kind: a validation error, as in staged mode.
-	if int(id) >= db.table.Len() {
-		return seg.ErrNotIndexed
-	}
-	if err := db.index.Delete(id, &db.wop); errors.Is(err, seg.ErrNotIndexed) {
-		return err
-	} else if err != nil {
+	if err := db.deleteLocked(id); err != nil {
 		return db.failLocked(err)
 	}
 	return db.logLocked(delOp(id))
+}
+
+// deleteLocked applies a delete of a live id in place: the index
+// delete, then the slot's death.
+func (db *DB) deleteLocked(id SegmentID) error {
+	if err := db.index.Delete(id, &db.wop); err != nil {
+		return err
+	}
+	db.table.Kill(id)
+	return nil
 }
 
 // Window visits every segment intersecting r (query 5 of the paper).
