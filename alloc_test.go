@@ -27,7 +27,7 @@ func allocDB(t *testing.T, kind Kind, level int) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadPacked(m); err != nil {
+	if _, err := db.AddBatch(m.Segments); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -375,7 +375,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Nearest(pts[i%len(pts)]); err != nil {
+		if _, _, err := db.NearestCtx(context.Background(), pts[i%len(pts)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -509,7 +509,7 @@ func windowBatchSetup(b *testing.B) (*DB, []Rect) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.LoadPacked(m); err != nil {
+	if _, err := db.AddBatch(m.Segments); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(20260805))
@@ -521,7 +521,7 @@ func windowBatchSetup(b *testing.B) (*DB, []Rect) {
 		rects[i] = geom.RectOf(x, y, minInt32(x+w, geom.WorldSize-1), minInt32(y+w, geom.WorldSize-1))
 	}
 	// Warm the pool so every variant starts from the same cache state.
-	if err := db.WindowBatch(rects, func(int, SegmentID, Segment) bool { return true }); err != nil {
+	if _, err := db.WindowBatchCtx(context.Background(), rects, func(int, SegmentID, Segment) bool { return true }); err != nil {
 		b.Fatal(err)
 	}
 	return db, rects
@@ -560,7 +560,8 @@ func BenchmarkWindowBatch(b *testing.B) {
 	var seqNs float64
 	b.Run("sequential", func(b *testing.B) {
 		seqNs = batchNs(b, func() error {
-			return db.WindowBatch(rects, func(int, SegmentID, Segment) bool { return true })
+			_, err := db.WindowBatchCtx(context.Background(), rects, func(int, SegmentID, Segment) bool { return true })
+			return err
 		})
 	})
 	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
@@ -733,7 +734,7 @@ func BenchmarkDedupReads(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := db.LoadPacked(m); err != nil {
+			if _, err := db.AddBatch(m.Segments); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := db.WindowCtx(ctx, RectOf(0, 0, WorldSize-1, WorldSize-1), visit); err != nil {

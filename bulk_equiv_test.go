@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -95,11 +96,11 @@ func TestBulkIncrementalEquivalence(t *testing.T) {
 		// Distance ranking.
 		for trial := 0; trial < 25; trial++ {
 			p := Pt(int32(rng.Intn(WorldSize)), int32(rng.Intn(WorldSize)))
-			ra, err := inc.NearestK(p, 3)
+			ra, _, err := inc.NearestKAppendCtx(context.Background(), p, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := blk.NearestK(p, 3)
+			rb, _, err := blk.NearestKAppendCtx(context.Background(), p, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,10 +117,10 @@ func TestBulkIncrementalEquivalence(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			p := segs[rng.Intn(len(segs))].P1
 			var a, b []SegmentID
-			if err := inc.IncidentAt(p, func(id SegmentID, _ Segment) bool { a = append(a, id); return true }); err != nil {
+			if _, err := inc.IncidentAtCtx(context.Background(), p, func(id SegmentID, _ Segment) bool { a = append(a, id); return true }); err != nil {
 				t.Fatal(err)
 			}
-			if err := blk.IncidentAt(p, func(id SegmentID, _ Segment) bool { b = append(b, id); return true }); err != nil {
+			if _, err := blk.IncidentAtCtx(context.Background(), p, func(id SegmentID, _ Segment) bool { b = append(b, id); return true }); err != nil {
 				t.Fatal(err)
 			}
 			slices.Sort(a)
@@ -134,18 +135,18 @@ func TestBulkIncrementalEquivalence(t *testing.T) {
 		compared := 0
 		for trial := 0; trial < 60 && compared < 10; trial++ {
 			p := Pt(int32(rng.Intn(WorldSize)), int32(rng.Intn(WorldSize)))
-			near, err := inc.NearestK(p, 2)
+			near, _, err := inc.NearestKAppendCtx(context.Background(), p, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(near) < 2 || near[0].DistSq == near[1].DistSq {
 				continue
 			}
-			pa, err := inc.EnclosingPolygon(p)
+			pa, _, err := inc.EnclosingPolygonCtx(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := blk.EnclosingPolygon(p)
+			pb, _, err := blk.EnclosingPolygonCtx(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,8 +228,8 @@ func TestBulkPersistRoundTrip(t *testing.T) {
 				t.Fatalf("%v window %v: %d vs %d results after reload", kind, r, len(a), len(b))
 			}
 			p := Pt(int32(rng.Intn(WorldSize)), int32(rng.Intn(WorldSize)))
-			ra, _ := db.Nearest(p)
-			rb, _ := restored.Nearest(p)
+			ra, _, _ := db.NearestCtx(context.Background(), p)
+			rb, _, _ := restored.NearestCtx(context.Background(), p)
 			if ra.DistSq != rb.DistSq {
 				t.Fatalf("%v nearest %v: %v vs %v after reload", kind, p, ra.DistSq, rb.DistSq)
 			}
@@ -284,10 +285,9 @@ func TestAddBatchFallbackNonEmpty(t *testing.T) {
 	}
 }
 
-// TestLoadPackedAllKinds covers the maps.go fix: LoadPacked now packs
-// every kind (it used to silently fall back to insertion for all but the
-// R-tree kinds) and must agree with the incremental build.
-func TestLoadPackedAllKinds(t *testing.T) {
+// TestAddBatchPacksAllKinds checks that AddBatch into an empty database
+// packs every kind and agrees with the incremental build.
+func TestAddBatchPacksAllKinds(t *testing.T) {
 	segs := bulkSample(t, 600)
 	m := &MapData{Name: "sample", Class: "test", Segments: segs}
 	for _, kind := range allKinds() {
@@ -302,8 +302,8 @@ func TestLoadPackedAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := blk.LoadPacked(m); err != nil {
-			t.Fatalf("%v: LoadPacked: %v", kind, err)
+		if _, err := blk.AddBatch(m.Segments); err != nil {
+			t.Fatalf("%v: AddBatch: %v", kind, err)
 		}
 		if rep := blk.CheckIntegrity(); !rep.Healthy() {
 			t.Fatalf("%v: packed integrity: %v", kind, rep.Err())
@@ -316,10 +316,6 @@ func TestLoadPackedAllKinds(t *testing.T) {
 			if a, b := windowIDs(t, inc, r), windowIDs(t, blk, r); !slices.Equal(a, b) {
 				t.Fatalf("%v window %v: %d vs %d results", kind, r, len(a), len(b))
 			}
-		}
-		// Still rejects non-empty targets.
-		if _, err := blk.LoadPacked(m); err == nil {
-			t.Fatalf("%v: LoadPacked on non-empty db accepted", kind)
 		}
 	}
 }

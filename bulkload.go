@@ -31,11 +31,6 @@ import (
 func (db *DB) AddBatch(segs []Segment) ([]SegmentID, error) {
 	db.mu.Lock()
 	defer db.unlock()
-	return db.batchLocked(segs)
-}
-
-// batchLocked is the body of AddBatch and LoadPacked.
-func (db *DB) batchLocked(segs []Segment) ([]SegmentID, error) {
 	if err := db.settleLocked(); err != nil {
 		return nil, err
 	}

@@ -24,15 +24,15 @@ import (
 	"time"
 
 	"segdb"
+	"segdb/internal/kinds"
 )
 
-var indexKinds = map[string]segdb.Kind{
-	"rstar": segdb.RStarTree,
-	"rtree": segdb.ClassicRTree,
-	"rplus": segdb.RPlusTree,
-	"pmr":   segdb.PMRQuadtree,
-	"kdb":   segdb.KDBTree,
-	"grid":  segdb.UniformGrid,
+// indexKind resolves an -index value through the kinds table.
+func indexKind(flag string) (segdb.Kind, error) {
+	if k, ok := kinds.ByFlag(flag); ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown index %q (want %s)", flag, kinds.Flags())
 }
 
 func main() {
@@ -69,7 +69,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   lsdb counties
-  lsdb build -county NAME -index rstar|rtree|rplus|pmr|kdb|grid [-save FILE]
+  lsdb build -county NAME -index `+kinds.Flags()+` [-save FILE]
   lsdb query -county NAME -index KIND -type nearest|polygon|window|incident -x X -y Y [-w W -h H] [-load FILE]
   lsdb verify [-load FILE | -county NAME -index KIND [-compress N]]
   lsdb recover -dir DIR [-scrub]
@@ -95,9 +95,9 @@ func load(county, index string) (*segdb.DB, error) {
 
 // loadLevel is load at an explicit page-compression level.
 func loadLevel(county, index string, compress int) (*segdb.DB, error) {
-	kind, ok := indexKinds[index]
-	if !ok {
-		return nil, fmt.Errorf("unknown index %q (want rstar|rtree|rplus|pmr|kdb|grid)", index)
+	kind, err := indexKind(index)
+	if err != nil {
+		return nil, err
 	}
 	m, err := segdb.GenerateCounty(county)
 	if err != nil {

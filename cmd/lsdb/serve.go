@@ -12,6 +12,7 @@ import (
 
 	"segdb"
 	"segdb/api"
+	"segdb/internal/kinds"
 	"segdb/internal/router"
 )
 
@@ -22,7 +23,7 @@ import (
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	county := fs.String("county", "Charles", "county name")
-	index := fs.String("index", "rstar", "index kind (rstar|rtree|rplus|pmr|kdb|grid)")
+	index := fs.String("index", "rstar", "index kind ("+kinds.Flags()+")")
 	shards := fs.Int("shards", 4, "number of k-d shards")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	cacheEntries := fs.Int("cache", api.DefaultCacheEntries, "result cache entries (negative disables)")
@@ -31,9 +32,9 @@ func serve(args []string) error {
 	staged := fs.Bool("staged", true, "open shards in staged-ingest mode (POST /v1/ingest never blocks readers)")
 	fs.Parse(args)
 
-	kind, ok := indexKinds[*index]
-	if !ok {
-		return fmt.Errorf("unknown index %q (want rstar|rtree|rplus|pmr|kdb|grid)", *index)
+	kind, err := indexKind(*index)
+	if err != nil {
+		return err
 	}
 	m, err := segdb.GenerateCounty(*county)
 	if err != nil {

@@ -287,7 +287,7 @@ func TestWindowBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadPacked(m); err != nil {
+	if _, err := db.AddBatch(m.Segments); err != nil {
 		t.Fatal(err)
 	}
 	ops := stressOps(30, 99)
@@ -307,7 +307,7 @@ func TestWindowBatch(t *testing.T) {
 	}
 
 	got := make([][]SegmentID, len(rects))
-	if err := db.WindowBatch(rects, func(q int, id SegmentID, _ Segment) bool {
+	if _, err := db.WindowBatchCtx(context.Background(), rects, func(q int, id SegmentID, _ Segment) bool {
 		got[q] = append(got[q], id)
 		return true
 	}); err != nil {
@@ -320,7 +320,7 @@ func TestWindowBatch(t *testing.T) {
 	}
 
 	calls := 0
-	if err := db.WindowBatch(rects, func(int, SegmentID, Segment) bool {
+	if _, err := db.WindowBatchCtx(context.Background(), rects, func(int, SegmentID, Segment) bool {
 		calls++
 		return false
 	}); err != nil || calls != 1 {
@@ -346,7 +346,7 @@ func TestWindowBatch(t *testing.T) {
 	}
 
 	// An empty batch is a no-op.
-	if err := db.WindowBatch(nil, nil); err != nil {
+	if _, err := db.WindowBatchCtx(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -393,7 +393,7 @@ func TestConcurrentMetricsReaders(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := db.Nearest(Pt(int32(i*700%WorldSize), 5000)); err != nil {
+		if _, _, err := db.NearestCtx(context.Background(), Pt(int32(i*700%WorldSize), 5000)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 10 {

@@ -1,6 +1,7 @@
 package segdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -96,17 +97,17 @@ func crashFingerprint(t *testing.T, db *DB, probe []Segment) string {
 		fmt.Fprintf(&b, "win=%v err=%v\n", ids, err)
 	}
 	for _, p := range []Point{probe[0].P1, probe[7].P2, Pt(8000, 8000)} {
-		nr, err := db.NearestK(p, 3)
+		nr, _, err := db.NearestKAppendCtx(context.Background(), p, 3, nil)
 		fmt.Fprintf(&b, "near=%v err=%v\n", nr, err)
 		var inc []SegmentID
-		ierr := db.IncidentAt(p, func(id SegmentID, _ Segment) bool { inc = append(inc, id); return true })
+		_, ierr := db.IncidentAtCtx(context.Background(), p, func(id SegmentID, _ Segment) bool { inc = append(inc, id); return true })
 		slices.Sort(inc)
 		fmt.Fprintf(&b, "inc=%v err=%v\n", inc, ierr)
-		poly, perr := db.EnclosingPolygon(p)
+		poly, _, perr := db.EnclosingPolygonCtx(context.Background(), p)
 		fmt.Fprintf(&b, "poly=%v err=%v\n", poly, perr)
 	}
 	var oth []SegmentID
-	err := db.OtherEndpoint(1, probe[0].P1, func(id SegmentID, _ Segment) bool { oth = append(oth, id); return true })
+	_, err := db.OtherEndpointCtx(context.Background(), 1, probe[0].P1, func(id SegmentID, _ Segment) bool { oth = append(oth, id); return true })
 	slices.Sort(oth)
 	fmt.Fprintf(&b, "oth=%v err=%v\n", oth, err)
 	return b.String()

@@ -81,7 +81,7 @@ func cursorReadersOutnumberFrames(t *testing.T) {
 							continue
 						}
 						kk := 1 + rng.Intn(10)
-						res, err := db.NearestK(Pt(x, y), kk)
+						res, _, err := db.NearestKAppendCtx(context.Background(), Pt(x, y), kk, nil)
 						got := make([]float64, len(res))
 						for j, r := range res {
 							got[j] = r.DistSq

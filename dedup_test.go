@@ -86,7 +86,7 @@ func TestDedupAfterLargeWindow(t *testing.T) {
 			st, err = db.IncidentAtCtx(ctx, q.p, visit)
 		case "knn":
 			var res []NearestResult
-			res, st, err = db.NearestKCtx(ctx, q.p, q.k)
+			res, st, err = db.NearestKAppendCtx(ctx, q.p, q.k, nil)
 			for _, r := range res {
 				ids = append(ids, r.ID)
 				dists = append(dists, r.DistSq)
@@ -122,7 +122,7 @@ func TestDedupAfterLargeWindow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if dbIDs, err = db.LoadPacked(m); err != nil {
+				if dbIDs, err = db.AddBatch(m.Segments); err != nil {
 					t.Fatal(err)
 				}
 				return db

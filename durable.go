@@ -167,10 +167,17 @@ func (db *DB) Checkpoint() error {
 // cutCheckpointLocked is Checkpoint's body: in staged mode a non-empty
 // staging tier is compacted first (compaction cuts the checkpoint).
 func (db *DB) cutCheckpointLocked() error {
-	if db.stagedMode() && (db.mem.Len() > 0 || len(db.tombs) > 0) {
+	if db.stagedDirty() {
 		return db.compactLocked()
 	}
 	return db.checkpointLocked()
+}
+
+// stagedDirty reports whether a staged-mode database holds writes the
+// base index lacks, which an image of it must compact in first. Caller
+// holds the writer lock.
+func (db *DB) stagedDirty() bool {
+	return db.stagedMode() && db.mem.Len()+len(db.tombs) > 0
 }
 
 // checkpointLocked writes checkpoint epoch db.walEpoch via the two-file

@@ -28,20 +28,22 @@ func Example() {
 		}
 	}
 
+	ctx := context.Background()
+
 	// Query 1: segments meeting at a corner.
 	n := 0
-	db.IncidentAt(segdb.Pt(200, 100), func(segdb.SegmentID, segdb.Segment) bool {
+	db.IncidentAtCtx(ctx, segdb.Pt(200, 100), func(segdb.SegmentID, segdb.Segment) bool {
 		n++
 		return true
 	})
 	fmt.Println("incident at corner:", n)
 
 	// Query 3: nearest road to a point inside the block.
-	res, _ := db.Nearest(segdb.Pt(150, 120))
+	res, _, _ := db.NearestCtx(ctx, segdb.Pt(150, 120))
 	fmt.Println("nearest:", res.Seg)
 
 	// Query 4: the enclosing polygon (the block itself).
-	poly, _ := db.EnclosingPolygon(segdb.Pt(150, 150))
+	poly, _, _ := db.EnclosingPolygonCtx(ctx, segdb.Pt(150, 150))
 	fmt.Println("polygon size:", poly.Size())
 
 	// Query 5: window search.
@@ -71,13 +73,13 @@ func ExampleDB_NearestCtx() {
 	// Output: true true true
 }
 
-// ExampleDB_NearestK ranks the three nearest segments.
-func ExampleDB_NearestK() {
+// ExampleDB_NearestKAppendCtx ranks the three nearest segments.
+func ExampleDB_NearestKAppendCtx() {
 	db, _ := segdb.Open(segdb.RPlusTree)
 	db.Add(segdb.Seg(0, 10, 100, 10))
 	db.Add(segdb.Seg(0, 30, 100, 30))
 	db.Add(segdb.Seg(0, 90, 100, 90))
-	res, _ := db.NearestK(segdb.Pt(50, 0), 3)
+	res, _, _ := db.NearestKAppendCtx(context.Background(), segdb.Pt(50, 0), 3, nil)
 	for _, r := range res {
 		fmt.Println(r.Seg)
 	}
@@ -87,8 +89,8 @@ func ExampleDB_NearestK() {
 	// (0,90)-(100,90)
 }
 
-// ExampleDB_Overlay joins two maps, reporting each crossing once.
-func ExampleDB_Overlay() {
+// ExampleDB_OverlayCtx joins two maps, reporting each crossing once.
+func ExampleDB_OverlayCtx() {
 	roads, _ := segdb.Open(segdb.PMRQuadtree)
 	rails, _ := segdb.Open(segdb.PMRQuadtree)
 	roads.Add(segdb.Seg(0, 100, 400, 100)) // east-west road
@@ -96,7 +98,7 @@ func ExampleDB_Overlay() {
 	rails.Add(segdb.Seg(300, 0, 390, 90))  // rail that stops short
 
 	crossings := 0
-	roads.Overlay(rails, func(_, _ segdb.SegmentID, _, _ segdb.Segment) bool {
+	roads.OverlayCtx(context.Background(), rails, func(_, _ segdb.SegmentID, _, _ segdb.Segment) bool {
 		crossings++
 		return true
 	})

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -58,7 +59,7 @@ func main() {
 
 		crossings := 0
 		start := time.Now()
-		err = a.Overlay(b, func(_, _ segdb.SegmentID, _, _ segdb.Segment) bool {
+		_, err = a.OverlayCtx(context.Background(), b, func(_, _ segdb.SegmentID, _, _ segdb.Segment) bool {
 			crossings++
 			return true
 		})

@@ -40,22 +40,26 @@ func main() {
 	fmt.Printf("indexed %d segments in a %v (%d bytes of index pages)\n\n",
 		db.Len(), db.Kind(), db.IndexSizeBytes())
 
+	// Every query takes a context (for cancellation and deadlines) and
+	// returns its cost in the paper's currencies alongside the answer.
+	ctx := context.Background()
+
 	// Query 1: which roads meet at the corner of Main St and 1st Ave?
 	fmt.Println("query 1 — segments incident at (2000,1000):")
-	db.IncidentAt(segdb.Pt(2000, 1000), func(id segdb.SegmentID, s segdb.Segment) bool {
+	db.IncidentAtCtx(ctx, segdb.Pt(2000, 1000), func(id segdb.SegmentID, s segdb.Segment) bool {
 		fmt.Printf("  #%d %v\n", id, s)
 		return true
 	})
 
 	// Query 2: starting from Main St's west end, who meets its east end?
 	fmt.Println("query 2 — segments at the other endpoint of Main St:")
-	db.OtherEndpoint(ids[0], segdb.Pt(1000, 1000), func(id segdb.SegmentID, s segdb.Segment) bool {
+	db.OtherEndpointCtx(ctx, ids[0], segdb.Pt(1000, 1000), func(id segdb.SegmentID, s segdb.Segment) bool {
 		fmt.Printf("  #%d %v\n", id, s)
 		return true
 	})
 
 	// Query 3: the nearest road to a house in the block.
-	res, err := db.Nearest(segdb.Pt(1500, 1400))
+	res, _, err := db.NearestCtx(ctx, segdb.Pt(1500, 1400))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func main() {
 
 	// Query 4: the polygon (city block) enclosing the house. The dead-end
 	// Short Ct is walked on both sides, so it appears twice.
-	poly, err := db.EnclosingPolygon(segdb.Pt(1500, 1400))
+	poly, _, err := db.EnclosingPolygonCtx(ctx, segdb.Pt(1500, 1400))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func main() {
 
 	// Query 5: everything in a window around the block's SE corner.
 	fmt.Println("query 5 — window [1800,900]-[2100,1600]:")
-	cost, err := db.WindowCtx(context.Background(), segdb.RectOf(1800, 900, 2100, 1600), func(id segdb.SegmentID, s segdb.Segment) bool {
+	cost, err := db.WindowCtx(ctx, segdb.RectOf(1800, 900, 2100, 1600), func(id segdb.SegmentID, s segdb.Segment) bool {
 		fmt.Printf("  #%d %v\n", id, s)
 		return true
 	})

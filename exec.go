@@ -42,10 +42,3 @@ func (db *DB) WindowBatchCtx(ctx context.Context, rects []Rect, visit func(query
 	}
 	return stats, nil
 }
-
-// WindowBatch is a convenience wrapper over WindowBatchCtx with a
-// background context and the per-query stats discarded.
-func (db *DB) WindowBatch(rects []Rect, visit func(query int, id SegmentID, s Segment) bool) error {
-	_, err := db.WindowBatchCtx(context.Background(), rects, visit)
-	return err
-}

@@ -45,7 +45,7 @@ func TestFaultPolicyAttachDetachRace(t *testing.T) {
 				r := RectOf(int32((g*997+i*131)%12000), int32((i*241)%12000), int32((g*997+i*131)%12000+3000), int32((i*241)%12000+3000))
 				_, err := db.WindowCtx(ctx, r, func(SegmentID, Segment) bool { return true })
 				if err == nil {
-					_, _, err = db.NearestKCtx(ctx, Pt(int32(i%16000), int32((i*7)%16000)), 2)
+					_, _, err = db.NearestKAppendCtx(ctx, Pt(int32(i%16000), int32((i*7)%16000)), 2, nil)
 				}
 				switch {
 				case err == nil:

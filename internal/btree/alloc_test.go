@@ -16,7 +16,7 @@ import (
 func TestWritePathAllocatesNothing(t *testing.T) {
 	for _, c := range []struct{ valSize, compression int }{{0, 0}, {8, 0}, {8, 1}} {
 		t.Run(fmt.Sprintf("val%d/level%d", c.valSize, c.compression), func(t *testing.T) {
-			tr, err := NewWithOptions(store.NewPool(store.NewDisk(1024), 256), c.valSize, c.compression)
+			tr, err := New(store.NewPool(store.NewDisk(1024), 256), c.valSize, c.compression)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,7 @@
 // the shared LRU buffer pool, so every structural operation is charged
 // realistic disk accesses.
 //
-// A tree may be created with a fixed per-key value size (NewWithValues);
+// A tree may be created with a fixed per-key value size (see New);
 // the PMR variant discussed in §6 of the paper — storing a small bounding
 // rectangle with every q-edge so that segment fetches can be filtered —
 // uses an 8-byte value, turning the 2-tuples into the paper's "3-tuples".
@@ -52,22 +52,14 @@ type Tree struct {
 	scratch [2][]byte
 }
 
-// New creates an empty tree with bare keys (no values).
-func New(pool *store.Pool) (*Tree, error) { return NewWithValues(pool, 0) }
-
-// NewWithValues creates an empty tree whose leaf entries each carry
-// valueSize bytes of payload alongside the key.
-func NewWithValues(pool *store.Pool, valueSize int) (*Tree, error) {
-	return NewWithOptions(pool, valueSize, 0)
-}
-
-// NewWithOptions creates an empty tree; compression > 0 selects the
-// delta-coded leaf format (see compress.go), where leaf occupancy is
-// governed by the encoded byte footprint instead of a fixed key count.
-// Internal nodes always use the classic format. Pages are
+// New creates an empty tree whose leaf entries each carry valueSize
+// bytes of payload alongside the key (0 for bare keys). compression > 0
+// selects the delta-coded leaf format (see compress.go), where leaf
+// occupancy is governed by the encoded byte footprint instead of a fixed
+// key count. Internal nodes always use the classic format. Pages are
 // self-describing, so a compressed tree reads classic leaves and vice
 // versa; the setting only controls what new writes produce.
-func NewWithOptions(pool *store.Pool, valueSize, compression int) (*Tree, error) {
+func New(pool *store.Pool, valueSize, compression int) (*Tree, error) {
 	t, err := newTree(pool, valueSize, compression)
 	if err != nil {
 		return nil, err
@@ -760,12 +752,12 @@ func (t *Tree) PersistMeta() [3]uint64 {
 	return [3]uint64{uint64(t.root), uint64(t.height), uint64(t.count)}
 }
 
-// RestoreWithOptions reattaches a tree to a disk image previously saved
-// with its PersistMeta. The pool must wrap the restored disk; valueSize
-// must match the original tree's. Pages are self-describing, so a
+// Restore reattaches a tree to a disk image previously saved with its
+// PersistMeta. The pool must wrap the restored disk; valueSize must
+// match the original tree's. Pages are self-describing, so a
 // mismatched compression setting still reads the image correctly; it
 // only changes the format of future writes.
-func RestoreWithOptions(pool *store.Pool, valueSize, compression int, meta [3]uint64) (*Tree, error) {
+func Restore(pool *store.Pool, valueSize, compression int, meta [3]uint64) (*Tree, error) {
 	t, err := newTree(pool, valueSize, compression)
 	if err != nil {
 		return nil, err

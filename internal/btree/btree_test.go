@@ -11,7 +11,7 @@ import (
 
 func newTestTree(t *testing.T, pageSize, poolPages int) *Tree {
 	t.Helper()
-	tr, err := New(store.NewPool(store.NewDisk(pageSize), poolPages))
+	tr, err := New(store.NewPool(store.NewDisk(pageSize), poolPages), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,17 +24,11 @@ import (
 // minimum (cap/2); internal levels balance the same way. The resulting
 // tree satisfies exactly the invariants Validate checks, and supports
 // Insert/Delete afterwards (the first Insert into a full leaf simply
-// splits it).
-func BulkLoad(pool *store.Pool, valueSize, n int, at func(i int) (key uint64, val []byte)) (*Tree, error) {
-	return BulkLoadWithOptions(pool, valueSize, 0, n, at)
-}
-
-// BulkLoadWithOptions is BulkLoad for trees built with NewWithOptions.
-// With compression > 0 leaves are delta-coded and packed to the page's
-// byte budget instead of a fixed key count, so the leaf count — and the
-// number of disk accesses a later range scan pays — shrinks with the
-// compression ratio.
-func BulkLoadWithOptions(pool *store.Pool, valueSize, compression, n int, at func(i int) (key uint64, val []byte)) (*Tree, error) {
+// splits it). With compression > 0 (see New) leaves are delta-coded and
+// packed to the page's byte budget instead of a fixed key count, so the
+// leaf count — and the disk accesses a later range scan pays — shrinks
+// with the compression ratio.
+func BulkLoad(pool *store.Pool, valueSize, compression, n int, at func(i int) (key uint64, val []byte)) (*Tree, error) {
 	t, err := newTree(pool, valueSize, compression)
 	if err != nil {
 		return nil, err

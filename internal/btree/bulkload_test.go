@@ -26,7 +26,7 @@ func TestBulkLoadSizes(t *testing.T) {
 	leafCap := (store.DefaultPageSize - headerSize) / 8
 	for _, n := range []int{0, 1, 2, leafCap - 1, leafCap, leafCap + 1, 2*leafCap + 1, 5000} {
 		keys := sortedKeys(n, int64(n))
-		bt, err := BulkLoad(pool, 0, n, func(i int) (uint64, []byte) { return keys[i], nil })
+		bt, err := BulkLoad(pool, 0, 0, n, func(i int) (uint64, []byte) { return keys[i], nil })
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -60,7 +60,7 @@ func TestBulkLoadValues(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[:], keys[i]^0xdeadbeef)
 		return b[:]
 	}
-	bt, err := BulkLoad(pool, valSize, n, func(i int) (uint64, []byte) { return keys[i], val(i) })
+	bt, err := BulkLoad(pool, valSize, 0, n, func(i int) (uint64, []byte) { return keys[i], val(i) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	pool := store.NewPool(store.NewDisk(store.DefaultPageSize), store.DefaultPoolPages)
 	const n = 2000
 	keys := sortedKeys(n, 11)
-	bt, err := BulkLoad(pool, 0, n, func(i int) (uint64, []byte) { return keys[i], nil })
+	bt, err := BulkLoad(pool, 0, 0, n, func(i int) (uint64, []byte) { return keys[i], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestBulkLoadThenMutate(t *testing.T) {
 func TestBulkLoadRejectsUnsortedKeys(t *testing.T) {
 	pool := store.NewPool(store.NewDisk(store.DefaultPageSize), store.DefaultPoolPages)
 	keys := []uint64{1, 2, 2, 3} // duplicate
-	if _, err := BulkLoad(pool, 0, len(keys), func(i int) (uint64, []byte) { return keys[i], nil }); err == nil {
+	if _, err := BulkLoad(pool, 0, 0, len(keys), func(i int) (uint64, []byte) { return keys[i], nil }); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
 	keys = []uint64{5, 4}
-	if _, err := BulkLoad(pool, 0, len(keys), func(i int) (uint64, []byte) { return keys[i], nil }); err == nil {
+	if _, err := BulkLoad(pool, 0, 0, len(keys), func(i int) (uint64, []byte) { return keys[i], nil }); err == nil {
 		t.Fatal("descending keys accepted")
 	}
 }

@@ -87,11 +87,11 @@ func TestCompressedLeafUnpackableValues(t *testing.T) {
 // identical visible state plus a clean Validate throughout.
 func TestCompressedTreeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	classic, err := NewWithValues(newCompressedPool(t), 8)
+	classic, err := New(newCompressedPool(t), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := NewWithOptions(newCompressedPool(t), 8, 1)
+	compressed, err := New(newCompressedPool(t), 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestCompressedTreeEquivalence(t *testing.T) {
 // keys must pack far more entries per leaf than the classic layout.
 func TestCompressedLeafFanout(t *testing.T) {
 	const n = 20000
-	classic, err := BulkLoad(newCompressedPool(t), 0, n, func(i int) (uint64, []byte) {
+	classic, err := BulkLoad(newCompressedPool(t), 0, 0, n, func(i int) (uint64, []byte) {
 		return uint64(i) * 7, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := BulkLoadWithOptions(newCompressedPool(t), 0, 1, n, func(i int) (uint64, []byte) {
+	compressed, err := BulkLoad(newCompressedPool(t), 0, 1, n, func(i int) (uint64, []byte) {
 		return uint64(i) * 7, nil
 	})
 	if err != nil {
@@ -525,7 +525,7 @@ func TestMixedLeafFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, c := range []struct{ from, keys int }{{0, 3000}, {1, 40}} {
 		pool := newCompressedPool(t)
-		tr, err := NewWithOptions(pool, 8, c.from)
+		tr, err := New(pool, 8, c.from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +537,7 @@ func TestMixedLeafFormats(t *testing.T) {
 			}
 			live[k] = true
 		}
-		re, err := RestoreWithOptions(pool, 8, 1-c.from, tr.PersistMeta())
+		re, err := Restore(pool, 8, 1-c.from, tr.PersistMeta())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func TestMixedLeafFormats(t *testing.T) {
 	}
 	// A compressed leaf of 120 entries cannot become a 63-entry classic one.
 	pool := newCompressedPool(t)
-	tr, err := NewWithOptions(pool, 8, 1)
+	tr, err := New(pool, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestMixedLeafFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	re, err := RestoreWithOptions(pool, 8, 0, tr.PersistMeta())
+	re, err := Restore(pool, 8, 0, tr.PersistMeta())
 	if err != nil {
 		t.Fatal(err)
 	}

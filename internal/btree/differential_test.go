@@ -27,7 +27,7 @@ const twinPageSize, twinPoolPages = 256, 6
 func newTwin(t testing.TB, valSize, compression int) *twin {
 	t.Helper()
 	mk := func() *Tree {
-		tr, err := NewWithOptions(store.NewPool(store.NewDisk(twinPageSize), twinPoolPages), valSize, compression)
+		tr, err := New(store.NewPool(store.NewDisk(twinPageSize), twinPoolPages), valSize, compression)
 		if err != nil {
 			t.Fatal(err)
 		}

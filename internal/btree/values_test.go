@@ -11,7 +11,7 @@ import (
 
 func newValueTree(t *testing.T, pageSize, poolPages, valSize int) *Tree {
 	t.Helper()
-	tr, err := NewWithValues(store.NewPool(store.NewDisk(pageSize), poolPages), valSize)
+	tr, err := New(store.NewPool(store.NewDisk(pageSize), poolPages), valSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestValueCapacityShrinks(t *testing.T) {
 
 func TestInvalidValueSize(t *testing.T) {
 	pool := store.NewPool(store.NewDisk(256), 8)
-	if _, err := NewWithValues(pool, -1); err == nil {
+	if _, err := New(pool, -1, 0); err == nil {
 		t.Error("negative value size accepted")
 	}
-	if _, err := NewWithValues(pool, 200); err == nil {
+	if _, err := New(pool, 200, 0); err == nil {
 		t.Error("oversized value accepted")
 	}
 }

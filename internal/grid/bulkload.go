@@ -12,22 +12,18 @@ import (
 	"segdb/internal/store"
 )
 
-// BulkLoad builds a uniform grid over the given segments in one pass:
-// every (cell, segment) key is generated up front, then the full key set
-// is sorted and handed to the B+-tree's bottom-up builder, which writes
-// each page exactly once, sequentially. Incremental insertion instead
-// descends the B-tree once per q-edge (~4 entries per segment at the
-// default resolution), faulting and splitting pages along the way.
+// BulkLoadObs builds a uniform grid over the given segments in one pass,
+// charging o (which may be nil) the segment fetches and cell
+// computations: every (cell, segment) key is generated up front, then
+// the full key set is sorted and handed to the B+-tree's bottom-up
+// builder, which writes each page exactly once, sequentially.
+// Incremental insertion instead descends the B-tree once per q-edge (~4
+// entries per segment at the default resolution), faulting and
+// splitting pages along the way.
 //
 // Keys are unique by construction (the segment ID occupies the low bits
 // and a sweep visits each cell once), so the sorted order is a strict
 // total order and the disk image is deterministic.
-func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Grid, error) {
-	return BulkLoadObs(pool, table, cfg, ids, nil)
-}
-
-// BulkLoadObs is BulkLoad charging o the build's segment fetches and cell
-// computations.
 func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Grid, error) {
 	if cfg.CellsPerSide < 1 || cfg.CellsPerSide > geom.WorldSize {
 		return nil, fmt.Errorf("grid: invalid resolution %d", cfg.CellsPerSide)
@@ -52,7 +48,7 @@ func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o
 		}) // the visitor never fails
 	}
 	slices.Sort(keys)
-	bt, err := btree.BulkLoadWithOptions(pool, 0, cfg.Compression, len(keys), func(i int) (uint64, []byte) {
+	bt, err := btree.BulkLoad(pool, 0, cfg.Compression, len(keys), func(i int) (uint64, []byte) {
 		return keys[i], nil
 	})
 	if err != nil {

@@ -54,7 +54,7 @@ func New(pool *store.Pool, table *seg.Table, cfg Config) (*Grid, error) {
 	if geom.WorldSize%cfg.CellsPerSide != 0 {
 		return nil, fmt.Errorf("grid: resolution %d does not divide the world size", cfg.CellsPerSide)
 	}
-	bt, err := btree.NewWithOptions(pool, 0, cfg.Compression)
+	bt, err := btree.New(pool, 0, cfg.Compression)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +350,7 @@ func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [4]uint64) (*G
 	if count < 0 || count > table.Len() {
 		return nil, fmt.Errorf("grid: segment count %d exceeds table size %d", count, table.Len())
 	}
-	bt, err := btree.RestoreWithOptions(pool, 0, cfg.Compression, [3]uint64{meta[0], meta[1], meta[2]})
+	bt, err := btree.Restore(pool, 0, cfg.Compression, [3]uint64{meta[0], meta[1], meta[2]})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package kinds
 
 import (
 	"fmt"
+	"strings"
 
 	"segdb/internal/btree"
 	"segdb/internal/core"
@@ -35,14 +36,14 @@ const (
 	RTree                   // classic Guttman R-tree (quadratic split, no reinsertion)
 )
 
-// names holds each kind's String and Label.
-var names = [...][2]string{
-	RStar:       {"R*-tree", "R*"},
-	RPlus:       {"R+-tree", "R+"},
-	PMR:         {"PMR quadtree", "PMR"},
-	KDB:         {"k-d-B-tree", "k-d-B"},
-	UniformGrid: {"uniform grid", "grid"},
-	RTree:       {"R-tree", "R"},
+// names holds each kind's String, Label and flag name.
+var names = [...][3]string{
+	RStar:       {"R*-tree", "R*", "rstar"},
+	RPlus:       {"R+-tree", "R+", "rplus"},
+	PMR:         {"PMR quadtree", "PMR", "pmr"},
+	KDB:         {"k-d-B-tree", "k-d-B", "kdb"},
+	UniformGrid: {"uniform grid", "grid", "grid"},
+	RTree:       {"R-tree", "R", "rtree"},
 }
 
 // String implements fmt.Stringer with the kind's full name.
@@ -51,6 +52,25 @@ func (k Kind) String() string { return k.name(0) }
 // Label is the kind's short name, the one the paper harness prints in
 // its tables and the root benchmarks use as sub-benchmark names.
 func (k Kind) Label() string { return k.name(1) }
+
+// ByFlag looks a kind up by its flag name, the value of lsdb's -index.
+func ByFlag(flag string) (Kind, bool) {
+	for k, n := range names {
+		if n[2] == flag {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
+// Flags lists the flag names, "|"-separated, for help and error text.
+func Flags() string {
+	flags := make([]string, len(names))
+	for k, n := range names {
+		flags[k] = n[2]
+	}
+	return strings.Join(flags, "|")
+}
 
 func (k Kind) name(i int) string {
 	if k < 0 || int(k) >= len(names) {

@@ -26,6 +26,21 @@ func TestNames(t *testing.T) {
 	}
 }
 
+func TestFlags(t *testing.T) {
+	for _, k := range []Kind{RStar, RPlus, PMR, KDB, UniformGrid, RTree} {
+		flag := names[k][2]
+		if got, ok := ByFlag(flag); !ok || got != k {
+			t.Errorf("ByFlag(%q) = %v, %v; want %v", flag, got, ok, k)
+		}
+	}
+	if _, ok := ByFlag("quadtree"); ok {
+		t.Error("ByFlag accepted an unknown name")
+	}
+	if got, want := Flags(), "rstar|rplus|pmr|kdb|grid|rtree"; got != want {
+		t.Errorf("Flags() = %q, want %q", got, want)
+	}
+}
+
 func TestUnknownKindAndMetadataLength(t *testing.T) {
 	c := DefaultConfig()
 	pool := store.NewPool(store.NewDisk(c.PageSize), c.PoolPages)

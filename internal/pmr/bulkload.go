@@ -121,7 +121,7 @@ func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o
 		}
 	}
 
-	bt, err := btree.BulkLoadWithOptions(pool, valSize, cfg.Compression, total, func(i int) (uint64, []byte) {
+	bt, err := btree.BulkLoad(pool, valSize, cfg.Compression, total, func(i int) (uint64, []byte) {
 		if valSize == 0 {
 			return keys[i], nil
 		}

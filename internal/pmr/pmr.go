@@ -86,7 +86,7 @@ func New(pool *store.Pool, table *seg.Table, cfg Config) (*Tree, error) {
 	if cfg.StoreMBR {
 		valSize = qedgeValSize
 	}
-	bt, err := btree.NewWithOptions(pool, valSize, cfg.Compression)
+	bt, err := btree.New(pool, valSize, cfg.Compression)
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +611,7 @@ func Restore(pool *store.Pool, table *seg.Table, cfg Config, meta [4]uint64) (*T
 	if cfg.StoreMBR {
 		valSize = qedgeValSize
 	}
-	bt, err := btree.RestoreWithOptions(pool, valSize, cfg.Compression, [3]uint64{meta[0], meta[1], meta[2]})
+	bt, err := btree.Restore(pool, valSize, cfg.Compression, [3]uint64{meta[0], meta[1], meta[2]})
 	if err != nil {
 		return nil, err
 	}

@@ -255,7 +255,7 @@ func TestRouterNearestKEquivalence(t *testing.T) {
 				p := segdb.Pt(int32(rng.Intn(segdb.WorldSize)), int32(rng.Intn(segdb.WorldSize)))
 				k := []int{1, 3, 10}[trial%3]
 
-				want, _, err := truth.NearestKCtx(context.Background(), p, k)
+				want, _, err := truth.NearestKAppendCtx(context.Background(), p, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

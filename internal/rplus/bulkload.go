@@ -12,9 +12,11 @@ import (
 	"segdb/internal/store"
 )
 
-// BulkLoad builds a packed hybrid R+-tree (or pure k-d-B-tree, per cfg)
-// over the given segments. Construction runs in three phases, all in
-// memory until the final sequential page writes:
+// BulkLoadObs builds a packed hybrid R+-tree (or pure k-d-B-tree, per
+// cfg) over the given segments, charging o (which may be nil) the
+// build's segment fetches and the region tests of its cut search.
+// Construction runs in three phases, all in memory until the final
+// sequential page writes:
 //
 //  1. A recursive k-d partition cuts the world into leaf regions holding
 //     at most ~3/4 of a page each. Cut lines are chosen from the median
@@ -36,12 +38,6 @@ import (
 // deterministic. ErrUnsplittable is returned when more than a page's
 // worth of segments cannot be separated by any cut (footnote 2 of the
 // paper; unreachable for noded planar maps).
-func BulkLoad(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID) (*Tree, error) {
-	return BulkLoadObs(pool, table, cfg, ids, nil)
-}
-
-// BulkLoadObs is BulkLoad charging o the build's segment fetches and the
-// region tests of its cut search.
 func BulkLoadObs(pool *store.Pool, table *seg.Table, cfg Config, ids []seg.ID, o *obs.Op) (*Tree, error) {
 	t, err := New(pool, table, cfg)
 	if err != nil {

@@ -1,25 +1,22 @@
 // Epochs give snapshots copy-on-write identity. A query pins the epoch
 // of the snapshot it starts against and runs to completion with no
 // locking against writers; a compaction publishes its successor epoch
-// atomically and retires the old one, whose resources (buffer pool
-// frames, decode caches) are released only when the last pinned reader
-// drains. Pin/Unpin are single atomic adds, so the read path pays two
-// uncontended atomics per query — never a mutex.
+// atomically and retires the old one. Nothing is freed eagerly: the old
+// generation's index, pool and disk are garbage-collected once its last
+// reader drops the snapshot. Pin/Unpin are single atomic adds, so the
+// read path pays two uncontended atomics per query — never a mutex.
 package store
 
 import "sync/atomic"
 
 // Epoch is one snapshot generation. Readers Pin it for the duration of a
 // query; the writer Retires it when a successor epoch is published. The
-// release hook runs exactly once, when the epoch is both retired and
-// unpinned — the point at which no query can still be traversing the
-// generation's pages.
+// pin count and the retired flag are observability: tests and tools read
+// them to see readers drain off a superseded generation.
 type Epoch struct {
-	id       uint64
-	pins     atomic.Int64
-	retired  atomic.Bool
-	released atomic.Bool
-	release  func()
+	id      uint64
+	pins    atomic.Int64
+	retired atomic.Bool
 }
 
 // NewEpoch creates a live epoch with the given generation number.
@@ -37,37 +34,14 @@ func (e *Epoch) Retired() bool { return e.retired.Load() }
 
 // Pin takes one reference. Callers must validate that the epoch is still
 // the published one *after* pinning (load pointer, Pin, re-load pointer)
-// — a pin taken through a stale snapshot pointer is harmless (the epoch
-// struct stays alive and the release hook runs at most once) but the
+// — a pin taken through a stale snapshot pointer is harmless, but the
 // caller must Unpin and retry against the current snapshot.
 func (e *Epoch) Pin() { e.pins.Add(1) }
 
-// Unpin drops one reference, running the release hook if the epoch is
-// retired and this was the last pin.
-func (e *Epoch) Unpin() {
-	if e.pins.Add(-1) == 0 && e.retired.Load() {
-		e.maybeRelease()
-	}
-}
+// Unpin drops one reference.
+func (e *Epoch) Unpin() { e.pins.Add(-1) }
 
-// Retire marks the epoch superseded and installs its release hook
-// (which may be nil). The caller must have already published the
-// successor snapshot, so no new reader can pin-and-validate this epoch.
-// If no readers hold pins the hook runs inline; otherwise the last
-// Unpin runs it.
-func (e *Epoch) Retire(release func()) {
-	e.release = release
-	e.retired.Store(true)
-	if e.pins.Load() == 0 {
-		e.maybeRelease()
-	}
-}
-
-// maybeRelease runs the release hook at most once. Both the retiring
-// writer (no pins left) and a racing last Unpin can reach here; the
-// CompareAndSwap arbitrates.
-func (e *Epoch) maybeRelease() {
-	if e.released.CompareAndSwap(false, true) && e.release != nil {
-		e.release()
-	}
-}
+// Retire marks the epoch superseded. The caller must have already
+// published the successor snapshot, so no new reader can
+// pin-and-validate this epoch; readers already pinned finish undisturbed.
+func (e *Epoch) Retire() { e.retired.Store(true) }

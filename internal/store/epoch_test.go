@@ -1,10 +1,6 @@
 package store
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestEpochPinUnpin(t *testing.T) {
 	e := NewEpoch(7)
@@ -23,70 +19,33 @@ func TestEpochPinUnpin(t *testing.T) {
 	}
 }
 
+// TestEpochReleaseAfterRetireWithNoPins checks that retiring an
+// unpinned epoch marks it retired.
 func TestEpochReleaseAfterRetireWithNoPins(t *testing.T) {
 	e := NewEpoch(1)
-	released := 0
-	e.Retire(func() { released++ })
-	if released != 1 {
-		t.Fatalf("release ran %d times, want 1 (retire with zero pins)", released)
+	if e.Retired() {
+		t.Fatal("Retired = true before Retire")
 	}
+	e.Retire()
 	if !e.Retired() {
 		t.Fatal("Retired = false after Retire")
 	}
 }
 
+// TestEpochReleaseDeferredUntilLastUnpin checks that Retire leaves the
+// pins of readers still on the epoch alone, and that they drain as
+// usual afterwards.
 func TestEpochReleaseDeferredUntilLastUnpin(t *testing.T) {
 	e := NewEpoch(1)
-	released := 0
 	e.Pin()
 	e.Pin()
-	e.Retire(func() { released++ })
-	if released != 0 {
-		t.Fatal("release ran while pins were held")
+	e.Retire()
+	if !e.Retired() || e.Pins() != 2 {
+		t.Fatalf("after Retire: Retired = %v, Pins = %d; want true, 2", e.Retired(), e.Pins())
 	}
 	e.Unpin()
-	if released != 0 {
-		t.Fatal("release ran with one pin still held")
-	}
 	e.Unpin()
-	if released != 1 {
-		t.Fatalf("release ran %d times after last unpin, want 1", released)
-	}
-}
-
-func TestEpochNilReleaseIsSafe(t *testing.T) {
-	e := NewEpoch(1)
-	e.Pin()
-	e.Retire(nil)
-	e.Unpin() // must not panic
-}
-
-// TestEpochReleaseExactlyOnceUnderRace hammers pin/unpin from many
-// goroutines while the epoch retires, asserting the release hook runs
-// exactly once no matter how the last unpin races the retire.
-func TestEpochReleaseExactlyOnceUnderRace(t *testing.T) {
-	for iter := 0; iter < 200; iter++ {
-		e := NewEpoch(uint64(iter))
-		var released atomic.Int32
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					e.Pin()
-					e.Unpin()
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.Retire(func() { released.Add(1) })
-		}()
-		wg.Wait()
-		if got := released.Load(); got != 1 {
-			t.Fatalf("iter %d: release ran %d times, want exactly 1", iter, got)
-		}
+	if got := e.Pins(); got != 0 {
+		t.Fatalf("Pins = %d after the last Unpin, want 0", got)
 	}
 }

@@ -82,10 +82,3 @@ func overlay(ixA, ixB core.Index, visit func(idA, idB SegmentID, sA, sB Segment)
 	}
 	return core.JoinNestedLoopObs(ixA, ixB, visit, o)
 }
-
-// Overlay is a convenience wrapper over OverlayCtx with a background
-// context and the stats discarded — the overlay of the paper's §7.
-func (db *DB) Overlay(other *DB, visit func(idA, idB SegmentID, sA, sB Segment) bool) error {
-	_, err := db.OverlayCtx(context.Background(), other, visit)
-	return err
-}

@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,7 +62,7 @@ func TestOverlayAfterDeleteSkipsDeadSlots(t *testing.T) {
 	overlayPairs := func(db *DB, dead map[SegmentID]bool) int {
 		t.Helper()
 		n := 0
-		if err := db.Overlay(db, func(a, b SegmentID, _, _ Segment) bool {
+		if _, err := db.OverlayCtx(context.Background(), db, func(a, b SegmentID, _, _ Segment) bool {
 			if dead[a] || dead[b] {
 				t.Errorf("%v: overlay pair (%d, %d) has a deleted segment", db.Kind(), a, b)
 			}

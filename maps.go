@@ -46,7 +46,7 @@ func GenerateCounty(name string) (*MapData, error) {
 
 // Load adds every segment of the map to the database, returning the
 // assigned IDs (in input order). Segments are inserted one at a time,
-// reproducing the paper's build costs (LoadPacked is the bulk build). It
+// reproducing the paper's build costs (AddBatch is the bulk build). It
 // holds the writer lock for the whole load, so queries never observe a
 // half-loaded map. A segment outside the world rejects the whole map
 // before any is added. In staged-ingest mode, where the disk index
@@ -98,22 +98,4 @@ func ParseTIGER(r io.Reader, cfccPrefixes ...string) (*MapData, error) {
 		return nil, err
 	}
 	return &MapData{Name: "TIGER import", Class: "imported", Segments: segs}, nil
-}
-
-// LoadPacked bulk-loads the map into an empty database through the bulk
-// pipeline — Sort-Tile-Recursive packing for the R-tree kinds, a k-d
-// partition pack for the R+-tree kinds, a single decomposition sweep for
-// the PMR quadtree, and a one-pass fill for the grid — instead of
-// one-at-a-time insertion: far fewer build disk accesses and tighter
-// structures for every kind. (Before PR 5, only the two R-tree kinds
-// were packed; every other kind silently fell back to incremental
-// insertion. All six kinds now take the bulk path; there is no fallback
-// here — use Load for the paper-exact incremental build.)
-func (db *DB) LoadPacked(m *MapData) ([]SegmentID, error) {
-	db.mu.Lock()
-	defer db.unlock()
-	if n := db.index.Table().Len(); n != 0 {
-		return nil, fmt.Errorf("segdb: LoadPacked requires an empty database (have %d segments)", n)
-	}
-	return db.batchLocked(m.Segments)
 }

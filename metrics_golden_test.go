@@ -2,6 +2,7 @@ package segdb
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
@@ -144,12 +145,13 @@ func metricsHistory(t *testing.T, out *bytes.Buffer, kind Kind, segs []Segment, 
 	windows()
 	phase("window")
 	for i := 0; i < 50; i++ {
-		_, err := db.NearestK(pt(), 1+i%10)
+		_, _, err := db.NearestKAppendCtx(context.Background(), pt(), 1+i%10, nil)
 		check(err)
 	}
 	phase("nearestk")
 	for i := 0; i < 20; i++ {
-		check(db.IncidentAt(segs[rng.Intn(len(segs))].P1, func(SegmentID, Segment) bool { return true }))
+		_, err := db.IncidentAtCtx(context.Background(), segs[rng.Intn(len(segs))].P1, func(SegmentID, Segment) bool { return true })
+		check(err)
 	}
 	phase("incident")
 	for i := 0; i < len(ids); i += 50 {

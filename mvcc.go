@@ -217,7 +217,7 @@ func (db *DB) compactLocked() error {
 	// Nothing to free eagerly — the old epoch's index, pool, and disk are
 	// garbage-collected once its last reader unpins — but retiring keeps
 	// the epoch lifecycle observable (Pins, Retired) for tests and tools.
-	old.Retire(nil)
+	old.Retire()
 	db.compactions.Add(1)
 	if db.walfs != nil {
 		// The rebuild replaced the index disk wholesale, and the log's

@@ -1,6 +1,7 @@
 package segdb
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -211,11 +212,11 @@ func TestStagedPropertyInterleaved(t *testing.T) {
 			case r == 8 && len(live) > 0: // k-NN
 				p := Pt(rng.Int31n(WorldSize), rng.Int31n(WorldSize))
 				k := 1 + rng.Intn(8)
-				got, err := db.NearestK(p, k)
+				got, _, err := db.NearestKAppendCtx(context.Background(), p, k, nil)
 				if err != nil {
 					t.Fatalf("%v step %d: %v", kind, step, err)
 				}
-				want, err := shadow.NearestK(p, k)
+				want, _, err := shadow.NearestKAppendCtx(context.Background(), p, k, nil)
 				if err != nil {
 					t.Fatalf("%v step %d: %v", kind, step, err)
 				}
@@ -227,7 +228,7 @@ func TestStagedPropertyInterleaved(t *testing.T) {
 				type pair struct{ a, b SegmentID }
 				collect := func(d *DB) map[pair]int {
 					m := map[pair]int{}
-					if err := d.Overlay(d, func(a, b SegmentID, _, _ Segment) bool {
+					if _, err := d.OverlayCtx(context.Background(), d, func(a, b SegmentID, _, _ Segment) bool {
 						m[pair{a, b}]++
 						return true
 					}); err != nil {
@@ -347,7 +348,7 @@ func TestStagedStressReplayEquivalence(t *testing.T) {
 
 						p := Pt(rng.Int31n(WorldSize), rng.Int31n(WorldSize))
 						k := 1 + rng.Intn(5)
-						res, stats, err := db.NearestKCtx(nil, p, k)
+						res, stats, err := db.NearestKAppendCtx(nil, p, k, nil)
 						if err != nil {
 							t.Errorf("%v: nearestk: %v", kind, err)
 							return

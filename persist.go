@@ -31,11 +31,20 @@ const maxMetaWords = 64
 
 // Save serializes the whole database — options, index metadata, the
 // segment table's disk image, and the index's disk image — so it can be
-// reopened later with Load. Both buffer pools are flushed first; counters
-// are not persisted (a reopened database starts cold with zeroed
-// statistics, like a fresh process over the same disk, but for the one
-// traversal Load makes when the image holds deleted slots).
+// reopened later with Load. It takes the writer lock. In staged-ingest
+// mode a non-empty staging tier is compacted first, since the image
+// holds the base index only. Both buffer pools are flushed first;
+// counters are not persisted (a reopened database starts cold with
+// zeroed statistics, like a fresh process over the same disk, but for
+// the one traversal Load makes when the image holds deleted slots).
 func (db *DB) Save(w io.Writer) error {
+	db.mu.Lock()
+	defer db.unlock()
+	if db.stagedDirty() {
+		if err := db.compactLocked(); err != nil {
+			return err
+		}
+	}
 	if err := db.table.Flush(); err != nil {
 		return err
 	}

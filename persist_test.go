@@ -2,12 +2,15 @@ package segdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -67,8 +70,8 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 				}
 			}
 			p := Pt(int32(rng.Intn(WorldSize)), int32(rng.Intn(WorldSize)))
-			ra, _ := db.Nearest(p)
-			rb, _ := restored.Nearest(p)
+			ra, _, _ := db.NearestCtx(context.Background(), p)
+			rb, _, _ := restored.NearestCtx(context.Background(), p)
 			if ra.DistSq != rb.DistSq {
 				t.Fatalf("%v trial %d: nearest %v vs %v", k, trial, ra.DistSq, rb.DistSq)
 			}
@@ -78,7 +81,7 @@ func TestSaveLoadRoundTripAllKinds(t *testing.T) {
 		if _, err := restored.Add(Seg(1, 1, 77, 77)); err != nil {
 			t.Fatalf("%v: add after load: %v", k, err)
 		}
-		res, err := restored.Nearest(Pt(2, 2))
+		res, _, err := restored.NearestCtx(context.Background(), Pt(2, 2))
 		if err != nil || !res.Found || res.Seg != Seg(1, 1, 77, 77) {
 			t.Fatalf("%v: post-load insert invisible: %+v %v", k, res, err)
 		}
@@ -148,7 +151,7 @@ func TestSaveLoadPreservesOptions(t *testing.T) {
 		t.Fatalf("options differ: %+v vs %+v", restored.opts, db.opts)
 	}
 	// The restored StoreMBR tree keeps answering correctly.
-	res, err := restored.Nearest(Pt(8000, 8000))
+	res, _, err := restored.NearestCtx(context.Background(), Pt(8000, 8000))
 	if err != nil || !res.Found {
 		t.Fatalf("nearest: %+v %v", res, err)
 	}
@@ -255,5 +258,83 @@ func TestSaveIsDeterministicAfterFlush(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("back-to-back saves differ")
+	}
+}
+
+// TestSaveStagedCompactsFirst checks that Save on a staged database
+// writes the staged segments too: an image holds the base index only,
+// so Save compacts a non-empty staging tier in first, as a checkpoint
+// does.
+func TestSaveStagedCompactsFirst(t *testing.T) {
+	db, err := Open(RStarTree, WithStagedIngest(), WithCompactThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []SegmentID
+	for i := range int32(10) {
+		id, err := db.Add(Seg(i*10, 50, i*10+8, 58))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := windowIDs(t, back, World()); !slices.Equal(got, want) {
+		t.Fatalf("whole-world window of the loaded image = %v, want %v", got, want)
+	}
+	if got := db.StagedSize(); got != 0 {
+		t.Fatalf("StagedSize after Save = %d, want 0 (Save must compact first)", got)
+	}
+}
+
+// TestSaveBesideInPlaceAdds runs Save beside in-place Adds. Save takes
+// the writer lock, so each image is a cut between two Adds: it loads,
+// passes the integrity check and answers for exactly the segments it
+// counts. Run under -race it also checks that Save shares nothing
+// unguarded with a writer.
+func TestSaveBesideInPlaceAdds(t *testing.T) {
+	db, err := Open(PMRQuadtree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 5000 && !stop.Load(); i++ {
+			x, y := rng.Int31n(WorldSize-500), rng.Int31n(WorldSize-500)
+			if _, err := db.Add(Seg(x, y, x+rng.Int31n(500), y+rng.Int31n(500))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for save := range 20 {
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("save %d: %v", save, err)
+		}
+		if rep := back.CheckIntegrity(); !rep.Healthy() {
+			t.Fatalf("save %d: %v", save, rep.Err())
+		}
+		if got := len(windowIDs(t, back, World())); got != back.Len() {
+			t.Fatalf("save %d: window finds %d segments, Len = %d", save, got, back.Len())
+		}
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,9 +10,9 @@
 // time. Attribution is exact even under concurrency: the counters are
 // carried by a per-query operation threaded through the index, the
 // segment table, and the buffer pool, and the database's comparison
-// totals are the sum of those operations. The context-free methods
-// (Window, Nearest, ...) are thin wrappers over the *Ctx forms with
-// context.Background() and the stats discarded.
+// totals are the sum of those operations. Each operation has one entry
+// point: its *Ctx form, or its *AppendCtx form where the answer is a
+// list. Window is the one context-free method left.
 package segdb
 
 import (
@@ -91,10 +91,9 @@ func (db *DB) finish(qk queryKind, o *obs.Op, err error) (QueryStats, error) {
 // with finish (tracer finish event, per-kind profile fold, op
 // recycling).
 //
-// Every single-query method routes through run, and every convenience
-// (non-Ctx) method is a thin wrapper over its *Ctx form, so QueryStats
-// accounting and tracing behavior cannot diverge between the two
-// surfaces. The two multi-op calls — WindowBatchCtx, which opens one
+// Every single-query method routes through run (Window through
+// WindowCtx), so QueryStats accounting and tracing behave the same for
+// every query. The two multi-op calls — WindowBatchCtx, which opens one
 // observation per rectangle under a single read acquisition, and
 // OverlayCtx, which must acquire an ordered pair of databases — are the
 // only paths that use the begin/finish pair directly. Every query, those
@@ -163,8 +162,9 @@ func (db *DB) WindowAppendCtx(ctx context.Context, r Rect, dst []WindowHit) ([]W
 	return dst, st, err
 }
 
-// NearestCtx is Nearest (query 3) with cancellation and per-query
-// stats.
+// NearestCtx returns the segment closest to p (query 3), with
+// cancellation and per-query stats. Found is false only for an empty
+// database.
 func (db *DB) NearestCtx(ctx context.Context, p Point) (NearestResult, QueryStats, error) {
 	var res NearestResult
 	st, err := db.run(ctx, qkNearest, func(ix core.Index, o *obs.Op) error {
@@ -175,15 +175,13 @@ func (db *DB) NearestCtx(ctx context.Context, p Point) (NearestResult, QueryStat
 	return res, st, err
 }
 
-// NearestKCtx is NearestK with cancellation and per-query stats.
-func (db *DB) NearestKCtx(ctx context.Context, p Point, k int) ([]NearestResult, QueryStats, error) {
-	return db.NearestKAppendCtx(ctx, p, k, nil)
-}
-
-// NearestKAppendCtx is NearestKCtx appending results into dst and
-// returning the extended slice. Passing the previous call's buffer
-// (truncated with dst[:0]) runs repeated nearest-neighbor queries
-// without allocating a result slice per call.
+// NearestKAppendCtx appends up to k segments, ordered by increasing
+// distance from p (incremental distance ranking — "find the nearest
+// three subway lines"), to dst and returns the extended slice, with
+// cancellation and per-query stats. A nil dst allocates the result;
+// passing the previous call's buffer (truncated with dst[:0]) runs
+// repeated nearest-neighbor queries without allocating a result slice
+// per call.
 func (db *DB) NearestKAppendCtx(ctx context.Context, p Point, k int, dst []NearestResult) ([]NearestResult, QueryStats, error) {
 	st, err := db.run(ctx, qkNearestK, func(ix core.Index, o *obs.Op) error {
 		var rerr error
@@ -193,15 +191,16 @@ func (db *DB) NearestKAppendCtx(ctx context.Context, p Point, k int, dst []Neare
 	return dst, st, err
 }
 
-// IncidentAtCtx is IncidentAt (query 1) with cancellation and per-query
-// stats.
+// IncidentAtCtx visits the segments having an endpoint exactly at p
+// (query 1), with cancellation and per-query stats.
 func (db *DB) IncidentAtCtx(ctx context.Context, p Point, visit func(SegmentID, Segment) bool) (QueryStats, error) {
 	return db.run(ctx, qkIncidentAt, func(ix core.Index, o *obs.Op) error {
 		return core.IncidentAtObs(ix, p, visit, o)
 	})
 }
 
-// OtherEndpointCtx is OtherEndpoint (query 2) with cancellation and
+// OtherEndpointCtx visits the segments incident at the other endpoint
+// of segment id, given one endpoint p (query 2), with cancellation and
 // per-query stats.
 func (db *DB) OtherEndpointCtx(ctx context.Context, id SegmentID, p Point, visit func(SegmentID, Segment) bool) (QueryStats, error) {
 	return db.run(ctx, qkOtherEndpoint, func(ix core.Index, o *obs.Op) error {
@@ -209,8 +208,9 @@ func (db *DB) OtherEndpointCtx(ctx context.Context, id SegmentID, p Point, visit
 	})
 }
 
-// EnclosingPolygonCtx is EnclosingPolygon (query 4) with cancellation
-// and per-query stats.
+// EnclosingPolygonCtx returns the boundary of the map face containing p
+// (query 4), with cancellation and per-query stats. The database must
+// hold a noded planar map for the result to be meaningful.
 func (db *DB) EnclosingPolygonCtx(ctx context.Context, p Point) (Polygon, QueryStats, error) {
 	var poly Polygon
 	st, err := db.run(ctx, qkEnclosingPolygon, func(ix core.Index, o *obs.Op) error {

@@ -173,7 +173,7 @@ func queryCounts(t *testing.T, out *bytes.Buffer, m *MapData, kind Kind, level i
 		st, err = db.WindowCtx(ctx, rect(), visit)
 		check(err)
 		line("window", st)
-		nn, st, err := db.NearestKCtx(ctx, pt(), []int{1, 5, 10}[i%3])
+		nn, st, err := db.NearestKAppendCtx(ctx, pt(), []int{1, 5, 10}[i%3], nil)
 		check(err)
 		n = len(nn)
 		line("knn", st)

@@ -9,6 +9,8 @@ import (
 	"maps"
 	"testing"
 	"time"
+
+	"segdb/internal/core"
 )
 
 // TestQueryStatsSequential checks that on an otherwise idle database a
@@ -76,7 +78,7 @@ func TestWindowCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadPacked(county); err != nil {
+	if _, err := db.AddBatch(county.Segments); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,8 +140,7 @@ func TestWindowCtxCancellation(t *testing.T) {
 }
 
 // TestCtxQueryEquivalence checks every *Ctx method returns the same
-// answers as its context-free wrapper (which delegates to it) and a
-// non-trivial QueryStats.
+// answers as the index queried directly, and a non-trivial QueryStats.
 func TestCtxQueryEquivalence(t *testing.T) {
 	m := stressMap(t)
 	db, err := Open(PMRQuadtree)
@@ -159,17 +160,17 @@ func TestCtxQueryEquivalence(t *testing.T) {
 	if st.PoolRequests == 0 {
 		t.Fatal("NearestCtx reported no page requests")
 	}
-	legacy, err := db.Nearest(Pt(5000, 5000))
-	if err != nil || legacy.ID != res.ID {
-		t.Fatalf("Nearest disagrees with NearestCtx: %v vs %v (%v)", legacy.ID, res.ID, err)
+	direct, err := core.FirstNearestObs(db.Index(), Pt(5000, 5000), nil)
+	if err != nil || direct.ID != res.ID {
+		t.Fatalf("the index disagrees with NearestCtx: %v vs %v (%v)", direct.ID, res.ID, err)
 	}
 
-	resK, st, err := db.NearestKCtx(ctx, Pt(5000, 5000), 3)
+	resK, st, err := db.NearestKAppendCtx(ctx, Pt(5000, 5000), 3, nil)
 	if err != nil || len(resK) != 3 {
-		t.Fatalf("NearestKCtx: %v len=%d", err, len(resK))
+		t.Fatalf("NearestKAppendCtx: %v len=%d", err, len(resK))
 	}
 	if st.NodeComps == 0 {
-		t.Fatal("NearestKCtx reported no bucket computations")
+		t.Fatal("NearestKAppendCtx reported no bucket computations")
 	}
 
 	s0, err := db.Get(ids[0])
@@ -192,9 +193,9 @@ func TestCtxQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyPoly, err := db.EnclosingPolygon(Pt(8000, 8000))
-	if err != nil || legacyPoly.Size() != poly.Size() {
-		t.Fatalf("EnclosingPolygon disagrees with Ctx form: %d vs %d (%v)", legacyPoly.Size(), poly.Size(), err)
+	directPoly, err := core.EnclosingPolygonObs(db.Index(), Pt(8000, 8000), nil)
+	if err != nil || directPoly.Size() != poly.Size() {
+		t.Fatalf("the index disagrees with EnclosingPolygonCtx: %d vs %d (%v)", directPoly.Size(), poly.Size(), err)
 	}
 	if st.SegComps == 0 {
 		t.Fatal("EnclosingPolygonCtx reported no segment comparisons")
@@ -211,7 +212,7 @@ func TestWindowBatchCtxStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadPacked(m); err != nil {
+	if _, err := db.AddBatch(m.Segments); err != nil {
 		t.Fatal(err)
 	}
 	ops := stressOps(30, 99)
@@ -435,7 +436,7 @@ func TestProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := db.NearestKCtx(context.Background(), Pt(200, 300), 2); err != nil {
+	if _, _, err := db.NearestKAppendCtx(context.Background(), Pt(200, 300), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := db.Profile()

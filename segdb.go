@@ -14,18 +14,14 @@
 // The five queries of the paper are provided on every index: segments
 // incident at an endpoint, segments at the other endpoint of a segment,
 // nearest segment to a point, the minimal polygon (map face) enclosing a
-// point, and rectangular window search.
+// point, and rectangular window search. Each query takes a context and
+// returns its own statistics in those currencies (see the "Query API
+// v2" section of the README):
 //
 //	db, _ := segdb.Open(segdb.PMRQuadtree)
 //	id, _ := db.Add(segdb.Seg(10, 10, 400, 80))
-//	res, _ := db.Nearest(segdb.Pt(50, 60))
-//
-// Each query also has a context-threaded form returning per-query
-// statistics (see WindowCtx and the "Query API v2" section of the
-// README):
-//
-//	st, _ := db.WindowCtx(ctx, r, visit)
-//	fmt.Println(st.DiskAccesses(), st.SegComps)
+//	res, st, _ := db.NearestCtx(ctx, segdb.Pt(50, 60))
+//	fmt.Println(res.ID == id, st.DiskAccesses(), st.SegComps)
 package segdb
 
 import (
@@ -56,7 +52,7 @@ type (
 	// NearestResult is the answer to a nearest-segment query.
 	NearestResult = core.NearestResult
 	// Polygon is the boundary of a map face, as returned by
-	// EnclosingPolygon.
+	// EnclosingPolygonCtx.
 	Polygon = core.Polygon
 	// Metrics counts disk accesses, segment comparisons, and bounding
 	// box/bucket computations.
@@ -174,9 +170,10 @@ type Options struct {
 // # Concurrency model
 //
 // The read path is fully concurrent: any number of goroutines may run
-// Window, Nearest, NearestK, IncidentAt, OtherEndpoint, EnclosingPolygon,
-// Get, WindowBatch and Overlay at the same time; no call spawns
-// goroutines of its own. They share a reader lock; underneath, the buffer
+// the queries (Window, WindowCtx, WindowAppendCtx, NearestCtx,
+// NearestKAppendCtx, IncidentAtCtx, OtherEndpointCtx,
+// EnclosingPolygonCtx, WindowBatchCtx, OverlayCtx) and Get at the same
+// time; no call spawns goroutines of its own. They share a reader lock; underneath, the buffer
 // pools are latched. Each query charges its own operation, which no other
 // goroutine touches, and folds it into the database's ledger once, when
 // it finishes, so concurrent queries neither race nor skew the paper's
@@ -184,7 +181,7 @@ type Options struct {
 // computations total exactly the same as a sequential replay; only the
 // hit/miss split depends on interleaving).
 //
-// By default writes are exclusive: Add, Delete, Load, LoadPacked,
+// By default writes are exclusive: Add, AddBatch, Delete, Load,
 // DropCaches, CheckIntegrity, SetFaultPolicy, and Save take the writer
 // lock and therefore never run concurrently with queries or each other.
 //
@@ -263,7 +260,7 @@ func (db *DB) tracerNow() Tracer {
 }
 
 // dbSeq hands every DB a unique sequence number so operations over two
-// databases (Overlay) can always acquire their locks in a global order.
+// databases (OverlayCtx) can always acquire their locks in a global order.
 var dbSeq atomic.Uint64
 
 // newDB wraps a built or restored index in a DB with the sequence
@@ -467,49 +464,6 @@ func (db *DB) deleteLocked(id SegmentID) error {
 func (db *DB) Window(r Rect, visit func(SegmentID, Segment) bool) error {
 	_, err := db.WindowCtx(context.Background(), r, visit)
 	return err
-}
-
-// Nearest returns the segment closest to p (query 3). Found is false only
-// for an empty database. It is a convenience wrapper over NearestCtx
-// with a background context and the stats discarded.
-func (db *DB) Nearest(p Point) (NearestResult, error) {
-	res, _, err := db.NearestCtx(context.Background(), p)
-	return res, err
-}
-
-// NearestK returns up to k segments ordered by increasing distance from p
-// (incremental distance ranking — "find the nearest three subway lines").
-// It is a convenience wrapper over NearestKCtx with a background context
-// and the stats discarded.
-func (db *DB) NearestK(p Point, k int) ([]NearestResult, error) {
-	res, _, err := db.NearestKCtx(context.Background(), p, k)
-	return res, err
-}
-
-// IncidentAt visits the segments having an endpoint exactly at p
-// (query 1). It is a convenience wrapper over IncidentAtCtx with a
-// background context and the stats discarded.
-func (db *DB) IncidentAt(p Point, visit func(SegmentID, Segment) bool) error {
-	_, err := db.IncidentAtCtx(context.Background(), p, visit)
-	return err
-}
-
-// OtherEndpoint visits the segments incident at the other endpoint of
-// segment id, given one endpoint p (query 2). It is a convenience
-// wrapper over OtherEndpointCtx with a background context and the stats
-// discarded.
-func (db *DB) OtherEndpoint(id SegmentID, p Point, visit func(SegmentID, Segment) bool) error {
-	_, err := db.OtherEndpointCtx(context.Background(), id, p, visit)
-	return err
-}
-
-// EnclosingPolygon returns the boundary of the map face containing p
-// (query 4). The database must hold a noded planar map for the result to
-// be meaningful. It is a convenience wrapper over EnclosingPolygonCtx
-// with a background context and the stats discarded.
-func (db *DB) EnclosingPolygon(p Point) (Polygon, error) {
-	poly, _, err := db.EnclosingPolygonCtx(context.Background(), p)
-	return poly, err
 }
 
 // Metrics returns the cumulative counter snapshot; subtract two snapshots

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,19 +52,19 @@ func TestAddQueryRoundTrip(t *testing.T) {
 			t.Fatalf("%v: Get = %v, %v", k, got, err)
 		}
 		// Nearest.
-		res, err := db.Nearest(Pt(150, 110))
+		res, _, err := db.NearestCtx(context.Background(), Pt(150, 110))
 		if err != nil || !res.Found || res.ID != a {
 			t.Fatalf("%v: Nearest = %+v, %v", k, res, err)
 		}
 		// IncidentAt the shared corner.
 		count := 0
-		db.IncidentAt(Pt(200, 100), func(SegmentID, Segment) bool { count++; return true })
+		db.IncidentAtCtx(context.Background(), Pt(200, 100), func(SegmentID, Segment) bool { count++; return true })
 		if count != 2 {
 			t.Fatalf("%v: IncidentAt found %d", k, count)
 		}
 		// OtherEndpoint of a from (100,100) is (200,100): both segments.
 		count = 0
-		db.OtherEndpoint(a, Pt(100, 100), func(SegmentID, Segment) bool { count++; return true })
+		db.OtherEndpointCtx(context.Background(), a, Pt(100, 100), func(SegmentID, Segment) bool { count++; return true })
 		if count != 2 {
 			t.Fatalf("%v: OtherEndpoint found %d", k, count)
 		}
@@ -152,11 +154,11 @@ func TestLoadCountyAndQueryEverything(t *testing.T) {
 	if _, err := db.Load(m); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Nearest(Pt(500, 500))
+	res, _, err := db.NearestCtx(context.Background(), Pt(500, 500))
 	if err != nil || !res.Found {
 		t.Fatalf("nearest: %+v %v", res, err)
 	}
-	poly, err := db.EnclosingPolygon(Pt(res.Seg.P1.X+1, res.Seg.P1.Y+1))
+	poly, _, err := db.EnclosingPolygonCtx(context.Background(), Pt(res.Seg.P1.X+1, res.Seg.P1.Y+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestParseTIGER(t *testing.T) {
 	if _, err := db.Load(m); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Nearest(Pt(WorldSize/2, WorldSize/2))
+	res, _, err := db.NearestCtx(context.Background(), Pt(WorldSize/2, WorldSize/2))
 	if err != nil || !res.Found {
 		t.Fatalf("nearest over imported data: %+v %v", res, err)
 	}
@@ -228,7 +230,7 @@ func TestNearestKFacade(t *testing.T) {
 	db.Add(Seg(0, 0, 10, 0))
 	db.Add(Seg(0, 100, 10, 100))
 	db.Add(Seg(0, 300, 10, 300))
-	got, err := db.NearestK(Pt(5, 0), 2)
+	got, _, err := db.NearestKAppendCtx(context.Background(), Pt(5, 0), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,9 @@ func TestNearestKFacade(t *testing.T) {
 	}
 }
 
-func TestLoadPacked(t *testing.T) {
+// TestAddBatchIntoEmpty packs a map into empty databases with AddBatch and
+// checks that the bulk-built index answers and survives Save/Load.
+func TestAddBatchIntoEmpty(t *testing.T) {
 	m := &MapData{Segments: []Segment{
 		Seg(10, 10, 100, 10),
 		Seg(100, 10, 100, 100),
@@ -249,14 +253,14 @@ func TestLoadPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, err := db.LoadPacked(m)
+		ids, err := db.AddBatch(m.Segments)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if len(ids) != 4 || db.Len() != 4 {
 			t.Fatalf("%v: loaded %d", k, db.Len())
 		}
-		res, err := db.Nearest(Pt(50, 5))
+		res, _, err := db.NearestCtx(context.Background(), Pt(50, 5))
 		if err != nil || !res.Found || res.ID != ids[0] {
 			t.Fatalf("%v: nearest %+v %v", k, res, err)
 		}
@@ -269,11 +273,30 @@ func TestLoadPacked(t *testing.T) {
 		if err != nil || back.Len() != 4 {
 			t.Fatalf("%v: load: %v", k, err)
 		}
-		// Second LoadPacked on a non-empty DB fails for R-trees.
-		if k != PMRQuadtree {
-			if _, err := db.LoadPacked(m); err == nil {
-				t.Fatalf("%v: LoadPacked on non-empty db accepted", k)
-			}
-		}
+	}
+}
+
+// TestFacadeSurface pins *DB's exported methods. Each operation has one
+// entry point, so adding a method — a plain or Ctx twin of a query
+// above all — takes a deliberate edit to this list.
+func TestFacadeSurface(t *testing.T) {
+	want := []string{
+		"Add", "AddBatch", "CheckIntegrity", "Checkpoint", "Compact",
+		"DecodeCacheStats", "Delete", "DropCaches", "EnclosingPolygonCtx",
+		"Epoch", "Get", "IncidentAtCtx", "Index", "IndexSizeBytes", "Kind",
+		"Len", "Load", "LockedReads", "Metrics", "NearestCtx",
+		"NearestKAppendCtx", "OtherEndpointCtx", "OverlayCtx",
+		"PageFormatStats", "Profile", "Quarantined", "Save", "Scrub",
+		"SetDegradedReads", "SetFaultPolicy", "SetRetryPolicy", "SetTracer",
+		"StagedSize", "TableSizeBytes", "WALSize", "Window",
+		"WindowAppendCtx", "WindowBatchCtx", "WindowCtx",
+	}
+	ty := reflect.TypeOf((*DB)(nil))
+	var got []string
+	for i := range ty.NumMethod() {
+		got = append(got, ty.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*DB methods = %q\nwant %q", got, want)
 	}
 }
