@@ -65,7 +65,8 @@ func TestCompressedRoundTripLossless(t *testing.T) {
 		if err := WriteLevel(data, n, 1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(data)
+		got := new(Node)
+		err := ReadInto(data, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,8 @@ func TestCompressedSoAMatchesNode(t *testing.T) {
 		if err := WriteLevel(data, n, 1); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Read(data)
+		dec := new(Node)
+		err := ReadInto(data, dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +165,8 @@ func TestCompressedCorruptTypedErrors(t *testing.T) {
 		"bad type":       corrupt(func(p []byte) { p[0] = 7 }),
 	}
 	for name, page := range cases {
-		if _, err := Read(page); !errors.Is(err, store.ErrBadPage) {
-			t.Errorf("%s: Read err = %v, want ErrBadPage", name, err)
+		if err := ReadInto(page, new(Node)); !errors.Is(err, store.ErrBadPage) {
+			t.Errorf("%s: ReadInto err = %v, want ErrBadPage", name, err)
 		}
 		if _, err := DecodeSoA(page); !errors.Is(err, store.ErrBadPage) {
 			t.Errorf("%s: DecodeSoA err = %v, want ErrBadPage", name, err)
@@ -176,8 +178,8 @@ func TestCompressedCorruptTypedErrors(t *testing.T) {
 		p[CHeaderSize+4] = 0xFF
 		p[CHeaderSize+5] = 0xFF
 	})
-	if _, err := Read(esc); !errors.Is(err, store.ErrBadPage) {
-		t.Errorf("escaping offsets: Read err = %v, want ErrBadPage", err)
+	if err := ReadInto(esc, new(Node)); !errors.Is(err, store.ErrBadPage) {
+		t.Errorf("escaping offsets: ReadInto err = %v, want ErrBadPage", err)
 	}
 }
 
@@ -212,17 +214,18 @@ func FuzzDecodeCompressed(f *testing.F) {
 		}
 		// Neither decoder may panic or over-read; a failure must be a
 		// typed corrupt-page error.
-		n, err := Read(data)
+		n := new(Node)
+		err := ReadInto(data, n)
 		if err != nil && !errors.Is(err, store.ErrBadPage) && data[0] > 1 {
-			t.Fatalf("Read: non-typed error %v for node type %d", err, data[0])
+			t.Fatalf("ReadInto: non-typed error %v for node type %d", err, data[0])
 		}
 		soa, serr := DecodeSoA(data)
 		if (err == nil) != (serr == nil) {
-			t.Fatalf("Read err=%v but DecodeSoA err=%v", err, serr)
+			t.Fatalf("ReadInto err=%v but DecodeSoA err=%v", err, serr)
 		}
-		if err == nil && n != nil && soa != nil {
+		if err == nil && soa != nil {
 			if len(n.Entries) != soa.Len() {
-				t.Fatalf("Read %d entries, DecodeSoA %d", len(n.Entries), soa.Len())
+				t.Fatalf("ReadInto %d entries, DecodeSoA %d", len(n.Entries), soa.Len())
 			}
 			for i := range n.Entries {
 				if soa.Rect(i) != n.Entries[i].Rect || soa.Ptr[i] != n.Entries[i].Ptr {

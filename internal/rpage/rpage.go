@@ -140,15 +140,6 @@ func Write(data []byte, n *Node) {
 	}
 }
 
-// Read decodes a page into a freshly allocated Node.
-func Read(data []byte) (*Node, error) {
-	n := new(Node)
-	if err := ReadInto(data, n); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 // ReadInto decodes a page into n, reusing n's entry slice capacity. It
 // rejects headers whose entry count cannot fit the page (stale or
 // corrupted data that survived its checksum, e.g. a page recycled from

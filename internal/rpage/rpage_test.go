@@ -38,9 +38,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 		data := make([]byte, pageSize)
 		Write(data, n)
-		got, err := Read(data)
+		got := new(Node)
+		err := ReadInto(data, got)
 		if err != nil {
-			t.Fatalf("trial %d: Read: %v", trial, err)
+			t.Fatalf("trial %d: ReadInto: %v", trial, err)
 		}
 		if got.Leaf != n.Leaf || len(got.Entries) != len(n.Entries) {
 			t.Fatalf("trial %d: shape mismatch", trial)
@@ -65,7 +66,8 @@ func TestRoundTripQuick(t *testing.T) {
 		}
 		data := make([]byte, 512)
 		Write(data, n)
-		got, err := Read(data)
+		got := new(Node)
+		err := ReadInto(data, got)
 		if err != nil {
 			return false
 		}
@@ -106,9 +108,10 @@ func TestOverwriteSmallerNode(t *testing.T) {
 	Write(data, big)
 	small := &Node{Leaf: false, Entries: []Entry{{Rect: geom.RectOf(3, 3, 4, 4), Ptr: 99}}}
 	Write(data, small)
-	got, err := Read(data)
+	got := new(Node)
+	err := ReadInto(data, got)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadInto: %v", err)
 	}
 	if got.Leaf || len(got.Entries) != 1 || got.Entries[0].Ptr != 99 {
 		t.Fatalf("stale data after overwrite: %+v", got)

@@ -28,11 +28,13 @@ import (
 //     uniform-height multiway tree: each round packs maximal binary
 //     subtrees holding at most M current nodes into one parent whose
 //     region is the subtree's region, so sibling regions always tile
-//     their parent exactly (Validate's area bookkeeping). A subtree
+//     their parent exactly (Validate's area bookkeeping), and by full
+//     cuts: they are a guillotine partition of it, which later inserts'
+//     internal splits rely on to find a line that cuts no child. A subtree
 //     reduced to a single node is wrapped in a same-region chain parent,
 //     keeping every leaf at the same level.
 //  3. Pages are written children-first in a single deterministic
-//     sequence — one write per node, no downward splits, no re-descents.
+//     sequence — one write per node, no re-descents.
 //
 // Every phase runs on the calling goroutine, so the disk image is
 // deterministic. ErrUnsplittable is returned when more than a page's

@@ -11,9 +11,11 @@
 //
 // Node splits follow the policy of §3: try every vertical and horizontal
 // split line and keep the one that cuts the fewest line segments (or child
-// rectangles); ties are broken by the most even distribution. Splitting an
-// internal node may force downward splits of straddling children, as in
-// the k-d-B-tree.
+// rectangles); ties are broken by the most even distribution. The child
+// regions of every internal node form a guillotine partition of its
+// region, so some line cuts no child: unlike the k-d-B-tree's, a split
+// never propagates downward (DESIGN.md, "Why an R⁺ split never cuts a
+// child").
 package rplus
 
 import (
@@ -69,11 +71,9 @@ type Tree struct {
 // every insert and delete: a warm insert allocates only when a node
 // splits or the tree grows.
 type scratch struct {
-	// nodes[d] decodes the one node of depth d (root 0) a descent holds;
-	// outs[d] collects its replacement entries. A split keeps its member
-	// segments, halves, candidate coordinates and lines and sweep counts
-	// here too.
-	nodes  []*rpage.Node
+	// outs[l] collects the replacement entries of the one node of level
+	// l a descent holds. A split keeps its member segments, halves,
+	// candidate coordinates and lines and sweep counts here too.
 	outs   [][]rpage.Entry
 	segs   []geom.Segment
 	lo, hi []rpage.Entry
@@ -83,25 +83,6 @@ type scratch struct {
 	// probe, when set, sees every line choice; the tests replay each
 	// through the brute-force count.
 	probe func(region geom.Rect, cands []splitLine, segs []geom.Segment, entries []rpage.Entry, best splitLine, ok bool)
-}
-
-// readDepth decodes page id into the scratch node of its depth. The
-// node stays valid until the next readDepth of the same depth; a descent
-// holds one node per depth, so recursion never clobbers a live one. The
-// entry buffer has room for the overflowing M+1st entry.
-func (t *Tree) readDepth(id store.PageID, depth int) (*rpage.Node, error) {
-	for len(t.w.nodes) <= depth {
-		t.w.nodes = append(t.w.nodes, &rpage.Node{Entries: make([]rpage.Entry, 0, t.Max+1)})
-		t.w.outs = append(t.w.outs, make([]rpage.Entry, 0, t.Max+1))
-	}
-	data, err := t.Pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n := t.w.nodes[depth]
-	err = rpage.ReadInto(data, n)
-	t.Pool.Unpin(id, false)
-	return n, err
 }
 
 // New creates an empty tree. The root region is the whole world. A
@@ -131,7 +112,7 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 		return err
 	}
 	t.o = o
-	repl, err := t.insertRec(t.Root, geom.World(), s, id, 0)
+	repl, err := t.insertRec(t.Root, geom.World(), s, id, t.Levels)
 	if err != nil {
 		return err
 	}
@@ -158,11 +139,11 @@ func (t *Tree) Insert(id seg.ID, o *obs.Op) error {
 }
 
 // insertRec inserts the segment into the subtree rooted at id covering
-// region, whose root sits at the given depth. It returns nil when the
+// region, whose root sits at the given level. It returns nil when the
 // subtree still fits under its one parent entry, else the entries that
 // must replace that entry (the node split).
-func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid seg.ID, depth int) ([]rpage.Entry, error) {
-	n, err := t.readDepth(id, depth)
+func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid seg.ID, level int) ([]rpage.Entry, error) {
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return nil, err
 	}
@@ -173,14 +154,17 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 		}
 		return t.splitLeaf(id, region, n)
 	}
-	out := t.w.outs[depth][:0]
+	for len(t.w.outs) <= level {
+		t.w.outs = append(t.w.outs, make([]rpage.Entry, 0, t.Max+1))
+	}
+	out := t.w.outs[level][:0]
 	for _, e := range n.Entries {
 		t.o.NodeComps(1)
 		if !e.Rect.IntersectsSegment(s) {
 			out = append(out, e)
 			continue
 		}
-		repl, err := t.insertRec(store.PageID(e.Ptr), e.Rect, s, sid, depth+1)
+		repl, err := t.insertRec(store.PageID(e.Ptr), e.Rect, s, sid, level-1)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +174,7 @@ func (t *Tree) insertRec(id store.PageID, region geom.Rect, s geom.Segment, sid 
 			out = append(out, repl...)
 		}
 	}
-	t.w.outs[depth] = out
+	t.w.outs[level] = out
 	if len(out) <= t.Max {
 		n.Entries = append(n.Entries[:0], out...)
 		return nil, t.WriteNode(id, n)

@@ -1,6 +1,7 @@
 package rplus
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,8 +92,8 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 		if err := e.tree.Validate(nil); err != nil {
 			t.Fatalf("%s: %v", e.tree.Name(), err)
 		}
-		if e.tree.Height() < 2 {
-			t.Fatalf("%s: height = %d", e.tree.Name(), e.tree.Height())
+		if e.tree.Levels < 2 {
+			t.Fatalf("%s: height = %d", e.tree.Name(), e.tree.Levels)
 		}
 		for trial := 0; trial < 50; trial++ {
 			r := geom.RectOf(
@@ -227,8 +228,8 @@ func TestPointQueryFollowsSinglePath(t *testing.T) {
 	p := geom.Pt(8000, 8000)
 	core.IncidentAtObs(e.tree, p, func(seg.ID, geom.Segment) bool { return true }, nil)
 	reads := e.tree.DiskStats().Sub(before).Reads
-	if int(reads) != e.tree.Height() {
-		t.Errorf("cold point query read %d pages, height is %d", reads, e.tree.Height())
+	if int(reads) != e.tree.Levels {
+		t.Errorf("cold point query read %d pages, height is %d", reads, e.tree.Levels)
 	}
 }
 
@@ -287,11 +288,11 @@ func TestUnsplittableNode(t *testing.T) {
 	}
 }
 
-// leafEntries walks the subtree at id, counting its leaf pages and the
-// entries in them.
-func leafEntries(t *testing.T, tr *Tree, id store.PageID) (entries, leaves int) {
+// leafEntries walks the subtree at id, a node of the given level,
+// counting its leaf pages and the entries in them.
+func leafEntries(t *testing.T, tr *Tree, id store.PageID, level int) (entries, leaves int) {
 	t.Helper()
-	n, err := tr.ReadNode(id)
+	n, err := tr.ReadNode(id, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func leafEntries(t *testing.T, tr *Tree, id store.PageID) (entries, leaves int) 
 		return len(n.Entries), 1
 	}
 	for _, e := range n.Entries {
-		ce, cl := leafEntries(t, tr, store.PageID(e.Ptr))
+		ce, cl := leafEntries(t, tr, store.PageID(e.Ptr), level-1)
 		entries += ce
 		leaves += cl
 	}
@@ -314,7 +315,7 @@ func TestStorageExceedsSegmentCount(t *testing.T) {
 	for _, s := range randSegs(rng, 1500, 800) {
 		e.add(t, s)
 	}
-	entries, leaves := leafEntries(t, e.tree, e.tree.Root)
+	entries, leaves := leafEntries(t, e.tree, e.tree.Root, e.tree.Levels)
 	if entries <= len(e.segs) {
 		t.Errorf("leaf entries %d should exceed segment count %d (duplication)", entries, len(e.segs))
 	}
@@ -323,10 +324,74 @@ func TestStorageExceedsSegmentCount(t *testing.T) {
 	}
 }
 
-// A dense grid of long horizontal and vertical lines forces internal-node
-// splits whose children straddle the chosen line — the k-d-B downward
-// split path (splitSubtree).
-func TestDownwardSplits(t *testing.T) {
+// guillotine reports whether cells tile region by recursive full cuts:
+// some line at a cell boundary cuts no cell, and the cells on either
+// side are a guillotine partition of that side. Trying the first
+// cut-free line is enough, because any cut-free line of a guillotine
+// partition leaves both halves guillotine.
+func guillotine(region geom.Rect, cells []geom.Rect) bool {
+	if len(cells) <= 1 {
+		return len(cells) == 1 && cells[0] == region
+	}
+	for axis := 0; axis < 2; axis++ {
+		for _, c := range cells {
+			at, _ := axisRange(c, axis)
+			if rmin, _ := axisRange(region, axis); at <= rmin {
+				continue
+			}
+			loR, hiR := splitRegion(region, axis, at)
+			var lo, hi []geom.Rect
+			clean := true
+			for _, d := range cells {
+				inLo, inHi := d.Intersects(loR), d.Intersects(hiR)
+				if inLo && inHi {
+					clean = false
+					break
+				}
+				if inLo {
+					lo = append(lo, d)
+				} else {
+					hi = append(hi, d)
+				}
+			}
+			if clean {
+				return guillotine(loR, lo) && guillotine(hiR, hi)
+			}
+		}
+	}
+	return false
+}
+
+// checkGuillotine fails unless the child regions of every internal node
+// under id (a node of the given level covering region) form a guillotine
+// partition of its region: the invariant that lets emitInternal always
+// find a split line that cuts no child.
+func checkGuillotine(t *testing.T, tr *Tree, id store.PageID, region geom.Rect, level int) {
+	t.Helper()
+	n, err := tr.ReadNode(id, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Leaf {
+		return
+	}
+	cells := make([]geom.Rect, len(n.Entries))
+	for i, e := range n.Entries {
+		cells[i] = e.Rect
+	}
+	if !guillotine(region, cells) {
+		t.Fatalf("page %d: child regions %v are not a guillotine partition of %v", id, cells, region)
+	}
+	for _, e := range n.Entries {
+		checkGuillotine(t, tr, store.PageID(e.Ptr), e.Rect, level-1)
+	}
+}
+
+// A dense grid of long horizontal and vertical lines splits many leaves
+// of one parent per insert, so internal nodes overflow by several
+// entries at once; every node must still partition its region by full
+// cuts.
+func TestLongLinesKeepGuillotinePartitions(t *testing.T) {
 	e := newEnv(t, 256, 16, DefaultConfig()) // capacity (256-4)/20 = 12
 	rng := rand.New(rand.NewSource(121))
 	var segs []geom.Segment
@@ -344,12 +409,13 @@ func TestDownwardSplits(t *testing.T) {
 			}
 		}
 	}
-	if e.tree.Height() < 3 {
-		t.Fatalf("height %d; test needs internal splits", e.tree.Height())
+	if e.tree.Levels < 3 {
+		t.Fatalf("height %d; test needs internal splits", e.tree.Levels)
 	}
 	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
+	checkGuillotine(t, e.tree, e.tree.Root, geom.World(), e.tree.Levels)
 	// Exhaustive windows against brute force.
 	for trial := 0; trial < 30; trial++ {
 		r := geom.RectOf(
@@ -363,7 +429,7 @@ func TestDownwardSplits(t *testing.T) {
 			}
 		}
 	}
-	// Deep deletes after downward splits still work.
+	// Deep deletes after internal splits still work.
 	for i := 0; i < 100; i++ {
 		if err := e.tree.Delete(seg.ID(i), nil); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
@@ -371,6 +437,81 @@ func TestDownwardSplits(t *testing.T) {
 	}
 	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Inserts into a bulk-loaded tree split the regrouped k-d partition's
+// nodes; the partition and every split of it must stay guillotine.
+func TestBulkLoadThenInsertKeepsGuillotinePartitions(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), KDBConfig()} {
+		for _, pageSize := range []int{256, 1024} {
+			table := seg.NewTable(pageSize, 64)
+			rng := rand.New(rand.NewSource(int64(pageSize)))
+			segs := randSegs(rng, 7000, 1000)
+			ids := make([]seg.ID, len(segs))
+			for i, s := range segs {
+				id, err := table.Append(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
+			}
+			tree, err := BulkLoadObs(store.NewPool(store.NewDisk(pageSize), 64), table, cfg, ids[:5000], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGuillotine(t, tree, tree.Root, geom.World(), tree.Levels)
+			internalSplits := 0
+			tree.w.probe = func(_ geom.Rect, _ []splitLine, _ []geom.Segment, entries []rpage.Entry, _ splitLine, _ bool) {
+				if entries != nil {
+					internalSplits++
+				}
+			}
+			for _, id := range ids[5000:] {
+				if err := tree.Insert(id, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tree.Validate(nil); err != nil {
+				t.Fatalf("%s, %d B pages: %v", tree.Name(), pageSize, err)
+			}
+			if internalSplits == 0 {
+				t.Fatalf("%s, %d B pages: the inserts split no internal node; the test is vacuous", tree.Name(), pageSize)
+			}
+			checkGuillotine(t, tree, tree.Root, geom.World(), tree.Levels)
+		}
+	}
+}
+
+// A pinwheel (four arms around a centre cut into nine cells) tiles its
+// region, but every full line across it cuts an arm. No node this code
+// writes looks like that, so emitInternal refuses it as a corrupt page
+// instead of splitting a child downward.
+func TestEmitInternalRefusesPinwheel(t *testing.T) {
+	e := newEnv(t, 256, 16, DefaultConfig()) // capacity (256-4)/20 = 12
+	region := geom.RectOf(0, 0, 26, 26)
+	cells := []geom.Rect{
+		geom.RectOf(0, 0, 17, 8), geom.RectOf(18, 0, 26, 17),
+		geom.RectOf(9, 18, 26, 26), geom.RectOf(0, 9, 8, 26),
+	}
+	for x := int32(9); x <= 15; x += 3 {
+		for y := int32(9); y <= 15; y += 3 {
+			cells = append(cells, geom.RectOf(x, y, x+2, y+2))
+		}
+	}
+	if len(cells) <= e.tree.Max || guillotine(region, cells) {
+		t.Fatalf("%d cells (M = %d), guillotine %v: the pinwheel must overflow a node and have no cut-free line", len(cells), e.tree.Max, guillotine(region, cells))
+	}
+	entries := make([]rpage.Entry, len(cells))
+	for i, c := range cells {
+		entries[i] = rpage.Entry{Rect: c, Ptr: uint32(i + 1)}
+	}
+	pages := e.tree.Pool.Disk().PageCount()
+	if _, err := e.tree.emitInternal(store.NilPage, false, region, entries); !errors.Is(err, store.ErrBadPage) {
+		t.Fatalf("emitInternal on a pinwheel: err = %v, want ErrBadPage", err)
+	}
+	if got := e.tree.Pool.Disk().PageCount(); got != pages {
+		t.Errorf("the refused split allocated pages: %d -> %d", pages, got)
 	}
 }
 
@@ -398,54 +539,5 @@ func TestAvgLeafOccupancyAndAccessors(t *testing.T) {
 	occ, err = empty.tree.AvgLeafOccupancy()
 	if err != nil || occ != 0 {
 		t.Errorf("empty occupancy = %v, %v", occ, err)
-	}
-}
-
-// The downward split machinery is unreachable under the min-cut split
-// policy (see the note on splitSubtree), but must still be correct for
-// alternative policies; exercise it directly by cutting a built subtree.
-func TestSplitSubtreeDirect(t *testing.T) {
-	e := newEnv(t, 256, 16, DefaultConfig())
-	rng := rand.New(rand.NewSource(131))
-	segs := randSegs(rng, 400, 400)
-	for _, s := range segs {
-		e.add(t, s)
-	}
-	if e.tree.Height() < 2 {
-		t.Fatal("need a multi-level tree")
-	}
-	root, region := e.tree.RootForTest()
-	// Cut the whole tree down the middle, through nodes and leaves alike.
-	lo, hi, err := e.tree.SplitSubtreeForTest(root, region, 0, geom.WorldSize/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stitch the halves under a new root and verify the result still
-	// satisfies every invariant and answers window queries correctly.
-	loR := geom.RectOf(0, 0, geom.WorldSize/2-1, geom.WorldSize-1)
-	hiR := geom.RectOf(geom.WorldSize/2, 0, geom.WorldSize-1, geom.WorldSize-1)
-	rid, err := e.tree.AllocNode(&rpage.Node{Entries: []rpage.Entry{
-		{Rect: loR, Ptr: uint32(lo)},
-		{Rect: hiR, Ptr: uint32(hi)},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.tree.Root = rid
-	e.tree.Levels++
-	if err := e.tree.Validate(nil); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		r := geom.RectOf(
-			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)),
-			int32(rng.Intn(geom.WorldSize)), int32(rng.Intn(geom.WorldSize)))
-		got := map[seg.ID]bool{}
-		e.tree.WindowObs(r, func(id seg.ID, _ geom.Segment) bool { got[id] = true; return true }, nil)
-		for i, s := range segs {
-			if want := r.IntersectsSegment(s); got[seg.ID(i)] != want {
-				t.Fatalf("trial %d seg %d: got %v want %v", trial, i, got[seg.ID(i)], want)
-			}
-		}
 	}
 }

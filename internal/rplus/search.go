@@ -17,7 +17,7 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 		return err
 	}
 	t.o = o
-	removed, err := t.deleteRec(t.Root, s, id, 0)
+	removed, err := t.deleteRec(t.Root, s, id, t.Levels)
 	if err != nil {
 		return err
 	}
@@ -28,8 +28,8 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 	return nil
 }
 
-func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID, depth int) (int, error) {
-	n, err := t.readDepth(id, depth)
+func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID, level int) (int, error) {
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return 0, err
 	}
@@ -55,7 +55,7 @@ func (t *Tree) deleteRec(id store.PageID, s geom.Segment, sid seg.ID, depth int)
 		if !e.Rect.IntersectsSegment(s) {
 			continue
 		}
-		r, err := t.deleteRec(store.PageID(e.Ptr), s, sid, depth+1)
+		r, err := t.deleteRec(store.PageID(e.Ptr), s, sid, level-1)
 		if err != nil {
 			return 0, err
 		}

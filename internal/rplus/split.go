@@ -1,6 +1,7 @@
 package rplus
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -69,12 +70,17 @@ func (t *Tree) splitLeaf(id store.PageID, region geom.Rect, n *rpage.Node) ([]rp
 
 // emitInternal writes entries as one internal node when they fit (into
 // page id when reuse is set, else a fresh page), or splits the region and
-// recurses. Children straddling the chosen line are split downward, k-d-B
-// style. A single insertion can split several children of the same node
-// (a segment is placed in every leaf it crosses), so an internal node may
-// arrive more than one entry over capacity; each half is split again
-// until every node fits. It returns the parent entries for everything it
-// created.
+// recurses. A single insertion can split several children of the same
+// node (a segment is placed in every leaf it crosses), so an internal
+// node may arrive more than one entry over capacity; each half is split
+// again until every node fits. It returns the parent entries for
+// everything it created.
+//
+// The child regions this code writes form a guillotine partition of
+// their parent's region, so the line chooseLine picks cuts no child
+// (DESIGN.md, "Why an R⁺ split never cuts a child"). A child straddling
+// it can only come from a page this code did not write, and is refused
+// as corruption rather than split downward.
 func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entries []rpage.Entry) ([]rpage.Entry, error) {
 	if len(entries) <= t.Max {
 		if reuse {
@@ -100,15 +106,7 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 		inHi := e.Rect.Intersects(hiR)
 		switch {
 		case inLo && inHi:
-			// Downward split of the straddling child.
-			l, h, err := t.splitSubtree(store.PageID(e.Ptr), e.Rect, best)
-			if err != nil {
-				return nil, err
-			}
-			cl, _ := e.Rect.Intersection(loR)
-			ch, _ := e.Rect.Intersection(hiR)
-			loE = append(loE, rpage.Entry{Rect: cl, Ptr: uint32(l)})
-			hiE = append(hiE, rpage.Entry{Rect: ch, Ptr: uint32(h)})
+			return nil, fmt.Errorf("rplus: every split line of region %v cuts a child (here %v): %w", region, e.Rect, store.ErrBadPage)
 		case inLo:
 			loE = append(loE, e)
 		default:
@@ -124,74 +122,6 @@ func (t *Tree) emitInternal(id store.PageID, reuse bool, region geom.Rect, entri
 		return nil, err
 	}
 	return append(out, hiOut...), nil
-}
-
-// splitSubtree cuts the whole subtree rooted at id (covering region) along
-// the line, producing two subtrees of the same height. The original page
-// becomes the low side; the returned pages cover region∩lo and region∩hi.
-//
-// A note on reachability: because node splits only consider candidate
-// lines at child-region boundaries and minimize cuts, and because the
-// children of every node form a guillotine partition (each split refines
-// one cell with a full line, preserving the property inductively), a
-// zero-cut line always exists and is always preferred — so the insertion
-// path never actually forces a downward split. The mechanism is retained
-// because the k-d-B-tree literature requires it for split policies that
-// choose planes independently of child boundaries (e.g. medians), and
-// Tree.SplitSubtreeForTest exercises it directly.
-func (t *Tree) splitSubtree(id store.PageID, region geom.Rect, line splitLine) (lo, hi store.PageID, err error) {
-	n, err := t.ReadNode(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	loHalf, hiHalf := line.halves(region)
-	loR, _ := region.Intersection(loHalf)
-	hiR, _ := region.Intersection(hiHalf)
-	var loE, hiE []rpage.Entry
-	if n.Leaf {
-		for _, e := range n.Entries {
-			s, err := t.Segs.GetObs(seg.ID(e.Ptr), t.o)
-			if err != nil {
-				return 0, 0, err
-			}
-			t.o.NodeComps(1)
-			if loR.IntersectsSegment(s) {
-				loE = append(loE, rpage.Entry{Rect: t.leafRect(s, loR), Ptr: e.Ptr})
-			}
-			if hiR.IntersectsSegment(s) {
-				hiE = append(hiE, rpage.Entry{Rect: t.leafRect(s, hiR), Ptr: e.Ptr})
-			}
-		}
-	} else {
-		for _, e := range n.Entries {
-			t.o.NodeComps(1)
-			inLo := e.Rect.Intersects(loR)
-			inHi := e.Rect.Intersects(hiR)
-			switch {
-			case inLo && inHi:
-				l, h, err := t.splitSubtree(store.PageID(e.Ptr), e.Rect, line)
-				if err != nil {
-					return 0, 0, err
-				}
-				cl, _ := e.Rect.Intersection(loR)
-				ch, _ := e.Rect.Intersection(hiR)
-				loE = append(loE, rpage.Entry{Rect: cl, Ptr: uint32(l)})
-				hiE = append(hiE, rpage.Entry{Rect: ch, Ptr: uint32(h)})
-			case inLo:
-				loE = append(loE, e)
-			default:
-				hiE = append(hiE, e)
-			}
-		}
-	}
-	if err := t.WriteNode(id, &rpage.Node{Leaf: n.Leaf, Entries: loE}); err != nil {
-		return 0, 0, err
-	}
-	hid, err := t.AllocNode(&rpage.Node{Leaf: n.Leaf, Entries: hiE})
-	if err != nil {
-		return 0, 0, err
-	}
-	return id, hid, nil
 }
 
 // chooseLine returns the split line that cuts the fewest members — the
@@ -281,12 +211,3 @@ func (t *Tree) chooseLine(region geom.Rect, segs []geom.Segment, entries []rpage
 	}
 	return best, bestCuts >= 0
 }
-
-// SplitSubtreeForTest exposes the downward split to the test suite (see
-// the reachability note on splitSubtree).
-func (t *Tree) SplitSubtreeForTest(id store.PageID, region geom.Rect, axis int, coord int32) (lo, hi store.PageID, err error) {
-	return t.splitSubtree(id, region, splitLine{axis: axis, coord: coord})
-}
-
-// RootForTest exposes the root page and region for white-box tests.
-func (t *Tree) RootForTest() (store.PageID, geom.Rect) { return t.Root, geom.World() }

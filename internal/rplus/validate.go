@@ -21,7 +21,7 @@ func (t *Tree) Validate(o *obs.Op) error {
 }
 
 func (t *Tree) validate(id store.PageID, region geom.Rect, level int, o *obs.Op) error {
-	n, err := t.ReadNode(id)
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return err
 	}

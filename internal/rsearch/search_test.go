@@ -27,10 +27,11 @@ func longSegs(rng *rand.Rand, n int, maxLen int32) []geom.Segment {
 	return segs
 }
 
-// leafEntries counts the leaf entries under page id.
-func leafEntries(t *testing.T, read func(store.PageID) (*rpage.Node, error), id store.PageID) int {
+// leafEntries counts the leaf entries under page id, a node of the
+// given level.
+func leafEntries(t *testing.T, read func(store.PageID, int) (*rpage.Node, error), id store.PageID, level int) int {
 	t.Helper()
-	n, err := read(id)
+	n, err := read(id, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func leafEntries(t *testing.T, read func(store.PageID) (*rpage.Node, error), id 
 	}
 	total := 0
 	for _, e := range n.Entries {
-		total += leafEntries(t, read, store.PageID(e.Ptr))
+		total += leafEntries(t, read, store.PageID(e.Ptr), level-1)
 	}
 	return total
 }
@@ -85,11 +86,11 @@ func TestEachIDReportedOnce(t *testing.T) {
 			}
 			switch tr := ix.(type) {
 			case *rplus.Tree:
-				if got := leafEntries(t, tr.ReadNode, tr.Root); got <= n {
+				if got := leafEntries(t, tr.ReadNode, tr.Root, tr.Levels); got <= n {
 					t.Fatalf("%d leaf entries for %d segments: nothing is duplicated, the test is vacuous", got, n)
 				}
 			case *rstar.Tree:
-				if got := leafEntries(t, tr.ReadNode, tr.Root); got != n {
+				if got := leafEntries(t, tr.ReadNode, tr.Root, tr.Levels); got != n {
 					t.Fatalf("%d leaf entries for %d segments", got, n)
 				}
 			}
@@ -142,6 +143,61 @@ func TestEachIDReportedOnce(t *testing.T) {
 						t.Fatalf("k=%d: result %d closer than result %d", k, i, i-1)
 					}
 				}
+			}
+		})
+	}
+}
+
+// The structural walks decode through the tree's one node per level:
+// once warm, with every page resident, AvgLeafOccupancy and Validate
+// allocate nothing.
+func TestNodeWalksAllocateNothing(t *testing.T) {
+	type walker interface {
+		core.Index
+		AvgLeafOccupancy() (float64, error)
+	}
+	builders := map[string]func(*store.Pool, *seg.Table) (walker, error){
+		"R*-tree": func(p *store.Pool, tb *seg.Table) (walker, error) {
+			return rstar.New(p, tb, rstar.DefaultConfig())
+		},
+		"R+-tree": func(p *store.Pool, tb *seg.Table) (walker, error) {
+			return rplus.New(p, tb, rplus.DefaultConfig())
+		},
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			const pages = 4096
+			table := seg.NewTable(512, pages)
+			ix, err := build(store.NewPool(store.NewDisk(512), pages), table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range longSegs(rand.New(rand.NewSource(30)), 2000, 500) {
+				id, err := table.Append(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Insert(id, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var walkErr error
+			if a := testing.AllocsPerRun(10, func() {
+				if _, err := ix.AvgLeafOccupancy(); err != nil {
+					walkErr = err
+				}
+			}); a != 0 {
+				t.Errorf("AvgLeafOccupancy: %.0f allocations per walk, want 0", a)
+			}
+			if a := testing.AllocsPerRun(10, func() {
+				if err := ix.Validate(nil); err != nil {
+					walkErr = err
+				}
+			}); a != 0 {
+				t.Errorf("Validate: %.0f allocations per walk, want 0", a)
+			}
+			if walkErr != nil {
+				t.Fatal(walkErr)
 			}
 		})
 	}

@@ -33,6 +33,10 @@ type Tree struct {
 	Format int  // page compression level new writes use
 	Count  int  // distinct segments indexed
 	dedup  bool // leaves may repeat a segment
+	// nodes[l] is ReadNode's decode target for level l. The structural
+	// paths run one at a time (the database's writer lock), so one set
+	// per tree serves them all.
+	nodes []*rpage.Node
 }
 
 // attach fills in the fields every tree derives from its pool.
@@ -108,20 +112,26 @@ func (t *Tree) DropCache() error { return t.Pool.DropAll() }
 // Len returns the number of distinct indexed segments.
 func (t *Tree) Len() int { return t.Count }
 
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.Levels }
-
-// MaxEntries returns M (test and reporting hook).
-func (t *Tree) MaxEntries() int { return t.Max }
-
-// ReadNode fetches a node in its mutable array-of-entries form, for the
-// write path and the validators.
-func (t *Tree) ReadNode(id store.PageID) (*rpage.Node, error) {
+// ReadNode decodes page id, a node of the given level (1 = leaf), in
+// its mutable array-of-entries form, for the write paths, the
+// validators and the occupancy walk. The node is the tree's scratch for
+// that level: it stays valid until the next ReadNode of the same level,
+// so a descent, which holds one node per level, never clobbers a live
+// one. Its entry buffer has room for the overflowing M+1st entry. It is
+// not safe for concurrent use.
+func (t *Tree) ReadNode(id store.PageID, level int) (*rpage.Node, error) {
+	if level < 1 {
+		return nil, fmt.Errorf("rsearch: page %d lies below the leaf level: %w", id, store.ErrBadPage)
+	}
+	for len(t.nodes) <= level {
+		t.nodes = append(t.nodes, &rpage.Node{Entries: make([]rpage.Entry, 0, t.Max+1)})
+	}
 	data, err := t.Pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	n, err := rpage.Read(data)
+	n := t.nodes[level]
+	err = rpage.ReadInto(data, n)
 	t.Pool.Unpin(id, false)
 	return n, err
 }
@@ -160,7 +170,7 @@ func (t *Tree) AllocNode(n *rpage.Node) (store.PageID, error) {
 // makes it lower).
 func (t *Tree) AvgLeafOccupancy() (float64, error) {
 	entries, leaves := 0, 0
-	if err := t.countLeaves(t.Root, &entries, &leaves); err != nil {
+	if err := t.countLeaves(t.Root, t.Levels, &entries, &leaves); err != nil {
 		return 0, err
 	}
 	if leaves == 0 {
@@ -169,8 +179,8 @@ func (t *Tree) AvgLeafOccupancy() (float64, error) {
 	return float64(entries) / float64(leaves), nil
 }
 
-func (t *Tree) countLeaves(id store.PageID, entries, leaves *int) error {
-	n, err := t.ReadNode(id)
+func (t *Tree) countLeaves(id store.PageID, level int, entries, leaves *int) error {
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return err
 	}
@@ -180,7 +190,7 @@ func (t *Tree) countLeaves(id store.PageID, entries, leaves *int) error {
 		return nil
 	}
 	for _, e := range n.Entries {
-		if err := t.countLeaves(store.PageID(e.Ptr), entries, leaves); err != nil {
+		if err := t.countLeaves(store.PageID(e.Ptr), level-1, entries, leaves); err != nil {
 			return err
 		}
 	}

@@ -191,7 +191,7 @@ func TestChooseSubtreeMatchesReferenceOnCharles(t *testing.T) {
 	var nodes, calls, bounded int
 	var walk func(id store.PageID, level int)
 	walk = func(id store.PageID, level int) {
-		n, err := env.tree.ReadNode(id)
+		n, err := env.tree.ReadNode(id, level)
 		if err != nil {
 			t.Fatal(err)
 		}

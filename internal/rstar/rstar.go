@@ -130,9 +130,6 @@ type scratch struct {
 	// during the current logical insertion.
 	handled uint64
 	queue   []pending
-	// nodes[l] is the decode target for the one node of level l a
-	// descent holds at a time.
-	nodes []*rpage.Node
 	// lanes are ChooseSubtree's coordinate lanes.
 	lanes []int32
 	// sorted, prefix and suffix are the split's sortings and group MBRs;
@@ -140,24 +137,6 @@ type scratch struct {
 	sorted         [4][]rpage.Entry
 	prefix, suffix []geom.Rect
 	dist           []distEntry
-}
-
-// readLevel decodes page id into the scratch node of its level. The
-// node stays valid until the next readLevel of the same level; a descent
-// holds one node per level, so recursion never clobbers a live one. The
-// entry buffer has room for the overflowing M+1st entry.
-func (t *Tree) readLevel(id store.PageID, level int) (*rpage.Node, error) {
-	for len(t.w.nodes) <= level {
-		t.w.nodes = append(t.w.nodes, &rpage.Node{Entries: make([]rpage.Entry, 0, t.Max+1)})
-	}
-	data, err := t.Pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n := t.w.nodes[level]
-	err = rpage.ReadInto(data, n)
-	t.Pool.Unpin(id, false)
-	return n, err
 }
 
 // Insert adds the segment with the given table ID, charging o.
@@ -206,7 +185,7 @@ func (t *Tree) insertAll(first pending) error {
 // on the way back up. It returns the subtree's new MBR and, when the node
 // split, the entry for the new sibling that the caller must adopt.
 func (t *Tree) insertRec(id store.PageID, level int, p pending) (geom.Rect, *rpage.Entry, error) {
-	n, err := t.readLevel(id, level)
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return geom.Rect{}, nil, err
 	}

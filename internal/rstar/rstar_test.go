@@ -97,8 +97,8 @@ func TestInsertAndWindowExhaustive(t *testing.T) {
 	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.tree.Height() < 2 {
-		t.Fatalf("height = %d, expected growth", e.tree.Height())
+	if e.tree.Levels < 2 {
+		t.Fatalf("height = %d, expected growth", e.tree.Levels)
 	}
 	for trial := 0; trial < 50; trial++ {
 		r := geom.RectOf(
@@ -224,8 +224,8 @@ func TestDeleteAll(t *testing.T) {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 	}
-	if e.tree.Len() != 0 || e.tree.Height() != 1 {
-		t.Fatalf("Len=%d Height=%d after deleting all", e.tree.Len(), e.tree.Height())
+	if e.tree.Len() != 0 || e.tree.Levels != 1 {
+		t.Fatalf("Len=%d Height=%d after deleting all", e.tree.Len(), e.tree.Levels)
 	}
 	if err := e.tree.Validate(nil); err != nil {
 		t.Fatal(err)
@@ -275,9 +275,9 @@ func TestForcedReinsertAblation(t *testing.T) {
 func TestCapacityMatchesPaper(t *testing.T) {
 	// §4: 1 KB pages with 20-byte tuples hold 50 entries.
 	e := newEnv(t, 1024, 16, DefaultConfig())
-	if got := e.tree.MaxEntries(); got != 51 {
+	if got := e.tree.Max; got != 51 {
 		// (1024-4)/20 = 51; the paper rounds to 50 ignoring the header.
-		t.Errorf("MaxEntries = %d, want 51", got)
+		t.Errorf("Max = %d, want 51", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 		}
 	}
 	for t.Levels > 1 {
-		n, err := t.readLevel(t.Root, t.Levels)
+		n, err := t.ReadNode(t.Root, t.Levels)
 		if err != nil {
 			return err
 		}
@@ -52,7 +52,7 @@ func (t *Tree) Delete(id seg.ID, o *obs.Op) error {
 // entry was found and whether this node became underfull and was emptied
 // into the orphan list (in which case the caller removes its entry).
 func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect, orphans *[]pending) (found, removed bool, err error) {
-	n, err := t.readLevel(id, level)
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return false, false, err
 	}
@@ -90,7 +90,7 @@ func (t *Tree) deleteRec(id store.PageID, level int, target seg.ID, r geom.Rect,
 		if rm {
 			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 		} else {
-			child, err := t.readLevel(store.PageID(e.Ptr), level-1)
+			child, err := t.ReadNode(store.PageID(e.Ptr), level-1)
 			if err != nil {
 				return false, false, err
 			}

@@ -26,7 +26,7 @@ func (t *Tree) Validate(o *obs.Op) error {
 }
 
 func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *int, o *obs.Op) error {
-	n, err := t.ReadNode(id)
+	n, err := t.ReadNode(id, level)
 	if err != nil {
 		return err
 	}
@@ -56,7 +56,7 @@ func (t *Tree) validate(id store.PageID, level int, isRoot bool, leafEntries *in
 		return nil
 	}
 	for _, e := range n.Entries {
-		child, err := t.ReadNode(store.PageID(e.Ptr))
+		child, err := t.ReadNode(store.PageID(e.Ptr), level-1)
 		if err != nil {
 			return err
 		}
