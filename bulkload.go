@@ -141,7 +141,7 @@ func (db *DB) rebuildBulk(ids []seg.ID) error {
 		disk.SetRetryPolicy(rp)
 	}
 	pool := store.NewPool(disk, db.opts.PoolPages)
-	ix, err := kinds.Bulk(db.kind, db.opts.config(), pool, db.table, ids, &db.wop)
+	ix, err := kinds.Bulk(db.kind, db.opts.Config, pool, db.table, ids, &db.wop)
 	if err != nil {
 		return err
 	}

@@ -251,10 +251,11 @@ func cursorCancelOnHeldPage(t *testing.T) {
 func cursorDegradedSkipsEveryCandidate(t *testing.T) {
 	for _, k := range []Kind{RStarTree, PMRQuadtree, UniformGrid} {
 		t.Run(k.String(), func(t *testing.T) {
-			db, err := Open(k, WithDegradedReads(true))
+			db, err := Open(k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			db.SetDegradedReads(true)
 			// 64 records fill table page 0; 20 more start page 1.
 			for i := int32(0); i < 84; i++ {
 				if _, err := db.Add(Seg(2000+10*i, 2000, 2000+10*i, 2040)); err != nil {

@@ -44,10 +44,11 @@ func decodeCacheFreshness(t *testing.T, kind Kind, level int) {
 	wfs := NewMemWALFS()
 	// 256 pages hold every index of this size whole, so a repeated query
 	// finds every frame resident.
-	db, err := Open(kind, WithWALFS(wfs), WithDegradedReads(true), WithPoolPages(256), WithPageCompression(level))
+	db, err := Open(kind, WithWALFS(wfs), WithPoolPages(256), WithPageCompression(level))
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetDegradedReads(true)
 	// inPlace: every page the index reads is a classic B+-tree page, so
 	// no query may decode; the other checks apply to the rest.
 	inPlace := level == 0 && (kind == PMRQuadtree || kind == UniformGrid)

@@ -43,6 +43,7 @@ import (
 	"runtime"
 	"slices"
 
+	"segdb/internal/kinds"
 	"segdb/internal/seg"
 	"segdb/internal/store"
 )
@@ -50,7 +51,7 @@ import (
 // Durability and fault-tolerance types, re-exported from internal/store.
 type (
 	// RetryPolicy makes both disks retry transiently failing page reads
-	// and writes with exponential backoff; see WithRetryPolicy.
+	// and writes with exponential backoff; see SetRetryPolicy.
 	RetryPolicy = store.RetryPolicy
 	// WALFS is the filesystem surface the WAL and checkpoint protocol
 	// write through; see WithWALFS.
@@ -265,9 +266,11 @@ type RecoveryReport struct {
 // its WAL directory: the latest checkpoint is loaded and every
 // committed WAL operation after it is re-executed. The recovered
 // database is durable again — a fresh checkpoint is cut and the log
-// truncated before Recover returns. Options contribute runtime settings
-// only (retry policy, degraded reads, fault policy, tracer, staged
-// ingest); the structural configuration comes from the checkpoint image.
+// truncated before Recover returns. The checkpoint holds the
+// configuration and dir the log, so the only options Recover takes are
+// the database's modes, WithStagedIngest and WithCompactThreshold; any
+// other is refused with ErrInvalidArgument rather than ignored. Runtime
+// state attaches after it returns, through the Set* methods.
 func Recover(dir string, opts ...Option) (*DB, *RecoveryReport, error) {
 	wfs, err := store.NewDirWALFS(dir)
 	if err != nil {
@@ -279,13 +282,16 @@ func Recover(dir string, opts ...Option) (*DB, *RecoveryReport, error) {
 // RecoverFS is Recover over an explicit WALFS (e.g. a MemWALFS crash
 // harness).
 func RecoverFS(wfs WALFS, opts ...Option) (*DB, *RecoveryReport, error) {
+	if o := foldOptions(opts); o.Config != (kinds.Config{}) || o.WALDir != "" || o.WALFS != nil {
+		return nil, nil, fmt.Errorf("%w: recovery takes the configuration from the checkpoint and the log from its own argument; pass only WithStagedIngest and WithCompactThreshold", ErrInvalidArgument)
+	}
 	o := resolveOptions(opts)
 	st, err := replayDurableState(wfs, o.StagedIngest)
 	if err != nil {
 		return nil, nil, err
 	}
 	db := st.db
-	db.attachRuntime(o)
+	db.opts.StagedIngest, db.opts.CompactThreshold = o.StagedIngest, o.CompactThreshold
 	db.walfs = wfs
 	db.walEpoch = st.lastEpoch
 	db.walSeq = st.seq
@@ -332,9 +338,9 @@ type replayedState struct {
 }
 
 // replayDurableState loads the checkpoint into a DB with no runtime
-// options attached (so injected faults cannot touch it) and replays the
+// state attached (so injected faults cannot touch it) and replays the
 // log's committed ops over it, in place or staged. Shared by Recover,
-// which attaches the runtime options to the result, and Scrub, which
+// which sets the database's modes on the result, and Scrub, which
 // uses it as the known-good source for repairing bad pages. A replay
 // that diverges from the log — an add given another ID than it was
 // logged with, or a table length other than a commit's — is an error.
@@ -556,15 +562,14 @@ func (db *DB) SetRetryPolicy(rp *RetryPolicy) {
 	db.table.Disk().SetRetryPolicy(rp)
 }
 
-// SetDegradedReads toggles degraded-read mode at runtime (see
-// WithDegradedReads): queries skip quarantined pages, reporting them in
-// QueryStats.SkippedPages, instead of failing. The flag itself is
-// atomic (queries read it lock-free); the writer lock keeps the Options
-// mirror consistent for observers.
+// SetDegradedReads turns degraded-read mode on or off: a page that fails
+// its checksum or exhausts its retries is quarantined and skipped instead
+// of aborting the query, which then returns partial results with the
+// skips counted in QueryStats.SkippedPages. Scrub repairs quarantined
+// pages from the last checkpoint plus the write-ahead log. Mutations are
+// never degraded: a write that cannot read its pages still fails loudly.
+// The flag is one atomic store; a query reads it once, when it starts.
 func (db *DB) SetDegradedReads(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.DegradedReads = on
 	db.degraded.Store(on)
 }
 

@@ -100,6 +100,37 @@ func TestOpenRefusesExistingCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesIgnoredOptions holds Recover to the options it
+// reads: the checkpoint fixes the configuration and the log location is
+// its own argument, so an option setting either is refused, not
+// ignored. The modes still apply.
+func TestRecoverRefusesIgnoredOptions(t *testing.T) {
+	wfs := NewMemWALFS()
+	db, err := Open(RStarTree, WithWALFS(wfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Add(Seg(1, 1, 50, 50)); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Option{
+		"WithPageSize(2048)": WithPageSize(2048),
+		"WithPoolPages(64)":  WithPoolPages(64),
+		"WithWALFS(other)":   WithWALFS(NewMemWALFS()),
+	} {
+		if _, _, err := RecoverFS(wfs, opt); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("RecoverFS(%s) = %v, want ErrInvalidArgument", name, err)
+		}
+	}
+	rec, _, err := RecoverFS(wfs, WithStagedIngest(), WithCompactThreshold(8))
+	if err != nil {
+		t.Fatalf("RecoverFS with the modes: %v", err)
+	}
+	if !rec.stagedMode() || rec.opts.CompactThreshold != 8 || rec.Len() != 1 {
+		t.Fatalf("recovered staged=%v threshold=%d len=%d, want true, 8, 1", rec.stagedMode(), rec.opts.CompactThreshold, rec.Len())
+	}
+}
+
 func TestRecoverWithoutCheckpoint(t *testing.T) {
 	if _, _, err := RecoverFS(NewMemWALFS()); err == nil {
 		t.Fatal("recovery of an empty WALFS succeeded")
@@ -230,13 +261,12 @@ func TestRetryWorkloadCompletes(t *testing.T) {
 	fp := NewFaultPolicy(FaultConfig{Seed: 21, ReadErrorProb: 0.25, WriteErrorProb: 0.25})
 	// A tiny pool plus periodic cache drops forces real disk traffic, so
 	// the probabilities bite.
-	db, err := Open(RPlusTree,
-		WithFaultPolicy(fp),
-		WithPoolPages(8),
-		WithRetryPolicy(&RetryPolicy{MaxAttempts: 64}))
+	db, err := Open(RPlusTree, WithPoolPages(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetFaultPolicy(fp)
+	db.SetRetryPolicy(&RetryPolicy{MaxAttempts: 64})
 	for i, s := range crashSegments(300, 22) {
 		if _, err := db.Add(s); err != nil {
 			t.Fatalf("Add under transient faults: %v", err)
@@ -281,10 +311,11 @@ func TestDegradedReadsAndScrub(t *testing.T) {
 	for _, kind := range crashKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			wfs := NewMemWALFS()
-			db, err := Open(kind, WithWALFS(wfs), WithDegradedReads(true))
+			db, err := Open(kind, WithWALFS(wfs))
 			if err != nil {
 				t.Fatal(err)
 			}
+			db.SetDegradedReads(true)
 			segs := crashSegments(150, 31)
 			for _, s := range segs {
 				if _, err := db.Add(s); err != nil {

@@ -145,11 +145,9 @@ func (r *Router) record(qk queryKind, start time.Time, st *segdb.QueryStats, err
 // bulk-builds each shard (one goroutine per shard; each build is the
 // bottom-up pipeline of AddBatch). Global segment IDs are
 // positions in segs — the same IDs an unsharded DB loaded from the same
-// slice assigns. opts configure every shard identically (functional
-// options only; the serving tier does not accept the legacy *Options
-// path).
+// slice assigns. opts configure every shard identically.
 //
-// shards must be >= 1. Shards than end up empty (more shards than
+// shards must be >= 1. Shards that end up empty (more shards than
 // segments) stay valid and are simply never fanned to.
 func Build(kind segdb.Kind, segs []segdb.Segment, shards int, opts ...segdb.Option) (*Router, error) {
 	if shards < 1 {

@@ -138,32 +138,6 @@ func TestDecodeCacheInvalidatedOnDirtyUnpin(t *testing.T) {
 	}
 }
 
-// MarkDirty is the other way bytes change under a pin; it must drop the
-// cached decode too.
-func TestDecodeCacheInvalidatedOnMarkDirty(t *testing.T) {
-	p := NewPool(NewDisk(DefaultPageSize), 4)
-	id := newDecodePage(t, p, 20)
-	calls := 0
-	dec := countingDecode(&calls)
-	if _, err := p.GetDecodedObs(id, nil, dec); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := p.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(buf, 21)
-	p.MarkDirty(id)
-	p.Unpin(id, false)
-	v, err := p.GetDecodedObs(id, nil, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(uint32) != 21 || calls != 2 {
-		t.Fatalf("v=%v calls=%d, want 21 and 2", v, calls)
-	}
-}
-
 // Discard (the scrub repair path: RawRestore then Discard) must force a
 // re-read and a re-decode of the repaired bytes.
 func TestDecodeCacheInvalidatedOnDiscard(t *testing.T) {

@@ -1,7 +1,7 @@
 // Epochs give snapshots copy-on-write identity. A query pins the epoch
 // of the snapshot it starts against and runs to completion with no
 // locking against writers; a compaction publishes its successor epoch
-// atomically and retires the old one. Nothing is freed eagerly: the old
+// atomically. Nothing is freed eagerly: the old
 // generation's index, pool and disk are garbage-collected once its last
 // reader drops the snapshot. Pin/Unpin are single atomic adds, so the
 // read path pays two uncontended atomics per query — never a mutex.
@@ -10,13 +10,11 @@ package store
 import "sync/atomic"
 
 // Epoch is one snapshot generation. Readers Pin it for the duration of a
-// query; the writer Retires it when a successor epoch is published. The
-// pin count and the retired flag are observability: tests and tools read
-// them to see readers drain off a superseded generation.
+// query. The pin count is observability: tests and tools read it to see
+// readers drain off a superseded generation.
 type Epoch struct {
-	id      uint64
-	pins    atomic.Int64
-	retired atomic.Bool
+	id   uint64
+	pins atomic.Int64
 }
 
 // NewEpoch creates a live epoch with the given generation number.
@@ -29,9 +27,6 @@ func (e *Epoch) ID() uint64 { return e.id }
 // (observability; the value is stale the moment it returns).
 func (e *Epoch) Pins() int64 { return e.pins.Load() }
 
-// Retired reports whether a successor epoch has been published.
-func (e *Epoch) Retired() bool { return e.retired.Load() }
-
 // Pin takes one reference. Callers must validate that the epoch is still
 // the published one *after* pinning (load pointer, Pin, re-load pointer)
 // — a pin taken through a stale snapshot pointer is harmless, but the
@@ -40,8 +35,3 @@ func (e *Epoch) Pin() { e.pins.Add(1) }
 
 // Unpin drops one reference.
 func (e *Epoch) Unpin() { e.pins.Add(-1) }
-
-// Retire marks the epoch superseded. The caller must have already
-// published the successor snapshot, so no new reader can
-// pin-and-validate this epoch; readers already pinned finish undisturbed.
-func (e *Epoch) Retire() { e.retired.Store(true) }

@@ -19,29 +19,14 @@ func TestEpochPinUnpin(t *testing.T) {
 	}
 }
 
-// TestEpochReleaseAfterRetireWithNoPins checks that retiring an
-// unpinned epoch marks it retired.
-func TestEpochReleaseAfterRetireWithNoPins(t *testing.T) {
-	e := NewEpoch(1)
-	if e.Retired() {
-		t.Fatal("Retired = true before Retire")
-	}
-	e.Retire()
-	if !e.Retired() {
-		t.Fatal("Retired = false after Retire")
-	}
-}
-
-// TestEpochReleaseDeferredUntilLastUnpin checks that Retire leaves the
-// pins of readers still on the epoch alone, and that they drain as
-// usual afterwards.
+// TestEpochReleaseDeferredUntilLastUnpin checks that the pins of readers
+// still on a superseded epoch drain as usual.
 func TestEpochReleaseDeferredUntilLastUnpin(t *testing.T) {
 	e := NewEpoch(1)
 	e.Pin()
 	e.Pin()
-	e.Retire()
-	if !e.Retired() || e.Pins() != 2 {
-		t.Fatalf("after Retire: Retired = %v, Pins = %d; want true, 2", e.Retired(), e.Pins())
+	if got := e.Pins(); got != 2 {
+		t.Fatalf("Pins = %d, want 2", got)
 	}
 	e.Unpin()
 	e.Unpin()

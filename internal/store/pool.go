@@ -30,11 +30,10 @@ type frame struct {
 	// built by the first GetDecodedObs after the frame came in and served
 	// to every later one, so warm traversals skip the binary decode
 	// entirely. It is cleared whenever the bytes change (Unpin with
-	// dirty=true, MarkDirty) and vanishes with the frame on eviction,
-	// Discard, Free, and DropAll — install always builds a fresh frame
-	// struct even when it reuses the victim's byte buffer. Recovery builds
-	// a whole new Pool, and Scrub repairs end in Discard, so a recovered
-	// or repaired page can never serve a stale decode.
+	// dirty=true), when install reuses an evicted frame for another page,
+	// and vanishes with the frame on Discard, Free, and DropAll. Recovery
+	// builds a whole new Pool, and Scrub repairs end in Discard, so a
+	// recovered or repaired page can never serve a stale decode.
 	decoded atomic.Pointer[any]
 }
 
@@ -186,7 +185,7 @@ func (p *Pool) Allocate() (PageID, []byte, error) {
 
 // Get pins the page and returns its contents. The slice aliases the buffer
 // frame: it is valid until Unpin, and writes to it must be followed by
-// Unpin(id, true) (or MarkDirty) to be persisted.
+// Unpin(id, true) to be persisted.
 func (p *Pool) Get(id PageID) ([]byte, error) {
 	return p.GetObs(id, nil)
 }
@@ -419,19 +418,6 @@ func (p *Pool) Unpin(id PageID, dirty bool) {
 	f.pins.Add(-1)
 }
 
-// MarkDirty flags a currently pinned page as modified. Marking a
-// non-resident page panics (programmer error: the caller claims to hold a
-// pin it does not have).
-func (p *Pool) MarkDirty(id PageID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f := p.lookup(id)
-	if f == nil {
-		panic(fmt.Sprintf("store: mark dirty of non-resident page %d", id))
-	}
-	f.modified()
-}
-
 // Free returns the page to the disk free list. The page must be unpinned
 // (freeing a pinned page panics — programmer error); a dirty page being
 // freed is simply dropped without a write-back, since its contents are
@@ -530,11 +516,11 @@ func (p *Pool) DropUnpinned() (int, error) {
 // install brings a page into the pool at the head of the LRU list,
 // charging any eviction write-back to o. A full pool first evicts the
 // least recently used unpinned frame — exactly the paper's policy — and
-// reuses its page buffer; one with every frame pinned reports
+// reuses it, struct and page buffer; one with every frame pinned reports
 // ErrAllPinned, which the request paths wait out and retry (evictWait).
 // The latch must be held.
 func (p *Pool) install(id PageID, readFromDisk bool, o *obs.Op) (*frame, error) {
-	var buf []byte
+	var f *frame
 	if p.resident >= p.capacity {
 		victim := p.tail
 		for victim != nil && victim.pins.Load() > 0 {
@@ -550,11 +536,14 @@ func (p *Pool) install(id PageID, readFromDisk bool, o *obs.Op) (*frame, error) 
 			o.DiskWrite()
 		}
 		p.remove(victim)
-		buf = victim.data
+		// The victim is unpinned and now unreachable, so its struct and
+		// buffer carry the new page.
+		f = victim
+		f.id, f.dirty, f.held = id, false, 0
+		f.decoded.Store(nil)
 	} else {
-		buf = make([]byte, p.disk.pageSize)
+		f = &frame{id: id, data: make([]byte, p.disk.pageSize)}
 	}
-	f := &frame{id: id, data: buf}
 	if readFromDisk {
 		if err := p.disk.readObs(id, f.data, o); err != nil {
 			return nil, err

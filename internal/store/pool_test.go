@@ -38,6 +38,35 @@ func TestFrameSize(t *testing.T) {
 	}
 }
 
+// TestMissReusesEvictedFrame is the allocation gate on the miss path: a
+// pool smaller than the pages it cycles evicts on every request and
+// reuses the victim's frame, so a request allocates nothing.
+func TestMissReusesEvictedFrame(t *testing.T) {
+	p := NewPool(NewDisk(DefaultPageSize), 4)
+	ids := allocPages(t, p, 16)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := p.ViewObs(ids[i%len(ids)], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Data()[0] != byte(ids[i%len(ids)]) {
+			t.Fatalf("page %d holds byte %d", ids[i%len(ids)], v.Data()[0])
+		}
+		v.Release()
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a missing request made %v allocations, want 0", allocs)
+	}
+	if h := p.Stats().Hits; h != 0 {
+		t.Fatalf("%d pool hits, want every request to miss", h)
+	}
+}
+
 func TestShardedPoolRoundTrip(t *testing.T) {
 	// Far more pages than frames: every re-read goes through eviction and
 	// dirty write-back, so a content mismatch would expose either

@@ -211,13 +211,10 @@ func (db *DB) compactLocked() error {
 	}
 	db.mem = staging.NewMem()
 	db.tombs = nil
-	old := db.curEpoch
-	db.curEpoch = store.NewEpoch(old.ID() + 1)
+	// Nothing to free eagerly: the old epoch's index, pool, and disk are
+	// garbage-collected once its last reader unpins.
+	db.curEpoch = store.NewEpoch(db.curEpoch.ID() + 1)
 	db.publishLocked()
-	// Nothing to free eagerly — the old epoch's index, pool, and disk are
-	// garbage-collected once its last reader unpins — but retiring keeps
-	// the epoch lifecycle observable (Pins, Retired) for tests and tools.
-	old.Retire()
 	db.compactions.Add(1)
 	if db.walfs != nil {
 		// The rebuild replaced the index disk wholesale, and the log's

@@ -5,48 +5,59 @@ import (
 	"fmt"
 
 	"segdb/internal/kinds"
-	"segdb/internal/store"
 )
 
 // Option configures Open. Options compose left to right:
 //
 //	db, err := segdb.Open(segdb.PMRQuadtree,
 //	    segdb.WithPageSize(2048),
-//	    segdb.WithPoolPages(64),
-//	    segdb.WithTracer(segdb.NewJSONLTracer(f)))
+//	    segdb.WithPoolPages(64))
 //
 // A nil Option is skipped, so the pre-v2 spelling Open(kind, nil) still
-// compiles and means the defaults.
+// compiles and means the defaults. Runtime state — a tracer, fault and
+// retry policies, degraded reads — attaches after Open through the
+// database's Set* methods.
 type Option interface {
-	apply(*Options)
+	apply(*options)
 }
 
-type optionFunc func(*Options)
+// options is what the With* functions fold into: the construction
+// parameters a saved image's header restores, plus the database's modes,
+// which no image stores.
+type options struct {
+	kinds.Config
+	WALDir           string // WithWAL
+	WALFS            WALFS  // WithWALFS; overrides WALDir
+	StagedIngest     bool   // WithStagedIngest
+	CompactThreshold int    // WithCompactThreshold
+}
 
-func (f optionFunc) apply(o *Options) { f(o) }
+type optionFunc func(*options)
+
+func (f optionFunc) apply(o *options) { f(o) }
 
 // WithPageSize sets the disk page size in bytes (default 1024, the
 // paper's configuration). Open refuses sizes outside 64 B … 1 MiB.
 func WithPageSize(n int) Option {
-	return optionFunc(func(o *Options) { o.PageSize = n })
+	return optionFunc(func(o *options) { o.PageSize = n })
 }
 
 // WithPoolPages sets the buffer pool capacity in pages (default 16).
 // Open refuses capacities outside 1 … 65,536.
 func WithPoolPages(n int) Option {
-	return optionFunc(func(o *Options) { o.PoolPages = n })
+	return optionFunc(func(o *options) { o.PoolPages = n })
 }
 
 // WithPMRThreshold sets the PMR quadtree splitting threshold
 // (default 4).
 func WithPMRThreshold(n int) Option {
-	return optionFunc(func(o *Options) { o.PMRThreshold = n })
+	return optionFunc(func(o *options) { o.PMRThreshold = n })
 }
 
 // WithPMRStoreMBR enables the PMR "3-tuple" variant that stores a small
 // bounding rectangle with every q-edge.
 func WithPMRStoreMBR(enabled bool) Option {
-	return optionFunc(func(o *Options) { o.PMRStoreMBR = enabled })
+	return optionFunc(func(o *options) { o.PMRStoreMBR = enabled })
 }
 
 // WithPageCompression selects the on-disk page format (default 0):
@@ -61,20 +72,7 @@ func WithPMRStoreMBR(enabled bool) Option {
 // written at either level can be read back regardless of the database's
 // current setting; the level only governs what new writes produce.
 func WithPageCompression(level int) Option {
-	return optionFunc(func(o *Options) { o.PageCompression = level })
-}
-
-// WithFaultPolicy attaches a fault-injection policy to both of the
-// database's simulated disks at open time (equivalent to calling
-// SetFaultPolicy immediately after Open).
-func WithFaultPolicy(p *FaultPolicy) Option {
-	return optionFunc(func(o *Options) { o.FaultPolicy = p })
-}
-
-// WithTracer installs a query tracer at open time (equivalent to
-// calling SetTracer immediately after Open).
-func WithTracer(t Tracer) Option {
-	return optionFunc(func(o *Options) { o.Tracer = t })
+	return optionFunc(func(o *options) { o.PageCompression = level })
 }
 
 // WithWAL makes the database durable: every mutation is written ahead
@@ -84,7 +82,7 @@ func WithTracer(t Tracer) Option {
 // refuses a directory that already holds a checkpoint — reopen that
 // state with Recover instead.
 func WithWAL(dir string) Option {
-	return optionFunc(func(o *Options) { o.WALDir = dir })
+	return optionFunc(func(o *options) { o.WALDir = dir })
 }
 
 // WithWALFS is WithWAL over an explicit log filesystem instead of a
@@ -92,16 +90,7 @@ func WithWAL(dir string) Option {
 // deterministic torn-write injection simulates power loss at any chosen
 // write.
 func WithWALFS(fs WALFS) Option {
-	return optionFunc(func(o *Options) { o.WALFS = fs })
-}
-
-// WithRetryPolicy attaches a retry policy to both of the database's
-// disks at open time (equivalent to calling SetRetryPolicy immediately
-// after Open): transient injected read/write faults are retried with
-// exponential backoff, and retries are counted in Metrics.Retries and
-// QueryStats.Retries.
-func WithRetryPolicy(rp *RetryPolicy) Option {
-	return optionFunc(func(o *Options) { o.RetryPolicy = rp })
+	return optionFunc(func(o *options) { o.WALFS = fs })
 }
 
 // WithStagedIngest opens the database in staged-ingest (MVCC) mode:
@@ -115,7 +104,7 @@ func WithRetryPolicy(rp *RetryPolicy) Option {
 // block readers and readers never block writers. A runtime mode: not
 // serialized by Save.
 func WithStagedIngest() Option {
-	return optionFunc(func(o *Options) { o.StagedIngest = true })
+	return optionFunc(func(o *options) { o.StagedIngest = true })
 }
 
 // WithCompactThreshold sets how large the staging tier (memtable
@@ -124,54 +113,39 @@ func WithStagedIngest() Option {
 // leaving it to explicit DB.Compact calls). Only meaningful with
 // WithStagedIngest.
 func WithCompactThreshold(n int) Option {
-	return optionFunc(func(o *Options) { o.CompactThreshold = n })
+	return optionFunc(func(o *options) { o.CompactThreshold = n })
 }
 
-// WithDegradedReads opens the database in degraded-read mode: a page
-// that fails its checksum or exhausts its retries is quarantined and
-// skipped instead of aborting the query, which then returns partial
-// results with the skips counted in QueryStats.SkippedPages. Scrub
-// repairs quarantined pages from the last checkpoint plus the
-// write-ahead log. Mutations are never degraded: a write that cannot
-// read its pages still fails loudly.
-func WithDegradedReads(on bool) Option {
-	return optionFunc(func(o *Options) { o.DegradedReads = on })
-}
-
-// resolveOptions folds the options over a zero Options and fills in the
-// paper's defaults for fields left at zero.
-func resolveOptions(opts []Option) Options {
-	var o Options
+// foldOptions applies the options, left to right, to a zero options.
+func foldOptions(opts []Option) options {
+	var o options
 	for _, opt := range opts {
 		if opt != nil {
 			opt.apply(&o)
 		}
 	}
+	return o
+}
+
+// resolveOptions folds the options and fills each field left at zero
+// with its default: the paper's, from kinds.DefaultConfig, and a
+// 4,096-entry staging tier.
+func resolveOptions(opts []Option) options {
+	o := foldOptions(opts)
+	d := kinds.DefaultConfig()
 	if o.PageSize == 0 {
-		o.PageSize = store.DefaultPageSize
+		o.PageSize = d.PageSize
 	}
 	if o.PoolPages == 0 {
-		o.PoolPages = store.DefaultPoolPages
+		o.PoolPages = d.PoolPages
 	}
 	if o.PMRThreshold == 0 {
-		o.PMRThreshold = 4
+		o.PMRThreshold = d.PMRThreshold
 	}
 	if o.CompactThreshold == 0 {
 		o.CompactThreshold = 4096
 	}
 	return o
-}
-
-// config is what index construction reads of the options: Open, the
-// bulk rebuild, Load and crash recovery all build through it.
-func (o Options) config() kinds.Config {
-	return kinds.Config{
-		PageSize:        o.PageSize,
-		PoolPages:       o.PoolPages,
-		PMRThreshold:    o.PMRThreshold,
-		PMRStoreMBR:     o.PMRStoreMBR,
-		PageCompression: o.PageCompression,
-	}
 }
 
 // Bounds on the page and pool sizes an image header may carry, and so on
@@ -187,7 +161,7 @@ const (
 // and Load to an image's header, before either sizes anything from them.
 // Level 2 gets its own message because images written at it exist
 // (DESIGN.md, "Compressed pages").
-func checkOptions(o Options) error {
+func checkOptions(o kinds.Config) error {
 	switch o.PageCompression {
 	case 0, 1:
 	case 2:

@@ -57,7 +57,7 @@ func (db *DB) PageFormatStats() (PageFormatStats, error) {
 	}
 	stats := PageFormatStats{Level: db.opts.PageCompression, Formats: make(map[string]int)}
 	disk := db.pool.Disk()
-	inspect := kinds.PageInspector(db.kind, db.opts.config())
+	inspect := kinds.PageInspector(db.kind, db.opts.Config)
 	for id := 0; id < disk.PageCount(); id++ {
 		data, err := disk.RawPage(store.PageID(id))
 		if err != nil {

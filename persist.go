@@ -96,7 +96,6 @@ func (db *DB) writeSnapshot(w io.Writer) error {
 
 // Load reopens a database serialized with Save.
 func Load(r io.Reader) (*DB, error) {
-	var opts Options
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("segdb: reading file magic: %w", err)
@@ -120,19 +119,17 @@ func Load(r io.Reader) (*DB, error) {
 		}
 	}
 	kind := Kind(header[0])
-	opts = Options{
-		PageSize:     int(header[1]),
-		PoolPages:    int(header[2]),
-		PMRThreshold: int(header[3]),
-		PMRStoreMBR:  header[4] != 0,
-		// Staged ingest is a runtime mode (off after Load); the
-		// compaction threshold resolves to its default as in Open.
-		CompactThreshold: 4096,
-	}
+	// The modes, which no image stores, take their defaults as in Open:
+	// staged ingest is off after Load.
+	opts := resolveOptions(nil)
+	opts.PageSize = int(header[1])
+	opts.PoolPages = int(header[2])
+	opts.PMRThreshold = int(header[3])
+	opts.PMRStoreMBR = header[4] != 0
 	if headerWords > 7 {
 		opts.PageCompression = int(header[7])
 	}
-	if err := checkOptions(opts); err != nil {
+	if err := checkOptions(opts.Config); err != nil {
 		return nil, fmt.Errorf("segdb: image header: %w", err)
 	}
 	if cells := grid.DefaultConfig().CellsPerSide; header[5] != uint32(cells) {
@@ -177,7 +174,7 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("segdb: index image page size %d, header says %d", disk.PageSize(), opts.PageSize)
 	}
 	pool := store.NewPool(disk, opts.PoolPages)
-	ix, err := kinds.Restore(kind, opts.config(), pool, table, meta)
+	ix, err := kinds.Restore(kind, opts.Config, pool, table, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +195,7 @@ func (db *DB) killUnindexed(meta []uint64) error {
 		return nil
 	}
 	pool := store.NewPool(db.pool.Disk(), db.opts.PoolPages)
-	ix, err := kinds.Restore(db.kind, db.opts.config(), pool, db.table, meta)
+	ix, err := kinds.Restore(db.kind, db.opts.Config, pool, db.table, meta)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ type (
 	QueryInfo = obs.QueryInfo
 	// Tracer receives query lifecycle events (start, finish, page
 	// fault, node visit); implementations must be safe for concurrent
-	// use. Install one with WithTracer or SetTracer.
+	// use. Install one with SetTracer.
 	Tracer = obs.Tracer
 	// JSONLTracer is a Tracer writing one JSON object per event.
 	JSONLTracer = obs.JSONLTracer
@@ -53,7 +53,11 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer { return obs.NewJSONLTracer(w) }
 // is atomic: a query in flight keeps the tracer it started with, and
 // the next query picks up the new one.
 func (db *DB) SetTracer(t Tracer) {
-	db.setTracer(t)
+	if t == nil {
+		db.trc.Store(nil)
+		return
+	}
+	db.trc.Store(&tracerBox{t: t})
 }
 
 // begin opens a per-query observation. It reads only atomic state (the

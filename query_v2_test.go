@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"segdb/internal/core"
+	"segdb/internal/kinds"
 )
 
 // TestQueryStatsSequential checks that on an otherwise idle database a
@@ -340,10 +341,11 @@ func TestTracerJSONL(t *testing.T) {
 	m := stressMap(t)
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
-	db, err := Open(RStarTree, WithTracer(tr))
+	db, err := Open(RStarTree)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetTracer(tr)
 	if _, err := db.Load(m); err != nil {
 		t.Fatal(err)
 	}
@@ -477,9 +479,9 @@ func TestProfile(t *testing.T) {
 // TestFunctionalOptions checks the Open signature, the nil option the
 // pre-v2 Open(kind, nil) spelling passes, and option composition.
 func TestFunctionalOptions(t *testing.T) {
-	// Defaults.
+	// Defaults: the paper's configuration, and nothing else set.
 	o := resolveOptions(nil)
-	if o.PageSize != 1024 || o.PoolPages != 16 || o.PMRThreshold != 4 {
+	if o.Config != kinds.DefaultConfig() || o.CompactThreshold != 4096 || o.StagedIngest || o.WALDir != "" || o.WALFS != nil {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	// Functional options compose left to right.
@@ -513,29 +515,6 @@ func TestFunctionalOptions(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("window found %d segments, want 1", n)
 		}
-	}
-
-	// WithFaultPolicy attaches at open: a policy failing every read makes
-	// the first cold page fetch fail with an injected fault.
-	pol := NewFaultPolicy(FaultConfig{ReadErrorProb: 1})
-	db, err := Open(RStarTree, WithFaultPolicy(pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opErr := func() error {
-		if _, err := db.Add(Seg(1, 1, 50, 50)); err != nil {
-			return err
-		}
-		if err := db.DropCaches(); err != nil {
-			return err
-		}
-		return db.Window(World(), func(SegmentID, Segment) bool { return true })
-	}()
-	if opErr == nil {
-		t.Fatal("fault policy attached via option injected no faults")
-	}
-	if !errors.Is(opErr, ErrInjectedFault) {
-		t.Fatalf("got %v, want an injected fault", opErr)
 	}
 }
 

@@ -115,55 +115,6 @@ const (
 	ClassicRTree = kinds.RTree
 )
 
-// Options tunes the simulated disk and the index parameters. The zero
-// value of any field selects the paper's default.
-//
-// Options is the carrier the functional With* options fold into, and
-// what a saved image's header restores. It is not itself an Option:
-// databases are configured through the With* functions only.
-type Options struct {
-	// PageSize is the disk page size in bytes (default 1024).
-	PageSize int
-	// PoolPages is the buffer pool capacity in pages (default 16).
-	PoolPages int
-	// PMRThreshold is the PMR quadtree splitting threshold (default 4).
-	PMRThreshold int
-	// PMRStoreMBR enables the PMR variant of §6 of the paper that stores
-	// a small bounding rectangle with every q-edge ("3-tuples"), trading
-	// storage for fewer segment comparisons.
-	PMRStoreMBR bool
-	// PageCompression selects the on-disk page format, 0 or 1 (see
-	// WithPageCompression). Serialized by Save: a compressed image
-	// reopens compressed.
-	PageCompression int
-	// FaultPolicy, if non-nil, is attached to both disks at open time
-	// (see WithFaultPolicy). Runtime state, not serialized by Save.
-	FaultPolicy *FaultPolicy
-	// Tracer, if non-nil, is installed at open time (see WithTracer).
-	// Runtime state, not serialized by Save.
-	Tracer Tracer
-	// WALDir, if non-empty, makes the database durable: a write-ahead
-	// log and checkpoint are kept in this directory (see WithWAL).
-	WALDir string
-	// WALFS, if non-nil, overrides WALDir with an explicit log
-	// filesystem (see WithWALFS); crash harnesses pass a MemWALFS.
-	WALFS WALFS
-	// RetryPolicy, if non-nil, is attached to both disks at open time
-	// (see WithRetryPolicy). Runtime state, not serialized by Save.
-	RetryPolicy *RetryPolicy
-	// DegradedReads makes queries skip quarantined pages and report them
-	// in QueryStats.SkippedPages instead of failing (see
-	// WithDegradedReads).
-	DegradedReads bool
-	// StagedIngest enables MVCC snapshot reads and LSM-staged writes
-	// (see WithStagedIngest). A runtime mode, not serialized by Save.
-	StagedIngest bool
-	// CompactThreshold is the staging-tier size that triggers automatic
-	// compaction (default 4096; negative disables — see
-	// WithCompactThreshold).
-	CompactThreshold int
-}
-
 // DB is a line segment database: a disk-resident segment table plus one
 // spatial index over it.
 //
@@ -195,7 +146,7 @@ type DB struct {
 	mu    sync.RWMutex // queries share (legacy mode); structural writes are exclusive
 	seq   uint64       // allocation order; fixes the lock order for two-DB operations
 	kind  Kind
-	opts  Options
+	opts  options
 	table *seg.Table
 	pool  *store.Pool
 	index kinds.Index
@@ -242,15 +193,6 @@ type DB struct {
 // cannot be stored atomically without a carrier).
 type tracerBox struct{ t Tracer }
 
-// setTracer atomically installs (or with nil removes) the tracer.
-func (db *DB) setTracer(t Tracer) {
-	if t == nil {
-		db.trc.Store(nil)
-		return
-	}
-	db.trc.Store(&tracerBox{t: t})
-}
-
 // tracerNow returns the currently installed tracer (nil if none).
 func (db *DB) tracerNow() Tracer {
 	if b := db.trc.Load(); b != nil {
@@ -264,41 +206,26 @@ func (db *DB) tracerNow() Tracer {
 var dbSeq atomic.Uint64
 
 // newDB wraps a built or restored index in a DB with the sequence
-// number that fixes its place in the two-DB lock order, and attaches
-// o's runtime options. Callers build the index before it and run WAL
-// set-up after it, so injected faults miss the former and are live
-// during the latter.
-func newDB(kind Kind, o Options, table *seg.Table, pool *store.Pool, ix kinds.Index) *DB {
-	db := &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
-	db.attachRuntime(o)
-	return db
-}
-
-// attachRuntime installs the options no image stores: the tracer, the
-// degraded-reads flag, the fault and retry policies on both disks, and
-// the staged-ingest settings. Recover attaches them after replay.
-func (db *DB) attachRuntime(o Options) {
-	db.opts.FaultPolicy, db.opts.Tracer, db.opts.RetryPolicy = o.FaultPolicy, o.Tracer, o.RetryPolicy
-	db.opts.DegradedReads, db.opts.StagedIngest, db.opts.CompactThreshold = o.DegradedReads, o.StagedIngest, o.CompactThreshold
-	db.setTracer(o.Tracer)
-	db.degraded.Store(o.DegradedReads)
-	db.SetFaultPolicy(o.FaultPolicy)
-	db.SetRetryPolicy(o.RetryPolicy)
+// number that fixes its place in the two-DB lock order. Runtime state
+// (tracer, fault and retry policies, degraded reads) starts detached:
+// it attaches only through the Set* methods.
+func newDB(kind Kind, o options, table *seg.Table, pool *store.Pool, ix kinds.Index) *DB {
+	return &DB{seq: dbSeq.Add(1), kind: kind, opts: o, table: table, pool: pool, index: ix}
 }
 
 // Open creates an empty database backed by the chosen index kind. With
 // no options it uses the configuration of the paper's experiments;
 // tune it with functional options (WithPageSize, WithPoolPages,
-// WithTracer, ...). A nil Option is skipped, so the pre-v2 spelling
+// WithWAL, ...). A nil Option is skipped, so the pre-v2 spelling
 // Open(kind, nil) still compiles and means the defaults.
 func Open(kind Kind, opts ...Option) (*DB, error) {
 	o := resolveOptions(opts)
-	if err := checkOptions(o); err != nil {
+	if err := checkOptions(o.Config); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 	}
 	table := seg.NewTable(o.PageSize, o.PoolPages)
 	pool := store.NewPool(store.NewDisk(o.PageSize), o.PoolPages)
-	ix, err := kinds.New(kind, o.config(), pool, table)
+	ix, err := kinds.New(kind, o.Config, pool, table)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package segdb
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/token"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -298,5 +300,38 @@ func TestFacadeSurface(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*DB methods = %q\nwant %q", got, want)
+	}
+}
+
+// TestOptionSurface pins the exported functions that return an Option,
+// as TestFacadeSurface pins *DB: the construction parameters a saved
+// image restores, the log location and the database's modes. Runtime
+// state attaches through *DB's Set* methods, never through an Option.
+func TestOptionSurface(t *testing.T) {
+	want := []string{
+		"WithCompactThreshold", "WithPMRStoreMBR", "WithPMRThreshold",
+		"WithPageCompression", "WithPageSize", "WithPoolPages",
+		"WithStagedIngest", "WithWAL", "WithWALFS",
+	}
+	var got []string
+	eachSource(t, token.NewFileSet(), func(path string, f *ast.File) {
+		if strings.Contains(path, "/") {
+			return // another package
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			for _, r := range fn.Type.Results.List {
+				if id, ok := r.Type.(*ast.Ident); ok && id.Name == "Option" {
+					got = append(got, fn.Name.Name)
+				}
+			}
+		}
+	})
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("funcs returning Option = %q\nwant %q", got, want)
 	}
 }
